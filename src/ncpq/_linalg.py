@@ -1,9 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are tuples of row tuples. Everything runs on ints and
-`fractions.Fraction`; no floating point enters the package anywhere.
-Sizes are desk scale (the rank of a root system), so plain Gaussian
-elimination is the right tool.
+Matrices are tuples of row tuples. No floating point enters the package
+anywhere. Integer matrices (Weyl-group elements, Cartan matrices) are
+handled fraction-free: products, Bareiss determinant and rank, and the
+inverse of a unimodular matrix all stay in the integers.
+`fractions.Fraction` is used only by `rref` and the functions built on it
+(`rank`, `right_nullspace`, `left_nullspace`), which serve the rep-layer
+nullspaces over the rationals. Sizes are desk scale (the rank of a root
+system), so plain Gaussian elimination is the right tool.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -13,6 +17,7 @@ count explicitly where it cannot be inferred.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -27,40 +32,40 @@ def identity_matrix(n: int) -> IntMatrix:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Product of two square integer matrices of equal size."""
     cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix that is invertible over the integers."""
+    """Inverse of an integer matrix that is invertible over the integers.
+
+    Fraction-free Gauss-Jordan (Bareiss): the row operations turn [A | I]
+    into [d I | d A^-1] with every division exact, and d = +-det(A). A is
+    invertible over the integers exactly when d = +-1, so d A^-1 is then
+    the inverse up to the sign d. Raises ValueError otherwise.
+    """
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not invertible over the integers")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
+        m[k], m[pivot] = m[pivot], m[k]
+        pk = m[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pk)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(prev * x for x in row[n:]) for row in m)
 
 
 def det_bareiss(a: IntMatrix) -> int:
@@ -83,6 +88,34 @@ def det_bareiss(a: IntMatrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Exact rank of an integer matrix (fraction-free Bareiss elimination).
+
+    Any shape is accepted, including no rows, zero rows and zero columns.
+    After k pivots every remaining entry is a (k+1)-minor of the input, so
+    each division by the previous pivot is exact.
+    """
+    m = [list(row) for row in rows if any(row)]
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pr = m[r]
+        p = pr[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]], ncols: int):
@@ -133,7 +166,3 @@ def left_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list
     nrows = len(rows)
     transposed = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
     return right_nullspace(transposed, nrows)
-
-
-def frac_mat_rank(a: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
-    return rank(a, ncols)

@@ -177,28 +177,32 @@ def factor_in_reflections(w: WeylElement, roots: RootSystem,
 def minimal_reflection_factorizations(w: WeylElement,
                                       roots: RootSystem) -> set[tuple[Vector, ...]]:
     """All factorizations of w into absolute_length(w) reflections, as
-    ordered tuples of positive roots."""
+    ordered tuples of positive roots.
+
+    A reflection t can start a minimal factorization of the remaining
+    element r exactly when t <= r in absolute order (|t| = 1 and t^-1 = t,
+    so that is |t r| = |r| - 1); only those branches are composed. The
+    factorizations of each element below w are built once and shared by
+    every prefix that reaches it.
+    """
     if not roots.complete:
         raise NonFiniteTypeError("factorization enumeration requires a complete root system")
-    total = absolute_length(w, roots)
     refls = roots.reflections()
-    out: set[tuple[Vector, ...]] = set()
-    acc: list[Vector] = []
+    ident = identity(w.n).matrix
+    memo: dict = {}
 
-    def dfs(remaining: WeylElement, m: int):
-        if m == 0:
-            if remaining.matrix == identity(w.n).matrix:
-                out.add(tuple(acc))
-            return
-        for refl in refls:
-            rest = compose(refl.element, remaining)
-            if absolute_length(rest, roots) == m - 1:
-                acc.append(refl.root)
-                dfs(rest, m - 1)
-                acc.pop()
+    def factorizations(remaining: WeylElement) -> list[tuple[Vector, ...]]:
+        if remaining.matrix == ident:
+            return [()]
+        found = memo.get(remaining.matrix)
+        if found is None:
+            found = [(refl.root,) + rest
+                     for refl in refls if absolute_leq(refl.element, remaining, roots)
+                     for rest in factorizations(compose(refl.element, remaining))]
+            memo[remaining.matrix] = found
+        return found
 
-    dfs(w, total)
-    return out
+    return set(factorizations(w))
 
 
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,

@@ -6,7 +6,8 @@ available for the graph-shaped outputs (the interval's Hasse diagram, the
 mutation graph, the braid orbit graph).
 
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
-3 unsupported type, 4 cap exceeded.
+3 unsupported type, 4 cap exceeded or bounded search exhausted,
+5 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     NcpqError,
     NonFiniteTypeError,
     QuiverParseError,
+    SearchExhaustedError,
     ValidationError,
 )
 from .exc import enumerate_complete_sequences, is_connected, mutation_graph
@@ -45,6 +47,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED_TYPE = 3
 EXIT_CAP_EXCEEDED = 4
+EXIT_INTERNAL_ERROR = 5
 
 DEFAULT_ORBIT_CAP = 1_000_000
 DEFAULT_SEQUENCE_CAP = 1_000_000
@@ -353,12 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_TYPE
-    except CapExceededError as exc:
+    except (CapExceededError, SearchExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except NcpqError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

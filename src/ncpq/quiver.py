@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._linalg import IntMatrix, det_bareiss, frac_mat_rank
+from ._linalg import IntMatrix, det_bareiss, int_rank
 from .errors import QuiverParseError, ValidationError
 
 Vector = tuple[int, ...]
@@ -278,7 +278,7 @@ def classify_type(c: CartanMatrix) -> Classification:
         coranks = []
         for comp in _components(c.entries):
             sub = [[c.entries[i][j] for j in comp] for i in comp]
-            coranks.append(len(comp) - frac_mat_rank(sub, len(comp)))
+            coranks.append(len(comp) - int_rank(sub, len(comp)))
         if max(coranks) <= 1:
             return Classification("affine")
     return Classification("indefinite")

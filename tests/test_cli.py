@@ -8,8 +8,17 @@ import re
 
 import pytest
 
+from ncpq import cli
 from ncpq.bijection import BijectionReport
 from ncpq.cli import main
+from ncpq.errors import (
+    CapExceededError,
+    NcpqError,
+    NonFiniteTypeError,
+    QuiverParseError,
+    SearchExhaustedError,
+    ValidationError,
+)
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
 
@@ -229,3 +238,32 @@ def test_bad_jobs_exit_2(quiver_file):
 
 def test_bad_order_string_exit_2(quiver_file, capsys):
     assert main(["verify", quiver_file(A2_TEXT), "--coxeter-order", "x,y"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code mapping of the error hierarchy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (QuiverParseError("bad line", 3), 2, "error:"),
+    (ValidationError("bad argument"), 2, "error:"),
+    (NonFiniteTypeError("affine"), 3, "error:"),
+    (CapExceededError("too many"), 4, "error:"),
+    (SearchExhaustedError("no certificate"), 4, "error:"),
+    (NcpqError("broken invariant"), 5, "internal error:"),
+])
+def test_error_exit_codes(error, code, prefix, quiver_file, monkeypatch, capsys):
+    def raising(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", raising)
+    assert main(["analyze", quiver_file(A2_TEXT)]) == code
+    assert capsys.readouterr().err.startswith(f"{prefix} {error}")
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_command_exit_code_passes_through(code, quiver_file, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "analyze", lambda cfg: code)
+    assert main(["analyze", quiver_file(A2_TEXT)]) == code
+

@@ -238,6 +238,45 @@ def test_absolute_leq_is_partial_order(fixture_name, request):
                     assert (a.matrix, c.matrix) in leq
 
 
+def test_absolute_leq_matches_bfs_on_all_pairs_a3(a3_roots):
+    # The oracle recovers u^-1 w as the group element x with u x = w, by
+    # search over products, and reads all three lengths off the BFS table.
+    assert a3_roots.complete
+    table = bfs_absolute_lengths(a3_roots)
+    n = a3_roots.n
+    elements = sorted(table)
+    assert len(elements) == 24
+
+    def product(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                     for i in range(n))
+
+    for u in elements:
+        quotient = {product(u, x): x for x in elements}
+        for w in elements:
+            expected = table[u] + table[quotient[w]] == table[w]
+            assert absolute_leq(WeylElement(u), WeylElement(w), a3_roots) == expected
+
+
+def test_absolute_leq_noncomplete_takes_certified_path(kronecker):
+    roots = generate_roots(kronecker, 5)
+    assert not roots.complete
+    one = identity(2)
+    assert absolute_leq(one, one, roots)
+    reflections = [make_reflection(kronecker, r).element
+                   for r in sorted(roots.positive_real_roots)]
+    for t in reflections:
+        assert absolute_leq(one, t, roots)
+        assert absolute_leq(t, t, roots)
+        assert not absolute_leq(t, one, roots)
+    # The product of the two simple reflections is an affine Coxeter
+    # element, whose length no search over the truncated reflections can
+    # certify: the order must refuse, not fall back to a rank formula that
+    # only holds in finite type.
+    with pytest.raises(SearchExhaustedError):
+        absolute_leq(reflections[0], reflections[1], roots)
+
+
 # ---------------------------------------------------------------------------
 # group and interval enumeration
 # ---------------------------------------------------------------------------
