@@ -3,11 +3,13 @@
 Matrices are tuples of row tuples. No floating point enters the package
 anywhere. Integer matrices (Weyl-group elements, Cartan matrices) are
 handled fraction-free: products, Bareiss determinant and rank, and the
-inverse of a unimodular matrix all stay in the integers.
-`fractions.Fraction` is used only by `rref` and the functions built on it
-(`rank`, `right_nullspace`, `left_nullspace`), which serve the rep-layer
-nullspaces over the rationals. Sizes are desk scale (the rank of a root
-system), so plain Gaussian elimination is the right tool.
+inverse of a unimodular matrix all stay in the integers. `rank` is
+fraction-free too: it clears the denominators of each rational row and
+calls `int_rank`. `fractions.Fraction` arithmetic is used only by `rref`
+and the nullspaces built on it (`right_nullspace`, `left_nullspace`),
+which serve the rep-layer Hom bases over the rationals. Sizes are desk
+scale (the rank of a root system), so plain Gaussian elimination is the
+right tool.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -17,6 +19,7 @@ count explicitly where it cannot be inferred.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -142,7 +145,17 @@ def rref(rows: Sequence[Sequence[Fraction | int]], ncols: int):
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    """Exact rank of a rational matrix, fraction-free.
+
+    Each row is multiplied by the lcm of its entries' denominators, which
+    is a nonzero integer and so keeps the rank, and the integer matrix goes
+    to `int_rank`. Ints carry `numerator` and `denominator` as Fractions do.
+    """
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return int_rank(scaled, ncols)
 
 
 def right_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:

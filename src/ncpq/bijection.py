@@ -99,10 +99,6 @@ def _sequences_within(sub: Subcategory, reg: IndecRegistry) -> list[tuple[Vector
     to its rank, members among its indecomposables, thick closure equal to
     the subcategory."""
     members = sorted(sub.ind_roots)
-    can_follow = {
-        a: frozenset(b for b in members if reg.hom(a, b) == 0 and reg.ext(a, b) == 0)
-        for a in members
-    }
     out: list[tuple[Vector, ...]] = []
     chosen: list[Vector] = []
 
@@ -113,7 +109,7 @@ def _sequences_within(sub: Subcategory, reg: IndecRegistry) -> list[tuple[Vector
                 out.append(candidate)
             return
         for x in members:
-            if all(e in can_follow[x] for e in chosen):
+            if reg.right_orth(x).issuperset(chosen):
                 chosen.append(x)
                 backtrack()
                 chosen.pop()

@@ -63,13 +63,12 @@ class RunConfig:
     cap_group: int
     cap_orbit: int
     cap_sequences: int
-    jobs: int
     seed: int
 
     def __post_init__(self):
         if self.output_format not in ("json", "dot", "text"):
             raise ValidationError(f"unknown format {self.output_format!r}")
-        for name in ("cap_group", "cap_orbit", "cap_sequences", "jobs"):
+        for name in ("cap_group", "cap_orbit", "cap_sequences"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"--{name.replace('_', '-')} must be positive")
 
@@ -105,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"group-size cap (default ${{NCPQ_CAP_GROUP}} or {DEFAULT_GROUP_CAP})")
         p.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
         p.add_argument("--cap-sequences", type=int, default=DEFAULT_SEQUENCE_CAP)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count for enumerations; results do not depend on it")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks; outputs are reproducible per seed")
     return parser
@@ -125,7 +122,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cap_group=cap_group,
         cap_orbit=args.cap_orbit,
         cap_sequences=args.cap_sequences,
-        jobs=args.jobs,
         seed=args.seed,
     )
 

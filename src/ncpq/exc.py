@@ -11,6 +11,7 @@ its indecomposables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,9 +95,7 @@ def right_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]
     for r in members:
         if r not in reg:
             raise ValidationError(f"{r} is not a registered root")
-    return frozenset(
-        m for m in reg.roots()
-        if all(reg.hom(u, m) == 0 and reg.ext(u, m) == 0 for u in members))
+    return frozenset(reg.roots()).intersection(*(reg.right_orth(u) for u in members))
 
 
 def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
@@ -105,9 +104,7 @@ def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     for r in members:
         if r not in reg:
             raise ValidationError(f"{r} is not a registered root")
-    return frozenset(
-        m for m in reg.roots()
-        if all(reg.hom(m, u) == 0 and reg.ext(m, u) == 0 for u in members))
+    return frozenset(reg.roots()).intersection(*(reg.left_orth(u) for u in members))
 
 
 def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> frozenset[Vector]:
@@ -204,11 +201,17 @@ def _relative_root_count(simples: tuple[Vector, ...], reg: IndecRegistry) -> int
         for j in range(r):
             if i != j:
                 arrows.extend([(i + 1, j + 1)] * reg.ext(simples[i], simples[j]))
-    rel = Quiver(r, tuple(arrows))
-    rel_roots = generate_roots(rel)
-    if not rel_roots.complete:
+    return _finite_root_count(Quiver(r, tuple(arrows)))
+
+
+@functools.cache
+def _finite_root_count(q: Quiver) -> int:
+    """Positive-root count of a finite-type quiver. generate_roots is pure,
+    and many closures share one relative quiver, so this is memoized."""
+    roots = generate_roots(q)
+    if not roots.complete:
         raise NcpqError("relative quiver of a subcategory is not finite type")
-    return len(rel_roots.positive_real_roots)
+    return len(roots.positive_real_roots)
 
 
 def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
@@ -313,10 +316,6 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
     """All complete exceptional sequences, by backtracking with pairwise
     pruning."""
     roots = reg.roots()
-    can_follow = {
-        a: frozenset(b for b in roots if reg.hom(a, b) == 0 and reg.ext(a, b) == 0)
-        for a in roots
-    }
     results: set[ExcSequence] = set()
     chosen: list[Vector] = []
 
@@ -327,7 +326,7 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
             results.add(ExcSequence(tuple(chosen)))
             return
         for x in roots:
-            if all(e in can_follow[x] for e in chosen):
+            if reg.right_orth(x).issuperset(chosen):
                 chosen.append(x)
                 backtrack()
                 chosen.pop()

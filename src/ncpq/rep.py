@@ -4,15 +4,18 @@ For a finite-type quiver this module constructs one indecomposable
 representation per positive root, deterministically: walk the root down to
 a simple root along a sink-admissible sequence of simple reflections, then
 transport the simple representation back up with cokernel (source-side)
-reflection steps. Hom spaces are solved exactly from the intertwiner
-equations; Ext dimensions come from the bilinear-form identity
-hom - ext = form(dim M, dim N), which is validated against an independent
-resolution-based computation in the test suite.
+reflection steps. dim Hom(M, N) is the nullity of the intertwiner
+equations, taken from their fraction-free integer rank (`_linalg.rank`);
+explicit Hom bases still come from the rational nullspace. Ext dimensions
+come from the bilinear-form identity hom - ext = form(dim M, dim N), which
+is validated against an independent resolution-based computation in the
+test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,22 +63,12 @@ class Representation:
         return self.dims
 
     def to_debug_json(self) -> dict:
-        denom = 1
-        for m in self.maps:
-            for row in m:
-                for x in row:
-                    denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for m in self.maps for row in m for x in row))
         return {
             "dims": list(self.dims),
             "denominator": denom,
             "maps": [[[int(x * denom) for x in row] for row in m] for m in self.maps],
         }
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def zero_representation(q: Quiver) -> Representation:
@@ -153,43 +146,6 @@ def ext_dim(M: Representation, N: Representation) -> int:
     if value < 0:
         raise NcpqError("negative Ext dimension; this is a bug")
     return value
-
-
-def ext_dim_via_resolution(M: Representation, N: Representation) -> int:
-    """Independent Ext computation from the canonical two-term resolution.
-
-    Applies the map (f_i) -> (N_a f_h - f_t M_a) to each basis element of
-    the direct sum of the vertex Hom spaces and measures its cokernel.
-    Used only to cross-validate ext_dim.
-    """
-    if M.quiver != N.quiver:
-        raise ValidationError("representations live over different quivers")
-    q = M.quiver
-    arrow_sizes = [(N.dims[t - 1], M.dims[h - 1]) for h, t in q.arrows]
-    codomain = sum(r * c for r, c in arrow_sizes)
-    columns = []
-    for i in range(q.n):
-        for r in range(N.dims[i]):
-            for c in range(M.dims[i]):
-                # unit map at vertex i, entry (r, c)
-                image = []
-                for k, (h, t) in enumerate(q.arrows):
-                    h -= 1
-                    t -= 1
-                    Ma, Na = M.maps[k], N.maps[k]
-                    for rr in range(N.dims[t]):
-                        for cc in range(M.dims[h]):
-                            val = Fraction(0)
-                            if i == h and cc == c:
-                                val += Na[rr][r]
-                            if i == t and rr == r:
-                                val -= Ma[c][cc]
-                            image.append(val)
-                columns.append(image)
-    if codomain == 0:
-        return 0
-    matrix_rows = [[col[j] for col in columns] for j in range(codomain)]
-    return codomain - rank(matrix_rows, len(columns))
 
 
 def is_exceptional(M: Representation) -> bool:
@@ -318,7 +274,10 @@ class IndecRegistry:
     """Complete table positive root -> indecomposable, with memoized
     Hom/Ext lookups keyed by root pairs.
 
-    Immutable after build; the memo dicts fill lazily and are safe for
+    Immutable after build. All memos fill lazily, on first use: Hom and
+    Ext dimensions per ordered root pair, Hom bases and injectivity per
+    pair, and per root the two orthogonal sets `right_orth`/`left_orth`
+    that perpendicular categories intersect. The memo dicts are safe for
     concurrent reads under the GIL.
     """
 
@@ -331,6 +290,9 @@ class IndecRegistry:
         self._hom: dict[tuple[Vector, Vector], int] = {}
         self._hom_bases: dict[tuple[Vector, Vector], tuple] = {}
         self._injective: dict[tuple[Vector, Vector], bool] = {}
+        self._ext: dict[tuple[Vector, Vector], int] = {}
+        self._right_orth: dict[Vector, frozenset[Vector]] = {}
+        self._left_orth: dict[Vector, frozenset[Vector]] = {}
 
     def roots(self) -> tuple[Vector, ...]:
         return self._roots
@@ -356,10 +318,32 @@ class IndecRegistry:
         return value
 
     def ext(self, a: Vector, b: Vector) -> int:
-        value = self.hom(a, b) - euler_form(self.quiver, a, b)
-        if value < 0:
-            raise NcpqError("negative Ext dimension; this is a bug")
+        key = (a, b)
+        value = self._ext.get(key)
+        if value is None:
+            value = self.hom(a, b) - euler_form(self.quiver, a, b)
+            if value < 0:
+                raise NcpqError("negative Ext dimension; this is a bug")
+            self._ext[key] = value
         return value
+
+    def right_orth(self, a: Vector) -> frozenset[Vector]:
+        """Roots m with Hom(a, m) = Ext(a, m) = 0."""
+        orth = self._right_orth.get(a)
+        if orth is None:
+            orth = frozenset(m for m in self._roots
+                             if self.hom(a, m) == 0 and self.ext(a, m) == 0)
+            self._right_orth[a] = orth
+        return orth
+
+    def left_orth(self, a: Vector) -> frozenset[Vector]:
+        """Roots m with Hom(m, a) = Ext(m, a) = 0."""
+        orth = self._left_orth.get(a)
+        if orth is None:
+            orth = frozenset(m for m in self._roots
+                             if self.hom(m, a) == 0 and self.ext(m, a) == 0)
+            self._left_orth[a] = orth
+        return orth
 
     def hom_maps(self, a: Vector, b: Vector) -> tuple:
         key = (a, b)
@@ -372,9 +356,16 @@ class IndecRegistry:
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
         """Whether some intertwiner embeds the module at a into the one at b.
 
-        The non-injective locus is a hypersurface of degree at most
-        sum(dims) in the coefficients, so a small integer grid finds an
-        injective combination whenever one exists.
+        Scans the integer combinations of the Hom basis with coefficients
+        in [-3, 3]. A True answer is exact: the map found is injective.
+        A False answer is certified only when sum(dim M) <= 6 for the
+        module M at a: if some combination is injective, then for each
+        vertex some maximal minor of the combined map is a nonzero
+        polynomial in the coefficients, and their product has degree
+        sum(dim M). By the Combinatorial Nullstellensatz (Alon 1999) a
+        nonzero polynomial of degree at most 6 does not vanish on the
+        whole grid of 7 values per coefficient. Larger modules rest on the
+        scan alone, and more than 4 basis maps raise NcpqError.
         """
         key = (a, b)
         cached = self._injective.get(key)

@@ -31,7 +31,7 @@ from ncpq import (
 )
 from ncpq.bijection import _sequences_within
 from ncpq.exc import ExcSequence, is_connected, mutation_graph, order_antichain
-from ncpq.rep import ext_dim, ext_dim_via_resolution, hom_dim
+from ncpq.rep import ext_dim, hom_dim
 from ncpq.quiver import euler_form
 from ncpq.weyl import WeylElement, absolute_length
 
@@ -40,6 +40,7 @@ from oracles import (
     apply_word,
     bfs_absolute_lengths,
     brute_force_factorizations,
+    ext_dim_via_resolution,
     random_positive_root,
 )
 

@@ -11,12 +11,14 @@ import pytest
 from ncpq import (
     ExcSequence,
     braid_mutate,
+    build_registry,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
     extend_to_complete,
     is_exceptional_sequence,
     is_projective_sequence,
     left_perp,
+    parse_quiver,
     right_perp,
     sequence_product,
     thick_closure,
@@ -75,6 +77,64 @@ def test_perps_a2(a2_reg):
     assert right_perp([P1], a2_reg) == {S2}
     assert left_perp([S2], a2_reg) == {P1}
     assert left_perp([P1], a2_reg) == {S1}
+
+
+D5_TEXT = "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n"
+
+
+@pytest.fixture(scope="module")
+def d5_reg():
+    return build_registry(parse_quiver(D5_TEXT))
+
+
+def _orthogonal(reg, a, b):
+    return reg.hom(a, b) == 0 and reg.ext(a, b) == 0
+
+
+def _pairwise_right_perp(members, reg):
+    return {m for m in reg.roots() if all(_orthogonal(reg, u, m) for u in members)}
+
+
+def _pairwise_left_perp(members, reg):
+    return {m for m in reg.roots() if all(_orthogonal(reg, m, u) for u in members)}
+
+
+def _pairwise_exceptional(seq, reg):
+    return all(_orthogonal(reg, seq[j], seq[i])
+               for i in range(len(seq)) for j in range(i + 1, len(seq)))
+
+
+def test_perps_match_pairwise_definition_d5(d5_reg):
+    roots = d5_reg.roots()
+    assert len(roots) == 20
+    for r in roots:
+        assert right_perp([r], d5_reg) == d5_reg.right_orth(r) == _pairwise_right_perp([r], d5_reg)
+        assert left_perp([r], d5_reg) == d5_reg.left_orth(r) == _pairwise_left_perp([r], d5_reg)
+    rng = random.Random(20161)
+    for _ in range(200):
+        members = rng.sample(roots, rng.randint(0, 5))
+        assert right_perp(members, d5_reg) == _pairwise_right_perp(members, d5_reg)
+        assert left_perp(members, d5_reg) == _pairwise_left_perp(members, d5_reg)
+
+
+def test_is_exceptional_sequence_matches_pairwise_definition_d5(d5_reg):
+    roots = d5_reg.roots()
+    rng = random.Random(20162)
+    exceptional = 0
+    for trial in range(400):
+        length = rng.randint(1, 5)
+        if trial % 2:
+            seq = tuple(rng.sample(roots, length))
+        else:
+            # grow by the pairwise definition, so that positives occur too
+            seq = ()
+            for x in rng.sample(roots, len(roots)):
+                if len(seq) < length and _pairwise_exceptional(seq + (x,), d5_reg):
+                    seq += (x,)
+        expected = _pairwise_exceptional(seq, d5_reg)
+        assert is_exceptional_sequence(seq, d5_reg) == expected
+        exceptional += expected
+    assert 100 < exceptional < 400
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Property tests of the exact linear-algebra kernel: fraction-free integer
-rank against the rational reduced row echelon form, and the integer
-inverse of unimodular matrices."""
+and rational rank against the pivot count of the rational reduced row
+echelon form, and the integer inverse of unimodular matrices."""
 
 from __future__ import annotations
 
 import pytest
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from ncpq import generate_roots, parse_quiver
 from ncpq._linalg import identity_matrix, int_rank, mat_inverse, mat_mul, rank
 
 from conftest import A3_TEXT, D4_TEXT, KRONECKER_TEXT
+from oracles import rref_rank
 
 ENTRIES = st.integers(min_value=-6, max_value=6)
 
@@ -55,7 +58,7 @@ def low_rank_products(draw):
 @given(integer_matrices())
 def test_int_rank_matches_rational_rank(case):
     rows, ncols = case
-    assert int_rank(rows, ncols) == rank(rows, ncols)
+    assert int_rank(rows, ncols) == rref_rank(rows, ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,8 +66,32 @@ def test_int_rank_matches_rational_rank(case):
 def test_int_rank_of_low_rank_products(case):
     rows, ncols, k = case
     got = int_rank(rows, ncols)
-    assert got == rank(rows, ncols)
+    assert got == rref_rank(rows, ncols)
     assert got <= k
+
+
+@st.composite
+def fraction_matrices(draw):
+    """Rational matrices with denominators 2..7: the integer matrices above
+    with each row divided by its own denominator, then some rows replaced by
+    combinations of two others with rational coefficients, so rows mix
+    denominators and rank deficiency survives."""
+    rows, ncols = draw(integer_matrices())
+    dens = st.integers(2, 7)
+    rows = [[Fraction(x, d) for x in row] for row in rows for d in [draw(dens)]]
+    for r in range(len(rows)):
+        if len(rows) > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            x, y = Fraction(draw(ENTRIES), draw(dens)), Fraction(draw(ENTRIES), draw(dens))
+            rows[r] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_matrices())
+def test_rank_of_fraction_matrices(case):
+    rows, ncols = case
+    assert rank(rows, ncols) == rref_rank(rows, ncols)
 
 
 def test_int_rank_degenerate_shapes():

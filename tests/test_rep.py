@@ -15,10 +15,14 @@ from ncpq import (
     hom_dim,
     indecomposable_for_root,
     is_exceptional,
+    parse_quiver,
     top_simples,
 )
 from ncpq.errors import NonFiniteTypeError, ValidationError
-from ncpq.rep import ext_dim_via_resolution, simple_representation, zero_representation
+from ncpq.rep import simple_representation, zero_representation
+
+from conftest import D4_TEXT
+from oracles import ext_dim_via_resolution
 
 ONE = ((Fraction(1),),)
 
@@ -167,3 +171,37 @@ def test_zero_representation_homs(a2):
 def test_debug_json(a2_reg):
     payload = a2_reg[(1, 1)].to_debug_json()
     assert payload == {"dims": [1, 1], "denominator": 1, "maps": [[[1]]]}
+
+
+def _rescaled(M: Representation) -> Representation:
+    """M in a rational basis: vertex i scaled by 1/(i+1), so the map of
+    arrow h -> t gets the factor (h+1)/(t+1). Isomorphic to M."""
+    q = M.quiver
+    maps = tuple(
+        tuple(tuple(x * Fraction(h + 1, t + 1) for x in row) for row in m)
+        for (h, t), m in zip(q.arrows, M.maps))
+    return Representation(q, M.dims, maps)
+
+
+def test_hom_ext_invariant_under_rational_change_of_basis(d4_reg):
+    rescaled = {a: _rescaled(d4_reg[a]) for a in d4_reg.roots()}
+    assert any(x.denominator > 1 for M in rescaled.values()
+               for m in M.maps for row in m for x in row)
+    for a in d4_reg.roots():
+        payload = rescaled[a].to_debug_json()
+        for m, ints in zip(rescaled[a].maps, payload["maps"]):
+            assert [[Fraction(x, payload["denominator"]) for x in row] for row in ints] \
+                == [list(row) for row in m]
+        for b in d4_reg.roots():
+            M, N = rescaled[a], rescaled[b]
+            assert hom_dim(M, N) == hom_dim(M, d4_reg[b]) == d4_reg.hom(a, b)
+            assert ext_dim(M, N) == d4_reg.ext(a, b) == ext_dim_via_resolution(M, N)
+
+
+def test_build_registry_fills_only_the_diagonal():
+    # The Hom table stays lazy: building certifies each entry against itself.
+    reg = build_registry(parse_quiver(D4_TEXT))
+    diagonal = {(r, r) for r in reg.roots()}
+    assert set(reg._hom) == diagonal
+    assert set(reg._ext) == diagonal
+    assert not reg._right_orth and not reg._left_orth
