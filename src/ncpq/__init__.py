@@ -7,7 +7,6 @@ from .bijection import (
     cox,
     factor_in_reflections,
     minimal_reflection_factorizations,
-    reflection_to_root_module,
     verify_bijection,
     verify_well_defined,
 )
@@ -37,7 +36,6 @@ from .hurwitz import (
     ReflectionTuple,
     hurwitz_move,
     hurwitz_orbit,
-    product,
     same_orbit,
     tuple_from_roots,
 )

@@ -12,9 +12,7 @@ as a reproducible JSON payload.
 
 from __future__ import annotations
 
-import random
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
@@ -23,6 +21,7 @@ from .exc import (
     Subcategory,
     closure_indecomposables,
     enumerate_exceptional_antichains,
+    exceptional_sequences,
     is_exceptional_sequence,
     order_antichain,
     sequence_product,
@@ -33,7 +32,6 @@ from .quiver import Quiver, Vector, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
     DEFAULT_GROUP_CAP,
-    Reflection,
     RootSystem,
     WeylElement,
     absolute_leq,
@@ -44,6 +42,7 @@ from .weyl import (
     generate_roots,
     identity,
     noncrossing_partitions,
+    simple_root,
 )
 
 
@@ -98,24 +97,8 @@ def _sequences_within(sub: Subcategory, reg: IndecRegistry) -> list[tuple[Vector
     """All complete exceptional sequences of the subcategory: length equal
     to its rank, members among its indecomposables, thick closure equal to
     the subcategory."""
-    members = sorted(sub.ind_roots)
-    out: list[tuple[Vector, ...]] = []
-    chosen: list[Vector] = []
-
-    def backtrack():
-        if len(chosen) == sub.rank:
-            candidate = tuple(chosen)
-            if closure_indecomposables(candidate, reg) == sub.ind_roots:
-                out.append(candidate)
-            return
-        for x in members:
-            if reg.right_orth(x).issuperset(chosen):
-                chosen.append(x)
-                backtrack()
-                chosen.pop()
-
-    backtrack()
-    return out
+    return [s for s in exceptional_sequences(sorted(sub.ind_roots), sub.rank, reg)
+            if closure_indecomposables(s, reg) == sub.ind_roots]
 
 
 def verify_well_defined(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> bool:
@@ -126,48 +109,30 @@ def verify_well_defined(sub: Subcategory, reg: IndecRegistry, roots: RootSystem)
         sequence_product(s, roots) == expected for s in _sequences_within(sub, reg))
 
 
-def reflection_to_root_module(r: Reflection, reg: IndecRegistry) -> Vector:
-    """The registry root of a reflection (each names one indecomposable)."""
-    if r.root not in reg:
-        raise ValidationError(f"{r.root} does not name a registered indecomposable")
-    return r.root
-
-
 def factor_in_reflections(w: WeylElement, roots: RootSystem,
                           reg: IndecRegistry) -> ReflectionTuple:
-    """A minimal-length reflection factorization of w, deterministic by
-    expanding reflections in lexicographic root order."""
+    """The lexicographically smallest minimal reflection factorization of
+    w, by greedy descent: the first reflection t in root order with
+    t <= w starts a minimal factorization (as in
+    `minimal_reflection_factorizations`), then w becomes t*w."""
     if not roots.complete:
         raise NonFiniteTypeError("factorization search requires a complete root system")
     if frozenset(reg.roots()) != roots.positive_real_roots:
         raise ValidationError("registry and root system disagree")
     target_len = absolute_length(w, roots)
-    if target_len == 0:
-        return ReflectionTuple(w.n, ())
     refls = roots.reflections()
-    start = identity(w.n)
-    parents: dict = {start.matrix: None}
-    frontier = deque([start])
-    while frontier:
-        cur = frontier.popleft()
-        for idx, refl in enumerate(refls):
-            nxt = compose(cur, refl.element)
-            if nxt.matrix in parents:
-                continue
-            parents[nxt.matrix] = (cur.matrix, idx)
-            if nxt.matrix == w.matrix:
-                picks: list[Reflection] = []
-                key = nxt.matrix
-                while parents[key] is not None:
-                    prev, i = parents[key]
-                    picks.append(refls[i])
-                    key = prev
-                picks.reverse()
-                if len(picks) != target_len:
-                    raise NcpqError("factorization length disagrees with absolute length")
-                return ReflectionTuple(w.n, tuple(picks))
-            frontier.append(nxt)
-    raise NcpqError("element not reachable by reflections; this is a bug")
+    ident = identity(w.n)
+    picks = []
+    remaining = w
+    while remaining != ident:
+        refl = next((t for t in refls if absolute_leq(t.element, remaining, roots)), None)
+        if refl is None:
+            raise NcpqError("element not reachable by reflections; this is a bug")
+        picks.append(refl)
+        remaining = compose(refl.element, remaining)
+    if len(picks) != target_len:
+        raise NcpqError("factorization length disagrees with absolute length")
+    return ReflectionTuple(w.n, tuple(picks))
 
 
 def minimal_reflection_factorizations(w: WeylElement,
@@ -203,8 +168,6 @@ def minimal_reflection_factorizations(w: WeylElement,
 
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                      cap_group: int = DEFAULT_GROUP_CAP,
-                     factorization_sample: int | None = None,
-                     seed: int = 0,
                      quiver_id: str | None = None) -> BijectionReport:
     """Run the whole verification pipeline on a finite-type quiver.
 
@@ -219,7 +182,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     order = tuple(coxeter_order) if coxeter_order is not None else topological_order(q)
     c = coxeter_element(q, order)
     reg = build_registry(q, roots)
-    simple_seq = tuple(tuple(1 if k == i - 1 else 0 for k in range(q.n)) for i in order)
+    simple_seq = tuple(simple_root(q.n, i) for i in order)
     if not is_exceptional_sequence(simple_seq, reg):
         raise NcpqError("admissible ordering disagrees with the Hom/Ext check")
 
@@ -341,11 +304,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         flags["order_iso_backward"] = backward
         flags["order_iso"] = forward and backward
 
-        factorizations = sorted(minimal_reflection_factorizations(c, roots))
-        if factorization_sample is not None and factorization_sample < len(factorizations):
-            rng = random.Random(seed)
-            factorizations = rng.sample(factorizations, factorization_sample)
-        for roots_tuple in factorizations:
+        for roots_tuple in sorted(minimal_reflection_factorizations(c, roots)):
             if not is_exceptional_sequence(roots_tuple, reg):
                 failures.append({
                     "kind": "factorization_not_exceptional",

@@ -63,7 +63,6 @@ class RunConfig:
     cap_group: int
     cap_orbit: int
     cap_sequences: int
-    seed: int
 
     def __post_init__(self):
         if self.output_format not in ("json", "dot", "text"):
@@ -104,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"group-size cap (default ${{NCPQ_CAP_GROUP}} or {DEFAULT_GROUP_CAP})")
         p.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
         p.add_argument("--cap-sequences", type=int, default=DEFAULT_SEQUENCE_CAP)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks; outputs are reproducible per seed")
     return parser
 
 
@@ -122,7 +119,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cap_group=cap_group,
         cap_orbit=args.cap_orbit,
         cap_sequences=args.cap_sequences,
-        seed=args.seed,
     )
 
 
@@ -237,8 +233,7 @@ def cmd_nc(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     q = _load_quiver(cfg)
     order = cfg.coxeter_order
-    report = verify_bijection(
-        q, order, cap_group=cfg.cap_group, seed=cfg.seed, quiver_id=cfg.input_path)
+    report = verify_bijection(q, order, cap_group=cfg.cap_group, quiver_id=cfg.input_path)
     if cfg.output_format == "json":
         _emit(cfg, json.dumps(report.to_dict(), indent=2))
     elif cfg.output_format == "text":

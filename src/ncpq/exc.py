@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import Quiver, Vector
+from .quiver import Quiver, Vector, topological_sort
 from .rep import IndecRegistry, top_simples
 from .weyl import (
     RootSystem,
@@ -112,8 +112,7 @@ def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> fr
     return left_perp(right_perp(members, reg), reg)
 
 
-def _is_nonneg_combination(target: Vector, gens: frozenset[Vector]) -> bool:
-    gens_list = sorted(gens)
+def _is_nonneg_combination(target: Vector, gens: Sequence[Vector]) -> bool:
     memo: dict[Vector, bool] = {}
 
     def walk(v: Vector) -> bool:
@@ -123,7 +122,7 @@ def _is_nonneg_combination(target: Vector, gens: frozenset[Vector]) -> bool:
         if cached is not None:
             return cached
         out = False
-        for g in gens_list:
+        for g in gens:
             if all(gi <= vi for gi, vi in zip(g, v)):
                 if walk(tuple(vi - gi for vi, gi in zip(v, g))):
                     out = True
@@ -141,16 +140,17 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
     into it with a quotient whose dimension vector stays inside the
     subcategory's nonnegative span.
     """
+    members = sorted(ind)
     simples = []
-    for m in sorted(ind):
+    for m in members:
         simple = True
-        for other in sorted(ind):
+        for other in members:
             if other == m:
                 continue
             if not reg.has_injective_hom(other, m):
                 continue
             diff = tuple(mi - oi for mi, oi in zip(m, other))
-            if _is_nonneg_combination(diff, ind):
+            if _is_nonneg_combination(diff, members):
                 simple = False
                 break
         if simple:
@@ -172,22 +172,8 @@ def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Ve
     topological order of its Ext-quiver, smallest root first among
     incomparables."""
     members = sorted(antichain)
-    arrows = _ext_quiver_arrows(members, reg)
-    indeg = [0] * len(members)
-    for _, j in arrows:
-        indeg[j] += 1
-    order: list[int] = []
-    available = sorted(i for i in range(len(members)) if indeg[i] == 0)
-    while available:
-        i = available.pop(0)
-        order.append(i)
-        for s, t in arrows:
-            if s == i:
-                indeg[t] -= 1
-                if indeg[t] == 0 and t not in available:
-                    available.append(t)
-        available.sort()
-    if len(order) != len(members):
+    order = topological_sort(len(members), _ext_quiver_arrows(members, reg))
+    if order is None:
         raise ValidationError("Ext-quiver has a cycle; the antichain is not exceptional")
     return tuple(members[i] for i in order)
 
@@ -311,27 +297,35 @@ def is_projective_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
     return True
 
 
-def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
-                                 cap: int = DEFAULT_SEQUENCE_CAP) -> set[ExcSequence]:
-    """All complete exceptional sequences, by backtracking with pairwise
-    pruning."""
-    roots = reg.roots()
-    results: set[ExcSequence] = set()
+def exceptional_sequences(pool: Sequence[Vector], length: int,
+                          reg: IndecRegistry) -> Iterator[tuple[Vector, ...]]:
+    """Every exceptional sequence of the given length with members in pool,
+    lazily, by backtracking: an entry may follow the chosen prefix when it
+    sends no Hom and no Ext to any of it."""
     chosen: list[Vector] = []
 
     def backtrack():
-        if len(chosen) == q.n:
-            if len(results) >= cap:
-                raise CapExceededError(f"sequence count exceeds cap {cap}")
-            results.add(ExcSequence(tuple(chosen)))
+        if len(chosen) == length:
+            yield tuple(chosen)
             return
-        for x in roots:
+        for x in pool:
             if reg.right_orth(x).issuperset(chosen):
                 chosen.append(x)
-                backtrack()
+                yield from backtrack()
                 chosen.pop()
 
-    backtrack()
+    return backtrack()
+
+
+def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
+                                 cap: int = DEFAULT_SEQUENCE_CAP) -> set[ExcSequence]:
+    """All complete exceptional sequences; raises once more than `cap` are
+    found."""
+    results: set[ExcSequence] = set()
+    for seq in exceptional_sequences(reg.roots(), q.n, reg):
+        if len(results) >= cap:
+            raise CapExceededError(f"sequence count exceeds cap {cap}")
+        results.add(ExcSequence(seq))
     return results
 
 
@@ -347,30 +341,13 @@ def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[froze
 
     def backtrack(start: int):
         members = tuple(roots[i] for i in chosen)
-        if _acyclic(members):
+        if topological_sort(len(members), _ext_quiver_arrows(members, reg)) is not None:
             found.add(frozenset(members))
         for nxt in range(start, k):
             if all(orthogonal[i][nxt] for i in chosen):
                 chosen.append(nxt)
                 backtrack(nxt + 1)
                 chosen.pop()
-
-    def _acyclic(members: tuple[Vector, ...]) -> bool:
-        arrows = _ext_quiver_arrows(members, reg)
-        indeg = [0] * len(members)
-        for _, j in arrows:
-            indeg[j] += 1
-        queue = [i for i in range(len(members)) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for s, t in arrows:
-                if s == i:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        return seen == len(members)
 
     backtrack(0)
     return found

@@ -62,11 +62,6 @@ def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
     return ReflectionTuple(q.n, tuple(make_reflection(q, r) for r in roots))
 
 
-def product(t: ReflectionTuple) -> WeylElement:
-    """Left-to-right composition of the tuple (identity when empty)."""
-    return t.product
-
-
 def _conjugate(by: Reflection, r: Reflection) -> Reflection:
     root = positive_representative(by.element(r.root))
     element = compose(compose(by.element, r.element), by.element)

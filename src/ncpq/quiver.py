@@ -13,8 +13,10 @@ decided on (by exact integer arithmetic, never floats).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from ._linalg import IntMatrix, det_bareiss, int_rank
 from .errors import QuiverParseError, ValidationError
@@ -44,24 +46,7 @@ class Quiver:
                 raise ValidationError(f"arrow ({h}, {t}) has a vertex outside 1..{self.n}")
             if h == t:
                 raise ValidationError(f"loop arrow at vertex {h}")
-        if self._has_cycle():
-            raise ValidationError("quiver has an oriented cycle")
-
-    def _has_cycle(self) -> bool:
-        indeg = {v: 0 for v in range(1, self.n + 1)}
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for h, t in self.arrows:
-                if h == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        return seen != self.n
+        topological_order(self)  # raises ValidationError on an oriented cycle
 
     @property
     def vertices(self) -> range:
@@ -301,26 +286,34 @@ def positive_root_count(label: str) -> int:
     return total
 
 
+def topological_sort(n: int, arrows: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
+    """Kahn's algorithm on vertices 0..n-1, taking the smallest available
+    vertex first; every arrow's head precedes its tail. Parallel arrows may
+    repeat. Returns None when the arrows contain an oriented cycle."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for h, t in arrows:
+        successors[h].append(t)
+        indeg[t] += 1
+    available = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while available:
+        v = heapq.heappop(available)
+        order.append(v)
+        for t in successors[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                heapq.heappush(available, t)
+    return tuple(order) if len(order) == n else None
+
+
 def topological_order(q: Quiver) -> tuple[int, ...]:
     """Deterministic topological order: every arrow head precedes its tail
     vertex, smallest label first among the available vertices."""
-    indeg = {v: 0 for v in q.vertices}
-    for _, t in q.arrows:
-        indeg[t] += 1
-    order = []
-    available = sorted(v for v, d in indeg.items() if d == 0)
-    while available:
-        v = available.pop(0)
-        order.append(v)
-        for h, t in q.arrows:
-            if h == v:
-                indeg[t] -= 1
-                if indeg[t] == 0 and t not in available:
-                    available.append(t)
-        available.sort()
-    if len(order) != q.n:
+    order = topological_sort(q.n, ((h - 1, t - 1) for h, t in q.arrows))
+    if order is None:
         raise ValidationError("quiver has an oriented cycle")
-    return tuple(order)
+    return tuple(v + 1 for v in order)
 
 
 def is_admissible_order(q: Quiver, order: tuple[int, ...]) -> bool:

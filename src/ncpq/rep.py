@@ -22,7 +22,7 @@ from fractions import Fraction
 from ._linalg import FracMatrix, rank, right_nullspace, left_nullspace
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
-from .weyl import RootSystem, generate_roots, is_positive, simple_root
+from .weyl import RootSystem, generate_roots, is_positive, simple_reflect, simple_root
 
 
 def _zero_map(rows: int, cols: int) -> FracMatrix:
@@ -240,7 +240,6 @@ def indecomposable_for_root(q: Quiver, alpha: Vector,
     if alpha not in roots.positive_real_roots:
         raise ValidationError(f"{alpha} is not a positive root of this quiver")
     sink_word = tuple(reversed(topological_order(q)))
-    cart = roots.cartan
     quivers = [q]
     word: list[int] = []
     vec = alpha
@@ -251,8 +250,7 @@ def indecomposable_for_root(q: Quiver, alpha: Vector,
         cur = quivers[-1]
         if not cur.is_sink(j):
             raise NcpqError(f"vertex {j} is not a sink at step {step}")
-        s = sum(cart[j - 1][k] * vec[k] for k in range(q.n))
-        vec = tuple(vec[k] - (s if k == j - 1 else 0) for k in range(q.n))
+        vec = simple_reflect(roots.cartan, j - 1, vec)
         if not is_positive(vec):
             raise NcpqError("root walk left the positive cone; this is a bug")
         word.append(j)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from ._linalg import IntMatrix, identity_matrix, int_rank, mat_inverse, mat_mul, mat_vec
 from .errors import (
@@ -103,17 +104,19 @@ def make_reflection(q: Quiver, alpha: Vector) -> Reflection:
         raise ValidationError(f"reflection root {alpha} is not positive")
     if symmetric_form(q, alpha, alpha) != 2:
         raise ValidationError(f"{alpha} is not a real root: (a, a) != 2")
-    cart = cartan_matrix(q).entries
-    weights = tuple(sum(cart[i][j] * alpha[i] for i in range(q.n)) for j in range(q.n))
-    matrix = tuple(
-        tuple((1 if i == j else 0) - alpha[i] * weights[j] for j in range(q.n))
-        for i in range(q.n)
-    )
-    return Reflection(alpha, WeylElement(matrix))
+    columns = [reflect(q, alpha, simple_root(q.n, j)) for j in q.vertices]
+    return Reflection(alpha, WeylElement(tuple(zip(*columns))))
 
 
 def simple_root(n: int, i: int) -> Vector:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
+
+
+def simple_reflect(cartan: IntMatrix, i: int, v: Vector) -> Vector:
+    """Image of v under the simple reflection s_{i+1} (i is 0-based):
+    only coordinate i changes, by the pairing of v with simple root i."""
+    s = sum(map(mul, cartan[i], v))
+    return v[:i] + (v[i] - s,) + v[i + 1:]
 
 
 class RootSystem:
@@ -172,15 +175,13 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootS
     cart = cartan_matrix(q)
     classification = classify_type(cart)
     simples = [simple_root(q.n, i) for i in q.vertices]
-    rows = cart.entries
     seen: set[Vector] = set(simples)
     frontier = deque(simples)
     truncated = False
     while frontier:
         v = frontier.popleft()
         for i in range(q.n):
-            s = sum(rows[i][j] * v[j] for j in range(q.n))
-            w = tuple(v[j] - (s if j == i else 0) for j in range(q.n))
+            w = simple_reflect(cart.entries, i, v)
             if is_negative(w):
                 continue  # only happens reflecting a simple root onto itself
             if not is_positive(w):
@@ -402,7 +403,6 @@ def conjugation_depth(r: Reflection, q: Quiver, *,
     target = r.root
     if target not in roots.positive_real_roots:
         raise ValidationError(f"{target} is not a positive real root of this quiver")
-    rows = roots.cartan
     dist: dict[Vector, int] = {simple_root(q.n, i): 0 for i in q.vertices}
     frontier = deque(dist)
     while frontier:
@@ -410,8 +410,7 @@ def conjugation_depth(r: Reflection, q: Quiver, *,
         if v == target:
             return dist[v]
         for i in range(q.n):
-            s = sum(rows[i][j] * v[j] for j in range(q.n))
-            w = tuple(v[j] - (s if j == i else 0) for j in range(q.n))
+            w = simple_reflect(roots.cartan, i, v)
             w = positive_representative(w) if any(w) else w
             if w not in dist:
                 dist[w] = dist[v] + 1

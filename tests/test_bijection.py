@@ -19,8 +19,8 @@ from ncpq import (
     make_reflection,
     minimal_reflection_factorizations,
     noncrossing_partitions,
-    reflection_to_root_module,
     thick_closure,
+    topological_order,
     tuple_from_roots,
     verify_bijection,
     verify_well_defined,
@@ -30,7 +30,7 @@ from ncpq.errors import NonFiniteTypeError, ValidationError
 from ncpq.exc import order_antichain
 from ncpq.hurwitz import hurwitz_orbit
 
-from oracles import brute_force_factorizations
+from oracles import bfs_absolute_lengths, brute_force_factorizations
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
 
@@ -83,17 +83,6 @@ def test_well_defined_full_a3(a3_reg, a3_roots):
     assert verify_well_defined(sub, a3_reg, a3_roots)
 
 
-def test_reflection_to_root_module(a2, a2_reg):
-    assert reflection_to_root_module(make_reflection(a2, S1), a2_reg) == S1
-    assert reflection_to_root_module(make_reflection(a2, P1), a2_reg) == P1
-
-
-def test_reflection_to_root_module_unknown(kronecker, a2_reg):
-    tall = make_reflection(kronecker, (2, 1))
-    with pytest.raises(ValidationError):
-        reflection_to_root_module(tall, a2_reg)
-
-
 def test_factor_identity(a2_reg, a2_roots):
     assert factor_in_reflections(identity(2), a2_roots, a2_reg).roots == ()
 
@@ -110,6 +99,18 @@ def test_factor_coxeter(a2, a2_reg, a2_roots):
     assert result.product == c
     # deterministic first find under lexicographic expansion
     assert result.roots == ((0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_factor_is_smallest_minimal_factorization(name, request):
+    q = request.getfixturevalue(name)
+    roots = request.getfixturevalue(f"{name}_roots")
+    reg = request.getfixturevalue(f"{name}_reg")
+    lengths = bfs_absolute_lengths(roots)
+    c = coxeter_element(q, topological_order(q))
+    for w in noncrossing_partitions(c, q, roots=roots):
+        brute = brute_force_factorizations(roots, w.matrix, lengths[w.matrix])
+        assert factor_in_reflections(w, roots, reg).roots == min(brute)
 
 
 def test_minimal_factorizations_match_brute_force(a2, a2_roots):

@@ -227,6 +227,10 @@ def test_jobs_flag_rejected_exit_2(quiver_file):
     assert main(["sequences", quiver_file(A2_TEXT), "--jobs", "4"]) == 2
 
 
+def test_seed_flag_rejected_exit_2(quiver_file):
+    assert main(["verify", quiver_file(A2_TEXT), "--seed", "1"]) == 2
+
+
 def test_bad_order_string_exit_2(quiver_file, capsys):
     assert main(["verify", quiver_file(A2_TEXT), "--coxeter-order", "x,y"]) == 2
 

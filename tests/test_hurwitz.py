@@ -12,7 +12,6 @@ from ncpq import (
     hurwitz_move,
     hurwitz_orbit,
     identity,
-    product,
     same_orbit,
     tuple_from_roots,
 )
@@ -57,11 +56,11 @@ def test_move_preserves_product(a3, a3_roots):
 
 
 def test_product_basics(a2):
-    assert product(ReflectionTuple(2, ())) == identity(2)
+    assert ReflectionTuple(2, ()).product == identity(2)
     single = tuple_from_roots(a2, ((1, 1),))
-    assert product(single) == single.items[0].element
+    assert single.product == single.items[0].element
     pair = tuple_from_roots(a2, ((1, 0), (0, 1)))
-    assert product(pair) == coxeter_element(a2, (1, 2))
+    assert pair.product == coxeter_element(a2, (1, 2))
 
 
 def test_braid_relation(a3, a3_roots):

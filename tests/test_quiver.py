@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpq import (
     CartanMatrix,
@@ -18,7 +21,7 @@ from ncpq import (
     topological_order,
 )
 from ncpq.errors import QuiverParseError, ValidationError
-from ncpq.quiver import is_admissible_order
+from ncpq.quiver import is_admissible_order, topological_sort
 
 from oracles import leading_principal_minors, random_acyclic_quiver
 
@@ -233,6 +236,25 @@ def test_positive_root_counts():
 def test_topological_order(a3, d4):
     assert topological_order(a3) == (1, 2, 3)
     assert topological_order(d4) == (1, 3, 4, 2)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs())
+def test_topological_sort_is_smallest_admissible_permutation(graph):
+    n, arrows = graph
+    admissible = [p for p in itertools.permutations(range(n))
+                  if all(p.index(h) < p.index(t) for h, t in arrows)]
+    expected = min(admissible) if admissible else None
+    assert topological_sort(n, arrows) == expected
 
 
 def test_admissible_order(d4):
