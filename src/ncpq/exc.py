@@ -19,6 +19,7 @@ from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import Quiver, Vector, topological_sort
 from .rep import IndecRegistry, top_simples
 from .weyl import (
+    ProductMemo,
     RootSystem,
     WeylElement,
     generate_roots,
@@ -112,25 +113,24 @@ def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> fr
     return left_perp(right_perp(members, reg), reg)
 
 
-def _is_nonneg_combination(target: Vector, gens: Sequence[Vector]) -> bool:
-    memo: dict[Vector, bool] = {}
-
-    def walk(v: Vector) -> bool:
-        if all(x == 0 for x in v):
-            return True
-        cached = memo.get(v)
-        if cached is not None:
-            return cached
-        out = False
-        for g in gens:
-            if all(gi <= vi for gi, vi in zip(g, v)):
-                if walk(tuple(vi - gi for vi, gi in zip(v, g))):
-                    out = True
-                    break
-        memo[v] = out
-        return out
-
-    return walk(target)
+def _is_nonneg_combination(target: Vector, gens: Sequence[Vector],
+                           memo: dict[Vector, bool]) -> bool:
+    """Whether target is a sum of members of gens, repeats allowed. The
+    gens must be nonzero and nonnegative. memo holds the answers found so
+    far; calls with the same gens may share it, and no others."""
+    if all(x == 0 for x in target):
+        return True
+    cached = memo.get(target)
+    if cached is not None:
+        return cached
+    out = False
+    for g in gens:
+        if all(gi <= vi for gi, vi in zip(g, target)):
+            if _is_nonneg_combination(tuple(vi - gi for vi, gi in zip(target, g)), gens, memo):
+                out = True
+                break
+    memo[target] = out
+    return out
 
 
 def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Vector, ...]:
@@ -141,6 +141,7 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
     subcategory's nonnegative span.
     """
     members = sorted(ind)
+    spans: dict[Vector, bool] = {}
     simples = []
     for m in members:
         simple = True
@@ -150,7 +151,7 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
             if not reg.has_injective_hom(other, m):
                 continue
             diff = tuple(mi - oi for mi, oi in zip(m, other))
-            if _is_nonneg_combination(diff, members):
+            if _is_nonneg_combination(diff, members, spans):
                 simple = False
                 break
         if simple:
@@ -375,16 +376,30 @@ def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> Wey
 
 def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
     """Mutation edges between complete sequences, as index pairs into the
-    sorted node list. Asserts product invariance on every edge."""
+    sorted node list.
+
+    Asserts product invariance on every edge. A mutation at i replaces
+    the pair (a, b) by (b', c') and keeps every other entry, so the
+    product X*a*b*Y of the reflections equals X*b'*c'*Y exactly when
+    a*b = b'*c' (cancel the invertible X and Y). Each edge checks that
+    the other entries are kept and compares the two pair products, which
+    this call memoizes on the reflection matrices.
+    """
     nodes = sorted(seqs, key=lambda s: s.roots)
     index = {s.roots: i for i, s in enumerate(nodes)}
-    rootsystem = reg.rootsystem
+    reflection = reg.rootsystem.reflection
+    pairs = ProductMemo()
+
+    def pair_product(x: Vector, y: Vector) -> WeylElement:
+        return pairs[reflection(x).element, reflection(y).element]
+
     edges: set[tuple[int, int]] = set()
     for s in nodes:
-        base_product = sequence_product(s.roots, rootsystem)
         for i in range(1, len(s)):
             neighbor = braid_mutate(s, i, False, reg)
-            if sequence_product(neighbor.roots, rootsystem) != base_product:
+            old, new = s.roots, neighbor.roots
+            if (old[: i - 1] != new[: i - 1] or old[i + 1:] != new[i + 1:]
+                    or pair_product(*old[i - 1: i + 1]) != pair_product(*new[i - 1: i + 1])):
                 raise NcpqError("mutation changed the reflection product; this is a bug")
             j = index.get(neighbor.roots)
             if j is None:

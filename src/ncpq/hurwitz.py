@@ -3,19 +3,28 @@
 The move at position i swaps the pair (r_i, r_{i+1}) to
 (r_{i+1}, conjugate of r_i by r_{i+1}); the inverse move conjugates the
 other way round. Both keep the left-to-right product fixed, which every
-move asserts. New roots are stored by their positive representative, so a
-reflection and its negated root collapse to one tuple entry, and orbit
-sets deduplicate by the tuple of roots.
+move checks exactly. A move changes only the pair at i and i+1, so the
+product X*a*b*Y before it equals the product X*b'*c'*Y after it exactly
+when a*b = b'*c' (cancel X on the left and Y on the right: Weyl elements
+are invertible). The check therefore compares the two pair products and
+never rebuilds the product of the whole tuple. One orbit search shares
+its conjugates and pair products, memoized on the operands' matrices, so
+it composes each distinct pair of reflections once. New roots are stored
+by their positive representative, so a reflection and its negated root
+collapse to one tuple entry, and orbit sets deduplicate by the tuple of
+roots.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import Quiver, Vector
 from .weyl import (
+    ProductMemo,
     Reflection,
     WeylElement,
     compose,
@@ -27,20 +36,26 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class ReflectionTuple:
-    """Ordered tuple of reflections with its product precomputed."""
+    """Ordered tuple of reflections; equality and hash are by (n, items)."""
 
     n: int
     items: tuple[Reflection, ...]
-    product: WeylElement = field(init=False, compare=False)
 
     def __post_init__(self):
         for r in self.items:
             if r.element.n != self.n:
                 raise ValidationError("reflection rank does not match tuple rank")
-        object.__setattr__(self, "product", _compose_all(self.n, self.items))
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @functools.cached_property
+    def product(self) -> WeylElement:
+        """Left-to-right product of the reflections, computed on first use."""
+        result = identity(self.n)
+        for r in self.items:
+            result = compose(result, r.element)
+        return result
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -48,13 +63,6 @@ class ReflectionTuple:
 
     def to_json(self) -> list[list[int]]:
         return [list(root) for root in self.roots]
-
-
-def _compose_all(n: int, items: tuple[Reflection, ...]) -> WeylElement:
-    result = identity(n)
-    for r in items:
-        result = compose(result, r.element)
-    return result
 
 
 def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
@@ -68,33 +76,47 @@ def _conjugate(by: Reflection, r: Reflection) -> Reflection:
     return Reflection(root, element)
 
 
+class _Braid:
+    """Braid moves of one search, sharing its memos: conjugates and pair
+    products keyed on the operands' matrices (a WeylElement compares and
+    hashes as its matrix). Each search makes its own and drops it."""
+
+    def __init__(self) -> None:
+        self.conjugates: dict[tuple[WeylElement, WeylElement], Reflection] = {}
+        self.pairs = ProductMemo()
+
+    def move(self, t: ReflectionTuple, i: int, inverse: bool) -> ReflectionTuple:
+        if not 1 <= i <= len(t) - 1:
+            raise ValidationError(f"move index {i} out of range 1..{len(t) - 1}")
+        a, b = t.items[i - 1], t.items[i]
+        by, r = (a, b) if inverse else (b, a)
+        key = (by.element, r.element)
+        conj = self.conjugates.get(key)
+        if conj is None:
+            conj = self.conjugates[key] = _conjugate(by, r)
+        pair = (conj, a) if inverse else (b, conj)
+        if self.pairs[a.element, b.element] != self.pairs[pair[0].element, pair[1].element]:
+            raise NcpqError("braid move changed the tuple product; this is a bug")
+        return ReflectionTuple(t.n, t.items[: i - 1] + pair + t.items[i + 1:])
+
+
 def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
     """Apply the braid move at position i (1-based, 1 <= i <= len-1)."""
-    if not 1 <= i <= len(t) - 1:
-        raise ValidationError(f"move index {i} out of range 1..{len(t) - 1}")
-    a, b = t.items[i - 1], t.items[i]
-    if inverse:
-        pair = (_conjugate(a, b), a)
-    else:
-        pair = (b, _conjugate(b, a))
-    items = t.items[: i - 1] + pair + t.items[i + 1:]
-    moved = ReflectionTuple(t.n, items)
-    if moved.product != t.product:
-        raise NcpqError("braid move changed the tuple product; this is a bug")
-    return moved
+    return _Braid().move(t, i, inverse)
 
 
 def hurwitz_orbit(t: ReflectionTuple, cap: int = 1_000_000) -> set[ReflectionTuple]:
     """Closure of t under all forward and inverse moves."""
     if cap < 1:
         raise ValidationError("cap must be positive")
+    braid = _Braid()
     seen: dict[tuple[Vector, ...], ReflectionTuple] = {t.roots: t}
     frontier = deque([t])
     while frontier:
         cur = frontier.popleft()
         for i in range(1, len(cur)):
             for inv in (False, True):
-                nxt = hurwitz_move(cur, i, inv)
+                nxt = braid.move(cur, i, inv)
                 if nxt.roots not in seen:
                     if len(seen) >= cap:
                         raise CapExceededError(f"orbit size exceeds cap {cap}")
@@ -118,13 +140,14 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
         return False, None
     if a.roots == b.roots:
         return True, []
+    braid = _Braid()
     parents: dict[tuple[Vector, ...], tuple[tuple[Vector, ...] | None, int]] = {a.roots: (None, 0)}
     frontier = deque([a])
     while frontier:
         cur = frontier.popleft()
         for i in range(1, len(cur)):
             for inv in (False, True):
-                nxt = hurwitz_move(cur, i, inv)
+                nxt = braid.move(cur, i, inv)
                 if nxt.roots in parents:
                     continue
                 if len(parents) >= cap:

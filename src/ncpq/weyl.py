@@ -63,6 +63,17 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(mat_mul(a.matrix, b.matrix))
 
 
+class ProductMemo(dict):
+    """Products a*b of Weyl elements, keyed on the pair (a, b), so on the
+    operand matrices (a WeylElement compares and hashes as its matrix):
+    each distinct pair is composed once. Make one per search and drop it
+    with the search."""
+
+    def __missing__(self, pair: tuple[WeylElement, WeylElement]) -> WeylElement:
+        product = self[pair] = compose(*pair)
+        return product
+
+
 def inverse(a: WeylElement) -> WeylElement:
     return WeylElement(mat_inverse(a.matrix))
 

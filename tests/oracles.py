@@ -5,7 +5,8 @@ checks: absolute lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
-with ranks from the rational reduced row echelon form.
+with ranks from the rational reduced row echelon form, braid orbits from
+moves on roots that rebuild the whole tuple's product after every move.
 """
 
 from __future__ import annotations
@@ -65,6 +66,54 @@ def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) ->
 
     extend(ident, [])
     return found
+
+
+def braid_orbit_by_full_products(q: Quiver, start) -> set:
+    """Braid orbit of a tuple of positive real roots, by breadth-first
+    search over the moves on roots: (a, b) becomes (b, s_b(a)) or
+    (s_a(b), a), signs dropped. The symmetric form comes from the arrows
+    and every move rebuilds the product of the whole tuple's reflection
+    matrices and requires it unchanged."""
+    n = q.n
+
+    def form(x, y):
+        total = 2 * sum(a * b for a, b in zip(x, y))
+        for h, t in q.arrows:
+            total -= x[h - 1] * y[t - 1] + y[h - 1] * x[t - 1]
+        return total
+
+    def reflect(alpha, v):
+        s = form(alpha, v)
+        return tuple(vi - s * ai for vi, ai in zip(v, alpha))
+
+    def positive(v):
+        return v if sum(v) > 0 else tuple(-x for x in v)
+
+    def product(roots):
+        out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        for alpha in roots:
+            cols = [reflect(alpha, tuple(1 if i == j else 0 for i in range(n)))
+                    for j in range(n)]
+            out = tuple(tuple(sum(out[i][k] * cols[j][k] for k in range(n)) for j in range(n))
+                        for i in range(n))
+        return out
+
+    start = tuple(start)
+    target = product(start)
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        cur = frontier.popleft()
+        for i in range(len(cur) - 1):
+            a, b = cur[i], cur[i + 1]
+            for pair in ((b, positive(reflect(b, a))), (positive(reflect(a, b)), a)):
+                nxt = cur[:i] + pair + cur[i + 2:]
+                if product(nxt) != target:
+                    raise AssertionError(f"move {cur} -> {nxt} changed the product")
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
 
 
 def det_cofactor(matrix) -> Fraction:

@@ -4,12 +4,16 @@ exhaustive enumerations."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpq import (
     ExcSequence,
+    Reflection,
     braid_mutate,
     build_registry,
     enumerate_complete_sequences,
@@ -23,8 +27,9 @@ from ncpq import (
     sequence_product,
     thick_closure,
 )
-from ncpq.errors import CapExceededError, ValidationError
+from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
+    _is_nonneg_combination,
     closure_indecomposables,
     is_connected,
     mutation_graph,
@@ -238,6 +243,20 @@ def test_product_invariant_on_all_mutation_edges(a3_reg):
     assert is_connected(len(nodes), edges)
 
 
+def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
+    reg = build_registry(a3)
+    seqs = enumerate_complete_sequences(a3, reg)
+    honest = reg.rootsystem.reflection
+    wrong = honest((1, 0, 0)).element
+
+    def corrupted(root):
+        return Reflection(root, wrong) if root == (0, 1, 0) else honest(root)
+
+    monkeypatch.setattr(reg.rootsystem, "reflection", corrupted)
+    with pytest.raises(NcpqError, match="reflection product"):
+        mutation_graph(seqs, reg)
+
+
 # ---------------------------------------------------------------------------
 # completion
 # ---------------------------------------------------------------------------
@@ -331,3 +350,32 @@ def test_validated_constructor(a2_reg):
     assert ExcSequence.validated([S1, S2], a2_reg).roots == (S1, S2)
     with pytest.raises(ValidationError):
         ExcSequence.validated([S2, S1], a2_reg)
+
+
+# ---------------------------------------------------------------------------
+# nonnegative spans
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def span_problems(draw):
+    dim = draw(st.integers(1, 3))
+    entry = st.integers(0, 3)
+    gens = draw(st.lists(st.tuples(*[entry] * dim).filter(any), min_size=1, max_size=3))
+    targets = draw(st.lists(st.tuples(*[st.integers(-1, 4)] * dim), min_size=1, max_size=6))
+    return gens, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_problems())
+def test_nonneg_combination_with_shared_memo_matches_brute_force(problem):
+    gens, targets = problem
+    memo: dict = {}
+    for target in targets:
+        # each generator has a coordinate >= 1, so no coefficient exceeds max(target)
+        bound = max(max(target), 0) + 1
+        expected = any(
+            all(sum(c * g[d] for c, g in zip(coeffs, gens)) == target[d]
+                for d in range(len(target)))
+            for coeffs in itertools.product(range(bound), repeat=len(gens)))
+        assert _is_nonneg_combination(target, gens, memo) == expected

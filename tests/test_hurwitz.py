@@ -6,19 +6,28 @@ import random
 
 import pytest
 
+import ncpq.hurwitz
 from ncpq import (
+    Reflection,
     ReflectionTuple,
     coxeter_element,
+    generate_roots,
     hurwitz_move,
     hurwitz_orbit,
     identity,
+    minimal_reflection_factorizations,
+    parse_quiver,
     same_orbit,
+    simple_root,
+    topological_order,
     tuple_from_roots,
 )
-from ncpq.errors import CapExceededError, ValidationError
+from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.hurwitz import replay_certificate
+from ncpq.weyl import positive_representative
 
-from oracles import random_reflection_tuple_roots
+from conftest import A3_TEXT, A4_TEXT, D4_TEXT
+from oracles import braid_orbit_by_full_products, random_reflection_tuple_roots
 
 
 def test_move_a2_example(a2):
@@ -141,3 +150,42 @@ def test_all_a2_coxeter_factorizations_one_orbit(a2):
         ok, cert = same_orbit(tuples[0], other)
         assert ok
         assert replay_certificate(tuples[0], cert).roots == other.roots
+
+
+def test_corrupted_conjugate_is_caught(a3, monkeypatch):
+    start = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    other = hurwitz_move(start, 1)
+
+    def unconjugated(by, r):
+        return Reflection(positive_representative(by.element(r.root)), r.element)
+
+    monkeypatch.setattr(ncpq.hurwitz, "_conjugate", unconjugated)
+    with pytest.raises(NcpqError, match="product"):
+        hurwitz_move(start, 1)
+    with pytest.raises(NcpqError, match="product"):
+        hurwitz_orbit(start)
+    with pytest.raises(NcpqError, match="product"):
+        same_orbit(start, other)
+
+
+# The fixture orientations and one more of each type (a source or sink in
+# the middle, an alternating path).
+ORBIT_QUIVERS = {
+    "a3": A3_TEXT,
+    "a3_middle_source": "vertices 3\narrow 2 1\narrow 2 3\n",
+    "a4": A4_TEXT,
+    "a4_alternating": "vertices 4\narrow 1 2\narrow 3 2\narrow 3 4\n",
+    "d4": D4_TEXT,
+    "d4_central_source": "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_QUIVERS))
+def test_orbit_matches_full_product_oracle(name):
+    q = parse_quiver(ORBIT_QUIVERS[name])
+    order = topological_order(q)
+    start_roots = tuple(simple_root(q.n, i) for i in order)
+    orbit = {t.roots for t in hurwitz_orbit(tuple_from_roots(q, start_roots))}
+    assert braid_orbit_by_full_products(q, start_roots) == orbit
+    assert orbit == minimal_reflection_factorizations(coxeter_element(q, order),
+                                                      generate_roots(q))
