@@ -74,10 +74,12 @@ from .weyl import (
     exchange_index,
     generate_roots,
     identity,
+    interval_covers,
     inverse,
     make_reflection,
     noncrossing_partitions,
     reflect,
+    reflections_below,
     simple_root,
 )
 

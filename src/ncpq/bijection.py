@@ -4,10 +4,10 @@ below the Coxeter element.
 
 The map sends a subcategory to the product of the reflections at its
 simples, ordered as an exceptional sequence. Verification is exhaustive:
-both posets are enumerated independently (antichain scan versus group
-filter) and well-definedness, injectivity, surjectivity, and two-sided
-order preservation are checked pair by pair, with every failure reported
-as a reproducible JSON payload.
+both posets are enumerated independently (antichain scan versus a walk
+down the interval's covers from c) and well-definedness, injectivity,
+surjectivity, and two-sided order preservation are checked pair by pair,
+with every failure reported as a reproducible JSON payload.
 """
 
 from __future__ import annotations
@@ -31,17 +31,16 @@ from .hurwitz import ReflectionTuple
 from .quiver import Quiver, Vector, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
-    DEFAULT_GROUP_CAP,
+    ProductMemo,
     RootSystem,
     WeylElement,
-    absolute_leq,
     absolute_length,
     compose,
     coxeter_element,
-    enumerate_group,
     generate_roots,
     identity,
-    noncrossing_partitions,
+    interval_covers,
+    reflections_below,
     simple_root,
 )
 
@@ -96,9 +95,18 @@ def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:
 def _sequences_within(sub: Subcategory, reg: IndecRegistry) -> list[tuple[Vector, ...]]:
     """All complete exceptional sequences of the subcategory: length equal
     to its rank, members among its indecomposables, thick closure equal to
-    the subcategory."""
-    return [s for s in exceptional_sequences(sorted(sub.ind_roots), sub.rank, reg)
-            if closure_indecomposables(s, reg) == sub.ind_roots]
+    the subcategory. The closure depends only on the member set, so it is
+    computed once per set."""
+    generates: dict[frozenset[Vector], bool] = {}
+    out = []
+    for s in exceptional_sequences(sorted(sub.ind_roots), sub.rank, reg):
+        members = frozenset(s)
+        ok = generates.get(members)
+        if ok is None:
+            ok = generates[members] = closure_indecomposables(s, reg) == sub.ind_roots
+        if ok:
+            out.append(s)
+    return out
 
 
 def verify_well_defined(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> bool:
@@ -120,16 +128,16 @@ def factor_in_reflections(w: WeylElement, roots: RootSystem,
     if frozenset(reg.roots()) != roots.positive_real_roots:
         raise ValidationError("registry and root system disagree")
     target_len = absolute_length(w, roots)
-    refls = roots.reflections()
     ident = identity(w.n)
     picks = []
     remaining = w
+    below = None
     while remaining != ident:
-        refl = next((t for t in refls if absolute_leq(t.element, remaining, roots)), None)
-        if refl is None:
+        below = reflections_below(remaining, roots, below)
+        if not below:
             raise NcpqError("element not reachable by reflections; this is a bug")
-        picks.append(refl)
-        remaining = compose(refl.element, remaining)
+        picks.append(below[0])
+        remaining = compose(below[0].element, remaining)
     if len(picks) != target_len:
         raise NcpqError("factorization length disagrees with absolute length")
     return ReflectionTuple(w.n, tuple(picks))
@@ -142,38 +150,57 @@ def minimal_reflection_factorizations(w: WeylElement,
 
     A reflection t can start a minimal factorization of the remaining
     element r exactly when t <= r in absolute order (|t| = 1 and t^-1 = t,
-    so that is |t r| = |r| - 1); only those branches are composed. The
-    factorizations of each element below w are built once and shared by
-    every prefix that reaches it.
+    so that is |t r| = |r| - 1): these are `reflections_below(r)`, and
+    only those branches are composed. Since t*r <= r, the reflections
+    below t*r are among those below r, which are passed down as the
+    candidates. The factorizations of each element below w are built once
+    and shared by every prefix that reaches it.
     """
     if not roots.complete:
         raise NonFiniteTypeError("factorization enumeration requires a complete root system")
-    refls = roots.reflections()
     ident = identity(w.n).matrix
     memo: dict = {}
 
-    def factorizations(remaining: WeylElement) -> list[tuple[Vector, ...]]:
+    def factorizations(remaining: WeylElement, candidates) -> list[tuple[Vector, ...]]:
         if remaining.matrix == ident:
             return [()]
         found = memo.get(remaining.matrix)
         if found is None:
+            below = reflections_below(remaining, roots, candidates)
             found = [(refl.root,) + rest
-                     for refl in refls if absolute_leq(refl.element, remaining, roots)
-                     for rest in factorizations(compose(refl.element, remaining))]
+                     for refl in below
+                     for rest in factorizations(compose(refl.element, remaining), below)]
             memo[remaining.matrix] = found
         return found
 
-    return set(factorizations(w))
+    return set(factorizations(w, None))
+
+
+def _down_sets(covers: dict[WeylElement, tuple[WeylElement, ...]]
+               ) -> dict[WeylElement, frozenset[WeylElement]]:
+    """down(w) = {w} together with down(x) for every x covered by w, so
+    the set of all u <= w. `covers` lists every element before the
+    elements it covers (as `interval_covers` does), so walking it
+    backwards builds each down-set after those of its children."""
+    down: dict[WeylElement, frozenset[WeylElement]] = {}
+    for w in reversed(covers):
+        down[w] = frozenset({w}).union(*(down[x] for x in covers[w]))
+    return down
 
 
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
-                     cap_group: int = DEFAULT_GROUP_CAP,
                      quiver_id: str | None = None) -> BijectionReport:
     """Run the whole verification pipeline on a finite-type quiver.
 
     Returns a report rather than raising on mathematical failure; every
     failed assertion carries a JSON payload with both sides. Cap overruns
     are recorded as failures of kind "cap_exceeded" with partial counts.
+
+    The interval comes from `interval_covers`, and u <= w is membership of
+    u in the down-set of w built from those covers, which is exactly
+    absolute order on [1, c]; an image outside the interval (only on
+    failure) gets a walk of its own. Every complete exceptional sequence
+    of every subcategory is multiplied out through one prefix memo.
     """
     t0 = time.perf_counter()
     roots = generate_roots(q)
@@ -210,9 +237,8 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         )
 
     try:
-        group = enumerate_group(q, cap_group)
-        nc = noncrossing_partitions(c, q, roots=roots, group=group)
-        counts["nc"] = len(nc)
+        covers = interval_covers(c, roots)
+        counts["nc"] = len(covers)
 
         antichains = sorted(enumerate_exceptional_antichains(q, reg),
                             key=lambda a: tuple(sorted(a)))
@@ -233,21 +259,31 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
 
         values = [cox(sub, reg, roots) for sub in subs]
 
+        products = ProductMemo()
+        ident = identity(q.n)
+
+        def product(seq: tuple[Vector, ...]) -> WeylElement:
+            result = ident
+            for r in seq:
+                result = products[result, roots.reflection(r).element]
+            return result
+
         well_defined = True
         witnesses = 0
         for sub, value in zip(subs, values):
             for s in _sequences_within(sub, reg):
                 witnesses += 1
-                if sequence_product(s, roots) != value:
+                got = product(s)
+                if got != value:
                     well_defined = False
                     failures.append({
                         "kind": "well_defined",
                         "subcategory": sub.to_json(),
                         "sequence": [list(r) for r in s],
                         "expected": value.to_json(),
-                        "got": sequence_product(s, roots).to_json(),
+                        "got": got.to_json(),
                     })
-            if value not in nc:
+            if value not in covers:
                 well_defined = False
                 failures.append({
                     "kind": "image_outside_interval",
@@ -271,7 +307,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                     })
                 seen[value.matrix] = sub
 
-        nc_matrices = {w.matrix for w in nc}
+        nc_matrices = {w.matrix for w in covers}
         flags["surjective"] = distinct == nc_matrices
         if not flags["surjective"]:
             failures.append({
@@ -280,12 +316,16 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 "extra": [list(map(list, m)) for m in sorted(distinct - nc_matrices)],
             })
 
+        down = _down_sets(covers)
+        for value in values:
+            if value not in down:
+                down.update(_down_sets(interval_covers(value, roots)))
         forward = True
         backward = True
         for sub_a, val_a in zip(subs, values):
             for sub_b, val_b in zip(subs, values):
                 contained = sub_a.ind_roots <= sub_b.ind_roots
-                below = absolute_leq(val_a, val_b, roots)
+                below = val_a in down[val_b]
                 if contained and not below:
                     forward = False
                 elif below and not contained:

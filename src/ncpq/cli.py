@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -32,13 +31,10 @@ from .hurwitz import hurwitz_move, hurwitz_orbit, tuple_from_roots
 from .quiver import Quiver, cartan_matrix, classify_type, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
-    DEFAULT_GROUP_CAP,
     absolute_length,
-    absolute_leq,
     coxeter_element,
-    enumerate_group,
     generate_roots,
-    noncrossing_partitions,
+    interval_covers,
     simple_root,
 )
 
@@ -60,14 +56,13 @@ class RunConfig:
     coxeter_order: tuple[int, ...] | None
     output_format: str
     output_path: str | None
-    cap_group: int
     cap_orbit: int
     cap_sequences: int
 
     def __post_init__(self):
         if self.output_format not in ("json", "dot", "text"):
             raise ValidationError(f"unknown format {self.output_format!r}")
-        for name in ("cap_group", "cap_orbit", "cap_sequences"):
+        for name in ("cap_orbit", "cap_sequences"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"--{name.replace('_', '-')} must be positive")
 
@@ -99,24 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="output_format",
                        choices=("json", "dot", "text"), default="text")
         p.add_argument("--out", dest="output_path", default=None)
-        p.add_argument("--cap-group", type=int, default=None,
-                       help=f"group-size cap (default ${{NCPQ_CAP_GROUP}} or {DEFAULT_GROUP_CAP})")
         p.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
         p.add_argument("--cap-sequences", type=int, default=DEFAULT_SEQUENCE_CAP)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cap_group = args.cap_group
-    if cap_group is None:
-        cap_group = int(os.environ.get("NCPQ_CAP_GROUP", DEFAULT_GROUP_CAP))
     return RunConfig(
         command=args.command,
         input_path=args.quiver_file,
         coxeter_order=args.coxeter_order,
         output_format=args.output_format,
         output_path=args.output_path,
-        cap_group=cap_group,
         cap_orbit=args.cap_orbit,
         cap_sequences=args.cap_sequences,
     )
@@ -188,17 +177,14 @@ def cmd_nc(cfg: RunConfig) -> int:
         raise NonFiniteTypeError("the nc command requires finite type")
     order = _resolve_order(q, cfg)
     c = coxeter_element(q, order)
-    group = enumerate_group(q, cfg.cap_group)
-    interval = noncrossing_partitions(c, q, roots=roots, group=group)
+    covers = interval_covers(c, roots)
     refl_by_matrix = {roots.reflection(r).element.matrix: r for r in roots.sorted_roots()}
-    elements = sorted(interval, key=lambda w: (absolute_length(w, roots), w.matrix))
+    elements = sorted(covers, key=lambda w: (absolute_length(w, roots), w.matrix))
     ids = {w.matrix: k for k, w in enumerate(elements)}
     lengths = {w.matrix: absolute_length(w, roots) for w in elements}
-    edges = []
-    for a in elements:
-        for b in elements:
-            if lengths[b.matrix] == lengths[a.matrix] + 1 and absolute_leq(a, b, roots):
-                edges.append((ids[a.matrix], ids[b.matrix]))
+    # In a graded poset a is covered by b exactly when a = t*b for a
+    # reflection t <= b, so the Hasse edges are the walk's covers.
+    edges = [(ids[a.matrix], ids[b.matrix]) for b in elements for a in covers[b]]
     payload = {
         "quiver": cfg.input_path,
         "coxeter_order": list(order),
@@ -233,7 +219,7 @@ def cmd_nc(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     q = _load_quiver(cfg)
     order = cfg.coxeter_order
-    report = verify_bijection(q, order, cap_group=cfg.cap_group, quiver_id=cfg.input_path)
+    report = verify_bijection(q, order, quiver_id=cfg.input_path)
     if cfg.output_format == "json":
         _emit(cfg, json.dumps(report.to_dict(), indent=2))
     elif cfg.output_format == "text":

@@ -136,8 +136,8 @@ class RootSystem:
     `complete` is True only when the type is finite and the reflection
     closure stabilized below the height bound; otherwise the set is an
     explicit truncation. Instances are immutable apart from internal memo
-    tables (reflections, absolute lengths) which are plain dicts and safe
-    to fill concurrently under the GIL.
+    tables (reflections, absolute lengths, reflections below an element)
+    which are plain dicts and safe to fill concurrently under the GIL.
     """
 
     def __init__(self, quiver: Quiver, positive_real_roots: frozenset[Vector],
@@ -151,6 +151,7 @@ class RootSystem:
         self.cartan = cartan_matrix(quiver).entries
         self._reflections: dict[Vector, Reflection] = {}
         self._abs_len: dict[IntMatrix, int] = {}
+        self._below: dict[IntMatrix, tuple[Reflection, ...]] = {}
 
     @property
     def n(self) -> int:
@@ -334,20 +335,81 @@ def enumerate_group(q: Quiver, cap: int = DEFAULT_GROUP_CAP, *,
     return {WeylElement(m) for m in seen}
 
 
+def reflections_below(w: WeylElement, roots: RootSystem,
+                      _candidates: tuple[Reflection, ...] | None = None,
+                      ) -> tuple[Reflection, ...]:
+    """The reflections t <= w in absolute order, in root order, memoized
+    per matrix on the root system.
+
+    t <= w means |t w| = |w| - 1, so these are exactly the first letters
+    of the minimal reflection factorizations of w and the t with t*w
+    covered by w. `_candidates`, for callers inside the package, is the
+    set already found below an element u >= w: t <= w <= u implies
+    t <= u, so only those need testing. Requires a complete root system.
+    """
+    if not roots.complete:
+        raise NonFiniteTypeError("reflections below an element require a complete root system")
+    found = roots._below.get(w.matrix)
+    if found is None:
+        pool = roots.reflections() if _candidates is None else _candidates
+        found = tuple(t for t in pool if absolute_leq(t.element, w, roots))
+        roots._below[w.matrix] = found
+    return found
+
+
+def interval_covers(c: WeylElement,
+                    roots: RootSystem) -> dict[WeylElement, tuple[WeylElement, ...]]:
+    """The Hasse diagram of the interval [1, c] of absolute order: each
+    element mapped to the elements it covers, which are t*w for the
+    reflections t <= w. Elements appear level by level from c down, so
+    every element comes before the elements it covers.
+
+    The walk is complete. If u <= w then w u^-1 has absolute length
+    k = |w| - |u|, so w = t_1 ... t_k u with reflections t_i. Put w_0 = w
+    and w_i = t_i w_(i-1), so w_k = u: each step lowers the length by at
+    most one and k steps lower it by k, so each lowers it by exactly one,
+    t_i <= w_(i-1), and u lies on a chain of covers below w. The walk is
+    sound because t <= w gives t*w <= w and the order is transitive. A
+    child is tested only against the reflections below its first parent,
+    which hold all reflections below it (Brady-Watt 2002: Mov(t w) lies
+    in Mov(w)).
+
+    Reaching the identity writes c as a product of reflections, which
+    certifies c in W; a walk that ends without it raises ValidationError.
+    Holding more than DEFAULT_GROUP_CAP elements (read at call time)
+    raises CapExceededError.
+    """
+    cap = DEFAULT_GROUP_CAP
+    covers: dict[WeylElement, tuple[WeylElement, ...]] = {}
+    level: dict[WeylElement, tuple[Reflection, ...] | None] = {c: None}
+    held = 1
+    while level:
+        next_level: dict[WeylElement, tuple[Reflection, ...]] = {}
+        for w, candidates in level.items():
+            below = reflections_below(w, roots, candidates)
+            children = tuple(compose(t.element, w) for t in below)
+            covers[w] = children
+            for child in children:
+                if child not in next_level:
+                    held += 1
+                    if held > cap:
+                        raise CapExceededError(f"interval size exceeds cap {cap}")
+                    next_level[child] = below
+        level = next_level
+    if identity(c.n) not in covers:
+        raise ValidationError("the given element does not lie in this Weyl group")
+    return covers
+
+
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
-                           roots: RootSystem | None = None,
-                           group: set[WeylElement] | None = None,
-                           cap: int = DEFAULT_GROUP_CAP) -> set[WeylElement]:
-    """Interval {s : s <= c} of absolute order in a finite Weyl group."""
+                           roots: RootSystem | None = None) -> set[WeylElement]:
+    """Interval {s : s <= c} of absolute order in a finite Weyl group,
+    walked down from c by `interval_covers`."""
     if roots is None:
         roots = generate_roots(q)
     if not roots.classification.is_finite:
         raise NonFiniteTypeError("non-crossing partitions require finite type")
-    if group is None:
-        group = enumerate_group(q, cap)
-    if c not in group:
-        raise ValidationError("the given element does not lie in this Weyl group")
-    return {s for s in group if absolute_leq(s, c, roots)}
+    return set(interval_covers(c, roots))
 
 
 @dataclass(frozen=True)

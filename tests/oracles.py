@@ -6,7 +6,9 @@ reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks from the rational reduced row echelon form, braid orbits from
-moves on roots that rebuild the whole tuple's product after every move.
+moves on roots that rebuild the whole tuple's product after every move,
+the interval [1, c] by filtering the whole group, and interval sizes from
+the Coxeter-Catalan numbers of the literature.
 """
 
 from __future__ import annotations
@@ -15,9 +17,25 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from ncpq import make_reflection, Quiver
+from ncpq import absolute_leq, enumerate_group, make_reflection, Quiver
 from ncpq._linalg import rref
 from ncpq.weyl import RootSystem, simple_root
+
+# |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
+# the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
+COXETER_CATALAN = {"A2": 5, "A3": 14, "A4": 42, "A5": 132,
+                   "D4": 50, "D5": 182, "E6": 833}
+
+# One orientation of each Dynkin diagram, linear or branching at vertex 3.
+DYNKIN_QUIVERS = {
+    "A2": Quiver(2, ((1, 2),)),
+    "A3": Quiver(3, ((1, 2), (2, 3))),
+    "A4": Quiver(4, ((1, 2), (2, 3), (3, 4))),
+    "A5": Quiver(5, ((1, 2), (2, 3), (3, 4), (4, 5))),
+    "D4": Quiver(4, ((1, 2), (3, 2), (4, 2))),
+    "D5": Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
+    "E6": Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))),
+}
 
 
 def bfs_absolute_lengths(roots: RootSystem) -> dict:
@@ -114,6 +132,13 @@ def braid_orbit_by_full_products(q: Quiver, start) -> set:
                     seen.add(nxt)
                     frontier.append(nxt)
     return seen
+
+
+def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
+    """The interval [1, c] of absolute order as a filter on the whole
+    group: every element of W, by breadth-first closure under the simple
+    reflections, kept when it lies below c."""
+    return {w for w in enumerate_group(q) if absolute_leq(w, c, roots)}
 
 
 def det_cofactor(matrix) -> Fraction:

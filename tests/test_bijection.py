@@ -6,13 +6,16 @@ import json
 
 import pytest
 
+import ncpq.bijection
 from ncpq import (
+    absolute_leq,
     BijectionReport,
     ExcSequence,
     cox,
     coxeter_element,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
+    enumerate_group,
     factor_in_reflections,
     identity,
     is_exceptional_sequence,
@@ -160,10 +163,45 @@ def test_report_round_trips(a2):
     assert BijectionReport.from_dict(data) == report
 
 
-def test_cap_exceeded_partial_report(a3):
-    report = verify_bijection(a3, cap_group=5)
+def test_cap_exceeded_partial_report(a3, monkeypatch):
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 5)
+    report = verify_bijection(a3)
     assert any(f["kind"] == "cap_exceeded" for f in report.failures)
     assert not report.all_ok
+
+
+def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_roots,
+                                                               monkeypatch):
+    # A corrupted cox sends the zero subcategory to an element outside
+    # [1, c]. Its down-set comes from a walk of its own, so every pair of
+    # the order check must still get the truth value of absolute_leq.
+    c = coxeter_element(a3, (1, 2, 3))
+    interval = noncrossing_partitions(c, a3, roots=a3_roots)
+    outside = min((w for w in enumerate_group(a3) if w not in interval),
+                  key=lambda w: w.matrix)
+    real_cox = ncpq.bijection.cox
+
+    def corrupted(sub, reg, roots):
+        value = real_cox(sub, reg, roots)
+        return outside if value == identity(3) else value
+
+    monkeypatch.setattr("ncpq.bijection.cox", corrupted)
+    report = verify_bijection(a3, (1, 2, 3))
+    assert {"image_outside_interval", "surjectivity"} <= {f["kind"] for f in report.failures}
+    antichains = sorted(enumerate_exceptional_antichains(a3, a3_reg),
+                        key=lambda a: tuple(sorted(a)))
+    subs = [thick_closure(ExcSequence(order_antichain(a, a3_reg)), a3_reg) for a in antichains]
+    values = [corrupted(sub, a3_reg, a3_roots) for sub in subs]
+    expected = []
+    for sub_a, val_a in zip(subs, values):
+        for sub_b, val_b in zip(subs, values):
+            contained = sub_a.ind_roots <= sub_b.ind_roots
+            if contained != absolute_leq(val_a, val_b, a3_roots):
+                expected.append((sub_a.to_json(), sub_b.to_json(),
+                                 "forward" if contained else "backward"))
+    got = [(f["subcategory_a"], f["subcategory_b"], f["direction"])
+           for f in report.failures if f["kind"] == "order_preservation"]
+    assert expected and got == expected
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

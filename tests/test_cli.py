@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from ncpq import cli
+from ncpq import absolute_leq, cli
 from ncpq.bijection import BijectionReport
 from ncpq.cli import main
 from ncpq.errors import (
@@ -19,6 +19,7 @@ from ncpq.errors import (
     SearchExhaustedError,
     ValidationError,
 )
+from ncpq.weyl import WeylElement
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
 
@@ -119,6 +120,16 @@ def test_nc_d4_count(quiver_file, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 50
 
 
+def test_nc_hasse_edges_are_length_one_order_pairs_d4(quiver_file, capsys, d4_roots):
+    assert main(["nc", quiver_file(D4_TEXT), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    w = {e["id"]: WeylElement(tuple(map(tuple, e["matrix"]))) for e in payload["elements"]}
+    length = {e["id"]: e["length"] for e in payload["elements"]}
+    expected = sorted([a, b] for a in w for b in w
+                      if length[b] == length[a] + 1 and absolute_leq(w[a], w[b], d4_roots))
+    assert payload["hasse_edges"] == expected
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -134,9 +145,9 @@ def test_verify_a2_json_round_trip(quiver_file, capsys):
     assert json.loads(json.dumps(report.to_dict())) == payload
 
 
-def test_verify_cap_exceeded_exit_4(quiver_file, capsys):
-    assert main(["verify", quiver_file(A3_TEXT), "--cap-group", "5",
-                 "--format", "json"]) == 4
+def test_verify_cap_exceeded_exit_4(quiver_file, capsys, monkeypatch):
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 5)
+    assert main(["verify", quiver_file(A3_TEXT), "--format", "json"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(f["kind"] == "cap_exceeded" for f in payload["failures"])
 
@@ -154,10 +165,9 @@ def test_verify_custom_order(quiver_file, capsys):
     assert payload["flags"]["order_iso"]
 
 
-def test_verify_env_cap(quiver_file, capsys, monkeypatch):
+def test_cap_group_flag_rejected_exit_2(quiver_file, capsys, monkeypatch):
+    assert main(["verify", quiver_file(A2_TEXT), "--cap-group", "5"]) == 2
     monkeypatch.setenv("NCPQ_CAP_GROUP", "5")
-    assert main(["verify", quiver_file(A2_TEXT)]) == 4
-    monkeypatch.setenv("NCPQ_CAP_GROUP", "1000")
     assert main(["verify", quiver_file(A2_TEXT)]) == 0
 
 

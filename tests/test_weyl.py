@@ -6,8 +6,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpq import (
+    Quiver,
     absolute_length,
     absolute_leq,
     compose,
@@ -17,13 +20,17 @@ from ncpq import (
     exchange_index,
     generate_roots,
     identity,
+    interval_covers,
     inverse,
     make_reflection,
     noncrossing_partitions,
     reflect,
+    reflections_below,
     simple_root,
     symmetric_form,
+    topological_order,
 )
+from ncpq.bijection import _down_sets
 from ncpq.errors import (
     CapExceededError,
     NonFiniteTypeError,
@@ -32,7 +39,14 @@ from ncpq.errors import (
 )
 from ncpq.weyl import WeylElement, is_positive
 
-from oracles import apply_word, bfs_absolute_lengths, random_positive_root
+from oracles import (
+    COXETER_CATALAN,
+    DYNKIN_QUIVERS,
+    apply_word,
+    bfs_absolute_lengths,
+    nc_by_group_filter,
+    random_positive_root,
+)
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -308,6 +322,105 @@ def test_nc_counts(a2, a3, a2_roots, a3_roots):
     assert len(noncrossing_partitions(c2, a2, roots=a2_roots)) == 5
     c3 = coxeter_element(a3, (1, 2, 3))
     assert len(noncrossing_partitions(c3, a3, roots=a3_roots)) == 14
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_reflections_below_is_the_filter_by_absolute_leq(name, request):
+    q = request.getfixturevalue(name)
+    roots = request.getfixturevalue(f"{name}_roots")
+    rng = random.Random(11)
+    plain, seeded = generate_roots(q), generate_roots(q)  # fresh memos
+    everything = roots.reflections()
+    for w in sorted(enumerate_group(q), key=lambda w: w.matrix):
+        expected = tuple(t for t in everything if absolute_leq(t.element, w, roots))
+        assert reflections_below(w, plain) == expected
+        superset = tuple(t for t in everything if t in expected or rng.random() < 0.5)
+        assert reflections_below(w, seeded, superset) == expected
+
+
+def _nc(name):
+    q = DYNKIN_QUIVERS[name]
+    roots = generate_roots(q)
+    return q, roots, coxeter_element(q, topological_order(q))
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_walk_equals_group_filter(name):
+    q, roots, c = _nc(name)
+    assert noncrossing_partitions(c, q, roots=roots) == nc_by_group_filter(
+        c, q, generate_roots(q))
+
+
+@st.composite
+def oriented_dynkin(draw):
+    """A random orientation of A4, D4 or A5 with a random admissible order."""
+    name = draw(st.sampled_from(["A4", "D4", "A5"]))
+    base = DYNKIN_QUIVERS[name]
+    arrows = tuple((t, h) if draw(st.booleans()) else (h, t) for h, t in base.arrows)
+    order: list[int] = []
+    while len(order) < base.n:
+        ready = [v for v in base.vertices if v not in order
+                 and all(h in order for h, t in arrows if t == v)]
+        order.append(draw(st.sampled_from(ready)))
+    return name, Quiver(base.n, arrows), tuple(order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented_dynkin())
+def test_walk_equals_group_filter_on_random_orientations(drawn):
+    name, q, order = drawn
+    roots = generate_roots(q)
+    c = coxeter_element(q, order)
+    walked = noncrossing_partitions(c, q, roots=roots)
+    assert walked == nc_by_group_filter(c, q, generate_roots(q))
+    assert len(walked) == COXETER_CATALAN[name]
+
+
+@pytest.mark.parametrize("name", sorted(COXETER_CATALAN))
+def test_nc_size_is_coxeter_catalan(name):
+    q, roots, c = _nc(name)
+    assert len(noncrossing_partitions(c, q, roots=roots)) == COXETER_CATALAN[name]
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_down_sets_are_absolute_order(name):
+    _, roots, c = _nc(name)
+    covers = interval_covers(c, roots)
+    down = _down_sets(covers)
+    fresh = generate_roots(roots.quiver)
+    for u in covers:
+        for w in covers:
+            assert (u in down[w]) == absolute_leq(u, w, fresh)
+
+
+def test_walk_covers_are_length_one_steps(d4, d4_roots):
+    c = coxeter_element(d4, topological_order(d4))
+    for w, children in interval_covers(c, d4_roots).items():
+        assert len(children) == len(reflections_below(w, d4_roots))
+        for x in children:
+            assert absolute_length(x, d4_roots) == absolute_length(w, d4_roots) - 1
+            assert absolute_leq(x, w, d4_roots)
+
+
+@pytest.mark.parametrize("matrix", [((1, 1), (0, 1)), ((-1, 0), (0, -1))])
+def test_walk_refuses_elements_outside_the_group(a2, matrix):
+    with pytest.raises(ValidationError):
+        noncrossing_partitions(WeylElement(matrix), a2, roots=generate_roots(a2))
+
+
+def test_walk_cap_is_read_at_call_time(a3, monkeypatch):
+    c = coxeter_element(a3, (1, 2, 3))
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 13)
+    with pytest.raises(CapExceededError):
+        noncrossing_partitions(c, a3, roots=generate_roots(a3))
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 14)
+    assert len(noncrossing_partitions(c, a3, roots=generate_roots(a3))) == 14
+
+
+def test_reflections_below_refuses_truncated_roots(kronecker):
+    roots = generate_roots(kronecker, 5)
+    with pytest.raises(NonFiniteTypeError):
+        reflections_below(identity(2), roots)
 
 
 def test_nc_refuses_nonfinite(kronecker):
