@@ -1,15 +1,17 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are tuples of row tuples. No floating point enters the package
-anywhere. Integer matrices (Weyl-group elements, Cartan matrices) are
-handled fraction-free: products, Bareiss determinant and rank, and the
-inverse of a unimodular matrix all stay in the integers. `rank` is
-fraction-free too: it clears the denominators of each rational row and
-calls `int_rank`. `fractions.Fraction` arithmetic is used only by `rref`
-and the nullspaces built on it (`right_nullspace`, `left_nullspace`),
-which serve the rep-layer Hom bases over the rationals. Sizes are desk
-scale (the rank of a root system), so plain Gaussian elimination is the
-right tool.
+anywhere. Integer matrices (Weyl-group elements, Cartan matrices, the
+intertwiner equations of integral representations) are handled
+fraction-free: products, the Bareiss determinant, the inverse of a
+unimodular matrix, and the rank by sparse elimination that touches only
+the rows meeting each pivot column. `rank` is fraction-free too: it
+clears the denominators of each rational row and calls `int_rank`.
+`fractions.Fraction` arithmetic is used only by `rref` and the
+nullspaces built on it (`right_nullspace`, `left_nullspace`), which
+serve the cokernel step of the rep layer's reflection-functor transport
+and its explicit Hom bases. Sizes are desk scale, so plain elimination
+is the right tool.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -19,13 +21,14 @@ count explicitly where it cannot be inferred.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-FracMatrix = tuple[tuple[Fraction, ...], ...]
+RatMatrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -94,30 +97,48 @@ def det_bareiss(a: IntMatrix) -> int:
 
 
 def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Exact rank of an integer matrix (fraction-free Bareiss elimination).
+    """Exact rank of an integer matrix, by sparse fraction-free elimination.
 
     Any shape is accepted, including no rows, zero rows and zero columns.
-    After k pivots every remaining entry is a (k+1)-minor of the input, so
-    each division by the previous pivot is exact.
+    Column by column, the pivot is the remaining row whose entry p in the
+    column is nonzero and least in absolute value (a unit if there is one;
+    ties go to the first such row). Every other row with an entry f there
+    becomes p*row - f*pivot_row and is then divided by the gcd of its
+    entries. With the pivot row kept, both steps are invertible over the
+    rationals (p != 0), so the row space does not change; the pivot row is
+    then the only row nonzero in the column, so it adds exactly one to the
+    rank of the rest. Rows with a zero in the column, most of them on the
+    sparse intertwiner systems, are not touched.
     """
-    m = [list(row) for row in rows if any(row)]
+    m = [row for row in rows if any(row)]
     r = 0
-    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if not m:
+            break
+        pivot = None
+        for i, row in enumerate(m):
+            x = row[c]
+            if x and (pivot is None or abs(x) < abs(m[pivot][c])):
+                pivot = i
+                if x in (1, -1):
+                    break
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
+        pr = m.pop(pivot)
         p = pr[c]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-        prev = p
         r += 1
-        if r == len(m):
-            break
+        kept = []
+        for row in m:
+            f = row[c]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pr)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                if g != 1:
+                    row = [x // g for x in row]
+            kept.append(row)
+        m = kept
     return r
 
 
@@ -147,10 +168,13 @@ def rref(rows: Sequence[Sequence[Fraction | int]], ncols: int):
 def rank(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
     """Exact rank of a rational matrix, fraction-free.
 
-    Each row is multiplied by the lcm of its entries' denominators, which
-    is a nonzero integer and so keeps the rank, and the integer matrix goes
-    to `int_rank`. Ints carry `numerator` and `denominator` as Fractions do.
+    A matrix of ints goes to `int_rank` as it is. Otherwise each row is
+    multiplied by the lcm of its entries' denominators, which is a nonzero
+    integer and so keeps the rank, and the integer matrix goes to
+    `int_rank`. Ints carry `numerator` and `denominator` as Fractions do.
     """
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return int_rank(rows, ncols)
     scaled = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))

@@ -113,50 +113,27 @@ def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> fr
     return left_perp(right_perp(members, reg), reg)
 
 
-def _is_nonneg_combination(target: Vector, gens: Sequence[Vector],
-                           memo: dict[Vector, bool]) -> bool:
-    """Whether target is a sum of members of gens, repeats allowed. The
-    gens must be nonzero and nonnegative. memo holds the answers found so
-    far; calls with the same gens may share it, and no others."""
-    if all(x == 0 for x in target):
-        return True
-    cached = memo.get(target)
-    if cached is not None:
-        return cached
-    out = False
-    for g in gens:
-        if all(gi <= vi for gi, vi in zip(g, target)):
-            if _is_nonneg_combination(tuple(vi - gi for vi, gi in zip(target, g)), gens, memo):
-                out = True
-                break
-    memo[target] = out
-    return out
-
-
 def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Vector, ...]:
-    """Members with no proper subobject inside the subcategory.
+    """The relative simples of a thick subcategory B, in root order.
 
-    A member m fails to be simple exactly when some other member embeds
-    into it with a quotient whose dimension vector stays inside the
-    subcategory's nonnegative span.
+    m is simple exactly when no member x != m has Hom(x, m) != 0 and
+    dim x not >= dim m componentwise. B is thick, so it is an exact
+    abelian subcategory: kernels, images and cokernels of maps between
+    members are members.
+    - If m is simple, a nonzero map from a member x to m has a nonzero
+      image in B inside m, which must be m, so the map is onto and
+      dim x >= dim m.
+    - If m is not simple, it has a simple subobject s != m in B, and s is
+      indecomposable, so a member. Then Hom(s, m) != 0 and dim s < dim m,
+      so dim s is not >= dim m.
+    Only integer Hom dimensions enter. The dimension test runs first; it
+    also rules out x = m.
     """
     members = sorted(ind)
-    spans: dict[Vector, bool] = {}
-    simples = []
-    for m in members:
-        simple = True
-        for other in members:
-            if other == m:
-                continue
-            if not reg.has_injective_hom(other, m):
-                continue
-            diff = tuple(mi - oi for mi, oi in zip(m, other))
-            if _is_nonneg_combination(diff, members, spans):
-                simple = False
-                break
-        if simple:
-            simples.append(m)
-    return tuple(simples)
+    return tuple(
+        m for m in members
+        if not any(any(xi < mi for xi, mi in zip(x, m)) and reg.hom(x, m)
+                   for x in members))
 
 
 def _ext_quiver_arrows(members: Sequence[Vector], reg: IndecRegistry) -> list[tuple[int, int]]:

@@ -4,12 +4,17 @@ For a finite-type quiver this module constructs one indecomposable
 representation per positive root, deterministically: walk the root down to
 a simple root along a sink-admissible sequence of simple reflections, then
 transport the simple representation back up with cokernel (source-side)
-reflection steps. dim Hom(M, N) is the nullity of the intertwiner
-equations, taken from their fraction-free integer rank (`_linalg.rank`);
-explicit Hom bases still come from the rational nullspace. Ext dimensions
-come from the bilinear-form identity hom - ext = form(dim M, dim N), which
-is validated against an independent resolution-based computation in the
-test suite.
+reflection steps. Integral entries are stored as ints, and the transport
+keeps registry maps integral (E7's have entries in {-1, 0, 1}; the tests
+pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
+from their fraction-free integer rank (`_linalg.rank`), so no Hom basis
+and no `Fraction` enters a Hom or Ext dimension of integral modules.
+Ext dimensions come from the
+bilinear-form identity hom - ext = form(dim M, dim N), which is
+validated against an independent resolution-based computation in the
+test suite. Explicit Hom bases over the rationals (`hom_basis`) serve
+only the injectivity scan `IndecRegistry.has_injective_hom`, which no
+other ncpq function calls.
 """
 
 from __future__ import annotations
@@ -19,14 +24,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import FracMatrix, rank, right_nullspace, left_nullspace
+from ._linalg import RatMatrix, rank, right_nullspace, left_nullspace
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
 from .weyl import RootSystem, generate_roots, is_positive, simple_reflect, simple_root
 
 
-def _zero_map(rows: int, cols: int) -> FracMatrix:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+def _zero_map(rows: int, cols: int) -> RatMatrix:
+    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+
+
+def _exact(x) -> int | Fraction:
+    """x as an exact rational: an int when it is integral."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -34,12 +47,14 @@ class Representation:
     """Vector spaces at the vertices, one exact-rational matrix per arrow.
 
     The map of arrow (h, t) has shape dims[t-1] x dims[h-1]; maps are
-    aligned with quiver.arrows by position.
+    aligned with quiver.arrows by position. Entries are stored as ints
+    when integral and as Fractions otherwise, so the Hom equations of
+    integral modules stay in the integers.
     """
 
     quiver: Quiver
     dims: Vector
-    maps: tuple[FracMatrix, ...]
+    maps: tuple[RatMatrix, ...]
 
     def __post_init__(self):
         if len(self.dims) != self.quiver.n:
@@ -51,7 +66,7 @@ class Representation:
         frozen = []
         for (h, t), m in zip(self.quiver.arrows, self.maps):
             rows, cols = self.dims[t - 1], self.dims[h - 1]
-            m = tuple(tuple(Fraction(x) for x in row) for row in m)
+            m = tuple(tuple(_exact(x) for x in row) for row in m)
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ValidationError(
                     f"map for arrow ({h}, {t}) must be {rows}x{cols}")
@@ -100,7 +115,7 @@ def _intertwiner_rows(M: Representation, N: Representation):
         Ma, Na = M.maps[k], N.maps[k]
         for r in range(ndim[t]):
             for c in range(mdim[h]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for s in range(mdim[t]):
                     row[offsets[t] + r * mdim[t] + s] += Ma[s][c]
                 for s in range(ndim[h]):
@@ -119,7 +134,7 @@ def hom_dim(M: Representation, N: Representation) -> int:
     return total - rank(rows, total)
 
 
-def hom_basis(M: Representation, N: Representation) -> tuple[tuple[FracMatrix, ...], ...]:
+def hom_basis(M: Representation, N: Representation) -> tuple[tuple[RatMatrix, ...], ...]:
     """Deterministic basis of Hom(M, N), one tuple of vertex maps each."""
     if M.quiver != N.quiver:
         raise ValidationError("representations live over different quivers")
@@ -162,7 +177,7 @@ def top_simples(M: Representation) -> frozenset[int]:
         d = M.dims[v - 1]
         if d == 0:
             continue
-        cols: list[list[Fraction]] = [[] for _ in range(d)]
+        cols: list[list[int | Fraction]] = [[] for _ in range(d)]
         for k in q.arrow_indices_into(v):
             m = M.maps[k]
             for r in range(d):
@@ -201,7 +216,7 @@ def _source_cokernel_step(rep: Representation, j: int) -> Representation:
     proj = left_nullspace(phi, dj)
     new_dim_j = len(proj)  # = total_rows - dj
     dims = tuple(new_dim_j if v == j else rep.dims[v - 1] for v in q.vertices)
-    pairs: list[tuple[tuple[int, int], FracMatrix]] = []
+    pairs: list[tuple[tuple[int, int], RatMatrix]] = []
     for k, (h, t) in enumerate(q.arrows):
         if k in out_idx:
             pos = out_idx.index(k)
@@ -273,10 +288,10 @@ class IndecRegistry:
     Hom/Ext lookups keyed by root pairs.
 
     Immutable after build. All memos fill lazily, on first use: Hom and
-    Ext dimensions per ordered root pair, Hom bases and injectivity per
-    pair, and per root the two orthogonal sets `right_orth`/`left_orth`
-    that perpendicular categories intersect. The memo dicts are safe for
-    concurrent reads under the GIL.
+    Ext dimensions per ordered root pair, and per root the two orthogonal
+    sets `right_orth`/`left_orth` that perpendicular categories intersect
+    (plus the answers of the injectivity scan, when it is asked). The
+    memo dicts are safe for concurrent reads under the GIL.
     """
 
     def __init__(self, quiver: Quiver, rootsystem: RootSystem,
@@ -286,7 +301,6 @@ class IndecRegistry:
         self._reps = dict(reps)
         self._roots = tuple(sorted(reps))
         self._hom: dict[tuple[Vector, Vector], int] = {}
-        self._hom_bases: dict[tuple[Vector, Vector], tuple] = {}
         self._injective: dict[tuple[Vector, Vector], bool] = {}
         self._ext: dict[tuple[Vector, Vector], int] = {}
         self._right_orth: dict[Vector, frozenset[Vector]] = {}
@@ -343,14 +357,6 @@ class IndecRegistry:
             self._left_orth[a] = orth
         return orth
 
-    def hom_maps(self, a: Vector, b: Vector) -> tuple:
-        key = (a, b)
-        maps = self._hom_bases.get(key)
-        if maps is None:
-            maps = hom_basis(self[a], self[b])
-            self._hom_bases[key] = maps
-        return maps
-
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
         """Whether some intertwiner embeds the module at a into the one at b.
 
@@ -364,6 +370,11 @@ class IndecRegistry:
         nonzero polynomial of degree at most 6 does not vanish on the
         whole grid of 7 values per coefficient. Larger modules rest on the
         scan alone, and more than 4 basis maps raise NcpqError.
+
+        No ncpq function calls this: relative simples come from Hom
+        dimensions alone (`exc._subcategory_simples`). The tests keep it as
+        the reference those simples are checked against, and perfbench's
+        tracer wraps it by name.
         """
         key = (a, b)
         cached = self._injective.get(key)
@@ -372,7 +383,7 @@ class IndecRegistry:
         M, N = self[a], self[b]
         result = False
         if all(M.dims[i] <= N.dims[i] for i in range(len(a))):
-            basis = self.hom_maps(a, b)
+            basis = hom_basis(M, N)
             d = len(basis)
             if d > 4:
                 raise NcpqError("hom space too large for the injectivity scan")

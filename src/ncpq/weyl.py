@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from ._linalg import IntMatrix, identity_matrix, int_rank, mat_inverse, mat_mul, mat_vec
@@ -37,9 +38,21 @@ DEFAULT_GROUP_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Invertible integer matrix acting on the root lattice."""
+    """Invertible integer matrix acting on the root lattice.
+
+    Equal and hashed as its matrix. Elements key many memo tables, and a
+    tuple of tuples does not keep its hash, so the hash is computed once
+    per element, on first use.
+    """
 
     matrix: IntMatrix
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.matrix)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

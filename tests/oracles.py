@@ -7,8 +7,9 @@ enumeration with shared prefixes, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks from the rational reduced row echelon form, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
-the interval [1, c] by filtering the whole group, and interval sizes from
-the Coxeter-Catalan numbers of the literature.
+the interval [1, c] by filtering the whole group, interval sizes from
+the Coxeter-Catalan numbers of the literature, and relative simples from
+embeddings found by scanning combinations of explicit Hom bases.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ DYNKIN_QUIVERS = {
     "D4": Quiver(4, ((1, 2), (3, 2), (4, 2))),
     "D5": Quiver(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
     "E6": Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))),
+    "E7": Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))),
+    "E8": Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8))),
 }
 
 
@@ -236,3 +239,38 @@ def ext_dim_via_resolution(M, N) -> int:
         return 0
     matrix_rows = [[col[j] for col in columns] for j in range(codomain)]
     return codomain - rref_rank(matrix_rows, len(columns))
+
+
+def is_nonneg_combination(target, gens, memo: dict) -> bool:
+    """Whether target is a sum of members of gens, repeats allowed. The
+    gens must be nonzero and nonnegative. memo holds the answers found so
+    far; calls with the same gens may share it, and no others."""
+    if all(x == 0 for x in target):
+        return True
+    cached = memo.get(target)
+    if cached is not None:
+        return cached
+    out = False
+    for g in gens:
+        if all(gi <= vi for gi, vi in zip(g, target)):
+            if is_nonneg_combination(tuple(vi - gi for vi, gi in zip(target, g)), gens, memo):
+                out = True
+                break
+    memo[target] = out
+    return out
+
+
+def simples_by_injective_maps(ind, reg) -> tuple:
+    """Members of a thick subcategory with no proper subobject inside it,
+    in root order: m is not simple when some other member embeds into it
+    (`IndecRegistry.has_injective_hom`, a scan over combinations of a
+    rational Hom basis) with a quotient whose dimension vector is a
+    nonnegative sum of members."""
+    members = sorted(ind)
+    spans: dict = {}
+    return tuple(
+        m for m in members
+        if not any(other != m and reg.has_injective_hom(other, m)
+                   and is_nonneg_combination(tuple(mi - oi for mi, oi in zip(m, other)),
+                                             members, spans)
+                   for other in members))

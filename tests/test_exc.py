@@ -29,13 +29,15 @@ from ncpq import (
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
-    _is_nonneg_combination,
+    _subcategory_simples,
     closure_indecomposables,
     is_connected,
     mutation_graph,
     order_antichain,
     slot_fillers,
 )
+from ncpq.weyl import simple_root
+from oracles import DYNKIN_QUIVERS, is_nonneg_combination, simples_by_injective_maps
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
 
@@ -186,6 +188,27 @@ def test_antichain_recovery(a2_reg, a3_reg):
             seq = ExcSequence(order_antichain(antichain, reg))
             sub = thick_closure(seq, reg)
             assert frozenset(sub.simples) == antichain
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_simples_match_the_injective_map_definition(label):
+    # Every closure of the orientation: the Hom-dimension criterion against
+    # embeddings found in explicit Hom bases, and against the antichain.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    for antichain in enumerate_exceptional_antichains(q, reg):
+        ind = closure_indecomposables(order_antichain(antichain, reg), reg)
+        simples = _subcategory_simples(ind, reg)
+        assert simples == simples_by_injective_maps(ind, reg)
+        assert frozenset(simples) == antichain
+
+
+def test_e8_closure_of_the_simple_roots():
+    reg = build_registry(DYNKIN_QUIVERS["E8"])
+    simples = [simple_root(8, i) for i in range(1, 9)]
+    sub = thick_closure(ExcSequence(order_antichain(simples, reg)), reg)
+    assert len(sub.ind_roots) == 120
+    assert sorted(sub.simples) == sorted(simples)
 
 
 # ---------------------------------------------------------------------------
@@ -378,4 +401,4 @@ def test_nonneg_combination_with_shared_memo_matches_brute_force(problem):
             all(sum(c * g[d] for c, g in zip(coeffs, gens)) == target[d]
                 for d in range(len(target)))
             for coeffs in itertools.product(range(bound), repeat=len(gens)))
-        assert _is_nonneg_combination(target, gens, memo) == expected
+        assert is_nonneg_combination(target, gens, memo) == expected

@@ -94,6 +94,48 @@ def test_rank_of_fraction_matrices(case):
     assert rank(rows, ncols) == rref_rank(rows, ncols)
 
 
+NON_UNITS = st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6])
+
+
+@st.composite
+def sparse_non_unit_matrices(draw):
+    """Sparse integer matrices up to 10x10 with no unit entry: at most three
+    nonzero entries per row, each row then scaled by a common factor, and
+    some rows replaced by combinations of two others, so pivots are never
+    units and rows share factors."""
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+            row[c] = draw(NON_UNITS)
+        factor = draw(st.integers(1, 5))
+        rows.append([factor * x for x in row])
+    for r in range(nrows):
+        if nrows > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            x, y = draw(NON_UNITS), draw(NON_UNITS)
+            rows[r] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_non_unit_matrices())
+def test_int_rank_of_sparse_matrices_without_unit_pivots(case):
+    rows, ncols = case
+    before = [list(row) for row in rows]
+    assert int_rank(rows, ncols) == rref_rank(rows, ncols)
+    assert rows == before  # the input is not modified
+
+
+def test_int_rank_with_shared_factors_and_non_unit_pivots():
+    assert int_rank([[2, 4], [3, 6]], 2) == 1
+    assert int_rank([[4, 6], [6, 9]], 2) == 1
+    assert int_rank([[6, 0, 4], [0, 9, 6], [6, 9, 10]], 3) == 2
+    assert int_rank([[2, 0], [0, 3]], 2) == 2
+    assert int_rank([[0, 4, 6], [3, 2, 0], [3, 0, -3]], 3) == 2
+
+
 def test_int_rank_degenerate_shapes():
     assert int_rank([], 0) == 0
     assert int_rank([], 4) == 0

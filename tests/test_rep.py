@@ -22,7 +22,7 @@ from ncpq.errors import NonFiniteTypeError, ValidationError
 from ncpq.rep import simple_representation, zero_representation
 
 from conftest import D4_TEXT
-from oracles import ext_dim_via_resolution
+from oracles import DYNKIN_QUIVERS, ext_dim_via_resolution
 
 ONE = ((Fraction(1),),)
 
@@ -158,6 +158,36 @@ def test_injective_hom_scan(a2_reg):
     assert a2_reg.has_injective_hom((0, 1), (1, 1))  # S2 embeds into P1
     assert not a2_reg.has_injective_hom((1, 0), (1, 1))  # hom(S1, P1) = 0
     assert not a2_reg.has_injective_hom((1, 1), (1, 0))  # dims forbid it
+
+
+@pytest.mark.parametrize("label", ["A4", "D5", "E6"])
+def test_hom_and_ext_are_the_parts_of_the_euler_form(label):
+    # Dynkin path algebras are representation-directed (Ringel 1984). Between
+    # indecomposables X and Y, Hom(X, Y) != 0 and Ext(X, Y) = D Hom(Y, tau X)
+    # != 0 would close a cycle X -> Y -> tau X -> X, so one of them is 0.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    for a in reg.roots():
+        for b in reg.roots():
+            form = euler_form(q, a, b)
+            assert reg.hom(a, b) == max(form, 0)
+            assert reg.ext(a, b) == max(-form, 0)
+
+
+def test_e7_registry_maps_have_integer_unit_entries():
+    reg = build_registry(DYNKIN_QUIVERS["E7"])
+    entries = [x for a in reg.roots() for m in reg[a].maps for row in m for x in row]
+    assert set(entries) == {-1, 0, 1}
+    assert all(type(x) is int for x in entries)
+
+
+def test_representation_keeps_integral_entries_as_ints(a2):
+    integral = Representation(a2, (1, 1), (((Fraction(4, 2),),),))
+    assert integral.maps == (((2,),),) and type(integral.maps[0][0][0]) is int
+    rational = Representation(a2, (1, 1), (((Fraction(1, 2),),),))
+    assert rational.maps[0][0][0] == Fraction(1, 2)
+    assert rational.to_debug_json() == {"dims": [1, 1], "denominator": 2, "maps": [[[1]]]}
+    assert hom_dim(integral, rational) == hom_dim(rational, integral) == 1
 
 
 def test_zero_representation_homs(a2):

@@ -133,6 +133,19 @@ def test_group_axioms(a3, a3_roots):
     assert compose(s, s) == identity(3)
 
 
+def test_weyl_elements_compare_and_hash_as_their_matrix(a3):
+    s = make_reflection(a3, (0, 1, 0)).element
+    t = make_reflection(a3, (1, 1, 0)).element
+    products = [compose(s, t), compose(s, t)]
+    assert products[0] is not products[1]
+    memo = {products[0]: "st"}
+    assert hash(products[1]) == hash(products[0]) == hash(products[0].matrix)
+    assert memo[products[1]] == "st"
+    assert hash(products[0]) == hash(WeylElement(products[0].matrix))
+    assert compose(t, s) not in memo and compose(t, s) != products[0]
+    assert {identity(3), WeylElement(identity(3).matrix)} == {identity(3)}
+
+
 def test_form_preservation(a3, a3_roots):
     rng = random.Random(9)
     for w in enumerate_group(a3, 100):
