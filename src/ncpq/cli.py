@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .exc import enumerate_complete_sequences, is_connected, mutation_graph
-from .hurwitz import hurwitz_move, hurwitz_orbit, tuple_from_roots
+from .hurwitz import hurwitz_orbit, orbit_edges, tuple_from_roots
 from .quiver import Quiver, cartan_matrix, classify_type, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
@@ -133,6 +133,11 @@ def _emit(cfg: RunConfig, text: str) -> None:
         print(text)
 
 
+def _emit_json(cfg: RunConfig, payload: dict) -> None:
+    """One line of compact JSON; the separators let json use its C encoder."""
+    _emit(cfg, json.dumps(payload, separators=(",", ":")))
+
+
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
     kind = "digraph" if directed else "graph"
     lines = [f"{kind} {name} {{"]
@@ -158,7 +163,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "height_bound": roots.height_bound,
     }
     if cfg.output_format == "json":
-        _emit(cfg, json.dumps(payload, indent=2))
+        _emit_json(cfg, payload)
     elif cfg.output_format == "text":
         if roots.complete:
             _emit(cfg, f"{classification}, {count} positive roots")
@@ -201,7 +206,7 @@ def cmd_nc(cfg: RunConfig) -> int:
         "hasse_edges": [list(e) for e in sorted(edges)],
     }
     if cfg.output_format == "json":
-        _emit(cfg, json.dumps(payload, indent=2))
+        _emit_json(cfg, payload)
     elif cfg.output_format == "text":
         lines = [f"{len(elements)} elements below the Coxeter element (order {order})"]
         for item in payload["elements"]:
@@ -221,7 +226,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     order = cfg.coxeter_order
     report = verify_bijection(q, order, quiver_id=cfg.input_path)
     if cfg.output_format == "json":
-        _emit(cfg, json.dumps(report.to_dict(), indent=2))
+        _emit_json(cfg, report.to_dict())
     elif cfg.output_format == "text":
         lines = [
             f"quiver: {report.quiver}",
@@ -262,19 +267,12 @@ def cmd_hurwitz(cfg: RunConfig) -> int:
         "orbit": [t.to_json() for t in ordered],
     }
     if cfg.output_format == "json":
-        _emit(cfg, json.dumps(payload, indent=2))
+        _emit_json(cfg, payload)
     elif cfg.output_format == "text":
         _emit(cfg, f"orbit size {len(orbit)}, factorizations {len(factorizations)}, "
                    f"single orbit: {single}")
     else:
-        ids = {t.roots: k for k, t in enumerate(ordered)}
-        edges = set()
-        for t in ordered:
-            for i in range(1, len(t)):
-                other = hurwitz_move(t, i)
-                a, b = ids[t.roots], ids[other.roots]
-                if a != b:
-                    edges.add((min(a, b), max(a, b)))
+        edges = orbit_edges(ordered)
         nodes = [f"t{k}" for k in range(len(ordered))]
         dot_edges = [f"t{a} -- t{b}" for a, b in sorted(edges)]
         _emit(cfg, _dot("hurwitz_orbit", nodes, dot_edges, directed=False))
@@ -298,7 +296,7 @@ def cmd_sequences(cfg: RunConfig) -> int:
         "mutation_edges": [list(e) for e in sorted(edges)],
     }
     if cfg.output_format == "json":
-        _emit(cfg, json.dumps(payload, indent=2))
+        _emit_json(cfg, payload)
     elif cfg.output_format == "text":
         _emit(cfg, f"{len(nodes)} complete exceptional sequences, "
                    f"mutation graph connected: {connected}")

@@ -205,19 +205,12 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     return Subcategory(ind, ordered)
 
 
-def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
-    """Braid move on a complete exceptional sequence.
-
-    The mutated slot is the unique indecomposable whose root is the
-    (sign-normalized) reflection of one neighbor's root at the other.
-    """
-    n = reg.quiver.n
-    if len(seq) != n:
-        raise ValidationError("braid mutation is defined on complete sequences")
-    if not 1 <= i <= len(seq) - 1:
-        raise ValidationError(f"mutation index {i} out of range 1..{len(seq) - 1}")
+def _mutated_pair(a: Vector, b: Vector, inverse: bool,
+                  reg: IndecRegistry) -> tuple[Vector, Vector]:
+    """The pair that a braid move puts in place of (a, b): the mutated
+    slot is the unique indecomposable whose root is the (sign-normalized)
+    reflection of one neighbor's root at the other."""
     q = reg.quiver
-    a, b = seq.roots[i - 1], seq.roots[i]
     if inverse:
         pair = (positive_representative(reflect(q, a, b)), a)
     else:
@@ -225,6 +218,17 @@ def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) ->
     for r in pair:
         if r not in reg:
             raise NcpqError(f"mutated vector {r} is not a root; this is a bug")
+    return pair
+
+
+def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
+    """Braid move on a complete exceptional sequence, checked exceptional."""
+    n = reg.quiver.n
+    if len(seq) != n:
+        raise ValidationError("braid mutation is defined on complete sequences")
+    if not 1 <= i <= len(seq) - 1:
+        raise ValidationError(f"mutation index {i} out of range 1..{len(seq) - 1}")
+    pair = _mutated_pair(seq.roots[i - 1], seq.roots[i], inverse, reg)
     roots = seq.roots[: i - 1] + pair + seq.roots[i + 1:]
     if not is_exceptional_sequence(roots, reg):
         raise NcpqError("mutation produced a non-exceptional sequence; this is a bug")
@@ -352,38 +356,51 @@ def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> Wey
 
 
 def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
-    """Mutation edges between complete sequences, as index pairs into the
-    sorted node list.
+    """Forward mutation edges between complete sequences, as index pairs
+    into the sorted node list.
+
+    Every node is checked complete and exceptional once, and every
+    neighbor must be a node, so every neighbor is exceptional too.
 
     Asserts product invariance on every edge. A mutation at i replaces
     the pair (a, b) by (b', c') and keeps every other entry, so the
     product X*a*b*Y of the reflections equals X*b'*c'*Y exactly when
-    a*b = b'*c' (cancel the invertible X and Y). Each edge checks that
-    the other entries are kept and compares the two pair products, which
-    this call memoizes on the reflection matrices.
+    a*b = b'*c' (cancel the invertible X and Y). The mutated pair, its
+    root membership and that product check depend only on (a, b), so
+    each distinct pair is mutated and checked once and every edge
+    through it is covered.
     """
     nodes = sorted(seqs, key=lambda s: s.roots)
+    n = reg.quiver.n
+    for s in nodes:
+        if len(s) != n:
+            raise ValidationError("mutation graphs are defined on complete sequences")
+        if not is_exceptional_sequence(s.roots, reg):
+            raise ValidationError(f"{s.roots} is not an exceptional sequence")
     index = {s.roots: i for i, s in enumerate(nodes)}
     reflection = reg.rootsystem.reflection
-    pairs = ProductMemo()
+    products = ProductMemo()
+    moved: dict[tuple[Vector, Vector], tuple[Vector, Vector]] = {}
 
-    def pair_product(x: Vector, y: Vector) -> WeylElement:
-        return pairs[reflection(x).element, reflection(y).element]
+    def mutate(a: Vector, b: Vector) -> tuple[Vector, Vector]:
+        pair = _mutated_pair(a, b, False, reg)
+        before = products[reflection(a).element, reflection(b).element]
+        if before != products[reflection(pair[0]).element, reflection(pair[1]).element]:
+            raise NcpqError("mutation changed the reflection product; this is a bug")
+        moved[a, b] = pair
+        return pair
 
     edges: set[tuple[int, int]] = set()
-    for s in nodes:
-        for i in range(1, len(s)):
-            neighbor = braid_mutate(s, i, False, reg)
-            old, new = s.roots, neighbor.roots
-            if (old[: i - 1] != new[: i - 1] or old[i + 1:] != new[i + 1:]
-                    or pair_product(*old[i - 1: i + 1]) != pair_product(*new[i - 1: i + 1])):
-                raise NcpqError("mutation changed the reflection product; this is a bug")
-            j = index.get(neighbor.roots)
+    for k, s in enumerate(nodes):
+        old = s.roots
+        for i in range(1, n):
+            a, b = old[i - 1], old[i]
+            pair = moved.get((a, b)) or mutate(a, b)
+            j = index.get(old[: i - 1] + pair + old[i + 1:])
             if j is None:
                 raise ValidationError("mutation left the given sequence set")
-            a, b = index[s.roots], j
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
+            if j != k:
+                edges.add((min(j, k), max(j, k)))
     return nodes, edges
 
 

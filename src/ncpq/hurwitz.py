@@ -7,12 +7,16 @@ move checks exactly. A move changes only the pair at i and i+1, so the
 product X*a*b*Y before it equals the product X*b'*c'*Y after it exactly
 when a*b = b'*c' (cancel X on the left and Y on the right: Weyl elements
 are invertible). The check therefore compares the two pair products and
-never rebuilds the product of the whole tuple. One orbit search shares
-its conjugates and pair products, memoized on the operands' matrices, so
-it composes each distinct pair of reflections once. New roots are stored
-by their positive representative, so a reflection and its negated root
-collapse to one tuple entry, and orbit sets deduplicate by the tuple of
-roots.
+never rebuilds the product of the whole tuple. New roots are stored by
+their positive representative, so a reflection and its negated root
+collapse to one tuple entry.
+
+One search interns each reflection once by its root and works on tuples
+of the small int ids. Its move table maps a pair of ids and a direction
+to the moved pair. The check depends only on the pair, so running it when
+the entry is filled covers every later move through that entry: each
+distinct pair is conjugated and checked once. Orbit sets deduplicate by
+the tuple of ids, which is the tuple of roots.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import Quiver, Vector
@@ -77,32 +82,66 @@ def _conjugate(by: Reflection, r: Reflection) -> Reflection:
 
 
 class _Braid:
-    """Braid moves of one search, sharing its memos: conjugates and pair
-    products keyed on the operands' matrices (a WeylElement compares and
-    hashes as its matrix). Each search makes its own and drops it."""
+    """Braid moves of one search on interned reflections.
+
+    Each reflection gets a small int id, once, by its root, and a tuple
+    becomes a tuple of ids. The move table maps (id_a, id_b, inverse) to
+    the ids of the moved pair (b', c'); an entry is filled, and its pair
+    products compared, the first time that pair is moved. After that a
+    move is a table lookup and tuple slicing. Each search makes its own
+    and drops it."""
 
     def __init__(self) -> None:
-        self.conjugates: dict[tuple[WeylElement, WeylElement], Reflection] = {}
+        self.reflections: list[Reflection] = []
+        self.ids: dict[Vector, int] = {}
+        self.table: dict[tuple[int, int, bool], tuple[int, int]] = {}
         self.pairs = ProductMemo()
 
-    def move(self, t: ReflectionTuple, i: int, inverse: bool) -> ReflectionTuple:
-        if not 1 <= i <= len(t) - 1:
-            raise ValidationError(f"move index {i} out of range 1..{len(t) - 1}")
-        a, b = t.items[i - 1], t.items[i]
-        by, r = (a, b) if inverse else (b, a)
-        key = (by.element, r.element)
-        conj = self.conjugates.get(key)
-        if conj is None:
-            conj = self.conjugates[key] = _conjugate(by, r)
+    def intern(self, r: Reflection) -> int:
+        k = self.ids.get(r.root)
+        if k is None:
+            k = self.ids[r.root] = len(self.reflections)
+            self.reflections.append(r)
+        elif self.reflections[k].element != r.element:
+            raise NcpqError(f"two reflections at root {r.root} have different matrices")
+        return k
+
+    def ids_of(self, t: ReflectionTuple) -> tuple[int, ...]:
+        return tuple(self.intern(r) for r in t.items)
+
+    def tuple_of(self, n: int, ids: tuple[int, ...]) -> ReflectionTuple:
+        return ReflectionTuple(n, tuple(self.reflections[k] for k in ids))
+
+    def _fill(self, key: tuple[int, int, bool]) -> tuple[int, int]:
+        ia, ib, inverse = key
+        a, b = self.reflections[ia], self.reflections[ib]
+        conj = _conjugate(a, b) if inverse else _conjugate(b, a)
         pair = (conj, a) if inverse else (b, conj)
         if self.pairs[a.element, b.element] != self.pairs[pair[0].element, pair[1].element]:
             raise NcpqError("braid move changed the tuple product; this is a bug")
-        return ReflectionTuple(t.n, t.items[: i - 1] + pair + t.items[i + 1:])
+        moved = self.table[key] = (self.intern(pair[0]), self.intern(pair[1]))
+        return moved
+
+    def step(self, ids: tuple[int, ...], i: int, inverse: bool) -> tuple[int, ...]:
+        """The move at position i (1-based) on a tuple of ids."""
+        if not 1 <= i <= len(ids) - 1:
+            raise ValidationError(f"move index {i} out of range 1..{len(ids) - 1}")
+        key = (ids[i - 1], ids[i], inverse)
+        moved = self.table.get(key) or self._fill(key)
+        return ids[: i - 1] + moved + ids[i + 1:]
+
+    def neighbours(self, ids: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every forward and inverse move of a tuple of ids, with its
+        signed index (+i forward, -i inverse)."""
+        for i in range(1, len(ids)):
+            yield self.step(ids, i, False), i
+            yield self.step(ids, i, True), -i
 
 
 def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
     """Apply the braid move at position i (1-based, 1 <= i <= len-1)."""
-    return _Braid().move(t, i, inverse)
+    braid = _Braid()
+    return braid.tuple_of(t.n, braid.step(braid.ids_of(t), i, inverse))
 
 
 def hurwitz_orbit(t: ReflectionTuple, cap: int = 1_000_000) -> set[ReflectionTuple]:
@@ -110,19 +149,35 @@ def hurwitz_orbit(t: ReflectionTuple, cap: int = 1_000_000) -> set[ReflectionTup
     if cap < 1:
         raise ValidationError("cap must be positive")
     braid = _Braid()
-    seen: dict[tuple[Vector, ...], ReflectionTuple] = {t.roots: t}
-    frontier = deque([t])
+    start = braid.ids_of(t)
+    seen = {start}
+    frontier = deque([start])
     while frontier:
-        cur = frontier.popleft()
-        for i in range(1, len(cur)):
-            for inv in (False, True):
-                nxt = braid.move(cur, i, inv)
-                if nxt.roots not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"orbit size exceeds cap {cap}")
-                    seen[nxt.roots] = nxt
-                    frontier.append(nxt)
-    return set(seen.values())
+        for nxt, _ in braid.neighbours(frontier.popleft()):
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(f"orbit size exceeds cap {cap}")
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {braid.tuple_of(t.n, ids) for ids in seen}
+
+
+def orbit_edges(tuples: Sequence[ReflectionTuple]) -> set[tuple[int, int]]:
+    """Index pairs (j, k), j < k, with one of tuples[j], tuples[k] a
+    forward move of the other, read off one move table. Every forward
+    move must land in the list, as it does for a whole orbit."""
+    braid = _Braid()
+    ids = [braid.ids_of(t) for t in tuples]
+    index = {key: k for k, key in enumerate(ids)}
+    edges = set()
+    for j, key in enumerate(ids):
+        for i in range(1, len(key)):
+            k = index.get(braid.step(key, i, False))
+            if k is None:
+                raise ValidationError("a forward move leaves the given tuples")
+            if k != j:
+                edges.add((min(j, k), max(j, k)))
+    return edges
 
 
 def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
@@ -141,34 +196,34 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
     if a.roots == b.roots:
         return True, []
     braid = _Braid()
-    parents: dict[tuple[Vector, ...], tuple[tuple[Vector, ...] | None, int]] = {a.roots: (None, 0)}
-    frontier = deque([a])
+    start, goal = braid.ids_of(a), braid.ids_of(b)
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {start: (None, 0)}
+    frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for i in range(1, len(cur)):
-            for inv in (False, True):
-                nxt = braid.move(cur, i, inv)
-                if nxt.roots in parents:
-                    continue
-                if len(parents) >= cap:
-                    raise CapExceededError(f"orbit search exceeded cap {cap}")
-                parents[nxt.roots] = (cur.roots, -i if inv else i)
-                if nxt.roots == b.roots:
-                    moves: list[int] = []
-                    key = nxt.roots
-                    while parents[key][0] is not None:
-                        prev, move = parents[key]
-                        moves.append(move)
-                        key = prev
-                    moves.reverse()
-                    return True, moves
-                frontier.append(nxt)
+        for nxt, move in braid.neighbours(cur):
+            if nxt in parents:
+                continue
+            if len(parents) >= cap:
+                raise CapExceededError(f"orbit search exceeded cap {cap}")
+            parents[nxt] = (cur, move)
+            if nxt == goal:
+                moves: list[int] = []
+                key = nxt
+                while parents[key][0] is not None:
+                    prev, move = parents[key]
+                    moves.append(move)
+                    key = prev
+                moves.reverse()
+                return True, moves
+            frontier.append(nxt)
     return False, None
 
 
 def replay_certificate(t: ReflectionTuple, moves: list[int]) -> ReflectionTuple:
     """Apply a signed move word as produced by same_orbit."""
-    cur = t
+    braid = _Braid()
+    ids = braid.ids_of(t)
     for m in moves:
-        cur = hurwitz_move(cur, abs(m), inverse=m < 0)
-    return cur
+        ids = braid.step(ids, abs(m), m < 0)
+    return braid.tuple_of(t.n, ids)

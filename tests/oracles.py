@@ -7,9 +7,13 @@ enumeration with shared prefixes, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks from the rational reduced row echelon form, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
-the interval [1, c] by filtering the whole group, interval sizes from
-the Coxeter-Catalan numbers of the literature, and relative simples from
-embeddings found by scanning combinations of explicit Hom bases.
+mutation edges from one `braid_mutate` call per edge (it shares the
+pair formula with `mutation_graph` but checks its whole result
+exceptional) with the product of the whole sequence compared before and
+after, the interval [1, c] by filtering the whole
+group, interval sizes from the Coxeter-Catalan numbers of the
+literature, and relative simples from embeddings found by scanning
+combinations of explicit Hom bases.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from ncpq import absolute_leq, enumerate_group, make_reflection, Quiver
+from ncpq import (absolute_leq, braid_mutate, enumerate_group, make_reflection, Quiver,
+                  sequence_product)
 from ncpq._linalg import rref
 from ncpq.weyl import RootSystem, simple_root
 
@@ -135,6 +140,26 @@ def braid_orbit_by_full_products(q: Quiver, start) -> set:
                     seen.add(nxt)
                     frontier.append(nxt)
     return seen
+
+
+def mutation_edges_by_braid_mutate(seqs, reg) -> set:
+    """Forward mutation edges between complete sequences, as index pairs
+    into the list sorted by roots: one `braid_mutate` call per edge, whose
+    result must be in the set and keep the product of the reflections at
+    the whole sequence."""
+    nodes = sorted(seqs, key=lambda s: s.roots)
+    index = {s.roots: k for k, s in enumerate(nodes)}
+    edges = set()
+    for k, s in enumerate(nodes):
+        target = sequence_product(s.roots, reg.rootsystem)
+        for i in range(1, len(s)):
+            moved = braid_mutate(s, i, False, reg)
+            if sequence_product(moved.roots, reg.rootsystem) != target:
+                raise AssertionError(f"mutation {s.roots} -> {moved.roots} changed the product")
+            j = index[moved.roots]
+            if j != k:
+                edges.add((min(j, k), max(j, k)))
+    return edges
 
 
 def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:

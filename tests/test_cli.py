@@ -8,7 +8,17 @@ import re
 
 import pytest
 
-from ncpq import absolute_leq, cli
+from ncpq import (
+    absolute_leq,
+    cli,
+    coxeter_element,
+    enumerate_complete_sequences,
+    hurwitz_orbit,
+    minimal_reflection_factorizations,
+    simple_root,
+    topological_order,
+    tuple_from_roots,
+)
 from ncpq.bijection import BijectionReport
 from ncpq.cli import main
 from ncpq.errors import (
@@ -19,6 +29,7 @@ from ncpq.errors import (
     SearchExhaustedError,
     ValidationError,
 )
+from ncpq.exc import is_connected, mutation_graph
 from ncpq.weyl import WeylElement
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
@@ -137,7 +148,9 @@ def test_nc_hasse_edges_are_length_one_order_pairs_d4(quiver_file, capsys, d4_ro
 
 def test_verify_a2_json_round_trip(quiver_file, capsys):
     assert main(["verify", quiver_file(A2_TEXT), "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out)
     report = BijectionReport.from_dict(payload)
     assert report.all_ok
     assert payload["counts"] == {"subcategories": 5, "nc": 5,
@@ -218,6 +231,29 @@ def test_sequences_dot(quiver_file, capsys):
 
 def test_sequences_cap_exit_4(quiver_file):
     assert main(["sequences", quiver_file(A3_TEXT), "--cap-sequences", "2"]) == 4
+
+
+@pytest.mark.parametrize("command", ["hurwitz", "sequences"])
+def test_json_is_one_line_with_the_library_payload(command, quiver_file, capsys, a3, a3_reg):
+    path = quiver_file(A3_TEXT)
+    assert main([command, path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    if command == "hurwitz":
+        order = topological_order(a3)
+        orbit = sorted(hurwitz_orbit(tuple_from_roots(a3, tuple(simple_root(3, i) for i in order))),
+                       key=lambda t: t.roots)
+        count = len(minimal_reflection_factorizations(coxeter_element(a3, order), a3_reg.rootsystem))
+        expected = {"quiver": path, "coxeter_order": list(order), "orbit_size": len(orbit),
+                    "factorization_count": count, "single_orbit": len(orbit) == count,
+                    "orbit": [t.to_json() for t in orbit]}
+    else:
+        nodes, edges = mutation_graph(enumerate_complete_sequences(a3, a3_reg), a3_reg)
+        expected = {"quiver": path, "count": len(nodes),
+                    "connected": is_connected(len(nodes), edges),
+                    "sequences": [s.to_json() for s in nodes],
+                    "mutation_edges": [list(e) for e in sorted(edges)]}
+    assert json.loads(out) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from ncpq.exc import (
     slot_fillers,
 )
 from ncpq.weyl import simple_root
-from oracles import DYNKIN_QUIVERS, is_nonneg_combination, simples_by_injective_maps
+from oracles import (
+    DYNKIN_QUIVERS,
+    is_nonneg_combination,
+    mutation_edges_by_braid_mutate,
+    simples_by_injective_maps,
+)
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
 
@@ -278,6 +283,36 @@ def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
     monkeypatch.setattr(reg.rootsystem, "reflection", corrupted)
     with pytest.raises(NcpqError, match="reflection product"):
         mutation_graph(seqs, reg)
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "D4", "D5"])
+def test_mutation_graph_matches_per_edge_braid_mutate(label):
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    seqs = enumerate_complete_sequences(q, reg)
+    nodes, edges = mutation_graph(seqs, reg)
+    assert nodes == sorted(seqs, key=lambda s: s.roots)
+    assert edges == mutation_edges_by_braid_mutate(seqs, reg)
+
+
+def test_mutation_graph_rejects_a_non_exceptional_sequence(a3_reg):
+    seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
+    bad = next(ExcSequence(p) for p in itertools.permutations(
+        simple_root(3, i) for i in (1, 2, 3)) if not is_exceptional_sequence(p, a3_reg))
+    with pytest.raises(ValidationError, match="not an exceptional sequence"):
+        mutation_graph(seqs | {bad}, a3_reg)
+
+
+def test_mutation_graph_rejects_an_incomplete_sequence(a3_reg):
+    seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
+    with pytest.raises(ValidationError, match="complete"):
+        mutation_graph(seqs | {ExcSequence(((1, 0, 0),))}, a3_reg)
+
+
+def test_mutation_graph_rejects_a_set_missing_a_neighbor(a3_reg):
+    seqs = sorted(enumerate_complete_sequences(a3_reg.quiver, a3_reg), key=lambda s: s.roots)
+    with pytest.raises(ValidationError, match="left the given sequence set"):
+        mutation_graph(set(seqs[1:]), a3_reg)
 
 
 # ---------------------------------------------------------------------------

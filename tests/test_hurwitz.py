@@ -23,7 +23,7 @@ from ncpq import (
     tuple_from_roots,
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
-from ncpq.hurwitz import replay_certificate
+from ncpq.hurwitz import orbit_edges, replay_certificate
 from ncpq.weyl import positive_representative
 
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
@@ -115,6 +115,39 @@ def test_orbit_cap(a3):
         hurwitz_orbit(t, cap=5)
 
 
+def test_orbit_cap_boundary(a3):
+    t = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    orbit = hurwitz_orbit(t)
+    assert hurwitz_orbit(t, cap=len(orbit)) == orbit
+    with pytest.raises(CapExceededError):
+        hurwitz_orbit(t, cap=len(orbit) - 1)
+
+
+def test_orbit_edges_match_single_moves(a3):
+    ordered = sorted(hurwitz_orbit(tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+                     key=lambda t: t.roots)
+    ids = {t.roots: k for k, t in enumerate(ordered)}
+    expected = set()
+    for k, t in enumerate(ordered):
+        for i in (1, 2):
+            j = ids[hurwitz_move(t, i).roots]
+            if j != k:
+                expected.add((min(j, k), max(j, k)))
+    assert orbit_edges(ordered) == expected
+
+
+def test_orbit_edges_reject_an_open_set(a3):
+    t = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValidationError):
+        orbit_edges([t])
+
+
+def test_replay_certificate_rejects_move_zero(a2):
+    t = tuple_from_roots(a2, ((1, 0), (0, 1)))
+    with pytest.raises(ValidationError):
+        replay_certificate(t, [1, 0])
+
+
 def test_same_orbit_reflexive(a2):
     t = tuple_from_roots(a2, ((1, 0), (0, 1)))
     ok, cert = same_orbit(t, t)
@@ -169,7 +202,7 @@ def test_corrupted_conjugate_is_caught(a3, monkeypatch):
 
 
 # The fixture orientations and one more of each type (a source or sink in
-# the middle, an alternating path).
+# the middle, an alternating path), then one A5 and one D5 orientation.
 ORBIT_QUIVERS = {
     "a3": A3_TEXT,
     "a3_middle_source": "vertices 3\narrow 2 1\narrow 2 3\n",
@@ -177,6 +210,8 @@ ORBIT_QUIVERS = {
     "a4_alternating": "vertices 4\narrow 1 2\narrow 3 2\narrow 3 4\n",
     "d4": D4_TEXT,
     "d4_central_source": "vertices 4\narrow 2 1\narrow 2 3\narrow 2 4\n",
+    "a5_alternating": "vertices 5\narrow 2 1\narrow 2 3\narrow 4 3\narrow 4 5\n",
+    "d5": "vertices 5\narrow 1 2\narrow 2 3\narrow 3 4\narrow 3 5\n",
 }
 
 
