@@ -8,7 +8,6 @@ from .bijection import (
     factor_in_reflections,
     minimal_reflection_factorizations,
     verify_bijection,
-    verify_well_defined,
 )
 from .errors import (
     CapExceededError,

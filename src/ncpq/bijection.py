@@ -2,12 +2,36 @@
 bijectively and order-isomorphically onto the absolute-order interval
 below the Coxeter element.
 
-The map sends a subcategory to the product of the reflections at its
-simples, ordered as an exceptional sequence. Verification is exhaustive:
-both posets are enumerated independently (antichain scan versus a walk
-down the interval's covers from c) and well-definedness, injectivity,
-surjectivity, and two-sided order preservation are checked pair by pair,
-with every failure reported as a reproducible JSON payload.
+The map sends a subcategory B to cox(B), the product of the reflections
+at its simples, ordered as an exceptional sequence. Both posets are
+enumerated independently (antichain scan versus a walk down the
+interval's covers from c). Injectivity and surjectivity compare the two
+sets, and one certificate on covers checks the rest, with every failure
+reported as a reproducible JSON payload:
+
+- Well-definedness, by induction on rank. For every listed B and every
+  indecomposable x of B, A = B ∩ x^⊥ must be listed, of rank one less,
+  with cox(A)·s_x = cox(B). A complete exceptional sequence of B ends in
+  some x of B; the entries before it receive no Hom and no Ext from x, so
+  they are an exceptional sequence in A of length rank A, which is
+  complete in A (Crawley-Boevey 1993). By induction it multiplies to
+  cox(A), so the whole sequence multiplies to cox(A)·s_x = cox(B). The
+  base is the zero subcategory, whose only sequence is empty.
+- Order isomorphism, by Hasse diagrams. The pairs (A, B) above are
+  exactly the covers of containment: rank grows strictly along strict
+  containment, and if A is covered by B, then B ∩ ⊥A has rank one, its
+  one indecomposable x gives A ⊆ B ∩ x^⊥ of the same rank, so
+  A = B ∩ x^⊥ (Geigle-Lenzing 1991; Schofield 1991). A bijection of
+  finite posets is an isomorphism iff it maps covers onto covers, since
+  each order is generated by its covers. So the pairs (cox A, cox B) must
+  be exactly the walk's covers (t·w, w) with t <= w.
+- Factorizations, by counting. A minimal reflection factorization
+  c = t_1 ... t_n is the same as the maximal chain of its prefixes in
+  [1, c] (Ingalls-Thomas 2009). Once the covers match, that chain lifts
+  to subcategories B_(i-1) = B_i ∩ x_i^⊥ with cox(B_(i-1))·s_(x_i) =
+  cox(B_i), so t_i = s_(x_i), and (x_1, ..., x_n) is exceptional because
+  x_j lies in B_(i-1), inside x_i^⊥, for j < i. The maximal chains are
+  counted by dynamic programming over the covers.
 """
 
 from __future__ import annotations
@@ -19,9 +43,7 @@ from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationE
 from .exc import (
     ExcSequence,
     Subcategory,
-    closure_indecomposables,
     enumerate_exceptional_antichains,
-    exceptional_sequences,
     is_exceptional_sequence,
     order_antichain,
     sequence_product,
@@ -31,7 +53,6 @@ from .hurwitz import ReflectionTuple
 from .quiver import Quiver, Vector, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
-    ProductMemo,
     RootSystem,
     WeylElement,
     absolute_length,
@@ -90,31 +111,6 @@ def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:
     if not is_exceptional_sequence(sub.simples, reg):
         raise ValidationError("subcategory simples do not form an exceptional sequence")
     return sequence_product(sub.simples, roots)
-
-
-def _sequences_within(sub: Subcategory, reg: IndecRegistry) -> list[tuple[Vector, ...]]:
-    """All complete exceptional sequences of the subcategory: length equal
-    to its rank, members among its indecomposables, thick closure equal to
-    the subcategory. The closure depends only on the member set, so it is
-    computed once per set."""
-    generates: dict[frozenset[Vector], bool] = {}
-    out = []
-    for s in exceptional_sequences(sorted(sub.ind_roots), sub.rank, reg):
-        members = frozenset(s)
-        ok = generates.get(members)
-        if ok is None:
-            ok = generates[members] = closure_indecomposables(s, reg) == sub.ind_roots
-        if ok:
-            out.append(s)
-    return out
-
-
-def verify_well_defined(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> bool:
-    """True when every complete exceptional sequence of the subcategory
-    yields the same reflection product."""
-    expected = cox(sub, reg, roots)
-    return all(
-        sequence_product(s, roots) == expected for s in _sequences_within(sub, reg))
 
 
 def factor_in_reflections(w: WeylElement, roots: RootSystem,
@@ -176,18 +172,6 @@ def minimal_reflection_factorizations(w: WeylElement,
     return set(factorizations(w, None))
 
 
-def _down_sets(covers: dict[WeylElement, tuple[WeylElement, ...]]
-               ) -> dict[WeylElement, frozenset[WeylElement]]:
-    """down(w) = {w} together with down(x) for every x covered by w, so
-    the set of all u <= w. `covers` lists every element before the
-    elements it covers (as `interval_covers` does), so walking it
-    backwards builds each down-set after those of its children."""
-    down: dict[WeylElement, frozenset[WeylElement]] = {}
-    for w in reversed(covers):
-        down[w] = frozenset({w}).union(*(down[x] for x in covers[w]))
-    return down
-
-
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                      quiver_id: str | None = None) -> BijectionReport:
     """Run the whole verification pipeline on a finite-type quiver.
@@ -196,11 +180,11 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     failed assertion carries a JSON payload with both sides. Cap overruns
     are recorded as failures of kind "cap_exceeded" with partial counts.
 
-    The interval comes from `interval_covers`, and u <= w is membership of
-    u in the down-set of w built from those covers, which is exactly
-    absolute order on [1, c]; an image outside the interval (only on
-    failure) gets a walk of its own. Every complete exceptional sequence
-    of every subcategory is multiplied out through one prefix memo.
+    The checks are the certificate of the module docstring. Counts:
+    `well_defined_witnesses` is the number of induction products
+    cox(A)·s_x checked, `covers` the number of covers of [1, c] and
+    `chains` the number of its maximal chains, which is the number of
+    minimal reflection factorizations of c.
     """
     t0 = time.perf_counter()
     roots = generate_roots(q)
@@ -222,7 +206,8 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         "order_iso_backward": False,
         "order_iso": False,
     }
-    counts: dict = {"subcategories": None, "nc": None, "well_defined_witnesses": None}
+    counts: dict = {"subcategories": None, "nc": None, "well_defined_witnesses": None,
+                    "covers": None, "chains": None}
 
     def finish() -> BijectionReport:
         elapsed = (time.perf_counter() - t0) * 1000.0
@@ -239,6 +224,12 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     try:
         covers = interval_covers(c, roots)
         counts["nc"] = len(covers)
+        walk_covers = {(x, w) for w, children in covers.items() for x in children}
+        counts["covers"] = len(walk_covers)
+        chains: dict[WeylElement, int] = {}
+        for w in reversed(covers):
+            chains[w] = sum(chains[x] for x in covers[w]) if covers[w] else 1
+        counts["chains"] = chains[c]
 
         antichains = sorted(enumerate_exceptional_antichains(q, reg),
                             key=lambda a: tuple(sorted(a)))
@@ -259,30 +250,38 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
 
         values = [cox(sub, reg, roots) for sub in subs]
 
-        products = ProductMemo()
+        # Induction on rank. The pairs (A, B) it meets are the covers of
+        # containment, kept as indices into subs.
+        index = {sub.ind_roots: k for k, sub in enumerate(subs)}
         ident = identity(q.n)
-
-        def product(seq: tuple[Vector, ...]) -> WeylElement:
-            result = ident
-            for r in seq:
-                result = products[result, roots.reflection(r).element]
-            return result
-
+        sub_covers: list[tuple[int, int]] = []
         well_defined = True
-        witnesses = 0
-        for sub, value in zip(subs, values):
-            for s in _sequences_within(sub, reg):
-                witnesses += 1
-                got = product(s)
-                if got != value:
-                    well_defined = False
-                    failures.append({
-                        "kind": "well_defined",
-                        "subcategory": sub.to_json(),
-                        "sequence": [list(r) for r in s],
-                        "expected": value.to_json(),
-                        "got": got.to_json(),
-                    })
+        products = 0
+
+        def induction_failure(sub: Subcategory, x, expected: WeylElement, got) -> None:
+            nonlocal well_defined
+            well_defined = False
+            failures.append({
+                "kind": "well_defined",
+                "subcategory": sub.to_json(),
+                "last": None if x is None else list(x),
+                "expected": expected.to_json(),
+                "got": None if got is None else got.to_json(),
+            })
+
+        for k, (sub, value) in enumerate(zip(subs, values)):
+            if not sub.ind_roots and value != ident:
+                induction_failure(sub, None, value, ident)
+            for x in sorted(sub.ind_roots):
+                j = index.get(sub.ind_roots & reg.right_orth(x))
+                if j is None:
+                    induction_failure(sub, x, value, None)
+                    continue
+                sub_covers.append((j, k))
+                got = compose(values[j], roots.reflection(x).element)
+                products += 1
+                if got != value or subs[j].rank != sub.rank - 1:
+                    induction_failure(sub, x, value, got)
             if value not in covers:
                 well_defined = False
                 failures.append({
@@ -290,23 +289,22 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                     "subcategory": sub.to_json(),
                     "image": value.to_json(),
                 })
-        counts["well_defined_witnesses"] = witnesses
+        counts["well_defined_witnesses"] = products
         flags["well_defined"] = well_defined
 
-        distinct = {v.matrix for v in values}
-        flags["injective"] = len(distinct) == len(subs)
-        if not flags["injective"]:
-            seen: dict = {}
-            for sub, value in zip(subs, values):
-                if value.matrix in seen:
-                    failures.append({
-                        "kind": "injectivity",
-                        "subcategory_a": seen[value.matrix].to_json(),
-                        "subcategory_b": sub.to_json(),
-                        "image": value.to_json(),
-                    })
-                seen[value.matrix] = sub
+        preimage: dict[WeylElement, Subcategory] = {}
+        for sub, value in zip(subs, values):
+            if value in preimage:
+                failures.append({
+                    "kind": "injectivity",
+                    "subcategory_a": preimage[value].to_json(),
+                    "subcategory_b": sub.to_json(),
+                    "image": value.to_json(),
+                })
+            preimage[value] = sub
+        flags["injective"] = len(preimage) == len(subs)
 
+        distinct = {v.matrix for v in values}
         nc_matrices = {w.matrix for w in covers}
         flags["surjective"] = distinct == nc_matrices
         if not flags["surjective"]:
@@ -316,40 +314,26 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 "extra": [list(map(list, m)) for m in sorted(distinct - nc_matrices)],
             })
 
-        down = _down_sets(covers)
-        for value in values:
-            if value not in down:
-                down.update(_down_sets(interval_covers(value, roots)))
-        forward = True
-        backward = True
-        for sub_a, val_a in zip(subs, values):
-            for sub_b, val_b in zip(subs, values):
-                contained = sub_a.ind_roots <= sub_b.ind_roots
-                below = val_a in down[val_b]
-                if contained and not below:
-                    forward = False
-                elif below and not contained:
-                    backward = False
-                else:
-                    continue
-                failures.append({
-                    "kind": "order_preservation",
-                    "direction": "forward" if contained else "backward",
-                    "subcategory_a": sub_a.to_json(),
-                    "subcategory_b": sub_b.to_json(),
-                    "cox_a": val_a.to_json(),
-                    "cox_b": val_b.to_json(),
-                })
-        flags["order_iso_forward"] = forward
-        flags["order_iso_backward"] = backward
-        flags["order_iso"] = forward and backward
+        def order_failure(direction: str, a, b, val_a, val_b) -> dict:
+            return {
+                "kind": "order_preservation",
+                "direction": direction,
+                "subcategory_a": None if a is None else a.to_json(),
+                "subcategory_b": None if b is None else b.to_json(),
+                "cox_a": val_a.to_json(),
+                "cox_b": val_b.to_json(),
+            }
 
-        for roots_tuple in sorted(minimal_reflection_factorizations(c, roots)):
-            if not is_exceptional_sequence(roots_tuple, reg):
-                failures.append({
-                    "kind": "factorization_not_exceptional",
-                    "factorization": [list(r) for r in roots_tuple],
-                })
+        image_covers = {(values[j], values[k]) for j, k in sub_covers}
+        forward = [order_failure("forward", subs[j], subs[k], values[j], values[k])
+                   for j, k in sub_covers if (values[j], values[k]) not in walk_covers]
+        backward = [order_failure("backward", preimage.get(x), preimage.get(w), x, w)
+                    for w, children in covers.items() for x in children
+                    if (x, w) not in image_covers]
+        failures += forward + backward
+        flags["order_iso_forward"] = not forward
+        flags["order_iso_backward"] = not backward
+        flags["order_iso"] = not forward and not backward
     except CapExceededError as exc:
         failures.append({"kind": "cap_exceeded", "detail": str(exc)})
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import Quiver, Vector, topological_sort
+from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
+                     topological_sort)
 from .rep import IndecRegistry, top_simples
 from .weyl import (
     ProductMemo,
     RootSystem,
     WeylElement,
-    generate_roots,
     identity,
     compose,
     positive_representative,
@@ -170,12 +170,12 @@ def _relative_root_count(simples: tuple[Vector, ...], reg: IndecRegistry) -> int
 
 @functools.cache
 def _finite_root_count(q: Quiver) -> int:
-    """Positive-root count of a finite-type quiver. generate_roots is pure,
-    and many closures share one relative quiver, so this is memoized."""
-    roots = generate_roots(q)
-    if not roots.complete:
+    """Positive-root count of a finite-type quiver, read off its Dynkin
+    type. Many closures share one relative quiver, so this is memoized."""
+    classification = classify_type(cartan_matrix(q))
+    if not classification.is_finite:
         raise NcpqError("relative quiver of a subcategory is not finite type")
-    return len(roots.positive_real_roots)
+    return positive_root_count(classification.label)
 
 
 def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
@@ -285,13 +285,14 @@ def exceptional_sequences(pool: Sequence[Vector], length: int,
     lazily, by backtracking: an entry may follow the chosen prefix when it
     sends no Hom and no Ext to any of it."""
     chosen: list[Vector] = []
+    orthogonal = [(x, reg.right_orth(x)) for x in pool]
 
     def backtrack():
         if len(chosen) == length:
             yield tuple(chosen)
             return
-        for x in pool:
-            if reg.right_orth(x).issuperset(chosen):
+        for x, orth in orthogonal:
+            if orth.issuperset(chosen):
                 chosen.append(x)
                 yield from backtrack()
                 chosen.pop()

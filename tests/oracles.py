@@ -12,8 +12,10 @@ pair formula with `mutation_graph` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
 after, the interval [1, c] by filtering the whole
 group, interval sizes from the Coxeter-Catalan numbers of the
-literature, and relative simples from embeddings found by scanning
-combinations of explicit Hom bases.
+literature, factorization counts from n!·h^n/|W|, relative simples from
+embeddings found by scanning combinations of explicit Hom bases, and the
+bijection's flags from every complete exceptional sequence of every
+subcategory and from containment against absolute order on every pair.
 """
 
 from __future__ import annotations
@@ -22,15 +24,23 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from ncpq import (absolute_leq, braid_mutate, enumerate_group, make_reflection, Quiver,
-                  sequence_product)
+from ncpq import (absolute_leq, braid_mutate, build_registry, cox, coxeter_element,
+                  enumerate_exceptional_antichains, enumerate_group, generate_roots,
+                  identity, interval_covers, make_reflection, Quiver, sequence_product,
+                  thick_closure)
 from ncpq._linalg import rref
-from ncpq.weyl import RootSystem, simple_root
+from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
+from ncpq.weyl import RootSystem, compose, simple_root
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
 COXETER_CATALAN = {"A2": 5, "A3": 14, "A4": 42, "A5": 132,
                    "D4": 50, "D5": 182, "E6": 833}
+
+# Minimal reflection factorizations of a Coxeter element, n!·h^n/|W|
+# (Deligne 1974; Chapoton 2006), with h the Coxeter number.
+FACTORIZATION_COUNTS = {"A2": 3, "A3": 16, "A4": 125, "A5": 1296,
+                        "D4": 162, "D5": 2048, "E6": 41472}
 
 # One orientation of each Dynkin diagram, linear or branching at vertex 3.
 DYNKIN_QUIVERS = {
@@ -167,6 +177,95 @@ def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
     group: every element of W, by breadth-first closure under the simple
     reflections, kept when it lies below c."""
     return {w for w in enumerate_group(q) if absolute_leq(w, c, roots)}
+
+
+def complete_sequences_within(sub, reg) -> list:
+    """All complete exceptional sequences of a subcategory: length equal
+    to its rank, members among its indecomposables, thick closure equal to
+    the subcategory. The closure depends only on the member set, so it is
+    computed once per set."""
+    generates: dict = {}
+    out = []
+    for s in exceptional_sequences(sorted(sub.ind_roots), sub.rank, reg):
+        members = frozenset(s)
+        ok = generates.get(members)
+        if ok is None:
+            ok = generates[members] = closure_indecomposables(s, reg) == sub.ind_roots
+        if ok:
+            out.append(s)
+    return out
+
+
+def down_sets(covers) -> dict:
+    """down(w) = {w} together with down(x) for every x covered by w, so
+    the set of all u <= w. `covers` lists every element before the
+    elements it covers (as `interval_covers` does), so walking it
+    backwards builds each down-set after those of its children."""
+    down: dict = {}
+    for w in reversed(covers):
+        down[w] = frozenset({w}).union(*(down[x] for x in covers[w]))
+    return down
+
+
+def order_failures_by_all_pairs(subs, values, c, roots) -> list:
+    """(a, b, direction) for every ordered pair of subcategories, as
+    indices, where containment and absolute order on their values
+    disagree: "forward" when subs[a] lies in subs[b] but values[a] is not
+    below values[b], "backward" for the converse. u <= w is membership of
+    u in the down-set of w, built from the walk below c; a value outside
+    [1, c] gets a walk of its own."""
+    down = down_sets(interval_covers(c, roots))
+    for value in values:
+        if value not in down:
+            down.update(down_sets(interval_covers(value, roots)))
+    out = []
+    for a, (sub_a, val_a) in enumerate(zip(subs, values)):
+        for b, (sub_b, val_b) in enumerate(zip(subs, values)):
+            contained = sub_a.ind_roots <= sub_b.ind_roots
+            if contained != (val_a in down[val_b]):
+                out.append((a, b, "forward" if contained else "backward"))
+    return out
+
+
+def subcategories(q: Quiver, reg) -> list:
+    """The thick closures of all exceptional antichains, in the order of
+    the sorted antichains."""
+    antichains = sorted(enumerate_exceptional_antichains(q, reg),
+                        key=lambda a: tuple(sorted(a)))
+    return [thick_closure(ExcSequence(order_antichain(a, reg)), reg) for a in antichains]
+
+
+def bijection_flags_by_brute_force(q: Quiver, order) -> dict:
+    """The flags of `verify_bijection`, from the definitions: every
+    complete exceptional sequence of every subcategory multiplied out
+    (through a prefix memo) and compared with its cox, and containment
+    compared with absolute order on every pair of subcategories."""
+    roots = generate_roots(q)
+    reg = build_registry(q, roots)
+    c = coxeter_element(q, order)
+    interval = set(interval_covers(c, roots))
+    subs = subcategories(q, reg)
+    values = [cox(sub, reg, roots) for sub in subs]
+    prefix = {(): identity(q.n)}
+
+    def product(seq):
+        found = prefix.get(seq)
+        if found is None:
+            found = prefix[seq] = compose(product(seq[:-1]), roots.reflection(seq[-1]).element)
+        return found
+
+    well_defined = all(value in interval and all(product(s) == value
+                                                 for s in complete_sequences_within(sub, reg))
+                       for sub, value in zip(subs, values))
+    directions = {d for _, _, d in order_failures_by_all_pairs(subs, values, c, roots)}
+    return {
+        "well_defined": well_defined,
+        "injective": len(set(values)) == len(subs),
+        "surjective": set(values) == interval,
+        "order_iso_forward": "forward" not in directions,
+        "order_iso_backward": "backward" not in directions,
+        "order_iso": not directions,
+    }
 
 
 def det_cofactor(matrix) -> Fraction:

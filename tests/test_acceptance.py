@@ -29,7 +29,6 @@ from ncpq import (
     tuple_from_roots,
     verify_bijection,
 )
-from ncpq.bijection import _sequences_within
 from ncpq.exc import ExcSequence, is_connected, mutation_graph, order_antichain
 from ncpq.rep import ext_dim, hom_dim
 from ncpq.quiver import euler_form
@@ -40,6 +39,7 @@ from oracles import (
     apply_word,
     bfs_absolute_lengths,
     brute_force_factorizations,
+    complete_sequences_within,
     ext_dim_via_resolution,
     random_positive_root,
 )
@@ -92,7 +92,7 @@ def test_criterion_03_well_definedness():
         reg = build_registry(q, roots)
         full_antichain = frozenset(simple_root(q.n, i) for i in q.vertices)
         sub = thick_closure(ExcSequence(order_antichain(full_antichain, reg)), reg)
-        sequences = _sequences_within(sub, reg)
+        sequences = complete_sequences_within(sub, reg)
         assert len(sequences) == expected
         from ncpq.exc import sequence_product
 

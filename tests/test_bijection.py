@@ -8,9 +8,9 @@ import pytest
 
 import ncpq.bijection
 from ncpq import (
-    absolute_leq,
     BijectionReport,
     ExcSequence,
+    compose,
     cox,
     coxeter_element,
     enumerate_complete_sequences,
@@ -18,6 +18,7 @@ from ncpq import (
     enumerate_group,
     factor_in_reflections,
     identity,
+    interval_covers,
     is_exceptional_sequence,
     make_reflection,
     minimal_reflection_factorizations,
@@ -26,14 +27,21 @@ from ncpq import (
     topological_order,
     tuple_from_roots,
     verify_bijection,
-    verify_well_defined,
 )
-from ncpq.bijection import _sequences_within
 from ncpq.errors import NonFiniteTypeError, ValidationError
-from ncpq.exc import order_antichain
+from ncpq.exc import order_antichain, sequence_product
 from ncpq.hurwitz import hurwitz_orbit
 
-from oracles import bfs_absolute_lengths, brute_force_factorizations
+from oracles import (
+    DYNKIN_QUIVERS,
+    FACTORIZATION_COUNTS,
+    bfs_absolute_lengths,
+    bijection_flags_by_brute_force,
+    brute_force_factorizations,
+    complete_sequences_within,
+    order_failures_by_all_pairs,
+    subcategories,
+)
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
 
@@ -68,22 +76,30 @@ def test_cox_singleton(a2, a2_reg, a2_roots):
     assert cox(sub, a2_reg, a2_roots) == make_reflection(a2, S1).element
 
 
+def _all_multiply_to_cox(sequences, sub, reg, roots) -> bool:
+    expected = cox(sub, reg, roots)
+    return all(sequence_product(s, roots) == expected for s in sequences)
+
+
 def test_well_defined_full_a2(a2_reg, a2_roots):
     sub = _full_subcategory(a2_reg)
-    assert len(_sequences_within(sub, a2_reg)) == 3
-    assert verify_well_defined(sub, a2_reg, a2_roots)
+    sequences = complete_sequences_within(sub, a2_reg)
+    assert len(sequences) == 3
+    assert _all_multiply_to_cox(sequences, sub, a2_reg, a2_roots)
 
 
 def test_well_defined_rank_one(a2_reg, a2_roots):
     sub = thick_closure(ExcSequence((P1,)), a2_reg)
-    assert len(_sequences_within(sub, a2_reg)) == 1
-    assert verify_well_defined(sub, a2_reg, a2_roots)
+    sequences = complete_sequences_within(sub, a2_reg)
+    assert len(sequences) == 1
+    assert _all_multiply_to_cox(sequences, sub, a2_reg, a2_roots)
 
 
 def test_well_defined_full_a3(a3_reg, a3_roots):
     sub = _full_subcategory(a3_reg)
-    assert len(_sequences_within(sub, a3_reg)) == 16
-    assert verify_well_defined(sub, a3_reg, a3_roots)
+    sequences = complete_sequences_within(sub, a3_reg)
+    assert len(sequences) == 16
+    assert _all_multiply_to_cox(sequences, sub, a3_reg, a3_roots)
 
 
 def test_factor_identity(a2_reg, a2_roots):
@@ -173,11 +189,12 @@ def test_cap_exceeded_partial_report(a3, monkeypatch):
 def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_roots,
                                                                monkeypatch):
     # A corrupted cox sends the zero subcategory to an element outside
-    # [1, c]. Its down-set comes from a walk of its own, so every pair of
-    # the order check must still get the truth value of absolute_leq.
+    # [1, c]. The order failures must be exactly the covers present on one
+    # side only: containment covers (rank one apart) whose values are not
+    # a cover of the walk, and walk covers that are not the values of one.
     c = coxeter_element(a3, (1, 2, 3))
-    interval = noncrossing_partitions(c, a3, roots=a3_roots)
-    outside = min((w for w in enumerate_group(a3) if w not in interval),
+    covers = interval_covers(c, a3_roots)
+    outside = min((w for w in enumerate_group(a3) if w not in covers),
                   key=lambda w: w.matrix)
     real_cox = ncpq.bijection.cox
 
@@ -188,20 +205,98 @@ def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_r
     monkeypatch.setattr("ncpq.bijection.cox", corrupted)
     report = verify_bijection(a3, (1, 2, 3))
     assert {"image_outside_interval", "surjectivity"} <= {f["kind"] for f in report.failures}
-    antichains = sorted(enumerate_exceptional_antichains(a3, a3_reg),
-                        key=lambda a: tuple(sorted(a)))
-    subs = [thick_closure(ExcSequence(order_antichain(a, a3_reg)), a3_reg) for a in antichains]
+    subs = subcategories(a3, a3_reg)
     values = [corrupted(sub, a3_reg, a3_roots) for sub in subs]
-    expected = []
-    for sub_a, val_a in zip(subs, values):
-        for sub_b, val_b in zip(subs, values):
-            contained = sub_a.ind_roots <= sub_b.ind_roots
-            if contained != absolute_leq(val_a, val_b, a3_roots):
-                expected.append((sub_a.to_json(), sub_b.to_json(),
-                                 "forward" if contained else "backward"))
-    got = [(f["subcategory_a"], f["subcategory_b"], f["direction"])
+    preimage = {value: sub.to_json() for sub, value in zip(subs, values)}
+    walk_covers = {(x, w) for w, children in covers.items() for x in children}
+    sub_covers = [(a, b) for a in range(len(subs)) for b in range(len(subs))
+                  if subs[a].ind_roots < subs[b].ind_roots
+                  and subs[a].rank == subs[b].rank - 1]
+    image_covers = {(values[a], values[b]) for a, b in sub_covers}
+    expected = [("forward", subs[a].to_json(), subs[b].to_json())
+                for a, b in sub_covers if (values[a], values[b]) not in walk_covers]
+    expected += [("backward", preimage.get(x), preimage.get(w))
+                 for x, w in walk_covers if (x, w) not in image_covers]
+    got = [(f["direction"], f["subcategory_a"], f["subcategory_b"])
            for f in report.failures if f["kind"] == "order_preservation"]
-    assert expected and got == expected
+    assert {d for d, _, _ in expected} == {"forward", "backward"}
+    assert sorted(got, key=json.dumps) == sorted(expected, key=json.dumps)
+    assert not report.flags["order_iso_forward"] and not report.flags["order_iso_backward"]
+    assert order_failures_by_all_pairs(subs, values, c, a3_roots)
+
+
+def test_corrupted_cox_on_a_rank_two_subcategory_breaks_the_induction(a3, a3_reg, a3_roots,
+                                                                     monkeypatch):
+    # The mutant multiplies the simples of one rank-2 subcategory in the
+    # wrong order. Every induction step into it must report the true
+    # product cox(A)·s_x against the corrupted value.
+    target = next(sub for sub in subcategories(a3, a3_reg) if sub.rank == 2)
+    real_cox = ncpq.bijection.cox
+    wrong = sequence_product(target.simples[::-1], a3_roots)
+    assert wrong != real_cox(target, a3_reg, a3_roots)
+
+    def corrupted(sub, reg, roots):
+        return wrong if sub == target else real_cox(sub, reg, roots)
+
+    monkeypatch.setattr("ncpq.bijection.cox", corrupted)
+    report = verify_bijection(a3, (1, 2, 3))
+    assert not report.flags["well_defined"]
+    mine = [f for f in report.failures
+            if f["kind"] == "well_defined" and f["subcategory"] == target.to_json()]
+    assert sorted(tuple(f["last"]) for f in mine) == sorted(target.ind_roots)
+    true_value = real_cox(target, a3_reg, a3_roots).to_json()
+    assert all(f["expected"] == wrong.to_json() and f["got"] == true_value for f in mine)
+
+
+def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch):
+    # Multiplying every value on the left by one reflection u keeps every
+    # step cox(A)·s_x = cox(B); only the base, the empty sequence of the
+    # zero subcategory, catches it.
+    u = make_reflection(a3, (0, 1, 0)).element
+    real_cox = ncpq.bijection.cox
+
+    def shifted(sub, reg, roots):
+        return compose(u, real_cox(sub, reg, roots))
+
+    monkeypatch.setattr("ncpq.bijection.cox", shifted)
+    report = verify_bijection(a3, (1, 2, 3))
+    steps = [f for f in report.failures if f["kind"] == "well_defined"]
+    zero = thick_closure(ExcSequence(()), a3_reg).to_json()
+    assert steps == [{"kind": "well_defined", "subcategory": zero, "last": None,
+                      "expected": u.to_json(), "got": identity(3).to_json()}]
+    assert not report.flags["well_defined"]
+
+
+def test_missing_subcategory_breaks_the_induction(a3, a3_reg, monkeypatch):
+    # Drop the antichain {S1}: the induction from any B with B ∩ x^⊥ = add S1
+    # finds no listed A and reports got = None.
+    real = ncpq.bijection.enumerate_exceptional_antichains
+    dropped = frozenset({(1, 0, 0)})
+
+    def fewer(q, reg):
+        return real(q, reg) - {dropped}
+
+    monkeypatch.setattr("ncpq.bijection.enumerate_exceptional_antichains", fewer)
+    report = verify_bijection(a3, (1, 2, 3))
+    assert not report.flags["well_defined"] and not report.flags["surjective"]
+    unlisted = [f for f in report.failures if f["kind"] == "well_defined" and f["got"] is None]
+    assert unlisted
+    for f in unlisted:
+        ind = {tuple(r) for r in f["subcategory"]["indecomposables"]}
+        orth = a3_reg.right_orth(tuple(f["last"]))
+        assert ind & orth == {(1, 0, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATION_COUNTS))
+def test_certificate_matches_brute_force_oracles(name):
+    # Witness enumeration and the all-pairs order check agree with the
+    # certificate on flags, and the chain count is n!·h^n/|W|.
+    q = DYNKIN_QUIVERS[name]
+    report = verify_bijection(q)
+    assert report.all_ok and report.failures == []
+    assert report.flags == bijection_flags_by_brute_force(q, report.coxeter_order)
+    assert report.counts["chains"] == FACTORIZATION_COUNTS[name]
+    assert report.counts["covers"] == report.counts["well_defined_witnesses"]
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

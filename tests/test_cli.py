@@ -154,7 +154,7 @@ def test_verify_a2_json_round_trip(quiver_file, capsys):
     report = BijectionReport.from_dict(payload)
     assert report.all_ok
     assert payload["counts"] == {"subcategories": 5, "nc": 5,
-                                 "well_defined_witnesses": 7}
+                                 "well_defined_witnesses": 6, "covers": 6, "chains": 3}
     assert json.loads(json.dumps(report.to_dict())) == payload
 
 

@@ -19,6 +19,7 @@ from ncpq import (
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
     extend_to_complete,
+    generate_roots,
     is_exceptional_sequence,
     is_projective_sequence,
     left_perp,
@@ -27,6 +28,7 @@ from ncpq import (
     sequence_product,
     thick_closure,
 )
+from ncpq import exc
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
     _subcategory_simples,
@@ -206,6 +208,31 @@ def test_simples_match_the_injective_map_definition(label):
         simples = _subcategory_simples(ind, reg)
         assert simples == simples_by_injective_maps(ind, reg)
         assert frozenset(simples) == antichain
+
+
+def test_relative_root_count_matches_generated_roots(monkeypatch):
+    # Every relative Ext-quiver met while closing all D5 antichains: the
+    # count read off its Dynkin type against its generated roots.
+    q = DYNKIN_QUIVERS["D5"]
+    reg = build_registry(q)
+    real = exc._finite_root_count
+    met = set()
+
+    def recording(relative):
+        met.add(relative)
+        return real(relative)
+
+    monkeypatch.setattr(exc, "_finite_root_count", recording)
+    for antichain in enumerate_exceptional_antichains(q, reg):
+        thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
+    assert len(met) > 5
+    for relative in met:
+        assert real(relative) == len(generate_roots(relative).positive_real_roots)
+
+
+def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
+    with pytest.raises(NcpqError):
+        exc._finite_root_count(kronecker)
 
 
 def test_e8_closure_of_the_simple_roots():

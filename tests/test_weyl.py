@@ -30,7 +30,6 @@ from ncpq import (
     symmetric_form,
     topological_order,
 )
-from ncpq.bijection import _down_sets
 from ncpq.errors import (
     CapExceededError,
     NonFiniteTypeError,
@@ -44,6 +43,7 @@ from oracles import (
     DYNKIN_QUIVERS,
     apply_word,
     bfs_absolute_lengths,
+    down_sets,
     nc_by_group_filter,
     random_positive_root,
 )
@@ -399,7 +399,7 @@ def test_nc_size_is_coxeter_catalan(name):
 def test_down_sets_are_absolute_order(name):
     _, roots, c = _nc(name)
     covers = interval_covers(c, roots)
-    down = _down_sets(covers)
+    down = down_sets(covers)
     fresh = generate_roots(roots.quiver)
     for u in covers:
         for w in covers:
