@@ -14,7 +14,6 @@ from .errors import (
     NcpqError,
     NonFiniteTypeError,
     QuiverParseError,
-    SearchExhaustedError,
     ValidationError,
 )
 from .exc import (
@@ -69,12 +68,10 @@ from .weyl import (
     compose,
     conjugation_depth,
     coxeter_element,
-    enumerate_group,
     exchange_index,
     generate_roots,
     identity,
     interval_covers,
-    inverse,
     make_reflection,
     noncrossing_partitions,
     reflect,

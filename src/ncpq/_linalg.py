@@ -3,15 +3,14 @@
 Matrices are tuples of row tuples. No floating point enters the package
 anywhere. Integer matrices (Weyl-group elements, Cartan matrices, the
 intertwiner equations of integral representations) are handled
-fraction-free: products, the Bareiss determinant, the inverse of a
-unimodular matrix, and the rank by sparse elimination that touches only
-the rows meeting each pivot column. `rank` is fraction-free too: it
-clears the denominators of each rational row and calls `int_rank`.
-`fractions.Fraction` arithmetic is used only by `rref` and the
-nullspaces built on it (`right_nullspace`, `left_nullspace`), which
-serve the cokernel step of the rep layer's reflection-functor transport
-and its explicit Hom bases. Sizes are desk scale, so plain elimination
-is the right tool.
+fraction-free: products, the Bareiss determinant, and the rank by sparse
+elimination that touches only the rows meeting each pivot column. `rank`
+is fraction-free too: it clears the denominators of each rational row
+and calls `int_rank`. `fractions.Fraction` arithmetic is used only by
+`rref` and the nullspaces built on it (`right_nullspace`,
+`left_nullspace`), which serve the cokernel step of the rep layer's
+reflection-functor transport and its explicit Hom bases. Sizes are desk
+scale, so plain elimination is the right tool.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -43,35 +42,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def mat_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix that is invertible over the integers.
-
-    Fraction-free Gauss-Jordan (Bareiss): the row operations turn [A | I]
-    into [d I | d A^-1] with every division exact, and d = +-det(A). A is
-    invertible over the integers exactly when d = +-1, so d A^-1 is then
-    the inverse up to the sign d. Raises ValueError otherwise.
-    """
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        pk = m[k]
-        p = pk[k]
-        for i in range(n):
-            if i != k:
-                row = m[i]
-                f = row[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pk)]
-        prev = p
-    if prev not in (1, -1):
-        raise ValueError("matrix is not invertible over the integers")
-    return tuple(tuple(prev * x for x in row[n:]) for row in m)
 
 
 def det_bareiss(a: IntMatrix) -> int:

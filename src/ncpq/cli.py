@@ -6,8 +6,7 @@ available for the graph-shaped outputs (the interval's Hasse diagram, the
 mutation graph, the braid orbit graph).
 
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
-3 unsupported type, 4 cap exceeded or bounded search exhausted,
-5 internal error (a bug).
+3 unsupported type, 4 cap exceeded, 5 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from .errors import (
     NcpqError,
     NonFiniteTypeError,
     QuiverParseError,
-    SearchExhaustedError,
     ValidationError,
 )
 from .exc import enumerate_complete_sequences, is_connected, mutation_graph
 from .hurwitz import hurwitz_orbit, orbit_edges, tuple_from_roots
-from .quiver import Quiver, cartan_matrix, classify_type, parse_quiver, topological_order
+from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
     absolute_length,
@@ -148,16 +146,15 @@ def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    q = _load_quiver(cfg)
-    classification = classify_type(cartan_matrix(q))
-    roots = generate_roots(q)
+    roots = generate_roots(_load_quiver(cfg))
+    classification = roots.classification
     count = len(roots.positive_real_roots)
     payload = {
         "quiver": cfg.input_path,
         "type": str(classification),
         "kind": classification.kind,
         "dynkin_label": classification.label,
-        "cartan": [list(row) for row in cartan_matrix(q).entries],
+        "cartan": [list(row) for row in roots.cartan],
         "positive_roots": count,
         "complete": roots.complete,
         "height_bound": roots.height_bound,
@@ -184,9 +181,9 @@ def cmd_nc(cfg: RunConfig) -> int:
     c = coxeter_element(q, order)
     covers = interval_covers(c, roots)
     refl_by_matrix = {roots.reflection(r).element.matrix: r for r in roots.sorted_roots()}
-    elements = sorted(covers, key=lambda w: (absolute_length(w, roots), w.matrix))
+    lengths = {w.matrix: absolute_length(w, roots) for w in covers}
+    elements = sorted(covers, key=lambda w: (lengths[w.matrix], w.matrix))
     ids = {w.matrix: k for k, w in enumerate(elements)}
-    lengths = {w.matrix: absolute_length(w, roots) for w in elements}
     # In a graded poset a is covered by b exactly when a = t*b for a
     # reflection t <= b, so the Hasse edges are the walk's covers.
     edges = [(ids[a.matrix], ids[b.matrix]) for b in elements for a in covers[b]]
@@ -331,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_TYPE
-    except (CapExceededError, SearchExhaustedError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except NcpqError as exc:

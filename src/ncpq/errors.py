@@ -26,12 +26,8 @@ class ValidationError(NcpqError):
 
 
 class NonFiniteTypeError(NcpqError):
-    """A whole-group operation was requested for a non-finite type."""
+    """An operation that needs finite type was requested outside it."""
 
 
 class CapExceededError(NcpqError):
     """An enumeration grew past its configured cap."""
-
-
-class SearchExhaustedError(NcpqError):
-    """A bounded search ended without a certified answer."""

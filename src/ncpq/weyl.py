@@ -3,8 +3,10 @@ non-crossing partition interval below a Coxeter element.
 
 Group elements are exact integer matrices acting on the root lattice in the
 basis of simple roots; products compose left to right, i.e. the product
-a*b applies b first. Whole-group operations refuse to run outside finite
-type rather than truncate silently; bounded exploration is opt-in.
+a*b applies b first. Root generation runs on any acyclic quiver and
+flags a truncated root system as incomplete. Absolute length, absolute
+order, the interval and conjugation depth are finite type only: they
+refuse to run rather than truncate silently.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from ._linalg import IntMatrix, identity_matrix, int_rank, mat_inverse, mat_mul, mat_vec
-from .errors import (
-    CapExceededError,
-    NcpqError,
-    NonFiniteTypeError,
-    SearchExhaustedError,
-    ValidationError,
-)
+from ._linalg import IntMatrix, identity_matrix, int_rank, mat_mul, mat_vec
+from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import (
     Classification,
     Quiver,
@@ -33,7 +29,7 @@ from .quiver import (
 )
 
 DEFAULT_HEIGHT_BOUND = 100
-DEFAULT_GROUP_CAP = 1_000_000
+DEFAULT_INTERVAL_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,6 @@ class ProductMemo(dict):
     def __missing__(self, pair: tuple[WeylElement, WeylElement]) -> WeylElement:
         product = self[pair] = compose(*pair)
         return product
-
-
-def inverse(a: WeylElement) -> WeylElement:
-    return WeylElement(mat_inverse(a.matrix))
 
 
 @dataclass(frozen=True)
@@ -244,108 +236,41 @@ def _fixed_space_codim(w: WeylElement) -> int:
     return int_rank(rows, n)
 
 
-def absolute_length(w: WeylElement, roots: RootSystem, *,
-                    max_states: int = 200_000) -> int:
+def absolute_length(w: WeylElement, roots: RootSystem) -> int:
     """Minimal number of real-root reflections whose product is w.
 
-    Finite type uses Carter's lemma (R. W. Carter, "Conjugacy classes in
-    the Weyl group", Compositio Math. 25 (1972), Lemma 2): the absolute
-    length of w equals the codimension of its fixed space, rank(w - I),
-    computed by fraction-free integer rank (and validated against
-    breadth-first search in the test suite). Otherwise a BFS over
-    products of the available (truncated) reflections is attempted and
-    only a result matching the codimension lower bound is certified.
+    By Carter's lemma (R. W. Carter, "Conjugacy classes in the Weyl
+    group", Compositio Math. 25 (1972), Lemma 2) the absolute length of w
+    equals the codimension of its fixed space, rank(w - I), computed by
+    fraction-free integer rank (and validated against breadth-first
+    search in the test suite). Memoized per matrix on the root system;
+    only a checked element enters the memo. Requires a complete root
+    system.
     """
-    if w.n != roots.n:
-        raise ValidationError("element rank does not match root system")
-    cached = roots._abs_len.get(w.matrix)
-    if cached is not None:
-        return cached
-    codim = _fixed_space_codim(w)
-    if roots.complete:
-        roots._abs_len[w.matrix] = codim
-        return codim
-    if codim == 0:
-        if w.matrix == identity_matrix(w.n):
-            roots._abs_len[w.matrix] = 0
-            return 0
-        raise NcpqError("non-identity element with full fixed space")
-    gens = [r.element.matrix for r in roots.reflections()]
-    dist = {identity_matrix(w.n): 0}
-    frontier = deque([identity_matrix(w.n)])
-    while frontier:
-        cur = frontier.popleft()
-        d = dist[cur]
-        if d >= codim:
-            break
-        for g in gens:
-            nxt = mat_mul(cur, g)
-            if nxt not in dist:
-                if len(dist) >= max_states:
-                    raise SearchExhaustedError(
-                        "reflection-product search exhausted its state cap without a certificate")
-                dist[nxt] = d + 1
-                if nxt == w.matrix and d + 1 == codim:
-                    roots._abs_len[w.matrix] = codim
-                    return codim
-                frontier.append(nxt)
-    if w.matrix in dist and dist[w.matrix] == codim:
-        roots._abs_len[w.matrix] = codim
-        return codim
-    raise SearchExhaustedError(
-        "truncated root system exhausted without certifying the absolute length")
+    length = roots._abs_len.get(w.matrix)
+    if length is None:
+        if not roots.complete:
+            raise NonFiniteTypeError("absolute length requires a complete root system")
+        if w.n != roots.n:
+            raise ValidationError("element rank does not match root system")
+        length = roots._abs_len[w.matrix] = _fixed_space_codim(w)
+    return length
 
 
 def absolute_leq(u: WeylElement, w: WeylElement, roots: RootSystem) -> bool:
     """Absolute order: u <= w iff |u| + |u^-1 w| = |w|.
 
-    In finite type (a complete root system) Carter's lemma (Carter 1972,
-    Lemma 2; see `absolute_length`) gives |u^-1 w| = rank(u^-1 w - I)
-    = rank(u^-1 (w - u)) = rank(w - u), since u^-1 is invertible. The test
-    is then |u| + rank(w - u) = |w|, with no inverse and no product.
-    Outside finite type |u^-1 w| is certified by search as in
-    `absolute_length`.
+    Carter's lemma (Carter 1972, Lemma 2; see `absolute_length`) gives
+    |u^-1 w| = rank(u^-1 w - I) = rank(u^-1 (w - u)) = rank(w - u), since
+    u^-1 is invertible. The test is then |u| + rank(w - u) = |w|, with no
+    inverse and no product. Requires a complete root system.
     """
     lu = absolute_length(u, roots)
     lw = absolute_length(w, roots)
     if lu > lw:
         return False
-    if roots.complete:
-        diff = [[x - y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, u.matrix)]
-        return lu + int_rank(diff, w.n) == lw
-    return lu + absolute_length(compose(inverse(u), w), roots) == lw
-
-
-def enumerate_group(q: Quiver, cap: int = DEFAULT_GROUP_CAP, *,
-                    allow_truncated: bool = False) -> set[WeylElement]:
-    """BFS closure of the identity under the simple reflections.
-
-    Outside finite type this refuses to run unless the caller explicitly
-    accepts a truncated exploration of at most `cap` elements.
-    """
-    if cap < 1:
-        raise ValidationError("cap must be positive")
-    classification = classify_type(cartan_matrix(q))
-    finite = classification.is_finite
-    if not finite and not allow_truncated:
-        raise NonFiniteTypeError(
-            f"group enumeration refused for {classification} type; "
-            "pass allow_truncated=True for bounded exploration")
-    gens = [make_reflection(q, simple_root(q.n, i)).element.matrix for i in q.vertices]
-    seen: set[IntMatrix] = {identity_matrix(q.n)}
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for g in gens:
-            nxt = mat_mul(cur, g)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    if finite:
-                        raise CapExceededError(f"group size exceeds cap {cap}")
-                    return {WeylElement(m) for m in seen}
-                seen.add(nxt)
-                frontier.append(nxt)
-    return {WeylElement(m) for m in seen}
+    diff = [[x - y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, u.matrix)]
+    return lu + int_rank(diff, w.n) == lw
 
 
 def reflections_below(w: WeylElement, roots: RootSystem,
@@ -389,10 +314,10 @@ def interval_covers(c: WeylElement,
 
     Reaching the identity writes c as a product of reflections, which
     certifies c in W; a walk that ends without it raises ValidationError.
-    Holding more than DEFAULT_GROUP_CAP elements (read at call time)
+    Holding more than DEFAULT_INTERVAL_CAP elements (read at call time)
     raises CapExceededError.
     """
-    cap = DEFAULT_GROUP_CAP
+    cap = DEFAULT_INTERVAL_CAP
     covers: dict[WeylElement, tuple[WeylElement, ...]] = {}
     level: dict[WeylElement, tuple[Reflection, ...] | None] = {c: None}
     held = 1

@@ -10,8 +10,9 @@ moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
 pair formula with `mutation_graph` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
-after, the interval [1, c] by filtering the whole
-group, interval sizes from the Coxeter-Catalan numbers of the
+after, the whole group by the same breadth-first search as the
+absolute lengths, the interval [1, c] by filtering the whole group,
+interval sizes from the Coxeter-Catalan numbers of the
 literature, factorization counts from n!·h^n/|W|, relative simples from
 embeddings found by scanning combinations of explicit Hom bases, and the
 bijection's flags from every complete exceptional sequence of every
@@ -25,12 +26,12 @@ from collections import deque
 from fractions import Fraction
 
 from ncpq import (absolute_leq, braid_mutate, build_registry, cox, coxeter_element,
-                  enumerate_exceptional_antichains, enumerate_group, generate_roots,
+                  enumerate_exceptional_antichains, generate_roots,
                   identity, interval_covers, make_reflection, Quiver, sequence_product,
                   thick_closure)
 from ncpq._linalg import rref
 from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
-from ncpq.weyl import RootSystem, compose, simple_root
+from ncpq.weyl import RootSystem, WeylElement, compose, simple_root
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -75,6 +76,13 @@ def bfs_absolute_lengths(roots: RootSystem) -> dict:
                 dist[nxt] = dist[cur] + 1
                 frontier.append(nxt)
     return dist
+
+
+def weyl_group(q: Quiver) -> set:
+    """Every element of the finite Weyl group of q. The reflections
+    generate W, so the breadth-first search behind `bfs_absolute_lengths`
+    visits all of it."""
+    return {WeylElement(m) for m in bfs_absolute_lengths(generate_roots(q))}
 
 
 def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) -> set:
@@ -174,9 +182,8 @@ def mutation_edges_by_braid_mutate(seqs, reg) -> set:
 
 def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
     """The interval [1, c] of absolute order as a filter on the whole
-    group: every element of W, by breadth-first closure under the simple
-    reflections, kept when it lies below c."""
-    return {w for w in enumerate_group(q) if absolute_leq(w, c, roots)}
+    group: every element of W, kept when it lies below c."""
+    return {w for w in weyl_group(q) if absolute_leq(w, c, roots)}
 
 
 def complete_sequences_within(sub, reg) -> list:

@@ -15,7 +15,6 @@ from ncpq import (
     coxeter_element,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
-    enumerate_group,
     factor_in_reflections,
     identity,
     interval_covers,
@@ -41,6 +40,7 @@ from oracles import (
     complete_sequences_within,
     order_failures_by_all_pairs,
     subcategories,
+    weyl_group,
 )
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
@@ -180,7 +180,7 @@ def test_report_round_trips(a2):
 
 
 def test_cap_exceeded_partial_report(a3, monkeypatch):
-    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 5)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 5)
     report = verify_bijection(a3)
     assert any(f["kind"] == "cap_exceeded" for f in report.failures)
     assert not report.all_ok
@@ -194,7 +194,7 @@ def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_r
     # a cover of the walk, and walk covers that are not the values of one.
     c = coxeter_element(a3, (1, 2, 3))
     covers = interval_covers(c, a3_roots)
-    outside = min((w for w in enumerate_group(a3) if w not in covers),
+    outside = min((w for w in weyl_group(a3) if w not in covers),
                   key=lambda w: w.matrix)
     real_cox = ncpq.bijection.cox
 

@@ -26,13 +26,14 @@ from ncpq.errors import (
     NcpqError,
     NonFiniteTypeError,
     QuiverParseError,
-    SearchExhaustedError,
     ValidationError,
 )
 from ncpq.exc import is_connected, mutation_graph
 from ncpq.weyl import WeylElement
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
+
+THREE_KRONECKER_TEXT = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n"
 
 
 @pytest.fixture
@@ -87,6 +88,13 @@ def test_analyze_json(quiver_file, capsys):
     assert payload["cartan"] == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
+def test_analyze_json_on_an_indefinite_quiver(quiver_file, capsys):
+    assert main(["analyze", quiver_file(THREE_KRONECKER_TEXT), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "indefinite"
+    assert payload["complete"] is False
+
+
 def test_analyze_malformed_exit_2(quiver_file, capsys):
     path = quiver_file("vertices 2\narrow 1 2\narrow 2 9\n")
     assert main(["analyze", path]) == 2
@@ -117,8 +125,16 @@ def test_nc_a2_json(quiver_file, capsys):
         [0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]
 
 
-def test_nc_nonfinite_exit_3(quiver_file, capsys):
-    assert main(["nc", quiver_file(KRONECKER_TEXT)]) == 3
+NON_FINITE = {
+    "kronecker": KRONECKER_TEXT,  # affine
+    "3-kronecker": THREE_KRONECKER_TEXT,  # indefinite
+}
+
+
+@pytest.mark.parametrize("quiver", sorted(NON_FINITE))
+@pytest.mark.parametrize("command", ["nc", "verify", "hurwitz", "sequences"])
+def test_nc_nonfinite_exit_3(command, quiver, quiver_file, capsys):
+    assert main([command, quiver_file(NON_FINITE[quiver])]) == 3
 
 
 def test_nc_dot(quiver_file, capsys):
@@ -159,7 +175,7 @@ def test_verify_a2_json_round_trip(quiver_file, capsys):
 
 
 def test_verify_cap_exceeded_exit_4(quiver_file, capsys, monkeypatch):
-    monkeypatch.setattr("ncpq.weyl.DEFAULT_GROUP_CAP", 5)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 5)
     assert main(["verify", quiver_file(A3_TEXT), "--format", "json"]) == 4
     payload = json.loads(capsys.readouterr().out)
     assert any(f["kind"] == "cap_exceeded" for f in payload["failures"])
@@ -291,7 +307,6 @@ def test_bad_order_string_exit_2(quiver_file, capsys):
     (ValidationError("bad argument"), 2, "error:"),
     (NonFiniteTypeError("affine"), 3, "error:"),
     (CapExceededError("too many"), 4, "error:"),
-    (SearchExhaustedError("no certificate"), 4, "error:"),
     (NcpqError("broken invariant"), 5, "internal error:"),
 ])
 def test_error_exit_codes(error, code, prefix, quiver_file, monkeypatch, capsys):

@@ -1,19 +1,16 @@
 """Property tests of the exact linear-algebra kernel: fraction-free integer
 and rational rank against the pivot count of the rational reduced row
-echelon form, and the integer inverse of unimodular matrices."""
+echelon form."""
 
 from __future__ import annotations
 
-import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpq import generate_roots, parse_quiver
-from ncpq._linalg import identity_matrix, int_rank, mat_inverse, mat_mul, rank
+from ncpq._linalg import int_rank, rank
 
-from conftest import A3_TEXT, D4_TEXT, KRONECKER_TEXT
 from oracles import rref_rank
 
 ENTRIES = st.integers(min_value=-6, max_value=6)
@@ -146,68 +143,3 @@ def test_int_rank_degenerate_shapes():
     upper = [[int(j >= i) for j in range(8)] for i in range(8)]
     assert int_rank(upper, 8) == 8
     assert int_rank(upper[::-1], 8) == 8
-
-
-_REFLECTION_SETS = {
-    name: [r.element.matrix for r in roots.reflections()]
-    for name, roots in (
-        ("a3", generate_roots(parse_quiver(A3_TEXT))),
-        ("d4", generate_roots(parse_quiver(D4_TEXT))),
-        ("kronecker", generate_roots(parse_quiver(KRONECKER_TEXT), 7)),
-    )
-}
-
-
-@st.composite
-def reflection_words(draw):
-    name = draw(st.sampled_from(sorted(_REFLECTION_SETS)))
-    refls = _REFLECTION_SETS[name]
-    word = draw(st.lists(st.sampled_from(refls), max_size=8))
-    return len(refls[0]), word
-
-
-@settings(max_examples=200, deadline=None)
-@given(reflection_words())
-def test_mat_inverse_round_trips_reflection_products(case):
-    n, word = case
-    product = identity_matrix(n)
-    for m in word:
-        product = mat_mul(product, m)
-    inv = mat_inverse(product)
-    assert mat_mul(product, inv) == identity_matrix(n)
-    assert mat_mul(inv, product) == identity_matrix(n)
-    reversed_product = identity_matrix(n)
-    for m in reversed(word):
-        reversed_product = mat_mul(reversed_product, m)
-    assert inv == reversed_product  # reflections are involutions
-
-
-def test_mat_inverse_unimodular_with_pivot_swap():
-    a = ((0, 1), (1, 0))
-    assert mat_inverse(a) == a
-    b = ((2, 1), (1, 1))
-    assert mat_inverse(b) == ((1, -1), (-1, 2))
-    assert mat_inverse(((-1,),)) == ((-1,),)
-    assert mat_inverse(()) == ()
-
-
-@pytest.mark.parametrize("matrix", [
-    ((0,),),
-    ((1, 2), (2, 4)),
-    ((0, 0), (0, 1)),
-    ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
-])
-def test_mat_inverse_rejects_singular(matrix):
-    with pytest.raises(ValueError, match="singular"):
-        mat_inverse(matrix)
-
-
-@pytest.mark.parametrize("matrix", [
-    ((2,),),
-    ((-3,),),
-    ((2, 0), (0, 1)),
-    ((1, 1), (1, -1)),
-])
-def test_mat_inverse_rejects_non_unimodular(matrix):
-    with pytest.raises(ValueError, match="not invertible over the integers"):
-        mat_inverse(matrix)
