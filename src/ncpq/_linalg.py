@@ -3,14 +3,14 @@
 Matrices are tuples of row tuples. No floating point enters the package
 anywhere. Integer matrices (Weyl-group elements, Cartan matrices, the
 intertwiner equations of integral representations) are handled
-fraction-free: products, the Bareiss determinant, and the rank by sparse
-elimination that touches only the rows meeting each pivot column. `rank`
-is fraction-free too: it clears the denominators of each rational row
-and calls `int_rank`. `fractions.Fraction` arithmetic is used only by
-`rref` and the nullspaces built on it (`right_nullspace`,
-`left_nullspace`), which serve the cokernel step of the rep layer's
-reflection-functor transport and its explicit Hom bases. Sizes are desk
-scale, so plain elimination is the right tool.
+fraction-free: products, the Bareiss determinant, and one elimination,
+the sparse echelon `int_echelon`, which touches only the rows meeting
+each pivot column. Its pivot count is the rank (`int_rank`), membership
+in its row span is one reduction (`in_span`), and back-substitution up
+its rows gives an integer kernel basis (`int_kernel`). A `Fraction` is
+only ever read: `integer_rows` clears the denominators of each rational
+row before `rank` or a kernel sees it. Sizes are desk scale, so plain
+elimination is the right tool.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -66,8 +66,9 @@ def det_bareiss(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Exact rank of an integer matrix, by sparse fraction-free elimination.
+def int_echelon(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, Sequence[int]]]:
+    """Row echelon form of an integer matrix, by sparse fraction-free
+    elimination: the (pivot column, pivot row) pairs, in column order.
 
     Any shape is accepted, including no rows, zero rows and zero columns.
     Column by column, the pivot is the remaining row whose entry p in the
@@ -76,12 +77,13 @@ def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
     becomes p*row - f*pivot_row and is then divided by the gcd of its
     entries. With the pivot row kept, both steps are invertible over the
     rationals (p != 0), so the row space does not change; the pivot row is
-    then the only row nonzero in the column, so it adds exactly one to the
-    rank of the rest. Rows with a zero in the column, most of them on the
-    sparse intertwiner systems, are not touched.
+    then the only row nonzero in the column. So the pivot rows, each zero
+    left of its column, span the row space. Rows with a zero in the
+    column, most of them on the sparse intertwiner systems, are not
+    touched.
     """
     m = [row for row in rows if any(row)]
-    r = 0
+    echelon = []
     for c in range(ncols):
         if not m:
             break
@@ -96,7 +98,7 @@ def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
             continue
         pr = m.pop(pivot)
         p = pr[c]
-        r += 1
+        echelon.append((c, pr))
         kept = []
         for row in m:
             f = row[c]
@@ -109,67 +111,69 @@ def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
                     row = [x // g for x in row]
             kept.append(row)
         m = kept
-    return r
+    return echelon
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]], ncols: int):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Exact rank of an integer matrix: the pivot count of `int_echelon`."""
+    return len(int_echelon(rows, ncols))
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
-    """Exact rank of a rational matrix, fraction-free.
-
-    A matrix of ints goes to `int_rank` as it is. Otherwise each row is
-    multiplied by the lcm of its entries' denominators, which is a nonzero
-    integer and so keeps the rank, and the integer matrix goes to
-    `int_rank`. Ints carry `numerator` and `denominator` as Fractions do.
-    """
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return int_rank(rows, ncols)
-    scaled = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return int_rank(scaled, ncols)
+def in_span(echelon: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> bool:
+    """Whether the integer vector v lies in the span of an `int_echelon`:
+    v becomes p*v - f*row for each pivot p whose column holds f in v,
+    which clears that column for good, and a nonzero vector of the span is
+    nonzero on some pivot column."""
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            p = row[c]
+            v = [p * x - f * y for x, y in zip(v, row)]
+    return not any(v)
 
 
-def right_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of {v : A v = 0}, one vector per free column."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVector]:
+    """Basis of {v : A v = 0}: per free column of `int_echelon`, the
+    primitive integer vector positive there and zero at the other free
+    columns, so parallel to the rational reduced-echelon one. Found by
+    back-substitution up the pivot rows from the unit vector: where the
+    pivot p does not divide the sum s of the row's other terms, v is
+    first scaled by |p|/g, g = gcd(s, p). That keeps v primitive, since
+    the pivot entry becomes ±s/g, which is coprime to |p|/g."""
+    echelon = int_echelon(rows, ncols)
+    pivots = {c for c, _ in echelon}
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][free]
+        v = [0] * ncols
+        v[free] = 1
+        for c, row in reversed(echelon):
+            s = sum(map(mul, row, v))
+            if s:
+                p = row[c]
+                scale = abs(p) // gcd(s, p)
+                if scale != 1:
+                    v = [x * scale for x in v]
+                v[c] = -s * scale // p
         basis.append(tuple(v))
     return basis
 
 
-def left_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {y : y A = 0} for A with len(rows) rows and ncols columns."""
-    nrows = len(rows)
-    transposed = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    return right_nullspace(transposed, nrows)
+def integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> Sequence[Sequence[int]]:
+    """The rows, each scaled by the lcm of its entries' denominators,
+    which keeps the row space; a matrix of ints is returned as it is.
+    Ints carry `numerator` and `denominator` as Fractions do."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return scaled
+
+
+def rank(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> int:
+    """Exact rank of a rational matrix, fraction-free: `int_rank` of its
+    `integer_rows`."""
+    return int_rank(integer_rows(rows), ncols)

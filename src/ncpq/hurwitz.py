@@ -38,6 +38,8 @@ from .weyl import (
     positive_representative,
 )
 
+DEFAULT_ORBIT_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ReflectionTuple:
@@ -144,7 +146,7 @@ def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> Reflectio
     return braid.tuple_of(t.n, braid.step(braid.ids_of(t), i, inverse))
 
 
-def hurwitz_orbit(t: ReflectionTuple, cap: int = 1_000_000) -> set[ReflectionTuple]:
+def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[ReflectionTuple]:
     """Closure of t under all forward and inverse moves."""
     if cap < 1:
         raise ValidationError("cap must be positive")
@@ -181,7 +183,7 @@ def orbit_edges(tuples: Sequence[ReflectionTuple]) -> set[tuple[int, int]]:
 
 
 def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
-               cap: int = 1_000_000) -> tuple[bool, list[int] | None]:
+               cap: int = DEFAULT_ORBIT_CAP) -> tuple[bool, list[int] | None]:
     """Decide whether b lies in the braid orbit of a.
 
     Returns (True, certificate) where the certificate is a list of signed

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
-from ._linalg import IntMatrix, det_bareiss, int_rank
+from ._linalg import IntMatrix, det_bareiss
 from .errors import QuiverParseError, ValidationError
 
 Vector = tuple[int, ...]
@@ -182,21 +181,13 @@ class Classification:
         return self.kind.capitalize()
 
 
-def _principal_minor_sums(entries: IntMatrix) -> list[int]:
-    """Sums of k-by-k principal minors for k = 1..n.
-
-    For a symmetric matrix these are the elementary symmetric functions of
-    the eigenvalues, so positivity decides definiteness exactly.
-    """
-    n = len(entries)
-    sums = []
-    for k in range(1, n + 1):
-        total = 0
-        for subset in combinations(range(n), k):
-            sub = tuple(tuple(entries[i][j] for j in subset) for i in subset)
-            total += det_bareiss(sub)
-        sums.append(total)
-    return sums
+def _positive_definite(entries: IntMatrix, vertices: list[int]) -> bool:
+    """Whether the principal submatrix on `vertices` is positive definite:
+    by Sylvester's criterion, whether every leading principal minor is
+    positive."""
+    return all(det_bareiss(tuple(tuple(entries[i][j] for j in vertices[:k])
+                                 for i in vertices[:k])) > 0
+               for k in range(1, len(vertices) + 1))
 
 
 def _components(entries: IntMatrix) -> list[list[int]]:
@@ -248,25 +239,34 @@ def _dynkin_component_label(entries: IntMatrix, comp: list[int]) -> str:
 
 
 def classify_type(c: CartanMatrix) -> Classification:
-    """Finite / affine / indefinite trichotomy, decided exactly.
+    """Finite / affine / indefinite trichotomy, decided exactly, per
+    connected component of the underlying graph.
 
-    Finite = positive definite (all principal minor sums positive); affine
-    = positive semidefinite with each connected component of corank at most
-    one and at least one of corank exactly one; anything else is indefinite.
+    A component is finite when it is positive definite (Sylvester's
+    criterion). It is affine when its determinant is 0 and every deletion
+    of one vertex leaves it positive definite: by Cauchy interlacing the
+    eigenvalues then are 0 once and positive otherwise, and conversely a
+    connected positive semidefinite matrix of corank 1 has every proper
+    principal submatrix of finite type (Kac, Infinite dimensional Lie
+    algebras, Lemma 4.5). The quiver is finite when every component is,
+    affine when every component is finite or affine and one is affine, and
+    indefinite otherwise. All of it takes polynomially many determinants.
     """
-    sums = _principal_minor_sums(c.entries)
-    if all(s > 0 for s in sums):
-        comps = _components(c.entries)
-        labels = sorted(_dynkin_component_label(c.entries, comp) for comp in comps)
-        return Classification("finite", "+".join(labels))
-    if all(s >= 0 for s in sums):
-        coranks = []
-        for comp in _components(c.entries):
-            sub = [[c.entries[i][j] for j in comp] for i in comp]
-            coranks.append(len(comp) - int_rank(sub, len(comp)))
-        if max(coranks) <= 1:
-            return Classification("affine")
-    return Classification("indefinite")
+    e = c.entries
+    comps = _components(e)
+    kinds = []
+    for comp in comps:
+        if _positive_definite(e, comp):
+            kinds.append("finite")
+        elif (det_bareiss(tuple(tuple(e[i][j] for j in comp) for i in comp)) == 0
+              and all(_positive_definite(e, [v for v in comp if v != x]) for x in comp)):
+            kinds.append("affine")
+        else:
+            return Classification("indefinite")
+    if "affine" in kinds:
+        return Classification("affine")
+    labels = sorted(_dynkin_component_label(e, comp) for comp in comps)
+    return Classification("finite", "+".join(labels))
 
 
 def positive_root_count(label: str) -> int:

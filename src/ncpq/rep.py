@@ -4,17 +4,16 @@ For a finite-type quiver this module constructs one indecomposable
 representation per positive root, deterministically: walk the root down to
 a simple root along a sink-admissible sequence of simple reflections, then
 transport the simple representation back up with cokernel (source-side)
-reflection steps. Integral entries are stored as ints, and the transport
-keeps registry maps integral (E7's have entries in {-1, 0, 1}; the tests
+reflection steps. Integral entries are stored as ints. Each step takes
+its cokernel from an integer left kernel (`_linalg.int_kernel`), so the
+registry maps are integral (E7's have entries in {-1, 0, 1}; the tests
 pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
-from their fraction-free integer rank (`_linalg.rank`), so no Hom basis
-and no `Fraction` enters a Hom or Ext dimension of integral modules.
-Ext dimensions come from the
-bilinear-form identity hom - ext = form(dim M, dim N), which is
-validated against an independent resolution-based computation in the
-test suite. Explicit Hom bases over the rationals (`hom_basis`) serve
-only the injectivity scan `IndecRegistry.has_injective_hom`, which no
-other ncpq function calls.
+from their fraction-free integer rank (`_linalg.rank`). Ext dimensions
+come from the bilinear-form identity hom - ext = form(dim M, dim N),
+which is validated against an independent resolution-based computation
+in the test suite. `hom_basis` gives an integer basis of Hom from the
+same kernel; only the injectivity scan `IndecRegistry.has_injective_hom`
+uses it, and no other ncpq function calls that scan.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import RatMatrix, rank, right_nullspace, left_nullspace
+from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
 from .weyl import RootSystem, generate_roots, is_positive, simple_reflect, simple_root
@@ -135,13 +134,14 @@ def hom_dim(M: Representation, N: Representation) -> int:
 
 
 def hom_basis(M: Representation, N: Representation) -> tuple[tuple[RatMatrix, ...], ...]:
-    """Deterministic basis of Hom(M, N), one tuple of vertex maps each."""
+    """Deterministic basis of Hom(M, N), one tuple of integer vertex maps
+    each: the `int_kernel` of the intertwiner equations."""
     if M.quiver != N.quiver:
         raise ValidationError("representations live over different quivers")
     rows, total, offsets = _intertwiner_rows(M, N)
     if total == 0:
         return ()
-    basis = right_nullspace(rows, total)
+    basis = int_kernel(integer_rows(rows), total)
     q = M.quiver
     out = []
     for vec in basis:
@@ -210,11 +210,12 @@ def _source_cokernel_step(rep: Representation, j: int) -> Representation:
         offsets.append(total_rows)
         total_rows += rep.dims[t - 1]
         block_rows.extend(rep.maps[k])
-    phi = [list(row) for row in block_rows]
-    if rank(phi, dj) != dj:
+    # The rows y of proj span {y : y phi = 0}, whose size is total_rows - dj
+    # exactly when phi is injective.
+    proj = int_kernel(integer_rows(list(zip(*block_rows))), total_rows)
+    new_dim_j = len(proj)
+    if new_dim_j != total_rows - dj:
         raise NcpqError("outgoing map is not injective; transport is broken")
-    proj = left_nullspace(phi, dj)
-    new_dim_j = len(proj)  # = total_rows - dj
     dims = tuple(new_dim_j if v == j else rep.dims[v - 1] for v in q.vertices)
     pairs: list[tuple[tuple[int, int], RatMatrix]] = []
     for k, (h, t) in enumerate(q.arrows):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from ._linalg import IntMatrix, identity_matrix, int_rank, mat_mul, mat_vec
+from ._linalg import IntMatrix, identity_matrix, in_span, int_echelon, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import (
     Classification,
@@ -177,9 +177,6 @@ class RootSystem:
     def reflections(self) -> tuple[Reflection, ...]:
         return tuple(self.reflection(r) for r in self.sorted_roots())
 
-    def simple_reflections(self) -> tuple[Reflection, ...]:
-        return tuple(self.reflection(simple_root(self.n, i)) for i in self.quiver.vertices)
-
 
 def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootSystem:
     """Close the simple roots under simple reflections, keeping positive
@@ -230,10 +227,11 @@ def coxeter_element(q: Quiver, order: tuple[int, ...]) -> WeylElement:
     return result
 
 
-def _fixed_space_codim(w: WeylElement) -> int:
-    n = w.n
-    rows = [[w.matrix[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return int_rank(rows, n)
+def _moved_space(w: WeylElement):
+    """`int_echelon` of the columns of w - I, which span the moved space
+    Mov(w) = im(w - I). Its pivot count is rank(w - I)."""
+    n, m = w.n, w.matrix
+    return int_echelon([[m[i][j] - (i == j) for i in range(n)] for j in range(n)], n)
 
 
 def absolute_length(w: WeylElement, roots: RootSystem) -> int:
@@ -241,11 +239,11 @@ def absolute_length(w: WeylElement, roots: RootSystem) -> int:
 
     By Carter's lemma (R. W. Carter, "Conjugacy classes in the Weyl
     group", Compositio Math. 25 (1972), Lemma 2) the absolute length of w
-    equals the codimension of its fixed space, rank(w - I), computed by
-    fraction-free integer rank (and validated against breadth-first
-    search in the test suite). Memoized per matrix on the root system;
-    only a checked element enters the memo. Requires a complete root
-    system.
+    equals the codimension of its fixed space, rank(w - I): the pivot
+    count of the echelon of its moved space (validated against
+    breadth-first search in the test suite). Memoized per matrix on the
+    root system; only a checked element enters the memo. Requires a
+    complete root system.
     """
     length = roots._abs_len.get(w.matrix)
     if length is None:
@@ -253,7 +251,7 @@ def absolute_length(w: WeylElement, roots: RootSystem) -> int:
             raise NonFiniteTypeError("absolute length requires a complete root system")
         if w.n != roots.n:
             raise ValidationError("element rank does not match root system")
-        length = roots._abs_len[w.matrix] = _fixed_space_codim(w)
+        length = roots._abs_len[w.matrix] = len(_moved_space(w))
     return length
 
 
@@ -279,19 +277,41 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     """The reflections t <= w in absolute order, in root order, memoized
     per matrix on the root system.
 
-    t <= w means |t w| = |w| - 1, so these are exactly the first letters
-    of the minimal reflection factorizations of w and the t with t*w
-    covered by w. `_candidates`, for callers inside the package, is the
-    set already found below an element u >= w: t <= w <= u implies
-    t <= u, so only those need testing. Requires a complete root system.
+    t <= w means |t w| = |w| - 1: these are the first letters of the
+    minimal reflection factorizations of w. By Brady-Watt (2002, "A
+    partial order on the orthogonal group") they are the t whose root a
+    lies in Mov(w) = im(w - I), so one echelon of Mov(w) and one
+    membership reduction per candidate decide them, and the echelon's
+    pivot count fills the memo of |w|. Proof: t fixes a^perp pointwise, so
+    Fix(t w) and Fix(w) meet a^perp in the same space F, and each is F or
+    one larger. As w is a product of |w| reflections (Carter's lemma),
+    det w = (-1)^|w| = -det(t w), so exactly one of the two is F. Hence
+    |t w| = |w| - 1 iff Fix(w) lies in a^perp, iff a lies in
+    Fix(w)^perp = Mov(w), when w preserves the form B, which is
+    nondegenerate in finite type: B(y, (w - I) x) = B((w^-1 - I) y, x).
+
+    So w must lie in W and preserve B. A call with `_candidates` None
+    checks w^T A w = A, for A the symmetric Cartan matrix, and raises
+    ValidationError otherwise; `interval_covers` refuses an orthogonal w
+    outside W, as its walk cannot reach the identity. `_candidates`, for
+    callers inside the package, is the set found below some u >= w with
+    w = t*u: w inherits the check from u, and only those need testing, as
+    t <= w <= u implies t <= u. Requires a complete root system.
     """
     if not roots.complete:
         raise NonFiniteTypeError("reflections below an element require a complete root system")
     found = roots._below.get(w.matrix)
     if found is None:
-        pool = roots.reflections() if _candidates is None else _candidates
-        found = tuple(t for t in pool if absolute_leq(t.element, w, roots))
-        roots._below[w.matrix] = found
+        pool = _candidates
+        if pool is None:
+            pool = roots.reflections()
+            a = roots.cartan
+            if w.n != roots.n or mat_mul(mat_mul(tuple(zip(*w.matrix)), a), w.matrix) != a:
+                raise ValidationError("the given element does not preserve the symmetric "
+                                      "form of this root system")
+        moved = _moved_space(w)
+        roots._abs_len[w.matrix] = len(moved)
+        found = roots._below[w.matrix] = tuple(t for t in pool if in_span(moved, t.root))
     return found
 
 

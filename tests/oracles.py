@@ -5,13 +5,15 @@ checks: absolute lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
-with ranks from the rational reduced row echelon form, braid orbits from
+with ranks and kernels from the rational reduced row echelon form
+(Gauss-Jordan over `Fraction`, which the package does not use), type
+classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
 pair formula with `mutation_graph` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
-after, the whole group by the same breadth-first search as the
-absolute lengths, the interval [1, c] by filtering the whole group,
+after, the whole group by breadth-first search over products with the
+simple reflections, the interval [1, c] by filtering the whole group,
 interval sizes from the Coxeter-Catalan numbers of the
 literature, factorization counts from n!·h^n/|W|, relative simples from
 embeddings found by scanning combinations of explicit Hom bases, and the
@@ -24,12 +26,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
-from ncpq import (absolute_leq, braid_mutate, build_registry, cox, coxeter_element,
+from ncpq import (absolute_leq, braid_mutate, build_registry, cartan_matrix, cox, coxeter_element,
                   enumerate_exceptional_antichains, generate_roots,
                   identity, interval_covers, make_reflection, Quiver, sequence_product,
                   thick_closure)
-from ncpq._linalg import rref
 from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
 from ncpq.weyl import RootSystem, WeylElement, compose, simple_root
 
@@ -79,10 +81,24 @@ def bfs_absolute_lengths(roots: RootSystem) -> dict:
 
 
 def weyl_group(q: Quiver) -> set:
-    """Every element of the finite Weyl group of q. The reflections
-    generate W, so the breadth-first search behind `bfs_absolute_lengths`
-    visits all of it."""
-    return {WeylElement(m) for m in bfs_absolute_lengths(generate_roots(q))}
+    """Every element of the finite Weyl group of q, by breadth-first
+    search from the identity over left products with the simple
+    reflections, which generate W. s_i w differs from w only in row i,
+    which becomes w_i - sum_k a_ik w_k for the Cartan matrix a."""
+    a = cartan_matrix(q).entries
+    n = q.n
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    seen = {ident}
+    frontier = deque([ident])
+    while frontier:
+        w = frontier.popleft()
+        for i in range(n):
+            row = tuple(w[i][j] - sum(a[i][k] * w[k][j] for k in range(n)) for j in range(n))
+            nxt = w[:i] + (row,) + w[i + 1:]
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {WeylElement(m) for m in seen}
 
 
 def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) -> set:
@@ -292,6 +308,37 @@ def det_cofactor(matrix) -> Fraction:
     return total
 
 
+def kind_by_principal_minor_sums(entries) -> str:
+    """Finite / affine / indefinite from the sums of the k-by-k principal
+    minors, k = 1..n, by cofactor expansion. For a symmetric matrix these
+    are the elementary symmetric functions of the eigenvalues: all
+    positive is positive definite, all nonnegative positive semidefinite.
+    Semidefinite with every connected component of corank at most one,
+    not definite, is affine. Exponential in n."""
+    n = len(entries)
+    sums = [sum(det_cofactor([[entries[i][j] for j in sub] for i in sub])
+                for sub in combinations(range(n), k)) for k in range(1, n + 1)]
+    if all(s > 0 for s in sums):
+        return "finite"
+    if all(s >= 0 for s in sums):
+        comps, seen = [], set()
+        for start in range(n):
+            if start not in seen:
+                comp, stack = {start}, [start]
+                while stack:
+                    v = stack.pop()
+                    for u in range(n):
+                        if u not in comp and entries[v][u]:
+                            comp.add(u)
+                            stack.append(u)
+                seen |= comp
+                comps.append(sorted(comp))
+        if all(len(comp) - rref_rank([[entries[i][j] for j in comp] for i in comp], len(comp)) <= 1
+               for comp in comps):
+            return "affine"
+    return "indefinite"
+
+
 def leading_principal_minors(matrix) -> list:
     return [det_cofactor([row[:k] for row in matrix[:k]])
             for k in range(1, len(matrix) + 1)]
@@ -331,6 +378,46 @@ def apply_word(roots: RootSystem, word, vector):
         refl = make_reflection(roots.quiver, simple_root(roots.n, i))
         out = refl.element(out)
     return out
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over the rationals, by Gauss-Jordan
+    elimination. Returns (rows, pivot_columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def rref_nullspace(rows, ncols) -> list:
+    """Basis of {v : A v = 0} from the reduced row echelon form: per free
+    column, the vector with 1 there, 0 at the other free columns."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][free]
+        basis.append(tuple(v))
+    return basis
 
 
 def rref_rank(rows, ncols) -> int:

@@ -293,6 +293,23 @@ def test_seed_flag_rejected_exit_2(quiver_file):
     assert main(["verify", quiver_file(A2_TEXT), "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cap-orbit", "5"],
+    ["analyze", "--coxeter-order", "1,2"],
+    ["sequences", "--coxeter-order", "1,2"],
+    ["nc", "--cap-sequences", "5"],
+    ["hurwitz", "--cap-sequences", "5"],
+    ["sequences", "--cap-orbit", "5"],
+    ["hurwitz", "--cap-orbit", "0"],
+    ["sequences", "--cap-sequences", "-1"],
+    ["hurwitz", "--cap-orbit", "x"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv, quiver_file, capsys):
+    command, *flags = argv
+    assert main([command, quiver_file(A2_TEXT), *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_order_string_exit_2(quiver_file, capsys):
     assert main(["verify", quiver_file(A2_TEXT), "--coxeter-order", "x,y"]) == 2
 

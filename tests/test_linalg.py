@@ -1,6 +1,7 @@
 """Property tests of the exact linear-algebra kernel: fraction-free integer
 and rational rank against the pivot count of the rational reduced row
-echelon form."""
+echelon form, the integer kernel against its nullspace, and span
+membership against ranks."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpq._linalg import int_rank, rank
+from math import gcd
 
-from oracles import rref_rank
+from ncpq._linalg import in_span, int_echelon, int_kernel, int_rank, rank
+
+from oracles import rref, rref_nullspace, rref_rank
 
 ENTRIES = st.integers(min_value=-6, max_value=6)
 
@@ -143,3 +146,55 @@ def test_int_rank_degenerate_shapes():
     upper = [[int(j >= i) for j in range(8)] for i in range(8)]
     assert int_rank(upper, 8) == 8
     assert int_rank(upper[::-1], 8) == 8
+
+
+def _kernel_cases():
+    return st.one_of(integer_matrices(),
+                     low_rank_products().map(lambda case: case[:2]),
+                     sparse_non_unit_matrices())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_int_kernel_is_a_primitive_basis_of_the_nullspace(case):
+    rows, ncols = case
+    basis = int_kernel(rows, ncols)
+    oracle = rref_nullspace(rows, ncols)
+    assert len(basis) == len(oracle) == ncols - int_rank(rows, ncols)
+    free = [c for c in range(ncols) if c not in rref(rows, ncols)[1]]
+    for v, w, f in zip(basis, oracle, free):
+        assert all(type(x) is int for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert gcd(*v) == 1 and v[f] > 0
+        # parallel to the rational vector with 1 at its free column
+        assert all(x == v[f] * y for x, y in zip(v, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases(), st.lists(ENTRIES, min_size=10, max_size=10), st.booleans())
+def test_in_span_is_no_rank_increase(case, entries, combine):
+    rows, ncols = case
+    v = entries[:ncols]
+    if combine and rows:
+        # half the time, a combination of the rows, which must be in the span
+        v = [sum(c * row[j] for c, row in zip(entries, rows)) for j in range(ncols)]
+    echelon = int_echelon(rows, ncols)
+    assert in_span(echelon, v) == (int_rank(list(rows) + [v], ncols) == int_rank(rows, ncols))
+    if combine and rows:
+        assert in_span(echelon, v)
+
+
+def test_int_echelon_rows_start_at_their_pivots():
+    echelon = int_echelon([[0, 2, 4, 1], [0, 1, 2, 3], [1, 0, 0, 0]], 4)
+    assert [c for c, _ in echelon] == [0, 1, 3]
+    for c, row in echelon:
+        assert row[c] and not any(row[:c])
+
+
+def test_int_kernel_scales_to_integers():
+    # The rational kernel vector (-1/2, -3/2, 1), scaled by 2.
+    assert int_kernel([[2, 0, 1], [0, 2, 3]], 3) == [(-1, -3, 2)]
+    assert int_kernel([[0, 3, 6]], 3) == [(1, 0, 0), (0, -2, 1)]
+    assert int_kernel([], 2) == [(1, 0), (0, 1)]
+    assert int_kernel([[1, 2]], 2) == [(-2, 1)]
+    assert int_kernel([[4, 6]], 2) == [(-3, 2)]

@@ -23,7 +23,7 @@ from ncpq import (
 from ncpq.errors import QuiverParseError, ValidationError
 from ncpq.quiver import is_admissible_order, topological_sort
 
-from oracles import leading_principal_minors, random_acyclic_quiver
+from oracles import kind_by_principal_minor_sums, leading_principal_minors, random_acyclic_quiver
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -217,6 +217,57 @@ def test_classify_orientation_independent():
             except ValidationError:
                 continue  # the flip created a cycle; not a comparable quiver
             assert classify_type(cartan_matrix(q2)) == base
+
+
+def test_classify_matches_the_minor_sum_oracle_on_small_multigraphs():
+    # Every multigraph on at most 4 vertices with edge multiplicities 0..2,
+    # each edge oriented from the smaller vertex.
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mults in itertools.product(range(3), repeat=len(pairs)):
+            arrows = tuple(p for p, m in zip(pairs, mults) for _ in range(m))
+            c = cartan_matrix(Quiver(n, arrows))
+            got = classify_type(c)
+            assert got.kind == kind_by_principal_minor_sums(c.entries), arrows
+            assert (got.label is not None) == got.is_finite
+
+
+def _star(*legs: int) -> Quiver:
+    """Tree with centre 1 and one path of each given length hanging off it,
+    arrows pointing away from the centre: T(p, q, r) is _star(p-1, q-1, r-1)."""
+    arrows, n = [], 1
+    for length in legs:
+        prev = 1
+        for _ in range(length):
+            n += 1
+            arrows.append((prev, n))
+            prev = n
+    return Quiver(n, tuple(arrows))
+
+
+@pytest.mark.parametrize("quiver, kind", [
+    (Quiver(2, ((1, 2), (1, 2))), "affine"),  # Kronecker
+    (Quiver(4, ((1, 2), (2, 3), (3, 4), (1, 4))), "affine"),  # acyclic A~3
+    (_star(1, 1, 1, 1), "affine"),  # D~4
+    (_star(2, 2, 2), "affine"),  # E~6
+    (_star(1, 3, 3), "affine"),  # E~7
+    (_star(1, 2, 5), "affine"),  # E~8
+    (Quiver(2, ((1, 2),) * 3), "indefinite"),  # 3-Kronecker
+    (_star(1, 2, 6), "indefinite"),  # T(2, 3, 7)
+    (Quiver(4, ((1, 2),) + ((3, 4),) * 2), "affine"),  # A2 + Kronecker
+    (Quiver(4, ((1, 2),) + ((3, 4),) * 3), "indefinite"),  # A2 + 3-Kronecker
+    # two 3-Kroneckers joined by an edge: two negative eigenvalues, so the
+    # determinant is positive (21) and only the smaller minors show it
+    (Quiver(4, ((1, 2),) * 3 + ((1, 3),) + ((3, 4),) * 3), "indefinite"),
+])
+def test_classify_affine_and_indefinite_table(quiver, kind):
+    assert classify_type(cartan_matrix(quiver)).kind == kind
+
+
+def test_classify_is_polynomial_on_a20():
+    # Linear A20: the sum over all principal minors would take 2^20 of them.
+    q = Quiver(20, tuple((i, i + 1) for i in range(1, 20)))
+    assert str(classify_type(cartan_matrix(q))) == "Finite(A20)"
 
 
 def test_positive_root_counts():

@@ -3,6 +3,8 @@ transport, Hom/Ext solving, tops, and the registry certificates."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,10 +21,10 @@ from ncpq import (
     top_simples,
 )
 from ncpq.errors import NonFiniteTypeError, ValidationError
-from ncpq.rep import simple_representation, zero_representation
+from ncpq.rep import _intertwiner_rows, hom_basis, simple_representation, zero_representation
 
 from conftest import D4_TEXT
-from oracles import DYNKIN_QUIVERS, ext_dim_via_resolution
+from oracles import DYNKIN_QUIVERS, ext_dim_via_resolution, rref_nullspace
 
 ONE = ((Fraction(1),),)
 
@@ -179,6 +181,46 @@ def test_e7_registry_maps_have_integer_unit_entries():
     entries = [x for a in reg.roots() for m in reg[a].maps for row in m for x in row]
     assert set(entries) == {-1, 0, 1}
     assert all(type(x) is int for x in entries)
+
+
+# sha256 of every registry module's `to_debug_json`, keyed by its root,
+# as sorted-key JSON. Pinned from the registry built with rational
+# Gauss-Jordan left kernels, so the integer kernels keep every basis.
+REGISTRY_DIGESTS = {
+    "A4": "c30a043f17fe7614dfd9fb8a0d488be15178d92b7f8a832c3d00a0194c7df305",
+    "A5": "f17aba32bcf71bb34ae468cc77a46a3f5f20c9beb80f4e690b04161f28add413",
+    "D4": "6b86273a97d579aa4ed24ea737ef18ad9e109c31bbe807f8d9f6639ba2e3a5ef",
+    "D5": "0f90af6316a33fce40fd009ac7cbb8537bbd52e97404cd06fb71fbab2a3fe8c4",
+    "E6": "a69ecbced5f723fbae1c4bef86863237be58fa5cb3402d885118dbecb656814e",
+    "E7": "8ee7e4e8b9ff6a71273d45e6e4b71b3903621d85923774d32b4370dae00bd9bb",
+}
+
+
+@pytest.mark.parametrize("label", sorted(REGISTRY_DIGESTS))
+def test_registry_debug_json_is_pinned(label):
+    reg = build_registry(DYNKIN_QUIVERS[label])
+    payload = {str(list(a)): reg[a].to_debug_json() for a in reg.roots()}
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGISTRY_DIGESTS[label]
+
+
+def test_hom_basis_is_the_integer_kernel_of_the_intertwiners(d4_reg):
+    # Integral modules and their rational rescalings: each basis is integral,
+    # of size dim Hom, and vector by vector a positive multiple of the
+    # rational reduced-echelon nullspace of the intertwiner equations.
+    modules = [d4_reg[a] for a in d4_reg.roots()]
+    modules += [_rescaled(M) for M in modules[::3]]
+    for M in modules:
+        for N in modules:
+            basis = hom_basis(M, N)
+            assert len(basis) == hom_dim(M, N)
+            rows, total, offsets = _intertwiner_rows(M, N)
+            oracle = rref_nullspace(rows, total) if total else []
+            for maps, w in zip(basis, oracle):
+                v = [x for block in maps for row in block for x in row]
+                assert all(type(x) is int for x in v)
+                scale = next(x / y for x, y in zip(v, w) if y)
+                assert scale > 0 and all(x == scale * y for x, y in zip(v, w))
 
 
 def test_representation_keeps_integral_entries_as_ints(a2):

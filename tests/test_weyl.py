@@ -262,6 +262,13 @@ def test_absolute_leq_matches_bfs_on_all_pairs_a3(a3_roots):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
+def test_weyl_group_oracles_agree(name, request):
+    q = request.getfixturevalue(name)
+    by_reflections = bfs_absolute_lengths(request.getfixturevalue(f"{name}_roots"))
+    assert weyl_group(q) == {WeylElement(m) for m in by_reflections}
+
+
 def test_group_sizes(a2, a3, d4):
     assert len(weyl_group(a2)) == 6
     assert len(weyl_group(a3)) == 24
@@ -275,18 +282,28 @@ def test_nc_counts(a2, a3, a2_roots, a3_roots):
     assert len(noncrossing_partitions(c3, a3, roots=a3_roots)) == 14
 
 
-@pytest.mark.parametrize("name", ["a3", "d4"])
-def test_reflections_below_is_the_filter_by_absolute_leq(name, request):
-    q = request.getfixturevalue(name)
-    roots = request.getfixturevalue(f"{name}_roots")
+@pytest.mark.parametrize("name", ["a3", "d4", "e6"])
+def test_reflections_below_is_the_filter_by_absolute_leq(name):
+    # Every element of W for A3 and D4; of the interval [1, c] for E6.
+    q, roots, c = _nc(name.upper())
+    elements = interval_covers(c, roots) if name == "e6" else weyl_group(q)
     rng = random.Random(11)
     plain, seeded = generate_roots(q), generate_roots(q)  # fresh memos
     everything = roots.reflections()
-    for w in sorted(weyl_group(q), key=lambda w: w.matrix):
+    for w in sorted(elements, key=lambda w: w.matrix):
         expected = tuple(t for t in everything if absolute_leq(t.element, w, roots))
         assert reflections_below(w, plain) == expected
         superset = tuple(t for t in everything if t in expected or rng.random() < 0.5)
         assert reflections_below(w, seeded, superset) == expected
+
+
+def test_reflections_below_refuses_a_map_that_moves_the_form(a2):
+    # The unipotent map is not orthogonal, so its moved space says nothing
+    # about absolute order; -I is orthogonal but outside W(A2), and the
+    # walk below it never reaches the identity.
+    with pytest.raises(ValidationError):
+        reflections_below(WeylElement(((1, 1), (0, 1))), generate_roots(a2))
+    assert len(reflections_below(WeylElement(((-1, 0), (0, -1))), generate_roots(a2))) == 3
 
 
 def _nc(name):
