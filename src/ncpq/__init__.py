@@ -5,8 +5,6 @@ between them at desk scale."""
 from .bijection import (
     BijectionReport,
     cox,
-    factor_in_reflections,
-    minimal_reflection_factorizations,
     verify_bijection,
 )
 from .errors import (
@@ -65,6 +63,7 @@ from .weyl import (
     WeylElement,
     absolute_length,
     absolute_leq,
+    chain_counts,
     compose,
     conjugation_depth,
     coxeter_element,
@@ -73,6 +72,7 @@ from .weyl import (
     identity,
     interval_covers,
     make_reflection,
+    multiply,
     noncrossing_partitions,
     reflect,
     reflections_below,

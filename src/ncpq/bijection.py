@@ -31,7 +31,7 @@ reported as a reproducible JSON payload:
   to subcategories B_(i-1) = B_i ∩ x_i^⊥ with cox(B_(i-1))·s_(x_i) =
   cox(B_i), so t_i = s_(x_i), and (x_1, ..., x_n) is exceptional because
   x_j lies in B_(i-1), inside x_i^⊥, for j < i. The maximal chains are
-  counted by dynamic programming over the covers.
+  counted over the walk's covers by `weyl.chain_counts`.
 """
 
 from __future__ import annotations
@@ -49,19 +49,17 @@ from .exc import (
     sequence_product,
     thick_closure,
 )
-from .hurwitz import ReflectionTuple
-from .quiver import Quiver, Vector, topological_order
+from .quiver import Quiver, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
     RootSystem,
     WeylElement,
-    absolute_length,
+    chain_counts,
     compose,
     coxeter_element,
     generate_roots,
     identity,
     interval_covers,
-    reflections_below,
     simple_root,
 )
 
@@ -111,65 +109,6 @@ def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:
     if not is_exceptional_sequence(sub.simples, reg):
         raise ValidationError("subcategory simples do not form an exceptional sequence")
     return sequence_product(sub.simples, roots)
-
-
-def factor_in_reflections(w: WeylElement, roots: RootSystem,
-                          reg: IndecRegistry) -> ReflectionTuple:
-    """The lexicographically smallest minimal reflection factorization of
-    w, by greedy descent: the first reflection t in root order with
-    t <= w starts a minimal factorization (as in
-    `minimal_reflection_factorizations`), then w becomes t*w."""
-    if not roots.complete:
-        raise NonFiniteTypeError("factorization search requires a complete root system")
-    if frozenset(reg.roots()) != roots.positive_real_roots:
-        raise ValidationError("registry and root system disagree")
-    target_len = absolute_length(w, roots)
-    ident = identity(w.n)
-    picks = []
-    remaining = w
-    below = None
-    while remaining != ident:
-        below = reflections_below(remaining, roots, below)
-        if not below:
-            raise NcpqError("element not reachable by reflections; this is a bug")
-        picks.append(below[0])
-        remaining = compose(below[0].element, remaining)
-    if len(picks) != target_len:
-        raise NcpqError("factorization length disagrees with absolute length")
-    return ReflectionTuple(w.n, tuple(picks))
-
-
-def minimal_reflection_factorizations(w: WeylElement,
-                                      roots: RootSystem) -> set[tuple[Vector, ...]]:
-    """All factorizations of w into absolute_length(w) reflections, as
-    ordered tuples of positive roots.
-
-    A reflection t can start a minimal factorization of the remaining
-    element r exactly when t <= r in absolute order (|t| = 1 and t^-1 = t,
-    so that is |t r| = |r| - 1): these are `reflections_below(r)`, and
-    only those branches are composed. Since t*r <= r, the reflections
-    below t*r are among those below r, which are passed down as the
-    candidates. The factorizations of each element below w are built once
-    and shared by every prefix that reaches it.
-    """
-    if not roots.complete:
-        raise NonFiniteTypeError("factorization enumeration requires a complete root system")
-    ident = identity(w.n).matrix
-    memo: dict = {}
-
-    def factorizations(remaining: WeylElement, candidates) -> list[tuple[Vector, ...]]:
-        if remaining.matrix == ident:
-            return [()]
-        found = memo.get(remaining.matrix)
-        if found is None:
-            below = reflections_below(remaining, roots, candidates)
-            found = [(refl.root,) + rest
-                     for refl in below
-                     for rest in factorizations(compose(refl.element, remaining), below)]
-            memo[remaining.matrix] = found
-        return found
-
-    return set(factorizations(w, None))
 
 
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
@@ -226,10 +165,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         counts["nc"] = len(covers)
         walk_covers = {(x, w) for w, children in covers.items() for x in children}
         counts["covers"] = len(walk_covers)
-        chains: dict[WeylElement, int] = {}
-        for w in reversed(covers):
-            chains[w] = sum(chains[x] for x in covers[w]) if covers[w] else 1
-        counts["chains"] = chains[c]
+        counts["chains"] = chain_counts(covers)[c]
 
         antichains = sorted(enumerate_exceptional_antichains(q, reg),
                             key=lambda a: tuple(sorted(a)))

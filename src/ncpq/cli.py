@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .bijection import minimal_reflection_factorizations, verify_bijection
+from .bijection import verify_bijection
 from .errors import (
     CapExceededError,
     NcpqError,
@@ -31,6 +31,7 @@ from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
     absolute_length,
+    chain_counts,
     coxeter_element,
     generate_roots,
     interval_covers,
@@ -225,21 +226,22 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     c = coxeter_element(q, order)
     start = tuple_from_roots(q, tuple(simple_root(q.n, i) for i in order))
     orbit = hurwitz_orbit(start, args.cap_orbit)
-    factorizations = minimal_reflection_factorizations(c, roots)
-    single = len(orbit) == len(factorizations)
+    count = chain_counts(interval_covers(c, roots))[c]
+    # Orbit tuples are n = |c| reflections with product c (moves check it), so orbit ⊆ Red_T(c).
+    single = len(orbit) == count
     ordered = sorted(orbit, key=lambda t: t.roots)
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
         "orbit_size": len(orbit),
-        "factorization_count": len(factorizations),
+        "factorization_count": count,
         "single_orbit": single,
         "orbit": [t.to_json() for t in ordered],
     }
     if args.output_format == "json":
         _emit_json(args, payload)
     elif args.output_format == "text":
-        _emit(args, f"orbit size {len(orbit)}, factorizations {len(factorizations)}, "
+        _emit(args, f"orbit size {len(orbit)}, factorizations {count}, "
                     f"single orbit: {single}")
     else:
         edges = orbit_edges(ordered)

@@ -23,8 +23,7 @@ from .weyl import (
     ProductMemo,
     RootSystem,
     WeylElement,
-    identity,
-    compose,
+    multiply,
     positive_representative,
     reflect,
     simple_root,
@@ -350,10 +349,7 @@ def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vect
 
 def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> WeylElement:
     """Product of the reflections at the given roots, left to right."""
-    result = identity(rootsystem.n)
-    for r in roots_seq:
-        result = compose(result, rootsystem.reflection(r).element)
-    return result
+    return multiply((rootsystem.reflection(r).element for r in roots_seq), rootsystem.n)
 
 
 def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):

@@ -33,8 +33,8 @@ from .weyl import (
     Reflection,
     WeylElement,
     compose,
-    identity,
     make_reflection,
+    multiply,
     positive_representative,
 )
 
@@ -59,10 +59,7 @@ class ReflectionTuple:
     @functools.cached_property
     def product(self) -> WeylElement:
         """Left-to-right product of the reflections, computed on first use."""
-        result = identity(self.n)
-        for r in self.items:
-            result = compose(result, r.element)
-        return result
+        return multiply((r.element for r in self.items), self.n)
 
     @property
     def roots(self) -> tuple[Vector, ...]:

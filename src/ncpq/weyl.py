@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
+from typing import Iterable
 
 from ._linalg import IntMatrix, identity_matrix, in_span, int_echelon, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
@@ -70,6 +71,15 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ValidationError("composing elements of different rank")
     return WeylElement(mat_mul(a.matrix, b.matrix))
+
+
+def multiply(factors: Iterable[WeylElement], n: int) -> WeylElement:
+    """Left-to-right product of the factors, so the last acts first on a
+    vector. It starts at the first factor; only no factors at all give
+    the identity of rank n."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return identity(n) if first is None else reduce(compose, factors, first)
 
 
 class ProductMemo(dict):
@@ -221,10 +231,7 @@ def coxeter_element(q: Quiver, order: tuple[int, ...]) -> WeylElement:
         raise ValidationError(f"{order} is not a permutation of 1..{q.n}")
     if not is_admissible_order(q, order):
         raise ValidationError(f"{order} is not an admissible exceptional ordering")
-    result = identity(q.n)
-    for i in order:
-        result = compose(result, make_reflection(q, simple_root(q.n, i)).element)
-    return result
+    return multiply((make_reflection(q, simple_root(q.n, i)).element for i in order), q.n)
 
 
 def _moved_space(w: WeylElement):
@@ -359,6 +366,26 @@ def interval_covers(c: WeylElement,
     return covers
 
 
+def chain_counts(covers: dict[WeylElement, tuple[WeylElement, ...]]) -> dict[WeylElement, int]:
+    """For each element w of a walk from `interval_covers`, the number of
+    maximal chains of covers from w down to 1, by dynamic programming
+    from the identity up (the walk lists every element before those it
+    covers).
+
+    It is the number of minimal reflection factorizations of w. A
+    factorization w = t_1 ... t_k with k = |w| gives the chain
+    w > t_1 w > t_2 t_1 w > ... > 1, each step a cover because it lowers
+    the length by one, and the chain gives back the t_i. The walk is
+    complete below every element it holds (see `interval_covers`), so
+    every such chain is in it.
+    """
+    chains: dict[WeylElement, int] = {}
+    for w in reversed(covers):
+        children = covers[w]
+        chains[w] = sum(chains[x] for x in children) if children else 1
+    return chains
+
+
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group,
@@ -410,9 +437,7 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
         raise ValidationError("the word does not send alpha to a negative vector")
     t_min = next(t for t in range(1, k + 1)
                  if is_positive(images[t]) and is_negative(images[t - 1]))
-    suffix = identity(q.n)
-    for j in range(t_min, k):
-        suffix = compose(suffix, simples[word[j]].element)
+    suffix = multiply((simples[i].element for i in word[t_min:]), q.n)
     lhs = compose(simples[word[t_min - 1]].element, suffix)
     rhs = compose(suffix, make_reflection(q, alpha).element)
     if lhs != rhs:

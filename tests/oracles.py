@@ -3,7 +3,11 @@
 Nothing here shares an algorithm with the production code paths it
 checks: absolute lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
-enumeration with shared prefixes, determinants from cofactor expansion,
+enumeration with shared prefixes, the minimal reflection factorizations
+of an element and the lexicographically smallest one from a memoized
+depth-first search and a greedy descent that take t <= w from
+`absolute_leq` (the Carter rank of w - t), not from the walk's
+moved-space membership, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks and kernels from the rational reduced row echelon form
 (Gauss-Jordan over `Fraction`, which the package does not use), type
@@ -28,10 +32,12 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from ncpq import (absolute_leq, braid_mutate, build_registry, cartan_matrix, cox, coxeter_element,
-                  enumerate_exceptional_antichains, generate_roots,
-                  identity, interval_covers, make_reflection, Quiver, sequence_product,
-                  thick_closure)
+from hypothesis import strategies as st
+
+from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, cartan_matrix, cox,
+                  coxeter_element, enumerate_exceptional_antichains, generate_roots,
+                  identity, interval_covers, make_reflection, Quiver, ReflectionTuple,
+                  sequence_product, thick_closure)
 from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
 from ncpq.weyl import RootSystem, WeylElement, compose, simple_root
 
@@ -126,6 +132,53 @@ def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) ->
 
     extend(ident, [])
     return found
+
+
+def minimal_reflection_factorizations(w: WeylElement, roots: RootSystem) -> set:
+    """All factorizations of w into absolute_length(w) reflections, as
+    ordered tuples of positive roots, by a depth-first search memoized per
+    remaining element.
+
+    A reflection t starts a minimal factorization of the remaining element
+    r exactly when t <= r in absolute order, decided here by `absolute_leq`
+    (the Carter rank of r - t), not by the walk's span membership. Since
+    t*r <= r, the reflections below t*r are among those below r, which
+    are passed down as the candidates."""
+    assert roots.complete
+    ident = identity(w.n).matrix
+    memo: dict = {}
+
+    def factorizations(remaining: WeylElement, candidates) -> list:
+        if remaining.matrix == ident:
+            return [()]
+        found = memo.get(remaining.matrix)
+        if found is None:
+            below = tuple(t for t in candidates if absolute_leq(t.element, remaining, roots))
+            found = [(t.root,) + rest
+                     for t in below
+                     for rest in factorizations(compose(t.element, remaining), below)]
+            memo[remaining.matrix] = found
+        return found
+
+    return set(factorizations(w, roots.reflections()))
+
+
+def factor_in_reflections(w: WeylElement, roots: RootSystem, reg) -> ReflectionTuple:
+    """The lexicographically smallest minimal reflection factorization of
+    w, by greedy descent: the first reflection t in root order with
+    t <= w by `absolute_leq` starts a minimal factorization, then w
+    becomes t*w."""
+    assert roots.complete
+    assert frozenset(reg.roots()) == roots.positive_real_roots
+    ident = identity(w.n)
+    picks = []
+    remaining = w
+    while remaining != ident:
+        t = next(t for t in roots.reflections() if absolute_leq(t.element, remaining, roots))
+        picks.append(t)
+        remaining = compose(t.element, remaining)
+    assert len(picks) == absolute_length(w, roots)
+    return ReflectionTuple(w.n, tuple(picks))
 
 
 def braid_orbit_by_full_products(q: Quiver, start) -> set:
@@ -342,6 +395,21 @@ def kind_by_principal_minor_sums(entries) -> str:
 def leading_principal_minors(matrix) -> list:
     return [det_cofactor([row[:k] for row in matrix[:k]])
             for k in range(1, len(matrix) + 1)]
+
+
+@st.composite
+def oriented_dynkin(draw, names):
+    """A random orientation of one of the named `DYNKIN_QUIVERS` with a
+    random admissible order, as (name, quiver, order)."""
+    name = draw(st.sampled_from(names))
+    base = DYNKIN_QUIVERS[name]
+    arrows = tuple((t, h) if draw(st.booleans()) else (h, t) for h, t in base.arrows)
+    order: list[int] = []
+    while len(order) < base.n:
+        ready = [v for v in base.vertices if v not in order
+                 and all(h in order for h, t in arrows if t == v)]
+        order.append(draw(st.sampled_from(ready)))
+    return name, Quiver(base.n, arrows), tuple(order)
 
 
 def random_acyclic_quiver(rng: random.Random, max_n: int = 5,

@@ -15,12 +15,10 @@ from ncpq import (
     coxeter_element,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
-    factor_in_reflections,
     identity,
     interval_covers,
     is_exceptional_sequence,
     make_reflection,
-    minimal_reflection_factorizations,
     noncrossing_partitions,
     thick_closure,
     topological_order,
@@ -38,6 +36,8 @@ from oracles import (
     bijection_flags_by_brute_force,
     brute_force_factorizations,
     complete_sequences_within,
+    factor_in_reflections,
+    minimal_reflection_factorizations,
     order_failures_by_all_pairs,
     subcategories,
     weyl_group,

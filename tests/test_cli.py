@@ -7,6 +7,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
 
 from ncpq import (
     absolute_leq,
@@ -14,7 +15,6 @@ from ncpq import (
     coxeter_element,
     enumerate_complete_sequences,
     hurwitz_orbit,
-    minimal_reflection_factorizations,
     simple_root,
     topological_order,
     tuple_from_roots,
@@ -32,6 +32,7 @@ from ncpq.exc import is_connected, mutation_graph
 from ncpq.weyl import WeylElement
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
+from oracles import FACTORIZATION_COUNTS, minimal_reflection_factorizations, oriented_dynkin
 
 THREE_KRONECKER_TEXT = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n"
 
@@ -225,6 +226,20 @@ def test_hurwitz_cap_exit_4(quiver_file):
 def test_hurwitz_dot(quiver_file, capsys):
     assert main(["hurwitz", quiver_file(A2_TEXT), "--format", "dot"]) == 0
     check_dot(capsys.readouterr().out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5"]))
+def test_hurwitz_on_random_orientations(tmp_path_factory, drawn):
+    name, q, order = drawn
+    work = tmp_path_factory.mktemp("hurwitz")
+    path, out = work / "q.quiver", work / "out.json"
+    path.write_text(f"vertices {q.n}\n" + "".join(f"arrow {h} {t}\n" for h, t in q.arrows))
+    assert main(["hurwitz", str(path), "--coxeter-order", ",".join(map(str, order)),
+                 "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["orbit_size"] == payload["factorization_count"] == FACTORIZATION_COUNTS[name]
+    assert payload["single_orbit"] is True
 
 
 def test_sequences_a2_text(quiver_file, capsys):

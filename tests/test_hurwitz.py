@@ -15,7 +15,6 @@ from ncpq import (
     hurwitz_move,
     hurwitz_orbit,
     identity,
-    minimal_reflection_factorizations,
     parse_quiver,
     same_orbit,
     simple_root,
@@ -27,7 +26,11 @@ from ncpq.hurwitz import orbit_edges, replay_certificate
 from ncpq.weyl import positive_representative
 
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
-from oracles import braid_orbit_by_full_products, random_reflection_tuple_roots
+from oracles import (
+    braid_orbit_by_full_products,
+    minimal_reflection_factorizations,
+    random_reflection_tuple_roots,
+)
 
 
 def test_move_a2_example(a2):

@@ -7,12 +7,11 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ncpq import (
-    Quiver,
     absolute_length,
     absolute_leq,
+    chain_counts,
     compose,
     conjugation_depth,
     coxeter_element,
@@ -21,6 +20,7 @@ from ncpq import (
     identity,
     interval_covers,
     make_reflection,
+    multiply,
     noncrossing_partitions,
     reflect,
     reflections_below,
@@ -38,10 +38,13 @@ from ncpq.weyl import WeylElement, is_positive
 from oracles import (
     COXETER_CATALAN,
     DYNKIN_QUIVERS,
+    FACTORIZATION_COUNTS,
     apply_word,
     bfs_absolute_lengths,
     down_sets,
+    minimal_reflection_factorizations,
     nc_by_group_filter,
+    oriented_dynkin,
     random_positive_root,
     weyl_group,
 )
@@ -178,6 +181,17 @@ def test_coxeter_rank_one():
 
     q = Quiver(1, ())
     assert coxeter_element(q, (1,)) == make_reflection(q, (1,)).element
+
+
+def test_multiply_starts_at_the_first_factor(a4, monkeypatch):
+    # Four simple reflections take three products, with no identity first;
+    # only an empty product is the identity.
+    calls = []
+    monkeypatch.setattr("ncpq.weyl.compose", lambda a, b: calls.append(1) or compose(a, b))
+    c = coxeter_element(a4, (1, 2, 3, 4))
+    assert len(calls) == 3
+    assert multiply([c], 4) is c
+    assert multiply((), 4) == identity(4)
 
 
 def test_coxeter_rejects_inadmissible(a2, d4):
@@ -319,22 +333,17 @@ def test_walk_equals_group_filter(name):
         c, q, generate_roots(q))
 
 
-@st.composite
-def oriented_dynkin(draw):
-    """A random orientation of A4, D4 or A5 with a random admissible order."""
-    name = draw(st.sampled_from(["A4", "D4", "A5"]))
-    base = DYNKIN_QUIVERS[name]
-    arrows = tuple((t, h) if draw(st.booleans()) else (h, t) for h, t in base.arrows)
-    order: list[int] = []
-    while len(order) < base.n:
-        ready = [v for v in base.vertices if v not in order
-                 and all(h in order for h, t in arrows if t == v)]
-        order.append(draw(st.sampled_from(ready)))
-    return name, Quiver(base.n, arrows), tuple(order)
+@pytest.mark.parametrize("name", ["A3", "A4", "D4"])
+def test_chain_counts_are_factorization_counts(name):
+    _, roots, c = _nc(name)
+    counts = chain_counts(interval_covers(c, roots))
+    fresh = generate_roots(roots.quiver)
+    assert counts == {w: len(minimal_reflection_factorizations(w, fresh)) for w in counts}
+    assert counts[c] == FACTORIZATION_COUNTS[name]
 
 
 @settings(max_examples=30, deadline=None)
-@given(oriented_dynkin())
+@given(oriented_dynkin(["A4", "D4", "A5"]))
 def test_walk_equals_group_filter_on_random_orientations(drawn):
     name, q, order = drawn
     roots = generate_roots(q)
