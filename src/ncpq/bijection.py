@@ -39,7 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
+from .errors import CapExceededError, NcpqError, ValidationError
 from .exc import (
     ExcSequence,
     Subcategory,
@@ -127,8 +127,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     """
     t0 = time.perf_counter()
     roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("bijection verification requires finite type")
+    roots.require_complete()
     order = tuple(coxeter_order) if coxeter_order is not None else topological_order(q)
     c = coxeter_element(q, order)
     reg = build_registry(q, roots)
@@ -240,14 +239,13 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             preimage[value] = sub
         flags["injective"] = len(preimage) == len(subs)
 
-        distinct = {v.matrix for v in values}
-        nc_matrices = {w.matrix for w in covers}
-        flags["surjective"] = distinct == nc_matrices
+        distinct = set(values)
+        flags["surjective"] = distinct == covers.keys()
         if not flags["surjective"]:
             failures.append({
                 "kind": "surjectivity",
-                "missing": [list(map(list, m)) for m in sorted(nc_matrices - distinct)],
-                "extra": [list(map(list, m)) for m in sorted(distinct - nc_matrices)],
+                "missing": sorted(w.to_json() for w in covers.keys() - distinct),
+                "extra": sorted(w.to_json() for w in distinct - covers.keys()),
             })
 
         def order_failure(direction: str, a, b, val_a, val_b) -> dict:

@@ -151,28 +151,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_nc(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
     roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("the nc command requires finite type")
+    roots.require_complete()
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
     covers = interval_covers(c, roots)
-    refl_by_matrix = {roots.reflection(r).element.matrix: r for r in roots.sorted_roots()}
-    lengths = {w.matrix: absolute_length(w, roots) for w in covers}
-    elements = sorted(covers, key=lambda w: (lengths[w.matrix], w.matrix))
-    ids = {w.matrix: k for k, w in enumerate(elements)}
+    root_of = {roots.reflection(r).element: r for r in roots.sorted_roots()}
+    lengths = {w: absolute_length(w, roots) for w in covers}
+    elements = sorted(covers, key=lambda w: (lengths[w], w.matrix))
+    ids = {w: k for k, w in enumerate(elements)}
     # In a graded poset a is covered by b exactly when a = t*b for a
     # reflection t <= b, so the Hasse edges are the walk's covers.
-    edges = [(ids[a.matrix], ids[b.matrix]) for b in elements for a in covers[b]]
+    edges = [(ids[a], ids[b]) for b in elements for a in covers[b]]
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
         "count": len(elements),
         "elements": [
             {
-                "id": ids[w.matrix],
-                "length": lengths[w.matrix],
+                "id": ids[w],
+                "length": lengths[w],
                 "matrix": w.to_json(),
-                "root": list(refl_by_matrix[w.matrix]) if w.matrix in refl_by_matrix else None,
+                "root": list(root_of[w]) if w in root_of else None,
             }
             for w in elements
         ],
@@ -220,8 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hurwitz(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
     roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("the hurwitz command requires finite type")
+    roots.require_complete()
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
     start = tuple_from_roots(q, tuple(simple_root(q.n, i) for i in order))
@@ -254,8 +252,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
 def cmd_sequences(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
     roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("the sequences command requires finite type")
+    roots.require_complete()
     reg = build_registry(q, roots)
     seqs = enumerate_complete_sequences(q, reg, args.cap_sequences)
     nodes, edges = mutation_graph(seqs, reg)

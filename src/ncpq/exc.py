@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
-                     topological_sort)
+from .quiver import (Quiver, Vector, cartan_matrix, classify_type, connected_components,
+                     positive_root_count, topological_sort)
 from .rep import IndecRegistry, top_simples
 from .weyl import (
     ProductMemo,
@@ -402,18 +402,5 @@ def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
 
 
 def is_connected(node_count: int, edges: set[tuple[int, int]]) -> bool:
-    if node_count <= 1:
-        return True
-    adj: dict[int, list[int]] = {i: [] for i in range(node_count)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == node_count
+    """Whether the graph on nodes 0..node_count-1 has at most one component."""
+    return len(connected_components(node_count, edges)) <= 1

@@ -143,22 +143,33 @@ def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> Reflectio
     return braid.tuple_of(t.n, braid.step(braid.ids_of(t), i, inverse))
 
 
-def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[ReflectionTuple]:
-    """Closure of t under all forward and inverse moves."""
+def _search(braid: _Braid, start: tuple[int, ...], cap: int,
+            goal: tuple[int, ...] | None = None) -> dict[tuple[int, ...], int]:
+    """Breadth-first search of the braid orbit of a tuple of ids, stopping
+    once `goal` is reached. Maps each tuple reached to the signed move
+    that reached it from its parent, 0 for the start: the opposite move
+    leads back to the parent, as a move and its inverse undo each other.
+    Reaching more than `cap` tuples raises CapExceededError."""
     if cap < 1:
         raise ValidationError("cap must be positive")
-    braid = _Braid()
-    start = braid.ids_of(t)
-    seen = {start}
+    parents = {start: 0}
     frontier = deque([start])
     while frontier:
-        for nxt, _ in braid.neighbours(frontier.popleft()):
-            if nxt not in seen:
-                if len(seen) >= cap:
+        for nxt, move in braid.neighbours(frontier.popleft()):
+            if nxt not in parents:
+                if len(parents) >= cap:
                     raise CapExceededError(f"orbit size exceeds cap {cap}")
-                seen.add(nxt)
+                parents[nxt] = move
+                if nxt == goal:
+                    return parents
                 frontier.append(nxt)
-    return {braid.tuple_of(t.n, ids) for ids in seen}
+    return parents
+
+
+def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[ReflectionTuple]:
+    """Closure of t under all forward and inverse moves."""
+    braid = _Braid()
+    return {braid.tuple_of(t.n, ids) for ids in _search(braid, braid.ids_of(t), cap)}
 
 
 def orbit_edges(tuples: Sequence[ReflectionTuple]) -> set[tuple[int, int]]:
@@ -196,27 +207,17 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
         return True, []
     braid = _Braid()
     start, goal = braid.ids_of(a), braid.ids_of(b)
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {start: (None, 0)}
-    frontier = deque([start])
-    while frontier:
-        cur = frontier.popleft()
-        for nxt, move in braid.neighbours(cur):
-            if nxt in parents:
-                continue
-            if len(parents) >= cap:
-                raise CapExceededError(f"orbit search exceeded cap {cap}")
-            parents[nxt] = (cur, move)
-            if nxt == goal:
-                moves: list[int] = []
-                key = nxt
-                while parents[key][0] is not None:
-                    prev, move = parents[key]
-                    moves.append(move)
-                    key = prev
-                moves.reverse()
-                return True, moves
-            frontier.append(nxt)
-    return False, None
+    parents = _search(braid, start, cap, goal)
+    if goal not in parents:
+        return False, None
+    moves: list[int] = []
+    key = goal
+    while parents[key]:
+        move = parents[key]
+        moves.append(move)
+        key = braid.step(key, abs(move), move > 0)  # the opposite move: back to the parent
+    moves.reverse()
+    return True, moves
 
 
 def replay_certificate(t: ReflectionTuple, moves: list[int]) -> ReflectionTuple:

@@ -190,27 +190,6 @@ def _positive_definite(entries: IntMatrix, vertices: list[int]) -> bool:
                for k in range(1, len(vertices) + 1))
 
 
-def _components(entries: IntMatrix) -> list[list[int]]:
-    n = len(entries)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in range(n):
-                if u not in seen and entries[v][u] != 0 and u != v:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _dynkin_component_label(entries: IntMatrix, comp: list[int]) -> str:
     """ADE label of one positive definite component of the underlying graph."""
     size = len(comp)
@@ -253,7 +232,9 @@ def classify_type(c: CartanMatrix) -> Classification:
     indefinite otherwise. All of it takes polynomially many determinants.
     """
     e = c.entries
-    comps = _components(e)
+    n = len(e)
+    comps = connected_components(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                                     if e[i][j] != 0))
     kinds = []
     for comp in comps:
         if _positive_definite(e, comp):
@@ -305,6 +286,31 @@ def topological_sort(n: int, arrows: Iterable[tuple[int, int]]) -> tuple[int, ..
             if indeg[t] == 0:
                 heapq.heappush(available, t)
     return tuple(order) if len(order) == n else None
+
+
+def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected graph on vertices 0..n-1, by
+    depth-first search, each sorted and listed by its smallest vertex.
+    Loops and repeated edges may occur."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, stack = [start], [start]
+        while stack:
+            for u in adjacent[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
 
 
 def topological_order(q: Quiver) -> tuple[int, ...]:

@@ -413,10 +413,7 @@ def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
     """Construct and certify the full root -> indecomposable table."""
     if roots is None:
         roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("the registry requires finite type")
-    if not roots.complete:
-        raise ValidationError("root system is truncated; raise the height bound")
+    roots.require_complete()
     expected = positive_root_count(roots.classification.label)
     if len(roots.positive_real_roots) != expected:
         raise NcpqError("positive-root count does not match the classified type")

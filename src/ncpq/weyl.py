@@ -165,12 +165,22 @@ class RootSystem:
         self.classification = classification
         self.cartan = cartan_matrix(quiver).entries
         self._reflections: dict[Vector, Reflection] = {}
-        self._abs_len: dict[IntMatrix, int] = {}
-        self._below: dict[IntMatrix, tuple[Reflection, ...]] = {}
+        self._abs_len: dict[WeylElement, int] = {}
+        self._below: dict[WeylElement, tuple[Reflection, ...]] = {}
 
     @property
     def n(self) -> int:
         return self.quiver.n
+
+    def require_complete(self) -> None:
+        """The one refusal of work that needs every positive root: a
+        NonFiniteTypeError unless the set is `complete`, which holds only
+        in finite type with no root above the height bound."""
+        if not self.complete:
+            raise NonFiniteTypeError(
+                f"{self.classification} root system truncated at height {self.height_bound}: "
+                f"this needs finite type with every positive root of height "
+                f"<= {self.height_bound}")
 
     def sorted_roots(self) -> tuple[Vector, ...]:
         return tuple(sorted(self.positive_real_roots))
@@ -248,17 +258,16 @@ def absolute_length(w: WeylElement, roots: RootSystem) -> int:
     group", Compositio Math. 25 (1972), Lemma 2) the absolute length of w
     equals the codimension of its fixed space, rank(w - I): the pivot
     count of the echelon of its moved space (validated against
-    breadth-first search in the test suite). Memoized per matrix on the
+    breadth-first search in the test suite). Memoized per element on the
     root system; only a checked element enters the memo. Requires a
     complete root system.
     """
-    length = roots._abs_len.get(w.matrix)
+    length = roots._abs_len.get(w)
     if length is None:
-        if not roots.complete:
-            raise NonFiniteTypeError("absolute length requires a complete root system")
+        roots.require_complete()
         if w.n != roots.n:
             raise ValidationError("element rank does not match root system")
-        length = roots._abs_len[w.matrix] = len(_moved_space(w))
+        length = roots._abs_len[w] = len(_moved_space(w))
     return length
 
 
@@ -282,7 +291,7 @@ def reflections_below(w: WeylElement, roots: RootSystem,
                       _candidates: tuple[Reflection, ...] | None = None,
                       ) -> tuple[Reflection, ...]:
     """The reflections t <= w in absolute order, in root order, memoized
-    per matrix on the root system.
+    per element on the root system.
 
     t <= w means |t w| = |w| - 1: these are the first letters of the
     minimal reflection factorizations of w. By Brady-Watt (2002, "A
@@ -305,9 +314,8 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     w = t*u: w inherits the check from u, and only those need testing, as
     t <= w <= u implies t <= u. Requires a complete root system.
     """
-    if not roots.complete:
-        raise NonFiniteTypeError("reflections below an element require a complete root system")
-    found = roots._below.get(w.matrix)
+    roots.require_complete()
+    found = roots._below.get(w)
     if found is None:
         pool = _candidates
         if pool is None:
@@ -317,8 +325,8 @@ def reflections_below(w: WeylElement, roots: RootSystem,
                 raise ValidationError("the given element does not preserve the symmetric "
                                       "form of this root system")
         moved = _moved_space(w)
-        roots._abs_len[w.matrix] = len(moved)
-        found = roots._below[w.matrix] = tuple(t for t in pool if in_span(moved, t.root))
+        roots._abs_len[w] = len(moved)
+        found = roots._below[w] = tuple(t for t in pool if in_span(moved, t.root))
     return found
 
 
@@ -392,8 +400,7 @@ def noncrossing_partitions(c: WeylElement, q: Quiver, *,
     walked down from c by `interval_covers`."""
     if roots is None:
         roots = generate_roots(q)
-    if not roots.classification.is_finite:
-        raise NonFiniteTypeError("non-crossing partitions require finite type")
+    roots.require_complete()
     return set(interval_covers(c, roots))
 
 
@@ -432,7 +439,7 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
     images: list[Vector] = [()] * (k + 1)
     images[k] = alpha
     for t in range(k, 0, -1):
-        images[t - 1] = simples[word[t - 1]].element(images[t])
+        images[t - 1] = simple_reflect(roots.cartan, word[t - 1] - 1, images[t])
     if not is_negative(images[0]):
         raise ValidationError("the word does not send alpha to a negative vector")
     t_min = next(t for t in range(1, k + 1)
@@ -447,28 +454,27 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
 
 def conjugation_depth(r: Reflection, q: Quiver, *,
                       roots: RootSystem | None = None) -> int:
-    """Minimal standard length of a conjugator writing r as w s_j w^-1.
+    """Minimal standard length of a conjugator writing r as w s_j w^-1:
+    the distance from the simple roots to the root a of r, where each step
+    conjugates by one simple reflection and takes the positive
+    representative. In finite type it is ht(a) - 1.
 
-    Breadth-first search over positive roots: the simple roots sit at
-    depth 0 and each step conjugates by one simple reflection.
+    Proof. Finite type is simply laced and its form B is positive
+    definite, so for a positive root b != a_i Cauchy-Schwarz gives
+    |B(b, a_i)| < 2: the pairing is -1, 0 or 1, s_i(b) = b - B(b, a_i) a_i
+    is again positive (s_i permutes the positive roots other than a_i),
+    and one step changes the height by at most one (a step from a_i by s_i
+    returns to a_i). Every path from a simple root (height 1) to a thus
+    takes at least ht(a) - 1 steps. Conversely, if a = sum c_i a_i is not simple, then
+    2 = B(a, a) = sum c_i B(a, a_i) with every c_i >= 0, so some B(a, a_i)
+    is 1, and s_i lowers the height by exactly one; by induction ht(a) - 1
+    steps reach a simple root. The test suite checks it against a
+    breadth-first search over the roots.
     """
     if roots is None:
         roots = generate_roots(q)
     if not roots.classification.is_finite:
         raise NonFiniteTypeError("conjugation depth requires finite type")
-    target = r.root
-    if target not in roots.positive_real_roots:
-        raise ValidationError(f"{target} is not a positive real root of this quiver")
-    dist: dict[Vector, int] = {simple_root(q.n, i): 0 for i in q.vertices}
-    frontier = deque(dist)
-    while frontier:
-        v = frontier.popleft()
-        if v == target:
-            return dist[v]
-        for i in range(q.n):
-            w = simple_reflect(roots.cartan, i, v)
-            w = positive_representative(w) if any(w) else w
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                frontier.append(w)
-    return dist[target]
+    if r.root not in roots.positive_real_roots:
+        raise ValidationError(f"{r.root} is not a positive real root of this quiver")
+    return sum(r.root) - 1

@@ -16,8 +16,9 @@ moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
 pair formula with `mutation_graph` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
-after, the whole group by breadth-first search over products with the
-simple reflections, the interval [1, c] by filtering the whole group,
+after, conjugation depths by breadth-first search over roots under the simple
+reflections, the whole group by breadth-first search over products with
+the simple reflections, the interval [1, c] by filtering the whole group,
 interval sizes from the Coxeter-Catalan numbers of the
 literature, factorization counts from n!·h^n/|W|, relative simples from
 embeddings found by scanning combinations of explicit Hom bases, and the
@@ -39,7 +40,8 @@ from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, c
                   identity, interval_covers, make_reflection, Quiver, ReflectionTuple,
                   sequence_product, thick_closure)
 from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
-from ncpq.weyl import RootSystem, WeylElement, compose, simple_root
+from ncpq.weyl import (RootSystem, WeylElement, compose, positive_representative, simple_reflect,
+                       simple_root)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -83,6 +85,23 @@ def bfs_absolute_lengths(roots: RootSystem) -> dict:
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 frontier.append(nxt)
+    return dist
+
+
+def conjugation_depths_by_bfs(roots: RootSystem) -> dict:
+    """Map every positive root to its distance from the simple roots,
+    each step one simple reflection followed by the positive
+    representative, by breadth-first search."""
+    n = roots.n
+    dist = {simple_root(n, i): 0 for i in range(1, n + 1)}
+    frontier = deque(dist)
+    while frontier:
+        v = frontier.popleft()
+        for i in range(n):
+            w = positive_representative(simple_reflect(roots.cartan, i, v))
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                frontier.append(w)
     return dist
 
 

@@ -29,7 +29,7 @@ from ncpq.errors import (
     ValidationError,
 )
 from ncpq.exc import is_connected, mutation_graph
-from ncpq.weyl import WeylElement
+from ncpq.weyl import WeylElement, generate_roots
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
 from oracles import FACTORIZATION_COUNTS, minimal_reflection_factorizations, oriented_dynkin
@@ -136,6 +136,24 @@ NON_FINITE = {
 @pytest.mark.parametrize("command", ["nc", "verify", "hurwitz", "sequences"])
 def test_nc_nonfinite_exit_3(command, quiver, quiver_file, capsys):
     assert main([command, quiver_file(NON_FINITE[quiver])]) == 3
+
+
+def test_truncated_finite_type_is_refused_once(quiver_file, capsys, monkeypatch):
+    # A3 has roots of height 3; below a height bound of 2 its root system
+    # is finite but truncated, as D52's is below the default bound.
+    monkeypatch.setattr(generate_roots, "__defaults__", (2,))
+    path = quiver_file(A3_TEXT)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "Finite(A3)" and payload["complete"] is False
+    messages = set()
+    for command in ("nc", "verify", "hurwitz", "sequences"):
+        assert main([command, path]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages.add(captured.err)
+    assert messages == {"error: Finite(A3) root system truncated at height 2: this needs "
+                        "finite type with every positive root of height <= 2\n"}
 
 
 def test_nc_dot(quiver_file, capsys):

@@ -188,6 +188,41 @@ def test_all_a2_coxeter_factorizations_one_orbit(a2):
         assert replay_certificate(tuples[0], cert).roots == other.roots
 
 
+def test_same_orbit_certificates_reach_the_whole_d4_orbit(d4):
+    start = tuple_from_roots(d4, tuple(simple_root(4, i) for i in topological_order(d4)))
+    orbit = hurwitz_orbit(start)
+    assert len(orbit) == 162
+    for other in orbit:
+        ok, cert = same_orbit(start, other)
+        assert ok
+        assert replay_certificate(start, cert).roots == other.roots
+
+
+# From (s1, s2) on A2 the search meets the forward move at 1 first, then
+# the inverse one: the regions searched hold the start and 1 or 2 more.
+@pytest.mark.parametrize("goal, k", [(((0, 1), (1, 1)), 2), (((1, 1), (1, 0)), 3)])
+def test_same_orbit_cap_boundary(a2, goal, k):
+    a = tuple_from_roots(a2, ((1, 0), (0, 1)))
+    b = tuple_from_roots(a2, goal)
+    ok, cert = same_orbit(a, b, cap=k)
+    assert ok and replay_certificate(a, cert).roots == goal
+    with pytest.raises(CapExceededError):
+        same_orbit(a, b, cap=k - 1)
+
+
+def test_same_orbit_cap_boundary_off_the_orbit(a2):
+    # (s1, s1, s2) and (s2, s2, s2) have the same product s2, but braid
+    # moves keep the generated subgroup, so the search covers the whole
+    # orbit of the first without reaching the second.
+    a = tuple_from_roots(a2, ((1, 0), (1, 0), (0, 1)))
+    b = tuple_from_roots(a2, ((0, 1), (0, 1), (0, 1)))
+    k = len(hurwitz_orbit(a))
+    assert k > 1
+    assert same_orbit(a, b, cap=k) == (False, None)
+    with pytest.raises(CapExceededError):
+        same_orbit(a, b, cap=k - 1)
+
+
 def test_corrupted_conjugate_is_caught(a3, monkeypatch):
     start = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     other = hurwitz_move(start, 1)

@@ -21,7 +21,8 @@ from ncpq import (
     topological_order,
 )
 from ncpq.errors import QuiverParseError, ValidationError
-from ncpq.quiver import is_admissible_order, topological_sort
+from ncpq.exc import is_connected
+from ncpq.quiver import connected_components, is_admissible_order, topological_sort
 
 from oracles import kind_by_principal_minor_sums, leading_principal_minors, random_acyclic_quiver
 
@@ -306,6 +307,36 @@ def test_topological_sort_is_smallest_admissible_permutation(graph):
                   if all(p.index(h) < p.index(t) for h, t in arrows)]
     expected = min(admissible) if admissible else None
     assert topological_sort(n, arrows) == expected
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_connected_components_match_union_find(graph):
+    n, edges = graph
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in range(n):
+        blocks.setdefault(find(v), []).append(v)
+    expected = sorted(blocks.values())
+    assert connected_components(n, edges) == expected
+    assert is_connected(n, set(edges)) == (len(expected) <= 1)
 
 
 def test_admissible_order(d4):

@@ -14,6 +14,7 @@ from ncpq import (
     build_registry,
     ext_dim,
     euler_form,
+    generate_roots,
     hom_dim,
     indecomposable_for_root,
     is_exceptional,
@@ -149,6 +150,11 @@ def test_registry_build_deterministic(a3, a3_roots):
 def test_registry_rejects_nonfinite(kronecker):
     with pytest.raises(NonFiniteTypeError):
         build_registry(kronecker)
+
+
+def test_registry_refuses_truncated_finite_roots(a3):
+    with pytest.raises(NonFiniteTypeError, match="height <= 2"):
+        build_registry(a3, generate_roots(a3, 2))
 
 
 def test_registry_unknown_root(a2_reg):

@@ -41,6 +41,7 @@ from oracles import (
     FACTORIZATION_COUNTS,
     apply_word,
     bfs_absolute_lengths,
+    conjugation_depths_by_bfs,
     down_sets,
     minimal_reflection_factorizations,
     nc_by_group_filter,
@@ -472,6 +473,25 @@ def test_conjugation_depth_a2_highest(a2):
 
 def test_conjugation_depth_a3_highest(a3):
     assert conjugation_depth(make_reflection(a3, (1, 1, 1)), a3) == 2
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_QUIVERS))
+def test_conjugation_depth_is_the_bfs_distance(name):
+    q = DYNKIN_QUIVERS[name]
+    roots = generate_roots(q)
+    expected = conjugation_depths_by_bfs(roots)
+    assert expected.keys() == roots.positive_real_roots
+    for root, depth in expected.items():
+        assert conjugation_depth(roots.reflection(root), q, roots=roots) == depth
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5"]))
+def test_conjugation_depth_is_the_bfs_distance_on_random_orientations(drawn):
+    _, q, _ = drawn
+    roots = generate_roots(q)
+    for root, depth in conjugation_depths_by_bfs(roots).items():
+        assert conjugation_depth(roots.reflection(root), q, roots=roots) == depth
 
 
 def test_conjugation_depth_refuses_nonfinite(kronecker):
