@@ -4,19 +4,22 @@ below the Coxeter element.
 
 The map sends a subcategory B to cox(B), the product of the reflections
 at its simples, ordered as an exceptional sequence. Both posets are
-enumerated independently (antichain scan versus a walk down the
-interval's covers from c). Injectivity and surjectivity compare the two
+walked down by their covers, independently: the subcategories from the
+whole category by B -> B ∩ x^⊥ (`exc.subcategory_covers`, each B then
+checked thick and of its level's rank), the interval from c by w -> t·w
+(`weyl.interval_covers`). Injectivity and surjectivity compare the two
 sets, and one certificate on covers checks the rest, with every failure
 reported as a reproducible JSON payload:
 
 - Well-definedness, by induction on rank. For every listed B and every
-  indecomposable x of B, A = B ∩ x^⊥ must be listed, of rank one less,
-  with cox(A)·s_x = cox(B). A complete exceptional sequence of B ends in
-  some x of B; the entries before it receive no Hom and no Ext from x, so
-  they are an exceptional sequence in A of length rank A, which is
-  complete in A (Crawley-Boevey 1993). By induction it multiplies to
-  cox(A), so the whole sequence multiplies to cox(A)·s_x = cox(B). The
-  base is the zero subcategory, whose only sequence is empty.
+  indecomposable x of B, the descent lists A = B ∩ x^⊥, of rank one
+  less, and cox(A)·s_x = cox(B) must hold. A complete exceptional
+  sequence of B ends in some x of B; the entries before it receive no
+  Hom and no Ext from x, so they are an exceptional sequence in A of
+  length rank A, which is complete in A (Crawley-Boevey 1993). By
+  induction it multiplies to cox(A), so the whole sequence multiplies
+  to cox(A)·s_x = cox(B). The base is the zero subcategory, whose only
+  sequence is empty.
 - Order isomorphism, by Hasse diagrams. The pairs (A, B) above are
   exactly the covers of containment: rank grows strictly along strict
   containment, and if A is covered by B, then B ∩ ⊥A has rank one, its
@@ -40,15 +43,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .exc import (
-    ExcSequence,
-    Subcategory,
-    enumerate_exceptional_antichains,
-    is_exceptional_sequence,
-    order_antichain,
-    sequence_product,
-    thick_closure,
-)
+from .exc import (Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product,
+                  subcategory_covers)
 from .quiver import Quiver, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
@@ -121,9 +117,9 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
 
     The checks are the certificate of the module docstring. Counts:
     `well_defined_witnesses` is the number of induction products
-    cox(A)·s_x checked, `covers` the number of covers of [1, c] and
-    `chains` the number of its maximal chains, which is the number of
-    minimal reflection factorizations of c.
+    cox(A)·s_x checked, one per cover of the descent, `covers` the number
+    of covers of [1, c] and `chains` the number of its maximal chains,
+    which is the number of minimal reflection factorizations of c.
     """
     t0 = time.perf_counter()
     roots = generate_roots(q)
@@ -166,32 +162,18 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         counts["covers"] = len(walk_covers)
         counts["chains"] = chain_counts(covers)[c]
 
-        antichains = sorted(enumerate_exceptional_antichains(q, reg),
-                            key=lambda a: tuple(sorted(a)))
-        subs: list[Subcategory] = []
-        for antichain in antichains:
-            sub = thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
-            if frozenset(sub.simples) != antichain:
-                failures.append({
-                    "kind": "antichain_recovery",
-                    "antichain": [list(r) for r in sorted(antichain)],
-                    "recovered_simples": [list(r) for r in sub.simples],
-                })
-            subs.append(sub)
-        counts["subcategories"] = len({s.ind_roots for s in subs})
-        if counts["subcategories"] != len(subs):
-            failures.append({"kind": "duplicate_subcategory",
-                             "detail": "distinct antichains produced equal closures"})
+        # The whole category has rank n, and each step down lowers it by one.
+        descent = subcategory_covers(reg)
+        rank = {next(iter(descent)): q.n}
+        for ind, children in descent.items():
+            rank.update(dict.fromkeys(children, rank[ind] - 1))
+        subs = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
+        counts["subcategories"] = len(subs)
+        values = {sub: cox(sub, reg, roots) for sub in subs.values()}
 
-        values = [cox(sub, reg, roots) for sub in subs]
-
-        # Induction on rank. The pairs (A, B) it meets are the covers of
-        # containment, kept as indices into subs.
-        index = {sub.ind_roots: k for k, sub in enumerate(subs)}
-        ident = identity(q.n)
-        sub_covers: list[tuple[int, int]] = []
+        # Induction on rank over the descent's covers (A, B), A = B ∩ x^⊥.
+        sub_covers = [(subs[a], subs[b]) for b, children in descent.items() for a in children]
         well_defined = True
-        products = 0
 
         def induction_failure(sub: Subcategory, x, expected: WeylElement, got) -> None:
             nonlocal well_defined
@@ -201,21 +183,15 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 "subcategory": sub.to_json(),
                 "last": None if x is None else list(x),
                 "expected": expected.to_json(),
-                "got": None if got is None else got.to_json(),
+                "got": got.to_json(),
             })
 
-        for k, (sub, value) in enumerate(zip(subs, values)):
-            if not sub.ind_roots and value != ident:
-                induction_failure(sub, None, value, ident)
-            for x in sorted(sub.ind_roots):
-                j = index.get(sub.ind_roots & reg.right_orth(x))
-                if j is None:
-                    induction_failure(sub, x, value, None)
-                    continue
-                sub_covers.append((j, k))
-                got = compose(values[j], roots.reflection(x).element)
-                products += 1
-                if got != value or subs[j].rank != sub.rank - 1:
+        for sub, value in values.items():
+            if not sub.ind_roots and value != identity(q.n):
+                induction_failure(sub, None, value, identity(q.n))
+            for x, below in zip(sorted(sub.ind_roots), descent[sub.ind_roots]):
+                got = compose(values[subs[below]], roots.reflection(x).element)
+                if got != value:
                     induction_failure(sub, x, value, got)
             if value not in covers:
                 well_defined = False
@@ -224,11 +200,11 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                     "subcategory": sub.to_json(),
                     "image": value.to_json(),
                 })
-        counts["well_defined_witnesses"] = products
+        counts["well_defined_witnesses"] = len(sub_covers)
         flags["well_defined"] = well_defined
 
         preimage: dict[WeylElement, Subcategory] = {}
-        for sub, value in zip(subs, values):
+        for sub, value in values.items():
             if value in preimage:
                 failures.append({
                     "kind": "injectivity",
@@ -239,7 +215,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             preimage[value] = sub
         flags["injective"] = len(preimage) == len(subs)
 
-        distinct = set(values)
+        distinct = set(values.values())
         flags["surjective"] = distinct == covers.keys()
         if not flags["surjective"]:
             failures.append({
@@ -258,9 +234,9 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 "cox_b": val_b.to_json(),
             }
 
-        image_covers = {(values[j], values[k]) for j, k in sub_covers}
-        forward = [order_failure("forward", subs[j], subs[k], values[j], values[k])
-                   for j, k in sub_covers if (values[j], values[k]) not in walk_covers]
+        image_covers = {(values[a], values[b]) for a, b in sub_covers}
+        forward = [order_failure("forward", a, b, values[a], values[b])
+                   for a, b in sub_covers if (values[a], values[b]) not in walk_covers]
         backward = [order_failure("backward", preimage.get(x), preimage.get(w), x, w)
                     for w, children in covers.items() for x in children
                     if (x, w) not in image_covers]

@@ -23,6 +23,7 @@ from .weyl import (
     ProductMemo,
     RootSystem,
     WeylElement,
+    chain_counts,
     multiply,
     positive_representative,
     reflect,
@@ -177,31 +178,61 @@ def _finite_root_count(q: Quiver) -> int:
     return positive_root_count(classification.label)
 
 
-def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
-    """Thick closure of an exceptional sequence, with its simples.
+def _checked_subcategory(ind: frozenset[Vector], rank: int,
+                         reg: IndecRegistry) -> Subcategory:
+    """The subcategory on `ind`, checked: `rank` simples that order into an
+    exceptional sequence, as many indecomposables as the roots of their
+    Ext-quiver, and `ind` is the double perpendicular of the simples."""
+    simples = _subcategory_simples(ind, reg)
+    if len(simples) != rank:
+        raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
+    ordered = order_antichain(simples, reg)
+    if not is_exceptional_sequence(ordered, reg):
+        raise NcpqError("subcategory simples do not order into an exceptional sequence")
+    if ordered and _relative_root_count(ordered, reg) != len(ind):
+        raise NcpqError("subcategory size disagrees with its relative root count")
+    if closure_indecomposables(ordered, reg) != ind:
+        raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
+    return Subcategory(ind, ordered)
 
-    Checks the double-perpendicular fixpoint, that the number of simples
-    equals the sequence length, and that the closure has exactly as many
-    indecomposables as the root system of its Ext-quiver predicts.
-    """
+
+def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
+    """Thick closure of an exceptional sequence, with its simples, checked
+    by `_checked_subcategory` at the sequence's length."""
     members = seq.roots
     if not is_exceptional_sequence(members, reg):
         raise ValidationError("input is not an exceptional sequence")
     ind = closure_indecomposables(members, reg)
-    if closure_indecomposables(tuple(sorted(ind)), reg) != ind:
-        raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
     if not set(members) <= ind:
         raise NcpqError("closure lost a generator; this is a bug")
-    simples = _subcategory_simples(ind, reg)
-    if len(simples) != len(members):
-        raise NcpqError(
-            f"closure of a length-{len(members)} sequence has {len(simples)} simples")
-    ordered = order_antichain(simples, reg)
-    if not is_exceptional_sequence(ordered, reg):
-        raise NcpqError("subcategory simples do not order into an exceptional sequence")
-    if members and _relative_root_count(ordered, reg) != len(ind):
-        raise NcpqError("closure size disagrees with its relative root count")
-    return Subcategory(ind, ordered)
+    return _checked_subcategory(ind, len(members), reg)
+
+
+def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, ...]]:
+    """The Hasse diagram of the thick exceptional subcategories under
+    containment, each given by its indecomposables, walked down level by
+    level from the whole category: B maps to the tuple of B ∩ x^⊥ for x
+    in sorted(B), and every B comes before the subcategories it covers.
+    A set met at two levels is refused as a bug. The sets are not
+    checked here; `_checked_subcategory` checks one at its level.
+
+    The descent reaches every subcategory: thick(E_1, ..., E_k) =
+    (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
+    exceptional sequence completes (Schofield 1991; Crawley-Boevey 1993).
+    The complete sequences of B are the s + (x,) with x in B and s
+    complete in B ∩ x^⊥, so `weyl.chain_counts` counts them.
+    """
+    covers: dict[frozenset, tuple[frozenset, ...]] = {}
+    level = [frozenset(reg.roots())]
+    while level:
+        met: dict[frozenset, frozenset] = {}
+        for b in level:
+            children = (b & reg.right_orth(x) for x in sorted(b))
+            covers[b] = tuple(met.setdefault(a, a) for a in children)
+        if not covers.keys().isdisjoint(met):
+            raise NcpqError("the subcategory descent met a set at two levels; this is a bug")
+        level = list(met)
+    return covers
 
 
 def _mutated_pair(a: Vector, b: Vector, inverse: bool,
@@ -278,37 +309,26 @@ def is_projective_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
     return True
 
 
-def exceptional_sequences(pool: Sequence[Vector], length: int,
-                          reg: IndecRegistry) -> Iterator[tuple[Vector, ...]]:
-    """Every exceptional sequence of the given length with members in pool,
-    lazily, by backtracking: an entry may follow the chosen prefix when it
-    sends no Hom and no Ext to any of it."""
-    chosen: list[Vector] = []
-    orthogonal = [(x, reg.right_orth(x)) for x in pool]
-
-    def backtrack():
-        if len(chosen) == length:
-            yield tuple(chosen)
-            return
-        for x, orth in orthogonal:
-            if orth.issuperset(chosen):
-                chosen.append(x)
-                yield from backtrack()
-                chosen.pop()
-
-    return backtrack()
+def _complete_sequences(b: frozenset[Vector], covers: dict) -> Iterator[tuple[Vector, ...]]:
+    """Every complete exceptional sequence of the subcategory on b, lazily:
+    s + (x,) for x in b and s a complete sequence of b ∩ x^⊥."""
+    if not b:
+        yield ()
+    for x, below in zip(sorted(b), covers[b]):
+        for s in _complete_sequences(below, covers):
+            yield s + (x,)
 
 
 def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
                                  cap: int = DEFAULT_SEQUENCE_CAP) -> set[ExcSequence]:
-    """All complete exceptional sequences; raises once more than `cap` are
-    found."""
-    results: set[ExcSequence] = set()
-    for seq in exceptional_sequences(reg.roots(), q.n, reg):
-        if len(results) >= cap:
-            raise CapExceededError(f"sequence count exceeds cap {cap}")
-        results.add(ExcSequence(seq))
-    return results
+    """All complete exceptional sequences of the registry's quiver, listed
+    down `subcategory_covers`. They are counted first, as its maximal
+    chains, and more than `cap` of them raise before any is listed."""
+    covers = subcategory_covers(reg)
+    top = next(iter(covers))
+    if chain_counts(covers)[top] > cap:
+        raise CapExceededError(f"sequence count exceeds cap {cap}")
+    return {ExcSequence(s) for s in _complete_sequences(top, covers)}
 
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:

@@ -202,6 +202,11 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootS
     """Close the simple roots under simple reflections, keeping positive
     vectors of coordinate sum <= height_bound.
 
+    Every vector reached is a positive real root v, and s_i changes only
+    coordinate i: s_i(v) is negative exactly when v = alpha_i (the one
+    real root that is a multiple of alpha_i), and otherwise positive
+    unless its coordinate i is negative, which is a mixed-sign bug.
+
     Truncation is never silent: it clears the `complete` flag.
     """
     if height_bound < 1:
@@ -215,10 +220,10 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootS
     while frontier:
         v = frontier.popleft()
         for i in range(q.n):
+            if v == simples[i]:
+                continue  # s_i sends alpha_i to -alpha_i
             w = simple_reflect(cart.entries, i, v)
-            if is_negative(w):
-                continue  # only happens reflecting a simple root onto itself
-            if not is_positive(w):
+            if w[i] < 0:
                 raise NcpqError(f"mixed-sign image {w} in root generation")
             if sum(w) > height_bound:
                 truncated = True
@@ -374,23 +379,22 @@ def interval_covers(c: WeylElement,
     return covers
 
 
-def chain_counts(covers: dict[WeylElement, tuple[WeylElement, ...]]) -> dict[WeylElement, int]:
-    """For each element w of a walk from `interval_covers`, the number of
-    maximal chains of covers from w down to 1, by dynamic programming
-    from the identity up (the walk lists every element before those it
-    covers).
+def chain_counts(covers: dict) -> dict:
+    """For each key w of a Hasse diagram listing every key before those it
+    covers (`interval_covers`, `exc.subcategory_covers`), the number of
+    maximal chains of covers from w down, by dynamic programming upward.
 
-    It is the number of minimal reflection factorizations of w. A
-    factorization w = t_1 ... t_k with k = |w| gives the chain
-    w > t_1 w > t_2 t_1 w > ... > 1, each step a cover because it lowers
-    the length by one, and the chain gives back the t_i. The walk is
-    complete below every element it holds (see `interval_covers`), so
-    every such chain is in it.
+    On the interval walk it is the number of minimal reflection
+    factorizations of w. A factorization w = t_1 ... t_k with k = |w|
+    gives the chain w > t_1 w > t_2 t_1 w > ... > 1, each step a cover
+    because it lowers the length by one, and the chain gives back the
+    t_i. The walk is complete below every element it holds (see
+    `interval_covers`), so every such chain is in it. On the descent it
+    is the number of complete exceptional sequences of a subcategory.
     """
-    chains: dict[WeylElement, int] = {}
+    chains = {}
     for w in reversed(covers):
-        children = covers[w]
-        chains[w] = sum(chains[x] for x in children) if children else 1
+        chains[w] = sum(chains[x] for x in covers[w]) if covers[w] else 1
     return chains
 
 

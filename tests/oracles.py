@@ -20,8 +20,12 @@ after, conjugation depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with
 the simple reflections, the interval [1, c] by filtering the whole group,
 interval sizes from the Coxeter-Catalan numbers of the
-literature, factorization counts from n!·h^n/|W|, relative simples from
-embeddings found by scanning combinations of explicit Hom bases, and the
+literature, factorization counts from n!·h^n/|W| (both pinned for E7
+and E8 too), relative simples from
+embeddings found by scanning combinations of explicit Hom bases, the
+subcategories as the thick closures of all exceptional antichains, not
+by the descent from the whole category, exceptional sequences by a
+backtracker over prefixes, not over the descent, and the
 bijection's flags from every complete exceptional sequence of every
 subcategory and from containment against absolute order on every pair.
 """
@@ -39,7 +43,7 @@ from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, c
                   coxeter_element, enumerate_exceptional_antichains, generate_roots,
                   identity, interval_covers, make_reflection, Quiver, ReflectionTuple,
                   sequence_product, thick_closure)
-from ncpq.exc import ExcSequence, closure_indecomposables, exceptional_sequences, order_antichain
+from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
 from ncpq.weyl import (RootSystem, WeylElement, compose, positive_representative, simple_reflect,
                        simple_root)
 
@@ -52,6 +56,11 @@ COXETER_CATALAN = {"A2": 5, "A3": 14, "A4": 42, "A5": 132,
 # (Deligne 1974; Chapoton 2006), with h the Coxeter number.
 FACTORIZATION_COUNTS = {"A2": 3, "A3": 16, "A4": 125, "A5": 1296,
                         "D4": 162, "D5": 2048, "E6": 41472}
+
+# E7 and E8: (Coxeter-Catalan number, n!·h^n/|W|) from the same formulas
+# (Armstrong, Mem. AMS 949, 2009; Chapoton 2006), kept apart from the two
+# tables above so that the brute-force tests over them stay desk-sized.
+CLOSED_FORM_PINS = {"E7": (4160, 1062882), "E8": (25080, 37968750)}
 
 # One orientation of each Dynkin diagram, linear or branching at vertex 3.
 DYNKIN_QUIVERS = {
@@ -272,6 +281,26 @@ def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
     """The interval [1, c] of absolute order as a filter on the whole
     group: every element of W, kept when it lies below c."""
     return {w for w in weyl_group(q) if absolute_leq(w, c, roots)}
+
+
+def exceptional_sequences(pool, length: int, reg):
+    """Every exceptional sequence of the given length with members in pool,
+    lazily, by backtracking over prefixes: an entry may follow the chosen
+    prefix when it sends no Hom and no Ext to any of it."""
+    chosen: list = []
+    orthogonal = [(x, reg.right_orth(x)) for x in pool]
+
+    def backtrack():
+        if len(chosen) == length:
+            yield tuple(chosen)
+            return
+        for x, orth in orthogonal:
+            if orth.issuperset(chosen):
+                chosen.append(x)
+                yield from backtrack()
+                chosen.pop()
+
+    return backtrack()
 
 
 def complete_sequences_within(sub, reg) -> list:

@@ -30,6 +30,7 @@ from ncpq.exc import order_antichain, sequence_product
 from ncpq.hurwitz import hurwitz_orbit
 
 from oracles import (
+    CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
     bfs_absolute_lengths,
@@ -267,24 +268,41 @@ def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch
     assert not report.flags["well_defined"]
 
 
-def test_missing_subcategory_breaks_the_induction(a3, a3_reg, monkeypatch):
-    # Drop the antichain {S1}: the induction from any B with B ∩ x^⊥ = add S1
-    # finds no listed A and reports got = None.
-    real = ncpq.bijection.enumerate_exceptional_antichains
+def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypatch):
+    # Drop add S1 from the descent, and its cover from every parent: each
+    # parent then pairs some x with the child of its neighbour, the image
+    # of add S1 is missed, and so is every cover of [1, c] through it.
+    real = ncpq.bijection.subcategory_covers
     dropped = frozenset({(1, 0, 0)})
 
-    def fewer(q, reg):
-        return real(q, reg) - {dropped}
+    def fewer(reg):
+        return {b: tuple(a for a in children if a != dropped)
+                for b, children in real(reg).items() if b != dropped}
 
-    monkeypatch.setattr("ncpq.bijection.enumerate_exceptional_antichains", fewer)
+    monkeypatch.setattr("ncpq.bijection.subcategory_covers", fewer)
     report = verify_bijection(a3, (1, 2, 3))
     assert not report.flags["well_defined"] and not report.flags["surjective"]
-    unlisted = [f for f in report.failures if f["kind"] == "well_defined" and f["got"] is None]
-    assert unlisted
-    for f in unlisted:
+    assert not report.flags["order_iso_backward"]
+    s1 = make_reflection(a3, (1, 0, 0)).element
+    by_kind = {}
+    for f in report.failures:
+        by_kind.setdefault(f["kind"], []).append(f)
+    assert by_kind["surjectivity"] == [{"kind": "surjectivity", "missing": [s1.to_json()],
+                                        "extra": []}]
+    for f in by_kind["well_defined"]:
         ind = {tuple(r) for r in f["subcategory"]["indecomposables"]}
-        orth = a3_reg.right_orth(tuple(f["last"]))
-        assert ind & orth == {(1, 0, 0)}
+        assert any(ind & a3_reg.right_orth(x) == dropped for x in ind)
+    c = coxeter_element(a3, (1, 2, 3))
+    through = {json.dumps([x.to_json(), w.to_json()])
+               for w, children in interval_covers(c, a3_roots).items()
+               for x in children if s1 in (x, w)}
+    backward = by_kind["order_preservation"]
+    assert {json.dumps([f["cox_a"], f["cox_b"]]) for f in backward} == through
+    assert len(backward) == len(through)
+    for f in backward:
+        assert f["direction"] == "backward"
+        assert (f["subcategory_a"] is None) == (f["cox_a"] == s1.to_json())
+        assert (f["subcategory_b"] is None) == (f["cox_b"] == s1.to_json())
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZATION_COUNTS))
@@ -297,6 +315,14 @@ def test_certificate_matches_brute_force_oracles(name):
     assert report.flags == bijection_flags_by_brute_force(q, report.coxeter_order)
     assert report.counts["chains"] == FACTORIZATION_COUNTS[name]
     assert report.counts["covers"] == report.counts["well_defined_witnesses"]
+
+
+def test_e7_counts_match_the_closed_forms():
+    catalan, chains = CLOSED_FORM_PINS["E7"]
+    report = verify_bijection(DYNKIN_QUIVERS["E7"])
+    assert report.all_ok
+    assert report.counts["subcategories"] == report.counts["nc"] == catalan
+    assert report.counts["chains"] == chains
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

@@ -37,13 +37,18 @@ from ncpq.exc import (
     mutation_graph,
     order_antichain,
     slot_fillers,
+    subcategory_covers,
 )
-from ncpq.weyl import simple_root
+from ncpq.weyl import chain_counts, simple_root
 from oracles import (
+    CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
+    exceptional_sequences,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,
+    oriented_dynkin,
     simples_by_injective_maps,
+    subcategories,
 )
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
@@ -410,6 +415,101 @@ def test_sequence_counts(a2_reg, a3_reg):
 def test_sequence_cap(a3_reg):
     with pytest.raises(CapExceededError):
         enumerate_complete_sequences(a3_reg.quiver, a3_reg, cap=5)
+
+
+def _backtracked(q, reg) -> set:
+    return {ExcSequence(s) for s in exceptional_sequences(reg.roots(), q.n, reg)}
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_sequence_cap_boundary(label, monkeypatch):
+    # The count comes first: at cap = count every sequence is listed, one
+    # below it the cap is refused before the lister runs at all.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    count = len(_backtracked(q, reg))
+    assert len(enumerate_complete_sequences(q, reg, cap=count)) == count
+
+    def unlisted(*args):
+        raise AssertionError("sequences listed past the cap")
+
+    monkeypatch.setattr(exc, "_complete_sequences", unlisted)
+    with pytest.raises(CapExceededError, match=f"sequence count exceeds cap {count - 1}$"):
+        enumerate_complete_sequences(q, reg, cap=count - 1)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5"])
+def test_complete_sequences_match_the_backtracker(label):
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    assert enumerate_complete_sequences(q, reg) == _backtracked(q, reg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5"]))
+def test_complete_sequences_match_the_backtracker_on_random_orientations(drawn):
+    _, q, _ = drawn
+    reg = build_registry(q)
+    assert enumerate_complete_sequences(q, reg) == _backtracked(q, reg)
+
+
+@pytest.mark.parametrize("label", sorted(set(DYNKIN_QUIVERS) - {"E8"}))
+def test_descent_lists_the_antichain_closures(label):
+    # Indecomposables and checked ordered simples of every subcategory,
+    # against the thick closures of all exceptional antichains; every
+    # cover of the descent lowers the rank by one.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    expected = {sub.ind_roots: sub for sub in subcategories(q, reg)}
+    descent = subcategory_covers(reg)
+    assert descent.keys() == expected.keys()
+    for ind, children in descent.items():
+        assert exc._checked_subcategory(ind, expected[ind].rank, reg) == expected[ind]
+        assert all(expected[a].rank == expected[ind].rank - 1 for a in children)
+
+
+@pytest.mark.parametrize("label", sorted(CLOSED_FORM_PINS))
+def test_descent_matches_the_closed_forms(label):
+    catalan, sequences = CLOSED_FORM_PINS[label]
+    covers = subcategory_covers(build_registry(DYNKIN_QUIVERS[label]))
+    assert len(covers) == catalan
+    assert chain_counts(covers)[next(iter(covers))] == sequences
+
+
+def test_subcategory_check_runs_the_fixpoint(a3_reg):
+    # {S2, S3, P12} has the two simples S2, S3, which order into an
+    # exceptional sequence whose relative quiver A2 has 3 roots, but it is
+    # not their thick closure {S2, S3, P23}: only the fixpoint catches it.
+    fake = frozenset({(0, 1, 0), (0, 0, 1), (1, 1, 0)})
+    with pytest.raises(NcpqError, match="fixpoint"):
+        exc._checked_subcategory(fake, 2, a3_reg)
+
+
+def test_subcategory_check_refuses_the_wrong_rank(a3_reg):
+    everything = frozenset(a3_reg.roots())
+    assert exc._checked_subcategory(everything, 3, a3_reg).rank == 3
+    for rank in (2, 4):
+        with pytest.raises(NcpqError, match=f"rank {rank} has 3 simples"):
+            exc._checked_subcategory(everything, rank, a3_reg)
+
+
+def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):
+    # A registry whose P123^⊥ holds everything the first time it is asked
+    # hands the whole category back as its own child, once, so a descent
+    # without the check still ends.
+    reg = build_registry(a3)
+    real = reg.right_orth
+    corrupted = [(1, 1, 1)]
+
+    def right_orth(x):
+        if x in corrupted:
+            corrupted.remove(x)
+            return frozenset(reg.roots())
+        return real(x)
+
+    monkeypatch.setattr(reg, "right_orth", right_orth)
+    with pytest.raises(NcpqError, match="two levels"):
+        subcategory_covers(reg)
 
 
 def test_antichains_a2(a2_reg):
