@@ -15,20 +15,13 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import weyl
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import (Quiver, Vector, cartan_matrix, classify_type, connected_components,
                      positive_root_count, topological_sort)
+from .hurwitz import _Braid
 from .rep import IndecRegistry, top_simples
-from .weyl import (
-    ProductMemo,
-    RootSystem,
-    WeylElement,
-    chain_counts,
-    multiply,
-    positive_representative,
-    reflect,
-    simple_root,
-)
+from .weyl import RootSystem, WeylElement, chain_counts, multiply, simple_root
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 
@@ -214,7 +207,10 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, .
     level from the whole category: B maps to the tuple of B ∩ x^⊥ for x
     in sorted(B), and every B comes before the subcategories it covers.
     A set met at two levels is refused as a bug. The sets are not
-    checked here; `_checked_subcategory` checks one at its level.
+    checked here; `_checked_subcategory` checks one at its level. Holding
+    more than `weyl.DEFAULT_INTERVAL_CAP` subcategories (read at call
+    time; they are in bijection with the interval [1, c]) raises
+    CapExceededError.
 
     The descent reaches every subcategory: thick(E_1, ..., E_k) =
     (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
@@ -222,44 +218,39 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, .
     The complete sequences of B are the s + (x,) with x in B and s
     complete in B ∩ x^⊥, so `weyl.chain_counts` counts them.
     """
+    cap = weyl.DEFAULT_INTERVAL_CAP
     covers: dict[frozenset, tuple[frozenset, ...]] = {}
     level = [frozenset(reg.roots())]
+    held = 1
     while level:
         met: dict[frozenset, frozenset] = {}
         for b in level:
-            children = (b & reg.right_orth(x) for x in sorted(b))
-            covers[b] = tuple(met.setdefault(a, a) for a in children)
+            children = []
+            for x in sorted(b):
+                a = b & reg.right_orth(x)
+                if a not in met:
+                    held += 1
+                    if held > cap:
+                        raise CapExceededError(f"subcategory count exceeds cap {cap}")
+                    met[a] = a
+                children.append(met[a])
+            covers[b] = tuple(children)
         if not covers.keys().isdisjoint(met):
             raise NcpqError("the subcategory descent met a set at two levels; this is a bug")
         level = list(met)
     return covers
 
 
-def _mutated_pair(a: Vector, b: Vector, inverse: bool,
-                  reg: IndecRegistry) -> tuple[Vector, Vector]:
-    """The pair that a braid move puts in place of (a, b): the mutated
-    slot is the unique indecomposable whose root is the (sign-normalized)
-    reflection of one neighbor's root at the other."""
-    q = reg.quiver
-    if inverse:
-        pair = (positive_representative(reflect(q, a, b)), a)
-    else:
-        pair = (b, positive_representative(reflect(q, b, a)))
-    for r in pair:
-        if r not in reg:
-            raise NcpqError(f"mutated vector {r} is not a root; this is a bug")
-    return pair
-
-
 def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
-    """Braid move on a complete exceptional sequence, checked exceptional."""
-    n = reg.quiver.n
-    if len(seq) != n:
+    """Braid move at i on a complete exceptional sequence, checked
+    exceptional: the Hurwitz move on the reflections at its roots, so
+    (a, b) becomes (b, s_b(a)) forward and (s_a(b), a) inverse, signs
+    dropped, on the move table of `hurwitz` with the root system's
+    reflections."""
+    if len(seq) != reg.quiver.n:
         raise ValidationError("braid mutation is defined on complete sequences")
-    if not 1 <= i <= len(seq) - 1:
-        raise ValidationError(f"mutation index {i} out of range 1..{len(seq) - 1}")
-    pair = _mutated_pair(seq.roots[i - 1], seq.roots[i], inverse, reg)
-    roots = seq.roots[: i - 1] + pair + seq.roots[i + 1:]
+    braid = _Braid(reg.rootsystem.reflection)
+    roots = braid.roots_of(braid.step(tuple(map(braid.root_id, seq.roots)), i, inverse))
     if not is_exceptional_sequence(roots, reg):
         raise NcpqError("mutation produced a non-exceptional sequence; this is a bug")
     return ExcSequence(roots)
@@ -323,7 +314,10 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
                                  cap: int = DEFAULT_SEQUENCE_CAP) -> set[ExcSequence]:
     """All complete exceptional sequences of the registry's quiver, listed
     down `subcategory_covers`. They are counted first, as its maximal
-    chains, and more than `cap` of them raise before any is listed."""
+    chains, and more than `cap` of them raise before any is listed. `q`
+    must be the registry's quiver."""
+    if q != reg.quiver:
+        raise ValidationError("the quiver is not the registry's quiver")
     covers = subcategory_covers(reg)
     top = next(iter(covers))
     if chain_counts(covers)[top] > cap:
@@ -333,7 +327,9 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:
     """All pairwise Hom-orthogonal root sets whose Ext-quiver is acyclic,
-    including the empty one."""
+    including the empty one. `q` must be the registry's quiver."""
+    if q != reg.quiver:
+        raise ValidationError("the quiver is not the registry's quiver")
     roots = reg.roots()
     k = len(roots)
     orthogonal = [[reg.hom(roots[i], roots[j]) == 0 and reg.hom(roots[j], roots[i]) == 0
@@ -376,16 +372,11 @@ def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
     """Forward mutation edges between complete sequences, as index pairs
     into the sorted node list.
 
-    Every node is checked complete and exceptional once, and every
-    neighbor must be a node, so every neighbor is exceptional too.
-
-    Asserts product invariance on every edge. A mutation at i replaces
-    the pair (a, b) by (b', c') and keeps every other entry, so the
-    product X*a*b*Y of the reflections equals X*b'*c'*Y exactly when
-    a*b = b'*c' (cancel the invertible X and Y). The mutated pair, its
-    root membership and that product check depend only on (a, b), so
-    each distinct pair is mutated and checked once and every edge
-    through it is covered.
+    Every node is checked complete and exceptional once. The edges are
+    the Hurwitz moves on the reflections at the roots, read off one move
+    table of `hurwitz` with the root system's reflections, which checks
+    each distinct pair's product once; every neighbor must be a node, so
+    every neighbor is exceptional too.
     """
     nodes = sorted(seqs, key=lambda s: s.roots)
     n = reg.quiver.n
@@ -394,31 +385,8 @@ def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
             raise ValidationError("mutation graphs are defined on complete sequences")
         if not is_exceptional_sequence(s.roots, reg):
             raise ValidationError(f"{s.roots} is not an exceptional sequence")
-    index = {s.roots: i for i, s in enumerate(nodes)}
-    reflection = reg.rootsystem.reflection
-    products = ProductMemo()
-    moved: dict[tuple[Vector, Vector], tuple[Vector, Vector]] = {}
-
-    def mutate(a: Vector, b: Vector) -> tuple[Vector, Vector]:
-        pair = _mutated_pair(a, b, False, reg)
-        before = products[reflection(a).element, reflection(b).element]
-        if before != products[reflection(pair[0]).element, reflection(pair[1]).element]:
-            raise NcpqError("mutation changed the reflection product; this is a bug")
-        moved[a, b] = pair
-        return pair
-
-    edges: set[tuple[int, int]] = set()
-    for k, s in enumerate(nodes):
-        old = s.roots
-        for i in range(1, n):
-            a, b = old[i - 1], old[i]
-            pair = moved.get((a, b)) or mutate(a, b)
-            j = index.get(old[: i - 1] + pair + old[i + 1:])
-            if j is None:
-                raise ValidationError("mutation left the given sequence set")
-            if j != k:
-                edges.add((min(j, k), max(j, k)))
-    return nodes, edges
+    braid = _Braid(reg.rootsystem.reflection)
+    return nodes, braid.edges([tuple(map(braid.root_id, s.roots)) for s in nodes])
 
 
 def is_connected(node_count: int, edges: set[tuple[int, int]]) -> bool:

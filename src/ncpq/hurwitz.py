@@ -1,22 +1,23 @@
 """Braid-group moves on tuples of reflections and their orbits.
 
-The move at position i swaps the pair (r_i, r_{i+1}) to
-(r_{i+1}, conjugate of r_i by r_{i+1}); the inverse move conjugates the
-other way round. Both keep the left-to-right product fixed, which every
-move checks exactly. A move changes only the pair at i and i+1, so the
-product X*a*b*Y before it equals the product X*b'*c'*Y after it exactly
-when a*b = b'*c' (cancel X on the left and Y on the right: Weyl elements
-are invertible). The check therefore compares the two pair products and
-never rebuilds the product of the whole tuple. New roots are stored by
-their positive representative, so a reflection and its negated root
-collapse to one tuple entry.
+The move at position i swaps the pair (a, b) to (b, s_b(a)) and the
+inverse move swaps it to (s_a(b), a); the moved root is stored by its
+positive representative, so a reflection and its negated root collapse
+to one entry. Under the paper's bijection braid mutation of complete
+exceptional sequences is this move on the reflections at their roots, so
+`exc.braid_mutate` and `exc.mutation_graph` run on the same move table.
 
-One search interns each reflection once by its root and works on tuples
-of the small int ids. Its move table maps a pair of ids and a direction
-to the moved pair. The check depends only on the pair, so running it when
-the entry is filled covers every later move through that entry: each
-distinct pair is conjugated and checked once. Orbit sets deduplicate by
-the tuple of ids, which is the tuple of roots.
+A table belongs to one search. It interns each reflection once by its
+root, works on tuples of the small int ids, and maps a pair of ids and a
+direction to the moved pair. The reflection at a new root comes from the
+table's root lookup (`make_reflection` here, the root system's in `exc`);
+no matrix is conjugated. A move changes only the pair at i and i+1, so
+the product X*a*b*Y before it equals X*b'*c'*Y after it exactly when
+a*b = b'*c' (cancel the invertible X and Y). That is checked when the
+entry is filled, once per distinct pair. Forward, a*b = b*c' exactly
+when c' = b*a*b, the reflection at b(a), so a looked-up matrix that
+disagrees with its root is caught. Orbit sets deduplicate by the tuple
+of ids, which is the tuple of roots.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import Quiver, Vector
@@ -32,7 +33,6 @@ from .weyl import (
     ProductMemo,
     Reflection,
     WeylElement,
-    compose,
     make_reflection,
     multiply,
     positive_representative,
@@ -43,9 +43,10 @@ DEFAULT_ORBIT_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class ReflectionTuple:
-    """Ordered tuple of reflections; equality and hash are by (n, items)."""
+    """Ordered tuple of reflections of a quiver's Weyl group; equality and
+    hash are by (quiver, items)."""
 
-    n: int
+    quiver: Quiver
     items: tuple[Reflection, ...]
 
     def __post_init__(self):
@@ -55,6 +56,10 @@ class ReflectionTuple:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @property
+    def n(self) -> int:
+        return self.quiver.n
 
     @functools.cached_property
     def product(self) -> WeylElement:
@@ -71,26 +76,22 @@ class ReflectionTuple:
 
 def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
     """Build a tuple of reflections at the given positive real roots."""
-    return ReflectionTuple(q.n, tuple(make_reflection(q, r) for r in roots))
-
-
-def _conjugate(by: Reflection, r: Reflection) -> Reflection:
-    root = positive_representative(by.element(r.root))
-    element = compose(compose(by.element, r.element), by.element)
-    return Reflection(root, element)
+    return ReflectionTuple(q, tuple(make_reflection(q, r) for r in roots))
 
 
 class _Braid:
     """Braid moves of one search on interned reflections.
 
     Each reflection gets a small int id, once, by its root, and a tuple
-    becomes a tuple of ids. The move table maps (id_a, id_b, inverse) to
-    the ids of the moved pair (b', c'); an entry is filled, and its pair
+    becomes a tuple of ids; `reflection` gives the reflection at a root
+    not yet interned. The move table maps (id_a, id_b, inverse) to the
+    ids of the moved pair (b', c'); an entry is filled, and its pair
     products compared, the first time that pair is moved. After that a
     move is a table lookup and tuple slicing. Each search makes its own
     and drops it."""
 
-    def __init__(self) -> None:
+    def __init__(self, reflection: Callable[[Vector], Reflection]) -> None:
+        self.reflection = reflection
         self.reflections: list[Reflection] = []
         self.ids: dict[Vector, int] = {}
         self.table: dict[tuple[int, int, bool], tuple[int, int]] = {}
@@ -105,20 +106,34 @@ class _Braid:
             raise NcpqError(f"two reflections at root {r.root} have different matrices")
         return k
 
+    def root_id(self, root: Vector) -> int:
+        """The id of the reflection at `root`, looked up if it is new."""
+        k = self.ids.get(root)
+        return self.intern(self.reflection(root)) if k is None else k
+
     def ids_of(self, t: ReflectionTuple) -> tuple[int, ...]:
         return tuple(self.intern(r) for r in t.items)
 
-    def tuple_of(self, n: int, ids: tuple[int, ...]) -> ReflectionTuple:
-        return ReflectionTuple(n, tuple(self.reflections[k] for k in ids))
+    def tuple_of(self, q: Quiver, ids: tuple[int, ...]) -> ReflectionTuple:
+        return ReflectionTuple(q, tuple(self.reflections[k] for k in ids))
+
+    def roots_of(self, ids: tuple[int, ...]) -> tuple[Vector, ...]:
+        return tuple(self.reflections[k].root for k in ids)
 
     def _fill(self, key: tuple[int, int, bool]) -> tuple[int, int]:
         ia, ib, inverse = key
         a, b = self.reflections[ia], self.reflections[ib]
-        conj = _conjugate(a, b) if inverse else _conjugate(b, a)
-        pair = (conj, a) if inverse else (b, conj)
-        if self.pairs[a.element, b.element] != self.pairs[pair[0].element, pair[1].element]:
-            raise NcpqError("braid move changed the tuple product; this is a bug")
-        moved = self.table[key] = (self.intern(pair[0]), self.intern(pair[1]))
+        by, r = (a, b) if inverse else (b, a)
+        root = positive_representative(by.element(r.root))
+        try:
+            k = self.root_id(root)
+        except ValidationError as err:
+            raise NcpqError(f"moved vector {root} is not a root; this is a bug") from err
+        moved = (k, ia) if inverse else (ib, k)
+        after = self.pairs[self.reflections[moved[0]].element, self.reflections[moved[1]].element]
+        if self.pairs[a.element, b.element] != after:
+            raise NcpqError("braid move changed the reflection product; this is a bug")
+        self.table[key] = moved
         return moved
 
     def step(self, ids: tuple[int, ...], i: int, inverse: bool) -> tuple[int, ...]:
@@ -136,11 +151,31 @@ class _Braid:
             yield self.step(ids, i, False), i
             yield self.step(ids, i, True), -i
 
+    def edges(self, keys: Sequence[tuple[int, ...]]) -> set[tuple[int, int]]:
+        """Index pairs (j, k), j < k, with one of keys[j], keys[k] a
+        forward move of the other. Every forward move must land in the
+        list, as it does for a whole orbit."""
+        index = {key: k for k, key in enumerate(keys)}
+        edges = set()
+        for j, key in enumerate(keys):
+            for i in range(1, len(key)):
+                k = index.get(self.step(key, i, False))
+                if k is None:
+                    raise ValidationError("a forward move left the given sequence set")
+                if k != j:
+                    edges.add((min(j, k), max(j, k)))
+        return edges
+
+
+def _braid(q: Quiver) -> _Braid:
+    """A move table that builds each moved reflection from its root."""
+    return _Braid(functools.partial(make_reflection, q))
+
 
 def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
     """Apply the braid move at position i (1-based, 1 <= i <= len-1)."""
-    braid = _Braid()
-    return braid.tuple_of(t.n, braid.step(braid.ids_of(t), i, inverse))
+    braid = _braid(t.quiver)
+    return braid.tuple_of(t.quiver, braid.step(braid.ids_of(t), i, inverse))
 
 
 def _search(braid: _Braid, start: tuple[int, ...], cap: int,
@@ -168,26 +203,18 @@ def _search(braid: _Braid, start: tuple[int, ...], cap: int,
 
 def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[ReflectionTuple]:
     """Closure of t under all forward and inverse moves."""
-    braid = _Braid()
-    return {braid.tuple_of(t.n, ids) for ids in _search(braid, braid.ids_of(t), cap)}
+    braid = _braid(t.quiver)
+    return {braid.tuple_of(t.quiver, ids) for ids in _search(braid, braid.ids_of(t), cap)}
 
 
 def orbit_edges(tuples: Sequence[ReflectionTuple]) -> set[tuple[int, int]]:
     """Index pairs (j, k), j < k, with one of tuples[j], tuples[k] a
     forward move of the other, read off one move table. Every forward
     move must land in the list, as it does for a whole orbit."""
-    braid = _Braid()
-    ids = [braid.ids_of(t) for t in tuples]
-    index = {key: k for k, key in enumerate(ids)}
-    edges = set()
-    for j, key in enumerate(ids):
-        for i in range(1, len(key)):
-            k = index.get(braid.step(key, i, False))
-            if k is None:
-                raise ValidationError("a forward move leaves the given tuples")
-            if k != j:
-                edges.add((min(j, k), max(j, k)))
-    return edges
+    if not tuples:
+        return set()
+    braid = _braid(tuples[0].quiver)
+    return braid.edges([braid.ids_of(t) for t in tuples])
 
 
 def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
@@ -205,7 +232,7 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
         return False, None
     if a.roots == b.roots:
         return True, []
-    braid = _Braid()
+    braid = _braid(a.quiver)
     start, goal = braid.ids_of(a), braid.ids_of(b)
     parents = _search(braid, start, cap, goal)
     if goal not in parents:
@@ -222,8 +249,8 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
 
 def replay_certificate(t: ReflectionTuple, moves: list[int]) -> ReflectionTuple:
     """Apply a signed move word as produced by same_orbit."""
-    braid = _Braid()
+    braid = _braid(t.quiver)
     ids = braid.ids_of(t)
     for m in moves:
         ids = braid.step(ids, abs(m), m < 0)
-    return braid.tuple_of(t.n, ids)
+    return braid.tuple_of(t.quiver, ids)

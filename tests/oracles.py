@@ -14,7 +14,7 @@ with ranks and kernels from the rational reduced row echelon form
 classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
-pair formula with `mutation_graph` but checks its whole result
+hurwitz move table with `mutation_graph` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
 after, conjugation depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with
@@ -206,7 +206,7 @@ def factor_in_reflections(w: WeylElement, roots: RootSystem, reg) -> ReflectionT
         picks.append(t)
         remaining = compose(t.element, remaining)
     assert len(picks) == absolute_length(w, roots)
-    return ReflectionTuple(w.n, tuple(picks))
+    return ReflectionTuple(roots.quiver, tuple(picks))
 
 
 def braid_orbit_by_full_products(q: Quiver, start) -> set:

@@ -20,6 +20,7 @@ from ncpq import (
     enumerate_exceptional_antichains,
     extend_to_complete,
     generate_roots,
+    hurwitz_orbit,
     is_exceptional_sequence,
     is_projective_sequence,
     left_perp,
@@ -27,6 +28,8 @@ from ncpq import (
     right_perp,
     sequence_product,
     thick_closure,
+    topological_order,
+    tuple_from_roots,
 )
 from ncpq import exc
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
@@ -39,6 +42,7 @@ from ncpq.exc import (
     slot_fillers,
     subcategory_covers,
 )
+from ncpq.hurwitz import orbit_edges
 from ncpq.weyl import chain_counts, simple_root
 from oracles import (
     CLOSED_FORM_PINS,
@@ -327,6 +331,30 @@ def test_mutation_graph_matches_per_edge_braid_mutate(label):
     assert edges == mutation_edges_by_braid_mutate(seqs, reg)
 
 
+def _assert_sequences_are_the_orbit(q):
+    # Sequences map to the reflections at their roots, and mutation is the
+    # Hurwitz move: the complete sequences are the braid orbit of the
+    # simples in a topological order, with the same forward-move edges.
+    reg = build_registry(q)
+    nodes, edges = mutation_graph(enumerate_complete_sequences(q, reg), reg)
+    start = tuple_from_roots(q, tuple(simple_root(q.n, i) for i in topological_order(q)))
+    orbit = sorted(hurwitz_orbit(start), key=lambda t: t.roots)
+    assert [s.roots for s in nodes] == [t.roots for t in orbit]
+    assert edges == orbit_edges(orbit)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_sequences_are_the_hurwitz_orbit(label):
+    _assert_sequences_are_the_orbit(DYNKIN_QUIVERS[label])
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5"]))
+def test_sequences_are_the_hurwitz_orbit_on_random_orientations(drawn):
+    _, q, _ = drawn
+    _assert_sequences_are_the_orbit(q)
+
+
 def test_mutation_graph_rejects_a_non_exceptional_sequence(a3_reg):
     seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
     bad = next(ExcSequence(p) for p in itertools.permutations(
@@ -436,6 +464,24 @@ def test_sequence_cap_boundary(label, monkeypatch):
     monkeypatch.setattr(exc, "_complete_sequences", unlisted)
     with pytest.raises(CapExceededError, match=f"sequence count exceeds cap {count - 1}$"):
         enumerate_complete_sequences(q, reg, cap=count - 1)
+
+
+def test_descent_cap_boundary(a3_reg, monkeypatch):
+    # A3 has 14 subcategories; the descent is held to the interval cap.
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 13)
+    with pytest.raises(CapExceededError, match="subcategory count exceeds cap 13$"):
+        enumerate_complete_sequences(a3_reg.quiver, a3_reg)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 14)
+    assert len(subcategory_covers(a3_reg)) == 14
+    assert len(enumerate_complete_sequences(a3_reg.quiver, a3_reg)) == 16
+
+
+def test_enumerations_refuse_another_quiver(a3_reg):
+    other = parse_quiver("vertices 3\narrow 2 1\narrow 2 3\n")
+    with pytest.raises(ValidationError, match="registry's quiver"):
+        enumerate_complete_sequences(other, a3_reg)
+    with pytest.raises(ValidationError, match="registry's quiver"):
+        enumerate_exceptional_antichains(other, a3_reg)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5"])

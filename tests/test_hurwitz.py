@@ -23,7 +23,6 @@ from ncpq import (
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.hurwitz import orbit_edges, replay_certificate
-from ncpq.weyl import positive_representative
 
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
 from oracles import (
@@ -68,7 +67,7 @@ def test_move_preserves_product(a3, a3_roots):
 
 
 def test_product_basics(a2):
-    assert ReflectionTuple(2, ()).product == identity(2)
+    assert ReflectionTuple(a2, ()).product == identity(2)
     single = tuple_from_roots(a2, ((1, 1),))
     assert single.product == single.items[0].element
     pair = tuple_from_roots(a2, ((1, 0), (0, 1)))
@@ -224,13 +223,19 @@ def test_same_orbit_cap_boundary_off_the_orbit(a2):
 
 
 def test_corrupted_conjugate_is_caught(a3, monkeypatch):
+    # A moved reflection comes from the table's root lookup, never from
+    # conjugation, so a lookup whose matrix disagrees with the moved root
+    # must fail the pair-product check. The goal holds s_3(a2) but not the
+    # first new root s_2(a1), so the search has to look that one up.
     start = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    other = hurwitz_move(start, 1)
+    other = hurwitz_move(start, 2)
+    assert (1, 1, 0) not in other.roots
+    honest = ncpq.hurwitz.make_reflection
 
-    def unconjugated(by, r):
-        return Reflection(positive_representative(by.element(r.root)), r.element)
+    def corrupted(q, root):
+        return Reflection(root, honest(q, (1, 0, 0)).element)
 
-    monkeypatch.setattr(ncpq.hurwitz, "_conjugate", unconjugated)
+    monkeypatch.setattr(ncpq.hurwitz, "make_reflection", corrupted)
     with pytest.raises(NcpqError, match="product"):
         hurwitz_move(start, 1)
     with pytest.raises(NcpqError, match="product"):
