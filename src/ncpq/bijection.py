@@ -51,9 +51,9 @@ from .weyl import (
     RootSystem,
     WeylElement,
     chain_counts,
+    complete_roots,
     compose,
     coxeter_element,
-    generate_roots,
     identity,
     interval_covers,
     simple_root,
@@ -122,8 +122,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     which is the number of minimal reflection factorizations of c.
     """
     t0 = time.perf_counter()
-    roots = generate_roots(q)
-    roots.require_complete()
+    roots = complete_roots(q)
     order = tuple(coxeter_order) if coxeter_order is not None else topological_order(q)
     c = coxeter_element(q, order)
     reg = build_registry(q, roots)

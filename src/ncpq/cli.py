@@ -7,6 +7,12 @@ mutation graph, the braid orbit graph). Each subcommand accepts only the
 options it reads, and `--format dot` only where there is a DOT output;
 argparse refuses anything else with exit 2.
 
+`hurwitz` and `sequences` each walk one poset down by its covers
+(`weyl.walk_down`), count its maximal chains and certify one braid orbit
+on them (`weyl.braid_transitive`); their caps bound only the listing.
+Past a cap, JSON and text report the count and the certificate with the
+lists null, and DOT, which draws the listed graph, exits 4.
+
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
 3 unsupported type, 4 cap exceeded, 5 internal error (a bug).
 """
@@ -25,17 +31,20 @@ from .errors import (
     QuiverParseError,
     ValidationError,
 )
-from .exc import DEFAULT_SEQUENCE_CAP, enumerate_complete_sequences, is_connected, mutation_graph
-from .hurwitz import DEFAULT_ORBIT_CAP, hurwitz_orbit, orbit_edges, tuple_from_roots
+from .exc import DEFAULT_SEQUENCE_CAP, ExcSequence, mutation_graph, subcategory_covers
+from .hurwitz import DEFAULT_ORBIT_CAP, ReflectionTuple, orbit_edges
 from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
     absolute_length,
+    braid_transitive,
     chain_counts,
+    complete_roots,
     coxeter_element,
     generate_roots,
     interval_covers,
-    simple_root,
+    maximal_chains,
+    reflections_below,
 )
 
 EXIT_OK = 0
@@ -104,8 +113,11 @@ def _load_quiver(args: argparse.Namespace) -> Quiver:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output_path:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output_path}: {exc}") from exc
     else:
         print(text)
 
@@ -113,6 +125,15 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     """One line of compact JSON; the separators let json use its C encoder."""
     _emit(args, json.dumps(payload, separators=(",", ":")))
+
+
+def _chains(covers: dict, letters, cap: int) -> tuple[int, bool, list | None]:
+    """The maximal-chain count of a walk, its braid-transitivity
+    certificate, and its chains in sorted order, listed only when the
+    count is at most the cap."""
+    count = chain_counts(covers)[next(iter(covers))]
+    listed = sorted(maximal_chains(covers, letters)) if count <= cap else None
+    return count, braid_transitive(covers, letters), listed
 
 
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
@@ -150,8 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_nc(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
-    roots = generate_roots(q)
-    roots.require_complete()
+    roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
     covers = interval_covers(c, roots)
@@ -218,31 +238,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hurwitz(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
-    roots = generate_roots(q)
-    roots.require_complete()
+    roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
-    start = tuple_from_roots(q, tuple(simple_root(q.n, i) for i in order))
-    orbit = hurwitz_orbit(start, args.cap_orbit)
-    count = chain_counts(interval_covers(c, roots))[c]
-    # Orbit tuples are n = |c| reflections with product c (moves check it), so orbit ⊆ Red_T(c).
-    single = len(orbit) == count
-    ordered = sorted(orbit, key=lambda t: t.roots)
+
+    def letters(w):
+        return [t.root for t in reflections_below(w, roots)]
+
+    # The chains of [1, c] are the minimal reflection factorizations of c,
+    # the simple one in `order` among them; the certificate makes them one
+    # braid orbit.
+    count, single, ordered = _chains(interval_covers(c, roots), letters, args.cap_orbit)
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
-        "orbit_size": len(orbit),
+        "orbit_size": count if single else None,
         "factorization_count": count,
         "single_orbit": single,
-        "orbit": [t.to_json() for t in ordered],
+        "orbit": None if ordered is None else [[list(r) for r in t] for t in ordered],
     }
     if args.output_format == "json":
         _emit_json(args, payload)
     elif args.output_format == "text":
-        _emit(args, f"orbit size {len(orbit)}, factorizations {count}, "
+        _emit(args, f"orbit size {payload['orbit_size']}, factorizations {count}, "
                     f"single orbit: {single}")
     else:
-        edges = orbit_edges(ordered)
+        if ordered is None:
+            raise CapExceededError(f"orbit size exceeds cap {args.cap_orbit}")
+        edges = orbit_edges([ReflectionTuple(q, tuple(map(roots.reflection, t)))
+                             for t in ordered])
         nodes = [f"t{k}" for k in range(len(ordered))]
         dot_edges = [f"t{a} -- t{b}" for a, b in sorted(edges)]
         _emit(args, _dot("hurwitz_orbit", nodes, dot_edges, directed=False))
@@ -251,25 +275,27 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
 
 def cmd_sequences(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
-    roots = generate_roots(q)
-    roots.require_complete()
-    reg = build_registry(q, roots)
-    seqs = enumerate_complete_sequences(q, reg, args.cap_sequences)
-    nodes, edges = mutation_graph(seqs, reg)
-    connected = is_connected(len(nodes), edges)
+    reg = build_registry(q, complete_roots(q))
+    # The descent's chains, read from the bottom, are the complete
+    # exceptional sequences; the certificate makes them one mutation class.
+    count, connected, chains = _chains(subcategory_covers(reg), sorted, args.cap_sequences)
+    nodes, edges = (None, None) if chains is None else mutation_graph(
+        {ExcSequence(s[::-1]) for s in chains}, reg)
     payload = {
         "quiver": args.quiver_file,
-        "count": len(nodes),
+        "count": count,
         "connected": connected,
-        "sequences": [s.to_json() for s in nodes],
-        "mutation_edges": [list(e) for e in sorted(edges)],
+        "sequences": None if nodes is None else [s.to_json() for s in nodes],
+        "mutation_edges": None if edges is None else [list(e) for e in sorted(edges)],
     }
     if args.output_format == "json":
         _emit_json(args, payload)
     elif args.output_format == "text":
-        _emit(args, f"{len(nodes)} complete exceptional sequences, "
+        _emit(args, f"{count} complete exceptional sequences, "
                     f"mutation graph connected: {connected}")
     else:
+        if nodes is None:
+            raise CapExceededError(f"sequence count exceeds cap {args.cap_sequences}")
         dot_nodes = [f"s{k}" for k in range(len(nodes))]
         dot_edges = [f"s{a} -- s{b}" for a, b in sorted(edges)]
         _emit(args, _dot("mutation_graph", dot_nodes, dot_edges, directed=False))

@@ -6,22 +6,25 @@ root names exactly one indecomposable, and the registry answers all Hom and
 Ext questions. A sequence is exceptional when nothing maps or extends
 backwards; an antichain is a pairwise Hom-orthogonal set of exceptional
 modules, and it generates a thick subcategory recorded by the sorted set of
-its indecomposables.
+its indecomposables. The subcategories are walked down from the whole
+category by `subcategory_covers`, whose maximal chains are the complete
+exceptional sequences (see `weyl.braid_transitive` for their one
+mutation class).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from . import weyl
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import (Quiver, Vector, cartan_matrix, classify_type, connected_components,
-                     positive_root_count, topological_sort)
+from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
+                     topological_sort)
 from .hurwitz import _Braid
 from .rep import IndecRegistry, top_simples
-from .weyl import RootSystem, WeylElement, chain_counts, multiply, simple_root
+from .weyl import (RootSystem, WeylElement, chain_counts, maximal_chains, multiply, simple_root,
+                   walk_down)
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 
@@ -203,42 +206,25 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
 
 def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, ...]]:
     """The Hasse diagram of the thick exceptional subcategories under
-    containment, each given by its indecomposables, walked down level by
-    level from the whole category: B maps to the tuple of B ∩ x^⊥ for x
-    in sorted(B), and every B comes before the subcategories it covers.
-    A set met at two levels is refused as a bug. The sets are not
-    checked here; `_checked_subcategory` checks one at its level. Holding
-    more than `weyl.DEFAULT_INTERVAL_CAP` subcategories (read at call
-    time; they are in bijection with the interval [1, c]) raises
-    CapExceededError.
+    containment, each given by its indecomposables, by `weyl.walk_down`
+    from the whole category: B maps to the tuple of B ∩ x^⊥ for its
+    letters x in sorted(B), and every B comes before the subcategories
+    it covers. The sets are not checked here; `_checked_subcategory`
+    checks one at its level. Holding more than `weyl.DEFAULT_INTERVAL_CAP`
+    subcategories (they are in bijection with the interval [1, c])
+    raises CapExceededError("subcategory count exceeds cap N").
 
     The descent reaches every subcategory: thick(E_1, ..., E_k) =
     (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
     exceptional sequence completes (Schofield 1991; Crawley-Boevey 1993).
     The complete sequences of B are the s + (x,) with x in B and s
-    complete in B ∩ x^⊥, so `weyl.chain_counts` counts them.
+    complete in B ∩ x^⊥, so `weyl.chain_counts` counts them and
+    `weyl.maximal_chains` lists them, last entry first.
     """
-    cap = weyl.DEFAULT_INTERVAL_CAP
-    covers: dict[frozenset, tuple[frozenset, ...]] = {}
-    level = [frozenset(reg.roots())]
-    held = 1
-    while level:
-        met: dict[frozenset, frozenset] = {}
-        for b in level:
-            children = []
-            for x in sorted(b):
-                a = b & reg.right_orth(x)
-                if a not in met:
-                    held += 1
-                    if held > cap:
-                        raise CapExceededError(f"subcategory count exceeds cap {cap}")
-                    met[a] = a
-                children.append(met[a])
-            covers[b] = tuple(children)
-        if not covers.keys().isdisjoint(met):
-            raise NcpqError("the subcategory descent met a set at two levels; this is a bug")
-        level = list(met)
-    return covers
+    def expand(b: frozenset, _) -> tuple[tuple[frozenset, ...], None]:
+        return tuple(b & reg.right_orth(x) for x in sorted(b)), None
+
+    return walk_down(frozenset(reg.roots()), expand, "subcategory count")
 
 
 def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
@@ -300,16 +286,6 @@ def is_projective_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
     return True
 
 
-def _complete_sequences(b: frozenset[Vector], covers: dict) -> Iterator[tuple[Vector, ...]]:
-    """Every complete exceptional sequence of the subcategory on b, lazily:
-    s + (x,) for x in b and s a complete sequence of b ∩ x^⊥."""
-    if not b:
-        yield ()
-    for x, below in zip(sorted(b), covers[b]):
-        for s in _complete_sequences(below, covers):
-            yield s + (x,)
-
-
 def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
                                  cap: int = DEFAULT_SEQUENCE_CAP) -> set[ExcSequence]:
     """All complete exceptional sequences of the registry's quiver, listed
@@ -319,10 +295,9 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
     covers = subcategory_covers(reg)
-    top = next(iter(covers))
-    if chain_counts(covers)[top] > cap:
+    if chain_counts(covers)[next(iter(covers))] > cap:
         raise CapExceededError(f"sequence count exceeds cap {cap}")
-    return {ExcSequence(s) for s in _complete_sequences(top, covers)}
+    return {ExcSequence(s[::-1]) for s in maximal_chains(covers, sorted)}
 
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:
@@ -388,7 +363,3 @@ def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
     braid = _Braid(reg.rootsystem.reflection)
     return nodes, braid.edges([tuple(map(braid.root_id, s.roots)) for s in nodes])
 
-
-def is_connected(node_count: int, edges: set[tuple[int, int]]) -> bool:
-    """Whether the graph on nodes 0..node_count-1 has at most one component."""
-    return len(connected_components(node_count, edges)) <= 1

@@ -18,6 +18,11 @@ entry is filled, once per distinct pair. Forward, a*b = b*c' exactly
 when c' = b*a*b, the reflection at b(a), so a looked-up matrix that
 disagrees with its root is caught. Orbit sets deduplicate by the tuple
 of ids, which is the tuple of roots.
+
+The breadth-first search `_search` serves the library functions
+`hurwitz_orbit` and `same_orbit`. The `hurwitz` command lists no orbit
+by search: it certifies that the minimal factorizations of c form one
+orbit by `weyl.braid_transitive` on the interval walk.
 """
 
 from __future__ import annotations

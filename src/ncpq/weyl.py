@@ -7,6 +7,13 @@ a*b applies b first. Root generation runs on any acyclic quiver and
 flags a truncated root system as incomplete. Absolute length, absolute
 order, the interval and conjugation depth are finite type only: they
 refuse to run rather than truncate silently.
+
+One toolkit serves both posets of the bijection, each walked down from
+its top by covers: the interval [1, c] (`interval_covers`) and the thick
+exceptional subcategories (`exc.subcategory_covers`). `walk_down` walks
+either, `chain_counts` counts its maximal chains, `maximal_chains` lists
+them, and `braid_transitive` certifies on the diagram itself that the
+braid group moves any chain to any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._linalg import IntMatrix, identity_matrix, in_span, int_echelon, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
@@ -25,7 +32,9 @@ from .quiver import (
     Vector,
     cartan_matrix,
     classify_type,
+    connected_components,
     is_admissible_order,
+    positive_root_count,
     symmetric_form,
 )
 
@@ -145,6 +154,12 @@ def simple_reflect(cartan: IntMatrix, i: int, v: Vector) -> Vector:
     return v[:i] + (v[i] - s,) + v[i + 1:]
 
 
+def _truncated(classification: Classification, height_bound: int) -> NonFiniteTypeError:
+    return NonFiniteTypeError(
+        f"{classification} root system truncated at height {height_bound}: this needs "
+        f"finite type with every positive root of height <= {height_bound}")
+
+
 class RootSystem:
     """Positive real roots of a quiver, possibly truncated by height.
 
@@ -177,10 +192,7 @@ class RootSystem:
         NonFiniteTypeError unless the set is `complete`, which holds only
         in finite type with no root above the height bound."""
         if not self.complete:
-            raise NonFiniteTypeError(
-                f"{self.classification} root system truncated at height {self.height_bound}: "
-                f"this needs finite type with every positive root of height "
-                f"<= {self.height_bound}")
+            raise _truncated(self.classification, self.height_bound)
 
     def sorted_roots(self) -> tuple[Vector, ...]:
         return tuple(sorted(self.positive_real_roots))
@@ -233,6 +245,25 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootS
                 frontier.append(w)
     complete = classification.is_finite and not truncated
     return RootSystem(q, frozenset(seen), complete, height_bound, classification)
+
+
+def complete_roots(q: Quiver) -> RootSystem:
+    """Every positive root of a finite-type quiver, from `generate_roots`
+    and checked by `RootSystem.require_complete`. A quiver outside finite
+    type, or one with a root above DEFAULT_HEIGHT_BOUND, is refused with
+    the same error before any root is generated: in a connected Dynkin
+    type of rank r with N positive roots the highest root has height
+    h - 1, for the Coxeter number h = 2N/r (Bourbaki, Lie VI §1.11), and
+    each root is supported on one component.
+    """
+    classification = classify_type(cartan_matrix(q))
+    if not classification.is_finite or any(
+            2 * positive_root_count(part) // int(part[1:]) - 1 > DEFAULT_HEIGHT_BOUND
+            for part in classification.label.split("+")):
+        raise _truncated(classification, DEFAULT_HEIGHT_BOUND)
+    roots = generate_roots(q)
+    roots.require_complete()
+    return roots
 
 
 def coxeter_element(q: Quiver, order: tuple[int, ...]) -> WeylElement:
@@ -335,12 +366,46 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     return found
 
 
+def walk_down(top, expand: Callable, what: str) -> dict:
+    """The Hasse diagram below `top`, walked down level by level: each
+    node mapped to the tuple of the nodes it covers, every node before
+    the nodes it covers. `expand(node, hint)` gives the node's children,
+    in the order of its letters, and the hint handed to each of them; a
+    child keeps the hint of its first parent, and the top gets None.
+
+    A child met again is replaced by the object met first, so equal
+    nodes are held once. A node met at two levels is refused as a bug.
+    Holding more than DEFAULT_INTERVAL_CAP nodes (read at call time)
+    raises CapExceededError("<what> exceeds cap N"); each node is counted
+    when first met, so the bound is exact.
+    """
+    cap = DEFAULT_INTERVAL_CAP
+    covers: dict = {}
+    level: dict = {top: (top, None)}
+    held = 1
+    while level:
+        met: dict = {}
+        for node, hint in level.values():
+            children, child_hint = expand(node, hint)
+            for child in children:
+                if child not in met:
+                    held += 1
+                    if held > cap:
+                        raise CapExceededError(f"{what} exceeds cap {cap}")
+                    met[child] = (child, child_hint)
+            covers[node] = tuple(met[child][0] for child in children)
+        if not covers.keys().isdisjoint(met):
+            raise NcpqError("the walk down met a node at two levels; this is a bug")
+        level = met
+    return covers
+
+
 def interval_covers(c: WeylElement,
                     roots: RootSystem) -> dict[WeylElement, tuple[WeylElement, ...]]:
-    """The Hasse diagram of the interval [1, c] of absolute order: each
-    element mapped to the elements it covers, which are t*w for the
-    reflections t <= w. Elements appear level by level from c down, so
-    every element comes before the elements it covers.
+    """The Hasse diagram of the interval [1, c] of absolute order, by
+    `walk_down` from c: each element mapped to the elements it covers,
+    which are t*w for the reflections t <= w (`reflections_below`, its
+    letters, in root order).
 
     The walk is complete. If u <= w then w u^-1 has absolute length
     k = |w| - |u|, so w = t_1 ... t_k u with reflections t_i. Put w_0 = w
@@ -354,26 +419,14 @@ def interval_covers(c: WeylElement,
 
     Reaching the identity writes c as a product of reflections, which
     certifies c in W; a walk that ends without it raises ValidationError.
-    Holding more than DEFAULT_INTERVAL_CAP elements (read at call time)
-    raises CapExceededError.
+    Holding more than DEFAULT_INTERVAL_CAP elements raises
+    CapExceededError("interval size exceeds cap N").
     """
-    cap = DEFAULT_INTERVAL_CAP
-    covers: dict[WeylElement, tuple[WeylElement, ...]] = {}
-    level: dict[WeylElement, tuple[Reflection, ...] | None] = {c: None}
-    held = 1
-    while level:
-        next_level: dict[WeylElement, tuple[Reflection, ...]] = {}
-        for w, candidates in level.items():
-            below = reflections_below(w, roots, candidates)
-            children = tuple(compose(t.element, w) for t in below)
-            covers[w] = children
-            for child in children:
-                if child not in next_level:
-                    held += 1
-                    if held > cap:
-                        raise CapExceededError(f"interval size exceeds cap {cap}")
-                    next_level[child] = below
-        level = next_level
+    def expand(w: WeylElement, candidates: tuple[Reflection, ...] | None):
+        below = reflections_below(w, roots, candidates)
+        return tuple(compose(t.element, w) for t in below), below
+
+    covers = walk_down(c, expand, "interval size")
     if identity(c.n) not in covers:
         raise ValidationError("the given element does not lie in this Weyl group")
     return covers
@@ -381,8 +434,8 @@ def interval_covers(c: WeylElement,
 
 def chain_counts(covers: dict) -> dict:
     """For each key w of a Hasse diagram listing every key before those it
-    covers (`interval_covers`, `exc.subcategory_covers`), the number of
-    maximal chains of covers from w down, by dynamic programming upward.
+    covers (`walk_down`), the number of maximal chains of covers from w
+    down, by dynamic programming upward.
 
     On the interval walk it is the number of minimal reflection
     factorizations of w. A factorization w = t_1 ... t_k with k = |w|
@@ -396,6 +449,69 @@ def chain_counts(covers: dict) -> dict:
     for w in reversed(covers):
         chains[w] = sum(chains[x] for x in covers[w]) if covers[w] else 1
     return chains
+
+
+def maximal_chains(covers: dict, letters: Callable) -> Iterator[tuple]:
+    """The maximal chains of a Hasse diagram (`walk_down`) from its first
+    key, lazily, each as the letters of its covers from the top: (x,) + s
+    for each letter x of a node, in the order of its children, and each
+    chain s below the child reached through x; the bottom has one empty
+    chain. On the interval walk, with the roots of `reflections_below(w)`
+    as letters, these are the minimal reflection factorizations of c; on
+    the descent, with sorted(B), the complete exceptional sequences, last
+    entry first.
+    """
+    def below(node) -> Iterator[tuple]:
+        if not covers[node]:
+            yield ()
+        for x, child in zip(letters(node), covers[node]):
+            for rest in below(child):
+                yield (x,) + rest
+
+    return below(next(iter(covers)))
+
+
+def braid_transitive(covers: dict, letters: Callable) -> bool:
+    """Certificate that the braid group acts transitively on the maximal
+    chains of a Hasse diagram (`walk_down`), read as in `maximal_chains`:
+    at every node w, the graph on the letters of w, with an edge a - b for
+    each letter b of the child reached through a, is connected. Letters
+    that do not name the children of w one to one, or a child letter that
+    w lacks, fail the certificate: a move would then leave the diagram.
+
+    Proof, by induction up the diagram; a node with no children has one
+    chain. The chains of w that start with a are (a,) + s for the chains
+    s below the child w_a reached through a, one orbit by induction under
+    the moves that leave the first letter alone. For an edge a - b there
+    is a chain (a, b, ...), and one braid move on its first two letters
+    gives a chain that starts with b:
+    - On the interval [1, c] the chains are the minimal reflection
+      factorizations and the letters of w are the reflections t <= w
+      (Bessis 2003, The dual braid monoid, Prop. 1.6.1). The move at
+      position 1 sends (t, t', ...) to (t', t' t t', ...), which puts t'
+      first and keeps the product, so it is a factorization of w again.
+    - On the subcategory descent a chain, read from the bottom, is a
+      complete exceptional sequence, and those of B that end in x are the
+      complete sequences of B ∩ x^⊥ followed by x. The inverse mutation
+      of the last pair (y, x) gives (s_y(x), y), which puts y last, and
+      mutation keeps complete exceptional sequences (Crawley-Boevey 1993).
+    So the orbits of the chains that start with a and with b meet, and
+    when the graph is connected all chains of w lie in one orbit.
+
+    The top's own condition is also necessary: a move on the first two
+    letters of (a, b, ...) puts b first, an edge a - b, or puts some a'
+    first with a a letter of w_a', an edge a' - a, and every other move
+    keeps the first letter. A failure further down leaves the orbit
+    count open and also reads False.
+    """
+    held = {node: tuple(letters(node)) for node in covers}
+    for node, children in covers.items():
+        index = {x: k for k, x in enumerate(held[node])}
+        edges = [(k, index.get(b)) for k, child in enumerate(children) for b in held[child]]
+        if (len(index) != len(children) or any(b is None for _, b in edges)
+                or len(connected_components(len(index), edges)) > 1):
+            return False
+    return True
 
 
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,

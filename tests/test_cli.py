@@ -4,17 +4,24 @@ formats, round-trips, and DOT well-formedness."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import ncpq.hurwitz
+import ncpq.weyl
 from ncpq import (
     absolute_leq,
     cli,
     coxeter_element,
     enumerate_complete_sequences,
     hurwitz_orbit,
+    interval_covers,
     simple_root,
     topological_order,
     tuple_from_roots,
@@ -28,7 +35,8 @@ from ncpq.errors import (
     QuiverParseError,
     ValidationError,
 )
-from ncpq.exc import is_connected, mutation_graph
+from ncpq.exc import mutation_graph
+from ncpq.quiver import connected_components
 from ncpq.weyl import WeylElement, generate_roots
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
@@ -156,6 +164,36 @@ def test_truncated_finite_type_is_refused_once(quiver_file, capsys, monkeypatch)
                         "finite type with every positive root of height <= 2\n"}
 
 
+D52_TEXT = ("vertices 52\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 51))
+            + "arrow 50 52\n")
+
+
+@pytest.mark.parametrize("quiver, kind", [("d52", "Finite(D52)"), ("kronecker", "Affine")])
+@pytest.mark.parametrize("command", ["nc", "verify", "hurwitz", "sequences"])
+def test_refused_before_any_root_is_generated(command, quiver, kind, quiver_file, capsys,
+                                              monkeypatch):
+    # D52's highest root has height 2 * 52 - 3 = 101, above the bound of
+    # 100: the classification alone refuses it, as it refuses the affine
+    # Kronecker quiver, with the message of RootSystem.require_complete.
+    def generated(*args):
+        raise AssertionError("roots generated before the refusal")
+
+    path = quiver_file(D52_TEXT if quiver == "d52" else KRONECKER_TEXT)
+    monkeypatch.setattr("ncpq.weyl.generate_roots", generated)
+    assert main([command, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {kind} root system truncated at height 100: this needs "
+                            "finite type with every positive root of height <= 100\n")
+
+
+def test_analyze_keeps_the_truncated_count_of_d52(quiver_file, capsys):
+    assert main(["analyze", quiver_file(D52_TEXT), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "Finite(D52)" and payload["complete"] is False
+    assert payload["positive_roots"] == 52 * 51 - 1  # all but the highest root
+
+
 def test_nc_dot(quiver_file, capsys):
     assert main(["nc", quiver_file(A2_TEXT), "--format", "dot"]) == 0
     check_dot(capsys.readouterr().out)
@@ -237,8 +275,11 @@ def test_hurwitz_a3_json(quiver_file, capsys):
     assert len(payload["orbit"]) == 16
 
 
-def test_hurwitz_cap_exit_4(quiver_file):
-    assert main(["hurwitz", quiver_file(A3_TEXT), "--cap-orbit", "3"]) == 4
+def test_hurwitz_cap_exit_4(quiver_file, capsys):
+    # Only DOT needs the listing; JSON and text report past the cap.
+    assert main(["hurwitz", quiver_file(A3_TEXT), "--cap-orbit", "3", "--format", "dot"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: orbit size exceeds cap 3\n"
 
 
 def test_hurwitz_dot(quiver_file, capsys):
@@ -278,8 +319,11 @@ def test_sequences_dot(quiver_file, capsys):
     check_dot(capsys.readouterr().out)
 
 
-def test_sequences_cap_exit_4(quiver_file):
-    assert main(["sequences", quiver_file(A3_TEXT), "--cap-sequences", "2"]) == 4
+def test_sequences_cap_exit_4(quiver_file, capsys):
+    # Only DOT needs the listing; JSON and text report past the cap.
+    assert main(["sequences", quiver_file(A3_TEXT), "--cap-sequences", "2", "--format", "dot"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: sequence count exceeds cap 2\n"
 
 
 @pytest.mark.parametrize("command", ["hurwitz", "sequences"])
@@ -299,10 +343,76 @@ def test_json_is_one_line_with_the_library_payload(command, quiver_file, capsys,
     else:
         nodes, edges = mutation_graph(enumerate_complete_sequences(a3, a3_reg), a3_reg)
         expected = {"quiver": path, "count": len(nodes),
-                    "connected": is_connected(len(nodes), edges),
+                    "connected": len(connected_components(len(nodes), edges)) == 1,
                     "sequences": [s.to_json() for s in nodes],
                     "mutation_edges": [list(e) for e in sorted(edges)]}
     assert json.loads(out) == expected
+
+
+CAP_FLAGS = {"hurwitz": "--cap-orbit", "sequences": "--cap-sequences"}
+
+
+@pytest.mark.parametrize("command", sorted(CAP_FLAGS))
+def test_past_the_cap_the_count_and_certificate_are_reported(command, quiver_file, capsys,
+                                                             monkeypatch):
+    # A3 has 16 factorizations and 16 sequences: cap 16 lists them, cap 15
+    # reports the count and the certificate without ever listing.
+    path = quiver_file(A3_TEXT)
+    listed = "orbit" if command == "hurwitz" else "sequences"
+    assert main([command, path, CAP_FLAGS[command], "16", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)[listed]) == 16
+
+    def unlisted(*args):
+        raise AssertionError("chains listed past the cap")
+
+    monkeypatch.setattr(cli, "maximal_chains", unlisted)
+    assert main([command, path, CAP_FLAGS[command], "15", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main([command, path, CAP_FLAGS[command], "15"]) == 0
+    text = capsys.readouterr().out
+    if command == "hurwitz":
+        assert payload == {"quiver": path, "coxeter_order": [1, 2, 3], "orbit_size": 16,
+                           "factorization_count": 16, "single_orbit": True, "orbit": None}
+        assert text == "orbit size 16, factorizations 16, single orbit: True\n"
+    else:
+        assert payload == {"quiver": path, "count": 16, "connected": True,
+                           "sequences": None, "mutation_edges": None}
+        assert text == "16 complete exceptional sequences, mutation graph connected: True\n"
+
+
+@pytest.mark.parametrize("output_format", ["json", "text", "dot"])
+def test_hurwitz_runs_no_braid_search(output_format, quiver_file, capsys, monkeypatch):
+    # The count, the certificate and the listing all come from the one
+    # interval walk; the braid search serves only the library.
+    def searched(*args):
+        raise AssertionError("braid search run")
+
+    monkeypatch.setattr(ncpq.hurwitz, "_search", searched)
+    assert main(["hurwitz", quiver_file(D4_TEXT), "--format", output_format]) == 0
+    out = capsys.readouterr().out
+    if output_format == "json":
+        payload = json.loads(out)
+        assert payload["orbit_size"] == len(payload["orbit"]) == 162
+    elif output_format == "dot":
+        check_dot(out)
+
+
+def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monkeypatch, a3):
+    # The certificate reads the letters of one element of length 2 without
+    # its last cover, which another of its children still names, so the
+    # certificate fails and the command exits 1.
+    real = ncpq.weyl.reflections_below
+    c = coxeter_element(a3, (1, 2, 3))
+    w = interval_covers(c, generate_roots(a3))[c][0]
+
+    def dropped(u, roots, _candidates=None):
+        found = real(u, roots, _candidates)
+        return found[:-1] if u == w else found
+
+    monkeypatch.setattr(cli, "reflections_below", dropped)
+    assert main(["hurwitz", quiver_file(A3_TEXT), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["single_orbit"] is False and payload["orbit_size"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +426,27 @@ def test_out_file(quiver_file, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert BijectionReport.from_dict(json.loads(out.read_text())).all_ok
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_unwritable_out_exit_2(command, quiver_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main([command, quiver_file(A2_TEXT), "--format", "json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_out_prints_no_traceback(quiver_file, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "ncpq.cli", "analyze", quiver_file(A2_TEXT),
+                           "--out", str(target)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: cannot write {target}: ")
 
 
 def test_jobs_flag_rejected_exit_2(quiver_file):

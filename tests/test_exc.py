@@ -36,17 +36,20 @@ from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
     _subcategory_simples,
     closure_indecomposables,
-    is_connected,
     mutation_graph,
     order_antichain,
     slot_fillers,
     subcategory_covers,
 )
 from ncpq.hurwitz import orbit_edges
-from ncpq.weyl import chain_counts, simple_root
+from ncpq.quiver import Quiver, connected_components
+from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
+                       maximal_chains, reflections_below, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
+    FACTORIZATION_COUNTS,
+    braid_orbit_by_full_products,
     exceptional_sequences,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,
@@ -304,7 +307,7 @@ def test_product_invariant_on_all_mutation_edges(a3_reg):
     seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
     nodes, edges = mutation_graph(seqs, a3_reg)
     assert len(nodes) == 16
-    assert is_connected(len(nodes), edges)
+    assert len(connected_components(len(nodes), edges)) == 1
 
 
 def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
@@ -331,28 +334,45 @@ def test_mutation_graph_matches_per_edge_braid_mutate(label):
     assert edges == mutation_edges_by_braid_mutate(seqs, reg)
 
 
-def _assert_sequences_are_the_orbit(q):
+def _assert_sequences_are_the_orbit(q, order):
     # Sequences map to the reflections at their roots, and mutation is the
     # Hurwitz move: the complete sequences are the braid orbit of the
-    # simples in a topological order, with the same forward-move edges.
-    reg = build_registry(q)
+    # simples in an admissible order, with the same forward-move edges.
+    # Every admissible order gives the one Coxeter element c, and the
+    # maximal chains of [1, c] list that orbit too. Both certificates hold,
+    # as the listed move graph is connected.
+    roots = generate_roots(q)
+    reg = build_registry(q, roots)
     nodes, edges = mutation_graph(enumerate_complete_sequences(q, reg), reg)
-    start = tuple_from_roots(q, tuple(simple_root(q.n, i) for i in topological_order(q)))
-    orbit = sorted(hurwitz_orbit(start), key=lambda t: t.roots)
+    start = tuple(simple_root(q.n, i) for i in order)
+    orbit = sorted(hurwitz_orbit(tuple_from_roots(q, start)), key=lambda t: t.roots)
     assert [s.roots for s in nodes] == [t.roots for t in orbit]
+    assert set(nodes) == _backtracked(q, reg)
     assert edges == orbit_edges(orbit)
+    if q.n <= 4:  # A5 and D5: test_orbit_matches_full_product_oracle
+        assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
+    covers = interval_covers(coxeter_element(q, order), roots)
+
+    def letters(w):
+        return [t.root for t in reflections_below(w, roots)]
+
+    assert sorted(maximal_chains(covers, letters)) == [t.roots for t in orbit]
+    assert len(connected_components(len(nodes), edges)) == 1
+    assert braid_transitive(covers, letters) is True
+    assert braid_transitive(subcategory_covers(reg), sorted) is True
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_sequences_are_the_hurwitz_orbit(label):
-    _assert_sequences_are_the_orbit(DYNKIN_QUIVERS[label])
+    q = DYNKIN_QUIVERS[label]
+    _assert_sequences_are_the_orbit(q, topological_order(q))
 
 
 @settings(max_examples=20, deadline=None)
 @given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5"]))
 def test_sequences_are_the_hurwitz_orbit_on_random_orientations(drawn):
-    _, q, _ = drawn
-    _assert_sequences_are_the_orbit(q)
+    _, q, order = drawn
+    _assert_sequences_are_the_orbit(q, order)
 
 
 def test_mutation_graph_rejects_a_non_exceptional_sequence(a3_reg):
@@ -461,7 +481,7 @@ def test_sequence_cap_boundary(label, monkeypatch):
     def unlisted(*args):
         raise AssertionError("sequences listed past the cap")
 
-    monkeypatch.setattr(exc, "_complete_sequences", unlisted)
+    monkeypatch.setattr(exc, "maximal_chains", unlisted)
     with pytest.raises(CapExceededError, match=f"sequence count exceeds cap {count - 1}$"):
         enumerate_complete_sequences(q, reg, cap=count - 1)
 
@@ -512,6 +532,26 @@ def test_descent_lists_the_antichain_closures(label):
     for ind, children in descent.items():
         assert exc._checked_subcategory(ind, expected[ind].rank, reg) == expected[ind]
         assert all(expected[a].rank == expected[ind].rank - 1 for a in children)
+
+
+def _flipped(q, every):
+    """q with every `every`-th arrow reversed, counting from the first."""
+    return Quiver(q.n, tuple((t, h) if k % every == 0 else (h, t)
+                             for k, (h, t) in enumerate(q.arrows)))
+
+
+@pytest.mark.parametrize("label, every", [("E6", 1), ("E6", 2), ("E7", 1), ("E7", 2)])
+def test_both_walks_match_the_closed_forms_on_more_orientations(label, every):
+    # All arrows reversed, and every other arrow reversed: both walks count
+    # n!·h^n/|W| maximal chains, and both certificates hold.
+    q = _flipped(DYNKIN_QUIVERS[label], every)
+    chains = {"E6": FACTORIZATION_COUNTS["E6"], "E7": CLOSED_FORM_PINS["E7"][1]}[label]
+    roots = generate_roots(q)
+    c = coxeter_element(q, topological_order(q))
+    covers, descent = interval_covers(c, roots), subcategory_covers(build_registry(q, roots))
+    assert chain_counts(covers)[c] == chain_counts(descent)[next(iter(descent))] == chains
+    assert braid_transitive(covers, lambda w: [t.root for t in reflections_below(w, roots)])
+    assert braid_transitive(descent, sorted)
 
 
 @pytest.mark.parametrize("label", sorted(CLOSED_FORM_PINS))

@@ -3,6 +3,7 @@ non-crossing interval, the exchange property, and conjugation depth."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -33,7 +34,9 @@ from ncpq.errors import (
     NonFiniteTypeError,
     ValidationError,
 )
-from ncpq.weyl import WeylElement, is_positive
+from ncpq.quiver import Quiver
+from ncpq.weyl import (WeylElement, braid_transitive, complete_roots, is_positive,
+                       maximal_chains, walk_down)
 
 from oracles import (
     COXETER_CATALAN,
@@ -393,6 +396,82 @@ def test_walk_cap_is_read_at_call_time(a3, monkeypatch):
         noncrossing_partitions(c, a3, roots=generate_roots(a3))
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 14)
     assert len(noncrossing_partitions(c, a3, roots=generate_roots(a3))) == 14
+
+
+def test_walk_holds_each_element_once(d4, d4_roots):
+    # A child met again is the object met first, so the diagram holds one
+    # object per element.
+    covers = interval_covers(coxeter_element(d4, topological_order(d4)), d4_roots)
+    held = {id(w) for w in covers}
+    assert all(id(x) in held for children in covers.values() for x in children)
+
+
+def _subsets(top: frozenset, child) -> dict:
+    """A hand-built Hasse diagram on subsets of `top`, walked down from
+    it: the letters of a node are its sorted members, and child(node, x)
+    is the child reached through x."""
+    return walk_down(top, lambda node, _: (tuple(child(node, x) for x in sorted(node)), None),
+                     "node count")
+
+
+def _without(node, x):
+    return node - {x}
+
+
+def test_walk_down_of_the_boolean_lattice(monkeypatch):
+    # The subsets of {1, 2, 3}: 8 nodes, and the 3! orders of removal are
+    # its maximal chains, all in one orbit of transpositions.
+    top = frozenset({1, 2, 3})
+    covers = _subsets(top, _without)
+    assert list(map(len, covers)) == [3, 2, 2, 2, 1, 1, 1, 0]
+    assert set(maximal_chains(covers, sorted)) == set(itertools.permutations((1, 2, 3)))
+    assert chain_counts(covers)[top] == 6
+    assert braid_transitive(covers, sorted)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 7)
+    with pytest.raises(CapExceededError, match="^node count exceeds cap 7$"):
+        _subsets(top, _without)
+
+
+# The Boolean lattice with the children of one node changed so that the
+# graph on its letters is cut: from the top, 1 and 2 lead to each other
+# and 3 to the bottom; from a node of two letters, both lead to the bottom.
+CUT = {(1, 2, 3): ((2,), (1,), ()), (1, 2): ((), ()), (1, 3): ((), ()), (2, 3): ((), ())}
+
+
+@pytest.mark.parametrize("node", sorted(CUT))
+def test_certificate_checks_every_node(node):
+    # Every other node keeps the complete graph on its letters, so a
+    # certificate that skips a node, or takes a node's own letters in
+    # place of its children's, passes this diagram.
+    covers = _subsets(frozenset({1, 2, 3}), _without)
+    covers[frozenset(node)] = tuple(map(frozenset, CUT[node]))
+    assert not braid_transitive(covers, sorted)
+
+
+def test_certificate_refuses_letters_that_disagree_with_the_diagram():
+    # A child letter its parent lacks, and fewer letters than children.
+    covers = _subsets(frozenset({1, 2, 3}), _without)
+    assert not braid_transitive(covers, lambda node: [4] if node == {1} else sorted(node))
+    assert not braid_transitive(covers, lambda node: sorted(node - {3}))
+
+
+@pytest.mark.parametrize("name", [*sorted(DYNKIN_QUIVERS), "A2+D4"])
+def test_complete_roots_refuses_from_the_highest_root(name, monkeypatch):
+    # The bound at the highest root's height passes; one below it is
+    # refused from the classification, before any root is generated.
+    q = DYNKIN_QUIVERS.get(name) or Quiver(6, ((1, 2), (3, 4), (5, 4), (6, 4)))
+    roots = generate_roots(q)
+    top = max(map(sum, roots.positive_real_roots))
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_HEIGHT_BOUND", top)
+    assert complete_roots(q).positive_real_roots == roots.positive_real_roots
+
+    def generated(*args):
+        raise AssertionError("roots generated before the refusal")
+
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_HEIGHT_BOUND", top - 1)
+    monkeypatch.setattr("ncpq.weyl.generate_roots", generated)
+    with pytest.raises(NonFiniteTypeError, match=f"truncated at height {top - 1}: "):
+        complete_roots(q)
 
 
 # Each operation of absolute order refuses a root system that is not
