@@ -75,6 +75,8 @@ from .weyl import (
     multiply,
     noncrossing_partitions,
     reflect,
+    reflect_left,
+    reflect_right,
     reflections_below,
     simple_root,
 )

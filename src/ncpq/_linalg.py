@@ -12,6 +12,12 @@ only ever read: `integer_rows` clears the denominators of each rational
 row before `rank` or a kernel sees it. Sizes are desk scale, so plain
 elimination is the right tool.
 
+`mat_mul` is the general product, exact in integers: `weyl.compose` and
+the check w^T A w = A in `weyl.reflections_below` use it. A product of a
+reflection and a group element does not come here; `weyl.reflect_left`
+and `weyl.reflect_right` subtract only I - t, which is as exact (see
+`weyl`) and touches only the rows or columns that I - t moves.
+
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
 count explicitly where it cannot be inferred.

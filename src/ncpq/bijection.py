@@ -52,10 +52,10 @@ from .weyl import (
     WeylElement,
     chain_counts,
     complete_roots,
-    compose,
     coxeter_element,
     identity,
     interval_covers,
+    reflect_right,
     simple_root,
 )
 
@@ -189,7 +189,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             if not sub.ind_roots and value != identity(q.n):
                 induction_failure(sub, None, value, identity(q.n))
             for x, below in zip(sorted(sub.ind_roots), descent[sub.ind_roots]):
-                got = compose(values[subs[below]], roots.reflection(x).element)
+                got = reflect_right(values[subs[below]], roots.reflection(x))
                 if got != value:
                     induction_failure(sub, x, value, got)
             if value not in covers:

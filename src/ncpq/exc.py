@@ -161,14 +161,16 @@ def _relative_root_count(simples: tuple[Vector, ...], reg: IndecRegistry) -> int
         for j in range(r):
             if i != j:
                 arrows.extend([(i + 1, j + 1)] * reg.ext(simples[i], simples[j]))
-    return _finite_root_count(Quiver(r, tuple(arrows)))
+    return _finite_root_count(r, tuple(arrows))
 
 
 @functools.cache
-def _finite_root_count(q: Quiver) -> int:
-    """Positive-root count of a finite-type quiver, read off its Dynkin
-    type. Many closures share one relative quiver, so this is memoized."""
-    classification = classify_type(cartan_matrix(q))
+def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
+    """Positive-root count of the finite-type quiver on n vertices with
+    these arrows, read off its Dynkin type. Many closures share one
+    relative quiver, so this is memoized on (n, arrows), and the quiver
+    is built and validated only on a miss."""
+    classification = classify_type(cartan_matrix(Quiver(n, arrows)))
     if not classification.is_finite:
         raise NcpqError("relative quiver of a subcategory is not finite type")
     return positive_root_count(classification.label)
@@ -340,7 +342,7 @@ def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vect
 
 def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> WeylElement:
     """Product of the reflections at the given roots, left to right."""
-    return multiply((rootsystem.reflection(r).element for r in roots_seq), rootsystem.n)
+    return multiply((rootsystem.reflection(r) for r in roots_seq), rootsystem.n)
 
 
 def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):

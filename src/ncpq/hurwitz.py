@@ -14,9 +14,10 @@ table's root lookup (`make_reflection` here, the root system's in `exc`);
 no matrix is conjugated. A move changes only the pair at i and i+1, so
 the product X*a*b*Y before it equals X*b'*c'*Y after it exactly when
 a*b = b'*c' (cancel the invertible X and Y). That is checked when the
-entry is filled, once per distinct pair. Forward, a*b = b*c' exactly
-when c' = b*a*b, the reflection at b(a), so a looked-up matrix that
-disagrees with its root is caught. Orbit sets deduplicate by the tuple
+entry is filled, once per distinct pair, by `weyl.reflect_right`, which
+multiplies by each reflection's matrix as it is. Forward, a*b = b*c'
+exactly when c' = b*a*b, the reflection at b(a), so a looked-up matrix
+that disagrees with its root is caught. Orbit sets deduplicate by the tuple
 of ids, which is the tuple of roots.
 
 The breadth-first search `_search` serves the library functions
@@ -35,12 +36,12 @@ from typing import Callable, Iterator, Sequence
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import Quiver, Vector
 from .weyl import (
-    ProductMemo,
     Reflection,
     WeylElement,
     make_reflection,
     multiply,
     positive_representative,
+    reflect_right,
 )
 
 DEFAULT_ORBIT_CAP = 1_000_000
@@ -69,7 +70,7 @@ class ReflectionTuple:
     @functools.cached_property
     def product(self) -> WeylElement:
         """Left-to-right product of the reflections, computed on first use."""
-        return multiply((r.element for r in self.items), self.n)
+        return multiply(self.items, self.n)
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -100,7 +101,6 @@ class _Braid:
         self.reflections: list[Reflection] = []
         self.ids: dict[Vector, int] = {}
         self.table: dict[tuple[int, int, bool], tuple[int, int]] = {}
-        self.pairs = ProductMemo()
 
     def intern(self, r: Reflection) -> int:
         k = self.ids.get(r.root)
@@ -135,8 +135,8 @@ class _Braid:
         except ValidationError as err:
             raise NcpqError(f"moved vector {root} is not a root; this is a bug") from err
         moved = (k, ia) if inverse else (ib, k)
-        after = self.pairs[self.reflections[moved[0]].element, self.reflections[moved[1]].element]
-        if self.pairs[a.element, b.element] != after:
+        b_new, c_new = (self.reflections[j] for j in moved)
+        if reflect_right(a.element, b) != reflect_right(b_new.element, c_new):
             raise NcpqError("braid move changed the reflection product; this is a bug")
         self.table[key] = moved
         return moved

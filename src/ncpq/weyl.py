@@ -8,6 +8,21 @@ flags a truncated root system as incomplete. Absolute length, absolute
 order, the interval and conjugation depth are finite type only: they
 refuse to run rather than truncate silently.
 
+A product with a reflection t on one side is a reflection product,
+`reflect_left` for t*w and `reflect_right` for w*t. A reflection at a
+root a is t = I - a r^T, with r^T = a^T A for the symmetric Cartan
+matrix A, so each product changes only the rows (t*w) or the columns
+(w*t) that I - t moves, about n * (|supp a| + |supp r|) operations
+instead of the n^3 of a full product. Each is exact for any matrix of t:
+I - t is read off the matrix, its nonzero rows written as integer
+multiples of their primitive rows (`Reflection._sparse`), and every row
+of w*t is updated from the original row of w. They make every
+reflection-times-element product of the package: the walk's children
+t*w, `verify`'s induction products, the folds of `multiply` (behind
+`coxeter_element`, `exc.sequence_product`, `ReflectionTuple.product` and
+the exchange witness) and the braid table's pair products. `compose`
+(`_linalg.mat_mul`) stays the general product.
+
 One toolkit serves both posets of the bijection, each walked down from
 its top by covers: the interval [1, c] (`interval_covers`) and the thick
 exceptional subcategories (`exc.subcategory_covers`). `walk_down` walks
@@ -21,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
@@ -82,32 +98,87 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(mat_mul(a.matrix, b.matrix))
 
 
-def multiply(factors: Iterable[WeylElement], n: int) -> WeylElement:
-    """Left-to-right product of the factors, so the last acts first on a
-    vector. It starts at the first factor; only no factors at all give
-    the identity of rank n."""
-    factors = iter(factors)
-    first = next(factors, None)
-    return identity(n) if first is None else reduce(compose, factors, first)
-
-
-class ProductMemo(dict):
-    """Products a*b of Weyl elements, keyed on the pair (a, b), so on the
-    operand matrices (a WeylElement compares and hashes as its matrix):
-    each distinct pair is composed once. Make one per search and drop it
-    with the search."""
-
-    def __missing__(self, pair: tuple[WeylElement, WeylElement]) -> WeylElement:
-        product = self[pair] = compose(*pair)
-        return product
-
-
 @dataclass(frozen=True)
 class Reflection:
-    """Reflection at a positive real root, with its matrix."""
+    """Reflection at a positive real root, with its matrix.
+
+    The products with an element (`reflect_left`, `reflect_right`) read
+    I - t off the matrix, not off the root, so a matrix that disagrees
+    with its root multiplies as that matrix does.
+    """
 
     root: Vector
     element: WeylElement
+
+    @cached_property
+    def _sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """I - t, sparsely, computed once per reflection, on first use: its
+        nonzero rows grouped by their primitive row p, each group the pair
+        ((i, c_i), ...), ((j, p_j), ...) of the rows i of I - t, each equal
+        to c_i * p, and the nonzero entries of p. At a root a with
+        r^T = a^T A, A the symmetric Cartan matrix, I - t = a r^T is one
+        group: the rows at the support of a, all positive multiples of r."""
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, row in enumerate(self.element.matrix):
+            d = [(i == j) - x for j, x in enumerate(row)]
+            g = gcd(*d)
+            if g:
+                groups.setdefault(tuple(x // g for x in d), []).append((i, g))
+        return tuple((tuple(rows), tuple((j, x) for j, x in enumerate(p) if x))
+                     for p, rows in groups.items())
+
+
+def reflect_left(t: Reflection, w: WeylElement) -> WeylElement:
+    """The product t*w, equal to compose(t.element, w) for any matrix of t:
+    t*w = w - (I - t)*w changes only the rows i of w where I - t is
+    nonzero, row i becoming w_i - c_i * u for its group's u = p*w, a
+    combination of the rows of w at the support of p."""
+    if t.element.n != w.n:
+        raise ValidationError("composing elements of different rank")
+    m = w.matrix
+    rows = list(m)
+    for coefs, p in t._sparse:
+        u = None
+        for j, x in p:
+            u = ([x * y for y in m[j]] if u is None
+                 else [a + x * y for a, y in zip(u, m[j])])
+        for i, c in coefs:
+            rows[i] = tuple([a - c * y for a, y in zip(m[i], u)])
+    return WeylElement(tuple(rows))
+
+
+def reflect_right(w: WeylElement, t: Reflection) -> WeylElement:
+    """The product w*t, equal to compose(w, t.element) for any matrix of t:
+    w*t = w - w*(I - t), so row k of w loses s * p for each group of
+    I - t, where s = sum of c_i * w_ki over the group's rows i. Each s is
+    read off the original row of w, never one an earlier group updated,
+    so the product is exact however many groups there are."""
+    if t.element.n != w.n:
+        raise ValidationError("composing elements of different rank")
+    rows = []
+    for row in w.matrix:
+        new = None
+        for coefs, p in t._sparse:
+            s = 0
+            for i, c in coefs:
+                s += c * row[i]
+            if s:
+                if new is None:
+                    new = list(row)
+                for j, x in p:
+                    new[j] -= s * x
+        rows.append(row if new is None else tuple(new))
+    return WeylElement(tuple(rows))
+
+
+def multiply(factors: Iterable[Reflection], n: int) -> WeylElement:
+    """Left-to-right product of the reflections, so the last acts first on
+    a vector: the first factor's element times each later one by
+    `reflect_right`, so k factors take k - 1 products. Only no factors at
+    all give the identity of rank n."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return identity(n) if first is None else reduce(reflect_right, factors, first.element)
 
 
 def is_positive(v: Vector) -> bool:
@@ -210,9 +281,11 @@ class RootSystem:
         return tuple(self.reflection(r) for r in self.sorted_roots())
 
 
-def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootSystem:
+def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
+                   classification: Classification | None = None) -> RootSystem:
     """Close the simple roots under simple reflections, keeping positive
-    vectors of coordinate sum <= height_bound.
+    vectors of coordinate sum <= height_bound. The quiver is classified
+    here unless its caller already holds its `classification`.
 
     Every vector reached is a positive real root v, and s_i changes only
     coordinate i: s_i(v) is negative exactly when v = alpha_i (the one
@@ -224,7 +297,8 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND) -> RootS
     if height_bound < 1:
         raise ValidationError("height bound must be positive")
     cart = cartan_matrix(q)
-    classification = classify_type(cart)
+    if classification is None:
+        classification = classify_type(cart)
     simples = [simple_root(q.n, i) for i in q.vertices]
     seen: set[Vector] = set(simples)
     frontier = deque(simples)
@@ -261,7 +335,7 @@ def complete_roots(q: Quiver) -> RootSystem:
             2 * positive_root_count(part) // int(part[1:]) - 1 > DEFAULT_HEIGHT_BOUND
             for part in classification.label.split("+")):
         raise _truncated(classification, DEFAULT_HEIGHT_BOUND)
-    roots = generate_roots(q)
+    roots = generate_roots(q, classification=classification)
     roots.require_complete()
     return roots
 
@@ -277,7 +351,7 @@ def coxeter_element(q: Quiver, order: tuple[int, ...]) -> WeylElement:
         raise ValidationError(f"{order} is not a permutation of 1..{q.n}")
     if not is_admissible_order(q, order):
         raise ValidationError(f"{order} is not an admissible exceptional ordering")
-    return multiply((make_reflection(q, simple_root(q.n, i)).element for i in order), q.n)
+    return multiply((make_reflection(q, simple_root(q.n, i)) for i in order), q.n)
 
 
 def _moved_space(w: WeylElement):
@@ -424,7 +498,7 @@ def interval_covers(c: WeylElement,
     """
     def expand(w: WeylElement, candidates: tuple[Reflection, ...] | None):
         below = reflections_below(w, roots, candidates)
-        return tuple(compose(t.element, w) for t in below), below
+        return tuple(reflect_left(t, w) for t in below), below
 
     covers = walk_down(c, expand, "interval size")
     if identity(c.n) not in covers:
@@ -564,9 +638,9 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
         raise ValidationError("the word does not send alpha to a negative vector")
     t_min = next(t for t in range(1, k + 1)
                  if is_positive(images[t]) and is_negative(images[t - 1]))
-    suffix = multiply((simples[i].element for i in word[t_min:]), q.n)
-    lhs = compose(simples[word[t_min - 1]].element, suffix)
-    rhs = compose(suffix, make_reflection(q, alpha).element)
+    suffix = multiply((simples[i] for i in word[t_min:]), q.n)
+    lhs = reflect_left(simples[word[t_min - 1]], suffix)
+    rhs = reflect_right(suffix, make_reflection(q, alpha))
     if lhs != rhs:
         raise NcpqError("exchange identity failed to verify; this is a bug")
     return ExchangeWitness(t_min, lhs, rhs)

@@ -20,6 +20,8 @@ from ncpq import (
     is_exceptional_sequence,
     make_reflection,
     noncrossing_partitions,
+    reflect_left,
+    reflect_right,
     thick_closure,
     topological_order,
     tuple_from_roots,
@@ -31,6 +33,7 @@ from ncpq.hurwitz import hurwitz_orbit
 
 from oracles import (
     CLOSED_FORM_PINS,
+    COXETER_CATALAN,
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
     bfs_absolute_lengths,
@@ -323,6 +326,32 @@ def test_e7_counts_match_the_closed_forms():
     assert report.all_ok
     assert report.counts["subcategories"] == report.counts["nc"] == catalan
     assert report.counts["chains"] == chains
+
+
+def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
+    # Each child t*w of the walk (one per cover), each fold behind c and
+    # cox, and each induction product cox(A)*s_x equals the full product.
+    calls = {"walk": 0, "fold": 0, "induction": 0}
+
+    def checked(kind, product, full):
+        def call(a, b):
+            got = product(a, b)
+            assert got == full(a, b)
+            calls[kind] += 1
+            return got
+        return call
+
+    monkeypatch.setattr("ncpq.weyl.reflect_left", checked(
+        "walk", reflect_left, lambda t, w: compose(t.element, w)))
+    monkeypatch.setattr("ncpq.weyl.reflect_right", checked(
+        "fold", reflect_right, lambda w, t: compose(w, t.element)))
+    monkeypatch.setattr("ncpq.bijection.reflect_right", checked(
+        "induction", reflect_right, lambda w, t: compose(w, t.element)))
+    report = verify_bijection(DYNKIN_QUIVERS["E6"])
+    assert report.all_ok
+    assert report.counts["nc"] == COXETER_CATALAN["E6"]
+    assert calls["walk"] == calls["induction"] == report.counts["covers"]
+    assert calls["fold"] > 0
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

@@ -17,11 +17,13 @@ import ncpq.hurwitz
 import ncpq.weyl
 from ncpq import (
     absolute_leq,
+    cartan_matrix,
     cli,
     coxeter_element,
     enumerate_complete_sequences,
     hurwitz_orbit,
     interval_covers,
+    parse_quiver,
     simple_root,
     topological_order,
     tuple_from_roots,
@@ -185,6 +187,23 @@ def test_refused_before_any_root_is_generated(command, quiver, kind, quiver_file
     assert captured.out == ""
     assert captured.err == (f"error: {kind} root system truncated at height 100: this needs "
                             "finite type with every positive root of height <= 100\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "nc", "hurwitz", "sequences"])
+def test_the_input_quiver_is_classified_once(command, quiver_file, capsys, monkeypatch):
+    # complete_roots classifies the quiver to refuse it early and hands the
+    # classification on to generate_roots, which does not classify again.
+    classified = []
+    real = ncpq.weyl.classify_type
+
+    def counted(cartan):
+        classified.append(cartan)
+        return real(cartan)
+
+    monkeypatch.setattr("ncpq.weyl.classify_type", counted)
+    assert main([command, quiver_file(D4_TEXT)]) == 0
+    capsys.readouterr()
+    assert classified == [cartan_matrix(parse_quiver(D4_TEXT))]
 
 
 def test_analyze_keeps_the_truncated_count_of_d52(quiver_file, capsys):

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpq import (
     absolute_length,
@@ -24,6 +26,8 @@ from ncpq import (
     multiply,
     noncrossing_partitions,
     reflect,
+    reflect_left,
+    reflect_right,
     reflections_below,
     simple_root,
     symmetric_form,
@@ -35,7 +39,7 @@ from ncpq.errors import (
     ValidationError,
 )
 from ncpq.quiver import Quiver
-from ncpq.weyl import (WeylElement, braid_transitive, complete_roots, is_positive,
+from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
                        maximal_chains, walk_down)
 
 from oracles import (
@@ -170,6 +174,66 @@ def test_simple_reflection_preserves_other_positive_roots(a3_roots, d4_roots):
 
 
 # ---------------------------------------------------------------------------
+# reflection products
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A3", "A4", "D4", "A5", "D5"]),
+       st.lists(st.integers(min_value=0), max_size=12))
+def test_reflection_products_equal_compose(name, picks):
+    # A random element, folded by full products from 0-12 reflections, and
+    # every reflection of the type on either side of it.
+    roots = complete_roots(DYNKIN_QUIVERS[name])
+    reflections = roots.reflections()
+    w = reduce(compose, (reflections[k % len(reflections)].element for k in picks),
+               identity(roots.n))
+    for t in reflections:
+        assert reflect_left(t, w) == compose(t.element, w)
+        assert reflect_right(w, t) == compose(w, t.element)
+
+
+def test_reflection_products_read_the_matrix_not_the_root(d4, d4_roots):
+    # A reflection whose matrix belongs to another root multiplies as that
+    # matrix does, so a pair-product check sees the matrix it holds.
+    reflections = d4_roots.reflections()
+    rng = random.Random(19)
+    elements = rng.sample(sorted(weyl_group(d4), key=lambda w: w.matrix), 12)
+    for t, u in itertools.permutations(reflections, 2):
+        mixed = Reflection(t.root, u.element)
+        for w in elements:
+            assert reflect_left(mixed, w) == compose(u.element, w)
+            assert reflect_right(w, mixed) == compose(w, u.element)
+
+
+def test_reflection_products_are_exact_for_any_matrix():
+    # I - t with several groups: rows that are multiples of one primitive
+    # row with either sign, other rows, zero rows. Every group of w*t reads
+    # the original row of w.
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(40):
+            m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+            p = tuple(rng.randint(-2, 2) for _ in range(n))
+            rows = [tuple(int(i == j) - c * x for j, x in enumerate(p)) if c else m[i]
+                    for i, c in enumerate(rng.choice((-2, -1, 0, 1, 3)) for _ in range(n))]
+            for matrix in (m, tuple(rows)):
+                t = Reflection(simple_root(n, 1), WeylElement(matrix))
+                w = WeylElement(tuple(tuple(rng.randint(-4, 4) for _ in range(n))
+                                      for _ in range(n)))
+                assert reflect_left(t, w) == compose(t.element, w)
+                assert reflect_right(w, t) == compose(w, t.element)
+
+
+def test_reflection_products_refuse_another_rank(a3):
+    t = make_reflection(a3, (1, 0, 0))
+    with pytest.raises(ValidationError):
+        reflect_left(t, identity(4))
+    with pytest.raises(ValidationError):
+        reflect_right(identity(4), t)
+
+
+# ---------------------------------------------------------------------------
 # Coxeter elements
 # ---------------------------------------------------------------------------
 
@@ -188,13 +252,26 @@ def test_coxeter_rank_one():
 
 
 def test_multiply_starts_at_the_first_factor(a4, monkeypatch):
-    # Four simple reflections take three products, with no identity first;
-    # only an empty product is the identity.
+    # Four simple reflections take three reflection products, with no
+    # identity first and no full matrix product; one factor gives back its
+    # element, and only an empty product is the identity.
     calls = []
-    monkeypatch.setattr("ncpq.weyl.compose", lambda a, b: calls.append(1) or compose(a, b))
+
+    def counted(w, t):
+        calls.append(t.root)
+        return reflect_right(w, t)
+
+    def full_product(a, b):
+        raise AssertionError("multiply made a full matrix product")
+
+    monkeypatch.setattr("ncpq.weyl.reflect_right", counted)
+    monkeypatch.setattr("ncpq.weyl.compose", full_product)
     c = coxeter_element(a4, (1, 2, 3, 4))
-    assert len(calls) == 3
-    assert multiply([c], 4) is c
+    assert calls == [simple_root(4, i) for i in (2, 3, 4)]
+    simples = [make_reflection(a4, simple_root(4, i)).element for i in (1, 2, 3, 4)]
+    assert c == compose(compose(compose(simples[0], simples[1]), simples[2]), simples[3])
+    s1 = make_reflection(a4, simple_root(4, 1))
+    assert multiply([s1], 4) is s1.element
     assert multiply((), 4) == identity(4)
 
 
