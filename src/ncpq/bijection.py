@@ -157,7 +157,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     try:
         covers = interval_covers(c, roots)
         counts["nc"] = len(covers)
-        walk_covers = {(x, w) for w, children in covers.items() for x in children}
+        walk_covers = {(x, w) for w, children in covers.items() for x in children.values()}
         counts["covers"] = len(walk_covers)
         counts["chains"] = chain_counts(covers)[c]
 
@@ -165,13 +165,14 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         descent = subcategory_covers(reg)
         rank = {next(iter(descent)): q.n}
         for ind, children in descent.items():
-            rank.update(dict.fromkeys(children, rank[ind] - 1))
+            rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
         subs = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
         counts["subcategories"] = len(subs)
-        values = {sub: cox(sub, reg, roots) for sub in subs.values()}
+        # `_checked_subcategory` has checked the simples exceptional.
+        values = {sub: sequence_product(sub.simples, roots) for sub in subs.values()}
 
         # Induction on rank over the descent's covers (A, B), A = B ∩ x^⊥.
-        sub_covers = [(subs[a], subs[b]) for b, children in descent.items() for a in children]
+        sub_covers = [(subs[a], subs[b]) for b, down in descent.items() for a in down.values()]
         well_defined = True
 
         def induction_failure(sub: Subcategory, x, expected: WeylElement, got) -> None:
@@ -188,7 +189,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         for sub, value in values.items():
             if not sub.ind_roots and value != identity(q.n):
                 induction_failure(sub, None, value, identity(q.n))
-            for x, below in zip(sorted(sub.ind_roots), descent[sub.ind_roots]):
+            for x, below in descent[sub.ind_roots].items():
                 got = reflect_right(values[subs[below]], roots.reflection(x))
                 if got != value:
                     induction_failure(sub, x, value, got)
@@ -237,7 +238,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         forward = [order_failure("forward", a, b, values[a], values[b])
                    for a, b in sub_covers if (values[a], values[b]) not in walk_covers]
         backward = [order_failure("backward", preimage.get(x), preimage.get(w), x, w)
-                    for w, children in covers.items() for x in children
+                    for w, children in covers.items() for x in children.values()
                     if (x, w) not in image_covers]
         failures += forward + backward
         flags["order_iso_forward"] = not forward

@@ -44,7 +44,6 @@ from .weyl import (
     generate_roots,
     interval_covers,
     maximal_chains,
-    reflections_below,
 )
 
 EXIT_OK = 0
@@ -127,13 +126,13 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
-def _chains(covers: dict, letters, cap: int) -> tuple[int, bool, list | None]:
+def _chains(covers: dict, cap: int) -> tuple[int, bool, list | None]:
     """The maximal-chain count of a walk, its braid-transitivity
     certificate, and its chains in sorted order, listed only when the
     count is at most the cap."""
     count = chain_counts(covers)[next(iter(covers))]
-    listed = sorted(maximal_chains(covers, letters)) if count <= cap else None
-    return count, braid_transitive(covers, letters), listed
+    listed = sorted(maximal_chains(covers)) if count <= cap else None
+    return count, braid_transitive(covers), listed
 
 
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
@@ -175,13 +174,12 @@ def cmd_nc(args: argparse.Namespace) -> int:
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
     covers = interval_covers(c, roots)
-    root_of = {roots.reflection(r).element: r for r in roots.sorted_roots()}
     lengths = {w: absolute_length(w, roots) for w in covers}
     elements = sorted(covers, key=lambda w: (lengths[w], w.matrix))
     ids = {w: k for k, w in enumerate(elements)}
     # In a graded poset a is covered by b exactly when a = t*b for a
     # reflection t <= b, so the Hasse edges are the walk's covers.
-    edges = [(ids[a], ids[b]) for b in elements for a in covers[b]]
+    edges = [(ids[a], ids[b]) for b in elements for a in covers[b].values()]
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
@@ -191,7 +189,8 @@ def cmd_nc(args: argparse.Namespace) -> int:
                 "id": ids[w],
                 "length": lengths[w],
                 "matrix": w.to_json(),
-                "root": list(root_of[w]) if w in root_of else None,
+                # A reflection covers only the identity, through its root.
+                "root": list(next(iter(covers[w]))) if lengths[w] == 1 else None,
             }
             for w in elements
         ],
@@ -241,14 +240,10 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
-
-    def letters(w):
-        return [t.root for t in reflections_below(w, roots)]
-
     # The chains of [1, c] are the minimal reflection factorizations of c,
     # the simple one in `order` among them; the certificate makes them one
     # braid orbit.
-    count, single, ordered = _chains(interval_covers(c, roots), letters, args.cap_orbit)
+    count, single, ordered = _chains(interval_covers(c, roots), args.cap_orbit)
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
@@ -278,7 +273,7 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     reg = build_registry(q, complete_roots(q))
     # The descent's chains, read from the bottom, are the complete
     # exceptional sequences; the certificate makes them one mutation class.
-    count, connected, chains = _chains(subcategory_covers(reg), sorted, args.cap_sequences)
+    count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences)
     nodes, edges = (None, None) if chains is None else mutation_graph(
         {ExcSequence(s[::-1]) for s in chains}, reg)
     payload = {

@@ -206,12 +206,12 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     return _checked_subcategory(ind, len(members), reg)
 
 
-def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, ...]]:
+def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, dict[Vector, frozenset]]:
     """The Hasse diagram of the thick exceptional subcategories under
     containment, each given by its indecomposables, by `weyl.walk_down`
-    from the whole category: B maps to the tuple of B ∩ x^⊥ for its
-    letters x in sorted(B), and every B comes before the subcategories
-    it covers. The sets are not checked here; `_checked_subcategory`
+    from the whole category: B maps each member x, its letter, in root
+    order, to B ∩ x^⊥, and every B comes before the subcategories it
+    covers. The sets are not checked here; `_checked_subcategory`
     checks one at its level. Holding more than `weyl.DEFAULT_INTERVAL_CAP`
     subcategories (they are in bijection with the interval [1, c])
     raises CapExceededError("subcategory count exceeds cap N").
@@ -223,8 +223,8 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, tuple[frozenset, .
     complete in B ∩ x^⊥, so `weyl.chain_counts` counts them and
     `weyl.maximal_chains` lists them, last entry first.
     """
-    def expand(b: frozenset, _) -> tuple[tuple[frozenset, ...], None]:
-        return tuple(b & reg.right_orth(x) for x in sorted(b)), None
+    def expand(b: frozenset, _) -> tuple[dict[Vector, frozenset], None]:
+        return {x: b & reg.right_orth(x) for x in sorted(b)}, None
 
     return walk_down(frozenset(reg.roots()), expand, "subcategory count")
 
@@ -299,7 +299,7 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
     covers = subcategory_covers(reg)
     if chain_counts(covers)[next(iter(covers))] > cap:
         raise CapExceededError(f"sequence count exceeds cap {cap}")
-    return {ExcSequence(s[::-1]) for s in maximal_chains(covers, sorted)}
+    return {ExcSequence(s[::-1]) for s in maximal_chains(covers)}
 
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:

@@ -26,7 +26,8 @@ from fractions import Fraction
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
-from .weyl import RootSystem, generate_roots, is_positive, simple_reflect, simple_root
+from .weyl import (RootSystem, complete_roots, generate_roots, is_positive, simple_reflect,
+                   simple_root)
 
 
 def _zero_map(rows: int, cols: int) -> RatMatrix:
@@ -410,9 +411,10 @@ class IndecRegistry:
 
 
 def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
-    """Construct and certify the full root -> indecomposable table."""
+    """Construct and certify the full root -> indecomposable table;
+    `roots` defaults to `complete_roots`, which refuses before generating."""
     if roots is None:
-        roots = generate_roots(q)
+        roots = complete_roots(q)
     roots.require_complete()
     expected = positive_root_count(roots.classification.label)
     if len(roots.positive_real_roots) != expected:

@@ -26,9 +26,10 @@ the exchange witness) and the braid table's pair products. `compose`
 One toolkit serves both posets of the bijection, each walked down from
 its top by covers: the interval [1, c] (`interval_covers`) and the thick
 exceptional subcategories (`exc.subcategory_covers`). `walk_down` walks
-either, `chain_counts` counts its maximal chains, `maximal_chains` lists
-them, and `braid_transitive` certifies on the diagram itself that the
-braid group moves any chain to any other (proof in its docstring).
+either into a Hasse diagram whose covers are keyed by their letters,
+`chain_counts` counts its maximal chains, `maximal_chains` lists them,
+and `braid_transitive` certifies on the diagram itself that the braid
+group moves any chain to any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ class RootSystem:
     `complete` is True only when the type is finite and the reflection
     closure stabilized below the height bound; otherwise the set is an
     explicit truncation. Instances are immutable apart from internal memo
-    tables (reflections, absolute lengths, reflections below an element)
-    which are plain dicts and safe to fill concurrently under the GIL.
+    tables (reflections, absolute lengths) which are plain dicts and safe
+    to fill concurrently under the GIL.
     """
 
     def __init__(self, quiver: Quiver, positive_real_roots: frozenset[Vector],
@@ -252,7 +253,6 @@ class RootSystem:
         self.cartan = cartan_matrix(quiver).entries
         self._reflections: dict[Vector, Reflection] = {}
         self._abs_len: dict[WeylElement, int] = {}
-        self._below: dict[WeylElement, tuple[Reflection, ...]] = {}
 
     @property
     def n(self) -> int:
@@ -400,8 +400,8 @@ def absolute_leq(u: WeylElement, w: WeylElement, roots: RootSystem) -> bool:
 def reflections_below(w: WeylElement, roots: RootSystem,
                       _candidates: tuple[Reflection, ...] | None = None,
                       ) -> tuple[Reflection, ...]:
-    """The reflections t <= w in absolute order, in root order, memoized
-    per element on the root system.
+    """The reflections t <= w in absolute order, in root order; the walk
+    keeps them as its diagram's letters, so they are not memoized.
 
     t <= w means |t w| = |w| - 1: these are the first letters of the
     minimal reflection factorizations of w. By Brady-Watt (2002, "A
@@ -425,27 +425,24 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     t <= w <= u implies t <= u. Requires a complete root system.
     """
     roots.require_complete()
-    found = roots._below.get(w)
-    if found is None:
-        pool = _candidates
-        if pool is None:
-            pool = roots.reflections()
-            a = roots.cartan
-            if w.n != roots.n or mat_mul(mat_mul(tuple(zip(*w.matrix)), a), w.matrix) != a:
-                raise ValidationError("the given element does not preserve the symmetric "
-                                      "form of this root system")
-        moved = _moved_space(w)
-        roots._abs_len[w] = len(moved)
-        found = roots._below[w] = tuple(t for t in pool if in_span(moved, t.root))
-    return found
+    pool = _candidates
+    if pool is None:
+        pool = roots.reflections()
+        a = roots.cartan
+        if w.n != roots.n or mat_mul(mat_mul(tuple(zip(*w.matrix)), a), w.matrix) != a:
+            raise ValidationError("the given element does not preserve the symmetric "
+                                  "form of this root system")
+    moved = _moved_space(w)
+    roots._abs_len[w] = len(moved)
+    return tuple(t for t in pool if in_span(moved, t.root))
 
 
 def walk_down(top, expand: Callable, what: str) -> dict:
     """The Hasse diagram below `top`, walked down level by level: each
-    node mapped to the tuple of the nodes it covers, every node before
-    the nodes it covers. `expand(node, hint)` gives the node's children,
-    in the order of its letters, and the hint handed to each of them; a
-    child keeps the hint of its first parent, and the top gets None.
+    node mapped to a dict from its letters, in order, to the nodes they
+    reach, every node before the nodes it covers. `expand(node, hint)`
+    gives that dict and the hint handed to each child; a child keeps the
+    hint of its first parent, and the top gets None.
 
     A child met again is replaced by the object met first, so equal
     nodes are held once. A node met at two levels is refused as a bug.
@@ -461,13 +458,14 @@ def walk_down(top, expand: Callable, what: str) -> dict:
         met: dict = {}
         for node, hint in level.values():
             children, child_hint = expand(node, hint)
-            for child in children:
+            for x, child in children.items():
                 if child not in met:
                     held += 1
                     if held > cap:
                         raise CapExceededError(f"{what} exceeds cap {cap}")
                     met[child] = (child, child_hint)
-            covers[node] = tuple(met[child][0] for child in children)
+                children[x] = met[child][0]
+            covers[node] = children
         if not covers.keys().isdisjoint(met):
             raise NcpqError("the walk down met a node at two levels; this is a bug")
         level = met
@@ -475,11 +473,11 @@ def walk_down(top, expand: Callable, what: str) -> dict:
 
 
 def interval_covers(c: WeylElement,
-                    roots: RootSystem) -> dict[WeylElement, tuple[WeylElement, ...]]:
-    """The Hasse diagram of the interval [1, c] of absolute order, by
-    `walk_down` from c: each element mapped to the elements it covers,
-    which are t*w for the reflections t <= w (`reflections_below`, its
-    letters, in root order).
+                    roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
+    """The labelled Hasse diagram of the interval [1, c] of absolute
+    order, by `walk_down` from c: each element w mapped to the elements
+    it covers, t*w for the reflections t <= w (`reflections_below`), each
+    keyed by the root of t, in root order.
 
     The walk is complete. If u <= w then w u^-1 has absolute length
     k = |w| - |u|, so w = t_1 ... t_k u with reflections t_i. Put w_0 = w
@@ -498,7 +496,7 @@ def interval_covers(c: WeylElement,
     """
     def expand(w: WeylElement, candidates: tuple[Reflection, ...] | None):
         below = reflections_below(w, roots, candidates)
-        return tuple(reflect_left(t, w) for t in below), below
+        return {t.root: reflect_left(t, w) for t in below}, below
 
     covers = walk_down(c, expand, "interval size")
     if identity(c.n) not in covers:
@@ -521,37 +519,38 @@ def chain_counts(covers: dict) -> dict:
     """
     chains = {}
     for w in reversed(covers):
-        chains[w] = sum(chains[x] for x in covers[w]) if covers[w] else 1
+        chains[w] = sum(chains[x] for x in covers[w].values()) if covers[w] else 1
     return chains
 
 
-def maximal_chains(covers: dict, letters: Callable) -> Iterator[tuple]:
-    """The maximal chains of a Hasse diagram (`walk_down`) from its first
-    key, lazily, each as the letters of its covers from the top: (x,) + s
-    for each letter x of a node, in the order of its children, and each
+def maximal_chains(covers: dict) -> Iterator[tuple]:
+    """The maximal chains of a labelled Hasse diagram (`walk_down`) from
+    its first key, lazily, each as the letters of its covers from the
+    top: (x,) + s for each letter x of a node, in letter order, and each
     chain s below the child reached through x; the bottom has one empty
-    chain. On the interval walk, with the roots of `reflections_below(w)`
-    as letters, these are the minimal reflection factorizations of c; on
-    the descent, with sorted(B), the complete exceptional sequences, last
-    entry first.
+    chain. On the interval walk, whose letters are the roots of the
+    reflections t <= w, these are the minimal reflection factorizations
+    of c; on the descent, whose letters are the members of B, the
+    complete exceptional sequences, last entry first.
     """
     def below(node) -> Iterator[tuple]:
-        if not covers[node]:
+        children = covers[node]
+        if not children:
             yield ()
-        for x, child in zip(letters(node), covers[node]):
+        for x, child in children.items():
             for rest in below(child):
                 yield (x,) + rest
 
     return below(next(iter(covers)))
 
 
-def braid_transitive(covers: dict, letters: Callable) -> bool:
+def braid_transitive(covers: dict) -> bool:
     """Certificate that the braid group acts transitively on the maximal
-    chains of a Hasse diagram (`walk_down`), read as in `maximal_chains`:
-    at every node w, the graph on the letters of w, with an edge a - b for
-    each letter b of the child reached through a, is connected. Letters
-    that do not name the children of w one to one, or a child letter that
-    w lacks, fail the certificate: a move would then leave the diagram.
+    chains of a labelled Hasse diagram (`walk_down`), read as in
+    `maximal_chains`: at every node w, the graph on the letters of w,
+    with an edge a - b for each letter b of the child reached through a,
+    is connected. A child letter that w lacks fails the certificate: a
+    move would then leave the diagram.
 
     Proof, by induction up the diagram; a node with no children has one
     chain. The chains of w that start with a are (a,) + s for the chains
@@ -578,12 +577,10 @@ def braid_transitive(covers: dict, letters: Callable) -> bool:
     keeps the first letter. A failure further down leaves the orbit
     count open and also reads False.
     """
-    held = {node: tuple(letters(node)) for node in covers}
-    for node, children in covers.items():
-        index = {x: k for k, x in enumerate(held[node])}
-        edges = [(k, index.get(b)) for k, child in enumerate(children) for b in held[child]]
-        if (len(index) != len(children) or any(b is None for _, b in edges)
-                or len(connected_components(len(index), edges)) > 1):
+    for children in covers.values():
+        index = {x: k for k, x in enumerate(children)}
+        edges = [(index[a], index.get(b)) for a, child in children.items() for b in covers[child]]
+        if any(b is None for _, b in edges) or len(connected_components(len(index), edges)) > 1:
             return False
     return True
 
@@ -591,9 +588,10 @@ def braid_transitive(covers: dict, letters: Callable) -> bool:
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group,
-    walked down from c by `interval_covers`."""
+    walked down from c by `interval_covers`; `roots` defaults to
+    `complete_roots`, which refuses before generating any."""
     if roots is None:
-        roots = generate_roots(q)
+        roots = complete_roots(q)
     roots.require_complete()
     return set(interval_covers(c, roots))
 

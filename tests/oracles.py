@@ -327,7 +327,7 @@ def down_sets(covers) -> dict:
     backwards builds each down-set after those of its children."""
     down: dict = {}
     for w in reversed(covers):
-        down[w] = frozenset({w}).union(*(down[x] for x in covers[w]))
+        down[w] = frozenset({w}).union(*(down[x] for x in covers[w].values()))
     return down
 
 

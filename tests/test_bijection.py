@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
 
 import ncpq.bijection
 from ncpq import (
@@ -43,6 +44,7 @@ from oracles import (
     factor_in_reflections,
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
+    oriented_dynkin,
     subcategories,
     weyl_group,
 )
@@ -192,7 +194,7 @@ def test_cap_exceeded_partial_report(a3, monkeypatch):
 
 def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_roots,
                                                                monkeypatch):
-    # A corrupted cox sends the zero subcategory to an element outside
+    # A corrupted product sends the zero subcategory to an element outside
     # [1, c]. The order failures must be exactly the covers present on one
     # side only: containment covers (rank one apart) whose values are not
     # a cover of the walk, and walk covers that are not the values of one.
@@ -200,19 +202,19 @@ def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_r
     covers = interval_covers(c, a3_roots)
     outside = min((w for w in weyl_group(a3) if w not in covers),
                   key=lambda w: w.matrix)
-    real_cox = ncpq.bijection.cox
+    real_product = ncpq.bijection.sequence_product
 
-    def corrupted(sub, reg, roots):
-        value = real_cox(sub, reg, roots)
+    def corrupted(simples, roots):
+        value = real_product(simples, roots)
         return outside if value == identity(3) else value
 
-    monkeypatch.setattr("ncpq.bijection.cox", corrupted)
+    monkeypatch.setattr("ncpq.bijection.sequence_product", corrupted)
     report = verify_bijection(a3, (1, 2, 3))
     assert {"image_outside_interval", "surjectivity"} <= {f["kind"] for f in report.failures}
     subs = subcategories(a3, a3_reg)
-    values = [corrupted(sub, a3_reg, a3_roots) for sub in subs]
+    values = [corrupted(sub.simples, a3_roots) for sub in subs]
     preimage = {value: sub.to_json() for sub, value in zip(subs, values)}
-    walk_covers = {(x, w) for w, children in covers.items() for x in children}
+    walk_covers = {(x, w) for w, children in covers.items() for x in children.values()}
     sub_covers = [(a, b) for a in range(len(subs)) for b in range(len(subs))
                   if subs[a].ind_roots < subs[b].ind_roots
                   and subs[a].rank == subs[b].rank - 1]
@@ -235,20 +237,20 @@ def test_corrupted_cox_on_a_rank_two_subcategory_breaks_the_induction(a3, a3_reg
     # wrong order. Every induction step into it must report the true
     # product cox(A)·s_x against the corrupted value.
     target = next(sub for sub in subcategories(a3, a3_reg) if sub.rank == 2)
-    real_cox = ncpq.bijection.cox
+    real_product = ncpq.bijection.sequence_product
     wrong = sequence_product(target.simples[::-1], a3_roots)
-    assert wrong != real_cox(target, a3_reg, a3_roots)
+    assert wrong != cox(target, a3_reg, a3_roots)
 
-    def corrupted(sub, reg, roots):
-        return wrong if sub == target else real_cox(sub, reg, roots)
+    def corrupted(simples, roots):
+        return wrong if simples == target.simples else real_product(simples, roots)
 
-    monkeypatch.setattr("ncpq.bijection.cox", corrupted)
+    monkeypatch.setattr("ncpq.bijection.sequence_product", corrupted)
     report = verify_bijection(a3, (1, 2, 3))
     assert not report.flags["well_defined"]
     mine = [f for f in report.failures
             if f["kind"] == "well_defined" and f["subcategory"] == target.to_json()]
     assert sorted(tuple(f["last"]) for f in mine) == sorted(target.ind_roots)
-    true_value = real_cox(target, a3_reg, a3_roots).to_json()
+    true_value = real_product(target.simples, a3_roots).to_json()
     assert all(f["expected"] == wrong.to_json() and f["got"] == true_value for f in mine)
 
 
@@ -257,12 +259,12 @@ def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch
     # step cox(A)·s_x = cox(B); only the base, the empty sequence of the
     # zero subcategory, catches it.
     u = make_reflection(a3, (0, 1, 0)).element
-    real_cox = ncpq.bijection.cox
+    real_product = ncpq.bijection.sequence_product
 
-    def shifted(sub, reg, roots):
-        return compose(u, real_cox(sub, reg, roots))
+    def shifted(simples, roots):
+        return compose(u, real_product(simples, roots))
 
-    monkeypatch.setattr("ncpq.bijection.cox", shifted)
+    monkeypatch.setattr("ncpq.bijection.sequence_product", shifted)
     report = verify_bijection(a3, (1, 2, 3))
     steps = [f for f in report.failures if f["kind"] == "well_defined"]
     zero = thick_closure(ExcSequence(()), a3_reg).to_json()
@@ -272,14 +274,15 @@ def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch
 
 
 def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypatch):
-    # Drop add S1 from the descent, and its cover from every parent: each
-    # parent then pairs some x with the child of its neighbour, the image
-    # of add S1 is missed, and so is every cover of [1, c] through it.
+    # Drop add S1 from the descent, and its cover from every parent, each
+    # later child moving up one letter: each parent then pairs some x with
+    # the child of its neighbour, the image of add S1 is missed, and so is
+    # every cover of [1, c] through it.
     real = ncpq.bijection.subcategory_covers
     dropped = frozenset({(1, 0, 0)})
 
     def fewer(reg):
-        return {b: tuple(a for a in children if a != dropped)
+        return {b: dict(zip(children, (a for a in children.values() if a != dropped)))
                 for b, children in real(reg).items() if b != dropped}
 
     monkeypatch.setattr("ncpq.bijection.subcategory_covers", fewer)
@@ -298,7 +301,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     c = coxeter_element(a3, (1, 2, 3))
     through = {json.dumps([x.to_json(), w.to_json()])
                for w, children in interval_covers(c, a3_roots).items()
-               for x in children if s1 in (x, w)}
+               for x in children.values() if s1 in (x, w)}
     backward = by_kind["order_preservation"]
     assert {json.dumps([f["cox_a"], f["cox_b"]]) for f in backward} == through
     assert len(backward) == len(through)
@@ -318,6 +321,38 @@ def test_certificate_matches_brute_force_oracles(name):
     assert report.flags == bijection_flags_by_brute_force(q, report.coxeter_order)
     assert report.counts["chains"] == FACTORIZATION_COUNTS[name]
     assert report.counts["covers"] == report.counts["well_defined_witnesses"]
+
+
+def test_verify_checks_each_subcategory_exceptional_once(d4, monkeypatch):
+    # `_checked_subcategory` checks the ordered simples of each
+    # subcategory, and `verify` checks the admissible order; the images
+    # are multiplied out from the checked simples with no second check.
+    calls = []
+    real = ncpq.exc.is_exceptional_sequence
+
+    def counted(roots, reg):
+        calls.append(tuple(roots))
+        return real(roots, reg)
+
+    monkeypatch.setattr("ncpq.exc.is_exceptional_sequence", counted)
+    monkeypatch.setattr("ncpq.bijection.is_exceptional_sequence", counted)
+    report = verify_bijection(d4)
+    assert report.all_ok
+    assert len(calls) == report.counts["subcategories"] + 1 == COXETER_CATALAN["D4"] + 1
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(oriented_dynkin(["E6"]))
+def test_verify_on_random_orientations_and_orders_of_e6(drawn):
+    # Any orientation of E6 and any admissible order give a Coxeter element
+    # whose interval has the Coxeter-Catalan number of elements and
+    # n!·h^n/|W| maximal chains, matched cover for cover.
+    _, q, order = drawn
+    report = verify_bijection(q, order)
+    assert report.counts == {"subcategories": COXETER_CATALAN["E6"], "nc": COXETER_CATALAN["E6"],
+                             "well_defined_witnesses": 4284, "covers": 4284,
+                             "chains": FACTORIZATION_COUNTS["E6"]}
+    assert all(report.flags.values()) and report.failures == []
 
 
 def test_e7_counts_match_the_closed_forms():

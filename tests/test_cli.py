@@ -22,7 +22,6 @@ from ncpq import (
     coxeter_element,
     enumerate_complete_sequences,
     hurwitz_orbit,
-    interval_covers,
     parse_quiver,
     simple_root,
     topological_order,
@@ -416,19 +415,18 @@ def test_hurwitz_runs_no_braid_search(output_format, quiver_file, capsys, monkey
         check_dot(out)
 
 
-def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monkeypatch, a3):
-    # The certificate reads the letters of one element of length 2 without
-    # its last cover, which another of its children still names, so the
-    # certificate fails and the command exits 1.
-    real = ncpq.weyl.reflections_below
-    c = coxeter_element(a3, (1, 2, 3))
-    w = interval_covers(c, generate_roots(a3))[c][0]
+def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monkeypatch):
+    # The certificate reads the diagram with one element of length 2
+    # missing its last cover, whose letter another of its children still
+    # names, so the certificate fails and the command exits 1.
+    real = cli.interval_covers
 
-    def dropped(u, roots, _candidates=None):
-        found = real(u, roots, _candidates)
-        return found[:-1] if u == w else found
+    def dropped(c, roots):
+        covers = real(c, roots)
+        covers[next(iter(covers[c].values()))].popitem()
+        return covers
 
-    monkeypatch.setattr(cli, "reflections_below", dropped)
+    monkeypatch.setattr(cli, "interval_covers", dropped)
     assert main(["hurwitz", quiver_file(A3_TEXT), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["single_orbit"] is False and payload["orbit_size"] is None

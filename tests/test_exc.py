@@ -44,7 +44,7 @@ from ncpq.exc import (
 from ncpq.hurwitz import orbit_edges
 from ncpq.quiver import Quiver, connected_components
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
-                       maximal_chains, reflections_below, simple_root)
+                       maximal_chains, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -353,14 +353,10 @@ def _assert_sequences_are_the_orbit(q, order):
     if q.n <= 4:  # A5 and D5: test_orbit_matches_full_product_oracle
         assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
     covers = interval_covers(coxeter_element(q, order), roots)
-
-    def letters(w):
-        return [t.root for t in reflections_below(w, roots)]
-
-    assert sorted(maximal_chains(covers, letters)) == [t.roots for t in orbit]
+    assert sorted(maximal_chains(covers)) == [t.roots for t in orbit]
     assert len(connected_components(len(nodes), edges)) == 1
-    assert braid_transitive(covers, letters) is True
-    assert braid_transitive(subcategory_covers(reg), sorted) is True
+    assert braid_transitive(covers) is True
+    assert braid_transitive(subcategory_covers(reg)) is True
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
@@ -532,7 +528,7 @@ def test_descent_lists_the_antichain_closures(label):
     assert descent.keys() == expected.keys()
     for ind, children in descent.items():
         assert exc._checked_subcategory(ind, expected[ind].rank, reg) == expected[ind]
-        assert all(expected[a].rank == expected[ind].rank - 1 for a in children)
+        assert all(expected[a].rank == expected[ind].rank - 1 for a in children.values())
 
 
 def _flipped(q, every):
@@ -551,8 +547,8 @@ def test_both_walks_match_the_closed_forms_on_more_orientations(label, every):
     c = coxeter_element(q, topological_order(q))
     covers, descent = interval_covers(c, roots), subcategory_covers(build_registry(q, roots))
     assert chain_counts(covers)[c] == chain_counts(descent)[next(iter(descent))] == chains
-    assert braid_transitive(covers, lambda w: [t.root for t in reflections_below(w, roots)])
-    assert braid_transitive(descent, sorted)
+    assert braid_transitive(covers)
+    assert braid_transitive(descent)
 
 
 @pytest.mark.parametrize("label", sorted(CLOSED_FORM_PINS))

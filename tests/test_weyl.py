@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ncpq import (
     absolute_length,
     absolute_leq,
+    build_registry,
     chain_counts,
     compose,
     conjugation_depth,
@@ -454,8 +455,8 @@ def test_down_sets_are_absolute_order(name):
 def test_walk_covers_are_length_one_steps(d4, d4_roots):
     c = coxeter_element(d4, topological_order(d4))
     for w, children in interval_covers(c, d4_roots).items():
-        assert len(children) == len(reflections_below(w, d4_roots))
-        for x in children:
+        assert list(children) == [t.root for t in reflections_below(w, d4_roots)]
+        for x in children.values():
             assert absolute_length(x, d4_roots) == absolute_length(w, d4_roots) - 1
             assert absolute_leq(x, w, d4_roots)
 
@@ -480,14 +481,14 @@ def test_walk_holds_each_element_once(d4, d4_roots):
     # object per element.
     covers = interval_covers(coxeter_element(d4, topological_order(d4)), d4_roots)
     held = {id(w) for w in covers}
-    assert all(id(x) in held for children in covers.values() for x in children)
+    assert all(id(x) in held for children in covers.values() for x in children.values())
 
 
 def _subsets(top: frozenset, child) -> dict:
     """A hand-built Hasse diagram on subsets of `top`, walked down from
     it: the letters of a node are its sorted members, and child(node, x)
     is the child reached through x."""
-    return walk_down(top, lambda node, _: (tuple(child(node, x) for x in sorted(node)), None),
+    return walk_down(top, lambda node, _: ({x: child(node, x) for x in sorted(node)}, None),
                      "node count")
 
 
@@ -501,9 +502,9 @@ def test_walk_down_of_the_boolean_lattice(monkeypatch):
     top = frozenset({1, 2, 3})
     covers = _subsets(top, _without)
     assert list(map(len, covers)) == [3, 2, 2, 2, 1, 1, 1, 0]
-    assert set(maximal_chains(covers, sorted)) == set(itertools.permutations((1, 2, 3)))
+    assert set(maximal_chains(covers)) == set(itertools.permutations((1, 2, 3)))
     assert chain_counts(covers)[top] == 6
-    assert braid_transitive(covers, sorted)
+    assert braid_transitive(covers)
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 7)
     with pytest.raises(CapExceededError, match="^node count exceeds cap 7$"):
         _subsets(top, _without)
@@ -521,15 +522,16 @@ def test_certificate_checks_every_node(node):
     # certificate that skips a node, or takes a node's own letters in
     # place of its children's, passes this diagram.
     covers = _subsets(frozenset({1, 2, 3}), _without)
-    covers[frozenset(node)] = tuple(map(frozenset, CUT[node]))
-    assert not braid_transitive(covers, sorted)
+    covers[frozenset(node)] = dict(zip(node, map(frozenset, CUT[node])))
+    assert not braid_transitive(covers)
 
 
 def test_certificate_refuses_letters_that_disagree_with_the_diagram():
-    # A child letter its parent lacks, and fewer letters than children.
+    # A child letter its parent lacks: {1} reaches the bottom through 4,
+    # which none of its parents {1, 2} and {1, 3} has.
     covers = _subsets(frozenset({1, 2, 3}), _without)
-    assert not braid_transitive(covers, lambda node: [4] if node == {1} else sorted(node))
-    assert not braid_transitive(covers, lambda node: sorted(node - {3}))
+    covers[frozenset({1})] = {4: frozenset()}
+    assert not braid_transitive(covers)
 
 
 @pytest.mark.parametrize("name", [*sorted(DYNKIN_QUIVERS), "A2+D4"])
@@ -549,6 +551,25 @@ def test_complete_roots_refuses_from_the_highest_root(name, monkeypatch):
     monkeypatch.setattr("ncpq.weyl.generate_roots", generated)
     with pytest.raises(NonFiniteTypeError, match=f"truncated at height {top - 1}: "):
         complete_roots(q)
+
+
+D52 = Quiver(52, tuple((i, i + 1) for i in range(1, 51)) + ((50, 52),))
+
+
+@pytest.mark.parametrize("q", [D52, Quiver(2, ((1, 2), (1, 2)))], ids=["D52", "kronecker"])
+def test_library_refuses_before_generating_roots(q, monkeypatch):
+    # Without roots, the interval and the registry take them from
+    # `complete_roots`, which refuses D52 (highest root of height 101) and
+    # the affine Kronecker quiver from the classification.
+    def generated(*args, **kwargs):
+        raise AssertionError("roots generated before the refusal")
+
+    monkeypatch.setattr("ncpq.weyl.generate_roots", generated)
+    c = coxeter_element(q, topological_order(q))
+    with pytest.raises(NonFiniteTypeError, match="truncated at height 100: "):
+        noncrossing_partitions(c, q)
+    with pytest.raises(NonFiniteTypeError, match="truncated at height 100: "):
+        build_registry(q)
 
 
 # Each operation of absolute order refuses a root system that is not
