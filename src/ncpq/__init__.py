@@ -75,7 +75,6 @@ from .weyl import (
     multiply,
     noncrossing_partitions,
     reflect,
-    reflect_left,
     reflect_right,
     reflections_below,
     simple_root,

@@ -14,9 +14,9 @@ elimination is the right tool.
 
 `mat_mul` is the general product, exact in integers: `weyl.compose` and
 the check w^T A w = A in `weyl.reflections_below` use it. A product of a
-reflection and a group element does not come here; `weyl.reflect_left`
-and `weyl.reflect_right` subtract only I - t, which is as exact (see
-`weyl`) and touches only the rows or columns that I - t moves.
+reflection and a group element does not come here; `weyl.reflect_right`
+subtracts only I - t, which is as exact (see `weyl`) and touches only
+the columns that I - t moves.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column

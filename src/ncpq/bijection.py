@@ -4,37 +4,39 @@ below the Coxeter element.
 
 The map sends a subcategory B to cox(B), the product of the reflections
 at its simples, ordered as an exceptional sequence. Both posets are
-walked down by their covers, independently: the subcategories from the
-whole category by B -> B ∩ x^⊥ (`exc.subcategory_covers`, each B then
-checked thick and of its level's rank), the interval from c by w -> t·w
-(`weyl.interval_covers`). Injectivity and surjectivity compare the two
-sets, and one certificate on covers checks the rest, with every failure
-reported as a reproducible JSON payload:
+walked down into labelled Hasse diagrams, independently: the
+subcategories from the whole category by B -> B ∩ x^⊥ through each x of
+B (`exc.subcategory_covers`, each B then checked thick and of its
+level's rank), the interval from c by w -> w·t through the root of each
+t <= w (`weyl.interval_covers`). Injectivity and surjectivity compare
+the node sets, and one check matches the diagrams letter by letter: the
+walk's child of cox(B) through x must be cox(B ∩ x^⊥) for each x of B,
+and cox(B) must have no other letter. Every failure is reported as a
+reproducible JSON payload. The check certifies the rest:
 
-- Well-definedness, by induction on rank. For every listed B and every
-  indecomposable x of B, the descent lists A = B ∩ x^⊥, of rank one
-  less, and cox(A)·s_x = cox(B) must hold. A complete exceptional
+- Well-definedness, by induction on rank. A complete exceptional
   sequence of B ends in some x of B; the entries before it receive no
-  Hom and no Ext from x, so they are an exceptional sequence in A of
-  length rank A, which is complete in A (Crawley-Boevey 1993). By
+  Hom and no Ext from x, so they are an exceptional sequence in
+  A = B ∩ x^⊥ of length rank A, complete in A (Crawley-Boevey 1993). By
   induction it multiplies to cox(A), so the whole sequence multiplies
-  to cox(A)·s_x = cox(B). The base is the zero subcategory, whose only
-  sequence is empty.
-- Order isomorphism, by Hasse diagrams. The pairs (A, B) above are
-  exactly the covers of containment: rank grows strictly along strict
-  containment, and if A is covered by B, then B ∩ ⊥A has rank one, its
-  one indecomposable x gives A ⊆ B ∩ x^⊥ of the same rank, so
-  A = B ∩ x^⊥ (Geigle-Lenzing 1991; Schofield 1991). A bijection of
-  finite posets is an isomorphism iff it maps covers onto covers, since
-  each order is generated by its covers. So the pairs (cox A, cox B) must
-  be exactly the walk's covers (t·w, w) with t <= w.
+  to cox(A)·s_x, which must be cox(B). A matched cover is that step, as
+  cox(A) = cox(B)·s_x; only a mismatched one has cox(A)·s_x multiplied
+  out. The base is the zero subcategory, whose only sequence is empty.
+- Order isomorphism. The pairs (A, B) above are exactly the covers of
+  containment: rank grows strictly along strict containment, and if A
+  is covered by B, then B ∩ ⊥A has rank one, its one indecomposable x
+  gives A ⊆ B ∩ x^⊥ of the same rank, so A = B ∩ x^⊥ (Geigle-Lenzing
+  1991; Schofield 1991). Each order is generated by its covers, so a
+  bijection of node sets that maps labelled covers onto labelled covers
+  is an order isomorphism. A cover on one side only is an order
+  failure, "forward" on the descent and "backward" on the walk.
 - Factorizations, by counting. A minimal reflection factorization
-  c = t_1 ... t_n is the same as the maximal chain of its prefixes in
-  [1, c] (Ingalls-Thomas 2009). Once the covers match, that chain lifts
-  to subcategories B_(i-1) = B_i ∩ x_i^⊥ with cox(B_(i-1))·s_(x_i) =
-  cox(B_i), so t_i = s_(x_i), and (x_1, ..., x_n) is exceptional because
-  x_j lies in B_(i-1), inside x_i^⊥, for j < i. The maximal chains are
-  counted over the walk's covers by `weyl.chain_counts`.
+  c = t_1 ... t_n is the maximal chain c > c·t_n > ... > 1 of [1, c]
+  (Ingalls-Thomas 2009). Once the labelled covers match, it lifts to
+  subcategories B_(i-1) = B_i ∩ x_i^⊥ with t_i = s_(x_i), and
+  (x_1, ..., x_n) is exceptional because x_j lies in B_(i-1), inside
+  x_i^⊥, for j < i. `weyl.chain_counts` counts the chains over the
+  walk's covers.
 """
 
 from __future__ import annotations
@@ -115,11 +117,14 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     failed assertion carries a JSON payload with both sides. Cap overruns
     are recorded as failures of kind "cap_exceeded" with partial counts.
 
-    The checks are the certificate of the module docstring. Counts:
-    `well_defined_witnesses` is the number of induction products
-    cox(A)·s_x checked, one per cover of the descent, `covers` the number
-    of covers of [1, c] and `chains` the number of its maximal chains,
-    which is the number of minimal reflection factorizations of c.
+    The checks are the certificate of the module docstring. Counts: the
+    two node counts, `well_defined_witnesses` the covers of the descent
+    (one induction step each), `covers` those of [1, c] and `chains` its
+    maximal chains, the minimal reflection factorizations of c. The node
+    sets decide `injective` and `surjective`; the one check decides
+    `well_defined` (a failed step or base, or an image outside [1, c])
+    and `order_iso_forward` and `order_iso_backward` (a cover of the
+    descent, or of the walk, on its side only).
     """
     t0 = time.perf_counter()
     roots = complete_roots(q)
@@ -157,8 +162,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     try:
         covers = interval_covers(c, roots)
         counts["nc"] = len(covers)
-        walk_covers = {(x, w) for w, children in covers.items() for x in children.values()}
-        counts["covers"] = len(walk_covers)
+        counts["covers"] = sum(map(len, covers.values()))
         counts["chains"] = chain_counts(covers)[c]
 
         # The whole category has rank n, and each step down lowers it by one.
@@ -168,79 +172,78 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
         subs = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
         counts["subcategories"] = len(subs)
+        counts["well_defined_witnesses"] = sum(map(len, descent.values()))
         # `_checked_subcategory` has checked the simples exceptional.
-        values = {sub: sequence_product(sub.simples, roots) for sub in subs.values()}
+        values = {ind: sequence_product(sub.simples, roots) for ind, sub in subs.items()}
 
-        # Induction on rank over the descent's covers (A, B), A = B ∩ x^⊥.
-        sub_covers = [(subs[a], subs[b]) for b, down in descent.items() for a in down.values()]
-        well_defined = True
-
-        def induction_failure(sub: Subcategory, x, expected: WeylElement, got) -> None:
-            nonlocal well_defined
-            well_defined = False
-            failures.append({
-                "kind": "well_defined",
-                "subcategory": sub.to_json(),
-                "last": None if x is None else list(x),
-                "expected": expected.to_json(),
-                "got": got.to_json(),
-            })
-
-        for sub, value in values.items():
-            if not sub.ind_roots and value != identity(q.n):
-                induction_failure(sub, None, value, identity(q.n))
-            for x, below in descent[sub.ind_roots].items():
-                got = reflect_right(values[subs[below]], roots.reflection(x))
-                if got != value:
-                    induction_failure(sub, x, value, got)
-            if value not in covers:
-                well_defined = False
-                failures.append({
-                    "kind": "image_outside_interval",
-                    "subcategory": sub.to_json(),
-                    "image": value.to_json(),
-                })
-        counts["well_defined_witnesses"] = len(sub_covers)
-        flags["well_defined"] = well_defined
-
-        preimage: dict[WeylElement, Subcategory] = {}
-        for sub, value in values.items():
+        preimage: dict[WeylElement, frozenset] = {}
+        for ind, value in values.items():
             if value in preimage:
                 failures.append({
                     "kind": "injectivity",
-                    "subcategory_a": preimage[value].to_json(),
-                    "subcategory_b": sub.to_json(),
+                    "subcategory_a": subs[preimage[value]].to_json(),
+                    "subcategory_b": subs[ind].to_json(),
                     "image": value.to_json(),
                 })
-            preimage[value] = sub
+            preimage[value] = ind
         flags["injective"] = len(preimage) == len(subs)
 
-        distinct = set(values.values())
-        flags["surjective"] = distinct == covers.keys()
+        flags["surjective"] = preimage.keys() == covers.keys()
         if not flags["surjective"]:
             failures.append({
                 "kind": "surjectivity",
-                "missing": sorted(w.to_json() for w in covers.keys() - distinct),
-                "extra": sorted(w.to_json() for w in distinct - covers.keys()),
+                "missing": sorted(w.to_json() for w in covers.keys() - preimage.keys()),
+                "extra": sorted(w.to_json() for w in preimage.keys() - covers.keys()),
+            })
+
+        def induction_failure(ind, x, expected: WeylElement, got: WeylElement) -> None:
+            failures.append({
+                "kind": "well_defined",
+                "subcategory": subs[ind].to_json(),
+                "last": None if x is None else list(x),
+                "expected": expected.to_json(),
+                "got": got.to_json(),
             })
 
         def order_failure(direction: str, a, b, val_a, val_b) -> dict:
             return {
                 "kind": "order_preservation",
                 "direction": direction,
-                "subcategory_a": None if a is None else a.to_json(),
-                "subcategory_b": None if b is None else b.to_json(),
+                "subcategory_a": None if a is None else subs[a].to_json(),
+                "subcategory_b": None if b is None else subs[b].to_json(),
                 "cox_a": val_a.to_json(),
                 "cox_b": val_b.to_json(),
             }
 
-        image_covers = {(values[a], values[b]) for a, b in sub_covers}
-        forward = [order_failure("forward", a, b, values[a], values[b])
-                   for a, b in sub_covers if (values[a], values[b]) not in walk_covers]
-        backward = [order_failure("backward", preimage.get(x), preimage.get(w), x, w)
-                    for w, children in covers.items() for x in children.values()
-                    if (x, w) not in image_covers]
+        # The one check: the covers of each B against those of cox(B) in
+        # the walk, letter by letter.
+        forward, backward = [], []
+        for ind, value in values.items():
+            down, walk = descent[ind], covers.get(value, {})
+            if not ind and value != identity(q.n):
+                induction_failure(ind, None, value, identity(q.n))
+            for x, below in down.items():
+                if walk.get(x) != values[below]:
+                    forward.append(order_failure("forward", below, ind, values[below], value))
+                    got = reflect_right(values[below], roots.reflection(x))
+                    if got != value:
+                        induction_failure(ind, x, value, got)
+            if preimage[value] is ind:
+                backward += [order_failure("backward", preimage.get(child), ind, child, value)
+                             for x, child in walk.items()
+                             if x not in down or values[down[x]] != child]
+            if value not in covers:
+                failures.append({
+                    "kind": "image_outside_interval",
+                    "subcategory": subs[ind].to_json(),
+                    "image": value.to_json(),
+                })
+        backward += [order_failure("backward", preimage.get(child), None, child, w)
+                     for w, children in covers.items() if w not in preimage
+                     for child in children.values()]
         failures += forward + backward
+        flags["well_defined"] = not any(f["kind"] in ("well_defined", "image_outside_interval")
+                                        for f in failures)
         flags["order_iso_forward"] = not forward
         flags["order_iso_backward"] = not backward
         flags["order_iso"] = not forward and not backward

@@ -177,7 +177,7 @@ def cmd_nc(args: argparse.Namespace) -> int:
     lengths = {w: absolute_length(w, roots) for w in covers}
     elements = sorted(covers, key=lambda w: (lengths[w], w.matrix))
     ids = {w: k for k, w in enumerate(elements)}
-    # In a graded poset a is covered by b exactly when a = t*b for a
+    # In a graded poset a is covered by b exactly when a = b*t for a
     # reflection t <= b, so the Hasse edges are the walk's covers.
     edges = [(ids[a], ids[b]) for b in elements for a in covers[b].values()]
     payload = {
@@ -271,11 +271,11 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
 def cmd_sequences(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
     reg = build_registry(q, complete_roots(q))
-    # The descent's chains, read from the bottom, are the complete
-    # exceptional sequences; the certificate makes them one mutation class.
+    # The descent's chains are the complete exceptional sequences; the
+    # certificate makes them one mutation class.
     count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences)
     nodes, edges = (None, None) if chains is None else mutation_graph(
-        {ExcSequence(s[::-1]) for s in chains}, reg)
+        set(map(ExcSequence, chains)), reg)
     payload = {
         "quiver": args.quiver_file,
         "count": count,

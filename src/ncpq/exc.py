@@ -220,8 +220,9 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, dict[Vector, froze
     (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
     exceptional sequence completes (Schofield 1991; Crawley-Boevey 1993).
     The complete sequences of B are the s + (x,) with x in B and s
-    complete in B ∩ x^⊥, so `weyl.chain_counts` counts them and
-    `weyl.maximal_chains` lists them, last entry first.
+    complete in B ∩ x^⊥, so they are the maximal chains read from the
+    bottom: `weyl.chain_counts` counts them and `weyl.maximal_chains`
+    lists them.
     """
     def expand(b: frozenset, _) -> tuple[dict[Vector, frozenset], None]:
         return {x: b & reg.right_orth(x) for x in sorted(b)}, None
@@ -299,7 +300,7 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
     covers = subcategory_covers(reg)
     if chain_counts(covers)[next(iter(covers))] > cap:
         raise CapExceededError(f"sequence count exceeds cap {cap}")
-    return {ExcSequence(s[::-1]) for s in maximal_chains(covers)}
+    return set(map(ExcSequence, maximal_chains(covers)))
 
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:

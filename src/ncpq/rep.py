@@ -26,8 +26,7 @@ from fractions import Fraction
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
-from .weyl import (RootSystem, complete_roots, generate_roots, is_positive, simple_reflect,
-                   simple_root)
+from .weyl import RootSystem, complete_roots, is_positive, simple_reflect, simple_root
 
 
 def _zero_map(rows: int, cols: int) -> RatMatrix:
@@ -248,10 +247,11 @@ def indecomposable_for_root(q: Quiver, alpha: Vector,
 
     Deterministic: the sink-admissible word is the reversed topological
     order of q, cycled; the walk stops at the first simple root it meets
-    and the cokernel steps are replayed in reverse.
+    and the cokernel steps are replayed in reverse. `roots` defaults to
+    `complete_roots`, which refuses before generating any.
     """
     if roots is None:
-        roots = generate_roots(q)
+        roots = complete_roots(q)
     if not roots.classification.is_finite:
         raise NonFiniteTypeError("indecomposables are only tabulated in finite type")
     if alpha not in roots.positive_real_roots:

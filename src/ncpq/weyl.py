@@ -8,20 +8,19 @@ flags a truncated root system as incomplete. Absolute length, absolute
 order, the interval and conjugation depth are finite type only: they
 refuse to run rather than truncate silently.
 
-A product with a reflection t on one side is a reflection product,
-`reflect_left` for t*w and `reflect_right` for w*t. A reflection at a
-root a is t = I - a r^T, with r^T = a^T A for the symmetric Cartan
-matrix A, so each product changes only the rows (t*w) or the columns
-(w*t) that I - t moves, about n * (|supp a| + |supp r|) operations
-instead of the n^3 of a full product. Each is exact for any matrix of t:
-I - t is read off the matrix, its nonzero rows written as integer
-multiples of their primitive rows (`Reflection._sparse`), and every row
-of w*t is updated from the original row of w. They make every
-reflection-times-element product of the package: the walk's children
-t*w, `verify`'s induction products, the folds of `multiply` (behind
-`coxeter_element`, `exc.sequence_product`, `ReflectionTuple.product` and
-the exchange witness) and the braid table's pair products. `compose`
-(`_linalg.mat_mul`) stays the general product.
+The reflection product is w*t, `reflect_right`. A reflection at a root
+a is t = I - a r^T, with r^T = a^T A for the symmetric Cartan matrix A,
+so w*t changes only the columns that I - t moves, about
+n * (|supp a| + |supp r|) operations instead of the n^3 of a full
+product. It is exact for any matrix of t: I - t is read off the matrix,
+its nonzero rows written as integer multiples of their primitive rows
+(`Reflection._sparse`), and every row of w*t is updated from the
+original row of w. It makes every reflection-times-element product of
+the package: the walk's children w*t, the folds of `multiply` (behind
+`coxeter_element`, `exc.sequence_product`, `ReflectionTuple.product`
+and the exchange witness's s_i*P), the witness's P*s_alpha, the braid
+table's pair products and `verify`'s induction product on a mismatched
+cover. `compose` (`_linalg.mat_mul`) stays the general product.
 
 One toolkit serves both posets of the bijection, each walked down from
 its top by covers: the interval [1, c] (`interval_covers`) and the thick
@@ -103,9 +102,9 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
 class Reflection:
     """Reflection at a positive real root, with its matrix.
 
-    The products with an element (`reflect_left`, `reflect_right`) read
-    I - t off the matrix, not off the root, so a matrix that disagrees
-    with its root multiplies as that matrix does.
+    The product with an element (`reflect_right`) reads I - t off the
+    matrix, not off the root, so a matrix that disagrees with its root
+    multiplies as that matrix does.
     """
 
     root: Vector
@@ -127,25 +126,6 @@ class Reflection:
                 groups.setdefault(tuple(x // g for x in d), []).append((i, g))
         return tuple((tuple(rows), tuple((j, x) for j, x in enumerate(p) if x))
                      for p, rows in groups.items())
-
-
-def reflect_left(t: Reflection, w: WeylElement) -> WeylElement:
-    """The product t*w, equal to compose(t.element, w) for any matrix of t:
-    t*w = w - (I - t)*w changes only the rows i of w where I - t is
-    nonzero, row i becoming w_i - c_i * u for its group's u = p*w, a
-    combination of the rows of w at the support of p."""
-    if t.element.n != w.n:
-        raise ValidationError("composing elements of different rank")
-    m = w.matrix
-    rows = list(m)
-    for coefs, p in t._sparse:
-        u = None
-        for j, x in p:
-            u = ([x * y for y in m[j]] if u is None
-                 else [a + x * y for a, y in zip(u, m[j])])
-        for i, c in coefs:
-            rows[i] = tuple([a - c * y for a, y in zip(m[i], u)])
-    return WeylElement(tuple(rows))
 
 
 def reflect_right(w: WeylElement, t: Reflection) -> WeylElement:
@@ -403,8 +383,10 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     """The reflections t <= w in absolute order, in root order; the walk
     keeps them as its diagram's letters, so they are not memoized.
 
-    t <= w means |t w| = |w| - 1: these are the first letters of the
-    minimal reflection factorizations of w. By Brady-Watt (2002, "A
+    t <= w means |t w| = |w| - 1, or as well |w t| = |w| - 1, since
+    w t = t (t w) t is conjugate to t w and absolute length is invariant
+    under conjugation: these are the last letters of the minimal
+    reflection factorizations of w. By Brady-Watt (2002, "A
     partial order on the orthogonal group") they are the t whose root a
     lies in Mov(w) = im(w - I), so one echelon of Mov(w) and one
     membership reduction per candidate decide them, and the echelon's
@@ -421,7 +403,7 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     ValidationError otherwise; `interval_covers` refuses an orthogonal w
     outside W, as its walk cannot reach the identity. `_candidates`, for
     callers inside the package, is the set found below some u >= w with
-    w = t*u: w inherits the check from u, and only those need testing, as
+    w = u*t: w inherits the check from u, and only those need testing, as
     t <= w <= u implies t <= u. Requires a complete root system.
     """
     roots.require_complete()
@@ -476,18 +458,20 @@ def interval_covers(c: WeylElement,
                     roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
     """The labelled Hasse diagram of the interval [1, c] of absolute
     order, by `walk_down` from c: each element w mapped to the elements
-    it covers, t*w for the reflections t <= w (`reflections_below`), each
-    keyed by the root of t, in root order.
+    it covers, w*t for the reflections t <= w (`reflections_below`), each
+    keyed by the root of t, in root order. |w*t| = |t*w|, as the two are
+    conjugate, so t <= w decides both, and w*t <= w as
+    (w t)^-1 w = t has length one.
 
-    The walk is complete. If u <= w then w u^-1 has absolute length
-    k = |w| - |u|, so w = t_1 ... t_k u with reflections t_i. Put w_0 = w
-    and w_i = t_i w_(i-1), so w_k = u: each step lowers the length by at
-    most one and k steps lower it by k, so each lowers it by exactly one,
-    t_i <= w_(i-1), and u lies on a chain of covers below w. The walk is
-    sound because t <= w gives t*w <= w and the order is transitive. A
-    child is tested only against the reflections below its first parent,
-    which hold all reflections below it (Brady-Watt 2002: Mov(t w) lies
-    in Mov(w)).
+    The walk is complete. If u <= w then u^-1 w has absolute length
+    k = |w| - |u|, so u^-1 w = t_1 ... t_k with reflections t_i, and
+    u = w t_k ... t_1. Put w_0 = w and w_i = w_(i-1) t_(k+1-i), so
+    w_k = u: each step lowers the length by at most one and k steps lower
+    it by k, so each lowers it by exactly one, t_(k+1-i) <= w_(i-1), and
+    u lies on a chain of covers below w. The walk is sound because
+    w*t <= w and the order is transitive. A child is tested only against
+    the reflections below its first parent, which hold all reflections
+    below it (Brady-Watt 2002: w*t <= w gives Mov(w t) in Mov(w)).
 
     Reaching the identity writes c as a product of reflections, which
     certifies c in W; a walk that ends without it raises ValidationError.
@@ -496,7 +480,7 @@ def interval_covers(c: WeylElement,
     """
     def expand(w: WeylElement, candidates: tuple[Reflection, ...] | None):
         below = reflections_below(w, roots, candidates)
-        return {t.root: reflect_left(t, w) for t in below}, below
+        return {t.root: reflect_right(w, t) for t in below}, below
 
     covers = walk_down(c, expand, "interval size")
     if identity(c.n) not in covers:
@@ -511,9 +495,9 @@ def chain_counts(covers: dict) -> dict:
 
     On the interval walk it is the number of minimal reflection
     factorizations of w. A factorization w = t_1 ... t_k with k = |w|
-    gives the chain w > t_1 w > t_2 t_1 w > ... > 1, each step a cover
-    because it lowers the length by one, and the chain gives back the
-    t_i. The walk is complete below every element it holds (see
+    gives the chain w > w t_k > w t_k t_(k-1) > ... > 1, each step a
+    cover because it lowers the length by one, and the chain gives back
+    the t_i. The walk is complete below every element it holds (see
     `interval_covers`), so every such chain is in it. On the descent it
     is the number of complete exceptional sequences of a subcategory.
     """
@@ -526,12 +510,13 @@ def chain_counts(covers: dict) -> dict:
 def maximal_chains(covers: dict) -> Iterator[tuple]:
     """The maximal chains of a labelled Hasse diagram (`walk_down`) from
     its first key, lazily, each as the letters of its covers from the
-    top: (x,) + s for each letter x of a node, in letter order, and each
-    chain s below the child reached through x; the bottom has one empty
-    chain. On the interval walk, whose letters are the roots of the
-    reflections t <= w, these are the minimal reflection factorizations
-    of c; on the descent, whose letters are the members of B, the
-    complete exceptional sequences, last entry first.
+    bottom: s + (x,) for each letter x of a node, in letter order, and
+    each chain s below the child reached through x; the bottom has one
+    empty chain. On the interval walk, whose covers are w > w*t through
+    the root of t, the chain c > c t_n > ... > 1 reads the minimal
+    reflection factorization c = t_1 ... t_n; on the descent, whose
+    covers are B > B ∩ x^⊥ through x, it reads the complete exceptional
+    sequence (x_1, ..., x_n).
     """
     def below(node) -> Iterator[tuple]:
         children = covers[node]
@@ -539,42 +524,43 @@ def maximal_chains(covers: dict) -> Iterator[tuple]:
             yield ()
         for x, child in children.items():
             for rest in below(child):
-                yield (x,) + rest
+                yield rest + (x,)
 
     return below(next(iter(covers)))
 
 
 def braid_transitive(covers: dict) -> bool:
     """Certificate that the braid group acts transitively on the maximal
-    chains of a labelled Hasse diagram (`walk_down`), read as in
-    `maximal_chains`: at every node w, the graph on the letters of w,
-    with an edge a - b for each letter b of the child reached through a,
-    is connected. A child letter that w lacks fails the certificate: a
-    move would then leave the diagram.
+    chains of a labelled Hasse diagram (`walk_down`), read from the
+    bottom as in `maximal_chains`: at every node w, the graph on the
+    letters of w, with an edge a - b for each letter b of the child
+    reached through a, is connected. A child letter that w lacks fails
+    the certificate: a move would then leave the diagram.
 
     Proof, by induction up the diagram; a node with no children has one
-    chain. The chains of w that start with a are (a,) + s for the chains
-    s below the child w_a reached through a, one orbit by induction under
-    the moves that leave the first letter alone. For an edge a - b there
-    is a chain (a, b, ...), and one braid move on its first two letters
-    gives a chain that starts with b:
+    chain. The chains of w that end with a are s + (a,) for the chains s
+    below the child w_a reached through a, one orbit by induction under
+    the moves that leave the last letter alone. For an edge a - b there
+    is a chain (..., b, a), and one braid move on its last two letters
+    gives a chain that ends with b:
     - On the interval [1, c] the chains are the minimal reflection
       factorizations and the letters of w are the reflections t <= w
-      (Bessis 2003, The dual braid monoid, Prop. 1.6.1). The move at
-      position 1 sends (t, t', ...) to (t', t' t t', ...), which puts t'
-      first and keeps the product, so it is a factorization of w again.
-    - On the subcategory descent a chain, read from the bottom, is a
-      complete exceptional sequence, and those of B that end in x are the
-      complete sequences of B ∩ x^⊥ followed by x. The inverse mutation
-      of the last pair (y, x) gives (s_y(x), y), which puts y last, and
-      mutation keeps complete exceptional sequences (Crawley-Boevey 1993).
-    So the orbits of the chains that start with a and with b meet, and
+      (Bessis 2003, The dual braid monoid, Prop. 1.6.1). The move on the
+      last pair sends (..., b, a) to (..., b a b, b), which puts b last
+      and keeps the product, as b a = (b a b) b, so it is a
+      factorization of w again.
+    - On the subcategory descent the chains are the complete exceptional
+      sequences, and those of B that end in x are the complete sequences
+      of B ∩ x^⊥ followed by x. The inverse mutation of the last pair
+      (b, a) gives (s_b(a), b), which puts b last, and mutation keeps
+      complete exceptional sequences (Crawley-Boevey 1993).
+    So the orbits of the chains that end with a and with b meet, and
     when the graph is connected all chains of w lie in one orbit.
 
-    The top's own condition is also necessary: a move on the first two
-    letters of (a, b, ...) puts b first, an edge a - b, or puts some a'
-    first with a a letter of w_a', an edge a' - a, and every other move
-    keeps the first letter. A failure further down leaves the orbit
+    The top's own condition is also necessary: a move on the last two
+    letters of (..., b, a) puts b last, an edge a - b, or puts some a'
+    last with a a letter of w_a', an edge a' - a, and every other move
+    keeps the last letter. A failure further down leaves the orbit
     count open and also reads False.
     """
     for children in covers.values():
@@ -636,9 +622,9 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
         raise ValidationError("the word does not send alpha to a negative vector")
     t_min = next(t for t in range(1, k + 1)
                  if is_positive(images[t]) and is_negative(images[t - 1]))
-    suffix = multiply((simples[i] for i in word[t_min:]), q.n)
-    lhs = reflect_left(simples[word[t_min - 1]], suffix)
-    rhs = reflect_right(suffix, make_reflection(q, alpha))
+    lhs = multiply((simples[i] for i in word[t_min - 1:]), q.n)
+    rhs = reflect_right(multiply((simples[i] for i in word[t_min:]), q.n),
+                        make_reflection(q, alpha))
     if lhs != rhs:
         raise NcpqError("exchange identity failed to verify; this is a bug")
     return ExchangeWitness(t_min, lhs, rhs)
@@ -661,10 +647,11 @@ def conjugation_depth(r: Reflection, q: Quiver, *,
     2 = B(a, a) = sum c_i B(a, a_i) with every c_i >= 0, so some B(a, a_i)
     is 1, and s_i lowers the height by exactly one; by induction ht(a) - 1
     steps reach a simple root. The test suite checks it against a
-    breadth-first search over the roots.
+    breadth-first search over the roots. `roots` defaults to
+    `complete_roots`, which refuses before generating any.
     """
     if roots is None:
-        roots = generate_roots(q)
+        roots = complete_roots(q)
     if not roots.classification.is_finite:
         raise NonFiniteTypeError("conjugation depth requires finite type")
     if r.root not in roots.positive_real_roots:

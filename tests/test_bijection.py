@@ -21,7 +21,6 @@ from ncpq import (
     is_exceptional_sequence,
     make_reflection,
     noncrossing_partitions,
-    reflect_left,
     reflect_right,
     thick_closure,
     topological_order,
@@ -277,7 +276,10 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     # Drop add S1 from the descent, and its cover from every parent, each
     # later child moving up one letter: each parent then pairs some x with
     # the child of its neighbour, the image of add S1 is missed, and so is
-    # every cover of [1, c] through it.
+    # every cover of [1, c] through it. The order failures are exactly the
+    # labelled covers on one side only, each side read on its own: the
+    # corrupted descent with the true cox of each subcategory, and the
+    # walk below c.
     real = ncpq.bijection.subcategory_covers
     dropped = frozenset({(1, 0, 0)})
 
@@ -288,7 +290,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     monkeypatch.setattr("ncpq.bijection.subcategory_covers", fewer)
     report = verify_bijection(a3, (1, 2, 3))
     assert not report.flags["well_defined"] and not report.flags["surjective"]
-    assert not report.flags["order_iso_backward"]
+    assert not report.flags["order_iso_forward"] and not report.flags["order_iso_backward"]
     s1 = make_reflection(a3, (1, 0, 0)).element
     by_kind = {}
     for f in report.failures:
@@ -298,17 +300,59 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     for f in by_kind["well_defined"]:
         ind = {tuple(r) for r in f["subcategory"]["indecomposables"]}
         assert any(ind & a3_reg.right_orth(x) == dropped for x in ind)
-    c = coxeter_element(a3, (1, 2, 3))
+
+    descent = fewer(a3_reg)
+    subs = {sub.ind_roots: sub for sub in subcategories(a3, a3_reg)}
+    values = {ind: cox(subs[ind], a3_reg, a3_roots) for ind in descent}
+    preimage = {value: ind for ind, value in values.items()}
+    walk = interval_covers(coxeter_element(a3, (1, 2, 3)), a3_roots)
+
+    def failure(direction, a, b, val_a, val_b):
+        return json.dumps([direction, None if a is None else subs[a].to_json(),
+                           None if b is None else subs[b].to_json(),
+                           val_a.to_json(), val_b.to_json()])
+
+    forward = [failure("forward", a, b, values[a], values[b])
+               for b, down in descent.items() for x, a in down.items()
+               if walk.get(values[b], {}).get(x) != values[a]]
+    backward = [failure("backward", preimage.get(u), preimage.get(w), u, w)
+                for w, children in walk.items() for t, u in children.items()
+                if w not in preimage or t not in descent[preimage[w]]
+                or values[descent[preimage[w]][t]] != u]
+    got = [json.dumps([f["direction"], f["subcategory_a"], f["subcategory_b"],
+                       f["cox_a"], f["cox_b"]]) for f in by_kind["order_preservation"]]
+    assert forward and sorted(got) == sorted(forward + backward)
     through = {json.dumps([x.to_json(), w.to_json()])
-               for w, children in interval_covers(c, a3_roots).items()
-               for x in children.values() if s1 in (x, w)}
-    backward = by_kind["order_preservation"]
-    assert {json.dumps([f["cox_a"], f["cox_b"]]) for f in backward} == through
-    assert len(backward) == len(through)
-    for f in backward:
-        assert f["direction"] == "backward"
+               for w, children in walk.items() for x in children.values() if s1 in (x, w)}
+    assert through <= {json.dumps([f["cox_a"], f["cox_b"]])
+                       for f in by_kind["order_preservation"] if f["direction"] == "backward"}
+    for f in by_kind["order_preservation"]:
         assert (f["subcategory_a"] is None) == (f["cox_a"] == s1.to_json())
         assert (f["subcategory_b"] is None) == (f["cox_b"] == s1.to_json())
+
+
+def test_verify_checks_the_letters_of_the_walk(a3, monkeypatch):
+    # Swapping the children of the first two letters of c keeps every
+    # element and every unlabelled cover of the walk; only the letters
+    # change. Each of the two covers of c is then on one side only, both
+    # ways, while every induction product still holds.
+    real = ncpq.bijection.interval_covers
+
+    def swapped(c, roots):
+        covers = real(c, roots)
+        first, second = list(covers[c])[:2]
+        covers[c][first], covers[c][second] = covers[c][second], covers[c][first]
+        return covers
+
+    monkeypatch.setattr("ncpq.bijection.interval_covers", swapped)
+    report = verify_bijection(a3, (1, 2, 3))
+    c = coxeter_element(a3, (1, 2, 3)).to_json()
+    orders = [f for f in report.failures if f["kind"] == "order_preservation"]
+    assert sorted(f["direction"] for f in orders) == ["backward"] * 2 + ["forward"] * 2
+    assert all(f["cox_b"] == c for f in orders) and len(report.failures) == 4
+    assert report.flags == {"well_defined": True, "injective": True, "surjective": True,
+                            "order_iso_forward": False, "order_iso_backward": False,
+                            "order_iso": False}
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZATION_COUNTS))
@@ -341,17 +385,25 @@ def test_verify_checks_each_subcategory_exceptional_once(d4, monkeypatch):
     assert len(calls) == report.counts["subcategories"] + 1 == COXETER_CATALAN["D4"] + 1
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
-@given(oriented_dynkin(["E6"]))
+# Elements, maximal chains and covers of [1, c] in E6 and E7; each cover
+# is one induction step.
+INTERVAL_PINS = {"E6": (COXETER_CATALAN["E6"], FACTORIZATION_COUNTS["E6"], 4284),
+                 "E7": (*CLOSED_FORM_PINS["E7"], 26208)}
+
+
+@settings(max_examples=9, deadline=None, derandomize=True)
+@given(oriented_dynkin(["E6", "E7"]))
 def test_verify_on_random_orientations_and_orders_of_e6(drawn):
-    # Any orientation of E6 and any admissible order give a Coxeter element
-    # whose interval has the Coxeter-Catalan number of elements and
-    # n!·h^n/|W| maximal chains, matched cover for cover.
-    _, q, order = drawn
+    # Any orientation of E6 or E7 (six and three draws) and any admissible
+    # order give a Coxeter element whose interval has the Coxeter-Catalan
+    # number of elements and n!·h^n/|W| maximal chains, matched cover for
+    # cover and letter for letter.
+    name, q, order = drawn
+    catalan, chains, covers = INTERVAL_PINS[name]
     report = verify_bijection(q, order)
-    assert report.counts == {"subcategories": COXETER_CATALAN["E6"], "nc": COXETER_CATALAN["E6"],
-                             "well_defined_witnesses": 4284, "covers": 4284,
-                             "chains": FACTORIZATION_COUNTS["E6"]}
+    assert report.counts == {"subcategories": catalan, "nc": catalan,
+                             "well_defined_witnesses": covers, "covers": covers,
+                             "chains": chains}
     assert all(report.flags.values()) and report.failures == []
 
 
@@ -364,29 +416,44 @@ def test_e7_counts_match_the_closed_forms():
 
 
 def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
-    # Each child t*w of the walk (one per cover), each fold behind c and
-    # cox, and each induction product cox(A)*s_x equals the full product.
-    calls = {"walk": 0, "fold": 0, "induction": 0}
+    # Each child w*t of the walk and each fold behind c and cox equals the
+    # full product. The walk makes one product per cover, and the folds
+    # are all the rest: c takes n - 1 products and each cox one fewer than
+    # its rank, so a walk that matches the descent costs no induction
+    # product.
+    calls = {"walk": 0, "fold": 0}
+    folds = []
+    in_walk = False
+    real_walk = ncpq.bijection.interval_covers
+    real_product = ncpq.bijection.sequence_product
 
-    def checked(kind, product, full):
-        def call(a, b):
-            got = product(a, b)
-            assert got == full(a, b)
-            calls[kind] += 1
-            return got
-        return call
+    def walk(c, roots):
+        nonlocal in_walk
+        in_walk = True
+        try:
+            return real_walk(c, roots)
+        finally:
+            in_walk = False
 
-    monkeypatch.setattr("ncpq.weyl.reflect_left", checked(
-        "walk", reflect_left, lambda t, w: compose(t.element, w)))
-    monkeypatch.setattr("ncpq.weyl.reflect_right", checked(
-        "fold", reflect_right, lambda w, t: compose(w, t.element)))
-    monkeypatch.setattr("ncpq.bijection.reflect_right", checked(
-        "induction", reflect_right, lambda w, t: compose(w, t.element)))
+    def product(simples, roots):
+        folds.append(max(len(simples) - 1, 0))
+        return real_product(simples, roots)
+
+    def checked(w, t):
+        got = reflect_right(w, t)
+        assert got == compose(w, t.element)
+        calls["walk" if in_walk else "fold"] += 1
+        return got
+
+    monkeypatch.setattr("ncpq.weyl.reflect_right", checked)
+    monkeypatch.setattr("ncpq.bijection.reflect_right", checked)
+    monkeypatch.setattr("ncpq.bijection.interval_covers", walk)
+    monkeypatch.setattr("ncpq.bijection.sequence_product", product)
     report = verify_bijection(DYNKIN_QUIVERS["E6"])
     assert report.all_ok
-    assert report.counts["nc"] == COXETER_CATALAN["E6"]
-    assert calls["walk"] == calls["induction"] == report.counts["covers"]
-    assert calls["fold"] > 0
+    assert report.counts["nc"] == len(folds) == COXETER_CATALAN["E6"]
+    assert calls["walk"] == report.counts["covers"]
+    assert calls["fold"] == 6 - 1 + sum(folds)
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

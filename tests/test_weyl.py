@@ -22,12 +22,12 @@ from ncpq import (
     exchange_index,
     generate_roots,
     identity,
+    indecomposable_for_root,
     interval_covers,
     make_reflection,
     multiply,
     noncrossing_partitions,
     reflect,
-    reflect_left,
     reflect_right,
     reflections_below,
     simple_root,
@@ -184,13 +184,12 @@ def test_simple_reflection_preserves_other_positive_roots(a3_roots, d4_roots):
        st.lists(st.integers(min_value=0), max_size=12))
 def test_reflection_products_equal_compose(name, picks):
     # A random element, folded by full products from 0-12 reflections, and
-    # every reflection of the type on either side of it.
+    # every reflection of the type on its right.
     roots = complete_roots(DYNKIN_QUIVERS[name])
     reflections = roots.reflections()
     w = reduce(compose, (reflections[k % len(reflections)].element for k in picks),
                identity(roots.n))
     for t in reflections:
-        assert reflect_left(t, w) == compose(t.element, w)
         assert reflect_right(w, t) == compose(w, t.element)
 
 
@@ -203,7 +202,6 @@ def test_reflection_products_read_the_matrix_not_the_root(d4, d4_roots):
     for t, u in itertools.permutations(reflections, 2):
         mixed = Reflection(t.root, u.element)
         for w in elements:
-            assert reflect_left(mixed, w) == compose(u.element, w)
             assert reflect_right(w, mixed) == compose(w, u.element)
 
 
@@ -222,14 +220,11 @@ def test_reflection_products_are_exact_for_any_matrix():
                 t = Reflection(simple_root(n, 1), WeylElement(matrix))
                 w = WeylElement(tuple(tuple(rng.randint(-4, 4) for _ in range(n))
                                       for _ in range(n)))
-                assert reflect_left(t, w) == compose(t.element, w)
                 assert reflect_right(w, t) == compose(w, t.element)
 
 
 def test_reflection_products_refuse_another_rank(a3):
     t = make_reflection(a3, (1, 0, 0))
-    with pytest.raises(ValidationError):
-        reflect_left(t, identity(4))
     with pytest.raises(ValidationError):
         reflect_right(identity(4), t)
 
@@ -556,20 +551,25 @@ def test_complete_roots_refuses_from_the_highest_root(name, monkeypatch):
 D52 = Quiver(52, tuple((i, i + 1) for i in range(1, 51)) + ((50, 52),))
 
 
-@pytest.mark.parametrize("q", [D52, Quiver(2, ((1, 2), (1, 2)))], ids=["D52", "kronecker"])
-def test_library_refuses_before_generating_roots(q, monkeypatch):
-    # Without roots, the interval and the registry take them from
-    # `complete_roots`, which refuses D52 (highest root of height 101) and
-    # the affine Kronecker quiver from the classification.
+@pytest.mark.parametrize("q, root", [(D52, (1,) + (2,) * 49 + (1, 1)),
+                                     (Quiver(2, ((1, 2), (1, 2))), (2, 1))],
+                         ids=["D52", "kronecker"])
+def test_library_refuses_before_generating_roots(q, root, monkeypatch):
+    # Without roots, the interval, the registry, conjugation depth and the
+    # indecomposable of a root take them from `complete_roots`, which
+    # refuses D52 (whose highest root, given here, has height 101) and the
+    # affine Kronecker quiver from the classification.
     def generated(*args, **kwargs):
         raise AssertionError("roots generated before the refusal")
 
     monkeypatch.setattr("ncpq.weyl.generate_roots", generated)
     c = coxeter_element(q, topological_order(q))
-    with pytest.raises(NonFiniteTypeError, match="truncated at height 100: "):
-        noncrossing_partitions(c, q)
-    with pytest.raises(NonFiniteTypeError, match="truncated at height 100: "):
-        build_registry(q)
+    refusals = [lambda: noncrossing_partitions(c, q), lambda: build_registry(q),
+                lambda: conjugation_depth(make_reflection(q, root), q),
+                lambda: indecomposable_for_root(q, root)]
+    for refused in refusals:
+        with pytest.raises(NonFiniteTypeError, match="truncated at height 100: "):
+            refused()
 
 
 # Each operation of absolute order refuses a root system that is not
