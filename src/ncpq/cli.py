@@ -10,7 +10,9 @@ argparse refuses anything else with exit 2.
 `hurwitz` and `sequences` each walk one poset down by its covers
 (`weyl.walk_down`), count its maximal chains and certify one braid orbit
 on them (`weyl.braid_transitive`); their caps bound only the listing.
-Past a cap, JSON and text report the count and the certificate with the
+Within a cap both list the chains, sorted, and draw one braid graph on
+them (`hurwitz.braid_edges`, with the root system's reflections). Past
+a cap, JSON and text report the count and the certificate with the
 lists null, and DOT, which draws the listed graph, exits 4.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
@@ -31,8 +33,8 @@ from .errors import (
     QuiverParseError,
     ValidationError,
 )
-from .exc import DEFAULT_SEQUENCE_CAP, ExcSequence, mutation_graph, subcategory_covers
-from .hurwitz import DEFAULT_ORBIT_CAP, ReflectionTuple, orbit_edges
+from .exc import DEFAULT_SEQUENCE_CAP, subcategory_covers
+from .hurwitz import DEFAULT_ORBIT_CAP, braid_edges
 from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
@@ -128,10 +130,10 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
 
 def _chains(covers: dict, cap: int) -> tuple[int, bool, list | None]:
     """The maximal-chain count of a walk, its braid-transitivity
-    certificate, and its chains in sorted order, listed only when the
-    count is at most the cap."""
+    certificate, and its chains, which `maximal_chains` lists in sorted
+    order, only when the count is at most the cap."""
     count = chain_counts(covers)[next(iter(covers))]
-    listed = sorted(maximal_chains(covers)) if count <= cap else None
+    listed = list(maximal_chains(covers)) if count <= cap else None
     return count, braid_transitive(covers), listed
 
 
@@ -260,8 +262,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     else:
         if ordered is None:
             raise CapExceededError(f"orbit size exceeds cap {args.cap_orbit}")
-        edges = orbit_edges([ReflectionTuple(q, tuple(map(roots.reflection, t)))
-                             for t in ordered])
+        edges = braid_edges(ordered, roots.reflection)
         nodes = [f"t{k}" for k in range(len(ordered))]
         dot_edges = [f"t{a} -- t{b}" for a, b in sorted(edges)]
         _emit(args, _dot("hurwitz_orbit", nodes, dot_edges, directed=False))
@@ -272,15 +273,17 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     q = _load_quiver(args)
     reg = build_registry(q, complete_roots(q))
     # The descent's chains are the complete exceptional sequences; the
-    # certificate makes them one mutation class.
+    # certificate makes them one mutation class. They need no second
+    # check: in a chain x_i lies in reg.right_orth(x_j) for i < j, which is
+    # read off the very hom and ext entries `is_exceptional_sequence`
+    # reads, and each cover B > B ∩ x^⊥ lowers the rank by one.
     count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences)
-    nodes, edges = (None, None) if chains is None else mutation_graph(
-        set(map(ExcSequence, chains)), reg)
+    edges = None if chains is None else braid_edges(chains, reg.rootsystem.reflection)
     payload = {
         "quiver": args.quiver_file,
         "count": count,
         "connected": connected,
-        "sequences": None if nodes is None else [s.to_json() for s in nodes],
+        "sequences": None if chains is None else [[list(r) for r in s] for s in chains],
         "mutation_edges": None if edges is None else [list(e) for e in sorted(edges)],
     }
     if args.output_format == "json":
@@ -289,9 +292,9 @@ def cmd_sequences(args: argparse.Namespace) -> int:
         _emit(args, f"{count} complete exceptional sequences, "
                     f"mutation graph connected: {connected}")
     else:
-        if nodes is None:
+        if chains is None:
             raise CapExceededError(f"sequence count exceeds cap {args.cap_sequences}")
-        dot_nodes = [f"s{k}" for k in range(len(nodes))]
+        dot_nodes = [f"s{k}" for k in range(len(chains))]
         dot_edges = [f"s{a} -- s{b}" for a, b in sorted(edges)]
         _emit(args, _dot("mutation_graph", dot_nodes, dot_edges, directed=False))
     return EXIT_OK if connected else EXIT_VERIFICATION_FAILED

@@ -51,9 +51,6 @@ class ExcSequence:
             raise ValidationError(f"{seq.roots} is not an exceptional sequence")
         return seq
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.roots]
-
 
 @dataclass(frozen=True)
 class Subcategory:
@@ -344,25 +341,4 @@ def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vect
 def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> WeylElement:
     """Product of the reflections at the given roots, left to right."""
     return multiply((rootsystem.reflection(r) for r in roots_seq), rootsystem.n)
-
-
-def mutation_graph(seqs: set[ExcSequence], reg: IndecRegistry):
-    """Forward mutation edges between complete sequences, as index pairs
-    into the sorted node list.
-
-    Every node is checked complete and exceptional once. The edges are
-    the Hurwitz moves on the reflections at the roots, read off one move
-    table of `hurwitz` with the root system's reflections, which checks
-    each distinct pair's product once; every neighbor must be a node, so
-    every neighbor is exceptional too.
-    """
-    nodes = sorted(seqs, key=lambda s: s.roots)
-    n = reg.quiver.n
-    for s in nodes:
-        if len(s) != n:
-            raise ValidationError("mutation graphs are defined on complete sequences")
-        if not is_exceptional_sequence(s.roots, reg):
-            raise ValidationError(f"{s.roots} is not an exceptional sequence")
-    braid = _Braid(reg.rootsystem.reflection)
-    return nodes, braid.edges([tuple(map(braid.root_id, s.roots)) for s in nodes])
 

@@ -5,20 +5,24 @@ inverse move swaps it to (s_a(b), a); the moved root is stored by its
 positive representative, so a reflection and its negated root collapse
 to one entry. Under the paper's bijection braid mutation of complete
 exceptional sequences is this move on the reflections at their roots, so
-`exc.braid_mutate` and `exc.mutation_graph` run on the same move table.
+`exc.braid_mutate` runs on the same move table, and so does
+`braid_edges`, the one braid graph of the `hurwitz` and `sequences`
+commands, drawn on the minimal factorizations of c and on the complete
+exceptional sequences.
 
 A table belongs to one search. It interns each reflection once by its
 root, works on tuples of the small int ids, and maps a pair of ids and a
 direction to the moved pair. The reflection at a new root comes from the
-table's root lookup (`make_reflection` here, the root system's in `exc`);
-no matrix is conjugated. A move changes only the pair at i and i+1, so
-the product X*a*b*Y before it equals X*b'*c'*Y after it exactly when
-a*b = b'*c' (cancel the invertible X and Y). That is checked when the
-entry is filled, once per distinct pair, by `weyl.reflect_right`, which
-multiplies by each reflection's matrix as it is. Forward, a*b = b*c'
-exactly when c' = b*a*b, the reflection at b(a), so a looked-up matrix
-that disagrees with its root is caught. Orbit sets deduplicate by the tuple
-of ids, which is the tuple of roots.
+table's root lookup (`make_reflection` for the `ReflectionTuple`
+functions, the root system's memoized one in `exc.braid_mutate` and the
+commands' `braid_edges`); no matrix is conjugated. A move changes only
+the pair at i and i+1, so the product X*a*b*Y before it equals X*b'*c'*Y
+after it exactly when a*b = b'*c' (cancel the invertible X and Y). That
+is checked when the entry is filled, once per distinct pair, by
+`weyl.reflect_right`, which multiplies by each reflection's matrix as it
+is. Forward, a*b = b*c' exactly when c' = b*a*b, the reflection at b(a),
+so a looked-up matrix that disagrees with its root is caught. Orbit sets
+deduplicate by the tuple of ids, which is the tuple of roots.
 
 The breadth-first search `_search` serves the library functions
 `hurwitz_orbit` and `same_orbit`. The `hurwitz` command lists no orbit
@@ -75,9 +79,6 @@ class ReflectionTuple:
     @property
     def roots(self) -> tuple[Vector, ...]:
         return tuple(r.root for r in self.items)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(root) for root in self.roots]
 
 
 def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
@@ -156,21 +157,6 @@ class _Braid:
             yield self.step(ids, i, False), i
             yield self.step(ids, i, True), -i
 
-    def edges(self, keys: Sequence[tuple[int, ...]]) -> set[tuple[int, int]]:
-        """Index pairs (j, k), j < k, with one of keys[j], keys[k] a
-        forward move of the other. Every forward move must land in the
-        list, as it does for a whole orbit."""
-        index = {key: k for k, key in enumerate(keys)}
-        edges = set()
-        for j, key in enumerate(keys):
-            for i in range(1, len(key)):
-                k = index.get(self.step(key, i, False))
-                if k is None:
-                    raise ValidationError("a forward move left the given sequence set")
-                if k != j:
-                    edges.add((min(j, k), max(j, k)))
-        return edges
-
 
 def _braid(q: Quiver) -> _Braid:
     """A move table that builds each moved reflection from its root."""
@@ -212,14 +198,28 @@ def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[Refle
     return {braid.tuple_of(t.quiver, ids) for ids in _search(braid, braid.ids_of(t), cap)}
 
 
-def orbit_edges(tuples: Sequence[ReflectionTuple]) -> set[tuple[int, int]]:
-    """Index pairs (j, k), j < k, with one of tuples[j], tuples[k] a
-    forward move of the other, read off one move table. Every forward
-    move must land in the list, as it does for a whole orbit."""
-    if not tuples:
-        return set()
-    braid = _braid(tuples[0].quiver)
-    return braid.edges([braid.ids_of(t) for t in tuples])
+def braid_edges(chains: Sequence[tuple[Vector, ...]],
+                reflection: Callable[[Vector], Reflection]) -> set[tuple[int, int]]:
+    """The braid graph on a list of root tuples: index pairs (j, k), j < k,
+    with one of chains[j], chains[k] a forward move of the other, drawn on
+    one move table with `reflection` as its root lookup, so each distinct
+    pair's product is checked once. Every forward move must land in the
+    list, as it does for a whole orbit, and no tuple may be listed twice;
+    otherwise ValidationError."""
+    braid = _Braid(reflection)
+    keys = [tuple(map(braid.root_id, chain)) for chain in chains]
+    index = {key: k for k, key in enumerate(keys)}
+    if len(index) != len(keys):
+        raise ValidationError("a tuple is listed twice")
+    edges = set()
+    for j, key in enumerate(keys):
+        for i in range(1, len(key)):
+            k = index.get(braid.step(key, i, False))
+            if k is None:
+                raise ValidationError("a forward move left the given sequence set")
+            if k != j:
+                edges.add((min(j, k), max(j, k)))
+    return edges
 
 
 def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
@@ -229,10 +229,12 @@ def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
     Returns (True, certificate) where the certificate is a list of signed
     move indices (+i forward, -i inverse) carrying a onto b, or
     (False, None). Unequal products answer False immediately since every
-    move preserves the product.
+    move preserves the product. Tuples of different lengths or over
+    different quivers raise ValidationError: over two quivers equal
+    products need not mean equal reflections.
     """
-    if len(a) != len(b):
-        raise ValidationError("tuples of different length are never comparable")
+    if a.quiver != b.quiver or len(a) != len(b):
+        raise ValidationError("only tuples of one length over one quiver are comparable")
     if a.product != b.product:
         return False, None
     if a.roots == b.roots:

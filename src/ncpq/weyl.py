@@ -508,25 +508,38 @@ def chain_counts(covers: dict) -> dict:
 
 
 def maximal_chains(covers: dict) -> Iterator[tuple]:
-    """The maximal chains of a labelled Hasse diagram (`walk_down`) from
-    its first key, lazily, each as the letters of its covers from the
-    bottom: s + (x,) for each letter x of a node, in letter order, and
-    each chain s below the child reached through x; the bottom has one
-    empty chain. On the interval walk, whose covers are w > w*t through
-    the root of t, the chain c > c t_n > ... > 1 reads the minimal
-    reflection factorization c = t_1 ... t_n; on the descent, whose
-    covers are B > B ∩ x^⊥ through x, it reads the complete exceptional
-    sequence (x_1, ..., x_n).
+    """The maximal chains of a labelled Hasse diagram (`walk_down`),
+    lazily and in lexicographic order, each as the letters of its covers
+    from the bottom. Every maximal chain of these posets runs from their
+    one bottom, the walk's last key and its one node without children, to
+    their one top, the first key. So the chains are read upward along the
+    inverted covers: (x,) + s for each parent reaching a node through x,
+    in letter order, and each chain s above that parent; the top has one
+    empty chain. A node has at most one parent through each letter (w =
+    u*t above u through t on the interval, B = thick(A ∪ {x}) above A
+    through x on the descent), so equal first letters mean equal parents
+    and the chains come sorted. On the interval walk, whose covers are
+    w > w*t through the root of t, the chain c > c t_n > ... > 1 reads
+    the minimal reflection factorization c = t_1 ... t_n; on the descent,
+    whose covers are B > B ∩ x^⊥ through x, it reads the complete
+    exceptional sequence (x_1, ..., x_n).
     """
-    def below(node) -> Iterator[tuple]:
-        children = covers[node]
-        if not children:
-            yield ()
+    parents: dict = {node: [] for node in covers}
+    for node, children in covers.items():
         for x, child in children.items():
-            for rest in below(child):
-                yield rest + (x,)
+            parents[child].append((x, node))
+    for ups in parents.values():
+        ups.sort(key=lambda up: up[0])
 
-    return below(next(iter(covers)))
+    def above(node) -> Iterator[tuple]:
+        ups = parents[node]
+        if not ups:
+            yield ()
+        for x, parent in ups:
+            for rest in above(parent):
+                yield (x,) + rest
+
+    return above(next(reversed(covers)))
 
 
 def braid_transitive(covers: dict) -> bool:

@@ -14,7 +14,7 @@ with ranks and kernels from the rational reduced row echelon form
 classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
-hurwitz move table with `mutation_graph` but checks its whole result
+hurwitz move table with `braid_edges` but checks its whole result
 exceptional) with the product of the whole sequence compared before and
 after, conjugation depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with

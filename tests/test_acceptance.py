@@ -29,7 +29,8 @@ from ncpq import (
     tuple_from_roots,
     verify_bijection,
 )
-from ncpq.exc import ExcSequence, mutation_graph, order_antichain
+from ncpq.exc import ExcSequence, order_antichain
+from ncpq.hurwitz import braid_edges
 from ncpq.rep import ext_dim, hom_dim
 from ncpq.quiver import connected_components, euler_form
 from ncpq.weyl import WeylElement, absolute_length
@@ -114,7 +115,8 @@ def test_criterion_04_mutation_graph_connected():
         c = coxeter_element(q, tuple(range(1, q.n + 1)))
         oracle = brute_force_factorizations(roots, c.matrix, q.n)
         assert len(oracle) == count, name
-        nodes, edges = mutation_graph(seqs, reg)
+        nodes = sorted(s.roots for s in seqs)
+        edges = braid_edges(nodes, reg.rootsystem.reflection)
         assert len(connected_components(len(nodes), edges)) == 1, name
     _passed(4, "mutation graphs connected; 3/16/125 sequences match the "
                "brute-force factorization count")

@@ -36,9 +36,9 @@ from ncpq.errors import (
     QuiverParseError,
     ValidationError,
 )
-from ncpq.exc import mutation_graph
+from ncpq.hurwitz import braid_edges
 from ncpq.quiver import connected_components
-from ncpq.weyl import WeylElement, generate_roots
+from ncpq.weyl import Reflection, WeylElement, generate_roots
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
 from oracles import FACTORIZATION_COUNTS, minimal_reflection_factorizations, oriented_dynkin
@@ -357,12 +357,13 @@ def test_json_is_one_line_with_the_library_payload(command, quiver_file, capsys,
         count = len(minimal_reflection_factorizations(coxeter_element(a3, order), a3_reg.rootsystem))
         expected = {"quiver": path, "coxeter_order": list(order), "orbit_size": len(orbit),
                     "factorization_count": count, "single_orbit": len(orbit) == count,
-                    "orbit": [t.to_json() for t in orbit]}
+                    "orbit": [list(map(list, t.roots)) for t in orbit]}
     else:
-        nodes, edges = mutation_graph(enumerate_complete_sequences(a3, a3_reg), a3_reg)
+        nodes = sorted(enumerate_complete_sequences(a3, a3_reg), key=lambda s: s.roots)
+        edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
         expected = {"quiver": path, "count": len(nodes),
                     "connected": len(connected_components(len(nodes), edges)) == 1,
-                    "sequences": [s.to_json() for s in nodes],
+                    "sequences": [list(map(list, s.roots)) for s in nodes],
                     "mutation_edges": [list(e) for e in sorted(edges)]}
     assert json.loads(out) == expected
 
@@ -396,6 +397,34 @@ def test_past_the_cap_the_count_and_certificate_are_reported(command, quiver_fil
         assert payload == {"quiver": path, "count": 16, "connected": True,
                            "sequences": None, "mutation_edges": None}
         assert text == "16 complete exceptional sequences, mutation graph connected: True\n"
+
+
+@pytest.mark.parametrize("command, output_format", [("sequences", "json"), ("hurwitz", "dot")])
+def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, quiver_file,
+                                                      capsys, monkeypatch):
+    # Both commands draw their braid graph with the root system's
+    # reflections, and the pair-product check refuses the reflection at a2
+    # given the matrix of s1 as a bug. The interval walk multiplies by the
+    # same reflections, so they are corrupted only once the walk is made.
+    honest = ncpq.weyl.RootSystem.reflection
+
+    def corrupted(self, root):
+        if root == (0, 1, 0):
+            return Reflection(root, honest(self, (1, 0, 0)).element)
+        return honest(self, root)
+
+    def corrupting(walk):
+        def walked(*args):
+            covers = walk(*args)
+            monkeypatch.setattr(ncpq.weyl.RootSystem, "reflection", corrupted)
+            return covers
+        return walked
+
+    for walk in ("interval_covers", "subcategory_covers"):
+        monkeypatch.setattr(cli, walk, corrupting(getattr(cli, walk)))
+    assert main([command, quiver_file(A3_TEXT), "--format", output_format]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reflection product" in captured.err
 
 
 @pytest.mark.parametrize("output_format", ["json", "text", "dot"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -36,15 +37,14 @@ from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
     _subcategory_simples,
     closure_indecomposables,
-    mutation_graph,
     order_antichain,
     slot_fillers,
     subcategory_covers,
 )
-from ncpq.hurwitz import orbit_edges
+from ncpq.hurwitz import braid_edges
 from ncpq.quiver import Quiver, connected_components
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
-                       maximal_chains, simple_root)
+                       make_reflection, maximal_chains, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -304,9 +304,10 @@ def test_mutate_index_range(a2_reg):
 
 
 def test_product_invariant_on_all_mutation_edges(a3_reg):
-    # mutation_graph raises internally if any edge changes the product
+    # braid_edges raises internally if any edge changes the product
     seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
-    nodes, edges = mutation_graph(seqs, a3_reg)
+    nodes = sorted(seqs, key=lambda s: s.roots)
+    edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
     assert len(nodes) == 16
     assert len(connected_components(len(nodes), edges)) == 1
 
@@ -322,7 +323,7 @@ def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
 
     monkeypatch.setattr(reg.rootsystem, "reflection", corrupted)
     with pytest.raises(NcpqError, match="reflection product"):
-        mutation_graph(seqs, reg)
+        braid_edges(sorted(s.roots for s in seqs), reg.rootsystem.reflection)
 
 
 @pytest.mark.parametrize("label", ["A3", "A4", "D4", "D5"])
@@ -330,8 +331,10 @@ def test_mutation_graph_matches_per_edge_braid_mutate(label):
     q = DYNKIN_QUIVERS[label]
     reg = build_registry(q)
     seqs = enumerate_complete_sequences(q, reg)
-    nodes, edges = mutation_graph(seqs, reg)
-    assert nodes == sorted(seqs, key=lambda s: s.roots)
+    # The nodes as `ncpq sequences` lists them: the descent's chains, sorted.
+    nodes = list(maximal_chains(subcategory_covers(reg)))
+    edges = braid_edges(nodes, reg.rootsystem.reflection)
+    assert nodes == [s.roots for s in sorted(seqs, key=lambda s: s.roots)]
     assert edges == mutation_edges_by_braid_mutate(seqs, reg)
 
 
@@ -344,12 +347,13 @@ def _assert_sequences_are_the_orbit(q, order):
     # as the listed move graph is connected.
     roots = generate_roots(q)
     reg = build_registry(q, roots)
-    nodes, edges = mutation_graph(enumerate_complete_sequences(q, reg), reg)
+    nodes = sorted(enumerate_complete_sequences(q, reg), key=lambda s: s.roots)
+    edges = braid_edges([s.roots for s in nodes], reg.rootsystem.reflection)
     start = tuple(simple_root(q.n, i) for i in order)
     orbit = sorted(hurwitz_orbit(tuple_from_roots(q, start)), key=lambda t: t.roots)
     assert [s.roots for s in nodes] == [t.roots for t in orbit]
     assert set(nodes) == _backtracked(q, reg)
-    assert edges == orbit_edges(orbit)
+    assert edges == braid_edges([t.roots for t in orbit], partial(make_reflection, q))
     if q.n <= 4:  # A5 and D5: test_orbit_matches_full_product_oracle
         assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
     covers = interval_covers(coxeter_element(q, order), roots)
@@ -372,24 +376,17 @@ def test_sequences_are_the_hurwitz_orbit_on_random_orientations(drawn):
     _assert_sequences_are_the_orbit(q, order)
 
 
-def test_mutation_graph_rejects_a_non_exceptional_sequence(a3_reg):
-    seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
-    bad = next(ExcSequence(p) for p in itertools.permutations(
-        simple_root(3, i) for i in (1, 2, 3)) if not is_exceptional_sequence(p, a3_reg))
-    with pytest.raises(ValidationError, match="not an exceptional sequence"):
-        mutation_graph(seqs | {bad}, a3_reg)
-
-
-def test_mutation_graph_rejects_an_incomplete_sequence(a3_reg):
-    seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
-    with pytest.raises(ValidationError, match="complete"):
-        mutation_graph(seqs | {ExcSequence(((1, 0, 0),))}, a3_reg)
-
-
 def test_mutation_graph_rejects_a_set_missing_a_neighbor(a3_reg):
     seqs = sorted(enumerate_complete_sequences(a3_reg.quiver, a3_reg), key=lambda s: s.roots)
     with pytest.raises(ValidationError, match="left the given sequence set"):
-        mutation_graph(set(seqs[1:]), a3_reg)
+        braid_edges([s.roots for s in seqs[1:]], a3_reg.rootsystem.reflection)
+
+
+def test_braid_edges_refuse_a_repeated_tuple(a3_reg):
+    # A listed tuple is a node of the graph, so it may appear only once.
+    seqs = sorted(s.roots for s in enumerate_complete_sequences(a3_reg.quiver, a3_reg))
+    with pytest.raises(ValidationError, match="listed twice"):
+        braid_edges(seqs + seqs[:1], a3_reg.rootsystem.reflection)
 
 
 # ---------------------------------------------------------------------------

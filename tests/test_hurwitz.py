@@ -22,7 +22,7 @@ from ncpq import (
     tuple_from_roots,
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
-from ncpq.hurwitz import orbit_edges, replay_certificate
+from ncpq.hurwitz import braid_edges, replay_certificate
 
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
 from oracles import (
@@ -135,13 +135,13 @@ def test_orbit_edges_match_single_moves(a3):
             j = ids[hurwitz_move(t, i).roots]
             if j != k:
                 expected.add((min(j, k), max(j, k)))
-    assert orbit_edges(ordered) == expected
+    assert braid_edges([t.roots for t in ordered], generate_roots(a3).reflection) == expected
 
 
 def test_orbit_edges_reject_an_open_set(a3):
     t = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValidationError):
-        orbit_edges([t])
+        braid_edges([t.roots], generate_roots(a3).reflection)
 
 
 def test_replay_certificate_rejects_move_zero(a2):
@@ -174,6 +174,17 @@ def test_same_orbit_certificate_replays(a2):
 def test_same_orbit_length_mismatch(a2):
     a = tuple_from_roots(a2, ((1, 0), (0, 1)))
     b = tuple_from_roots(a2, ((1, 0),))
+    with pytest.raises(ValidationError):
+        same_orbit(a, b)
+
+
+def test_same_orbit_refuses_tuples_over_two_quivers():
+    # Both products are the identity, but s_1 acts differently on the two
+    # orientations of A3, so equal roots do not make equal tuples.
+    roots = ((1, 0, 0), (1, 0, 0))
+    a = tuple_from_roots(parse_quiver(A3_TEXT), roots)
+    b = tuple_from_roots(parse_quiver("vertices 3\narrow 1 3\narrow 3 2\n"), roots)
+    assert a.product == b.product and a.items[0] != b.items[0]
     with pytest.raises(ValidationError):
         same_orbit(a, b)
 

@@ -39,6 +39,7 @@ from ncpq.errors import (
     NonFiniteTypeError,
     ValidationError,
 )
+from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver
 from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
                        maximal_chains, walk_down)
@@ -503,6 +504,19 @@ def test_walk_down_of_the_boolean_lattice(monkeypatch):
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 7)
     with pytest.raises(CapExceededError, match="^node count exceeds cap 7$"):
         _subsets(top, _without)
+
+
+def test_chains_come_sorted():
+    # Both listers read each chain upward from the one bottom, taking each
+    # node's parents in letter order: on the interval [1, c] of E6 and on
+    # the subcategory descent of D5 the chains come in sorted order.
+    e6 = DYNKIN_QUIVERS["E6"]
+    interval = interval_covers(coxeter_element(e6, topological_order(e6)), complete_roots(e6))
+    descent = subcategory_covers(build_registry(DYNKIN_QUIVERS["D5"]))
+    for covers in (interval, descent):
+        chains = list(maximal_chains(covers))
+        assert len(chains) == chain_counts(covers)[next(iter(covers))]
+        assert chains == sorted(chains)
 
 
 # The Boolean lattice with the children of one node changed so that the
