@@ -10,10 +10,13 @@ argparse refuses anything else with exit 2.
 `hurwitz` and `sequences` each walk one poset down by its covers
 (`weyl.walk_down`), count its maximal chains and certify one braid orbit
 on them (`weyl.braid_transitive`); their caps bound only the listing.
-Within a cap both list the chains, sorted, and draw one braid graph on
-them (`hurwitz.braid_edges`, with the root system's reflections). Past
-a cap, JSON and text report the count and the certificate with the
-lists null, and DOT, which draws the listed graph, exits 4.
+Within a cap both list the chains, sorted, and, when the certificate
+holds, draw one braid graph on them (`hurwitz.braid_edges`, with the
+root system's reflections). Past a cap, JSON and text report the count
+and the certificate with the lists null, and DOT, which draws the listed
+graph, exits 4. A failed certificate exits 1 in every format: JSON gets
+no graph (`mutation_edges` null), and DOT draws none and says so on
+stderr.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
 3 unsupported type, 4 cap exceeded, 5 internal error (a bug).
@@ -260,6 +263,10 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         _emit(args, f"orbit size {payload['orbit_size']}, factorizations {count}, "
                     f"single orbit: {single}")
     else:
+        if not single:
+            print("verification failed: the factorizations are not one braid orbit, "
+                  "so no graph is drawn", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILED
         if ordered is None:
             raise CapExceededError(f"orbit size exceeds cap {args.cap_orbit}")
         edges = braid_edges(ordered, roots.reflection)
@@ -274,11 +281,14 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     reg = build_registry(q, complete_roots(q))
     # The descent's chains are the complete exceptional sequences; the
     # certificate makes them one mutation class. They need no second
-    # check: in a chain x_i lies in reg.right_orth(x_j) for i < j, which is
-    # read off the very hom and ext entries `is_exceptional_sequence`
-    # reads, and each cover B > B ∩ x^⊥ lowers the rank by one.
+    # check: in a chain x_i lies in reg.right_orth(x_j) for i < j, which
+    # is the very set `is_exceptional_sequence` reads, and each cover
+    # B > B ∩ x^⊥ lowers the rank by one. The braid graph is drawn only
+    # on a certified class: without the certificate a move may leave the
+    # list, which is a failed verification, not an input error.
     count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences)
-    edges = None if chains is None else braid_edges(chains, reg.rootsystem.reflection)
+    edges = (braid_edges(chains, reg.rootsystem.reflection)
+             if connected and chains is not None else None)
     payload = {
         "quiver": args.quiver_file,
         "count": count,
@@ -292,6 +302,10 @@ def cmd_sequences(args: argparse.Namespace) -> int:
         _emit(args, f"{count} complete exceptional sequences, "
                     f"mutation graph connected: {connected}")
     else:
+        if not connected:
+            print("verification failed: the sequences are not one mutation class, "
+                  "so no graph is drawn", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILED
         if chains is None:
             raise CapExceededError(f"sequence count exceeds cap {args.cap_sequences}")
         dot_nodes = [f"s{k}" for k in range(len(chains))]

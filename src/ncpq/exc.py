@@ -71,34 +71,30 @@ class Subcategory:
 
 
 def is_exceptional_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
-    """No Hom and no Ext from any later entry to any earlier one."""
+    """No Hom and no Ext from any later entry to any earlier one: each
+    entry lies in the `right_orth` of every later one."""
     roots = tuple(roots)
     for r in roots:
         if r not in reg:
             raise ValidationError(f"{r} is not a registered root")
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if reg.hom(roots[j], roots[i]) != 0 or reg.ext(roots[j], roots[i]) != 0:
-                return False
-    return True
+    return all(roots[i] in reg.right_orth(roots[j])
+               for j in range(len(roots)) for i in range(j))
 
 
 def right_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
-    """Registry roots receiving no Hom and no Ext from any input root."""
-    members = tuple(roots)
-    for r in members:
-        if r not in reg:
-            raise ValidationError(f"{r} is not a registered root")
-    return frozenset(reg.roots()).intersection(*(reg.right_orth(u) for u in members))
+    """Registry roots receiving no Hom and no Ext from any input root: the
+    intersection of their `right_orth` sets, every root for no input. An
+    unregistered input root raises ValidationError."""
+    orths = [reg.right_orth(u) for u in roots]
+    return frozenset.intersection(*orths) if orths else frozenset(reg.roots())
 
 
 def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
-    """Registry roots with no Hom and no Ext into any input root."""
-    members = tuple(roots)
-    for r in members:
-        if r not in reg:
-            raise ValidationError(f"{r} is not a registered root")
-    return frozenset(reg.roots()).intersection(*(reg.left_orth(u) for u in members))
+    """Registry roots with no Hom and no Ext into any input root: the
+    intersection of their `left_orth` sets, every root for no input. An
+    unregistered input root raises ValidationError."""
+    orths = [reg.left_orth(u) for u in roots]
+    return frozenset.intersection(*orths) if orths else frozenset(reg.roots())
 
 
 def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> frozenset[Vector]:
@@ -120,13 +116,9 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
       indecomposable, so a member. Then Hom(s, m) != 0 and dim s < dim m,
       so dim s is not >= dim m.
     Only integer Hom dimensions enter. The dimension test runs first; it
-    also rules out x = m.
+    also rules out x = m. Those x, over all roots, are `reg.maps_into(m)`.
     """
-    members = sorted(ind)
-    return tuple(
-        m for m in members
-        if not any(any(xi < mi for xi, mi in zip(x, m)) and reg.hom(x, m)
-                   for x in members))
+    return tuple(m for m in sorted(ind) if ind.isdisjoint(reg.maps_into(m)))
 
 
 def _ext_quiver_arrows(members: Sequence[Vector], reg: IndecRegistry) -> list[tuple[int, int]]:

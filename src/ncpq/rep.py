@@ -11,9 +11,13 @@ pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
 from their fraction-free integer rank (`_linalg.rank`). Ext dimensions
 come from the bilinear-form identity hom - ext = form(dim M, dim N),
 which is validated against an independent resolution-based computation
-in the test suite. `hom_basis` gives an integer basis of Hom from the
-same kernel; only the injectivity scan `IndecRegistry.has_injective_hom`
-uses it, and no other ncpq function calls that scan.
+in the test suite. The same identity screens the registry's per-root
+sets (`IndecRegistry.right_orth`, `left_orth`, `maps_into`): as
+Ext >= 0, a nonzero form decides orthogonality and a positive one
+proves Hom != 0, so only the remaining pairs are ranked. `hom_basis`
+gives an integer basis of Hom from the same kernel; only the injectivity
+scan `IndecRegistry.has_injective_hom` uses it, and no other ncpq
+function calls that scan.
 """
 
 from __future__ import annotations
@@ -290,10 +294,19 @@ class IndecRegistry:
     Hom/Ext lookups keyed by root pairs.
 
     Immutable after build. All memos fill lazily, on first use: Hom and
-    Ext dimensions per ordered root pair, and per root the two orthogonal
-    sets `right_orth`/`left_orth` that perpendicular categories intersect
-    (plus the answers of the injectivity scan, when it is asked). The
-    memo dicts are safe for concurrent reads under the GIL.
+    Ext dimensions per ordered root pair (`_hom`, `_ext`); per root the
+    two orthogonal sets that perpendicular categories intersect
+    (`right_orth`, `left_orth`) and the roots that map into it from
+    below (`maps_into`, read by the relative simples); and the answers
+    of the injectivity scan, when it is asked (`_injective`). The memo
+    dicts are safe for concurrent reads under the GIL.
+
+    The per-root sets rank only where the Euler form is silent. For
+    indecomposables a and m, dim Hom(a, m) - dim Ext(a, m) = <a, m> and
+    Ext >= 0, so <a, m> > 0 proves Hom(a, m) != 0, <a, m> < 0 proves
+    Ext(a, m) != 0, and <a, m> = 0 gives Ext(a, m) = Hom(a, m), one rank
+    deciding both. `hom` and `ext` still return exact ranks wherever
+    they are asked.
     """
 
     def __init__(self, quiver: Quiver, rootsystem: RootSystem,
@@ -307,6 +320,7 @@ class IndecRegistry:
         self._ext: dict[tuple[Vector, Vector], int] = {}
         self._right_orth: dict[Vector, frozenset[Vector]] = {}
         self._left_orth: dict[Vector, frozenset[Vector]] = {}
+        self._maps_into: dict[Vector, frozenset[Vector]] = {}
 
     def roots(self) -> tuple[Vector, ...]:
         return self._roots
@@ -342,22 +356,47 @@ class IndecRegistry:
         return value
 
     def right_orth(self, a: Vector) -> frozenset[Vector]:
-        """Roots m with Hom(a, m) = Ext(a, m) = 0."""
+        """Roots m with Hom(a, m) = Ext(a, m) = 0.
+
+        If <a, m> != 0, Hom and Ext cannot both vanish; if <a, m> = 0,
+        Ext = Hom. So m lies here exactly when <a, m> = 0 and
+        hom(a, m) = 0, and only those pairs are ranked. An unregistered
+        `a` raises ValidationError."""
         orth = self._right_orth.get(a)
         if orth is None:
+            self[a]  # refuses an unregistered root
             orth = frozenset(m for m in self._roots
-                             if self.hom(a, m) == 0 and self.ext(a, m) == 0)
+                             if euler_form(self.quiver, a, m) == 0 and self.hom(a, m) == 0)
             self._right_orth[a] = orth
         return orth
 
     def left_orth(self, a: Vector) -> frozenset[Vector]:
-        """Roots m with Hom(m, a) = Ext(m, a) = 0."""
+        """Roots m with Hom(m, a) = Ext(m, a) = 0, screened by <m, a> as
+        `right_orth` is by <a, m>. An unregistered `a` raises
+        ValidationError."""
         orth = self._left_orth.get(a)
         if orth is None:
+            self[a]  # refuses an unregistered root
             orth = frozenset(m for m in self._roots
-                             if self.hom(m, a) == 0 and self.ext(m, a) == 0)
+                             if euler_form(self.quiver, m, a) == 0 and self.hom(m, a) == 0)
             self._left_orth[a] = orth
         return orth
+
+    def maps_into(self, m: Vector) -> frozenset[Vector]:
+        """Roots x with dim x not >= dim m componentwise and Hom(x, m) != 0.
+
+        <x, m> > 0 proves Hom(x, m) != 0 with no rank; the other pairs
+        are ranked. The dimension test runs first and rules out x = m.
+        An unregistered `m` raises ValidationError."""
+        into = self._maps_into.get(m)
+        if into is None:
+            self[m]  # refuses an unregistered root
+            into = frozenset(
+                x for x in self._roots
+                if any(xi < mi for xi, mi in zip(x, m))
+                and (euler_form(self.quiver, x, m) > 0 or self.hom(x, m) != 0))
+            self._maps_into[m] = into
+        return into
 
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
         """Whether some intertwiner embeds the module at a into the one at b.

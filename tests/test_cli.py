@@ -456,9 +456,41 @@ def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monk
         return covers
 
     monkeypatch.setattr(cli, "interval_covers", dropped)
-    assert main(["hurwitz", quiver_file(A3_TEXT), "--format", "json"]) == 1
+    path = quiver_file(A3_TEXT)
+    assert main(["hurwitz", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["single_orbit"] is False and payload["orbit_size"] is None
+    # DOT draws no graph on a failed certificate: one line on stderr, exit 1.
+    assert main(["hurwitz", path, "--format", "dot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("output_format", ["json", "dot"])
+def test_a_dropped_cover_fails_the_sequences_certificate(output_format, quiver_file, capsys,
+                                                         monkeypatch):
+    # The descent twin: a subcategory of rank 2 below the whole category
+    # loses its last cover, so the chains are not one mutation class. No
+    # braid graph is drawn on them, and the command exits 1, not 2.
+    real = cli.subcategory_covers
+
+    def dropped(reg):
+        covers = real(reg)
+        covers[next(iter(covers[next(iter(covers))].values()))].popitem()
+        return covers
+
+    monkeypatch.setattr(cli, "subcategory_covers", dropped)
+    assert main(["sequences", quiver_file(A3_TEXT), "--format", output_format]) == 1
+    captured = capsys.readouterr()
+    if output_format == "json":
+        payload = json.loads(captured.out)
+        assert payload["connected"] is False and payload["mutation_edges"] is None
+        assert payload["count"] == len(payload["sequences"]) < 16
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+        assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ncpq import (
     parse_quiver,
     top_simples,
 )
+from ncpq import rep
 from ncpq.errors import NonFiniteTypeError, ValidationError
 from ncpq.rep import _intertwiner_rows, hom_basis, simple_representation, zero_representation
 
@@ -282,4 +283,44 @@ def test_build_registry_fills_only_the_diagonal():
     diagonal = {(r, r) for r in reg.roots()}
     assert set(reg._hom) == diagonal
     assert set(reg._ext) == diagonal
-    assert not reg._right_orth and not reg._left_orth
+    assert not reg._right_orth and not reg._left_orth and not reg._maps_into
+
+
+@pytest.mark.parametrize("label", [k for k in DYNKIN_QUIVERS if k != "E8"])
+def test_per_root_sets_match_their_rank_every_pair_definitions(label):
+    # The screen against the definitions, every pair ranked by `hom_dim`
+    # and `ext_dim` themselves, not through the registry.
+    reg = build_registry(DYNKIN_QUIVERS[label])
+    roots = reg.roots()
+    hom = {(a, m): hom_dim(reg[a], reg[m]) for a in roots for m in roots}
+    ext = {(a, m): ext_dim(reg[a], reg[m]) for a in roots for m in roots}
+    for a in roots:
+        assert reg.right_orth(a) == {m for m in roots if hom[a, m] == ext[a, m] == 0}
+        assert reg.left_orth(a) == {m for m in roots if hom[m, a] == ext[m, a] == 0}
+        assert reg.maps_into(a) == {x for x in roots if hom[x, a] != 0
+                                    and not all(xi >= ai for xi, ai in zip(x, a))}
+
+
+def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
+    q = DYNKIN_QUIVERS["E7"]
+    reg = build_registry(q)
+    zero = sum(euler_form(q, a, m) == 0 for a in reg.roots() for m in reg.roots())
+    assert zero == 1323
+    calls = []
+    real = rep.hom_dim
+
+    def counted(M, N):
+        calls.append((M.dims, N.dims))
+        return real(M, N)
+
+    monkeypatch.setattr(rep, "hom_dim", counted)
+    for a in reg.roots():
+        reg.right_orth(a)
+    assert len(calls) == len(set(calls)) == zero
+
+
+@pytest.mark.parametrize("method", ["right_orth", "left_orth", "maps_into"])
+def test_per_root_sets_refuse_a_non_root(method, d4_reg):
+    # Vertices 1 and 4 both hang off the centre 2, so (1, 0, 0, 1) is no root.
+    with pytest.raises(ValidationError):
+        getattr(d4_reg, method)((1, 0, 0, 1))
