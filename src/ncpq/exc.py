@@ -121,13 +121,24 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
     return tuple(m for m in sorted(ind) if ind.isdisjoint(reg.maps_into(m)))
 
 
-def _ext_quiver_arrows(members: Sequence[Vector], reg: IndecRegistry) -> list[tuple[int, int]]:
-    arrows = []
+def _ext_quiver(members: Sequence[Vector], reg: IndecRegistry) -> dict[tuple[int, int], int]:
+    """The Ext-quiver of the members: dim Ext(members[i], members[j]) at
+    (i, j), for each i != j where it is not 0."""
+    ext = {}
     for i, a in enumerate(members):
         for j, b in enumerate(members):
-            if i != j and reg.ext(a, b) != 0:
-                arrows.append((i, j))
-    return arrows
+            if i != j and (d := reg.ext(a, b)):
+                ext[i, j] = d
+    return ext
+
+
+def _ext_order(r: int, ext: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """Topological order of an Ext-quiver on r vertices, smallest vertex
+    first among incomparables."""
+    order = topological_sort(r, ext)
+    if order is None:
+        raise ValidationError("Ext-quiver has a cycle; the antichain is not exceptional")
+    return order
 
 
 def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Vector, ...]:
@@ -135,22 +146,15 @@ def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Ve
     topological order of its Ext-quiver, smallest root first among
     incomparables."""
     members = sorted(antichain)
-    order = topological_sort(len(members), _ext_quiver_arrows(members, reg))
-    if order is None:
-        raise ValidationError("Ext-quiver has a cycle; the antichain is not exceptional")
-    return tuple(members[i] for i in order)
+    return tuple(members[i] for i in _ext_order(len(members), _ext_quiver(members, reg)))
 
 
-def _relative_root_count(simples: tuple[Vector, ...], reg: IndecRegistry) -> int:
-    """Positive-root count of the quiver whose arrows are the Ext spaces
-    between the subcategory's simples."""
-    r = len(simples)
-    arrows = []
-    for i in range(r):
-        for j in range(r):
-            if i != j:
-                arrows.extend([(i + 1, j + 1)] * reg.ext(simples[i], simples[j]))
-    return _finite_root_count(r, tuple(arrows))
+def _relative_root_count(order: tuple[int, ...], ext: dict[tuple[int, int], int]) -> int:
+    """Positive-root count of the subcategory's Ext-quiver `ext` on its
+    simples, numbered in `order`: one arrow per dimension of Ext."""
+    position = {v: k + 1 for k, v in enumerate(order)}
+    arrows = sorted((position[i], position[j]) for (i, j), d in ext.items() for _ in range(d))
+    return _finite_root_count(len(order), tuple(arrows))
 
 
 @functools.cache
@@ -169,14 +173,18 @@ def _checked_subcategory(ind: frozenset[Vector], rank: int,
                          reg: IndecRegistry) -> Subcategory:
     """The subcategory on `ind`, checked: `rank` simples that order into an
     exceptional sequence, as many indecomposables as the roots of their
-    Ext-quiver, and `ind` is the double perpendicular of the simples."""
+    Ext-quiver, and `ind` is the double perpendicular of the simples.
+    The simples' Ext-quiver is read from the registry once, for both the
+    order and the root count."""
     simples = _subcategory_simples(ind, reg)
     if len(simples) != rank:
         raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
-    ordered = order_antichain(simples, reg)
+    ext = _ext_quiver(simples, reg)
+    order = _ext_order(rank, ext)
+    ordered = tuple(simples[i] for i in order)
     if not is_exceptional_sequence(ordered, reg):
         raise NcpqError("subcategory simples do not order into an exceptional sequence")
-    if ordered and _relative_root_count(ordered, reg) != len(ind):
+    if ordered and _relative_root_count(order, ext) != len(ind):
         raise NcpqError("subcategory size disagrees with its relative root count")
     if closure_indecomposables(ordered, reg) != ind:
         raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
@@ -306,7 +314,7 @@ def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[froze
 
     def backtrack(start: int):
         members = tuple(roots[i] for i in chosen)
-        if topological_sort(len(members), _ext_quiver_arrows(members, reg)) is not None:
+        if topological_sort(len(members), _ext_quiver(members, reg)) is not None:
             found.add(frozenset(members))
         for nxt in range(start, k):
             if all(orthogonal[i][nxt] for i in chosen):

@@ -4,7 +4,11 @@ For a finite-type quiver this module constructs one indecomposable
 representation per positive root, deterministically: walk the root down to
 a simple root along a sink-admissible sequence of simple reflections, then
 transport the simple representation back up with cokernel (source-side)
-reflection steps. Integral entries are stored as ints. Each step takes
+reflection steps. One memoized transport, `_transport`, serves the
+registry and `indecomposable_for_root`: the sink word returns to the
+quiver after n steps, so a replayed step depends only on (step mod n,
+root), and each such step is made once (proof in its docstring).
+Integral entries are stored as ints. Each step takes
 its cokernel from an integer left kernel (`_linalg.int_kernel`), so the
 registry maps are integral (E7's have entries in {-1, 0, 1}; the tests
 pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
@@ -26,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
@@ -245,14 +250,70 @@ def _is_simple_vector(v: Vector) -> int | None:
     return None
 
 
+def _transport(q: Quiver, roots: RootSystem,
+               alphas: Sequence[Vector]) -> dict[Vector, Representation]:
+    """The indecomposable at each positive root in `alphas`, by one
+    memoized reflection-functor transport.
+
+    The sink word is the reversed topological order of q, cycled: step m
+    reflects at its (m mod n)-th letter, a sink of the orientation
+    quivers[m mod n]. Each root walks down until it meets a simple root,
+    and the simple module there is carried back up by cokernel steps.
+
+    Reflecting once at every vertex reverses every arrow twice, so
+    quivers[n] == q, which is checked. Hence the walk from step m, the
+    simple root it stops at and every map its replay builds depend only on
+    (m mod n, the vector at step m). Memoizing the replayed module under
+    that key therefore gives every root the module its own walk would
+    build, map for map, and each key is a positive root at one of n
+    levels, so all roots together make at most n·|Φ⁺| cokernel steps. A
+    walk stops early at a key already replayed. The walks stay in the
+    positive cone, which is checked, and so can visit at most n·|Φ⁺|
+    keys; each is bounded by `max_steps` all the same.
+    """
+    n = q.n
+    sink_word = tuple(reversed(topological_order(q)))
+    quivers = [q]
+    for step, j in enumerate(sink_word):
+        if not quivers[-1].is_sink(j):
+            raise NcpqError(f"vertex {j} is not a sink at step {step}")
+        quivers.append(_reflect_quiver(quivers[-1], j))
+    if quivers[n] != q:
+        raise NcpqError("the sink word did not restore the quiver; this is a bug")
+    max_steps = 4 * n * len(roots.positive_real_roots) + 16
+    memo: dict[tuple[int, Vector], Representation] = {}
+    for alpha in alphas:
+        path: list[Vector] = []
+        vec = alpha
+        step = 0
+        while (step % n, vec) not in memo:
+            vertex = _is_simple_vector(vec)
+            if vertex is not None:
+                memo[step % n, vec] = simple_representation(quivers[step % n], vertex)
+                break
+            path.append(vec)
+            vec = simple_reflect(roots.cartan, sink_word[step % n] - 1, vec)
+            if not is_positive(vec):
+                raise NcpqError("root walk left the positive cone; this is a bug")
+            step += 1
+            if step > max_steps:
+                raise NcpqError("root walk failed to reach a simple root")
+        rep = memo[step % n, vec]
+        for k in range(step - 1, -1, -1):
+            rep = _source_cokernel_step(rep, sink_word[k % n])
+            if rep.quiver != quivers[k % n]:
+                raise NcpqError("transport misaligned the quiver; this is a bug")
+            memo[k % n, path[k]] = rep
+        if rep.dims != alpha:
+            raise NcpqError("transport produced the wrong dimension vector")
+    return {alpha: memo[0, alpha] for alpha in alphas}
+
+
 def indecomposable_for_root(q: Quiver, alpha: Vector,
                             roots: RootSystem | None = None) -> Representation:
-    """The indecomposable representation with dimension vector alpha.
-
-    Deterministic: the sink-admissible word is the reversed topological
-    order of q, cycled; the walk stops at the first simple root it meets
-    and the cokernel steps are replayed in reverse. `roots` defaults to
-    `complete_roots`, which refuses before generating any.
+    """The indecomposable representation with dimension vector alpha, by
+    `_transport`, so it is the registry's module at alpha. `roots`
+    defaults to `complete_roots`, which refuses before generating any.
     """
     if roots is None:
         roots = complete_roots(q)
@@ -260,33 +321,7 @@ def indecomposable_for_root(q: Quiver, alpha: Vector,
         raise NonFiniteTypeError("indecomposables are only tabulated in finite type")
     if alpha not in roots.positive_real_roots:
         raise ValidationError(f"{alpha} is not a positive root of this quiver")
-    sink_word = tuple(reversed(topological_order(q)))
-    quivers = [q]
-    word: list[int] = []
-    vec = alpha
-    step = 0
-    max_steps = 4 * q.n * len(roots.positive_real_roots) + 16
-    while _is_simple_vector(vec) is None:
-        j = sink_word[step % q.n]
-        cur = quivers[-1]
-        if not cur.is_sink(j):
-            raise NcpqError(f"vertex {j} is not a sink at step {step}")
-        vec = simple_reflect(roots.cartan, j - 1, vec)
-        if not is_positive(vec):
-            raise NcpqError("root walk left the positive cone; this is a bug")
-        word.append(j)
-        quivers.append(_reflect_quiver(cur, j))
-        step += 1
-        if step > max_steps:
-            raise NcpqError("root walk failed to reach a simple root")
-    rep = simple_representation(quivers[-1], _is_simple_vector(vec))
-    for k in range(len(word) - 1, -1, -1):
-        rep = _source_cokernel_step(rep, word[k])
-        if rep.quiver != quivers[k]:
-            raise NcpqError("transport misaligned the quiver; this is a bug")
-    if rep.dims != alpha:
-        raise NcpqError("transport produced the wrong dimension vector")
-    return rep
+    return _transport(q, roots, (alpha,))[alpha]
 
 
 class IndecRegistry:
@@ -450,7 +485,9 @@ class IndecRegistry:
 
 
 def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
-    """Construct and certify the full root -> indecomposable table;
+    """Construct and certify the full root -> indecomposable table: one
+    `_transport` over every positive root, so the registry makes at most
+    n·|Φ⁺| cokernel steps, and each entry is then certified exceptional.
     `roots` defaults to `complete_roots`, which refuses before generating."""
     if roots is None:
         roots = complete_roots(q)
@@ -458,9 +495,7 @@ def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
     expected = positive_root_count(roots.classification.label)
     if len(roots.positive_real_roots) != expected:
         raise NcpqError("positive-root count does not match the classified type")
-    reps = {alpha: indecomposable_for_root(q, alpha, roots)
-            for alpha in sorted(roots.positive_real_roots)}
-    registry = IndecRegistry(q, roots, reps)
+    registry = IndecRegistry(q, roots, _transport(q, roots, sorted(roots.positive_real_roots)))
     for alpha in registry.roots():
         if registry.hom(alpha, alpha) != 1 or registry.ext(alpha, alpha) != 0:
             raise NcpqError(f"entry {alpha} failed its exceptionality certificate")

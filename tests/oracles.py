@@ -10,7 +10,9 @@ depth-first search and a greedy descent that take t <= w from
 moved-space membership, determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks and kernels from the rational reduced row echelon form
-(Gauss-Jordan over `Fraction`, which the package does not use), type
+(Gauss-Jordan over `Fraction`, which the package does not use), each
+registry module from its own root walk and replay, with no memo shared
+between roots, type
 classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
 mutation edges from one `braid_mutate` call per edge (it shares the
@@ -44,8 +46,12 @@ from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, c
                   identity, interval_covers, make_reflection, Quiver, ReflectionTuple,
                   sequence_product, thick_closure)
 from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
-from ncpq.weyl import (RootSystem, WeylElement, compose, positive_representative, simple_reflect,
-                       simple_root)
+from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
+from ncpq.quiver import topological_order
+from ncpq.rep import (_is_simple_vector, _reflect_quiver, _source_cokernel_step,
+                      simple_representation)
+from ncpq.weyl import (RootSystem, WeylElement, complete_roots, compose, is_positive,
+                       positive_representative, simple_reflect, simple_root)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -608,3 +614,42 @@ def simples_by_injective_maps(ind, reg) -> tuple:
                    and is_nonneg_combination(tuple(mi - oi for mi, oi in zip(m, other)),
                                              members, spans)
                    for other in members))
+
+
+def indecomposable_by_own_walk(q: Quiver, alpha, roots: RootSystem | None = None):
+    """The indecomposable at alpha by its own walk: down the cycled
+    reversed topological order of q to the first simple root, then every
+    cokernel step replayed in reverse, sharing nothing with other roots."""
+    if roots is None:
+        roots = complete_roots(q)
+    if not roots.classification.is_finite:
+        raise NonFiniteTypeError("indecomposables are only tabulated in finite type")
+    if alpha not in roots.positive_real_roots:
+        raise ValidationError(f"{alpha} is not a positive root of this quiver")
+    sink_word = tuple(reversed(topological_order(q)))
+    quivers = [q]
+    word: list[int] = []
+    vec = alpha
+    step = 0
+    max_steps = 4 * q.n * len(roots.positive_real_roots) + 16
+    while _is_simple_vector(vec) is None:
+        j = sink_word[step % q.n]
+        cur = quivers[-1]
+        if not cur.is_sink(j):
+            raise NcpqError(f"vertex {j} is not a sink at step {step}")
+        vec = simple_reflect(roots.cartan, j - 1, vec)
+        if not is_positive(vec):
+            raise NcpqError("root walk left the positive cone; this is a bug")
+        word.append(j)
+        quivers.append(_reflect_quiver(cur, j))
+        step += 1
+        if step > max_steps:
+            raise NcpqError("root walk failed to reach a simple root")
+    rep = simple_representation(quivers[-1], _is_simple_vector(vec))
+    for k in range(len(word) - 1, -1, -1):
+        rep = _source_cokernel_step(rep, word[k])
+        if rep.quiver != quivers[k]:
+            raise NcpqError("transport misaligned the quiver; this is a bug")
+    if rep.dims != alpha:
+        raise NcpqError("transport produced the wrong dimension vector")
+    return rep

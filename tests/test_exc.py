@@ -248,6 +248,25 @@ def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
         exc._finite_root_count(kronecker.n, kronecker.arrows)
 
 
+def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):
+    # The order and the relative root count share one read of the simples'
+    # Ext-quiver: each ordered pair of distinct simples is asked once.
+    reg = build_registry(DYNKIN_QUIVERS["D5"])
+    ranks = {b: len(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
+    calls = []
+    real = type(reg).ext
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(reg), "ext", counted)
+    for ind, rank in ranks.items():
+        calls.clear()
+        sub = exc._checked_subcategory(ind, rank, reg)
+        assert sorted(calls) == sorted((a, b) for a in sub.simples for b in sub.simples if a != b)
+
+
 def test_e8_closure_of_the_simple_roots():
     reg = build_registry(DYNKIN_QUIVERS["E8"])
     simples = [simple_root(8, i) for i in range(1, 9)]

@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ncpq import (
     Representation,
@@ -26,7 +27,8 @@ from ncpq.errors import NonFiniteTypeError, ValidationError
 from ncpq.rep import _intertwiner_rows, hom_basis, simple_representation, zero_representation
 
 from conftest import D4_TEXT
-from oracles import DYNKIN_QUIVERS, ext_dim_via_resolution, rref_nullspace
+from oracles import (DYNKIN_QUIVERS, ext_dim_via_resolution, indecomposable_by_own_walk,
+                     oriented_dynkin, rref_nullspace)
 
 ONE = ((Fraction(1),),)
 
@@ -200,6 +202,7 @@ REGISTRY_DIGESTS = {
     "D5": "0f90af6316a33fce40fd009ac7cbb8537bbd52e97404cd06fb71fbab2a3fe8c4",
     "E6": "a69ecbced5f723fbae1c4bef86863237be58fa5cb3402d885118dbecb656814e",
     "E7": "8ee7e4e8b9ff6a71273d45e6e4b71b3903621d85923774d32b4370dae00bd9bb",
+    "E8": "6ca93350be4b51b16cbf9a87841fb4013b378197ddedd77c3b628174e5e4943f",
 }
 
 
@@ -209,6 +212,53 @@ def test_registry_debug_json_is_pinned(label):
     payload = {str(list(a)): reg[a].to_debug_json() for a in reg.roots()}
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REGISTRY_DIGESTS[label]
+
+
+def _assert_registry_is_the_own_walk(q):
+    reg = build_registry(q)
+    for alpha in reg.roots():
+        own = indecomposable_by_own_walk(q, alpha, reg.rootsystem)
+        assert reg[alpha].quiver == own.quiver == q
+        assert reg[alpha].maps == own.maps
+
+
+@pytest.mark.parametrize("label", sorted(DYNKIN_QUIVERS))
+def test_registry_is_each_roots_own_walk(label):
+    _assert_registry_is_the_own_walk(DYNKIN_QUIVERS[label])
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5", "E6"]))
+def test_registry_is_each_roots_own_walk_on_random_orientations(drawn):
+    _, q, _ = drawn
+    _assert_registry_is_the_own_walk(q)
+
+
+def test_indecomposable_for_root_is_the_registry_entry(d4_reg):
+    for alpha in d4_reg.roots():
+        assert indecomposable_for_root(d4_reg.quiver, alpha, d4_reg.rootsystem) == d4_reg[alpha]
+
+
+# Cokernel steps of one registry build on E7 and E8. Walking every root on
+# its own, as `indecomposable_by_own_walk` does, takes 1,622 and 6,375.
+TRANSPORT_STEPS = {"E7": 369, "E8": 866}
+
+
+@pytest.mark.parametrize("label", sorted(DYNKIN_QUIVERS))
+def test_registry_makes_one_cokernel_step_per_level_and_root_at_most(label, monkeypatch):
+    q = DYNKIN_QUIVERS[label]
+    steps = []
+    real = rep._source_cokernel_step
+
+    def counted(r, j):
+        steps.append(j)
+        return real(r, j)
+
+    monkeypatch.setattr(rep, "_source_cokernel_step", counted)
+    reg = build_registry(q)
+    assert len(steps) <= q.n * len(reg)
+    if label in TRANSPORT_STEPS:
+        assert len(steps) == TRANSPORT_STEPS[label]
 
 
 def test_hom_basis_is_the_integer_kernel_of_the_intertwiners(d4_reg):
