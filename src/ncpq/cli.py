@@ -10,13 +10,13 @@ argparse refuses anything else with exit 2.
 `hurwitz` and `sequences` each walk one poset down by its covers
 (`weyl.walk_down`), count its maximal chains and certify one braid orbit
 on them (`weyl.braid_transitive`); their caps bound only the listing.
-Within a cap both list the chains, sorted, and, when the certificate
-holds, draw one braid graph on them (`hurwitz.braid_edges`, with the
-root system's reflections). Past a cap, JSON and text report the count
-and the certificate with the lists null, and DOT, which draws the listed
-graph, exits 4. A failed certificate exits 1 in every format: JSON gets
-no graph (`mutation_edges` null), and DOT draws none and says so on
-stderr.
+Within a cap, JSON and DOT list the chains, sorted; when the certificate
+holds, `sequences` JSON and both DOTs draw one braid graph on them
+(`hurwitz.braid_edges`, with the root system's reflections). Text prints
+only the count and the certificate. Past a cap, JSON reports them with
+the lists null, and DOT, which draws the listed graph, exits 4. A failed
+certificate exits 1 in every format: JSON gets no graph
+(`mutation_edges` null), and DOT draws none and says so on stderr.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
 3 unsupported type, 4 cap exceeded, 5 internal error (a bug).
@@ -131,13 +131,14 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
-def _chains(covers: dict, cap: int) -> tuple[int, bool, list | None]:
+def _chains(covers: dict, cap: int, args: argparse.Namespace) -> tuple[int, bool, list | None]:
     """The maximal-chain count of a walk, its braid-transitivity
     certificate, and its chains, which `maximal_chains` lists in sorted
-    order, only when the count is at most the cap."""
+    order, only when the count is at most the cap and the format is not
+    text, which prints the count and the certificate alone."""
     count = chain_counts(covers)[next(iter(covers))]
-    listed = list(maximal_chains(covers)) if count <= cap else None
-    return count, braid_transitive(covers), listed
+    shown = args.output_format != "text" and count <= cap
+    return count, braid_transitive(covers), list(maximal_chains(covers)) if shown else None
 
 
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
@@ -248,7 +249,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     # The chains of [1, c] are the minimal reflection factorizations of c,
     # the simple one in `order` among them; the certificate makes them one
     # braid orbit.
-    count, single, ordered = _chains(interval_covers(c, roots), args.cap_orbit)
+    count, single, ordered = _chains(interval_covers(c, roots), args.cap_orbit, args)
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
@@ -286,7 +287,7 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     # B > B ∩ x^⊥ lowers the rank by one. The braid graph is drawn only
     # on a certified class: without the certificate a move may leave the
     # list, which is a failed verification, not an input error.
-    count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences)
+    count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences, args)
     edges = (braid_edges(chains, reg.rootsystem.reflection)
              if connected and chains is not None else None)
     payload = {

@@ -9,7 +9,8 @@ modules, and it generates a thick subcategory recorded by the sorted set of
 its indecomposables. The subcategories are walked down from the whole
 category by `subcategory_covers`, whose maximal chains are the complete
 exceptional sequences (see `weyl.braid_transitive` for their one
-mutation class).
+mutation class) and whose nodes' simples are the exceptional antichains
+(`enumerate_exceptional_antichains`).
 """
 
 from __future__ import annotations
@@ -302,28 +303,21 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:
     """All pairwise Hom-orthogonal root sets whose Ext-quiver is acyclic,
-    including the empty one. `q` must be the registry's quiver."""
+    the empty one included, read off `subcategory_covers` (and refused
+    past its cap) as the simples of each node. `q` must be the
+    registry's quiver.
+
+    The simples of a thick B are pairwise Hom-orthogonal (a nonzero map
+    between simples is an isomorphism) and order into an exceptional
+    sequence, so their Ext-quiver is acyclic. Conversely an antichain in
+    topological order is an exceptional sequence whose thick closure has
+    exactly its members as simples (Ringel 1976; Ingalls–Thomas 2009).
+    The descent meets every thick B, and B = thick(simples of B), so
+    distinct nodes give distinct antichains; 0 gives the empty one.
+    """
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
-    roots = reg.roots()
-    k = len(roots)
-    orthogonal = [[reg.hom(roots[i], roots[j]) == 0 and reg.hom(roots[j], roots[i]) == 0
-                   for j in range(k)] for i in range(k)]
-    found: set[frozenset[Vector]] = set()
-    chosen: list[int] = []
-
-    def backtrack(start: int):
-        members = tuple(roots[i] for i in chosen)
-        if topological_sort(len(members), _ext_quiver(members, reg)) is not None:
-            found.add(frozenset(members))
-        for nxt in range(start, k):
-            if all(orthogonal[i][nxt] for i in chosen):
-                chosen.append(nxt)
-                backtrack(nxt + 1)
-                chosen.pop()
-
-    backtrack(0)
-    return found
+    return {frozenset(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
 
 
 def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vector]:

@@ -26,7 +26,9 @@ literature, factorization counts from n!·h^n/|W| (both pinned for E7
 and E8 too), relative simples from
 embeddings found by scanning combinations of explicit Hom bases, the
 subcategories as the thick closures of all exceptional antichains, not
-by the descent from the whole category, exceptional sequences by a
+by the descent from the whole category, the antichains by a backtracker
+over Hom-orthogonal subsets with Hom ranked for every root pair, not as
+the simples of the descent's nodes, exceptional sequences by a
 backtracker over prefixes, not over the descent, and the
 bijection's flags from every complete exceptional sequence of every
 subcategory and from containment against absolute order on every pair.
@@ -42,12 +44,11 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, cartan_matrix, cox,
-                  coxeter_element, enumerate_exceptional_antichains, generate_roots,
-                  identity, interval_covers, make_reflection, Quiver, ReflectionTuple,
-                  sequence_product, thick_closure)
-from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
+                  coxeter_element, generate_roots, identity, interval_covers, make_reflection,
+                  Quiver, ReflectionTuple, sequence_product, thick_closure)
+from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
 from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
-from ncpq.quiver import topological_order
+from ncpq.quiver import topological_order, topological_sort
 from ncpq.rep import (_is_simple_vector, _reflect_quiver, _source_cokernel_step,
                       simple_representation)
 from ncpq.weyl import (RootSystem, WeylElement, complete_roots, compose, is_positive,
@@ -357,10 +358,38 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
     return out
 
 
+def exceptional_antichains_by_backtracking(q: Quiver, reg) -> set:
+    """All pairwise Hom-orthogonal root sets whose Ext-quiver is acyclic,
+    including the empty one, by backtracking over Hom-orthogonal subsets
+    with Hom ranked for every ordered root pair, not from the descent.
+    `q` must be the registry's quiver."""
+    if q != reg.quiver:
+        raise ValidationError("the quiver is not the registry's quiver")
+    roots = reg.roots()
+    k = len(roots)
+    orthogonal = [[reg.hom(roots[i], roots[j]) == 0 and reg.hom(roots[j], roots[i]) == 0
+                   for j in range(k)] for i in range(k)]
+    found: set = set()
+    chosen: list[int] = []
+
+    def backtrack(start: int):
+        members = tuple(roots[i] for i in chosen)
+        if topological_sort(len(members), _ext_quiver(members, reg)) is not None:
+            found.add(frozenset(members))
+        for nxt in range(start, k):
+            if all(orthogonal[i][nxt] for i in chosen):
+                chosen.append(nxt)
+                backtrack(nxt + 1)
+                chosen.pop()
+
+    backtrack(0)
+    return found
+
+
 def subcategories(q: Quiver, reg) -> list:
-    """The thick closures of all exceptional antichains, in the order of
-    the sorted antichains."""
-    antichains = sorted(enumerate_exceptional_antichains(q, reg),
+    """The thick closures of all exceptional antichains, found by the
+    backtracker, in the order of the sorted antichains."""
+    antichains = sorted(exceptional_antichains_by_backtracking(q, reg),
                         key=lambda a: tuple(sorted(a)))
     return [thick_closure(ExcSequence(order_antichain(a, reg)), reg) for a in antichains]
 

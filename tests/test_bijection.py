@@ -15,7 +15,6 @@ from ncpq import (
     cox,
     coxeter_element,
     enumerate_complete_sequences,
-    enumerate_exceptional_antichains,
     identity,
     interval_covers,
     is_exceptional_sequence,
@@ -40,6 +39,7 @@ from oracles import (
     bijection_flags_by_brute_force,
     brute_force_factorizations,
     complete_sequences_within,
+    exceptional_antichains_by_backtracking,
     factor_in_reflections,
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
@@ -460,7 +460,7 @@ def test_image_lands_in_interval(a3, a3_reg, a3_roots):
     c = coxeter_element(a3, (1, 2, 3))
     interval = noncrossing_partitions(c, a3, roots=a3_roots)
     matrices = {w.matrix for w in interval}
-    for antichain in enumerate_exceptional_antichains(a3, a3_reg):
+    for antichain in exceptional_antichains_by_backtracking(a3, a3_reg):
         sub = thick_closure(ExcSequence(order_antichain(antichain, a3_reg)), a3_reg)
         assert cox(sub, a3_reg, a3_roots).matrix in matrices
 

@@ -399,6 +399,29 @@ def test_past_the_cap_the_count_and_certificate_are_reported(command, quiver_fil
         assert text == "16 complete exceptional sequences, mutation graph connected: True\n"
 
 
+@pytest.mark.parametrize("command, output_format, listed, drawn", [
+    ("hurwitz", "text", 0, 0), ("hurwitz", "json", 1, 0), ("hurwitz", "dot", 1, 1),
+    ("sequences", "text", 0, 0), ("sequences", "json", 1, 1), ("sequences", "dot", 1, 1)])
+def test_only_the_outputs_that_show_them_list_chains_and_draw_the_graph(
+        command, output_format, listed, drawn, quiver_file, capsys, monkeypatch):
+    # Text prints the count and the certificate alone; hurwitz JSON lists
+    # the orbit but holds no graph.
+    calls = {"maximal_chains": 0, "braid_edges": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    assert main([command, quiver_file(A3_TEXT), "--format", output_format]) == 0
+    assert calls == {"maximal_chains": listed, "braid_edges": drawn}
+
+
 @pytest.mark.parametrize("command, output_format", [("sequences", "json"), ("hurwitz", "dot")])
 def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, quiver_file,
                                                       capsys, monkeypatch):

@@ -32,7 +32,7 @@ from ncpq import (
     topological_order,
     tuple_from_roots,
 )
-from ncpq import exc
+from ncpq import exc, rep
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
     _subcategory_simples,
@@ -50,6 +50,7 @@ from oracles import (
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
     braid_orbit_by_full_products,
+    exceptional_antichains_by_backtracking,
     exceptional_sequences,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,
@@ -203,7 +204,7 @@ def test_closure_idempotent_and_monotone(a3_reg):
 
 def test_antichain_recovery(a2_reg, a3_reg):
     for reg in (a2_reg, a3_reg):
-        for antichain in enumerate_exceptional_antichains(reg.quiver, reg):
+        for antichain in exceptional_antichains_by_backtracking(reg.quiver, reg):
             seq = ExcSequence(order_antichain(antichain, reg))
             sub = thick_closure(seq, reg)
             assert frozenset(sub.simples) == antichain
@@ -215,7 +216,7 @@ def test_simples_match_the_injective_map_definition(label):
     # embeddings found in explicit Hom bases, and against the antichain.
     q = DYNKIN_QUIVERS[label]
     reg = build_registry(q)
-    for antichain in enumerate_exceptional_antichains(q, reg):
+    for antichain in exceptional_antichains_by_backtracking(q, reg):
         ind = closure_indecomposables(order_antichain(antichain, reg), reg)
         simples = _subcategory_simples(ind, reg)
         assert simples == simples_by_injective_maps(ind, reg)
@@ -235,7 +236,7 @@ def test_relative_root_count_matches_generated_roots(monkeypatch):
         return real(n, arrows)
 
     monkeypatch.setattr(exc, "_finite_root_count", recording)
-    for antichain in enumerate_exceptional_antichains(q, reg):
+    for antichain in exceptional_antichains_by_backtracking(q, reg):
         thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
     assert len(met) > 5
     for relative in met:
@@ -616,6 +617,48 @@ def test_antichains_a2(a2_reg):
     assert antichains == {
         frozenset(), frozenset({S1}), frozenset({S2}), frozenset({P1}),
         frozenset({S1, S2})}
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7"])
+def test_antichains_match_the_backtracker(label):
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    assert enumerate_exceptional_antichains(q, reg) == exceptional_antichains_by_backtracking(q, reg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5", "E6"]))
+def test_antichains_match_the_backtracker_on_random_orientations(drawn):
+    _, q, _ = drawn
+    reg = build_registry(q)
+    assert enumerate_exceptional_antichains(q, reg) == exceptional_antichains_by_backtracking(q, reg)
+
+
+def test_antichains_rank_hom_only_for_the_descent_and_the_simples(monkeypatch):
+    # On E7 the descent's orthogonal sets and the simples' `maps_into` rank
+    # Hom where the Euler form is silent; the backtracker ranks every
+    # ordered pair of the 63 roots.
+    q = DYNKIN_QUIVERS["E7"]
+    real = rep.hom_dim
+    calls = []
+    monkeypatch.setattr(rep, "hom_dim", lambda m, n: calls.append((m, n)) or real(m, n))
+    for enumerate_antichains, ranks in ((enumerate_exceptional_antichains, 2152),
+                                        (exceptional_antichains_by_backtracking, 3906)):
+        reg = build_registry(q)
+        calls.clear()
+        assert len(enumerate_antichains(q, reg)) == CLOSED_FORM_PINS["E7"][0]
+        assert len(calls) == ranks
+
+
+def test_antichains_refuse_past_the_subcategory_cap(monkeypatch):
+    # D5 has 182 subcategories, so the descent refuses below that cap.
+    q = DYNKIN_QUIVERS["D5"]
+    reg = build_registry(q)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 181)
+    with pytest.raises(CapExceededError, match="subcategory count exceeds cap 181$"):
+        enumerate_exceptional_antichains(q, reg)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 182)
+    assert len(enumerate_exceptional_antichains(q, reg)) == 182
 
 
 def test_slot_filler_uniqueness(a3_reg):
