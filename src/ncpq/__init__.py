@@ -62,7 +62,6 @@ from .weyl import (
     RootSystem,
     WeylElement,
     absolute_length,
-    absolute_leq,
     chain_counts,
     compose,
     conjugation_depth,
@@ -76,7 +75,6 @@ from .weyl import (
     noncrossing_partitions,
     reflect,
     reflect_right,
-    reflections_below,
     simple_root,
 )
 

@@ -5,18 +5,16 @@ anywhere. Integer matrices (Weyl-group elements, Cartan matrices, the
 intertwiner equations of integral representations) are handled
 fraction-free: products, the Bareiss determinant, and one elimination,
 the sparse echelon `int_echelon`, which touches only the rows meeting
-each pivot column. Its pivot count is the rank (`int_rank`), membership
-in its row span is one reduction (`in_span`), and back-substitution up
-its rows gives an integer kernel basis (`int_kernel`). A `Fraction` is
-only ever read: `integer_rows` clears the denominators of each rational
-row before `rank` or a kernel sees it. Sizes are desk scale, so plain
-elimination is the right tool.
+each pivot column. Its pivot count is the rank (`int_rank`), and
+back-substitution up its rows gives an integer kernel basis
+(`int_kernel`). A `Fraction` is only ever read: `integer_rows` clears
+the denominators of each rational row before `rank` or a kernel sees
+it. Sizes are desk scale, so plain elimination is the right tool.
 
-`mat_mul` is the general product, exact in integers: `weyl.compose` and
-the check w^T A w = A in `weyl.reflections_below` use it. A product of a
-reflection and a group element does not come here; `weyl.reflect_right`
-subtracts only I - t, which is as exact (see `weyl`) and touches only
-the columns that I - t moves.
+`mat_mul` is the general product, exact in integers, behind
+`weyl.compose`. A product of a reflection and a group element does not
+come here; `weyl.reflect_right` subtracts only I - t, which is as exact
+(see `weyl`) and touches only the columns that I - t moves.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column
@@ -123,19 +121,6 @@ def int_echelon(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, Se
 def int_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
     """Exact rank of an integer matrix: the pivot count of `int_echelon`."""
     return len(int_echelon(rows, ncols))
-
-
-def in_span(echelon: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> bool:
-    """Whether the integer vector v lies in the span of an `int_echelon`:
-    v becomes p*v - f*row for each pivot p whose column holds f in v,
-    which clears that column for good, and a nonzero vector of the span is
-    nonzero on some pivot column."""
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            p = row[c]
-            v = [p * x - f * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVector]:

@@ -41,7 +41,6 @@ from .hurwitz import DEFAULT_ORBIT_CAP, braid_edges
 from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
-    absolute_length,
     braid_transitive,
     chain_counts,
     complete_roots,
@@ -180,7 +179,12 @@ def cmd_nc(args: argparse.Namespace) -> int:
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
     covers = interval_covers(c, roots)
-    lengths = {w: absolute_length(w, roots) for w in covers}
+    # Each cover lowers |w| by one, and the walk lists every element
+    # before those it covers, so |w| is read upward from the identity.
+    lengths = {}
+    for w in reversed(covers):
+        children = covers[w]
+        lengths[w] = lengths[next(iter(children.values()))] + 1 if children else 0
     elements = sorted(covers, key=lambda w: (lengths[w], w.matrix))
     ids = {w: k for k, w in enumerate(elements)}
     # In a graded poset a is covered by b exactly when a = b*t for a

@@ -222,8 +222,8 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, dict[Vector, froze
     bottom: `weyl.chain_counts` counts them and `weyl.maximal_chains`
     lists them.
     """
-    def expand(b: frozenset, _) -> tuple[dict[Vector, frozenset], None]:
-        return {x: b & reg.right_orth(x) for x in sorted(b)}, None
+    def expand(b: frozenset) -> dict[Vector, frozenset]:
+        return {x: b & reg.right_orth(x) for x in sorted(b)}
 
     return walk_down(frozenset(reg.roots()), expand, "subcategory count")
 

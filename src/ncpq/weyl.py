@@ -1,12 +1,12 @@
-"""Real roots, reflections, Weyl-group arithmetic, absolute order, and the
-non-crossing partition interval below a Coxeter element.
+"""Real roots, reflections, Weyl-group arithmetic, absolute length, and
+the non-crossing partition interval below a Coxeter element.
 
 Group elements are exact integer matrices acting on the root lattice in the
 basis of simple roots; products compose left to right, i.e. the product
 a*b applies b first. Root generation runs on any acyclic quiver and
-flags a truncated root system as incomplete. Absolute length, absolute
-order, the interval and conjugation depth are finite type only: they
-refuse to run rather than truncate silently.
+flags a truncated root system as incomplete. Absolute length, the
+interval and conjugation depth are finite type only: they refuse to run
+rather than truncate silently.
 
 The reflection product is w*t, `reflect_right`. A reflection at a root
 a is t = I - a r^T, with r^T = a^T A for the symmetric Cartan matrix A,
@@ -16,19 +16,23 @@ product. It is exact for any matrix of t: I - t is read off the matrix,
 its nonzero rows written as integer multiples of their primitive rows
 (`Reflection._sparse`), and every row of w*t is updated from the
 original row of w. It makes every reflection-times-element product of
-the package: the walk's children w*t, the folds of `multiply` (behind
-`coxeter_element`, `exc.sequence_product`, `ReflectionTuple.product`
-and the exchange witness's s_i*P), the witness's P*s_alpha, the braid
-table's pair products and `verify`'s induction product on a mismatched
-cover. `compose` (`_linalg.mat_mul`) stays the general product.
+the package: the walk's one matrix per element, the folds of `multiply`
+(behind `coxeter_element`, `exc.sequence_product`,
+`ReflectionTuple.product` and the exchange witness's s_i*P), the
+witness's P*s_alpha, the braid table's pair products and `verify`'s
+induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
+stays the general product.
 
 One toolkit serves both posets of the bijection, each walked down from
-its top by covers: the interval [1, c] (`interval_covers`) and the thick
-exceptional subcategories (`exc.subcategory_covers`). `walk_down` walks
-either into a Hasse diagram whose covers are keyed by their letters,
-`chain_counts` counts its maximal chains, `maximal_chains` lists them,
-and `braid_transitive` certifies on the diagram itself that the braid
-group moves any chain to any other (proof in its docstring).
+its top by covers and by one set rule: the interval [1, c]
+(`interval_covers`), whose nodes are letter sets and whose child through
+a keeps the letters s with <a, s> = 0 under the Euler form, and the
+thick exceptional subcategories (`exc.subcategory_covers`), whose child
+through x is B ∩ x^⊥. `walk_down` walks either into a Hasse diagram
+whose covers are keyed by their letters, `chain_counts` counts its
+maximal chains, `maximal_chains` lists them, and `braid_transitive`
+certifies on the diagram itself that the braid group moves any chain to
+any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
-from ._linalg import IntMatrix, identity_matrix, in_span, int_echelon, int_rank, mat_mul, mat_vec
+from ._linalg import IntMatrix, identity_matrix, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import (
     Classification,
@@ -49,6 +53,7 @@ from .quiver import (
     cartan_matrix,
     classify_type,
     connected_components,
+    euler_form,
     is_admissible_order,
     positive_root_count,
     symmetric_form,
@@ -218,8 +223,8 @@ class RootSystem:
     `complete` is True only when the type is finite and the reflection
     closure stabilized below the height bound; otherwise the set is an
     explicit truncation. Instances are immutable apart from internal memo
-    tables (reflections, absolute lengths) which are plain dicts and safe
-    to fill concurrently under the GIL.
+    tables, plain dicts safe to fill concurrently under the GIL: the
+    reflections, and the absolute lengths `absolute_length` has computed.
     """
 
     def __init__(self, quiver: Quiver, positive_real_roots: frozenset[Vector],
@@ -334,97 +339,31 @@ def coxeter_element(q: Quiver, order: tuple[int, ...]) -> WeylElement:
     return multiply((make_reflection(q, simple_root(q.n, i)) for i in order), q.n)
 
 
-def _moved_space(w: WeylElement):
-    """`int_echelon` of the columns of w - I, which span the moved space
-    Mov(w) = im(w - I). Its pivot count is rank(w - I)."""
-    n, m = w.n, w.matrix
-    return int_echelon([[m[i][j] - (i == j) for i in range(n)] for j in range(n)], n)
-
-
 def absolute_length(w: WeylElement, roots: RootSystem) -> int:
     """Minimal number of real-root reflections whose product is w.
 
     By Carter's lemma (R. W. Carter, "Conjugacy classes in the Weyl
     group", Compositio Math. 25 (1972), Lemma 2) the absolute length of w
-    equals the codimension of its fixed space, rank(w - I): the pivot
-    count of the echelon of its moved space (validated against
-    breadth-first search in the test suite). Memoized per element on the
-    root system; only a checked element enters the memo. Requires a
-    complete root system.
+    equals the codimension of its fixed space, rank(w - I) (validated
+    against breadth-first search in the test suite). Memoized per element
+    on the root system; only a checked element enters the memo. Requires
+    a complete root system.
     """
     length = roots._abs_len.get(w)
     if length is None:
         roots.require_complete()
         if w.n != roots.n:
             raise ValidationError("element rank does not match root system")
-        length = roots._abs_len[w] = len(_moved_space(w))
+        n, m = w.n, w.matrix
+        length = roots._abs_len[w] = int_rank([[m[i][j] - (i == j) for j in range(n)]
+                                               for i in range(n)], n)
     return length
-
-
-def absolute_leq(u: WeylElement, w: WeylElement, roots: RootSystem) -> bool:
-    """Absolute order: u <= w iff |u| + |u^-1 w| = |w|.
-
-    Carter's lemma (Carter 1972, Lemma 2; see `absolute_length`) gives
-    |u^-1 w| = rank(u^-1 w - I) = rank(u^-1 (w - u)) = rank(w - u), since
-    u^-1 is invertible. The test is then |u| + rank(w - u) = |w|, with no
-    inverse and no product. Requires a complete root system.
-    """
-    lu = absolute_length(u, roots)
-    lw = absolute_length(w, roots)
-    if lu > lw:
-        return False
-    diff = [[x - y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, u.matrix)]
-    return lu + int_rank(diff, w.n) == lw
-
-
-def reflections_below(w: WeylElement, roots: RootSystem,
-                      _candidates: tuple[Reflection, ...] | None = None,
-                      ) -> tuple[Reflection, ...]:
-    """The reflections t <= w in absolute order, in root order; the walk
-    keeps them as its diagram's letters, so they are not memoized.
-
-    t <= w means |t w| = |w| - 1, or as well |w t| = |w| - 1, since
-    w t = t (t w) t is conjugate to t w and absolute length is invariant
-    under conjugation: these are the last letters of the minimal
-    reflection factorizations of w. By Brady-Watt (2002, "A
-    partial order on the orthogonal group") they are the t whose root a
-    lies in Mov(w) = im(w - I), so one echelon of Mov(w) and one
-    membership reduction per candidate decide them, and the echelon's
-    pivot count fills the memo of |w|. Proof: t fixes a^perp pointwise, so
-    Fix(t w) and Fix(w) meet a^perp in the same space F, and each is F or
-    one larger. As w is a product of |w| reflections (Carter's lemma),
-    det w = (-1)^|w| = -det(t w), so exactly one of the two is F. Hence
-    |t w| = |w| - 1 iff Fix(w) lies in a^perp, iff a lies in
-    Fix(w)^perp = Mov(w), when w preserves the form B, which is
-    nondegenerate in finite type: B(y, (w - I) x) = B((w^-1 - I) y, x).
-
-    So w must lie in W and preserve B. A call with `_candidates` None
-    checks w^T A w = A, for A the symmetric Cartan matrix, and raises
-    ValidationError otherwise; `interval_covers` refuses an orthogonal w
-    outside W, as its walk cannot reach the identity. `_candidates`, for
-    callers inside the package, is the set found below some u >= w with
-    w = u*t: w inherits the check from u, and only those need testing, as
-    t <= w <= u implies t <= u. Requires a complete root system.
-    """
-    roots.require_complete()
-    pool = _candidates
-    if pool is None:
-        pool = roots.reflections()
-        a = roots.cartan
-        if w.n != roots.n or mat_mul(mat_mul(tuple(zip(*w.matrix)), a), w.matrix) != a:
-            raise ValidationError("the given element does not preserve the symmetric "
-                                  "form of this root system")
-    moved = _moved_space(w)
-    roots._abs_len[w] = len(moved)
-    return tuple(t for t in pool if in_span(moved, t.root))
 
 
 def walk_down(top, expand: Callable, what: str) -> dict:
     """The Hasse diagram below `top`, walked down level by level: each
-    node mapped to a dict from its letters, in order, to the nodes they
-    reach, every node before the nodes it covers. `expand(node, hint)`
-    gives that dict and the hint handed to each child; a child keeps the
-    hint of its first parent, and the top gets None.
+    node mapped to `expand(node)`, a dict from its letters, in order, to
+    the nodes they reach, every node before the nodes it covers.
 
     A child met again is replaced by the object met first, so equal
     nodes are held once. A node met at two levels is refused as a bug.
@@ -434,19 +373,19 @@ def walk_down(top, expand: Callable, what: str) -> dict:
     """
     cap = DEFAULT_INTERVAL_CAP
     covers: dict = {}
-    level: dict = {top: (top, None)}
+    level: dict = {top: top}
     held = 1
     while level:
         met: dict = {}
-        for node, hint in level.values():
-            children, child_hint = expand(node, hint)
+        for node in level:
+            children = expand(node)
             for x, child in children.items():
                 if child not in met:
                     held += 1
                     if held > cap:
                         raise CapExceededError(f"{what} exceeds cap {cap}")
-                    met[child] = (child, child_hint)
-                children[x] = met[child][0]
+                    met[child] = child
+                children[x] = met[child]
             covers[node] = children
         if not covers.keys().isdisjoint(met):
             raise NcpqError("the walk down met a node at two levels; this is a bug")
@@ -458,34 +397,98 @@ def interval_covers(c: WeylElement,
                     roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
     """The labelled Hasse diagram of the interval [1, c] of absolute
     order, by `walk_down` from c: each element w mapped to the elements
-    it covers, w*t for the reflections t <= w (`reflections_below`), each
-    keyed by the root of t, in root order. |w*t| = |t*w|, as the two are
-    conjugate, so t <= w decides both, and w*t <= w as
-    (w t)^-1 w = t has length one.
+    it covers, w*t for the reflections t <= w, each keyed by the root of
+    t, in root order. c must be the Coxeter element of the root system's
+    quiver (`coxeter_element` in any admissible order): c is checked by
+    E c = -E^T, below, which fixes it, and any other raises
+    ValidationError.
 
-    The walk is complete. If u <= w then u^-1 w has absolute length
-    k = |w| - |u|, so u^-1 w = t_1 ... t_k with reflections t_i, and
-    u = w t_k ... t_1. Put w_0 = w and w_i = w_(i-1) t_(k+1-i), so
-    w_k = u: each step lowers the length by at most one and k steps lower
-    it by k, so each lowers it by exactly one, t_(k+1-i) <= w_(i-1), and
-    u lies on a chain of covers below w. The walk is sound because
-    w*t <= w and the order is transitive. A child is tested only against
-    the reflections below its first parent, which hold all reflections
-    below it (Brady-Watt 2002: w*t <= w gives Mov(w t) in Mov(w)).
+    The walk runs on letter sets, int bitmasks over the sorted roots: the
+    letters of w are the roots a with t_a <= w, every root at c, and the
+    child of w through a keeps the letters s of w with <a, s> = 0, for
+    <.,.> = `euler_form`: its mask is `mask & orth[a]`. Each mask gets
+    its matrix w*t from `reflect_right` once, when first met, so the walk
+    makes one product per element other than c; the diagram is then
+    relabelled by the matrices. Proof, with B the symmetric form
+    (positive definite in finite type) and Mov(w) = im(w - I):
 
-    Reaching the identity writes c as a product of reflections, which
-    certifies c in W; a walk that ends without it raises ValidationError.
-    Holding more than DEFAULT_INTERVAL_CAP elements raises
+    - Letters. t_a <= w iff a lies in Mov(w), and |w| = dim Mov(w)
+      (Brady-Watt 2002, "A partial order on the orthogonal group";
+      Carter 1972, Lemma 2).
+    - The Wall form of w in W is W_w(u, v) = B(u, x) on Mov(w), for any
+      x with v = (I - w) x (x is fixed up to Fix(w) = Mov(w)^perp).
+      W_w(v, v) = B(x, x) - B(w x, x) = B(v, v) / 2, so W_w(a, a) = 1 at
+      a root and B = W_w + W_w^T on Mov(w).
+    - At c it is the Euler form. Number the vertices in an admissible
+      order, so E = I + U for E_ij = <e_i, e_j>, U strictly upper
+      triangular, and A = E + E^T. In y = c x = s_1 ... s_n x, s_n first,
+      coordinate k is set by s_k alone, from y above k and x below it:
+      y_k = -x_k - sum_(j<k) A_kj x_j - sum_(j>k) A_kj y_j, so E y =
+      -E^T x and E (I - c) = A, invertible. Mov(c) is everything, and
+      v = (I - c) x gives B(u, x) = u^T A x = u^T E v: W_c = <.,.>.
+    - One step. For a root a in Mov(w) and u = w t_a, t_a x =
+      x - B(a, x) a: (I - u)(t_a x) = v - B(a, x) a = v - W_w(a, v) a.
+      As x runs over the space, v = (I - w) x runs over Mov(w), so Mov(u)
+      is the image of this projection, {v in Mov(w) : W_w(a, v) = 0},
+      and there W_u(m, v) = B(m, t_a x) = B(m, x) = W_w(m, v). By
+      induction from c, W_w = <.,.> on every Mov(w) of the walk, and the
+      letters of w t_a are the s of w with <a, s> = 0; a drops out, as
+      <a, a> = 1.
+    - The side. (I - t_a w) x = v + B(a, w x) a, with B(a, w x) =
+      B(a, x) - B(a, v) = -W_w(v, a): screening on <s, a> = 0 would give
+      the letters of t_a w, a conjugate of w t_a, under w t_a's matrix.
+    - Keys. A minimal factorization w = t_1 ... t_k puts Mov(w) in the
+      span of their k roots, so the roots in Mov(w) span it, and Mov(w)
+      fixes w: (I - w) x is the one v in M = Mov(w) with <m, v> = B(m, x)
+      for all m in M (one, as <m, v> = 0 for all m puts x in
+      M^perp = Fix(w)). So the masks are in bijection with the elements.
+
+    The walk is complete: if u <= w, then u^-1 w = t_1 ... t_k with
+    k = |w| - |u|, and w_i = w t_k ... t_(k+1-i) lowers the length by
+    exactly one at each of the k steps to u, so u lies on a chain of
+    covers below w.
+
+    The empty mask must hold the identity, or NcpqError reports a bug.
+    Past that, `verify` matches every matrix and cover of the walk with
+    the descent's cox(B), letter by letter; `hurwitz` and `nc` have no
+    second side, and there `braid_transitive`, which refuses a child
+    letter its parent lacks, and the tests' closed-form pins of element
+    and chain counts catch a wrong letter set. Holding more than
+    DEFAULT_INTERVAL_CAP elements raises
     CapExceededError("interval size exceeds cap N").
     """
-    def expand(w: WeylElement, candidates: tuple[Reflection, ...] | None):
-        below = reflections_below(w, roots, candidates)
-        return {t.root: reflect_right(w, t) for t in below}, below
+    roots.require_complete()
+    q = roots.quiver
+    simples = [simple_root(q.n, i) for i in q.vertices]
+    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
+    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
+        raise ValidationError("the given element is not the Coxeter element of the quiver")
+    reflections = roots.reflections()
+    orth = [sum(1 << k for k, s in enumerate(reflections) if euler_form(q, t.root, s.root) == 0)
+            for t in reflections]
+    top = (1 << len(reflections)) - 1
+    elements = {top: c}
 
-    covers = walk_down(c, expand, "interval size")
-    if identity(c.n) not in covers:
-        raise ValidationError("the given element does not lie in this Weyl group")
-    return covers
+    def expand(mask: int) -> dict[Vector, int]:
+        w = elements[mask]
+        children = {}
+        rest = mask
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            child = mask & orth[k]
+            if child not in elements:
+                elements[child] = reflect_right(w, reflections[k])
+            children[reflections[k].root] = child
+        return children
+
+    covers = walk_down(top, expand, "interval size")
+    if elements[0] != identity(c.n):
+        raise NcpqError("the interval walk ended off the identity; this is a bug")
+    for children in covers.values():
+        for x, child in children.items():
+            children[x] = elements[child]
+    return {elements[mask]: children for mask, children in covers.items()}
 
 
 def chain_counts(covers: dict) -> dict:
@@ -587,7 +590,8 @@ def braid_transitive(covers: dict) -> bool:
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group,
-    walked down from c by `interval_covers`; `roots` defaults to
+    walked down from c by `interval_covers`, which refuses any c but the
+    Coxeter element of the roots' quiver; `roots` defaults to
     `complete_roots`, which refuses before generating any."""
     if roots is None:
         roots = complete_roots(q)

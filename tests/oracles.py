@@ -7,7 +7,10 @@ enumeration with shared prefixes, the minimal reflection factorizations
 of an element and the lexicographically smallest one from a memoized
 depth-first search and a greedy descent that take t <= w from
 `absolute_leq` (the Carter rank of w - t), not from the walk's
-moved-space membership, determinants from cofactor expansion,
+letter sets, the interval's Hasse diagram from the Brady-Watt walk
+(`reflections_below`: one echelon of the moved space per element and
+one span reduction per inherited candidate), not from the Euler form,
+determinants from cofactor expansion,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks and kernels from the rational reduced row echelon form
 (Gauss-Jordan over `Fraction`, which the package does not use), each
@@ -40,19 +43,22 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from ncpq import (absolute_length, absolute_leq, braid_mutate, build_registry, cartan_matrix, cox,
+from ncpq import (absolute_length, braid_mutate, build_registry, cartan_matrix, cox,
                   coxeter_element, generate_roots, identity, interval_covers, make_reflection,
                   Quiver, ReflectionTuple, sequence_product, thick_closure)
+from ncpq._linalg import int_echelon, int_rank, mat_mul
 from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
 from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.quiver import topological_order, topological_sort
 from ncpq.rep import (_is_simple_vector, _reflect_quiver, _source_cokernel_step,
                       simple_representation)
-from ncpq.weyl import (RootSystem, WeylElement, complete_roots, compose, is_positive,
-                       positive_representative, simple_reflect, simple_root)
+from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
+                       is_positive, positive_representative, reflect_right, simple_reflect,
+                       simple_root, walk_down)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -69,6 +75,13 @@ FACTORIZATION_COUNTS = {"A2": 3, "A3": 16, "A4": 125, "A5": 1296,
 # tables above so that the brute-force tests over them stay desk-sized.
 CLOSED_FORM_PINS = {"E7": (4160, 1062882), "E8": (25080, 37968750)}
 
+# Linear A6-A8 and D6-D7 (`linear_dynkin`): (|[1, c]|, maximal chains
+# of [1, c]), from Cat(A_n) = C(2n+2, n+1)/(n+2),
+# Cat(D_n) = (3n-2)/n · C(2n-2, n-1), (n+1)^(n-1) factorizations for A_n
+# and 2(n-1)^n for D_n (Armstrong, Mem. AMS 949, 2009; Chapoton 2006).
+FAMILY_PINS = {"A6": (429, 16807), "A7": (1430, 262144), "A8": (4862, 4782969),
+               "D6": (672, 31250), "D7": (2508, 559872)}
+
 # One orientation of each Dynkin diagram, linear or branching at vertex 3.
 DYNKIN_QUIVERS = {
     "A2": Quiver(2, ((1, 2),)),
@@ -81,6 +94,15 @@ DYNKIN_QUIVERS = {
     "E7": Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))),
     "E8": Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8))),
 }
+
+
+def linear_dynkin(name: str) -> Quiver:
+    """A_n as the path 1 -> 2 -> ... -> n; D_n as the path to n - 1 with
+    a last arrow n - 2 -> n."""
+    n = int(name[1:])
+    if name[0] == "A":
+        return Quiver(n, tuple((i, i + 1) for i in range(1, n)))
+    return Quiver(n, tuple((i, i + 1) for i in range(1, n - 1)) + ((n - 2, n),))
 
 
 def bfs_absolute_lengths(roots: RootSystem) -> dict:
@@ -140,6 +162,119 @@ def weyl_group(q: Quiver) -> set:
                 seen.add(nxt)
                 frontier.append(nxt)
     return {WeylElement(m) for m in seen}
+
+
+def absolute_leq(u: WeylElement, w: WeylElement, roots: RootSystem) -> bool:
+    """Absolute order: u <= w iff |u| + |u^-1 w| = |w|.
+
+    Carter's lemma (Carter 1972, Lemma 2; see `absolute_length`) gives
+    |u^-1 w| = rank(u^-1 w - I) = rank(u^-1 (w - u)) = rank(w - u), since
+    u^-1 is invertible. The test is then |u| + rank(w - u) = |w|, with no
+    inverse and no product. Requires a complete root system.
+    """
+    lu = absolute_length(u, roots)
+    lw = absolute_length(w, roots)
+    if lu > lw:
+        return False
+    diff = [[x - y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, u.matrix)]
+    return lu + int_rank(diff, w.n) == lw
+
+
+def in_span(echelon: list[tuple[int, Sequence[int]]], v: Sequence[int]) -> bool:
+    """Whether the integer vector v lies in the span of an `int_echelon`:
+    v becomes p*v - f*row for each pivot p whose column holds f in v,
+    which clears that column for good, and a nonzero vector of the span is
+    nonzero on some pivot column."""
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            p = row[c]
+            v = [p * x - f * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _moved_space(w: WeylElement):
+    """`int_echelon` of the columns of w - I, which span the moved space
+    Mov(w) = im(w - I). Its pivot count is rank(w - I)."""
+    n, m = w.n, w.matrix
+    return int_echelon([[m[i][j] - (i == j) for i in range(n)] for j in range(n)], n)
+
+
+def reflections_below(w: WeylElement, roots: RootSystem,
+                      _candidates: tuple[Reflection, ...] | None = None,
+                      ) -> tuple[Reflection, ...]:
+    """The reflections t <= w in absolute order, in root order; the walk
+    keeps them as its diagram's letters, so they are not memoized.
+
+    t <= w means |t w| = |w| - 1, or as well |w t| = |w| - 1, since
+    w t = t (t w) t is conjugate to t w and absolute length is invariant
+    under conjugation: these are the last letters of the minimal
+    reflection factorizations of w. By Brady-Watt (2002, "A
+    partial order on the orthogonal group") they are the t whose root a
+    lies in Mov(w) = im(w - I), so one echelon of Mov(w) and one
+    membership reduction per candidate decide them, and the echelon's
+    pivot count fills the memo of |w|. Proof: t fixes a^perp pointwise, so
+    Fix(t w) and Fix(w) meet a^perp in the same space F, and each is F or
+    one larger. As w is a product of |w| reflections (Carter's lemma),
+    det w = (-1)^|w| = -det(t w), so exactly one of the two is F. Hence
+    |t w| = |w| - 1 iff Fix(w) lies in a^perp, iff a lies in
+    Fix(w)^perp = Mov(w), when w preserves the form B, which is
+    nondegenerate in finite type: B(y, (w - I) x) = B((w^-1 - I) y, x).
+
+    So w must lie in W and preserve B. A call with `_candidates` None
+    checks w^T A w = A, for A the symmetric Cartan matrix, and raises
+    ValidationError otherwise; `interval_covers_by_moved_spaces` refuses
+    an orthogonal w outside W, as its walk cannot reach the identity.
+    `_candidates`, for that walk, is the set found below some u >= w with
+    w = u*t: w inherits the check from u, and only those need testing, as
+    t <= w <= u implies t <= u. Requires a complete root system.
+    """
+    roots.require_complete()
+    pool = _candidates
+    if pool is None:
+        pool = roots.reflections()
+        a = roots.cartan
+        if w.n != roots.n or mat_mul(mat_mul(tuple(zip(*w.matrix)), a), w.matrix) != a:
+            raise ValidationError("the given element does not preserve the symmetric "
+                                  "form of this root system")
+    moved = _moved_space(w)
+    roots._abs_len[w] = len(moved)
+    return tuple(t for t in pool if in_span(moved, t.root))
+
+
+def interval_covers_by_moved_spaces(c: WeylElement, roots: RootSystem) -> dict:
+    """The labelled Hasse diagram of [1, c] by the Brady-Watt walk, for
+    any c: each element w mapped to the elements it covers, w*t for the
+    reflections t <= w (`reflections_below`), each keyed by the root of
+    t, in root order. |w*t| = |t*w|, as the two are conjugate, so t <= w
+    decides both, and w*t <= w as (w t)^-1 w = t has length one.
+
+    The walk is complete. If u <= w then u^-1 w has absolute length
+    k = |w| - |u|, so u^-1 w = t_1 ... t_k with reflections t_i, and
+    u = w t_k ... t_1. Put w_0 = w and w_i = w_(i-1) t_(k+1-i), so
+    w_k = u: each step lowers the length by at most one and k steps lower
+    it by k, so each lowers it by exactly one, t_(k+1-i) <= w_(i-1), and
+    u lies on a chain of covers below w. The walk is sound because
+    w*t <= w and the order is transitive. A child is tested only against
+    the reflections below its first parent, which hold all reflections
+    below it (Brady-Watt 2002: w*t <= w gives Mov(w t) in Mov(w)).
+
+    Reaching the identity writes c as a product of reflections, which
+    certifies c in W; a walk that ends without it raises ValidationError.
+    """
+    candidates: dict = {}
+
+    def expand(w: WeylElement) -> dict:
+        below = reflections_below(w, roots, candidates.get(w))
+        children = {t.root: reflect_right(w, t) for t in below}
+        for child in children.values():
+            candidates.setdefault(child, below)
+        return children
+
+    covers = walk_down(c, expand, "interval size")
+    if identity(c.n) not in covers:
+        raise ValidationError("the given element does not lie in this Weyl group")
+    return covers
 
 
 def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) -> set:
@@ -343,12 +478,12 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
     indices, where containment and absolute order on their values
     disagree: "forward" when subs[a] lies in subs[b] but values[a] is not
     below values[b], "backward" for the converse. u <= w is membership of
-    u in the down-set of w, built from the walk below c; a value outside
-    [1, c] gets a walk of its own."""
-    down = down_sets(interval_covers(c, roots))
+    u in the down-set of w, built from the Brady-Watt walk below c; a
+    value outside [1, c] gets a walk of its own."""
+    down = down_sets(interval_covers_by_moved_spaces(c, roots))
     for value in values:
         if value not in down:
-            down.update(down_sets(interval_covers(value, roots)))
+            down.update(down_sets(interval_covers_by_moved_spaces(value, roots)))
     out = []
     for a, (sub_a, val_a) in enumerate(zip(subs, values)):
         for b, (sub_b, val_b) in enumerate(zip(subs, values)):

@@ -417,10 +417,10 @@ def test_e7_counts_match_the_closed_forms():
 
 def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
     # Each child w*t of the walk and each fold behind c and cox equals the
-    # full product. The walk makes one product per cover, and the folds
-    # are all the rest: c takes n - 1 products and each cox one fewer than
-    # its rank, so a walk that matches the descent costs no induction
-    # product.
+    # full product. The walk makes one product per element other than c,
+    # when it first meets its letter set, and the folds are all the rest:
+    # c takes n - 1 products and each cox one fewer than its rank, so a
+    # walk that matches the descent costs no induction product.
     calls = {"walk": 0, "fold": 0}
     folds = []
     in_walk = False
@@ -452,7 +452,7 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
     report = verify_bijection(DYNKIN_QUIVERS["E6"])
     assert report.all_ok
     assert report.counts["nc"] == len(folds) == COXETER_CATALAN["E6"]
-    assert calls["walk"] == report.counts["covers"]
+    assert calls["walk"] == report.counts["nc"] - 1 == 832
     assert calls["fold"] == 6 - 1 + sum(folds)
 
 

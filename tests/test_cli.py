@@ -16,7 +16,6 @@ from hypothesis import given, settings
 import ncpq.hurwitz
 import ncpq.weyl
 from ncpq import (
-    absolute_leq,
     cartan_matrix,
     cli,
     coxeter_element,
@@ -41,7 +40,8 @@ from ncpq.quiver import connected_components
 from ncpq.weyl import Reflection, WeylElement, generate_roots
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
-from oracles import FACTORIZATION_COUNTS, minimal_reflection_factorizations, oriented_dynkin
+from oracles import (FACTORIZATION_COUNTS, absolute_leq, minimal_reflection_factorizations,
+                     oriented_dynkin)
 
 THREE_KRONECKER_TEXT = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n"
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from math import gcd
 
-from ncpq._linalg import in_span, int_echelon, int_kernel, int_rank, rank
+from ncpq._linalg import int_echelon, int_kernel, int_rank, rank
 
-from oracles import rref, rref_nullspace, rref_rank
+from oracles import in_span, rref, rref_nullspace, rref_rank
 
 ENTRIES = st.integers(min_value=-6, max_value=6)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ncpq import (
     absolute_length,
-    absolute_leq,
     build_registry,
     chain_counts,
     compose,
@@ -29,7 +28,6 @@ from ncpq import (
     noncrossing_partitions,
     reflect,
     reflect_right,
-    reflections_below,
     simple_root,
     symmetric_form,
     topological_order,
@@ -48,14 +46,19 @@ from oracles import (
     COXETER_CATALAN,
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
+    FAMILY_PINS,
+    absolute_leq,
     apply_word,
     bfs_absolute_lengths,
     conjugation_depths_by_bfs,
     down_sets,
+    interval_covers_by_moved_spaces,
+    linear_dynkin,
     minimal_reflection_factorizations,
     nc_by_group_filter,
     oriented_dynkin,
     random_positive_root,
+    reflections_below,
     weyl_group,
 )
 
@@ -461,6 +464,52 @@ def test_walk_covers_are_length_one_steps(d4, d4_roots):
 def test_walk_refuses_elements_outside_the_group(a2, matrix):
     with pytest.raises(ValidationError):
         noncrossing_partitions(WeylElement(matrix), a2, roots=generate_roots(a2))
+    with pytest.raises(ValidationError):
+        interval_covers_by_moved_spaces(WeylElement(matrix), generate_roots(a2))
+
+
+def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots):
+    # A3's opposite orientation has the same roots, and its Coxeter
+    # element s3 s2 s1 lies in W, so the Brady-Watt walk takes it on A3's
+    # roots; the Euler form's letter rule holds only for A3's own c.
+    opposite = Quiver(3, ((2, 1), (3, 2)))
+    c = coxeter_element(opposite, topological_order(opposite))
+    assert c != coxeter_element(a3, topological_order(a3))
+    assert len(interval_covers_by_moved_spaces(c, generate_roots(a3))) == 14
+    with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
+        interval_covers(c, a3_roots)
+
+
+def _listed(covers) -> list:
+    return [(w, list(children.items())) for w, children in covers.items()]
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_QUIVERS))
+def test_walk_equals_the_brady_watt_walk(name):
+    # Letter sets under the Euler form give the labelled diagram that
+    # echelons and span reductions give, in the same key and letter order.
+    q, roots, c = _nc(name)
+    assert _listed(interval_covers(c, roots)) == _listed(
+        interval_covers_by_moved_spaces(c, generate_roots(q)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "D4", "A5", "D5", "E6"]))
+def test_walk_equals_the_brady_watt_walk_on_random_orientations(drawn):
+    _, q, order = drawn
+    c = coxeter_element(q, order)
+    assert _listed(interval_covers(c, generate_roots(q))) == _listed(
+        interval_covers_by_moved_spaces(c, generate_roots(q)))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PINS))
+def test_interval_and_chain_counts_of_the_families(name):
+    q = linear_dynkin(name)
+    roots = generate_roots(q)
+    assert roots.classification.label == name
+    c = coxeter_element(q, topological_order(q))
+    covers = interval_covers(c, roots)
+    assert (len(covers), chain_counts(covers)[c]) == FAMILY_PINS[name]
 
 
 def test_walk_cap_is_read_at_call_time(a3, monkeypatch):
@@ -484,8 +533,7 @@ def _subsets(top: frozenset, child) -> dict:
     """A hand-built Hasse diagram on subsets of `top`, walked down from
     it: the letters of a node are its sorted members, and child(node, x)
     is the child reached through x."""
-    return walk_down(top, lambda node, _: ({x: child(node, x) for x in sorted(node)}, None),
-                     "node count")
+    return walk_down(top, lambda node: {x: child(node, x) for x in sorted(node)}, "node count")
 
 
 def _without(node, x):
