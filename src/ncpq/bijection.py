@@ -124,7 +124,9 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     sets decide `injective` and `surjective`; the one check decides
     `well_defined` (a failed step or base, or an image outside [1, c])
     and `order_iso_forward` and `order_iso_backward` (a cover of the
-    descent, or of the walk, on its side only).
+    descent, or of the walk, on its side only). Each subcategory is held
+    as its root mask and its ordered simples, read off the mask and not
+    the descent's letters; a set of roots is built only for a failure.
     """
     t0 = time.perf_counter()
     roots = complete_roots(q)
@@ -170,23 +172,27 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         rank = {next(iter(descent)): q.n}
         for ind, children in descent.items():
             rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
-        subs = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
-        counts["subcategories"] = len(subs)
+        simples = {ind: _checked_subcategory(ind, reg.roots_of(ind), rank[ind], reg)
+                   for ind in descent}
+        counts["subcategories"] = len(simples)
         counts["well_defined_witnesses"] = sum(map(len, descent.values()))
         # `_checked_subcategory` has checked the simples exceptional.
-        values = {ind: sequence_product(sub.simples, roots) for ind, sub in subs.items()}
+        values = {ind: sequence_product(s, roots) for ind, s in simples.items()}
 
-        preimage: dict[WeylElement, frozenset] = {}
+        def sub_json(ind: int) -> dict:
+            return Subcategory(frozenset(reg.roots_of(ind)), simples[ind]).to_json()
+
+        preimage: dict[WeylElement, int] = {}
         for ind, value in values.items():
             if value in preimage:
                 failures.append({
                     "kind": "injectivity",
-                    "subcategory_a": subs[preimage[value]].to_json(),
-                    "subcategory_b": subs[ind].to_json(),
+                    "subcategory_a": sub_json(preimage[value]),
+                    "subcategory_b": sub_json(ind),
                     "image": value.to_json(),
                 })
             preimage[value] = ind
-        flags["injective"] = len(preimage) == len(subs)
+        flags["injective"] = len(preimage) == len(simples)
 
         flags["surjective"] = preimage.keys() == covers.keys()
         if not flags["surjective"]:
@@ -199,7 +205,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         def induction_failure(ind, x, expected: WeylElement, got: WeylElement) -> None:
             failures.append({
                 "kind": "well_defined",
-                "subcategory": subs[ind].to_json(),
+                "subcategory": sub_json(ind),
                 "last": None if x is None else list(x),
                 "expected": expected.to_json(),
                 "got": got.to_json(),
@@ -209,8 +215,8 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             return {
                 "kind": "order_preservation",
                 "direction": direction,
-                "subcategory_a": None if a is None else subs[a].to_json(),
-                "subcategory_b": None if b is None else subs[b].to_json(),
+                "subcategory_a": None if a is None else sub_json(a),
+                "subcategory_b": None if b is None else sub_json(b),
                 "cox_a": val_a.to_json(),
                 "cox_b": val_b.to_json(),
             }
@@ -228,14 +234,14 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                     got = reflect_right(values[below], roots.reflection(x))
                     if got != value:
                         induction_failure(ind, x, value, got)
-            if preimage[value] is ind:
+            if preimage[value] == ind:
                 backward += [order_failure("backward", preimage.get(child), ind, child, value)
                              for x, child in walk.items()
                              if x not in down or values[down[x]] != child]
             if value not in covers:
                 failures.append({
                     "kind": "image_outside_interval",
-                    "subcategory": subs[ind].to_json(),
+                    "subcategory": sub_json(ind),
                     "image": value.to_json(),
                 })
         backward += [order_failure("backward", preimage.get(child), None, child, w)

@@ -287,7 +287,7 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     # The descent's chains are the complete exceptional sequences; the
     # certificate makes them one mutation class. They need no second
     # check: in a chain x_i lies in reg.right_orth(x_j) for i < j, which
-    # is the very set `is_exceptional_sequence` reads, and each cover
+    # is the very mask `is_exceptional_sequence` reads, and each cover
     # B > B ∩ x^⊥ lowers the rank by one. The braid graph is drawn only
     # on a certified class: without the certificate a move may leave the
     # list, which is a failed verification, not an input error.

@@ -5,8 +5,10 @@ Everything here works at the level of positive roots: in finite type each
 root names exactly one indecomposable, and the registry answers all Hom and
 Ext questions. A sequence is exceptional when nothing maps or extends
 backwards; an antichain is a pairwise Hom-orthogonal set of exceptional
-modules, and it generates a thick subcategory recorded by the sorted set of
-its indecomposables. The subcategories are walked down from the whole
+modules, and it generates a thick subcategory recorded by its
+indecomposables: an int mask over the registry's roots, as on the
+interval side, turned into a frozenset of roots only where the library
+hands one out. The subcategories are walked down from the whole
 category by `subcategory_covers`, whose maximal chains are the complete
 exceptional sequences (see `weyl.braid_transitive` for their one
 mutation class) and whose nodes' simples are the exceptional antichains
@@ -72,39 +74,52 @@ class Subcategory:
 
 
 def is_exceptional_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
-    """No Hom and no Ext from any later entry to any earlier one: each
-    entry lies in the `right_orth` of every later one."""
+    """No Hom and no Ext from any later entry to any earlier one: the
+    `right_orth` mask of each entry holds every earlier one. An
+    unregistered root raises ValidationError."""
     roots = tuple(roots)
-    for r in roots:
-        if r not in reg:
-            raise ValidationError(f"{r} is not a registered root")
-    return all(roots[i] in reg.right_orth(roots[j])
-               for j in range(len(roots)) for i in range(j))
+    masks = [reg.mask_of((r,)) for r in roots]
+    earlier = 0
+    for r, mask in zip(roots, masks):
+        if earlier and earlier & ~reg.right_orth(r):
+            return False
+        earlier |= mask
+    return True
+
+
+def _meet(masks: Iterable[int], reg: IndecRegistry) -> int:
+    """The intersection of root masks, every root for none."""
+    return functools.reduce(int.__and__, masks, (1 << len(reg)) - 1)
+
+
+def _closure(members: Iterable[Vector], reg: IndecRegistry) -> int:
+    """The mask of the thick closure: the double perpendicular."""
+    return _meet(map(reg.left_orth, reg.roots_of(_meet(map(reg.right_orth, members), reg))), reg)
 
 
 def right_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     """Registry roots receiving no Hom and no Ext from any input root: the
-    intersection of their `right_orth` sets, every root for no input. An
+    meet of their `right_orth` masks, every root for no input. An
     unregistered input root raises ValidationError."""
-    orths = [reg.right_orth(u) for u in roots]
-    return frozenset.intersection(*orths) if orths else frozenset(reg.roots())
+    return frozenset(reg.roots_of(_meet(map(reg.right_orth, roots), reg)))
 
 
 def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
-    """Registry roots with no Hom and no Ext into any input root: the
-    intersection of their `left_orth` sets, every root for no input. An
-    unregistered input root raises ValidationError."""
-    orths = [reg.left_orth(u) for u in roots]
-    return frozenset.intersection(*orths) if orths else frozenset(reg.roots())
+    """Registry roots with no Hom and no Ext into any input root, by their
+    `left_orth` masks as `right_perp` reads `right_orth`."""
+    return frozenset(reg.roots_of(_meet(map(reg.left_orth, roots), reg)))
 
 
 def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     """Indecomposables of the thick closure, via the double perpendicular."""
-    return left_perp(right_perp(members, reg), reg)
+    return frozenset(reg.roots_of(_closure(members, reg)))
 
 
-def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Vector, ...]:
-    """The relative simples of a thick subcategory B, in root order.
+def _subcategory_simples(ind: int, members: Iterable[Vector],
+                         reg: IndecRegistry) -> tuple[Vector, ...]:
+    """The relative simples of a thick subcategory B, given by its root
+    mask `ind` and its `members`, `reg.roots_of(ind)` (at a node of the
+    descent, its letters), in root order.
 
     m is simple exactly when no member x != m has Hom(x, m) != 0 and
     dim x not >= dim m componentwise. B is thick, so it is an exact
@@ -117,9 +132,10 @@ def _subcategory_simples(ind: frozenset[Vector], reg: IndecRegistry) -> tuple[Ve
       indecomposable, so a member. Then Hom(s, m) != 0 and dim s < dim m,
       so dim s is not >= dim m.
     Only integer Hom dimensions enter. The dimension test runs first; it
-    also rules out x = m. Those x, over all roots, are `reg.maps_into(m)`.
+    also rules out x = m. Those x, over all roots, are the mask
+    `reg.maps_into(m)`.
     """
-    return tuple(m for m in sorted(ind) if ind.isdisjoint(reg.maps_into(m)))
+    return tuple([m for m in members if not ind & reg.maps_into(m)])
 
 
 def _ext_quiver(members: Sequence[Vector], reg: IndecRegistry) -> dict[tuple[int, int], int]:
@@ -170,14 +186,15 @@ def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
     return positive_root_count(classification.label)
 
 
-def _checked_subcategory(ind: frozenset[Vector], rank: int,
-                         reg: IndecRegistry) -> Subcategory:
-    """The subcategory on `ind`, checked: `rank` simples that order into an
-    exceptional sequence, as many indecomposables as the roots of their
+def _checked_subcategory(ind: int, members: Iterable[Vector], rank: int,
+                         reg: IndecRegistry) -> tuple[Vector, ...]:
+    """The ordered simples of the subcategory on the root mask `ind`,
+    checked: `rank` simples that order into an exceptional sequence, as
+    many indecomposables (`ind.bit_count()`) as the roots of their
     Ext-quiver, and `ind` is the double perpendicular of the simples.
     The simples' Ext-quiver is read from the registry once, for both the
-    order and the root count."""
-    simples = _subcategory_simples(ind, reg)
+    order and the root count. No set of roots is built."""
+    simples = _subcategory_simples(ind, members, reg)
     if len(simples) != rank:
         raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
     ext = _ext_quiver(simples, reg)
@@ -185,11 +202,11 @@ def _checked_subcategory(ind: frozenset[Vector], rank: int,
     ordered = tuple(simples[i] for i in order)
     if not is_exceptional_sequence(ordered, reg):
         raise NcpqError("subcategory simples do not order into an exceptional sequence")
-    if ordered and _relative_root_count(order, ext) != len(ind):
+    if ordered and _relative_root_count(order, ext) != ind.bit_count():
         raise NcpqError("subcategory size disagrees with its relative root count")
-    if closure_indecomposables(ordered, reg) != ind:
+    if _closure(ordered, reg) != ind:
         raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
-    return Subcategory(ind, ordered)
+    return ordered
 
 
 def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
@@ -198,21 +215,26 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     members = seq.roots
     if not is_exceptional_sequence(members, reg):
         raise ValidationError("input is not an exceptional sequence")
-    ind = closure_indecomposables(members, reg)
-    if not set(members) <= ind:
+    ind = _closure(members, reg)
+    if reg.mask_of(members) & ~ind:
         raise NcpqError("closure lost a generator; this is a bug")
-    return _checked_subcategory(ind, len(members), reg)
+    ind_roots = reg.roots_of(ind)
+    simples = _checked_subcategory(ind, ind_roots, len(members), reg)
+    return Subcategory(frozenset(ind_roots), simples)
 
 
-def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, dict[Vector, frozenset]]:
+def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
     """The Hasse diagram of the thick exceptional subcategories under
-    containment, each given by its indecomposables, by `weyl.walk_down`
-    from the whole category: B maps each member x, its letter, in root
-    order, to B ∩ x^⊥, and every B comes before the subcategories it
-    covers. The sets are not checked here; `_checked_subcategory`
-    checks one at its level. Holding more than `weyl.DEFAULT_INTERVAL_CAP`
-    subcategories (they are in bijection with the interval [1, c])
-    raises CapExceededError("subcategory count exceeds cap N").
+    containment, each given by the int mask b of its indecomposables,
+    by `weyl.walk_down` from the whole category: B maps each member x,
+    its letter, in root order, to B ∩ x^⊥, the mask b & right_orth(x),
+    and every B comes before the subcategories it covers; every root is
+    a letter of the whole category, so its `right_orth` is read up front.
+    The masks are not checked here;
+    `_checked_subcategory` checks one at its level. Holding more than
+    `weyl.DEFAULT_INTERVAL_CAP` subcategories (they are in bijection with
+    the interval [1, c]) raises CapExceededError("subcategory count
+    exceeds cap N").
 
     The descent reaches every subcategory: thick(E_1, ..., E_k) =
     (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
@@ -222,10 +244,23 @@ def subcategory_covers(reg: IndecRegistry) -> dict[frozenset, dict[Vector, froze
     bottom: `weyl.chain_counts` counts them and `weyl.maximal_chains`
     lists them.
     """
-    def expand(b: frozenset) -> dict[Vector, frozenset]:
-        return {x: b & reg.right_orth(x) for x in sorted(b)}
+    roots = reg.roots()
+    orth = [reg.right_orth(x) for x in roots]
 
-    return walk_down(frozenset(reg.roots()), expand, "subcategory count")
+    def expand(b: int) -> dict[Vector, int]:
+        # By bit position, not `reg.roots_of(b)`: this loop runs once per
+        # cover and is most of the descent, and the positions skip a tuple
+        # and a root-keyed lookup per letter.
+        children = {}
+        rest = b
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            children[roots[k]] = b & orth[k]
+            rest ^= low
+        return children
+
+    return walk_down((1 << len(roots)) - 1, expand, "subcategory count")
 
 
 def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
@@ -270,9 +305,7 @@ def is_projective_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
     relative to the support so far, and its top avoids the previous
     support."""
     roots = tuple(roots)
-    for r in roots:
-        if r not in reg:
-            raise ValidationError(f"{r} is not a registered root")
+    reg.mask_of(roots)  # refuses an unregistered root
     n = reg.quiver.n
     prev_support: frozenset[int] = frozenset()
     for step, root in enumerate(roots, 1):
@@ -317,7 +350,8 @@ def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[froze
     """
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
-    return {frozenset(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
+    return {frozenset(_subcategory_simples(b, letters, reg))
+            for b, letters in subcategory_covers(reg).items()}
 
 
 def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vector]:

@@ -16,12 +16,13 @@ from their fraction-free integer rank (`_linalg.rank`). Ext dimensions
 come from the bilinear-form identity hom - ext = form(dim M, dim N),
 which is validated against an independent resolution-based computation
 in the test suite. The same identity screens the registry's per-root
-sets (`IndecRegistry.right_orth`, `left_orth`, `maps_into`): as
-Ext >= 0, a nonzero form decides orthogonality and a positive one
+masks (`IndecRegistry.right_orth`, `left_orth`, `maps_into`), int
+bitmasks over the roots in the order of the root system's reflections:
+as Ext >= 0, a nonzero form decides orthogonality and a positive one
 proves Hom != 0, so only the remaining pairs are ranked. `hom_basis`
 gives an integer basis of Hom from the same kernel; only the injectivity
-scan `IndecRegistry.has_injective_hom` uses it, and no other ncpq
-function calls that scan.
+scan `IndecRegistry.has_injective_hom` uses it, and no ncpq function
+calls that scan.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
@@ -328,34 +329,38 @@ class IndecRegistry:
     """Complete table positive root -> indecomposable, with memoized
     Hom/Ext lookups keyed by root pairs.
 
-    Immutable after build. All memos fill lazily, on first use: Hom and
-    Ext dimensions per ordered root pair (`_hom`, `_ext`); per root the
-    two orthogonal sets that perpendicular categories intersect
-    (`right_orth`, `left_orth`) and the roots that map into it from
-    below (`maps_into`, read by the relative simples); and the answers
-    of the injectivity scan, when it is asked (`_injective`). The memo
-    dicts are safe for concurrent reads under the GIL.
+    The roots are numbered as `RootSystem.sorted_roots` numbers them, in
+    the order of its reflections, so bit k of an int mask names the k-th
+    root on both sides of the bijection; `mask_of` and `roots_of`
+    convert. Immutable after build; all memos fill lazily, on first use:
+    Hom and Ext per ordered root pair (`_hom`, `_ext`); per root the
+    masks that perpendicular categories intersect (`right_orth`,
+    `left_orth`) and the mask of the roots mapping into it from below
+    (`maps_into`); and the injectivity scan's answers (`_injective`).
+    The memo dicts are safe for concurrent reads under the GIL.
 
-    The per-root sets rank only where the Euler form is silent. For
-    indecomposables a and m, dim Hom(a, m) - dim Ext(a, m) = <a, m> and
-    Ext >= 0, so <a, m> > 0 proves Hom(a, m) != 0, <a, m> < 0 proves
-    Ext(a, m) != 0, and <a, m> = 0 gives Ext(a, m) = Hom(a, m), one rank
-    deciding both. `hom` and `ext` still return exact ranks wherever
-    they are asked.
+    The per-root masks rank only where the Euler form (`RootSystem.euler`)
+    is silent: dim Hom(a, m) - dim Ext(a, m) = <a, m> and Ext >= 0, so
+    <a, m> > 0 proves Hom(a, m) != 0, <a, m> < 0 proves Ext(a, m) != 0,
+    and <a, m> = 0 gives Ext(a, m) = Hom(a, m), one rank deciding both.
+    `hom` and `ext` still return exact ranks wherever they are asked.
     """
 
     def __init__(self, quiver: Quiver, rootsystem: RootSystem,
                  reps: dict[Vector, Representation]):
+        if reps.keys() != rootsystem.positive_real_roots:
+            raise ValidationError("a registry holds one module per root of its root system")
         self.quiver = quiver
         self.rootsystem = rootsystem
-        self._reps = dict(reps)
-        self._roots = tuple(sorted(reps))
+        self._roots = rootsystem.sorted_roots()
+        self._index = {r: k for k, r in enumerate(self._roots)}
+        self._reps = tuple(reps[r] for r in self._roots)
         self._hom: dict[tuple[Vector, Vector], int] = {}
         self._injective: dict[tuple[Vector, Vector], bool] = {}
         self._ext: dict[tuple[Vector, Vector], int] = {}
-        self._right_orth: dict[Vector, frozenset[Vector]] = {}
-        self._left_orth: dict[Vector, frozenset[Vector]] = {}
-        self._maps_into: dict[Vector, frozenset[Vector]] = {}
+        self._right_orth: dict[Vector, int] = {}
+        self._left_orth: dict[Vector, int] = {}
+        self._maps_into: dict[Vector, int] = {}
 
     def roots(self) -> tuple[Vector, ...]:
         return self._roots
@@ -364,13 +369,33 @@ class IndecRegistry:
         return len(self._roots)
 
     def __contains__(self, root: Vector) -> bool:
-        return root in self._reps
+        return root in self._index
 
     def __getitem__(self, root: Vector) -> Representation:
+        return self._reps[self._position(root)]
+
+    def _position(self, root: Vector) -> int:
         try:
-            return self._reps[root]
+            return self._index[root]
         except KeyError:
             raise ValidationError(f"{root} is not a registered root") from None
+
+    def mask_of(self, roots: Iterable[Vector]) -> int:
+        """The int mask of a set of roots, bit k for the k-th of `roots()`.
+        An unregistered root raises ValidationError."""
+        mask = 0
+        for r in roots:
+            mask |= 1 << self._position(r)
+        return mask
+
+    def roots_of(self, mask: int) -> tuple[Vector, ...]:
+        """The roots of an int mask, in root order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._roots[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def hom(self, a: Vector, b: Vector) -> int:
         key = (a, b)
@@ -390,47 +415,41 @@ class IndecRegistry:
             self._ext[key] = value
         return value
 
-    def right_orth(self, a: Vector) -> frozenset[Vector]:
-        """Roots m with Hom(a, m) = Ext(a, m) = 0.
+    def right_orth(self, a: Vector) -> int:
+        """The mask of the roots m with Hom(a, m) = Ext(a, m) = 0.
 
         If <a, m> != 0, Hom and Ext cannot both vanish; if <a, m> = 0,
         Ext = Hom. So m lies here exactly when <a, m> = 0 and
         hom(a, m) = 0, and only those pairs are ranked. An unregistered
-        `a` raises ValidationError."""
+        root raises ValidationError here and in the next two."""
         orth = self._right_orth.get(a)
         if orth is None:
-            self[a]  # refuses an unregistered root
-            orth = frozenset(m for m in self._roots
-                             if euler_form(self.quiver, a, m) == 0 and self.hom(a, m) == 0)
-            self._right_orth[a] = orth
+            row = self.rootsystem.euler[self._position(a)]
+            orth = self._right_orth[a] = sum(1 << k for k, m in enumerate(self._roots)
+                                             if row[k] == 0 and self.hom(a, m) == 0)
         return orth
 
-    def left_orth(self, a: Vector) -> frozenset[Vector]:
-        """Roots m with Hom(m, a) = Ext(m, a) = 0, screened by <m, a> as
-        `right_orth` is by <a, m>. An unregistered `a` raises
-        ValidationError."""
+    def left_orth(self, a: Vector) -> int:
+        """The mask of the roots m with Hom(m, a) = Ext(m, a) = 0, screened
+        by <m, a> as `right_orth` is by <a, m>."""
         orth = self._left_orth.get(a)
         if orth is None:
-            self[a]  # refuses an unregistered root
-            orth = frozenset(m for m in self._roots
-                             if euler_form(self.quiver, m, a) == 0 and self.hom(m, a) == 0)
-            self._left_orth[a] = orth
+            j, euler = self._position(a), self.rootsystem.euler
+            orth = self._left_orth[a] = sum(1 << k for k, m in enumerate(self._roots)
+                                            if euler[k][j] == 0 and self.hom(m, a) == 0)
         return orth
 
-    def maps_into(self, m: Vector) -> frozenset[Vector]:
-        """Roots x with dim x not >= dim m componentwise and Hom(x, m) != 0.
-
-        <x, m> > 0 proves Hom(x, m) != 0 with no rank; the other pairs
-        are ranked. The dimension test runs first and rules out x = m.
-        An unregistered `m` raises ValidationError."""
+    def maps_into(self, m: Vector) -> int:
+        """The mask of the roots x with dim x not >= dim m componentwise
+        and Hom(x, m) != 0. <x, m> > 0 proves Hom(x, m) != 0 with no
+        rank; the other pairs are ranked. The dimension test runs first
+        and rules out x = m."""
         into = self._maps_into.get(m)
         if into is None:
-            self[m]  # refuses an unregistered root
-            into = frozenset(
-                x for x in self._roots
-                if any(xi < mi for xi, mi in zip(x, m))
-                and (euler_form(self.quiver, x, m) > 0 or self.hom(x, m) != 0))
-            self._maps_into[m] = into
+            j, euler = self._position(m), self.rootsystem.euler
+            into = self._maps_into[m] = sum(
+                1 << k for k, x in enumerate(self._roots) if any(map(int.__lt__, x, m))
+                and (euler[k][j] > 0 or self.hom(x, m) != 0))
         return into
 
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:

@@ -24,15 +24,17 @@ induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
 stays the general product.
 
 One toolkit serves both posets of the bijection, each walked down from
-its top by covers and by one set rule: the interval [1, c]
-(`interval_covers`), whose nodes are letter sets and whose child through
-a keeps the letters s with <a, s> = 0 under the Euler form, and the
-thick exceptional subcategories (`exc.subcategory_covers`), whose child
-through x is B ∩ x^⊥. `walk_down` walks either into a Hasse diagram
-whose covers are keyed by their letters, `chain_counts` counts its
-maximal chains, `maximal_chains` lists them, and `braid_transitive`
-certifies on the diagram itself that the braid group moves any chain to
-any other (proof in its docstring).
+its top by covers and by one rule on int masks over the roots, numbered
+as in `RootSystem.sorted_roots`: the interval [1, c] (`interval_covers`),
+whose nodes are letter sets and whose child through a keeps the letters
+s with <a, s> = 0 under the Euler form (`RootSystem.euler`), and the
+thick exceptional subcategories (`exc.subcategory_covers`), whose nodes
+are their indecomposables and whose child through x is B ∩ x^⊥.
+`walk_down` walks either into a Hasse diagram whose covers are keyed by
+their letters, `chain_counts` counts its maximal chains,
+`maximal_chains` lists them, and `braid_transitive` certifies on the
+diagram itself that the braid group moves any chain to any other (proof
+in its docstring).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .quiver import (
 
 DEFAULT_HEIGHT_BOUND = 100
 DEFAULT_INTERVAL_CAP = 1_000_000
+DEFAULT_ROOT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,18 @@ class RootSystem:
     def reflections(self) -> tuple[Reflection, ...]:
         return tuple(self.reflection(r) for r in self.sorted_roots())
 
+    @cached_property
+    def euler(self) -> tuple[tuple[int, ...], ...]:
+        """<a, b> = `euler_form` at row a and column b, in `sorted_roots`
+        order, made once, on first use, by bilinearity from the form's
+        matrix on the simple roots. The interval walk and the registry's
+        per-root masks read it."""
+        ordered = self.sorted_roots()
+        simples = [simple_root(self.n, i) for i in self.quiver.vertices]
+        columns = [[euler_form(self.quiver, s, t) for s in simples] for t in simples]
+        rows = [[sum(map(mul, a, col)) for col in columns] for a in ordered]
+        return tuple(tuple(sum(map(mul, row, b)) for b in ordered) for row in rows)
+
 
 def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
                    classification: Classification | None = None) -> RootSystem:
@@ -277,8 +292,11 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
     real root that is a multiple of alpha_i), and otherwise positive
     unless its coordinate i is negative, which is a mixed-sign bug.
 
-    Truncation is never silent: it clears the `complete` flag.
+    Truncation is never silent: it clears the `complete` flag. Holding
+    more than DEFAULT_ROOT_CAP roots (read at call time, each root counted
+    when first met) raises CapExceededError("root count exceeds cap N").
     """
+    cap = DEFAULT_ROOT_CAP
     if height_bound < 1:
         raise ValidationError("height bound must be positive")
     cart = cartan_matrix(q)
@@ -289,6 +307,8 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
     frontier = deque(simples)
     truncated = False
     while frontier:
+        if len(seen) > cap:
+            raise CapExceededError(f"root count exceeds cap {cap}")
         v = frontier.popleft()
         for i in range(q.n):
             if v == simples[i]:
@@ -380,12 +400,13 @@ def walk_down(top, expand: Callable, what: str) -> dict:
         for node in level:
             children = expand(node)
             for x, child in children.items():
-                if child not in met:
+                kept = met.get(child)
+                if kept is None:
                     held += 1
                     if held > cap:
                         raise CapExceededError(f"{what} exceeds cap {cap}")
-                    met[child] = child
-                children[x] = met[child]
+                    kept = met[child] = child
+                children[x] = kept
             covers[node] = children
         if not covers.keys().isdisjoint(met):
             raise NcpqError("the walk down met a node at two levels; this is a bug")
@@ -464,8 +485,7 @@ def interval_covers(c: WeylElement,
     if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
         raise ValidationError("the given element is not the Coxeter element of the quiver")
     reflections = roots.reflections()
-    orth = [sum(1 << k for k, s in enumerate(reflections) if euler_form(q, t.root, s.root) == 0)
-            for t in reflections]
+    orth = [sum(1 << k for k, e in enumerate(row) if e == 0) for row in roots.euler]
     top = (1 << len(reflections)) - 1
     elements = {top: c}
 

@@ -31,7 +31,8 @@ embeddings found by scanning combinations of explicit Hom bases, the
 subcategories as the thick closures of all exceptional antichains, not
 by the descent from the whole category, the antichains by a backtracker
 over Hom-orthogonal subsets with Hom ranked for every root pair, not as
-the simples of the descent's nodes, exceptional sequences by a
+the simples of the descent's nodes, the descent itself on frozensets of
+root tuples, not on the registry's int masks, exceptional sequences by a
 backtracker over prefixes, not over the descent, and the
 bijection's flags from every complete exceptional sequence of every
 subcategory and from containment against absolute order on every pair.
@@ -53,7 +54,7 @@ from ncpq import (absolute_length, braid_mutate, build_registry, cartan_matrix, 
 from ncpq._linalg import int_echelon, int_rank, mat_mul
 from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
 from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
-from ncpq.quiver import topological_order, topological_sort
+from ncpq.quiver import euler_form, topological_order, topological_sort
 from ncpq.rep import (_is_simple_vector, _reflect_quiver, _source_cokernel_step,
                       simple_representation)
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
@@ -425,12 +426,42 @@ def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
     return {w for w in weyl_group(q) if absolute_leq(w, c, roots)}
 
 
+def right_orth_by_frozensets(a, reg) -> frozenset:
+    """The roots m with Hom(a, m) = Ext(a, m) = 0, as a frozenset of root
+    tuples: the registry's `right_orth` before it filled int masks.
+
+    If <a, m> != 0, Hom and Ext cannot both vanish; if <a, m> = 0,
+    Ext = Hom. So m lies here exactly when <a, m> = 0 and
+    hom(a, m) = 0, and only those pairs are ranked. An unregistered
+    `a` raises ValidationError."""
+    reg[a]  # refuses an unregistered root
+    return frozenset(m for m in reg.roots()
+                     if euler_form(reg.quiver, a, m) == 0 and reg.hom(a, m) == 0)
+
+
+def subcategory_covers_by_frozensets(reg) -> dict:
+    """The descent of `exc.subcategory_covers` on frozensets of root
+    tuples, as it ran before the masks: B maps each member x, in root
+    order, to B ∩ x^⊥, read from `right_orth_by_frozensets` once per x."""
+    orths: dict = {}
+
+    def right_orth(x) -> frozenset:
+        if x not in orths:
+            orths[x] = right_orth_by_frozensets(x, reg)
+        return orths[x]
+
+    def expand(b: frozenset) -> dict:
+        return {x: b & right_orth(x) for x in sorted(b)}
+
+    return walk_down(frozenset(reg.roots()), expand, "subcategory count")
+
+
 def exceptional_sequences(pool, length: int, reg):
     """Every exceptional sequence of the given length with members in pool,
     lazily, by backtracking over prefixes: an entry may follow the chosen
     prefix when it sends no Hom and no Ext to any of it."""
     chosen: list = []
-    orthogonal = [(x, reg.right_orth(x)) for x in pool]
+    orthogonal = [(x, right_orth_by_frozensets(x, reg)) for x in pool]
 
     def backtrack():
         if len(chosen) == length:

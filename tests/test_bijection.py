@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import ncpq.bijection
+import ncpq.rep
 from ncpq import (
     BijectionReport,
     ExcSequence,
@@ -281,7 +282,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     # corrupted descent with the true cox of each subcategory, and the
     # walk below c.
     real = ncpq.bijection.subcategory_covers
-    dropped = frozenset({(1, 0, 0)})
+    dropped = a3_reg.mask_of({(1, 0, 0)})
 
     def fewer(reg):
         return {b: dict(zip(children, (a for a in children.values() if a != dropped)))
@@ -299,10 +300,10 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
                                         "extra": []}]
     for f in by_kind["well_defined"]:
         ind = {tuple(r) for r in f["subcategory"]["indecomposables"]}
-        assert any(ind & a3_reg.right_orth(x) == dropped for x in ind)
+        assert any(a3_reg.mask_of(ind) & a3_reg.right_orth(x) == dropped for x in ind)
 
     descent = fewer(a3_reg)
-    subs = {sub.ind_roots: sub for sub in subcategories(a3, a3_reg)}
+    subs = {a3_reg.mask_of(sub.ind_roots): sub for sub in subcategories(a3, a3_reg)}
     values = {ind: cox(subs[ind], a3_reg, a3_roots) for ind in descent}
     preimage = {value: ind for ind, value in values.items()}
     walk = interval_covers(coxeter_element(a3, (1, 2, 3)), a3_roots)
@@ -383,6 +384,18 @@ def test_verify_checks_each_subcategory_exceptional_once(d4, monkeypatch):
     report = verify_bijection(d4)
     assert report.all_ok
     assert len(calls) == report.counts["subcategories"] + 1 == COXETER_CATALAN["D4"] + 1
+
+
+def test_verify_ranks_hom_for_as_many_pairs_as_the_frozenset_registry(monkeypatch):
+    # E7 `verify` ranks Hom on 2248 root pairs, the registry's certificate
+    # included: the count the registry made when its per-root sets were
+    # frozensets. Int masks rank no pair more.
+    real = ncpq.rep.hom_dim
+    calls = []
+    monkeypatch.setattr(ncpq.rep, "hom_dim", lambda m, n: calls.append((m, n)) or real(m, n))
+    report = verify_bijection(DYNKIN_QUIVERS["E7"])
+    assert report.all_ok
+    assert len(calls) == 2248
 
 
 # Elements, maximal chains and covers of [1, c] in E6 and E7; each cover

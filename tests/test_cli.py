@@ -105,6 +105,24 @@ def test_analyze_json_on_an_indefinite_quiver(quiver_file, capsys):
     assert payload["complete"] is False
 
 
+# A wild quiver on three vertices with 348 real roots of height <= 100.
+WILD_TEXT = "vertices 3\narrow 1 2\narrow 1 2\narrow 2 3\n"
+
+
+def test_analyze_refuses_past_the_root_cap(quiver_file, capsys, monkeypatch):
+    # The root cap holds every root at exactly the root count and refuses
+    # one root below it, with exit 4.
+    path = quiver_file(WILD_TEXT)
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_ROOT_CAP", 348)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["positive_roots"] == 348
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_ROOT_CAP", 347)
+    assert main(["analyze", path, "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: root count exceeds cap 347\n"
+
+
 def test_analyze_malformed_exit_2(quiver_file, capsys):
     path = quiver_file("vertices 2\narrow 1 2\narrow 2 9\n")
     assert main(["analyze", path]) == 2

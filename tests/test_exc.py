@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ncpq import (
     ExcSequence,
     Reflection,
+    Subcategory,
     braid_mutate,
     build_registry,
     enumerate_complete_sequences,
@@ -57,6 +58,7 @@ from oracles import (
     oriented_dynkin,
     simples_by_injective_maps,
     subcategories,
+    subcategory_covers_by_frozensets,
 )
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)
@@ -135,8 +137,10 @@ def test_perps_match_pairwise_definition_d5(d5_reg):
     roots = d5_reg.roots()
     assert len(roots) == 20
     for r in roots:
-        assert right_perp([r], d5_reg) == d5_reg.right_orth(r) == _pairwise_right_perp([r], d5_reg)
-        assert left_perp([r], d5_reg) == d5_reg.left_orth(r) == _pairwise_left_perp([r], d5_reg)
+        assert right_perp([r], d5_reg) == frozenset(d5_reg.roots_of(d5_reg.right_orth(r))) \
+            == _pairwise_right_perp([r], d5_reg)
+        assert left_perp([r], d5_reg) == frozenset(d5_reg.roots_of(d5_reg.left_orth(r))) \
+            == _pairwise_left_perp([r], d5_reg)
     rng = random.Random(20161)
     for _ in range(200):
         members = rng.sample(roots, rng.randint(0, 5))
@@ -218,7 +222,8 @@ def test_simples_match_the_injective_map_definition(label):
     reg = build_registry(q)
     for antichain in exceptional_antichains_by_backtracking(q, reg):
         ind = closure_indecomposables(order_antichain(antichain, reg), reg)
-        simples = _subcategory_simples(ind, reg)
+        mask = reg.mask_of(ind)
+        simples = _subcategory_simples(mask, reg.roots_of(mask), reg)
         assert simples == simples_by_injective_maps(ind, reg)
         assert frozenset(simples) == antichain
 
@@ -249,11 +254,17 @@ def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
         exc._finite_root_count(kronecker.n, kronecker.arrows)
 
 
+def _checked(ind, rank, reg):
+    """`exc._checked_subcategory` on a root mask and its roots."""
+    return exc._checked_subcategory(ind, reg.roots_of(ind), rank, reg)
+
+
 def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):
     # The order and the relative root count share one read of the simples'
     # Ext-quiver: each ordered pair of distinct simples is asked once.
     reg = build_registry(DYNKIN_QUIVERS["D5"])
-    ranks = {b: len(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
+    ranks = {b: len(_subcategory_simples(b, letters, reg))
+             for b, letters in subcategory_covers(reg).items()}
     calls = []
     real = type(reg).ext
 
@@ -264,8 +275,8 @@ def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):
     monkeypatch.setattr(type(reg), "ext", counted)
     for ind, rank in ranks.items():
         calls.clear()
-        sub = exc._checked_subcategory(ind, rank, reg)
-        assert sorted(calls) == sorted((a, b) for a in sub.simples for b in sub.simples if a != b)
+        simples = _checked(ind, rank, reg)
+        assert sorted(calls) == sorted((a, b) for a in simples for b in simples if a != b)
 
 
 def test_e8_closure_of_the_simple_roots():
@@ -540,11 +551,12 @@ def test_descent_lists_the_antichain_closures(label):
     # cover of the descent lowers the rank by one.
     q = DYNKIN_QUIVERS[label]
     reg = build_registry(q)
-    expected = {sub.ind_roots: sub for sub in subcategories(q, reg)}
+    expected = {reg.mask_of(sub.ind_roots): sub for sub in subcategories(q, reg)}
     descent = subcategory_covers(reg)
     assert descent.keys() == expected.keys()
     for ind, children in descent.items():
-        assert exc._checked_subcategory(ind, expected[ind].rank, reg) == expected[ind]
+        simples = _checked(ind, expected[ind].rank, reg)
+        assert Subcategory(frozenset(reg.roots_of(ind)), simples) == expected[ind]
         assert all(expected[a].rank == expected[ind].rank - 1 for a in children.values())
 
 
@@ -582,21 +594,22 @@ def test_subcategory_check_runs_the_fixpoint(a3_reg):
     # not their thick closure {S2, S3, P23}: only the fixpoint catches it.
     fake = frozenset({(0, 1, 0), (0, 0, 1), (1, 1, 0)})
     with pytest.raises(NcpqError, match="fixpoint"):
-        exc._checked_subcategory(fake, 2, a3_reg)
+        _checked(a3_reg.mask_of(fake), 2, a3_reg)
 
 
 def test_subcategory_check_refuses_the_wrong_rank(a3_reg):
-    everything = frozenset(a3_reg.roots())
-    assert exc._checked_subcategory(everything, 3, a3_reg).rank == 3
+    everything = a3_reg.mask_of(a3_reg.roots())
+    assert len(_checked(everything, 3, a3_reg)) == 3
     for rank in (2, 4):
         with pytest.raises(NcpqError, match=f"rank {rank} has 3 simples"):
-            exc._checked_subcategory(everything, rank, a3_reg)
+            _checked(everything, rank, a3_reg)
 
 
 def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):
-    # A registry whose P123^⊥ holds everything the first time it is asked
-    # hands the whole category back as its own child, once, so a descent
-    # without the check still ends.
+    # A registry whose P123^⊥ holds S1 alone makes add S1 a child of the
+    # whole category, one level down with the rank-2 subcategories, while
+    # the descent also meets it with the rank-1 ones. Every child is still
+    # smaller than its parent, so a descent without the check ends.
     reg = build_registry(a3)
     real = reg.right_orth
     corrupted = [(1, 1, 1)]
@@ -604,12 +617,36 @@ def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):
     def right_orth(x):
         if x in corrupted:
             corrupted.remove(x)
-            return frozenset(reg.roots())
+            return reg.mask_of([(1, 0, 0)])
         return real(x)
 
     monkeypatch.setattr(reg, "right_orth", right_orth)
     with pytest.raises(NcpqError, match="two levels"):
         subcategory_covers(reg)
+
+
+def _assert_same_descent(reg):
+    # The mask descent against the frozenset descent it replaced: the same
+    # nodes through the mask-to-roots conversion, in the same key order,
+    # each with the same letters, in the same order, reaching the same nodes.
+    descent = subcategory_covers(reg)
+    reference = subcategory_covers_by_frozensets(reg)
+    as_sets = [(frozenset(reg.roots_of(b)),
+                [(x, frozenset(reg.roots_of(a))) for x, a in children.items()])
+               for b, children in descent.items()]
+    assert as_sets == [(b, list(children.items())) for b, children in reference.items()]
+
+
+@pytest.mark.parametrize("label", sorted(set(DYNKIN_QUIVERS) - {"E8"}))
+def test_descent_equals_the_frozenset_descent(label):
+    _assert_same_descent(build_registry(DYNKIN_QUIVERS[label]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5", "E6"]))
+def test_descent_equals_the_frozenset_descent_on_random_orientations(drawn):
+    _, q, _ = drawn
+    _assert_same_descent(build_registry(q))
 
 
 def test_antichains_a2(a2_reg):

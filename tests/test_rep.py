@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from ncpq import (
+    IndecRegistry,
     Representation,
     build_registry,
     ext_dim,
@@ -344,11 +345,15 @@ def test_per_root_sets_match_their_rank_every_pair_definitions(label):
     roots = reg.roots()
     hom = {(a, m): hom_dim(reg[a], reg[m]) for a in roots for m in roots}
     ext = {(a, m): ext_dim(reg[a], reg[m]) for a in roots for m in roots}
+
+    def as_set(mask):
+        return frozenset(reg.roots_of(mask))
+
     for a in roots:
-        assert reg.right_orth(a) == {m for m in roots if hom[a, m] == ext[a, m] == 0}
-        assert reg.left_orth(a) == {m for m in roots if hom[m, a] == ext[m, a] == 0}
-        assert reg.maps_into(a) == {x for x in roots if hom[x, a] != 0
-                                    and not all(xi >= ai for xi, ai in zip(x, a))}
+        assert as_set(reg.right_orth(a)) == {m for m in roots if hom[a, m] == ext[a, m] == 0}
+        assert as_set(reg.left_orth(a)) == {m for m in roots if hom[m, a] == ext[m, a] == 0}
+        assert as_set(reg.maps_into(a)) == {x for x in roots if hom[x, a] != 0
+                                            and not all(xi >= ai for xi, ai in zip(x, a))}
 
 
 def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
@@ -367,6 +372,24 @@ def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
     for a in reg.roots():
         reg.right_orth(a)
     assert len(calls) == len(set(calls)) == zero
+
+
+def test_root_masks_number_the_roots_as_the_reflections(d4_reg):
+    # Bit k names the k-th root on both sides of the bijection: the
+    # registry's and the root system's reflections.
+    roots = d4_reg.roots()
+    assert roots == tuple(t.root for t in d4_reg.rootsystem.reflections())
+    assert [d4_reg.mask_of([r]) for r in roots] == [1 << k for k in range(len(roots))]
+    assert d4_reg.roots_of(d4_reg.mask_of(reversed(roots))) == roots
+    assert d4_reg.mask_of([roots[3], roots[3]]) == 8 and d4_reg.roots_of(0) == ()
+    with pytest.raises(ValidationError):
+        d4_reg.mask_of([roots[0], (1, 0, 0, 1)])
+
+
+def test_registry_refuses_modules_that_miss_a_root(d4_reg):
+    reps = {r: d4_reg[r] for r in d4_reg.roots()[1:]}
+    with pytest.raises(ValidationError):
+        IndecRegistry(d4_reg.quiver, d4_reg.rootsystem, reps)
 
 
 @pytest.mark.parametrize("method", ["right_orth", "left_orth", "maps_into"])

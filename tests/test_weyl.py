@@ -38,7 +38,7 @@ from ncpq.errors import (
     ValidationError,
 )
 from ncpq.exc import subcategory_covers
-from ncpq.quiver import Quiver
+from ncpq.quiver import Quiver, euler_form, parse_quiver
 from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
                        maximal_chains, walk_down)
 
@@ -747,3 +747,24 @@ def test_positive_representative_rejects_mixed():
     assert positive_representative((1, 0)) == (1, 0)
     with pytest.raises(NcpqError):
         positive_representative((1, -1))
+
+
+@pytest.mark.parametrize("label", sorted(DYNKIN_QUIVERS))
+def test_euler_table_is_the_euler_form_on_the_sorted_roots(label):
+    q = DYNKIN_QUIVERS[label]
+    roots = generate_roots(q)
+    ordered = roots.sorted_roots()
+    assert roots.euler == tuple(tuple(euler_form(q, a, b) for b in ordered) for a in ordered)
+
+
+def test_root_cap_counts_every_root_once(monkeypatch):
+    # A wild quiver with 348 real roots of height <= 100, the simple
+    # roots among them: the cap holds them all at 348 and refuses at 347,
+    # also down to a cap below the vertex count.
+    q = parse_quiver("vertices 3\narrow 1 2\narrow 1 2\narrow 2 3\n")
+    monkeypatch.setattr("ncpq.weyl.DEFAULT_ROOT_CAP", 348)
+    assert len(generate_roots(q).positive_real_roots) == 348
+    for cap in (347, 2):
+        monkeypatch.setattr("ncpq.weyl.DEFAULT_ROOT_CAP", cap)
+        with pytest.raises(CapExceededError, match=f"^root count exceeds cap {cap}$"):
+            generate_roots(q)
