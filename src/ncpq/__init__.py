@@ -17,7 +17,6 @@ from .errors import (
 from .exc import (
     ExcSequence,
     Subcategory,
-    braid_mutate,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
     extend_to_complete,
@@ -27,13 +26,6 @@ from .exc import (
     right_perp,
     sequence_product,
     thick_closure,
-)
-from .hurwitz import (
-    ReflectionTuple,
-    hurwitz_move,
-    hurwitz_orbit,
-    same_orbit,
-    tuple_from_roots,
 )
 from .quiver import (
     CartanMatrix,

@@ -1,5 +1,5 @@
 """Exceptional sequences and antichains, perpendicular categories, thick
-closures, braid mutations, and exhaustive enumeration.
+closures, and exhaustive enumeration.
 
 Everything here works at the level of positive roots: in finite type each
 root names exactly one indecomposable, and the registry answers all Hom and
@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
                      topological_sort)
-from .hurwitz import _Braid
 from .rep import IndecRegistry, top_simples
 from .weyl import (RootSystem, WeylElement, chain_counts, maximal_chains, multiply, simple_root,
                    walk_down)
@@ -261,21 +260,6 @@ def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
         return children
 
     return walk_down((1 << len(roots)) - 1, expand, "subcategory count")
-
-
-def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
-    """Braid move at i on a complete exceptional sequence, checked
-    exceptional: the Hurwitz move on the reflections at its roots, so
-    (a, b) becomes (b, s_b(a)) forward and (s_a(b), a) inverse, signs
-    dropped, on the move table of `hurwitz` with the root system's
-    reflections."""
-    if len(seq) != reg.quiver.n:
-        raise ValidationError("braid mutation is defined on complete sequences")
-    braid = _Braid(reg.rootsystem.reflection)
-    roots = braid.roots_of(braid.step(tuple(map(braid.root_id, seq.roots)), i, inverse))
-    if not is_exceptional_sequence(roots, reg):
-        raise NcpqError("mutation produced a non-exceptional sequence; this is a bug")
-    return ExcSequence(roots)
 
 
 def extend_to_complete(seq: ExcSequence, reg: IndecRegistry) -> ExcSequence:

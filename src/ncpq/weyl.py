@@ -17,9 +17,8 @@ its nonzero rows written as integer multiples of their primitive rows
 (`Reflection._sparse`), and every row of w*t is updated from the
 original row of w. It makes every reflection-times-element product of
 the package: the walk's one matrix per element, the folds of `multiply`
-(behind `coxeter_element`, `exc.sequence_product`,
-`ReflectionTuple.product` and the exchange witness's s_i*P), the
-witness's P*s_alpha, the braid table's pair products and `verify`'s
+(behind `coxeter_element`, `exc.sequence_product` and the exchange
+witness's s_i*P), the witness's P*s_alpha, the braid table's pair products and `verify`'s
 induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
 stays the general product.
 

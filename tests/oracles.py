@@ -18,10 +18,13 @@ registry module from its own root walk and replay, with no memo shared
 between roots, type
 classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
-mutation edges from one `braid_mutate` call per edge (it shares the
-hurwitz move table with `braid_edges` but checks its whole result
-exceptional) with the product of the whole sequence compared before and
-after, conjugation depths by breadth-first search over roots under the simple
+and from a breadth-first search over forward and inverse moves
+(`hurwitz_orbit`, `same_orbit`) on this module's own move table, which
+has both directions where the package's `braid_edges` table has only the
+forward one, mutation edges from one `braid_mutate` call per edge (on
+the same two-way table, its whole result checked exceptional) with the
+product of the whole sequence compared before and after, conjugation
+depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with
 the simple reflections, the interval [1, c] by filtering the whole group,
 interval sizes from the Coxeter-Catalan numbers of the
@@ -40,22 +43,25 @@ subcategory and from containment against absolute order on every pair.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from ncpq import (absolute_length, braid_mutate, build_registry, cartan_matrix, cox,
-                  coxeter_element, generate_roots, identity, interval_covers, make_reflection,
-                  Quiver, ReflectionTuple, sequence_product, thick_closure)
+from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_element,
+                  generate_roots, identity, interval_covers, is_exceptional_sequence,
+                  make_reflection, multiply, Quiver, sequence_product, thick_closure)
 from ncpq._linalg import int_echelon, int_rank, mat_mul
 from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
-from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
-from ncpq.quiver import euler_form, topological_order, topological_sort
-from ncpq.rep import (_is_simple_vector, _reflect_quiver, _source_cokernel_step,
+from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
+from ncpq.hurwitz import DEFAULT_ORBIT_CAP
+from ncpq.quiver import Vector, euler_form, topological_order, topological_sort
+from ncpq.rep import (IndecRegistry, _is_simple_vector, _reflect_quiver, _source_cokernel_step,
                       simple_representation)
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
                        is_positive, positive_representative, reflect_right, simple_reflect,
@@ -332,6 +338,211 @@ def minimal_reflection_factorizations(w: WeylElement, roots: RootSystem) -> set:
         return found
 
     return set(factorizations(w, roots.reflections()))
+
+
+@dataclass(frozen=True)
+class ReflectionTuple:
+    """Ordered tuple of reflections of a quiver's Weyl group; equality and
+    hash are by (quiver, items)."""
+
+    quiver: Quiver
+    items: tuple[Reflection, ...]
+
+    def __post_init__(self):
+        for r in self.items:
+            if r.element.n != self.n:
+                raise ValidationError("reflection rank does not match tuple rank")
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    @property
+    def n(self) -> int:
+        return self.quiver.n
+
+    @functools.cached_property
+    def product(self) -> WeylElement:
+        """Left-to-right product of the reflections, computed on first use."""
+        return multiply(self.items, self.n)
+
+    @property
+    def roots(self) -> tuple[Vector, ...]:
+        return tuple(r.root for r in self.items)
+
+
+def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
+    """Build a tuple of reflections at the given positive real roots."""
+    return ReflectionTuple(q, tuple(make_reflection(q, r) for r in roots))
+
+
+class _Braid:
+    """Braid moves of one search on interned reflections, forward and
+    inverse: the move at i swaps the pair (a, b) to (b, s_b(a)) and the
+    inverse move swaps it to (s_a(b), a), signs dropped.
+
+    Each reflection gets a small int id, once, by its root, and a tuple
+    becomes a tuple of ids; `reflection` gives the reflection at a root
+    not yet interned. The move table maps (id_a, id_b, inverse) to the
+    ids of the moved pair (b', c'); an entry is filled, and its pair
+    products compared, the first time that pair is moved. After that a
+    move is a table lookup and tuple slicing. Each search makes its own
+    and drops it."""
+
+    def __init__(self, reflection: Callable[[Vector], Reflection]) -> None:
+        self.reflection = reflection
+        self.reflections: list[Reflection] = []
+        self.ids: dict[Vector, int] = {}
+        self.table: dict[tuple[int, int, bool], tuple[int, int]] = {}
+
+    def intern(self, r: Reflection) -> int:
+        k = self.ids.get(r.root)
+        if k is None:
+            k = self.ids[r.root] = len(self.reflections)
+            self.reflections.append(r)
+        elif self.reflections[k].element != r.element:
+            raise NcpqError(f"two reflections at root {r.root} have different matrices")
+        return k
+
+    def root_id(self, root: Vector) -> int:
+        """The id of the reflection at `root`, looked up if it is new."""
+        k = self.ids.get(root)
+        return self.intern(self.reflection(root)) if k is None else k
+
+    def ids_of(self, t: ReflectionTuple) -> tuple[int, ...]:
+        return tuple(self.intern(r) for r in t.items)
+
+    def tuple_of(self, q: Quiver, ids: tuple[int, ...]) -> ReflectionTuple:
+        return ReflectionTuple(q, tuple(self.reflections[k] for k in ids))
+
+    def roots_of(self, ids: tuple[int, ...]) -> tuple[Vector, ...]:
+        return tuple(self.reflections[k].root for k in ids)
+
+    def _fill(self, key: tuple[int, int, bool]) -> tuple[int, int]:
+        ia, ib, inverse = key
+        a, b = self.reflections[ia], self.reflections[ib]
+        by, r = (a, b) if inverse else (b, a)
+        root = positive_representative(by.element(r.root))
+        try:
+            k = self.root_id(root)
+        except ValidationError as err:
+            raise NcpqError(f"moved vector {root} is not a root; this is a bug") from err
+        moved = (k, ia) if inverse else (ib, k)
+        b_new, c_new = (self.reflections[j] for j in moved)
+        if reflect_right(a.element, b) != reflect_right(b_new.element, c_new):
+            raise NcpqError("braid move changed the reflection product; this is a bug")
+        self.table[key] = moved
+        return moved
+
+    def step(self, ids: tuple[int, ...], i: int, inverse: bool) -> tuple[int, ...]:
+        """The move at position i (1-based) on a tuple of ids."""
+        if not 1 <= i <= len(ids) - 1:
+            raise ValidationError(f"move index {i} out of range 1..{len(ids) - 1}")
+        key = (ids[i - 1], ids[i], inverse)
+        moved = self.table.get(key) or self._fill(key)
+        return ids[: i - 1] + moved + ids[i + 1:]
+
+    def neighbours(self, ids: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every forward and inverse move of a tuple of ids, with its
+        signed index (+i forward, -i inverse)."""
+        for i in range(1, len(ids)):
+            yield self.step(ids, i, False), i
+            yield self.step(ids, i, True), -i
+
+
+def _braid(q: Quiver) -> _Braid:
+    """A move table that builds each moved reflection from its root."""
+    return _Braid(functools.partial(make_reflection, q))
+
+
+def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
+    """Apply the braid move at position i (1-based, 1 <= i <= len-1)."""
+    braid = _braid(t.quiver)
+    return braid.tuple_of(t.quiver, braid.step(braid.ids_of(t), i, inverse))
+
+
+def _search(braid: _Braid, start: tuple[int, ...], cap: int,
+            goal: tuple[int, ...] | None = None) -> dict[tuple[int, ...], int]:
+    """Breadth-first search of the braid orbit of a tuple of ids, stopping
+    once `goal` is reached. Maps each tuple reached to the signed move
+    that reached it from its parent, 0 for the start: the opposite move
+    leads back to the parent, as a move and its inverse undo each other.
+    Reaching more than `cap` tuples raises CapExceededError."""
+    if cap < 1:
+        raise ValidationError("cap must be positive")
+    parents = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        for nxt, move in braid.neighbours(frontier.popleft()):
+            if nxt not in parents:
+                if len(parents) >= cap:
+                    raise CapExceededError(f"orbit size exceeds cap {cap}")
+                parents[nxt] = move
+                if nxt == goal:
+                    return parents
+                frontier.append(nxt)
+    return parents
+
+
+def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[ReflectionTuple]:
+    """Closure of t under all forward and inverse moves."""
+    braid = _braid(t.quiver)
+    return {braid.tuple_of(t.quiver, ids) for ids in _search(braid, braid.ids_of(t), cap)}
+
+
+def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
+               cap: int = DEFAULT_ORBIT_CAP) -> tuple[bool, list[int] | None]:
+    """Decide whether b lies in the braid orbit of a.
+
+    Returns (True, certificate) where the certificate is a list of signed
+    move indices (+i forward, -i inverse) carrying a onto b, or
+    (False, None). Unequal products answer False immediately since every
+    move preserves the product. Tuples of different lengths or over
+    different quivers raise ValidationError: over two quivers equal
+    products need not mean equal reflections.
+    """
+    if a.quiver != b.quiver or len(a) != len(b):
+        raise ValidationError("only tuples of one length over one quiver are comparable")
+    if a.product != b.product:
+        return False, None
+    if a.roots == b.roots:
+        return True, []
+    braid = _braid(a.quiver)
+    start, goal = braid.ids_of(a), braid.ids_of(b)
+    parents = _search(braid, start, cap, goal)
+    if goal not in parents:
+        return False, None
+    moves: list[int] = []
+    key = goal
+    while parents[key]:
+        move = parents[key]
+        moves.append(move)
+        key = braid.step(key, abs(move), move > 0)  # the opposite move: back to the parent
+    moves.reverse()
+    return True, moves
+
+
+def replay_certificate(t: ReflectionTuple, moves: list[int]) -> ReflectionTuple:
+    """Apply a signed move word as produced by same_orbit."""
+    braid = _braid(t.quiver)
+    ids = braid.ids_of(t)
+    for m in moves:
+        ids = braid.step(ids, abs(m), m < 0)
+    return braid.tuple_of(t.quiver, ids)
+
+
+def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) -> ExcSequence:
+    """Braid move at i on a complete exceptional sequence, checked
+    exceptional: the Hurwitz move on the reflections at its roots, so
+    (a, b) becomes (b, s_b(a)) forward and (s_a(b), a) inverse, signs
+    dropped, on the move table above with the root system's
+    reflections."""
+    if len(seq) != reg.quiver.n:
+        raise ValidationError("braid mutation is defined on complete sequences")
+    braid = _Braid(reg.rootsystem.reflection)
+    roots = braid.roots_of(braid.step(tuple(map(braid.root_id, seq.roots)), i, inverse))
+    if not is_exceptional_sequence(roots, reg):
+        raise NcpqError("mutation produced a non-exceptional sequence; this is a bug")
+    return ExcSequence(roots)
 
 
 def factor_in_reflections(w: WeylElement, roots: RootSystem, reg) -> ReflectionTuple:

@@ -19,14 +19,12 @@ from ncpq import (
     enumerate_complete_sequences,
     exchange_index,
     generate_roots,
-    hurwitz_orbit,
     is_exceptional,
     is_exceptional_sequence,
     is_projective_sequence,
     parse_quiver,
     simple_root,
     thick_closure,
-    tuple_from_roots,
     verify_bijection,
 )
 from ncpq.exc import ExcSequence, order_antichain
@@ -42,7 +40,9 @@ from oracles import (
     brute_force_factorizations,
     complete_sequences_within,
     ext_dim_via_resolution,
+    hurwitz_orbit,
     random_positive_root,
+    tuple_from_roots,
 )
 
 _REPORTS: dict = {}

@@ -24,12 +24,10 @@ from ncpq import (
     reflect_right,
     thick_closure,
     topological_order,
-    tuple_from_roots,
     verify_bijection,
 )
 from ncpq.errors import NonFiniteTypeError, ValidationError
 from ncpq.exc import order_antichain, sequence_product
-from ncpq.hurwitz import hurwitz_orbit
 
 from oracles import (
     CLOSED_FORM_PINS,
@@ -42,10 +40,12 @@ from oracles import (
     complete_sequences_within,
     exceptional_antichains_by_backtracking,
     factor_in_reflections,
+    hurwitz_orbit,
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
     oriented_dynkin,
     subcategories,
+    tuple_from_roots,
     weyl_group,
 )
 

@@ -16,13 +16,11 @@ from ncpq import (
     ExcSequence,
     Reflection,
     Subcategory,
-    braid_mutate,
     build_registry,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
     extend_to_complete,
     generate_roots,
-    hurwitz_orbit,
     is_exceptional_sequence,
     is_projective_sequence,
     left_perp,
@@ -31,7 +29,6 @@ from ncpq import (
     sequence_product,
     thick_closure,
     topological_order,
-    tuple_from_roots,
 )
 from ncpq import exc, rep
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
@@ -50,15 +47,18 @@ from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
+    braid_mutate,
     braid_orbit_by_full_products,
     exceptional_antichains_by_backtracking,
     exceptional_sequences,
+    hurwitz_orbit,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,
     oriented_dynkin,
     simples_by_injective_maps,
     subcategories,
     subcategory_covers_by_frozensets,
+    tuple_from_roots,
 )
 
 S1, S2, P1 = (1, 0), (0, 1), (1, 1)

@@ -1,4 +1,5 @@
-"""Tests for braid moves on reflection tuples, orbits, and certificates."""
+"""Tests for the braid graph `braid_edges`, and for the braid moves,
+orbits and certificates of the oracles that it is checked against."""
 
 from __future__ import annotations
 
@@ -6,29 +7,31 @@ import random
 
 import pytest
 
-import ncpq.hurwitz
 from ncpq import (
     Reflection,
-    ReflectionTuple,
+    WeylElement,
     coxeter_element,
     generate_roots,
-    hurwitz_move,
-    hurwitz_orbit,
     identity,
     parse_quiver,
-    same_orbit,
     simple_root,
     topological_order,
-    tuple_from_roots,
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
-from ncpq.hurwitz import braid_edges, replay_certificate
+from ncpq.hurwitz import braid_edges
 
+import oracles
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
 from oracles import (
+    ReflectionTuple,
     braid_orbit_by_full_products,
+    hurwitz_move,
+    hurwitz_orbit,
     minimal_reflection_factorizations,
     random_reflection_tuple_roots,
+    replay_certificate,
+    same_orbit,
+    tuple_from_roots,
 )
 
 
@@ -125,23 +128,47 @@ def test_orbit_cap_boundary(a3):
         hurwitz_orbit(t, cap=len(orbit) - 1)
 
 
-def test_orbit_edges_match_single_moves(a3):
-    ordered = sorted(hurwitz_orbit(tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
-                     key=lambda t: t.roots)
-    ids = {t.roots: k for k, t in enumerate(ordered)}
-    expected = set()
-    for k, t in enumerate(ordered):
-        for i in (1, 2):
-            j = ids[hurwitz_move(t, i).roots]
-            if j != k:
-                expected.add((min(j, k), max(j, k)))
-    assert braid_edges([t.roots for t in ordered], generate_roots(a3).reflection) == expected
-
-
 def test_orbit_edges_reject_an_open_set(a3):
     t = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValidationError):
         braid_edges([t.roots], generate_roots(a3).reflection)
+
+
+# `braid_edges` refuses a corrupted root lookup as a bug. On the simple
+# roots of A3 its first move takes (a1, a2) to (a2, a1 + a2), so it looks
+# up the reflection at a1 + a2 and multiplies by the one at a2.
+A3_SIMPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _answering(roots, at, wrong):
+    """The root system's reflection lookup, except that it answers `at`
+    with `wrong`."""
+    return lambda root: wrong if root == at else roots.reflection(root)
+
+
+def test_braid_edges_refuse_a_matrix_that_disagrees_with_its_root(a3_roots):
+    # s1's matrix at a1 + a2 makes the pair product a2·s1, not s1·s2.
+    s1 = a3_roots.reflection((1, 0, 0))
+    lookup = _answering(a3_roots, (1, 1, 0), Reflection((1, 1, 0), s1.element))
+    with pytest.raises(NcpqError, match="product"):
+        braid_edges([A3_SIMPLES], lookup)
+
+
+def test_braid_edges_refuse_a_moved_vector_that_is_not_a_root(a3_roots):
+    # A matrix at a2 that doubles e1 moves a1 to 2·a1, which has no reflection.
+    doubled = WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    lookup = _answering(a3_roots, (0, 1, 0), Reflection((0, 1, 0), doubled))
+    with pytest.raises(NcpqError, match="is not a root"):
+        braid_edges([A3_SIMPLES], lookup)
+
+
+def test_braid_edges_refuse_two_matrices_at_one_root(a3_roots):
+    # The lookup answers a1 + a2 with a reflection at the interned a1 that
+    # carries s2's matrix.
+    s2 = a3_roots.reflection((0, 1, 0))
+    lookup = _answering(a3_roots, (1, 1, 0), Reflection((1, 0, 0), s2.element))
+    with pytest.raises(NcpqError, match="different matrices"):
+        braid_edges([A3_SIMPLES], lookup)
 
 
 def test_replay_certificate_rejects_move_zero(a2):
@@ -241,12 +268,12 @@ def test_corrupted_conjugate_is_caught(a3, monkeypatch):
     start = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     other = hurwitz_move(start, 2)
     assert (1, 1, 0) not in other.roots
-    honest = ncpq.hurwitz.make_reflection
+    honest = oracles.make_reflection
 
     def corrupted(q, root):
         return Reflection(root, honest(q, (1, 0, 0)).element)
 
-    monkeypatch.setattr(ncpq.hurwitz, "make_reflection", corrupted)
+    monkeypatch.setattr(oracles, "make_reflection", corrupted)
     with pytest.raises(NcpqError, match="product"):
         hurwitz_move(start, 1)
     with pytest.raises(NcpqError, match="product"):
@@ -278,3 +305,26 @@ def test_orbit_matches_full_product_oracle(name):
     assert braid_orbit_by_full_products(q, start_roots) == orbit
     assert orbit == minimal_reflection_factorizations(coxeter_element(q, order),
                                                       generate_roots(q))
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_QUIVERS))
+def test_orbit_edges_match_single_moves(name):
+    # The package's table moves forward only. Every inverse move of the
+    # oracle's two-way table reverses an edge it drew, so dropping the
+    # inverse direction loses no edge.
+    q = parse_quiver(ORBIT_QUIVERS[name])
+    start = tuple(simple_root(q.n, i) for i in topological_order(q))
+    ordered = sorted(hurwitz_orbit(tuple_from_roots(q, start)), key=lambda t: t.roots)
+    ids = {t.roots: k for k, t in enumerate(ordered)}
+    expected = set()
+    for k, t in enumerate(ordered):
+        for i in range(1, q.n):
+            j = ids[hurwitz_move(t, i).roots]
+            if j != k:
+                expected.add((min(j, k), max(j, k)))
+    edges = braid_edges([t.roots for t in ordered], generate_roots(q).reflection)
+    assert edges == expected
+    for k, t in enumerate(ordered):
+        for i in range(1, q.n):
+            j = ids[hurwitz_move(t, i, inverse=True).roots]
+            assert j == k or (min(j, k), max(j, k)) in edges
