@@ -2,16 +2,17 @@
 closures, and exhaustive enumeration.
 
 Everything here works at the level of positive roots: in finite type each
-root names exactly one indecomposable, and the registry answers all Hom and
-Ext questions. A sequence is exceptional when nothing maps or extends
-backwards; an antichain is a pairwise Hom-orthogonal set of exceptional
-modules, and it generates a thick subcategory recorded by its
-indecomposables: an int mask over the registry's roots, as on the
-interval side, turned into a frozenset of roots only where the library
-hands one out. The subcategories are walked down from the whole
-category by `subcategory_covers`, whose maximal chains are the complete
-exceptional sequences (see `weyl.braid_transitive` for their one
-mutation class) and whose nodes' simples are the exceptional antichains
+root names exactly one indecomposable, and the registry reads every Hom
+and Ext between them off the Euler form, with no rank. A sequence is
+exceptional when nothing maps or extends backwards; an antichain is a
+pairwise Hom-orthogonal set of exceptional modules, and it generates a
+thick subcategory recorded by its indecomposables: an int mask over the
+registry's roots, as on the interval side, turned into a frozenset of
+roots only where the library hands one out. The subcategories are
+walked down from the whole category by `subcategory_covers`, whose
+maximal chains are the complete exceptional sequences (see
+`weyl.braid_transitive` for their one mutation class) and whose nodes'
+simples are the exceptional antichains
 (`enumerate_exceptional_antichains`).
 """
 
@@ -185,14 +186,17 @@ def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
     return positive_root_count(classification.label)
 
 
-def _checked_subcategory(ind: int, members: Iterable[Vector], rank: int,
-                         reg: IndecRegistry) -> tuple[Vector, ...]:
+def _checked_subcategory(ind: int, members: Iterable[Vector], rank: int, reg: IndecRegistry,
+                         generators: int | None = None) -> tuple[Vector, ...]:
     """The ordered simples of the subcategory on the root mask `ind`,
     checked: `rank` simples that order into an exceptional sequence, as
     many indecomposables (`ind.bit_count()`) as the roots of their
     Ext-quiver, and `ind` is the double perpendicular of the simples.
     The simples' Ext-quiver is read from the registry once, for both the
-    order and the root count. No set of roots is built."""
+    order and the root count. No set of roots is built. A caller that
+    made `ind` as the double perpendicular of the root mask `generators`
+    passes it: when the simples are exactly those roots, the fixpoint
+    holds by construction and is not computed again."""
     simples = _subcategory_simples(ind, members, reg)
     if len(simples) != rank:
         raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
@@ -203,7 +207,8 @@ def _checked_subcategory(ind: int, members: Iterable[Vector], rank: int,
         raise NcpqError("subcategory simples do not order into an exceptional sequence")
     if ordered and _relative_root_count(order, ext) != ind.bit_count():
         raise NcpqError("subcategory size disagrees with its relative root count")
-    if _closure(ordered, reg) != ind:
+    generated = generators is not None and reg.mask_of(ordered) == generators
+    if not generated and _closure(ordered, reg) != ind:
         raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
     return ordered
 
@@ -215,10 +220,11 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     if not is_exceptional_sequence(members, reg):
         raise ValidationError("input is not an exceptional sequence")
     ind = _closure(members, reg)
-    if reg.mask_of(members) & ~ind:
+    generators = reg.mask_of(members)
+    if generators & ~ind:
         raise NcpqError("closure lost a generator; this is a bug")
     ind_roots = reg.roots_of(ind)
-    simples = _checked_subcategory(ind, ind_roots, len(members), reg)
+    simples = _checked_subcategory(ind, ind_roots, len(members), reg, generators)
     return Subcategory(frozenset(ind_roots), simples)
 
 

@@ -12,17 +12,19 @@ Integral entries are stored as ints. Each step takes
 its cokernel from an integer left kernel (`_linalg.int_kernel`), so the
 registry maps are integral (E7's have entries in {-1, 0, 1}; the tests
 pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
-from their fraction-free integer rank (`_linalg.rank`). Ext dimensions
-come from the bilinear-form identity hom - ext = form(dim M, dim N),
+from their fraction-free integer rank (`_linalg.rank`), and `ext_dim`
+comes from the bilinear-form identity hom - ext = form(dim M, dim N),
 which is validated against an independent resolution-based computation
-in the test suite. The same identity screens the registry's per-root
-masks (`IndecRegistry.right_orth`, `left_orth`, `maps_into`), int
-bitmasks over the roots in the order of the root system's reflections:
-as Ext >= 0, a nonzero form decides orthogonality and a positive one
-proves Hom != 0, so only the remaining pairs are ranked. `hom_basis`
-gives an integer basis of Hom from the same kernel; only the injectivity
-scan `IndecRegistry.has_injective_hom` uses it, and no ncpq function
-calls that scan.
+in the test suite. The registry ranks only its exceptionality
+certificate, one endomorphism ring per root: in finite type Hom and Ext
+between indecomposables are the positive and negative parts of the
+Euler form (`RootSystem.euler`; proof in the `IndecRegistry`
+docstring), so its per-root masks (`right_orth`, `left_orth`,
+`maps_into`), int bitmasks over the roots in the order of the root
+system's reflections, are screens on that table. `hom_basis` gives an
+integer basis of Hom from the same kernel; only the injectivity scan
+`IndecRegistry.has_injective_hom` uses it, and no ncpq function calls
+that scan.
 """
 
 from __future__ import annotations
@@ -326,24 +328,38 @@ def indecomposable_for_root(q: Quiver, alpha: Vector,
 
 
 class IndecRegistry:
-    """Complete table positive root -> indecomposable, with memoized
-    Hom/Ext lookups keyed by root pairs.
+    """Complete table positive root -> indecomposable, with Hom and Ext
+    read off the Euler form.
 
     The roots are numbered as `RootSystem.sorted_roots` numbers them, in
     the order of its reflections, so bit k of an int mask names the k-th
     root on both sides of the bijection; `mask_of` and `roots_of`
-    convert. Immutable after build; all memos fill lazily, on first use:
-    Hom and Ext per ordered root pair (`_hom`, `_ext`); per root the
-    masks that perpendicular categories intersect (`right_orth`,
-    `left_orth`) and the mask of the roots mapping into it from below
-    (`maps_into`); and the injectivity scan's answers (`_injective`).
-    The memo dicts are safe for concurrent reads under the GIL.
+    convert. Immutable after build; its memos fill lazily, on first use:
+    per root the masks that perpendicular categories intersect
+    (`right_orth`, `left_orth`) and the mask of the roots mapping into it
+    from below (`maps_into`); and the injectivity scan's answers
+    (`_injective`). The memo dicts are safe for concurrent reads under
+    the GIL.
 
-    The per-root masks rank only where the Euler form (`RootSystem.euler`)
-    is silent: dim Hom(a, m) - dim Ext(a, m) = <a, m> and Ext >= 0, so
-    <a, m> > 0 proves Hom(a, m) != 0, <a, m> < 0 proves Ext(a, m) != 0,
-    and <a, m> = 0 gives Ext(a, m) = Hom(a, m), one rank deciding both.
-    `hom` and `ext` still return exact ranks wherever they are asked.
+    For the modules at roots a and b, dim Hom(a, b) = max(0, <a, b>) and
+    dim Ext(a, b) = max(0, -<a, b>), with <a, b> the Euler form
+    (`RootSystem.euler`), so `hom`, `ext` and the masks rank nothing. A
+    registry exists only in finite type (`build_registry` refuses a
+    truncated root system or one of the wrong size), and there:
+    - Each module has End = k, which `build_registry` ranks, so it is
+      indecomposable, and the modules are the indecomposables, one per
+      positive root (Gabriel).
+    - dim Hom(X, Y) - dim Ext(X, Y) = <dim X, dim Y> for all modules.
+    - Hom(X, Y) and Ext(X, Y) are never both nonzero. Ext(X, Y) =
+      D Hom(Y, tau X) (Auslander-Reiten), so both would give nonzero
+      maps X -> Y -> tau X, and the almost split sequence ending in X
+      (not projective, as Ext(X, -) != 0) irreducible maps
+      tau X -> E -> X. Then X lies on a cycle of nonzero non-invertible
+      maps between indecomposables (compose away any invertible step);
+      but the Auslander-Reiten quiver of a Dynkin quiver is its
+      preprojective component, so no indecomposable lies on a cycle
+      (Ringel 1984, 2.4).
+    So one of Hom and Ext is 0, and the other is |<a, b>|.
     """
 
     def __init__(self, quiver: Quiver, rootsystem: RootSystem,
@@ -355,9 +371,7 @@ class IndecRegistry:
         self._roots = rootsystem.sorted_roots()
         self._index = {r: k for k, r in enumerate(self._roots)}
         self._reps = tuple(reps[r] for r in self._roots)
-        self._hom: dict[tuple[Vector, Vector], int] = {}
         self._injective: dict[tuple[Vector, Vector], bool] = {}
-        self._ext: dict[tuple[Vector, Vector], int] = {}
         self._right_orth: dict[Vector, int] = {}
         self._left_orth: dict[Vector, int] = {}
         self._maps_into: dict[Vector, int] = {}
@@ -397,59 +411,55 @@ class IndecRegistry:
             mask ^= low
         return tuple(out)
 
+    def _form(self, a: Vector, b: Vector) -> int:
+        """<a, b> from `RootSystem.euler`, with the lookups of `_position`
+        inline: `hom` and `ext` are the registry's hottest calls."""
+        index = self._index
+        try:
+            return self.rootsystem.euler[index[a]][index[b]]
+        except KeyError as missing:
+            raise ValidationError(f"{missing.args[0]} is not a registered root") from None
+
     def hom(self, a: Vector, b: Vector) -> int:
-        key = (a, b)
-        value = self._hom.get(key)
-        if value is None:
-            value = hom_dim(self[a], self[b])
-            self._hom[key] = value
-        return value
+        """dim Hom(a, b) = max(0, <a, b>). An unregistered root raises
+        ValidationError here and in the next four."""
+        form = self._form(a, b)
+        return form if form > 0 else 0
 
     def ext(self, a: Vector, b: Vector) -> int:
-        key = (a, b)
-        value = self._ext.get(key)
-        if value is None:
-            value = self.hom(a, b) - euler_form(self.quiver, a, b)
-            if value < 0:
-                raise NcpqError("negative Ext dimension; this is a bug")
-            self._ext[key] = value
-        return value
+        """dim Ext(a, b) = max(0, -<a, b>)."""
+        form = self._form(a, b)
+        return -form if form < 0 else 0
 
     def right_orth(self, a: Vector) -> int:
-        """The mask of the roots m with Hom(a, m) = Ext(a, m) = 0.
-
-        If <a, m> != 0, Hom and Ext cannot both vanish; if <a, m> = 0,
-        Ext = Hom. So m lies here exactly when <a, m> = 0 and
-        hom(a, m) = 0, and only those pairs are ranked. An unregistered
-        root raises ValidationError here and in the next two."""
+        """The mask of the roots m with Hom(a, m) = Ext(a, m) = 0: those
+        with <a, m> = 0."""
         orth = self._right_orth.get(a)
         if orth is None:
             row = self.rootsystem.euler[self._position(a)]
-            orth = self._right_orth[a] = sum(1 << k for k, m in enumerate(self._roots)
-                                             if row[k] == 0 and self.hom(a, m) == 0)
+            orth = self._right_orth[a] = sum(1 << k for k, e in enumerate(row) if e == 0)
         return orth
 
     def left_orth(self, a: Vector) -> int:
-        """The mask of the roots m with Hom(m, a) = Ext(m, a) = 0, screened
-        by <m, a> as `right_orth` is by <a, m>."""
+        """The mask of the roots m with Hom(m, a) = Ext(m, a) = 0: those
+        with <m, a> = 0."""
         orth = self._left_orth.get(a)
         if orth is None:
-            j, euler = self._position(a), self.rootsystem.euler
-            orth = self._left_orth[a] = sum(1 << k for k, m in enumerate(self._roots)
-                                            if euler[k][j] == 0 and self.hom(m, a) == 0)
+            j = self._position(a)
+            orth = self._left_orth[a] = sum(1 << k for k, row in enumerate(self.rootsystem.euler)
+                                            if row[j] == 0)
         return orth
 
     def maps_into(self, m: Vector) -> int:
         """The mask of the roots x with dim x not >= dim m componentwise
-        and Hom(x, m) != 0. <x, m> > 0 proves Hom(x, m) != 0 with no
-        rank; the other pairs are ranked. The dimension test runs first
-        and rules out x = m."""
+        and Hom(x, m) != 0: <x, m> > 0. The dimension test rules out
+        x = m."""
         into = self._maps_into.get(m)
         if into is None:
             j, euler = self._position(m), self.rootsystem.euler
             into = self._maps_into[m] = sum(
-                1 << k for k, x in enumerate(self._roots) if any(map(int.__lt__, x, m))
-                and (euler[k][j] > 0 or self.hom(x, m) != 0))
+                1 << k for k, x in enumerate(self._roots)
+                if euler[k][j] > 0 and any(map(int.__lt__, x, m)))
         return into
 
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
@@ -506,8 +516,11 @@ class IndecRegistry:
 def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
     """Construct and certify the full root -> indecomposable table: one
     `_transport` over every positive root, so the registry makes at most
-    n·|Φ⁺| cokernel steps, and each entry is then certified exceptional.
-    `roots` defaults to `complete_roots`, which refuses before generating."""
+    n·|Φ⁺| cokernel steps, and each entry is then certified exceptional:
+    End = k by one rank, and Ext = 1 - <a, a> = 0, as <a, a> = 1 (also
+    checked). These ranks are the only ones a registry makes (see
+    `IndecRegistry`). `roots` defaults to `complete_roots`, which
+    refuses before generating."""
     if roots is None:
         roots = complete_roots(q)
     roots.require_complete()
@@ -516,6 +529,6 @@ def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
         raise NcpqError("positive-root count does not match the classified type")
     registry = IndecRegistry(q, roots, _transport(q, roots, sorted(roots.positive_real_roots)))
     for alpha in registry.roots():
-        if registry.hom(alpha, alpha) != 1 or registry.ext(alpha, alpha) != 0:
+        if hom_dim(registry[alpha], registry[alpha]) != 1 or euler_form(q, alpha, alpha) != 1:
             raise NcpqError(f"entry {alpha} failed its exceptionality certificate")
     return registry

@@ -33,9 +33,11 @@ and E8 too), relative simples from
 embeddings found by scanning combinations of explicit Hom bases, the
 subcategories as the thick closures of all exceptional antichains, not
 by the descent from the whole category, the antichains by a backtracker
-over Hom-orthogonal subsets with Hom ranked for every root pair, not as
-the simples of the descent's nodes, the descent itself on frozensets of
-root tuples, not on the registry's int masks, exceptional sequences by a
+over Hom-orthogonal subsets with Hom ranked (`rep.hom_dim`) for every
+root pair, not as the simples of the descent's nodes, the descent itself
+on frozensets of root tuples with Hom ranked where the Euler form is 0,
+not on the registry's int masks or its Euler-form Hom, exceptional
+sequences by a
 backtracker over prefixes, not over the descent, and the
 bijection's flags from every complete exceptional sequence of every
 subcategory and from containment against absolute order on every pair.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +58,7 @@ from hypothesis import strategies as st
 
 from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_element,
                   generate_roots, identity, interval_covers, is_exceptional_sequence,
-                  make_reflection, multiply, Quiver, sequence_product, thick_closure)
+                  make_reflection, multiply, Quiver, rep, sequence_product, thick_closure)
 from ncpq._linalg import int_echelon, int_rank, mat_mul
 from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
@@ -637,32 +640,36 @@ def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:
     return {w for w in weyl_group(q) if absolute_leq(w, c, roots)}
 
 
+# The frozenset `right_orth` of each registry, per root, so that oracles
+# calling it once per subcategory rank each pair once.
+_RIGHT_ORTHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def right_orth_by_frozensets(a, reg) -> frozenset:
     """The roots m with Hom(a, m) = Ext(a, m) = 0, as a frozenset of root
-    tuples: the registry's `right_orth` before it filled int masks.
+    tuples: the registry's `right_orth` before it filled int masks and
+    read Hom off the Euler form.
 
     If <a, m> != 0, Hom and Ext cannot both vanish; if <a, m> = 0,
     Ext = Hom. So m lies here exactly when <a, m> = 0 and
-    hom(a, m) = 0, and only those pairs are ranked. An unregistered
-    `a` raises ValidationError."""
-    reg[a]  # refuses an unregistered root
-    return frozenset(m for m in reg.roots()
-                     if euler_form(reg.quiver, a, m) == 0 and reg.hom(a, m) == 0)
+    Hom(a, m) = 0, and only those pairs are ranked, by `rep.hom_dim`
+    on the modules, not by the registry, once per registry and root. An
+    unregistered `a` raises ValidationError."""
+    orths = _RIGHT_ORTHS.setdefault(reg, {})
+    if a not in orths:
+        M = reg[a]  # refuses an unregistered root
+        orths[a] = frozenset(m for m in reg.roots()
+                             if euler_form(reg.quiver, a, m) == 0 and rep.hom_dim(M, reg[m]) == 0)
+    return orths[a]
 
 
 def subcategory_covers_by_frozensets(reg) -> dict:
     """The descent of `exc.subcategory_covers` on frozensets of root
     tuples, as it ran before the masks: B maps each member x, in root
-    order, to B ∩ x^⊥, read from `right_orth_by_frozensets` once per x."""
-    orths: dict = {}
-
-    def right_orth(x) -> frozenset:
-        if x not in orths:
-            orths[x] = right_orth_by_frozensets(x, reg)
-        return orths[x]
+    order, to B ∩ x^⊥, read from `right_orth_by_frozensets`."""
 
     def expand(b: frozenset) -> dict:
-        return {x: b & right_orth(x) for x in sorted(b)}
+        return {x: b & right_orth_by_frozensets(x, reg) for x in sorted(b)}
 
     return walk_down(frozenset(reg.roots()), expand, "subcategory count")
 
@@ -738,13 +745,16 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
 def exceptional_antichains_by_backtracking(q: Quiver, reg) -> set:
     """All pairwise Hom-orthogonal root sets whose Ext-quiver is acyclic,
     including the empty one, by backtracking over Hom-orthogonal subsets
-    with Hom ranked for every ordered root pair, not from the descent.
-    `q` must be the registry's quiver."""
+    with Hom ranked by `rep.hom_dim` for every ordered pair of distinct
+    roots, not read off the Euler form, and not from the descent. `q`
+    must be the registry's quiver."""
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
     roots = reg.roots()
     k = len(roots)
-    orthogonal = [[reg.hom(roots[i], roots[j]) == 0 and reg.hom(roots[j], roots[i]) == 0
+    hom = {(i, j): rep.hom_dim(reg[roots[i]], reg[roots[j]])
+           for i in range(k) for j in range(k) if i != j}
+    orthogonal = [[i != j and hom[i, j] == 0 and hom[j, i] == 0
                    for j in range(k)] for i in range(k)]
     found: set = set()
     chosen: list[int] = []

@@ -387,15 +387,18 @@ def test_verify_checks_each_subcategory_exceptional_once(d4, monkeypatch):
 
 
 def test_verify_ranks_hom_for_as_many_pairs_as_the_frozenset_registry(monkeypatch):
-    # E7 `verify` ranks Hom on 2248 root pairs, the registry's certificate
-    # included: the count the registry made when its per-root sets were
-    # frozensets. Int masks rank no pair more.
+    # E7 `verify` ranks Hom only for the registry's certificate, End = k
+    # on each of the 63 roots: every other Hom and Ext is read off the
+    # Euler form. The frozenset registry ranked 2248 pairs, and the masks
+    # with a rank where the form is 0 as many.
     real = ncpq.rep.hom_dim
     calls = []
     monkeypatch.setattr(ncpq.rep, "hom_dim", lambda m, n: calls.append((m, n)) or real(m, n))
     report = verify_bijection(DYNKIN_QUIVERS["E7"])
     assert report.all_ok
-    assert len(calls) == 2248
+    assert len(calls) == 63
+    assert [m.dims for m, n in calls] == [n.dims for m, n in calls] \
+        == sorted({m.dims for m, n in calls})
 
 
 # Elements, maximal chains and covers of [1, c] in E6 and E7; each cover

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -116,8 +116,11 @@ def d5_reg():
     return build_registry(parse_quiver(D5_TEXT))
 
 
+@cache
 def _orthogonal(reg, a, b):
-    return reg.hom(a, b) == 0 and reg.ext(a, b) == 0
+    # Ranked on the modules, not read off the registry's Euler form.
+    M, N = reg[a], reg[b]
+    return rep.hom_dim(M, N) == 0 and rep.ext_dim(M, N) == 0
 
 
 def _pairwise_right_perp(members, reg):
@@ -597,6 +600,29 @@ def test_subcategory_check_runs_the_fixpoint(a3_reg):
         _checked(a3_reg.mask_of(fake), 2, a3_reg)
 
 
+def test_subcategory_check_skips_the_fixpoint_only_for_its_generators(a3_reg, monkeypatch):
+    # `thick_closure` hands over the mask of the roots whose double
+    # perpendicular `ind` is. The fixpoint is skipped only when the simples
+    # are those roots, so the wrong `ind` of the test above is still refused
+    # under any other generators.
+    fake = a3_reg.mask_of({(0, 1, 0), (0, 0, 1), (1, 1, 0)})
+    for generators in (None, 0, a3_reg.mask_of([(0, 1, 0)]), fake,
+                       a3_reg.mask_of([(0, 1, 1), (0, 0, 1)])):
+        with pytest.raises(NcpqError, match="fixpoint"):
+            exc._checked_subcategory(fake, a3_reg.roots_of(fake), 2, a3_reg, generators)
+    closures = []
+    real = exc._closure
+    monkeypatch.setattr(exc, "_closure", lambda m, reg: closures.append(m) or real(m, reg))
+    # Generated by its simples: one closure, for `ind`.
+    sub = thick_closure(ExcSequence(((0, 1, 0), (0, 0, 1))), a3_reg)
+    assert sub.ind_roots == {(0, 1, 0), (0, 0, 1), (0, 1, 1)} and len(closures) == 1
+    # Generated by P23 and S3, whose simples are S2 and S3: the fixpoint
+    # runs on the simples.
+    closures.clear()
+    sub = thick_closure(ExcSequence(((0, 0, 1), (0, 1, 1))), a3_reg)
+    assert sorted(sub.simples) == [(0, 0, 1), (0, 1, 0)] and len(closures) == 2
+
+
 def test_subcategory_check_refuses_the_wrong_rank(a3_reg):
     everything = a3_reg.mask_of(a3_reg.roots())
     assert len(_checked(everything, 3, a3_reg)) == 3
@@ -672,14 +698,15 @@ def test_antichains_match_the_backtracker_on_random_orientations(drawn):
 
 
 def test_antichains_rank_hom_only_for_the_descent_and_the_simples(monkeypatch):
-    # On E7 the descent's orthogonal sets and the simples' `maps_into` rank
-    # Hom where the Euler form is silent; the backtracker ranks every
-    # ordered pair of the 63 roots.
+    # On E7 the descent's orthogonal sets and the simples' `maps_into` read
+    # Hom off the Euler form and rank nothing (they ranked 2152 pairs while
+    # they ranked where the form is 0); the backtracker ranks every ordered
+    # pair of distinct roots among the 63.
     q = DYNKIN_QUIVERS["E7"]
     real = rep.hom_dim
     calls = []
     monkeypatch.setattr(rep, "hom_dim", lambda m, n: calls.append((m, n)) or real(m, n))
-    for enumerate_antichains, ranks in ((enumerate_exceptional_antichains, 2152),
+    for enumerate_antichains, ranks in ((enumerate_exceptional_antichains, 0),
                                         (exceptional_antichains_by_backtracking, 3906)):
         reg = build_registry(q)
         calls.clear()

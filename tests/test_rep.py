@@ -172,18 +172,30 @@ def test_injective_hom_scan(a2_reg):
     assert not a2_reg.has_injective_hom((1, 1), (1, 0))  # dims forbid it
 
 
-@pytest.mark.parametrize("label", ["A4", "D5", "E6"])
-def test_hom_and_ext_are_the_parts_of_the_euler_form(label):
+def _assert_hom_and_ext_are_the_parts_of_the_euler_form(q):
     # Dynkin path algebras are representation-directed (Ringel 1984). Between
     # indecomposables X and Y, Hom(X, Y) != 0 and Ext(X, Y) = D Hom(Y, tau X)
     # != 0 would close a cycle X -> Y -> tau X -> X, so one of them is 0.
-    q = DYNKIN_QUIVERS[label]
+    # The registry reads both off the form; `hom_dim` and `ext_dim` rank.
     reg = build_registry(q)
     for a in reg.roots():
         for b in reg.roots():
             form = euler_form(q, a, b)
-            assert reg.hom(a, b) == max(form, 0)
-            assert reg.ext(a, b) == max(-form, 0)
+            M, N = reg[a], reg[b]
+            assert reg.hom(a, b) == hom_dim(M, N) == max(form, 0)
+            assert reg.ext(a, b) == ext_dim(M, N) == max(-form, 0)
+
+
+@pytest.mark.parametrize("label", list(DYNKIN_QUIVERS))
+def test_hom_and_ext_are_the_parts_of_the_euler_form(label):
+    _assert_hom_and_ext_are_the_parts_of_the_euler_form(DYNKIN_QUIVERS[label])
+
+
+@settings(max_examples=20, deadline=None)
+@given(oriented_dynkin(["A3", "A4", "A5", "D4", "D5", "E6"]))
+def test_hom_and_ext_are_the_parts_of_the_euler_form_on_random_orientations(drawn):
+    _, q, _ = drawn
+    _assert_hom_and_ext_are_the_parts_of_the_euler_form(q)
 
 
 def test_e7_registry_maps_have_integer_unit_entries():
@@ -328,12 +340,14 @@ def test_hom_ext_invariant_under_rational_change_of_basis(d4_reg):
             assert ext_dim(M, N) == d4_reg.ext(a, b) == ext_dim_via_resolution(M, N)
 
 
-def test_build_registry_fills_only_the_diagonal():
-    # The Hom table stays lazy: building certifies each entry against itself.
+def test_build_registry_fills_only_the_diagonal(monkeypatch):
+    # Building ranks each entry against itself, its certificate End = k,
+    # once per root, and fills no per-root mask.
+    real = rep.hom_dim
+    calls = []
+    monkeypatch.setattr(rep, "hom_dim", lambda m, n: calls.append((m.dims, n.dims)) or real(m, n))
     reg = build_registry(parse_quiver(D4_TEXT))
-    diagonal = {(r, r) for r in reg.roots()}
-    assert set(reg._hom) == diagonal
-    assert set(reg._ext) == diagonal
+    assert calls == [(r, r) for r in reg.roots()]
     assert not reg._right_orth and not reg._left_orth and not reg._maps_into
 
 
@@ -357,6 +371,8 @@ def test_per_root_sets_match_their_rank_every_pair_definitions(label):
 
 
 def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
+    # The 1323 pairs where the form is 0 are the ones `right_orth` ranked
+    # before it read Hom off the form; now it ranks none of them.
     q = DYNKIN_QUIVERS["E7"]
     reg = build_registry(q)
     zero = sum(euler_form(q, a, m) == 0 for a in reg.roots() for m in reg.roots())
@@ -369,9 +385,8 @@ def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
         return real(M, N)
 
     monkeypatch.setattr(rep, "hom_dim", counted)
-    for a in reg.roots():
-        reg.right_orth(a)
-    assert len(calls) == len(set(calls)) == zero
+    assert sum(reg.right_orth(a).bit_count() for a in reg.roots()) == zero
+    assert calls == []
 
 
 def test_root_masks_number_the_roots_as_the_reflections(d4_reg):
@@ -397,3 +412,11 @@ def test_per_root_sets_refuse_a_non_root(method, d4_reg):
     # Vertices 1 and 4 both hang off the centre 2, so (1, 0, 0, 1) is no root.
     with pytest.raises(ValidationError):
         getattr(d4_reg, method)((1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("method", ["hom", "ext"])
+def test_hom_and_ext_refuse_a_non_root(method, d4_reg):
+    root = d4_reg.roots()[0]
+    for a, b in (((1, 0, 0, 1), root), (root, (1, 0, 0, 1))):
+        with pytest.raises(ValidationError, match=r"^\(1, 0, 0, 1\) is not a registered root$"):
+            getattr(d4_reg, method)(a, b)
