@@ -172,8 +172,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         rank = {next(iter(descent)): q.n}
         for ind, children in descent.items():
             rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
-        simples = {ind: _checked_subcategory(ind, reg.roots_of(ind), rank[ind], reg)
-                   for ind in descent}
+        simples = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
         counts["subcategories"] = len(simples)
         counts["well_defined_witnesses"] = sum(map(len, descent.values()))
         # `_checked_subcategory` has checked the simples exceptional.

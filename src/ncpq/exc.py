@@ -8,11 +8,15 @@ exceptional when nothing maps or extends backwards; an antichain is a
 pairwise Hom-orthogonal set of exceptional modules, and it generates a
 thick subcategory recorded by its indecomposables: an int mask over the
 registry's roots, as on the interval side, turned into a frozenset of
-roots only where the library hands one out. The subcategories are
-walked down from the whole category by `subcategory_covers`, whose
-maximal chains are the complete exceptional sequences (see
-`weyl.braid_transitive` for their one mutation class) and whose nodes'
-simples are the exceptional antichains
+roots only where the library hands one out. The closure path,
+`order_antichain`, `thick_closure` and the check `_checked_subcategory`
+that `verify` runs on every subcategory, works on root positions: it
+reads the registry's mask tables and Ext-quivers by position off the
+Euler form (`IndecRegistry.ext_quiver`), and looks roots up only at its
+inputs and outputs. The subcategories are walked down from the whole
+category by `subcategory_covers`, whose maximal chains are the complete
+exceptional sequences (see `weyl.braid_transitive` for their one
+mutation class) and whose nodes' simples are the exceptional antichains
 (`enumerate_exceptional_antichains`).
 """
 
@@ -74,16 +78,19 @@ class Subcategory:
 
 
 def is_exceptional_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
-    """No Hom and no Ext from any later entry to any earlier one: the
-    `right_orth` mask of each entry holds every earlier one. An
+    """No Hom and no Ext from any later entry to any earlier one. An
     unregistered root raises ValidationError."""
-    roots = tuple(roots)
-    masks = [reg.mask_of((r,)) for r in roots]
-    earlier = 0
-    for r, mask in zip(roots, masks):
-        if earlier and earlier & ~reg.right_orth(r):
+    return _is_exceptional([reg.position(r) for r in roots], reg)
+
+
+def _is_exceptional(positions: Iterable[int], reg: IndecRegistry) -> bool:
+    """`is_exceptional_sequence` on root positions: the `right_orth_at`
+    mask of each entry holds every earlier one."""
+    orth, earlier = reg.right_orth_at, 0
+    for k in positions:
+        if earlier & ~orth[k]:
             return False
-        earlier |= mask
+        earlier |= 1 << k
     return True
 
 
@@ -92,9 +99,15 @@ def _meet(masks: Iterable[int], reg: IndecRegistry) -> int:
     return functools.reduce(int.__and__, masks, (1 << len(reg)) - 1)
 
 
-def _closure(members: Iterable[Vector], reg: IndecRegistry) -> int:
-    """The mask of the thick closure: the double perpendicular."""
-    return _meet(map(reg.left_orth, reg.roots_of(_meet(map(reg.right_orth, members), reg))), reg)
+def _closure(positions: Iterable[int], reg: IndecRegistry) -> int:
+    """The mask of the thick closure of the roots at `positions`: the
+    double perpendicular, read bit by bit off the right one."""
+    left, ind = reg.left_orth_at, (1 << len(reg)) - 1
+    perp = _meet(map(reg.right_orth_at.__getitem__, positions), reg)
+    while perp:
+        ind &= left[(perp & -perp).bit_length() - 1]
+        perp &= perp - 1
+    return ind
 
 
 def right_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
@@ -112,14 +125,12 @@ def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
 
 def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     """Indecomposables of the thick closure, via the double perpendicular."""
-    return frozenset(reg.roots_of(_closure(members, reg)))
+    return frozenset(reg.roots_of(_closure(map(reg.position, members), reg)))
 
 
-def _subcategory_simples(ind: int, members: Iterable[Vector],
-                         reg: IndecRegistry) -> tuple[Vector, ...]:
-    """The relative simples of a thick subcategory B, given by its root
-    mask `ind` and its `members`, `reg.roots_of(ind)` (at a node of the
-    descent, its letters), in root order.
+def _subcategory_simples(ind: int, reg: IndecRegistry) -> list[int]:
+    """The positions of the relative simples of a thick subcategory B,
+    given by its root mask `ind`, in root order.
 
     m is simple exactly when no member x != m has Hom(x, m) != 0 and
     dim x not >= dim m componentwise. B is thick, so it is an exact
@@ -133,20 +144,16 @@ def _subcategory_simples(ind: int, members: Iterable[Vector],
       so dim s is not >= dim m.
     Only integer Hom dimensions enter. The dimension test runs first; it
     also rules out x = m. Those x, over all roots, are the mask
-    `reg.maps_into(m)`.
+    `reg.maps_into_at[m]`. The bits of `ind` are read in one loop with no
+    list in between, as this runs on every node of the descent.
     """
-    return tuple([m for m in members if not ind & reg.maps_into(m)])
-
-
-def _ext_quiver(members: Sequence[Vector], reg: IndecRegistry) -> dict[tuple[int, int], int]:
-    """The Ext-quiver of the members: dim Ext(members[i], members[j]) at
-    (i, j), for each i != j where it is not 0."""
-    ext = {}
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if i != j and (d := reg.ext(a, b)):
-                ext[i, j] = d
-    return ext
+    into, simples, rest = reg.maps_into_at, [], ind
+    while rest:
+        m = (rest & -rest).bit_length() - 1
+        if not ind & into[m]:
+            simples.append(m)
+        rest &= rest - 1
+    return simples
 
 
 def _ext_order(r: int, ext: dict[tuple[int, int], int]) -> tuple[int, ...]:
@@ -162,8 +169,8 @@ def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Ve
     """Order an exceptional antichain into an exceptional sequence:
     topological order of its Ext-quiver, smallest root first among
     incomparables."""
-    members = sorted(antichain)
-    return tuple(members[i] for i in _ext_order(len(members), _ext_quiver(members, reg)))
+    positions, roots = sorted(map(reg.position, antichain)), reg.roots()
+    return tuple(roots[positions[i]] for i in _ext_order(len(positions), reg.ext_quiver(positions)))
 
 
 def _relative_root_count(order: tuple[int, ...], ext: dict[tuple[int, int], int]) -> int:
@@ -186,46 +193,46 @@ def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
     return positive_root_count(classification.label)
 
 
-def _checked_subcategory(ind: int, members: Iterable[Vector], rank: int, reg: IndecRegistry,
+def _checked_subcategory(ind: int, rank: int, reg: IndecRegistry,
                          generators: int | None = None) -> tuple[Vector, ...]:
     """The ordered simples of the subcategory on the root mask `ind`,
-    checked: `rank` simples that order into an exceptional sequence, as
-    many indecomposables (`ind.bit_count()`) as the roots of their
+    checked: `rank` simples (the bits k of `ind` with no bit of
+    `maps_into_at[k]` in `ind`) that order into an exceptional sequence,
+    as many indecomposables (`ind.bit_count()`) as the roots of their
     Ext-quiver, and `ind` is the double perpendicular of the simples.
-    The simples' Ext-quiver is read from the registry once, for both the
-    order and the root count. No set of roots is built. A caller that
-    made `ind` as the double perpendicular of the root mask `generators`
-    passes it: when the simples are exactly those roots, the fixpoint
-    holds by construction and is not computed again."""
-    simples = _subcategory_simples(ind, members, reg)
+    All of it runs on root positions, and the simples' Ext-quiver is read
+    once (`IndecRegistry.ext_quiver`), for the order and the root count.
+    A caller that made `ind` as the double perpendicular of the root mask
+    `generators` passes it: when the simples are exactly those roots, the
+    fixpoint holds by construction and is not computed again."""
+    simples = _subcategory_simples(ind, reg)
     if len(simples) != rank:
         raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
-    ext = _ext_quiver(simples, reg)
+    ext = reg.ext_quiver(simples)
     order = _ext_order(rank, ext)
-    ordered = tuple(simples[i] for i in order)
-    if not is_exceptional_sequence(ordered, reg):
+    ordered = [simples[i] for i in order]
+    if not _is_exceptional(ordered, reg):
         raise NcpqError("subcategory simples do not order into an exceptional sequence")
     if ordered and _relative_root_count(order, ext) != ind.bit_count():
         raise NcpqError("subcategory size disagrees with its relative root count")
-    generated = generators is not None and reg.mask_of(ordered) == generators
+    generated = generators is not None and sum(1 << k for k in ordered) == generators
     if not generated and _closure(ordered, reg) != ind:
         raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
-    return ordered
+    return tuple(map(reg.roots().__getitem__, ordered))
 
 
 def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     """Thick closure of an exceptional sequence, with its simples, checked
     by `_checked_subcategory` at the sequence's length."""
-    members = seq.roots
-    if not is_exceptional_sequence(members, reg):
+    positions = [reg.position(r) for r in seq.roots]
+    if not _is_exceptional(positions, reg):
         raise ValidationError("input is not an exceptional sequence")
-    ind = _closure(members, reg)
-    generators = reg.mask_of(members)
+    ind = _closure(positions, reg)
+    generators = sum(1 << k for k in positions)
     if generators & ~ind:
         raise NcpqError("closure lost a generator; this is a bug")
-    ind_roots = reg.roots_of(ind)
-    simples = _checked_subcategory(ind, ind_roots, len(members), reg, generators)
-    return Subcategory(frozenset(ind_roots), simples)
+    simples = _checked_subcategory(ind, len(positions), reg, generators)
+    return Subcategory(frozenset(reg.roots_of(ind)), simples)
 
 
 def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
@@ -340,8 +347,8 @@ def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[froze
     """
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
-    return {frozenset(_subcategory_simples(b, letters, reg))
-            for b, letters in subcategory_covers(reg).items()}
+    return {frozenset(map(reg.roots().__getitem__, _subcategory_simples(b, reg)))
+            for b in subcategory_covers(reg)}
 
 
 def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vector]:

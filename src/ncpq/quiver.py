@@ -158,11 +158,12 @@ class CartanMatrix:
 
 
 def cartan_matrix(q: Quiver) -> CartanMatrix:
-    basis = [tuple(1 if k == i else 0 for k in range(q.n)) for i in range(q.n)]
-    entries = tuple(
-        tuple(symmetric_form(q, basis[i], basis[j]) for j in range(q.n))
-        for i in range(q.n)
-    )
+    """`symmetric_form` on the simple roots, counted from the arrows: 2 on
+    the diagonal (no loops), minus the arrows between i and j off it."""
+    entries = [[2 * (i == j) for j in range(q.n)] for i in range(q.n)]
+    for h, t in q.arrows:
+        entries[h - 1][t - 1] -= 1
+        entries[t - 1][h - 1] -= 1
     return CartanMatrix(entries)
 
 

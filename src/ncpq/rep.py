@@ -29,6 +29,7 @@ that scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -333,13 +334,14 @@ class IndecRegistry:
 
     The roots are numbered as `RootSystem.sorted_roots` numbers them, in
     the order of its reflections, so bit k of an int mask names the k-th
-    root on both sides of the bijection; `mask_of` and `roots_of`
-    convert. Immutable after build; its memos fill lazily, on first use:
-    per root the masks that perpendicular categories intersect
-    (`right_orth`, `left_orth`) and the mask of the roots mapping into it
-    from below (`maps_into`); and the injectivity scan's answers
-    (`_injective`). The memo dicts are safe for concurrent reads under
-    the GIL.
+    root on both sides of the bijection; `position`, `mask_of` and
+    `roots_of` convert. Immutable after build; its memos fill lazily:
+    three tables by root position, each made whole on first read, of the
+    masks that perpendicular categories intersect (`right_orth_at`,
+    `left_orth_at`) and of the roots mapping into each root from below
+    (`maps_into_at`), which the root-keyed methods index; and the
+    injectivity scan's answers (`_injective`). They are safe for
+    concurrent reads under the GIL.
 
     For the modules at roots a and b, dim Hom(a, b) = max(0, <a, b>) and
     dim Ext(a, b) = max(0, -<a, b>), with <a, b> the Euler form
@@ -372,9 +374,6 @@ class IndecRegistry:
         self._index = {r: k for k, r in enumerate(self._roots)}
         self._reps = tuple(reps[r] for r in self._roots)
         self._injective: dict[tuple[Vector, Vector], bool] = {}
-        self._right_orth: dict[Vector, int] = {}
-        self._left_orth: dict[Vector, int] = {}
-        self._maps_into: dict[Vector, int] = {}
 
     def roots(self) -> tuple[Vector, ...]:
         return self._roots
@@ -386,81 +385,75 @@ class IndecRegistry:
         return root in self._index
 
     def __getitem__(self, root: Vector) -> Representation:
-        return self._reps[self._position(root)]
+        return self._reps[self.position(root)]
 
-    def _position(self, root: Vector) -> int:
+    def position(self, root: Vector) -> int:
+        """The bit of `root` in a mask. An unregistered root raises
+        ValidationError, here and in every root-keyed method below."""
         try:
             return self._index[root]
         except KeyError:
             raise ValidationError(f"{root} is not a registered root") from None
 
     def mask_of(self, roots: Iterable[Vector]) -> int:
-        """The int mask of a set of roots, bit k for the k-th of `roots()`.
-        An unregistered root raises ValidationError."""
-        mask = 0
-        for r in roots:
-            mask |= 1 << self._position(r)
-        return mask
+        """The int mask of a set of roots, bit k for the k-th of `roots()`."""
+        return functools.reduce(int.__or__, (1 << self.position(r) for r in roots), 0)
 
     def roots_of(self, mask: int) -> tuple[Vector, ...]:
-        """The roots of an int mask, in root order."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self._roots[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
-
-    def _form(self, a: Vector, b: Vector) -> int:
-        """<a, b> from `RootSystem.euler`, with the lookups of `_position`
-        inline: `hom` and `ext` are the registry's hottest calls."""
-        index = self._index
-        try:
-            return self.rootsystem.euler[index[a]][index[b]]
-        except KeyError as missing:
-            raise ValidationError(f"{missing.args[0]} is not a registered root") from None
+        """The roots of an int mask, in root order: its binary digits,
+        lowest first, select them."""
+        return tuple(itertools.compress(self._roots, map("1".__eq__, bin(mask)[:1:-1])))
 
     def hom(self, a: Vector, b: Vector) -> int:
-        """dim Hom(a, b) = max(0, <a, b>). An unregistered root raises
-        ValidationError here and in the next four."""
-        form = self._form(a, b)
-        return form if form > 0 else 0
+        """dim Hom(a, b) = max(0, <a, b>)."""
+        return max(0, self.rootsystem.euler[self.position(a)][self.position(b)])
 
     def ext(self, a: Vector, b: Vector) -> int:
         """dim Ext(a, b) = max(0, -<a, b>)."""
-        form = self._form(a, b)
-        return -form if form < 0 else 0
+        return max(0, -self.rootsystem.euler[self.position(a)][self.position(b)])
+
+    def ext_quiver(self, positions: Sequence[int]) -> dict[tuple[int, int], int]:
+        """The Ext-quiver of the roots at `positions`, as `ext` reads it:
+        -<a, b> at (i, j) for the i-th and j-th, where that is positive.
+        <a, a> = 1 (`build_registry` checks it), so no (i, i) appears."""
+        euler = self.rootsystem.euler
+        return {(i, j): -e for i, a in enumerate(positions) for j, b in enumerate(positions)
+                if (e := euler[a][b]) < 0}
 
     def right_orth(self, a: Vector) -> int:
-        """The mask of the roots m with Hom(a, m) = Ext(a, m) = 0: those
-        with <a, m> = 0."""
-        orth = self._right_orth.get(a)
-        if orth is None:
-            row = self.rootsystem.euler[self._position(a)]
-            orth = self._right_orth[a] = sum(1 << k for k, e in enumerate(row) if e == 0)
-        return orth
+        """`right_orth_at` the position of the root a."""
+        return self.right_orth_at[self.position(a)]
 
     def left_orth(self, a: Vector) -> int:
-        """The mask of the roots m with Hom(m, a) = Ext(m, a) = 0: those
-        with <m, a> = 0."""
-        orth = self._left_orth.get(a)
-        if orth is None:
-            j = self._position(a)
-            orth = self._left_orth[a] = sum(1 << k for k, row in enumerate(self.rootsystem.euler)
-                                            if row[j] == 0)
-        return orth
+        """`left_orth_at` the position of the root a."""
+        return self.left_orth_at[self.position(a)]
 
     def maps_into(self, m: Vector) -> int:
-        """The mask of the roots x with dim x not >= dim m componentwise
-        and Hom(x, m) != 0: <x, m> > 0. The dimension test rules out
-        x = m."""
-        into = self._maps_into.get(m)
-        if into is None:
-            j, euler = self._position(m), self.rootsystem.euler
-            into = self._maps_into[m] = sum(
-                1 << k for k, x in enumerate(self._roots)
-                if euler[k][j] > 0 and any(map(int.__lt__, x, m)))
-        return into
+        """`maps_into_at` the position of the root m."""
+        return self.maps_into_at[self.position(m)]
+
+    @functools.cached_property
+    def right_orth_at(self) -> tuple[int, ...]:
+        """At each root a, the mask of the roots m with Hom(a, m) =
+        Ext(a, m) = 0: those with <a, m> = 0."""
+        return tuple(sum(1 << k for k, e in enumerate(row) if e == 0)
+                     for row in self.rootsystem.euler)
+
+    @functools.cached_property
+    def left_orth_at(self) -> tuple[int, ...]:
+        """At each root a, the mask of the roots m with Hom(m, a) =
+        Ext(m, a) = 0: those with <m, a> = 0."""
+        return tuple(sum(1 << k for k, e in enumerate(column) if e == 0)
+                     for column in zip(*self.rootsystem.euler))
+
+    @functools.cached_property
+    def maps_into_at(self) -> tuple[int, ...]:
+        """At each root m, the mask of the roots x with dim x not >= dim m
+        componentwise and Hom(x, m) != 0: <x, m> > 0. The dimension test
+        rules out x = m."""
+        return tuple(sum(1 << k for k, (x, e) in enumerate(zip(self._roots, column))
+                         if e > 0 and any(map(int.__lt__, x, m)))
+                     for m, column in zip(self._roots, zip(*self.rootsystem.euler)))
 
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
         """Whether some intertwiner embeds the module at a into the one at b.

@@ -60,7 +60,7 @@ from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_e
                   generate_roots, identity, interval_covers, is_exceptional_sequence,
                   make_reflection, multiply, Quiver, rep, sequence_product, thick_closure)
 from ncpq._linalg import int_echelon, int_rank, mat_mul
-from ncpq.exc import ExcSequence, _ext_quiver, closure_indecomposables, order_antichain
+from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.hurwitz import DEFAULT_ORBIT_CAP
 from ncpq.quiver import Vector, euler_form, topological_order, topological_sort
@@ -740,6 +740,17 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
             if contained != (val_a in down[val_b]):
                 out.append((a, b, "forward" if contained else "backward"))
     return out
+
+
+def _ext_quiver(members: Sequence[Vector], reg: IndecRegistry) -> dict[tuple[int, int], int]:
+    """The Ext-quiver of the members: dim Ext(members[i], members[j]) at
+    (i, j), for each i != j where it is not 0."""
+    ext = {}
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            if i != j and (d := reg.ext(a, b)):
+                ext[i, j] = d
+    return ext
 
 
 def exceptional_antichains_by_backtracking(q: Quiver, reg) -> set:

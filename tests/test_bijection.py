@@ -372,15 +372,16 @@ def test_verify_checks_each_subcategory_exceptional_once(d4, monkeypatch):
     # `_checked_subcategory` checks the ordered simples of each
     # subcategory, and `verify` checks the admissible order; the images
     # are multiplied out from the checked simples with no second check.
+    # Both checks run on root positions, `is_exceptional_sequence` after
+    # looking the roots up.
     calls = []
-    real = ncpq.exc.is_exceptional_sequence
+    real = ncpq.exc._is_exceptional
 
-    def counted(roots, reg):
-        calls.append(tuple(roots))
-        return real(roots, reg)
+    def counted(positions, reg):
+        calls.append(tuple(positions))
+        return real(positions, reg)
 
-    monkeypatch.setattr("ncpq.exc.is_exceptional_sequence", counted)
-    monkeypatch.setattr("ncpq.bijection.is_exceptional_sequence", counted)
+    monkeypatch.setattr("ncpq.exc._is_exceptional", counted)
     report = verify_bijection(d4)
     assert report.all_ok
     assert len(calls) == report.counts["subcategories"] + 1 == COXETER_CATALAN["D4"] + 1

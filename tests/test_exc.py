@@ -40,13 +40,14 @@ from ncpq.exc import (
     subcategory_covers,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.quiver import Quiver, connected_components
+from ncpq.quiver import Quiver, connected_components, topological_sort
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
                        make_reflection, maximal_chains, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
+    _ext_quiver,
     braid_mutate,
     braid_orbit_by_full_products,
     exceptional_antichains_by_backtracking,
@@ -225,8 +226,7 @@ def test_simples_match_the_injective_map_definition(label):
     reg = build_registry(q)
     for antichain in exceptional_antichains_by_backtracking(q, reg):
         ind = closure_indecomposables(order_antichain(antichain, reg), reg)
-        mask = reg.mask_of(ind)
-        simples = _subcategory_simples(mask, reg.roots_of(mask), reg)
+        simples = tuple(reg.roots()[k] for k in _subcategory_simples(reg.mask_of(ind), reg))
         assert simples == simples_by_injective_maps(ind, reg)
         assert frozenset(simples) == antichain
 
@@ -255,31 +255,36 @@ def test_relative_root_count_matches_generated_roots(monkeypatch):
 def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
     with pytest.raises(NcpqError):
         exc._finite_root_count(kronecker.n, kronecker.arrows)
-
-
-def _checked(ind, rank, reg):
-    """`exc._checked_subcategory` on a root mask and its roots."""
-    return exc._checked_subcategory(ind, reg.roots_of(ind), rank, reg)
+    # Ext of dimension 2 between two simples is two arrows, Kronecker
+    # again; one arrow per pair would read A2.
+    with pytest.raises(NcpqError, match="not finite type"):
+        exc._relative_root_count((0, 1), {(0, 1): 2})
+    assert exc._relative_root_count((1, 0), {(1, 0): 1}) == 3
 
 
 def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):
-    # The order and the relative root count share one read of the simples'
-    # Ext-quiver: each ordered pair of distinct simples is asked once.
+    # The order and the relative root count share one position-level read
+    # of the simples' Ext-quiver, of exactly the simples in root order, and
+    # the closure path asks the root-keyed `ext` nothing: each check, and
+    # each closure of an antichain, whose order reads the antichain first.
     reg = build_registry(DYNKIN_QUIVERS["D5"])
-    ranks = {b: len(_subcategory_simples(b, letters, reg))
-             for b, letters in subcategory_covers(reg).items()}
-    calls = []
-    real = type(reg).ext
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        return real(self, a, b)
-
-    monkeypatch.setattr(type(reg), "ext", counted)
+    ranks = {b: len(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
+    antichains = enumerate_exceptional_antichains(reg.quiver, reg)
+    exts, reads = [], []
+    real_ext, real_read = type(reg).ext, type(reg).ext_quiver
+    monkeypatch.setattr(type(reg), "ext",
+                        lambda self, a, b: exts.append((a, b)) or real_ext(self, a, b))
+    monkeypatch.setattr(type(reg), "ext_quiver",
+                        lambda self, ks: reads.append(tuple(ks)) or real_read(self, ks))
     for ind, rank in ranks.items():
-        calls.clear()
-        simples = _checked(ind, rank, reg)
-        assert sorted(calls) == sorted((a, b) for a in simples for b in simples if a != b)
+        reads.clear()
+        simples = exc._checked_subcategory(ind, rank, reg)
+        assert reads == [tuple(sorted(map(reg.position, simples)))]
+    for antichain in antichains:
+        reads.clear()
+        thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
+        assert reads == [tuple(sorted(map(reg.position, antichain)))] * 2
+    assert exts == []
 
 
 def test_e8_closure_of_the_simple_roots():
@@ -558,9 +563,39 @@ def test_descent_lists_the_antichain_closures(label):
     descent = subcategory_covers(reg)
     assert descent.keys() == expected.keys()
     for ind, children in descent.items():
-        simples = _checked(ind, expected[ind].rank, reg)
+        simples = exc._checked_subcategory(ind, expected[ind].rank, reg)
         assert Subcategory(frozenset(reg.roots_of(ind)), simples) == expected[ind]
         assert all(expected[a].rank == expected[ind].rank - 1 for a in children.values())
+
+
+@pytest.mark.parametrize("label", sorted(set(DYNKIN_QUIVERS) - {"E8"}))
+def test_order_antichain_matches_the_root_keyed_ext_quiver(label):
+    # Every antichain: the order read by position against the topological
+    # sort of its Ext-quiver read root by root through `reg.ext`.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    for antichain in enumerate_exceptional_antichains(q, reg):
+        members = sorted(antichain)
+        order = topological_sort(len(members), _ext_quiver(members, reg))
+        assert order_antichain(antichain, reg) == tuple(members[i] for i in order)
+
+
+@pytest.mark.parametrize("label", ["D5", "E6"])
+def test_checked_subcategory_matches_the_frozenset_oracles(label):
+    # Every node of the frozenset descent, at its rank: the simples by
+    # injective maps, in the topological order of their root-keyed
+    # Ext-quiver, against the check on the node's mask.
+    q = DYNKIN_QUIVERS[label]
+    reg = build_registry(q)
+    descent = subcategory_covers_by_frozensets(reg)
+    rank = {next(iter(descent)): q.n}
+    for b, children in descent.items():
+        rank.update(dict.fromkeys(children.values(), rank[b] - 1))
+    for b in descent:
+        simples = simples_by_injective_maps(b, reg)
+        order = topological_sort(len(simples), _ext_quiver(simples, reg))
+        assert exc._checked_subcategory(reg.mask_of(b), rank[b], reg) == tuple(
+            simples[i] for i in order)
 
 
 def _flipped(q, every):
@@ -597,7 +632,7 @@ def test_subcategory_check_runs_the_fixpoint(a3_reg):
     # not their thick closure {S2, S3, P23}: only the fixpoint catches it.
     fake = frozenset({(0, 1, 0), (0, 0, 1), (1, 1, 0)})
     with pytest.raises(NcpqError, match="fixpoint"):
-        _checked(a3_reg.mask_of(fake), 2, a3_reg)
+        exc._checked_subcategory(a3_reg.mask_of(fake), 2, a3_reg)
 
 
 def test_subcategory_check_skips_the_fixpoint_only_for_its_generators(a3_reg, monkeypatch):
@@ -609,7 +644,7 @@ def test_subcategory_check_skips_the_fixpoint_only_for_its_generators(a3_reg, mo
     for generators in (None, 0, a3_reg.mask_of([(0, 1, 0)]), fake,
                        a3_reg.mask_of([(0, 1, 1), (0, 0, 1)])):
         with pytest.raises(NcpqError, match="fixpoint"):
-            exc._checked_subcategory(fake, a3_reg.roots_of(fake), 2, a3_reg, generators)
+            exc._checked_subcategory(fake, 2, a3_reg, generators)
     closures = []
     real = exc._closure
     monkeypatch.setattr(exc, "_closure", lambda m, reg: closures.append(m) or real(m, reg))
@@ -625,10 +660,10 @@ def test_subcategory_check_skips_the_fixpoint_only_for_its_generators(a3_reg, mo
 
 def test_subcategory_check_refuses_the_wrong_rank(a3_reg):
     everything = a3_reg.mask_of(a3_reg.roots())
-    assert len(_checked(everything, 3, a3_reg)) == 3
+    assert len(exc._checked_subcategory(everything, 3, a3_reg)) == 3
     for rank in (2, 4):
         with pytest.raises(NcpqError, match=f"rank {rank} has 3 simples"):
-            _checked(everything, rank, a3_reg)
+            exc._checked_subcategory(everything, rank, a3_reg)
 
 
 def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):

@@ -23,7 +23,8 @@ from ncpq import (
 from ncpq.errors import QuiverParseError, ValidationError
 from ncpq.quiver import connected_components, is_admissible_order, topological_sort
 
-from oracles import kind_by_principal_minor_sums, leading_principal_minors, random_acyclic_quiver
+from oracles import (DYNKIN_QUIVERS, kind_by_principal_minor_sums, leading_principal_minors,
+                     random_acyclic_quiver)
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -167,6 +168,19 @@ def test_cartan_invariants_random():
                 assert c[i][j] == c[j][i]
                 if i != j:
                     assert c[i][j] <= 0
+
+
+def test_cartan_matrix_is_the_symmetric_form_on_the_simple_roots(kronecker):
+    # `cartan_matrix` counts the arrows; its definition evaluates the form
+    # on unit vectors. 40 random acyclic quivers, many with parallel
+    # arrows, Kronecker and every Dynkin orientation of the tests.
+    rng = random.Random(29)
+    drawn = [random_acyclic_quiver(rng, max_arrows=10) for _ in range(40)]
+    assert sum(len(set(q.arrows)) < len(q.arrows) for q in drawn) >= 10
+    for q in drawn + [kronecker, *DYNKIN_QUIVERS.values()]:
+        units = [tuple(int(k == i) for k in range(q.n)) for i in range(q.n)]
+        assert cartan_matrix(q).entries == tuple(
+            tuple(symmetric_form(q, u, v) for v in units) for u in units)
 
 
 def test_cartan_matrix_type_rejects_asymmetric():

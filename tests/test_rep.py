@@ -342,13 +342,14 @@ def test_hom_ext_invariant_under_rational_change_of_basis(d4_reg):
 
 def test_build_registry_fills_only_the_diagonal(monkeypatch):
     # Building ranks each entry against itself, its certificate End = k,
-    # once per root, and fills no per-root mask.
+    # once per root, and makes no per-root mask and no Euler table.
     real = rep.hom_dim
     calls = []
     monkeypatch.setattr(rep, "hom_dim", lambda m, n: calls.append((m.dims, n.dims)) or real(m, n))
     reg = build_registry(parse_quiver(D4_TEXT))
     assert calls == [(r, r) for r in reg.roots()]
-    assert not reg._right_orth and not reg._left_orth and not reg._maps_into
+    assert not {"right_orth_at", "left_orth_at", "maps_into_at"} & vars(reg).keys()
+    assert "euler" not in vars(reg.rootsystem)
 
 
 @pytest.mark.parametrize("label", [k for k in DYNKIN_QUIVERS if k != "E8"])
