@@ -3,13 +3,13 @@
 Matrices are tuples of row tuples. No floating point enters the package
 anywhere. Integer matrices (Weyl-group elements, Cartan matrices, the
 intertwiner equations of integral representations) are handled
-fraction-free: products, the Bareiss determinant, and one elimination,
-the sparse echelon `int_echelon`, which touches only the rows meeting
-each pivot column. Its pivot count is the rank (`int_rank`), and
-back-substitution up its rows gives an integer kernel basis
-(`int_kernel`). A `Fraction` is only ever read: `integer_rows` clears
-the denominators of each rational row before `rank` or a kernel sees
-it. Sizes are desk scale, so plain elimination is the right tool.
+fraction-free: products and one elimination, the sparse echelon
+`int_echelon`, which touches only the rows meeting each pivot column.
+Its pivot count is the rank (`int_rank`), and back-substitution up its
+rows gives an integer kernel basis (`int_kernel`). A `Fraction` is only
+ever read: `integer_rows` clears the denominators of each rational row
+before `rank` or a kernel sees it. Sizes are desk scale, so plain
+elimination is the right tool.
 
 `mat_mul` is the general product, exact in integers, behind
 `weyl.compose`. A product of a reflection and a group element does not
@@ -46,28 +46,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def det_bareiss(a: IntMatrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def int_echelon(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, Sequence[int]]]:

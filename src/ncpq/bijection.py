@@ -3,16 +3,25 @@ bijectively and order-isomorphically onto the absolute-order interval
 below the Coxeter element.
 
 The map sends a subcategory B to cox(B), the product of the reflections
-at its simples, ordered as an exceptional sequence. Both posets are
-walked down into labelled Hasse diagrams, independently: the
-subcategories from the whole category by B -> B ∩ x^⊥ through each x of
-B (`exc.subcategory_covers`, each B then checked thick and of its
-level's rank), the interval from c by w -> w·t through the root of each
-t <= w (`weyl.interval_covers`). Injectivity and surjectivity compare
-the node sets, and one check matches the diagrams letter by letter: the
-walk's child of cox(B) through x must be cox(B ∩ x^⊥) for each x of B,
-and cox(B) must have no other letter. Every failure is reported as a
-reproducible JSON payload. The check certifies the rest:
+at its simples, ordered as an exceptional sequence. Both posets are one
+labelled Hasse diagram on root masks, walked once (`weyl.mask_covers`):
+a mask is the indecomposables of B, with child B ∩ x^⊥ through each x
+of B, and the letter set of w(B) in [1, c], with child w·t through the
+root of t (`weyl.walk_elements` multiplies w(B) down from c). Each mask
+is checked thick at its level's rank, and cox(B) is multiplied up over
+its checked simples.
+
+The independent check is per node: cox(B) = w(B). The report keeps its
+letter-by-letter form: the walk's child of cox(B) through x, read off
+the mask that holds cox(B) as its element, must be cox(B ∩ x^⊥) for
+each x of B, and cox(B) must have no other letter. Once cox(B) = w(B)
+on every node, that mask is B's own and its children's values are
+their elements, so `surjective`, `order_iso_forward` and
+`order_iso_backward` hold by construction: both sides have the same
+covers on the same masks, under one map. `injective` (a mask fixes its
+element: "Keys" in `weyl.interval_covers`) and the base are checked all
+the same. Every failure is reported as a reproducible JSON payload. The
+check certifies the rest:
 
 - Well-definedness, by induction on rank. A complete exceptional
   sequence of B ends in some x of B; the entries before it receive no
@@ -20,8 +29,10 @@ reproducible JSON payload. The check certifies the rest:
   A = B ∩ x^⊥ of length rank A, complete in A (Crawley-Boevey 1993). By
   induction it multiplies to cox(A), so the whole sequence multiplies
   to cox(A)·s_x, which must be cox(B). A matched cover is that step, as
-  cox(A) = cox(B)·s_x; only a mismatched one has cox(A)·s_x multiplied
-  out. The base is the zero subcategory, whose only sequence is empty.
+  w(A) = w(B)·s_x, multiplied out where the walk first meets A and on
+  every other cover fixed by A's mask ("One step" and "Keys"); only a
+  mismatched cover has cox(A)·s_x multiplied out. The base is the zero
+  subcategory, whose only sequence is empty.
 - Order isomorphism. The pairs (A, B) above are exactly the covers of
   containment: rank grows strictly along strict containment, and if A
   is covered by B, then B ∩ ⊥A has rank one, its one indecomposable x
@@ -35,8 +46,7 @@ reproducible JSON payload. The check certifies the rest:
   (Ingalls-Thomas 2009). Once the labelled covers match, it lifts to
   subcategories B_(i-1) = B_i ∩ x_i^⊥ with t_i = s_(x_i), and
   (x_1, ..., x_n) is exceptional because x_j lies in B_(i-1), inside
-  x_i^⊥, for j < i. `weyl.chain_counts` counts the chains over the
-  walk's covers.
+  x_i^⊥, for j < i. `weyl.chain_counts` counts the chains.
 """
 
 from __future__ import annotations
@@ -45,8 +55,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .exc import (Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product,
-                  subcategory_covers)
+from .exc import Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product
 from .quiver import Quiver, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
@@ -56,9 +65,10 @@ from .weyl import (
     complete_roots,
     coxeter_element,
     identity,
-    interval_covers,
+    mask_covers,
     reflect_right,
     simple_root,
+    walk_elements,
 )
 
 
@@ -118,15 +128,14 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     are recorded as failures of kind "cap_exceeded" with partial counts.
 
     The checks are the certificate of the module docstring. Counts: the
-    two node counts, `well_defined_witnesses` the covers of the descent
-    (one induction step each), `covers` those of [1, c] and `chains` its
-    maximal chains, the minimal reflection factorizations of c. The node
-    sets decide `injective` and `surjective`; the one check decides
-    `well_defined` (a failed step or base, or an image outside [1, c])
-    and `order_iso_forward` and `order_iso_backward` (a cover of the
-    descent, or of the walk, on its side only). Each subcategory is held
-    as its root mask and its ordered simples, read off the mask and not
-    the descent's letters; a set of roots is built only for a failure.
+    nodes, as subcategories and as elements of [1, c], the covers (one
+    induction step each) and the maximal chains, the minimal reflection
+    factorizations of c. The images decide `injective` and `surjective`;
+    the one check decides `well_defined` (a failed step or base, or an
+    image outside [1, c]) and the order flags (a cover on one side
+    only). Each subcategory is held as its mask and its ordered simples,
+    and a value equal to its mask's element as that object; a set of
+    roots is built only for a failure.
     """
     t0 = time.perf_counter()
     roots = complete_roots(q)
@@ -138,45 +147,26 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         raise NcpqError("admissible ordering disagrees with the Hom/Ext check")
 
     failures: list[dict] = []
-    flags = {
-        "well_defined": False,
-        "injective": False,
-        "surjective": False,
-        "order_iso_forward": False,
-        "order_iso_backward": False,
-        "order_iso": False,
-    }
-    counts: dict = {"subcategories": None, "nc": None, "well_defined_witnesses": None,
-                    "covers": None, "chains": None}
-
-    def finish() -> BijectionReport:
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return BijectionReport(
-            quiver=quiver_id or f"vertices={q.n} arrows={list(q.arrows)}",
-            type=str(roots.classification),
-            coxeter_order=order,
-            counts=counts,
-            flags=flags,
-            failures=failures,
-            elapsed_ms=elapsed,
-        )
+    flags = dict.fromkeys(("well_defined", "injective", "surjective", "order_iso_forward",
+                           "order_iso_backward", "order_iso"), False)
+    counts = dict.fromkeys(("subcategories", "nc", "well_defined_witnesses", "covers", "chains"))
 
     try:
-        covers = interval_covers(c, roots)
-        counts["nc"] = len(covers)
-        counts["covers"] = sum(map(len, covers.values()))
-        counts["chains"] = chain_counts(covers)[c]
-
+        covers = mask_covers(roots)
+        elements = walk_elements(c, covers, roots)
+        mask_of = {w: mask for mask, w in elements.items()}  # the walk's side
+        counts["nc"] = len(mask_of)
+        counts["covers"] = counts["well_defined_witnesses"] = sum(map(len, covers.values()))
+        counts["chains"] = chain_counts(covers)[next(iter(covers))]
         # The whole category has rank n, and each step down lowers it by one.
-        descent = subcategory_covers(reg)
-        rank = {next(iter(descent)): q.n}
-        for ind, children in descent.items():
+        rank = {next(iter(covers)): q.n}
+        for ind, children in covers.items():
             rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
-        simples = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in descent}
+        simples = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in covers}
         counts["subcategories"] = len(simples)
-        counts["well_defined_witnesses"] = sum(map(len, descent.values()))
         # `_checked_subcategory` has checked the simples exceptional.
-        values = {ind: sequence_product(s, roots) for ind, s in simples.items()}
+        values = {ind: elements[ind] if (v := sequence_product(s, roots)) == elements[ind] else v
+                  for ind, s in simples.items()}
 
         def sub_json(ind: int) -> dict:
             return Subcategory(frozenset(reg.roots_of(ind)), simples[ind]).to_json()
@@ -193,12 +183,12 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             preimage[value] = ind
         flags["injective"] = len(preimage) == len(simples)
 
-        flags["surjective"] = preimage.keys() == covers.keys()
+        flags["surjective"] = preimage.keys() == mask_of.keys()
         if not flags["surjective"]:
             failures.append({
                 "kind": "surjectivity",
-                "missing": sorted(w.to_json() for w in covers.keys() - preimage.keys()),
-                "extra": sorted(w.to_json() for w in preimage.keys() - covers.keys()),
+                "missing": sorted(w.to_json() for w in mask_of.keys() - preimage.keys()),
+                "extra": sorted(w.to_json() for w in preimage.keys() - mask_of.keys()),
             })
 
         def induction_failure(ind, x, expected: WeylElement, got: WeylElement) -> None:
@@ -221,31 +211,35 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
             }
 
         # The one check: the covers of each B against those of cox(B) in
-        # the walk, letter by letter.
+        # the walk, letter by letter, read off the mask holding cox(B).
         forward, backward = [], []
         for ind, value in values.items():
-            down, walk = descent[ind], covers.get(value, {})
+            down = covers[ind]
+            node = mask_of.get(value)
+            walk = {} if node is None else covers[node]
             if not ind and value != identity(q.n):
                 induction_failure(ind, None, value, identity(q.n))
             for x, below in down.items():
-                if walk.get(x) != values[below]:
+                if x not in walk or elements[walk[x]] != values[below]:
                     forward.append(order_failure("forward", below, ind, values[below], value))
                     got = reflect_right(values[below], roots.reflection(x))
                     if got != value:
                         induction_failure(ind, x, value, got)
             if preimage[value] == ind:
-                backward += [order_failure("backward", preimage.get(child), ind, child, value)
+                backward += [order_failure("backward", preimage.get(elements[child]), ind,
+                                           elements[child], value)
                              for x, child in walk.items()
-                             if x not in down or values[down[x]] != child]
-            if value not in covers:
+                             if x not in down or values[down[x]] != elements[child]]
+            if node is None:
                 failures.append({
                     "kind": "image_outside_interval",
                     "subcategory": sub_json(ind),
                     "image": value.to_json(),
                 })
-        backward += [order_failure("backward", preimage.get(child), None, child, w)
-                     for w, children in covers.items() if w not in preimage
-                     for child in children.values()]
+        backward += [order_failure("backward", preimage.get(elements[child]), None,
+                                   elements[child], w)
+                     for w, node in mask_of.items() if w not in preimage
+                     for child in covers[node].values()]
         failures += forward + backward
         flags["well_defined"] = not any(f["kind"] in ("well_defined", "image_outside_interval")
                                         for f in failures)
@@ -255,4 +249,12 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     except CapExceededError as exc:
         failures.append({"kind": "cap_exceeded", "detail": str(exc)})
 
-    return finish()
+    return BijectionReport(
+        quiver=quiver_id or f"vertices={q.n} arrows={list(q.arrows)}",
+        type=str(roots.classification),
+        coxeter_order=order,
+        counts=counts,
+        flags=flags,
+        failures=failures,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    )

@@ -7,11 +7,13 @@ mutation graph, the braid orbit graph). Each subcommand accepts only the
 options it reads, and `--format dot` only where there is a DOT output;
 argparse refuses anything else with exit 2.
 
-`hurwitz` and `sequences` each walk one poset down by its covers
-(`weyl.walk_down`), count its maximal chains and certify one braid orbit
-on them (`weyl.braid_transitive`); their caps bound only the listing.
-Within a cap, JSON and DOT list the chains, sorted; when the certificate
-holds, `sequences` JSON and both DOTs draw one braid graph on them
+`hurwitz` and `sequences` each walk the one mask diagram of both posets
+(`weyl.mask_covers`), count its maximal chains and certify one braid
+orbit on them (`weyl.braid_transitive`), so they list the same tuples;
+`hurwitz` also checks c and the identity at the bottom
+(`weyl.walk_elements`). Their caps bound only the listing. Within a cap,
+JSON and DOT list the chains, sorted; when the certificate holds,
+`sequences` JSON and both DOTs draw one braid graph on them
 (`hurwitz.braid_edges`, with the root system's reflections). Text prints
 only the count and the certificate. Past a cap, JSON reports them with
 the lists null, and DOT, which draws the listed graph, exits 4. A failed
@@ -41,13 +43,16 @@ from .hurwitz import DEFAULT_ORBIT_CAP, braid_edges
 from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
+    RootSystem,
     braid_transitive,
     chain_counts,
     complete_roots,
     coxeter_element,
     generate_roots,
     interval_covers,
+    mask_covers,
     maximal_chains,
+    walk_elements,
 )
 
 EXIT_OK = 0
@@ -130,14 +135,15 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
-def _chains(covers: dict, cap: int, args: argparse.Namespace) -> tuple[int, bool, list | None]:
-    """The maximal-chain count of a walk, its braid-transitivity
+def _chains(covers: dict, roots: RootSystem, cap: int,
+            args: argparse.Namespace) -> tuple[int, bool, list | None]:
+    """The maximal-chain count of the mask diagram, its braid-transitivity
     certificate, and its chains, which `maximal_chains` lists in sorted
     order, only when the count is at most the cap and the format is not
     text, which prints the count and the certificate alone."""
     count = chain_counts(covers)[next(iter(covers))]
     shown = args.output_format != "text" and count <= cap
-    return count, braid_transitive(covers), list(maximal_chains(covers)) if shown else None
+    return count, braid_transitive(covers, roots), list(maximal_chains(covers)) if shown else None
 
 
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
@@ -252,8 +258,10 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     c = coxeter_element(q, order)
     # The chains of [1, c] are the minimal reflection factorizations of c,
     # the simple one in `order` among them; the certificate makes them one
-    # braid orbit.
-    count, single, ordered = _chains(interval_covers(c, roots), args.cap_orbit, args)
+    # braid orbit. The elements are made only for their checks.
+    covers = mask_covers(roots)
+    walk_elements(c, covers, roots)
+    count, single, ordered = _chains(covers, roots, args.cap_orbit, args)
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
@@ -291,7 +299,8 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     # B > B ∩ x^⊥ lowers the rank by one. The braid graph is drawn only
     # on a certified class: without the certificate a move may leave the
     # list, which is a failed verification, not an input error.
-    count, connected, chains = _chains(subcategory_covers(reg), args.cap_sequences, args)
+    count, connected, chains = _chains(subcategory_covers(reg), reg.rootsystem,
+                                       args.cap_sequences, args)
     edges = (braid_edges(chains, reg.rootsystem.reflection)
              if connected and chains is not None else None)
     payload = {

@@ -14,7 +14,8 @@ that `verify` runs on every subcategory, works on root positions: it
 reads the registry's mask tables and Ext-quivers by position off the
 Euler form (`IndecRegistry.ext_quiver`), and looks roots up only at its
 inputs and outputs. The subcategories are walked down from the whole
-category by `subcategory_covers`, whose maximal chains are the complete
+category by `subcategory_covers`, the interval walk's own mask diagram
+(`weyl.mask_covers`), whose maximal chains are the complete
 exceptional sequences (see `weyl.braid_transitive` for their one
 mutation class) and whose nodes' simples are the exceptional antichains
 (`enumerate_exceptional_antichains`).
@@ -30,8 +31,8 @@ from .errors import CapExceededError, NcpqError, ValidationError
 from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
                      topological_sort)
 from .rep import IndecRegistry, top_simples
-from .weyl import (RootSystem, WeylElement, chain_counts, maximal_chains, multiply, simple_root,
-                   walk_down)
+from .weyl import (RootSystem, WeylElement, chain_counts, mask_covers, maximal_chains, multiply,
+                   simple_root)
 
 DEFAULT_SEQUENCE_CAP = 1_000_000
 
@@ -237,13 +238,10 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
 
 def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
     """The Hasse diagram of the thick exceptional subcategories under
-    containment, each given by the int mask b of its indecomposables,
-    by `weyl.walk_down` from the whole category: B maps each member x,
-    its letter, in root order, to B ∩ x^⊥, the mask b & right_orth(x),
-    and every B comes before the subcategories it covers; every root is
-    a letter of the whole category, so its `right_orth` is read up front.
-    The masks are not checked here;
-    `_checked_subcategory` checks one at its level. Holding more than
+    containment, each the int mask b of its indecomposables: the one
+    mask diagram (`weyl.mask_covers`), in which B maps each member x to
+    B ∩ x^⊥, the mask b & right_orth(x). `_checked_subcategory` checks a
+    mask at its level. Holding more than
     `weyl.DEFAULT_INTERVAL_CAP` subcategories (they are in bijection with
     the interval [1, c]) raises CapExceededError("subcategory count
     exceeds cap N").
@@ -256,23 +254,7 @@ def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
     bottom: `weyl.chain_counts` counts them and `weyl.maximal_chains`
     lists them.
     """
-    roots = reg.roots()
-    orth = [reg.right_orth(x) for x in roots]
-
-    def expand(b: int) -> dict[Vector, int]:
-        # By bit position, not `reg.roots_of(b)`: this loop runs once per
-        # cover and is most of the descent, and the positions skip a tuple
-        # and a root-keyed lookup per letter.
-        children = {}
-        rest = b
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            children[roots[k]] = b & orth[k]
-            rest ^= low
-        return children
-
-    return walk_down((1 << len(roots)) - 1, expand, "subcategory count")
+    return mask_covers(reg.rootsystem, "subcategory count")
 
 
 def extend_to_complete(seq: ExcSequence, reg: IndecRegistry) -> ExcSequence:

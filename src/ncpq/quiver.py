@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from ._linalg import IntMatrix, det_bareiss
+from ._linalg import IntMatrix
 from .errors import QuiverParseError, ValidationError
 
 Vector = tuple[int, ...]
@@ -182,35 +182,42 @@ class Classification:
         return self.kind.capitalize()
 
 
+def _leading_minors(entries: IntMatrix, vertices: list[int]) -> list[int]:
+    """The leading principal minors of the principal submatrix on
+    `vertices`, through the first that is <= 0: the pivots of one
+    fraction-free (Bareiss) elimination without row swaps, since past k
+    nonzero pivots entry (i, j) is the leading k-by-k minor bordered by
+    row i and column j."""
+    m = [[entries[i][j] for j in vertices] for i in vertices]
+    minors: list[int] = []
+    for k, row in enumerate(m):
+        minors.append(row[k])
+        if row[k] <= 0:
+            break
+        prev = minors[-2] if k else 1
+        for lower in m[k + 1:]:
+            lower[k + 1:] = [(x * row[k] - lower[k] * y) // prev
+                             for x, y in zip(lower[k + 1:], row[k + 1:])]
+    return minors
+
+
 def _positive_definite(entries: IntMatrix, vertices: list[int]) -> bool:
     """Whether the principal submatrix on `vertices` is positive definite:
     by Sylvester's criterion, whether every leading principal minor is
-    positive."""
-    return all(det_bareiss(tuple(tuple(entries[i][j] for j in vertices[:k])
-                                 for i in vertices[:k])) > 0
-               for k in range(1, len(vertices) + 1))
+    positive (`_leading_minors`, one elimination)."""
+    return all(m > 0 for m in _leading_minors(entries, vertices))
 
 
-def _dynkin_component_label(entries: IntMatrix, comp: list[int]) -> str:
-    """ADE label of one positive definite component of the underlying graph."""
-    size = len(comp)
-    adj = {v: [u for u in comp if u != v and entries[v][u] != 0] for v in comp}
-    degrees = sorted(len(adj[v]) for v in comp)
-    if not degrees or degrees[-1] <= 2:
+def _dynkin_component_label(comp: int, neighbours: list[int]) -> str:
+    """ADE label of one positive definite component, the mask `comp`, of
+    the underlying graph: A with no vertex of three neighbours, else D or
+    E by the sizes of its legs, the components left without that vertex."""
+    size = comp.bit_count()
+    center = [v for v, m in enumerate(neighbours) if comp >> v & 1 and m.bit_count() == 3]
+    if not center:
         return f"A{size}"
-    center = next(v for v in comp if len(adj[v]) == 3)
-    legs = []
-    for first in adj[center]:
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
+    rest = comp & ~(1 << center[0])
+    legs = sorted(leg.bit_count() for leg in connected_components(rest, neighbours))
     if legs[:2] == [1, 1]:
         return f"D{size}"
     if legs in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
@@ -230,24 +237,27 @@ def classify_type(c: CartanMatrix) -> Classification:
     principal submatrix of finite type (Kac, Infinite dimensional Lie
     algebras, Lemma 4.5). The quiver is finite when every component is,
     affine when every component is finite or affine and one is affine, and
-    indefinite otherwise. All of it takes polynomially many determinants.
+    indefinite otherwise. Every deletion positive definite puts the first
+    leading minors above 0, so the determinant is the last one. All of it
+    takes polynomially many eliminations.
     """
     e = c.entries
     n = len(e)
-    comps = connected_components(n, ((i, j) for i in range(n) for j in range(i + 1, n)
-                                     if e[i][j] != 0))
+    neighbours = [sum(1 << j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(e)]
+    masks = connected_components((1 << n) - 1, neighbours)
     kinds = []
-    for comp in comps:
+    for mask in masks:
+        comp = [v for v in range(n) if mask >> v & 1]
         if _positive_definite(e, comp):
             kinds.append("finite")
-        elif (det_bareiss(tuple(tuple(e[i][j] for j in comp) for i in comp)) == 0
+        elif (_leading_minors(e, comp)[len(comp) - 1:] == [0]
               and all(_positive_definite(e, [v for v in comp if v != x]) for x in comp)):
             kinds.append("affine")
         else:
             return Classification("indefinite")
     if "affine" in kinds:
         return Classification("affine")
-    labels = sorted(_dynkin_component_label(e, comp) for comp in comps)
+    labels = sorted(_dynkin_component_label(mask, neighbours) for mask in masks)
     return Classification("finite", "+".join(labels))
 
 
@@ -289,28 +299,23 @@ def topological_sort(n: int, arrows: Iterable[tuple[int, int]]) -> tuple[int, ..
     return tuple(order) if len(order) == n else None
 
 
-def connected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of the undirected graph on vertices 0..n-1, by
-    depth-first search, each sorted and listed by its smallest vertex.
-    Loops and repeated edges may occur."""
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-    seen = [False] * n
+def connected_components(vertices: int, neighbours: Sequence[int]) -> list[int]:
+    """Connected components of the undirected graph on the bits of
+    `vertices` whose vertex v has the neighbour mask neighbours[v]
+    (symmetric; bits outside `vertices` are ignored), each an int mask
+    grown from its lowest bit, listed by that bit."""
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp, stack = [start], [start]
-        while stack:
-            for u in adjacent[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
+    rest = vertices
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = neighbours[v] & rest & ~comp
+            comp |= new
+            frontier |= new
+        rest &= ~comp
+        comps.append(comp)
     return comps
 
 

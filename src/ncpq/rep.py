@@ -337,8 +337,8 @@ class IndecRegistry:
     root on both sides of the bijection; `position`, `mask_of` and
     `roots_of` convert. Immutable after build; its memos fill lazily:
     three tables by root position, each made whole on first read, of the
-    masks that perpendicular categories intersect (`right_orth_at`,
-    `left_orth_at`) and of the roots mapping into each root from below
+    masks that perpendicular categories intersect (`right_orth_at`, the
+    root system's `orth`, and `left_orth_at`) and of the roots mapping into each root from below
     (`maps_into_at`), which the root-keyed methods index; and the
     injectivity scan's answers (`_injective`). They are safe for
     concurrent reads under the GIL.
@@ -432,12 +432,12 @@ class IndecRegistry:
         """`maps_into_at` the position of the root m."""
         return self.maps_into_at[self.position(m)]
 
-    @functools.cached_property
+    @property
     def right_orth_at(self) -> tuple[int, ...]:
         """At each root a, the mask of the roots m with Hom(a, m) =
-        Ext(a, m) = 0: those with <a, m> = 0."""
-        return tuple(sum(1 << k for k, e in enumerate(row) if e == 0)
-                     for row in self.rootsystem.euler)
+        Ext(a, m) = 0: those with <a, m> = 0, the root system's own
+        table `RootSystem.orth`, which the interval walk reads."""
+        return self.rootsystem.orth
 
     @functools.cached_property
     def left_orth_at(self) -> tuple[int, ...]:

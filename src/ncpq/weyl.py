@@ -22,18 +22,14 @@ witness's s_i*P), the witness's P*s_alpha, the braid table's pair products and `
 induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
 stays the general product.
 
-One toolkit serves both posets of the bijection, each walked down from
-its top by covers and by one rule on int masks over the roots, numbered
-as in `RootSystem.sorted_roots`: the interval [1, c] (`interval_covers`),
-whose nodes are letter sets and whose child through a keeps the letters
-s with <a, s> = 0 under the Euler form (`RootSystem.euler`), and the
-thick exceptional subcategories (`exc.subcategory_covers`), whose nodes
-are their indecomposables and whose child through x is B ∩ x^⊥.
-`walk_down` walks either into a Hasse diagram whose covers are keyed by
-their letters, `chain_counts` counts its maximal chains,
-`maximal_chains` lists them, and `braid_transitive` certifies on the
-diagram itself that the braid group moves any chain to any other (proof
-in its docstring).
+Both posets of the bijection are one labelled Hasse diagram on int masks
+over the roots (`mask_covers`): a mask is the letter set of an element
+of [1, c] (`walk_elements`; proof in `interval_covers`) and the
+indecomposables of a thick subcategory (`exc.subcategory_covers`).
+`walk_down` walks a diagram whose covers are keyed by their letters,
+`chain_counts` counts its maximal chains, `maximal_chains` lists them,
+and `braid_transitive` certifies on the masks that the braid group
+moves any chain to any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -271,13 +267,20 @@ class RootSystem:
     def euler(self) -> tuple[tuple[int, ...], ...]:
         """<a, b> = `euler_form` at row a and column b, in `sorted_roots`
         order, made once, on first use, by bilinearity from the form's
-        matrix on the simple roots. The interval walk and the registry's
-        per-root masks read it."""
+        matrix on the simple roots. `orth` and the registry's per-root
+        masks read it."""
         ordered = self.sorted_roots()
         simples = [simple_root(self.n, i) for i in self.quiver.vertices]
         columns = [[euler_form(self.quiver, s, t) for s in simples] for t in simples]
         rows = [[sum(map(mul, a, col)) for col in columns] for a in ordered]
         return tuple(tuple(sum(map(mul, row, b)) for b in ordered) for row in rows)
+
+    @cached_property
+    def orth(self) -> tuple[int, ...]:
+        """At each root a, the mask of the roots s with <a, s> = 0 (bit k for
+        the k-th root), made once: the letters the walk keeps through a,
+        and a^⊥ in the registry (`IndecRegistry.right_orth_at`)."""
+        return tuple(sum(1 << k for k, e in enumerate(row) if e == 0) for row in self.euler)
 
 
 def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
@@ -413,24 +416,65 @@ def walk_down(top, expand: Callable, what: str) -> dict:
     return covers
 
 
+def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, dict[Vector, int]]:
+    """The package's one walk: the labelled Hasse diagram on int masks
+    over `RootSystem.sorted_roots`, by `walk_down` from the mask of every
+    root. A mask maps each of its roots a, in root order, to its child
+    `mask & orth[a]` (`RootSystem.orth`). Past DEFAULT_INTERVAL_CAP masks
+    it raises CapExceededError("<what> exceeds cap N").
+    """
+    roots.require_complete()
+    letters, orth = roots.sorted_roots(), roots.orth
+
+    def expand(mask: int) -> dict[Vector, int]:
+        children = {}
+        rest = mask
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            children[letters[k]] = mask & orth[k]
+        return children
+
+    return walk_down((1 << len(letters)) - 1, expand, what)
+
+
+def walk_elements(c: WeylElement, covers: dict[int, dict[Vector, int]],
+                  roots: RootSystem) -> dict[int, WeylElement]:
+    """Each mask of `covers` (`mask_covers`) with its element of [1, c]:
+    c at the top, and w*t at a mask first met below w through the root
+    of t, one `reflect_right` per node in the order the walk meets them.
+    First, c is checked by E c = -E^T, which fixes it (`interval_covers`):
+    any c but the Coxeter element of the root system's quiver raises
+    ValidationError. NcpqError reports an empty mask off the identity.
+    """
+    q = roots.quiver
+    simples = [simple_root(q.n, i) for i in q.vertices]
+    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
+    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
+        raise ValidationError("the given element is not the Coxeter element of the quiver")
+    elements = {next(iter(covers)): c}
+    for mask, children in covers.items():
+        w = elements[mask]
+        for x, child in children.items():
+            if child not in elements:
+                elements[child] = reflect_right(w, roots.reflection(x))
+    if elements.get(0) != identity(c.n):
+        raise NcpqError("the interval walk ended off the identity; this is a bug")
+    return elements
+
+
 def interval_covers(c: WeylElement,
                     roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
     """The labelled Hasse diagram of the interval [1, c] of absolute
-    order, by `walk_down` from c: each element w mapped to the elements
-    it covers, w*t for the reflections t <= w, each keyed by the root of
-    t, in root order. c must be the Coxeter element of the root system's
-    quiver (`coxeter_element` in any admissible order): c is checked by
-    E c = -E^T, below, which fixes it, and any other raises
-    ValidationError.
+    order: each element w mapped to the elements it covers, w*t for the
+    reflections t <= w, each keyed by the root of t, in root order: the
+    mask diagram relabelled in place by `walk_elements`.
 
-    The walk runs on letter sets, int bitmasks over the sorted roots: the
-    letters of w are the roots a with t_a <= w, every root at c, and the
-    child of w through a keeps the letters s of w with <a, s> = 0, for
-    <.,.> = `euler_form`: its mask is `mask & orth[a]`. Each mask gets
-    its matrix w*t from `reflect_right` once, when first met, so the walk
-    makes one product per element other than c; the diagram is then
-    relabelled by the matrices. Proof, with B the symmetric form
-    (positive definite in finite type) and Mov(w) = im(w - I):
+    The masks are letter sets: the letters of w are the roots a with
+    t_a <= w, every root at c, and the child of w through a keeps the
+    letters s of w with <a, s> = 0, for <.,.> = `euler_form`. Proof,
+    with B the symmetric form (positive definite in finite type) and
+    Mov(w) = im(w - I):
 
     - Letters. t_a <= w iff a lies in Mov(w), and |w| = dim Mov(w)
       (Brady-Watt 2002, "A partial order on the orthogonal group";
@@ -468,42 +512,10 @@ def interval_covers(c: WeylElement,
     exactly one at each of the k steps to u, so u lies on a chain of
     covers below w.
 
-    The empty mask must hold the identity, or NcpqError reports a bug.
-    Past that, `verify` matches every matrix and cover of the walk with
-    the descent's cox(B), letter by letter; `hurwitz` and `nc` have no
-    second side, and there `braid_transitive`, which refuses a child
-    letter its parent lacks, and the tests' closed-form pins of element
-    and chain counts catch a wrong letter set. Holding more than
-    DEFAULT_INTERVAL_CAP elements raises
-    CapExceededError("interval size exceeds cap N").
+    `verify` checks each element against cox(B) on its mask.
     """
-    roots.require_complete()
-    q = roots.quiver
-    simples = [simple_root(q.n, i) for i in q.vertices]
-    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
-    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
-        raise ValidationError("the given element is not the Coxeter element of the quiver")
-    reflections = roots.reflections()
-    orth = [sum(1 << k for k, e in enumerate(row) if e == 0) for row in roots.euler]
-    top = (1 << len(reflections)) - 1
-    elements = {top: c}
-
-    def expand(mask: int) -> dict[Vector, int]:
-        w = elements[mask]
-        children = {}
-        rest = mask
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            child = mask & orth[k]
-            if child not in elements:
-                elements[child] = reflect_right(w, reflections[k])
-            children[reflections[k].root] = child
-        return children
-
-    covers = walk_down(top, expand, "interval size")
-    if elements[0] != identity(c.n):
-        raise NcpqError("the interval walk ended off the identity; this is a bug")
+    covers = mask_covers(roots)
+    elements = walk_elements(c, covers, roots)
     for children in covers.values():
         for x, child in children.items():
             children[x] = elements[child]
@@ -564,13 +576,17 @@ def maximal_chains(covers: dict) -> Iterator[tuple]:
     return above(next(reversed(covers)))
 
 
-def braid_transitive(covers: dict) -> bool:
+def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) -> bool:
     """Certificate that the braid group acts transitively on the maximal
-    chains of a labelled Hasse diagram (`walk_down`), read from the
+    chains of the mask diagram `covers` (`mask_covers`), read from the
     bottom as in `maximal_chains`: at every node w, the graph on the
     letters of w, with an edge a - b for each letter b of the child
-    reached through a, is connected. A child letter that w lacks fails
-    the certificate: a move would then leave the diagram.
+    reached through a, is connected.
+
+    On the masks: each node b has one letter per bit, its child through
+    the root a is the node `b & orth[a]` (`RootSystem.orth`), so a
+    dropped cover fails, and b is one component under the neighbour masks
+    orth[a] | {s : a in orth[s]} (`quiver.connected_components`).
 
     Proof, by induction up the diagram; a node with no children has one
     chain. The chains of w that end with a are s + (a,) for the chains s
@@ -598,24 +614,31 @@ def braid_transitive(covers: dict) -> bool:
     keeps the last letter. A failure further down leaves the orbit
     count open and also reads False.
     """
-    for children in covers.values():
-        index = {x: k for k, x in enumerate(children)}
-        edges = [(index[a], index.get(b)) for a, child in children.items() for b in covers[child]]
-        if any(b is None for _, b in edges) or len(connected_components(len(index), edges)) > 1:
+    position = {x: k for k, x in enumerate(roots.sorted_roots())}
+    orth = roots.orth
+    undirected = [m | sum(1 << s for s, o in enumerate(orth) if o >> a & 1)
+                  for a, m in enumerate(orth)]
+    for b, children in covers.items():
+        if len(children) != b.bit_count():
+            return False
+        for x, child in children.items():
+            k = position.get(x)
+            if k is None or not b >> k & 1 or child != b & orth[k] or child not in covers:
+                return False
+        if len(connected_components(b, undirected)) > 1:
             return False
     return True
 
 
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
-    """Interval {s : s <= c} of absolute order in a finite Weyl group,
-    walked down from c by `interval_covers`, which refuses any c but the
-    Coxeter element of the roots' quiver; `roots` defaults to
+    """Interval {s : s <= c} of absolute order in a finite Weyl group: the
+    elements of the mask diagram (`walk_elements`), which refuses any c
+    but the Coxeter element of the roots' quiver; `roots` defaults to
     `complete_roots`, which refuses before generating any."""
     if roots is None:
         roots = complete_roots(q)
-    roots.require_complete()
-    return set(interval_covers(c, roots))
+    return set(walk_elements(c, mask_covers(roots), roots).values())
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,12 @@ FAULTS = (
     Fault("simple-reflect-sign", "weyl.py",
           "(v[i] - s,)", "(v[i] + s,)",
           ("internal", "verify")),
-    Fault("walk-orth-side", "weyl.py",
-          "for row in roots.euler]", "for row in zip(*roots.euler)]",
-          ("internal", "verify")),
-    Fault("registry-orth-side", "rep.py",
-          "for row in self.rootsystem.euler)", "for row in zip(*self.rootsystem.euler))",
+    # The walk and the registry read the one table `RootSystem.orth`.
+    Fault("orth-side", "weyl.py",
+          "e == 0) for row in self.euler)", "e == 0) for row in zip(*self.euler))",
           ("internal", "verify")),
     Fault("letter-kept-in-its-child", "weyl.py",
-          "child = mask & orth[k]", "child = mask & (orth[k] | 1 << k)",
+          "= mask & orth[k]", "= mask & (orth[k] | 1 << k)",
           ("internal", "verify")),
     Fault("maps-into-nonnegative", "rep.py",
           "if e > 0 and any(", "if e >= 0 and any(",
@@ -82,6 +80,25 @@ FAULTS = (
     Fault("walk-cap-off-by-one", "weyl.py",
           "if held > cap:", "if held > cap + 1:",
           ("test", "tests/test_weyl.py::test_walk_cap_is_read_at_call_time")),
+    Fault("connectivity-skipped", "weyl.py",
+          "if len(connected_components(b, undirected)) > 1:", "if False:",
+          ("test", "tests/test_weyl.py::test_certificate_checks_every_node")),
+    Fault("bareiss-sign", "quiver.py",
+          "(x * row[k] - lower[k] * y)", "(x * row[k] + lower[k] * y)",
+          ("test", "tests/test_quiver.py::test_classify_kronecker_affine")),
+    Fault("transposed-matrix-action", "_linalg.py",
+          "sum(map(mul, row, v)) for row in a)", "sum(map(mul, row, v)) for row in zip(*a))",
+          ("internal", "sequences")),
+    Fault("braid-pair-check-skipped", "hurwitz.py",
+          "if reflect_right(a.element, b) != reflect_right(",
+          "if False and reflect_right(a.element, b) != reflect_right(",
+          ("test", "tests/test_exc.py::test_mutation_graph_catches_a_corrupted_reflection")),
+    Fault("base-case-skipped", "bijection.py",
+          "if not ind and value != identity(q.n):", "if False:",
+          ("test", "tests/test_bijection.py::test_base_case_of_the_induction_is_checked")),
+    Fault("failed-certificate-exits-0", "cli.py",
+          "return EXIT_OK if single else EXIT_VERIFICATION_FAILED", "return EXIT_OK",
+          ("test", "tests/test_cli.py::test_a_dropped_cover_fails_the_hurwitz_certificate")),
     # One corrupted cox(B) per flag of the `verify` report.
     Fault("cox-times-s1", "exc.py",
           PRODUCT, _product("(simple_root(rootsystem.n, 1), *roots_seq)"),

@@ -63,7 +63,8 @@ from ncpq._linalg import int_echelon, int_rank, mat_mul
 from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.hurwitz import DEFAULT_ORBIT_CAP
-from ncpq.quiver import Vector, euler_form, topological_order, topological_sort
+from ncpq.quiver import (Vector, connected_components, euler_form, topological_order,
+                         topological_sort)
 from ncpq.rep import (IndecRegistry, _is_simple_vector, _reflect_quiver, _source_cokernel_step,
                       simple_representation)
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
@@ -632,6 +633,22 @@ def mutation_edges_by_braid_mutate(seqs, reg) -> set:
             if j != k:
                 edges.add((min(j, k), max(j, k)))
     return edges
+
+
+def neighbour_masks(n: int, edges) -> list[int]:
+    """The neighbour masks of the undirected graph on 0..n-1 with these
+    edges, as `quiver.connected_components` reads a graph."""
+    neighbours = [0] * n
+    for a, b in edges:
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    return neighbours
+
+
+def is_connected(n: int, edges) -> bool:
+    """Whether the undirected graph on 0..n-1 with these edges is one
+    component under `quiver.connected_components`."""
+    return len(connected_components((1 << n) - 1, neighbour_masks(n, edges))) == 1
 
 
 def nc_by_group_filter(c, q: Quiver, roots: RootSystem) -> set:

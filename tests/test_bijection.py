@@ -26,8 +26,9 @@ from ncpq import (
     topological_order,
     verify_bijection,
 )
-from ncpq.errors import NonFiniteTypeError, ValidationError
+from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.exc import order_antichain, sequence_product
+from ncpq.weyl import walk_elements
 
 from oracles import (
     CLOSED_FORM_PINS,
@@ -273,87 +274,106 @@ def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch
     assert not report.flags["well_defined"]
 
 
+def _order_failures(a3, a3_reg, a3_roots, diagram) -> list:
+    """The order failures `verify` must report on a corrupted mask
+    diagram, read from the covers of each side on its own: those of the
+    diagram with the true cox of each subcategory, and those of the
+    diagram with the elements its walk multiplies out, each cover
+    labelled by its letter and present on one side only."""
+    subs = {a3_reg.mask_of(sub.ind_roots): sub for sub in subcategories(a3, a3_reg)}
+    values = {b: cox(subs[b], a3_reg, a3_roots) for b in diagram}
+    elements = walk_elements(coxeter_element(a3, (1, 2, 3)), diagram, a3_roots)
+    preimage = {value: b for b, value in values.items()}
+    down = [(values[a], x, values[b]) for b, children in diagram.items()
+            for x, a in children.items()]
+    walk = [(elements[a], x, elements[b]) for b, children in diagram.items()
+            for x, a in children.items()]
+
+    def failure(direction, val_a, val_b):
+        return json.dumps([direction, *(None if v not in preimage else subs[preimage[v]].to_json()
+                                        for v in (val_a, val_b)), val_a.to_json(), val_b.to_json()])
+
+    return sorted([failure("forward", a, b) for a, x, b in down if (a, x, b) not in walk]
+                  + [failure("backward", a, b) for a, x, b in walk if (a, x, b) not in down])
+
+
+def _reported_order_failures(report) -> list:
+    return sorted(json.dumps([f["direction"], f["subcategory_a"], f["subcategory_b"],
+                              f["cox_a"], f["cox_b"]])
+                  for f in report.failures if f["kind"] == "order_preservation")
+
+
 def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypatch):
-    # Drop add S1 from the descent, and its cover from every parent, each
-    # later child moving up one letter: each parent then pairs some x with
-    # the child of its neighbour, the image of add S1 is missed, and so is
-    # every cover of [1, c] through it. The order failures are exactly the
-    # labelled covers on one side only, each side read on its own: the
-    # corrupted descent with the true cox of each subcategory, and the
-    # walk below c.
-    real = ncpq.bijection.subcategory_covers
-    dropped = a3_reg.mask_of({(1, 0, 0)})
+    # Drop add P12 from the one diagram of both sides, and its cover from
+    # every parent, each later child moving up one letter. The walk then
+    # multiplies the element of add P12 onto a neighbour's mask: the
+    # reflection at P12 is missed, that element is an extra, and the
+    # induction breaks where a parent pairs a letter with the wrong child.
+    # The order failures are exactly the labelled covers on one side only.
+    real = ncpq.bijection.mask_covers
 
-    def fewer(reg):
-        return {b: dict(zip(children, (a for a in children.values() if a != dropped)))
-                for b, children in real(reg).items() if b != dropped}
+    def without(root):
+        dropped = a3_reg.mask_of({root})
 
-    monkeypatch.setattr("ncpq.bijection.subcategory_covers", fewer)
+        def fewer(roots, what="interval size"):
+            return {b: dict(zip(children, (a for a in children.values() if a != dropped)))
+                    for b, children in real(roots, what).items() if b != dropped}
+        return dropped, fewer
+
+    dropped, fewer = without((1, 1, 0))
+    monkeypatch.setattr("ncpq.bijection.mask_covers", fewer)
     report = verify_bijection(a3, (1, 2, 3))
-    assert not report.flags["well_defined"] and not report.flags["surjective"]
-    assert not report.flags["order_iso_forward"] and not report.flags["order_iso_backward"]
-    s1 = make_reflection(a3, (1, 0, 0)).element
+    assert report.flags == {"well_defined": False, "injective": True, "surjective": False,
+                            "order_iso_forward": False, "order_iso_backward": False,
+                            "order_iso": False}
+    assert report.counts["subcategories"] == report.counts["nc"] == 13
     by_kind = {}
     for f in report.failures:
         by_kind.setdefault(f["kind"], []).append(f)
-    assert by_kind["surjectivity"] == [{"kind": "surjectivity", "missing": [s1.to_json()],
-                                        "extra": []}]
+    (surjectivity,) = by_kind["surjectivity"]
+    p12 = make_reflection(a3, (1, 1, 0)).element
+    assert surjectivity["missing"] == [p12.to_json()] and len(surjectivity["extra"]) == 1
+    assert by_kind["well_defined"]
     for f in by_kind["well_defined"]:
         ind = {tuple(r) for r in f["subcategory"]["indecomposables"]}
         assert any(a3_reg.mask_of(ind) & a3_reg.right_orth(x) == dropped for x in ind)
-
-    descent = fewer(a3_reg)
-    subs = {a3_reg.mask_of(sub.ind_roots): sub for sub in subcategories(a3, a3_reg)}
-    values = {ind: cox(subs[ind], a3_reg, a3_roots) for ind in descent}
-    preimage = {value: ind for ind, value in values.items()}
-    walk = interval_covers(coxeter_element(a3, (1, 2, 3)), a3_roots)
-
-    def failure(direction, a, b, val_a, val_b):
-        return json.dumps([direction, None if a is None else subs[a].to_json(),
-                           None if b is None else subs[b].to_json(),
-                           val_a.to_json(), val_b.to_json()])
-
-    forward = [failure("forward", a, b, values[a], values[b])
-               for b, down in descent.items() for x, a in down.items()
-               if walk.get(values[b], {}).get(x) != values[a]]
-    backward = [failure("backward", preimage.get(u), preimage.get(w), u, w)
-                for w, children in walk.items() for t, u in children.items()
-                if w not in preimage or t not in descent[preimage[w]]
-                or values[descent[preimage[w]][t]] != u]
-    got = [json.dumps([f["direction"], f["subcategory_a"], f["subcategory_b"],
-                       f["cox_a"], f["cox_b"]]) for f in by_kind["order_preservation"]]
-    assert forward and sorted(got) == sorted(forward + backward)
-    through = {json.dumps([x.to_json(), w.to_json()])
-               for w, children in walk.items() for x in children.values() if s1 in (x, w)}
-    assert through <= {json.dumps([f["cox_a"], f["cox_b"]])
-                       for f in by_kind["order_preservation"] if f["direction"] == "backward"}
-    for f in by_kind["order_preservation"]:
-        assert (f["subcategory_a"] is None) == (f["cox_a"] == s1.to_json())
-        assert (f["subcategory_b"] is None) == (f["cox_b"] == s1.to_json())
+    expected = _order_failures(a3, a3_reg, a3_roots, fewer(a3_roots))
+    assert expected and _reported_order_failures(report) == expected
+    # Dropping add S1 instead sends the walk off the identity, a bug.
+    monkeypatch.setattr("ncpq.bijection.mask_covers", without((1, 0, 0))[1])
+    with pytest.raises(NcpqError, match="off the identity"):
+        verify_bijection(a3, (1, 2, 3))
 
 
-def test_verify_checks_the_letters_of_the_walk(a3, monkeypatch):
-    # Swapping the children of the first two letters of c keeps every
-    # element and every unlabelled cover of the walk; only the letters
-    # change. Each of the two covers of c is then on one side only, both
-    # ways, while every induction product still holds.
-    real = ncpq.bijection.interval_covers
+def test_verify_checks_the_letters_of_the_walk(a3, a3_reg, a3_roots, monkeypatch):
+    # Swapping the children of the last two letters of the whole category
+    # keeps every node and every unlabelled cover of the one diagram, and
+    # its walk still ends at the identity, but it multiplies the two
+    # elements below c the wrong way round. Each induction step through
+    # those letters then fails against c, and the order failures are
+    # exactly the labelled covers on one side only.
+    real = ncpq.bijection.mask_covers
 
-    def swapped(c, roots):
-        covers = real(c, roots)
-        first, second = list(covers[c])[:2]
-        covers[c][first], covers[c][second] = covers[c][second], covers[c][first]
+    def swapped(roots, what="interval size"):
+        covers = real(roots, what)
+        top = covers[next(iter(covers))]
+        first, second = list(top)[-2:]
+        top[first], top[second] = top[second], top[first]
         return covers
 
-    monkeypatch.setattr("ncpq.bijection.interval_covers", swapped)
+    monkeypatch.setattr("ncpq.bijection.mask_covers", swapped)
     report = verify_bijection(a3, (1, 2, 3))
-    c = coxeter_element(a3, (1, 2, 3)).to_json()
-    orders = [f for f in report.failures if f["kind"] == "order_preservation"]
-    assert sorted(f["direction"] for f in orders) == ["backward"] * 2 + ["forward"] * 2
-    assert all(f["cox_b"] == c for f in orders) and len(report.failures) == 4
-    assert report.flags == {"well_defined": True, "injective": True, "surjective": True,
+    assert report.flags == {"well_defined": False, "injective": True, "surjective": True,
                             "order_iso_forward": False, "order_iso_backward": False,
                             "order_iso": False}
+    c = coxeter_element(a3, (1, 2, 3)).to_json()
+    steps = [f for f in report.failures if f["kind"] == "well_defined"]
+    assert sorted(f["last"] for f in steps) == [[1, 1, 0], [1, 1, 1]]
+    assert all(f["expected"] == c and len(f["subcategory"]["simples"]) == 3 for f in steps)
+    expected = _order_failures(a3, a3_reg, a3_roots, swapped(a3_roots))
+    assert _reported_order_failures(report) == expected
+    assert sum(json.loads(f)[4] == c for f in expected) == 4
+    assert len(report.failures) == len(steps) + len(expected)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIZATION_COUNTS))
@@ -441,14 +461,14 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
     calls = {"walk": 0, "fold": 0}
     folds = []
     in_walk = False
-    real_walk = ncpq.bijection.interval_covers
+    real_walk = ncpq.bijection.walk_elements
     real_product = ncpq.bijection.sequence_product
 
-    def walk(c, roots):
+    def walk(c, covers, roots):
         nonlocal in_walk
         in_walk = True
         try:
-            return real_walk(c, roots)
+            return real_walk(c, covers, roots)
         finally:
             in_walk = False
 
@@ -464,7 +484,7 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
 
     monkeypatch.setattr("ncpq.weyl.reflect_right", checked)
     monkeypatch.setattr("ncpq.bijection.reflect_right", checked)
-    monkeypatch.setattr("ncpq.bijection.interval_covers", walk)
+    monkeypatch.setattr("ncpq.bijection.walk_elements", walk)
     monkeypatch.setattr("ncpq.bijection.sequence_product", product)
     report = verify_bijection(DYNKIN_QUIVERS["E6"])
     assert report.all_ok

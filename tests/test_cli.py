@@ -33,11 +33,10 @@ from ncpq.errors import (
     ValidationError,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.quiver import connected_components
 from ncpq.weyl import Reflection, WeylElement, generate_roots
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
-from oracles import (FACTORIZATION_COUNTS, absolute_leq, hurwitz_orbit,
+from oracles import (FACTORIZATION_COUNTS, absolute_leq, hurwitz_orbit, is_connected,
                      minimal_reflection_factorizations, oriented_dynkin, tuple_from_roots)
 
 THREE_KRONECKER_TEXT = "vertices 2\narrow 1 2\narrow 1 2\narrow 1 2\n"
@@ -377,7 +376,7 @@ def test_json_is_one_line_with_the_library_payload(command, quiver_file, capsys,
         nodes = sorted(enumerate_complete_sequences(a3, a3_reg), key=lambda s: s.roots)
         edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
         expected = {"quiver": path, "count": len(nodes),
-                    "connected": len(connected_components(len(nodes), edges)) == 1,
+                    "connected": is_connected(len(nodes), edges),
                     "sequences": [list(map(list, s.roots)) for s in nodes],
                     "mutation_edges": [list(e) for e in sorted(edges)]}
     assert json.loads(out) == expected
@@ -442,8 +441,9 @@ def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, qu
                                                       capsys, monkeypatch):
     # Both commands draw their braid graph with the root system's
     # reflections, and the pair-product check refuses the reflection at a2
-    # given the matrix of s1 as a bug. The interval walk multiplies by the
-    # same reflections, so they are corrupted only once the walk is made.
+    # given the matrix of s1 as a bug. The walk's elements are multiplied
+    # by the same reflections, so they are corrupted only once those are
+    # made.
     honest = ncpq.weyl.RootSystem.reflection
 
     def corrupted(self, root):
@@ -458,11 +458,25 @@ def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, qu
             return covers
         return walked
 
-    for walk in ("interval_covers", "subcategory_covers"):
+    for walk in ("walk_elements", "subcategory_covers"):
         monkeypatch.setattr(cli, walk, corrupting(getattr(cli, walk)))
     assert main([command, quiver_file(A3_TEXT), "--format", output_format]) == 5
     captured = capsys.readouterr()
     assert captured.out == "" and "reflection product" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "hurwitz", "sequences"])
+def test_each_command_walks_the_one_diagram_once(command, quiver_file, capsys, monkeypatch):
+    # verify, hurwitz and sequences all read the one mask diagram of both
+    # posets, made by a single walk, whichever module calls it.
+    calls = []
+    real = ncpq.weyl.walk_down
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncpq.") and getattr(module, "walk_down", None) is real:
+            monkeypatch.setattr(module, "walk_down",
+                                lambda *args: calls.append(args) or real(*args))
+    assert main([command, quiver_file(D4_TEXT), "--format", "json"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("output_format", ["json", "text", "dot"])
@@ -482,14 +496,14 @@ def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monk
     # The certificate reads the diagram with one element of length 2
     # missing its last cover, whose letter another of its children still
     # names, so the certificate fails and the command exits 1.
-    real = cli.interval_covers
+    real = cli.mask_covers
 
-    def dropped(c, roots):
-        covers = real(c, roots)
-        covers[next(iter(covers[c].values()))].popitem()
+    def dropped(roots):
+        covers = real(roots)
+        covers[next(iter(covers[next(iter(covers))].values()))].popitem()
         return covers
 
-    monkeypatch.setattr(cli, "interval_covers", dropped)
+    monkeypatch.setattr(cli, "mask_covers", dropped)
     path = quiver_file(A3_TEXT)
     assert main(["hurwitz", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

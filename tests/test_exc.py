@@ -40,9 +40,9 @@ from ncpq.exc import (
     subcategory_covers,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.quiver import Quiver, connected_components, topological_sort
+from ncpq.quiver import Quiver, topological_sort
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
-                       make_reflection, maximal_chains, simple_root)
+                       make_reflection, mask_covers, maximal_chains, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -53,6 +53,7 @@ from oracles import (
     exceptional_antichains_by_backtracking,
     exceptional_sequences,
     hurwitz_orbit,
+    is_connected,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,
     oriented_dynkin,
@@ -348,7 +349,7 @@ def test_product_invariant_on_all_mutation_edges(a3_reg):
     nodes = sorted(seqs, key=lambda s: s.roots)
     edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
     assert len(nodes) == 16
-    assert len(connected_components(len(nodes), edges)) == 1
+    assert is_connected(len(nodes), edges)
 
 
 def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
@@ -397,9 +398,9 @@ def _assert_sequences_are_the_orbit(q, order):
         assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
     covers = interval_covers(coxeter_element(q, order), roots)
     assert sorted(maximal_chains(covers)) == [t.roots for t in orbit]
-    assert len(connected_components(len(nodes), edges)) == 1
-    assert braid_transitive(covers) is True
-    assert braid_transitive(subcategory_covers(reg)) is True
+    assert is_connected(len(nodes), edges)
+    assert braid_transitive(mask_covers(roots), roots) is True
+    assert braid_transitive(subcategory_covers(reg), roots) is True
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
@@ -614,8 +615,8 @@ def test_both_walks_match_the_closed_forms_on_more_orientations(label, every):
     c = coxeter_element(q, topological_order(q))
     covers, descent = interval_covers(c, roots), subcategory_covers(build_registry(q, roots))
     assert chain_counts(covers)[c] == chain_counts(descent)[next(iter(descent))] == chains
-    assert braid_transitive(covers)
-    assert braid_transitive(descent)
+    assert braid_transitive(mask_covers(roots), roots)
+    assert braid_transitive(descent, roots)
 
 
 @pytest.mark.parametrize("label", sorted(CLOSED_FORM_PINS))
@@ -667,21 +668,16 @@ def test_subcategory_check_refuses_the_wrong_rank(a3_reg):
 
 
 def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):
-    # A registry whose P123^⊥ holds S1 alone makes add S1 a child of the
-    # whole category, one level down with the rank-2 subcategories, while
-    # the descent also meets it with the rank-1 ones. Every child is still
-    # smaller than its parent, so a descent without the check ends.
+    # An Euler-form table whose row at P123 holds S1 alone makes add S1 a
+    # child of the whole category, one level down with the rank-2
+    # subcategories, while the descent also meets it with the rank-1 ones.
+    # Every child is still smaller than its parent, so a descent without
+    # the check ends.
     reg = build_registry(a3)
-    real = reg.right_orth
-    corrupted = [(1, 1, 1)]
-
-    def right_orth(x):
-        if x in corrupted:
-            corrupted.remove(x)
-            return reg.mask_of([(1, 0, 0)])
-        return real(x)
-
-    monkeypatch.setattr(reg, "right_orth", right_orth)
+    orth = list(reg.rootsystem.orth)
+    orth[reg.position((1, 1, 1))] = reg.mask_of([(1, 0, 0)])
+    monkeypatch.setattr(reg.rootsystem, "orth", tuple(orth))
+    assert reg.right_orth((1, 1, 1)) == reg.mask_of([(1, 0, 0)])
     with pytest.raises(NcpqError, match="two levels"):
         subcategory_covers(reg)
 

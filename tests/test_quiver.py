@@ -20,11 +20,12 @@ from ncpq import (
     symmetric_form,
     topological_order,
 )
+from ncpq import quiver
 from ncpq.errors import QuiverParseError, ValidationError
 from ncpq.quiver import connected_components, is_admissible_order, topological_sort
 
 from oracles import (DYNKIN_QUIVERS, kind_by_principal_minor_sums, leading_principal_minors,
-                     random_acyclic_quiver)
+                     neighbour_masks, random_acyclic_quiver)
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -195,6 +196,21 @@ def test_classify_a2_with_minor_oracle(a2):
     assert result.kind == "finite" and result.label == "A2"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+    st.permutations(range(n)))))
+def test_positive_definite_is_every_leading_minor_positive(drawn):
+    # One Bareiss pass against the cofactor minors of the symmetrized
+    # matrix, on its vertices in a drawn order.
+    entries, vertices = drawn
+    n = len(vertices)
+    matrix = [[entries[i * n + j] + entries[j * n + i] for j in range(n)] for i in range(n)]
+    sub = [[matrix[i][j] for j in vertices] for i in vertices]
+    assert quiver._positive_definite(matrix, vertices) == all(
+        m > 0 for m in leading_principal_minors(sub))
+
+
 def test_classify_kronecker_affine(kronecker):
     c = cartan_matrix(kronecker)
     assert leading_principal_minors(c.entries)[-1] == 0
@@ -348,7 +364,8 @@ def test_connected_components_match_union_find(graph):
     for v in range(n):
         blocks.setdefault(find(v), []).append(v)
     expected = sorted(blocks.values())
-    assert connected_components(n, edges) == expected
+    comps = connected_components((1 << n) - 1, neighbour_masks(n, edges))
+    assert [[v for v in range(n) if comp >> v & 1] for comp in comps] == expected
 
 
 def test_admissible_order(d4):

@@ -39,8 +39,9 @@ from ncpq.errors import (
 )
 from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver, euler_form, parse_quiver
+from ncpq.quiver import connected_components
 from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
-                       maximal_chains, walk_down)
+                       mask_covers, maximal_chains, walk_down)
 
 from oracles import (
     COXETER_CATALAN,
@@ -542,13 +543,17 @@ def _without(node, x):
 
 def test_walk_down_of_the_boolean_lattice(monkeypatch):
     # The subsets of {1, 2, 3}: 8 nodes, and the 3! orders of removal are
-    # its maximal chains, all in one orbit of transpositions.
+    # its maximal chains, all in one orbit of transpositions. It is the
+    # mask diagram of A1+A1+A1, whose Euler form is the identity.
     top = frozenset({1, 2, 3})
     covers = _subsets(top, _without)
     assert list(map(len, covers)) == [3, 2, 2, 2, 1, 1, 1, 0]
     assert set(maximal_chains(covers)) == set(itertools.permutations((1, 2, 3)))
     assert chain_counts(covers)[top] == 6
-    assert braid_transitive(covers)
+    roots = generate_roots(Quiver(3, ()))
+    masks = mask_covers(roots)
+    assert [b.bit_count() for b in masks] == [3, 2, 2, 2, 1, 1, 1, 0]
+    assert braid_transitive(masks, roots)
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 7)
     with pytest.raises(CapExceededError, match="^node count exceeds cap 7$"):
         _subsets(top, _without)
@@ -567,28 +572,51 @@ def test_chains_come_sorted():
         assert chains == sorted(chains)
 
 
-# The Boolean lattice with the children of one node changed so that the
-# graph on its letters is cut: from the top, 1 and 2 lead to each other
-# and 3 to the bottom; from a node of two letters, both lead to the bottom.
-CUT = {(1, 2, 3): ((2,), (1,), ()), (1, 2): ((), ()), (1, 3): ((), ()), (2, 3): ((), ())}
+# Euler-form masks on three letters, each cutting the letter graph at one
+# node of its diagram: from the top, 0 and 1 lead to each other and 2 to
+# the bottom; or the third letter leads from the top to the other two,
+# which lead to the bottom.
+CUT = {0b111: (0b010, 0b001, 0b000), 0b011: (0b000, 0b000, 0b011),
+       0b101: (0b000, 0b101, 0b000), 0b110: (0b110, 0b000, 0b000)}
+
+
+def _mask_diagram(orth) -> dict:
+    """The mask diagram below the top under `orth`, with no level check."""
+    covers, stack = {}, [0b111]
+    letters = generate_roots(Quiver(3, ())).sorted_roots()
+    while stack:
+        b = stack.pop()
+        if b not in covers:
+            covers[b] = {letters[k]: b & orth[k] for k in range(3) if b >> k & 1}
+            stack += covers[b].values()
+    return covers
 
 
 @pytest.mark.parametrize("node", sorted(CUT))
-def test_certificate_checks_every_node(node):
-    # Every other node keeps the complete graph on its letters, so a
-    # certificate that skips a node, or takes a node's own letters in
-    # place of its children's, passes this diagram.
-    covers = _subsets(frozenset({1, 2, 3}), _without)
-    covers[frozenset(node)] = dict(zip(node, map(frozenset, CUT[node])))
-    assert not braid_transitive(covers)
+def test_certificate_checks_every_node(node, monkeypatch):
+    # Every other node is connected, so a certificate that skips a node,
+    # or takes a node's own letters in place of its children's, passes
+    # this diagram.
+    roots = generate_roots(Quiver(3, ()))
+    monkeypatch.setattr(roots, "orth", CUT[node])
+    covers = _mask_diagram(CUT[node])
+    undirected = [m | sum(1 << s for s, o in enumerate(CUT[node]) if o >> a & 1)
+                  for a, m in enumerate(CUT[node])]
+    assert [b for b in covers if len(connected_components(b, undirected)) > 1] == [node]
+    assert not braid_transitive(covers, roots)
 
 
 def test_certificate_refuses_letters_that_disagree_with_the_diagram():
-    # A child letter its parent lacks: {1} reaches the bottom through 4,
-    # which none of its parents {1, 2} and {1, 3} has.
-    covers = _subsets(frozenset({1, 2, 3}), _without)
-    covers[frozenset({1})] = {4: frozenset()}
-    assert not braid_transitive(covers)
+    # A child letter its parent lacks: {1} reaches the bottom through the
+    # root of bit 1; a child that is not the mask's own; a dropped cover.
+    roots = generate_roots(Quiver(3, ()))
+    letters = roots.sorted_roots()
+    for bad in ({0b001: {letters[1]: 0}}, {0b111: {**mask_covers(roots)[0b111], letters[0]: 0b010}},
+                {0b011: {letters[0]: 0b010}}):
+        covers = mask_covers(roots)
+        assert braid_transitive(covers, roots)
+        covers.update(bad)
+        assert not braid_transitive(covers, roots)
 
 
 @pytest.mark.parametrize("name", [*sorted(DYNKIN_QUIVERS), "A2+D4"])
