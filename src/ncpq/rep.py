@@ -434,9 +434,8 @@ class IndecRegistry:
 
     @property
     def right_orth_at(self) -> tuple[int, ...]:
-        """At each root a, the mask of the roots m with Hom(a, m) =
-        Ext(a, m) = 0: those with <a, m> = 0, the root system's own
-        table `RootSystem.orth`, which the interval walk reads."""
+        """At each root a, the mask of the roots m with Hom(a, m) = Ext(a, m)
+        = 0, those with <a, m> = 0: the root system's `RootSystem.orth`."""
         return self.rootsystem.orth
 
     @functools.cached_property

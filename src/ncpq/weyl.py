@@ -430,9 +430,10 @@ def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, dic
         children = {}
         rest = mask
         while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+            low = rest & -rest
+            k = low.bit_length() - 1
             children[letters[k]] = mask & orth[k]
+            rest ^= low
         return children
 
     return walk_down((1 << len(letters)) - 1, expand, what)

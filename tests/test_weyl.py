@@ -592,17 +592,18 @@ def _mask_diagram(orth) -> dict:
     return covers
 
 
-@pytest.mark.parametrize("node", sorted(CUT))
+@pytest.mark.parametrize("node", sorted(CUT.items()))
 def test_certificate_checks_every_node(node, monkeypatch):
     # Every other node is connected, so a certificate that skips a node,
     # or takes a node's own letters in place of its children's, passes
     # this diagram.
+    cut, orth = node
     roots = generate_roots(Quiver(3, ()))
-    monkeypatch.setattr(roots, "orth", CUT[node])
-    covers = _mask_diagram(CUT[node])
-    undirected = [m | sum(1 << s for s, o in enumerate(CUT[node]) if o >> a & 1)
-                  for a, m in enumerate(CUT[node])]
-    assert [b for b in covers if len(connected_components(b, undirected)) > 1] == [node]
+    monkeypatch.setattr(roots, "orth", orth)
+    covers = _mask_diagram(orth)
+    undirected = [m | sum(1 << s for s, o in enumerate(orth) if o >> a & 1)
+                  for a, m in enumerate(orth)]
+    assert [b for b in covers if len(connected_components(b, undirected)) > 1] == [cut]
     assert not braid_transitive(covers, roots)
 
 
