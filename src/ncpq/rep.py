@@ -8,10 +8,12 @@ reflection steps. One memoized transport, `_transport`, serves the
 registry and `indecomposable_for_root`: the sink word returns to the
 quiver after n steps, so a replayed step depends only on (step mod n,
 root), and each such step is made once (proof in its docstring).
-Integral entries are stored as ints. Each step takes
-its cokernel from an integer left kernel (`_linalg.int_kernel`), so the
-registry maps are integral (E7's have entries in {-1, 0, 1}; the tests
-pin it). dim Hom(M, N) is the nullity of the intertwiner equations, taken
+It reflects the quiver once per level, and every step builds its
+module on the level's quiver. Integral entries are stored as ints.
+Each step takes its cokernel from an integer left kernel
+(`_linalg.int_kernel`) and slices each new map out of the kernel rows,
+so the registry maps are integral (E7's have entries in {-1, 0, 1}; the
+tests pin it) and kept as they are. dim Hom(M, N) is the nullity of the intertwiner equations, taken
 from their fraction-free integer rank (`_linalg.rank`), and `ext_dim`
 comes from the bilinear-form identity hom - ext = form(dim M, dim N),
 which is validated against an independent resolution-based computation
@@ -34,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
@@ -59,9 +61,12 @@ class Representation:
     """Vector spaces at the vertices, one exact-rational matrix per arrow.
 
     The map of arrow (h, t) has shape dims[t-1] x dims[h-1]; maps are
-    aligned with quiver.arrows by position. Entries are stored as ints
-    when integral and as Fractions otherwise, so the Hom equations of
-    integral modules stay in the integers.
+    aligned with quiver.arrows by position, and every shape is checked.
+    Entries are stored as ints when integral and as Fractions otherwise,
+    so the Hom equations of integral modules stay in the integers. A map
+    whose entries are all of type int, as every map the transport builds
+    is, is kept entry for entry (only its rows are made tuples); any
+    other map goes through `_exact` entry by entry.
     """
 
     quiver: Quiver
@@ -71,15 +76,18 @@ class Representation:
     def __post_init__(self):
         if len(self.dims) != self.quiver.n:
             raise ValidationError("dimension vector length does not match quiver")
-        if any(d < 0 for d in self.dims):
+        if min(self.dims, default=0) < 0:
             raise ValidationError("negative dimension")
         if len(self.maps) != len(self.quiver.arrows):
             raise ValidationError("one matrix per arrow required")
         frozen = []
         for (h, t), m in zip(self.quiver.arrows, self.maps):
             rows, cols = self.dims[t - 1], self.dims[h - 1]
-            m = tuple(tuple(_exact(x) for x in row) for row in m)
-            if len(m) != rows or any(len(row) != cols for row in m):
+            if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
+                m = tuple(map(tuple, m))
+            else:
+                m = tuple(tuple(_exact(x) for x in row) for row in m)
+            if len(m) != rows or not set(map(len, m)) <= {cols}:
                 raise ValidationError(
                     f"map for arrow ({h}, {t}) must be {rows}x{cols}")
             frozen.append(m)
@@ -206,45 +214,61 @@ def _reflect_quiver(q: Quiver, v: int) -> Quiver:
     return Quiver(q.n, arrows)
 
 
-def _source_cokernel_step(rep: Representation, j: int) -> Representation:
-    """Reverse the arrows at a source j, replacing the space there by the
-    cokernel of the combined outgoing map. Requires that map injective,
-    which holds along indecomposable transport."""
-    q = rep.quiver
-    if not q.is_source(j):
+class _Level(NamedTuple):
+    """One level of the transport: the cokernel step at the source j of
+    `source`, which gives a module on `target`, the quiver with j's
+    arrows reversed. `out` holds the indices of the arrows leaving j, and
+    target arrow i is source arrow order[i], reversed if it leaves j."""
+
+    source: Quiver
+    target: Quiver
+    j: int
+    out: tuple[int, ...]
+    order: tuple[int, ...]
+
+
+def _level(source: Quiver, j: int, target: Quiver) -> _Level:
+    """The plan of the cokernel step at j from `source` to `target`,
+    checked once: j must be a source of `source`, and reversing its
+    arrows must give target's arrows in the order `order` lists."""
+    if not source.is_source(j):
         raise NcpqError(f"vertex {j} is not a source")
-    out_idx = q.arrow_indices_from(j)
+    out = source.arrow_indices_from(j)
+    moved = sorted((((t, h) if k in out else (h, t)), k)
+                   for k, (h, t) in enumerate(source.arrows))
+    if tuple(a for a, _ in moved) != target.arrows:
+        raise NcpqError("transport misaligned the quiver; this is a bug")
+    return _Level(source, target, j, out, tuple(k for _, k in moved))
+
+
+def _source_cokernel_step(rep: Representation, level: _Level) -> Representation:
+    """Reverse the arrows at the level's source j, replacing the space
+    there by the cokernel of the combined outgoing map. Requires that map
+    injective, which holds along indecomposable transport, and `rep` on
+    the level's source quiver. The outgoing blocks are stacked; the map
+    of each reversed arrow is its column block of the integer left
+    kernel, sliced out of every kernel row, and the module is built on
+    the level's target quiver."""
+    if rep.quiver != level.source:
+        raise NcpqError("transport misaligned the quiver; this is a bug")
+    j = level.j
     dj = rep.dims[j - 1]
-    block_rows = []
-    offsets = []
-    total_rows = 0
-    for k in out_idx:
-        t = q.arrows[k][1]
-        offsets.append(total_rows)
-        total_rows += rep.dims[t - 1]
-        block_rows.extend(rep.maps[k])
+    block_rows = [row for k in level.out for row in rep.maps[k]]
+    total_rows = len(block_rows)
     # The rows y of proj span {y : y phi = 0}, whose size is total_rows - dj
     # exactly when phi is injective.
     proj = int_kernel(integer_rows(list(zip(*block_rows))), total_rows)
     new_dim_j = len(proj)
     if new_dim_j != total_rows - dj:
         raise NcpqError("outgoing map is not injective; transport is broken")
-    dims = tuple(new_dim_j if v == j else rep.dims[v - 1] for v in q.vertices)
-    pairs: list[tuple[tuple[int, int], RatMatrix]] = []
-    for k, (h, t) in enumerate(q.arrows):
-        if k in out_idx:
-            pos = out_idx.index(k)
-            off = offsets[pos]
-            width = rep.dims[t - 1]
-            new_map = tuple(
-                tuple(proj[r][off + c] for c in range(width))
-                for r in range(new_dim_j))
-            pairs.append(((t, h), new_map))
-        else:
-            pairs.append(((h, t), rep.maps[k]))
-    pairs.sort(key=lambda p: p[0])
-    new_q = Quiver(q.n, tuple(p[0] for p in pairs))
-    return Representation(new_q, dims, tuple(p[1] for p in pairs))
+    maps = list(rep.maps)
+    off = 0
+    for k in level.out:
+        width = len(rep.maps[k])
+        maps[k] = tuple(row[off:off + width] for row in proj)
+        off += width
+    dims = rep.dims[:j - 1] + (new_dim_j,) + rep.dims[j:]
+    return Representation(level.target, dims, tuple(maps[k] for k in level.order))
 
 
 def _is_simple_vector(v: Vector) -> int | None:
@@ -274,6 +298,11 @@ def _transport(q: Quiver, roots: RootSystem,
     walk stops early at a key already replayed. The walks stay in the
     positive cone, which is checked, and so can visit at most n·|Φ⁺|
     keys; each is bounded by `max_steps` all the same.
+
+    The n level quivers are built and checked once, and so is each
+    level's step plan (`_level`): a step reads its arrows off the plan,
+    checks that its input lies on the plan's source quiver, and builds
+    its module on the level's quiver, so no step makes a quiver.
     """
     n = q.n
     sink_word = tuple(reversed(topological_order(q)))
@@ -284,6 +313,7 @@ def _transport(q: Quiver, roots: RootSystem,
         quivers.append(_reflect_quiver(quivers[-1], j))
     if quivers[n] != q:
         raise NcpqError("the sink word did not restore the quiver; this is a bug")
+    levels = [_level(quivers[m + 1], sink_word[m], quivers[m]) for m in range(n)]
     max_steps = 4 * n * len(roots.positive_real_roots) + 16
     memo: dict[tuple[int, Vector], Representation] = {}
     for alpha in alphas:
@@ -304,9 +334,7 @@ def _transport(q: Quiver, roots: RootSystem,
                 raise NcpqError("root walk failed to reach a simple root")
         rep = memo[step % n, vec]
         for k in range(step - 1, -1, -1):
-            rep = _source_cokernel_step(rep, sink_word[k % n])
-            if rep.quiver != quivers[k % n]:
-                raise NcpqError("transport misaligned the quiver; this is a bug")
+            rep = _source_cokernel_step(rep, levels[k % n])
             memo[k % n, path[k]] = rep
         if rep.dims != alpha:
             raise NcpqError("transport produced the wrong dimension vector")

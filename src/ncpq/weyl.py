@@ -439,20 +439,28 @@ def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, dic
     return walk_down((1 << len(letters)) - 1, expand, what)
 
 
+def _require_coxeter_element(c: WeylElement, q: Quiver) -> None:
+    """Raise ValidationError unless c is the Coxeter element of q, the one
+    element with E c = -E^T for E the Euler form's matrix on the simple
+    roots (proof in `interval_covers`). An n x n product, so
+    `interval_covers` and `noncrossing_partitions` run it before their
+    walk of [1, c]."""
+    simples = [simple_root(q.n, i) for i in q.vertices]
+    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
+    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
+        raise ValidationError("the given element is not the Coxeter element of the quiver")
+
+
 def walk_elements(c: WeylElement, covers: dict[int, dict[Vector, int]],
                   roots: RootSystem) -> dict[int, WeylElement]:
     """Each mask of `covers` (`mask_covers`) with its element of [1, c]:
     c at the top, and w*t at a mask first met below w through the root
     of t, one `reflect_right` per node in the order the walk meets them.
-    First, c is checked by E c = -E^T, which fixes it (`interval_covers`):
-    any c but the Coxeter element of the root system's quiver raises
-    ValidationError. NcpqError reports an empty mask off the identity.
+    First, c is checked by `_require_coxeter_element`: any c but the
+    Coxeter element of the root system's quiver raises ValidationError.
+    NcpqError reports an empty mask off the identity.
     """
-    q = roots.quiver
-    simples = [simple_root(q.n, i) for i in q.vertices]
-    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
-    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
-        raise ValidationError("the given element is not the Coxeter element of the quiver")
+    _require_coxeter_element(c, roots.quiver)
     elements = {next(iter(covers)): c}
     for mask, children in covers.items():
         w = elements[mask]
@@ -513,8 +521,10 @@ def interval_covers(c: WeylElement,
     exactly one at each of the k steps to u, so u lies on a chain of
     covers below w.
 
-    `verify` checks each element against cox(B) on its mask.
+    `verify` checks each element against cox(B) on its mask. Any c but
+    the quiver's own Coxeter element is refused before the walk.
     """
+    _require_coxeter_element(c, roots.quiver)
     covers = mask_covers(roots)
     elements = walk_elements(c, covers, roots)
     for children in covers.values():
@@ -634,11 +644,13 @@ def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) ->
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group: the
-    elements of the mask diagram (`walk_elements`), which refuses any c
-    but the Coxeter element of the roots' quiver; `roots` defaults to
-    `complete_roots`, which refuses before generating any."""
+    elements of the mask diagram (`walk_elements`). Any c but the
+    Coxeter element of the roots' quiver is refused before the walk;
+    `roots` defaults to `complete_roots`, which refuses before generating
+    any."""
     if roots is None:
         roots = complete_roots(q)
+    _require_coxeter_element(c, roots.quiver)
     return set(walk_elements(c, mask_covers(roots), roots).values())
 
 

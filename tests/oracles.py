@@ -15,7 +15,8 @@ Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks and kernels from the rational reduced row echelon form
 (Gauss-Jordan over `Fraction`, which the package does not use), each
 registry module from its own root walk and replay, with no memo shared
-between roots, type
+between roots and this module's own cokernel step, which builds each
+reflected quiver afresh and copies every entry, type
 classification from the sums of all principal minors, braid orbits from
 moves on roots that rebuild the whole tuple's product after every move,
 and from a breadth-first search over forward and inverse moves
@@ -59,14 +60,13 @@ from hypothesis import strategies as st
 from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_element,
                   generate_roots, identity, interval_covers, is_exceptional_sequence,
                   make_reflection, multiply, Quiver, rep, sequence_product, thick_closure)
-from ncpq._linalg import int_echelon, int_rank, mat_mul
+from ncpq._linalg import RatMatrix, int_echelon, int_kernel, int_rank, integer_rows, mat_mul
 from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.hurwitz import DEFAULT_ORBIT_CAP
 from ncpq.quiver import (Vector, connected_components, euler_form, topological_order,
                          topological_sort)
-from ncpq.rep import (IndecRegistry, _is_simple_vector, _reflect_quiver, _source_cokernel_step,
-                      simple_representation)
+from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
                        is_positive, positive_representative, reflect_right, simple_reflect,
                        simple_root, walk_down)
@@ -1060,10 +1060,57 @@ def simples_by_injective_maps(ind, reg) -> tuple:
                    for other in members))
 
 
+def _reflect_quiver(q: Quiver, v: int) -> Quiver:
+    arrows = tuple((t, h) if h == v or t == v else (h, t) for h, t in q.arrows)
+    return Quiver(q.n, arrows)
+
+
+def _source_cokernel_step(rep: Representation, j: int) -> Representation:
+    """Reverse the arrows at a source j, replacing the space there by the
+    cokernel of the combined outgoing map. Requires that map injective,
+    which holds along indecomposable transport."""
+    q = rep.quiver
+    if not q.is_source(j):
+        raise NcpqError(f"vertex {j} is not a source")
+    out_idx = q.arrow_indices_from(j)
+    dj = rep.dims[j - 1]
+    block_rows = []
+    offsets = []
+    total_rows = 0
+    for k in out_idx:
+        t = q.arrows[k][1]
+        offsets.append(total_rows)
+        total_rows += rep.dims[t - 1]
+        block_rows.extend(rep.maps[k])
+    # The rows y of proj span {y : y phi = 0}, whose size is total_rows - dj
+    # exactly when phi is injective.
+    proj = int_kernel(integer_rows(list(zip(*block_rows))), total_rows)
+    new_dim_j = len(proj)
+    if new_dim_j != total_rows - dj:
+        raise NcpqError("outgoing map is not injective; transport is broken")
+    dims = tuple(new_dim_j if v == j else rep.dims[v - 1] for v in q.vertices)
+    pairs: list[tuple[tuple[int, int], RatMatrix]] = []
+    for k, (h, t) in enumerate(q.arrows):
+        if k in out_idx:
+            pos = out_idx.index(k)
+            off = offsets[pos]
+            width = rep.dims[t - 1]
+            new_map = tuple(
+                tuple(proj[r][off + c] for c in range(width))
+                for r in range(new_dim_j))
+            pairs.append(((t, h), new_map))
+        else:
+            pairs.append(((h, t), rep.maps[k]))
+    pairs.sort(key=lambda p: p[0])
+    new_q = Quiver(q.n, tuple(p[0] for p in pairs))
+    return Representation(new_q, dims, tuple(p[1] for p in pairs))
+
+
 def indecomposable_by_own_walk(q: Quiver, alpha, roots: RootSystem | None = None):
     """The indecomposable at alpha by its own walk: down the cycled
     reversed topological order of q to the first simple root, then every
-    cokernel step replayed in reverse, sharing nothing with other roots."""
+    cokernel step replayed in reverse by `_source_cokernel_step` here,
+    not the package's, sharing nothing with other roots."""
     if roots is None:
         roots = complete_roots(q)
     if not roots.classification.is_finite:

@@ -25,7 +25,9 @@ from ncpq import (
 )
 from ncpq import rep
 from ncpq.errors import NonFiniteTypeError, ValidationError
+from ncpq.quiver import Quiver
 from ncpq.rep import _intertwiner_rows, hom_basis, simple_representation, zero_representation
+from ncpq.weyl import complete_roots
 
 from conftest import D4_TEXT
 from oracles import (DYNKIN_QUIVERS, ext_dim_via_resolution, indecomposable_by_own_walk,
@@ -263,15 +265,36 @@ def test_registry_makes_one_cokernel_step_per_level_and_root_at_most(label, monk
     steps = []
     real = rep._source_cokernel_step
 
-    def counted(r, j):
-        steps.append(j)
-        return real(r, j)
+    def counted(r, level):
+        steps.append(level)
+        return real(r, level)
 
     monkeypatch.setattr(rep, "_source_cokernel_step", counted)
     reg = build_registry(q)
     assert len(steps) <= q.n * len(reg)
     if label in TRANSPORT_STEPS:
         assert len(steps) == TRANSPORT_STEPS[label]
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_registry_builds_one_quiver_per_level_at_most(label, monkeypatch):
+    # The transport reflects q once per level and builds every module on
+    # those n quivers. A cokernel step that made its own quiver would make
+    # one per step, as many as TRANSPORT_STEPS counts.
+    q = DYNKIN_QUIVERS[label]
+    roots = complete_roots(q)
+    made = 0
+    real = Quiver.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        real(self)
+
+    monkeypatch.setattr(Quiver, "__post_init__", counted)
+    reg = build_registry(q, roots)
+    assert len(reg) == len(roots.positive_real_roots)
+    assert 0 < made <= q.n + 1
 
 
 def test_hom_basis_is_the_integer_kernel_of_the_intertwiners(d4_reg):

@@ -37,11 +37,12 @@ from ncpq.errors import (
     NonFiniteTypeError,
     ValidationError,
 )
+from ncpq import weyl
 from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver, euler_form, parse_quiver
 from ncpq.quiver import connected_components
 from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
-                       mask_covers, maximal_chains, walk_down)
+                       mask_covers, maximal_chains, walk_down, walk_elements)
 
 from oracles import (
     COXETER_CATALAN,
@@ -469,16 +470,27 @@ def test_walk_refuses_elements_outside_the_group(a2, matrix):
         interval_covers_by_moved_spaces(WeylElement(matrix), generate_roots(a2))
 
 
-def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots):
+def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots, monkeypatch):
     # A3's opposite orientation has the same roots, and its Coxeter
     # element s3 s2 s1 lies in W, so the Brady-Watt walk takes it on A3's
-    # roots; the Euler form's letter rule holds only for A3's own c.
+    # roots; the Euler form's letter rule holds only for A3's own c. The
+    # library refuses it before walking [1, c].
     opposite = Quiver(3, ((2, 1), (3, 2)))
     c = coxeter_element(opposite, topological_order(opposite))
     assert c != coxeter_element(a3, topological_order(a3))
     assert len(interval_covers_by_moved_spaces(c, generate_roots(a3))) == 14
+    diagram = mask_covers(a3_roots)
+
+    def walked(*args, **kwargs):
+        raise AssertionError("walked [1, c] for a foreign c")
+
+    monkeypatch.setattr(weyl, "mask_covers", walked)
     with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
         interval_covers(c, a3_roots)
+    with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
+        noncrossing_partitions(c, a3, roots=a3_roots)
+    with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
+        walk_elements(c, diagram, a3_roots)
 
 
 def _listed(covers) -> list:
