@@ -61,7 +61,6 @@ from .weyl import (
     exchange_index,
     generate_roots,
     identity,
-    interval_covers,
     make_reflection,
     multiply,
     noncrossing_partitions,

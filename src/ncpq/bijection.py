@@ -19,7 +19,7 @@ on every node, that mask is B's own and its children's values are
 their elements, so `surjective`, `order_iso_forward` and
 `order_iso_backward` hold by construction: both sides have the same
 covers on the same masks, under one map. `injective` (a mask fixes its
-element: "Keys" in `weyl.interval_covers`) and the base are checked all
+element: "Keys" in `weyl.walk_elements`) and the base are checked all
 the same. Every failure is reported as a reproducible JSON payload. The
 check certifies the rest:
 
@@ -52,7 +52,7 @@ check certifies the rest:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .exc import Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product
@@ -65,7 +65,6 @@ from .weyl import (
     complete_roots,
     coxeter_element,
     identity,
-    mask_covers,
     reflect_right,
     simple_root,
     walk_elements,
@@ -89,27 +88,13 @@ class BijectionReport:
         return all(self.flags.values()) and not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "quiver": self.quiver,
-            "type": self.type,
-            "coxeter_order": list(self.coxeter_order),
-            "counts": dict(self.counts),
-            "flags": dict(self.flags),
-            "failures": list(self.failures),
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BijectionReport":
-        return cls(
-            quiver=data["quiver"],
-            type=data["type"],
-            coxeter_order=tuple(data["coxeter_order"]),
-            counts=dict(data["counts"]),
-            flags=dict(data["flags"]),
-            failures=list(data["failures"]),
-            elapsed_ms=data["elapsed_ms"],
-        )
+        report = cls(**{f.name: data[f.name] for f in fields(cls)})
+        report.coxeter_order = tuple(report.coxeter_order)
+        return report
 
 
 def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:
@@ -152,8 +137,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     counts = dict.fromkeys(("subcategories", "nc", "well_defined_witnesses", "covers", "chains"))
 
     try:
-        covers = mask_covers(roots)
-        elements = walk_elements(c, covers, roots)
+        covers, elements = walk_elements(c, roots)
         mask_of = {w: mask for mask, w in elements.items()}  # the walk's side
         counts["nc"] = len(mask_of)
         counts["covers"] = counts["well_defined_witnesses"] = sum(map(len, covers.values()))

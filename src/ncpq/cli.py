@@ -8,10 +8,10 @@ options it reads, and `--format dot` only where there is a DOT output;
 argparse refuses anything else with exit 2.
 
 `hurwitz` and `sequences` each walk the one mask diagram of both posets
-(`weyl.mask_covers`), count its maximal chains and certify one braid
-orbit on them (`weyl.braid_transitive`), so they list the same tuples;
-`hurwitz` also checks c and the identity at the bottom
-(`weyl.walk_elements`). Their caps bound only the listing. Within a cap,
+(`weyl.mask_covers`; `hurwitz` through `weyl.walk_elements`, which also
+checks c and the identity at the bottom), count its maximal chains and
+certify one braid orbit on them (`weyl.braid_transitive`), so they list
+the same tuples. Their caps bound only the listing. Within a cap,
 JSON and DOT list the chains, sorted; when the certificate holds,
 `sequences` JSON and both DOTs draw one braid graph on them
 (`hurwitz.braid_edges`, with the root system's reflections). Text prints
@@ -49,8 +49,6 @@ from .weyl import (
     complete_roots,
     coxeter_element,
     generate_roots,
-    interval_covers,
-    mask_covers,
     maximal_chains,
     walk_elements,
 )
@@ -184,38 +182,38 @@ def cmd_nc(args: argparse.Namespace) -> int:
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
-    covers = interval_covers(c, roots)
-    # Each cover lowers |w| by one, and the walk lists every element
-    # before those it covers, so |w| is read upward from the identity.
+    covers, elements = walk_elements(c, roots)
+    # Each cover lowers |w| by one, and the walk lists every mask before
+    # those it covers, so |w| is read upward from the identity.
     lengths = {}
-    for w in reversed(covers):
-        children = covers[w]
-        lengths[w] = lengths[next(iter(children.values()))] + 1 if children else 0
-    elements = sorted(covers, key=lambda w: (lengths[w], w.matrix))
-    ids = {w: k for k, w in enumerate(elements)}
+    for m in reversed(covers):
+        children = covers[m]
+        lengths[m] = lengths[next(iter(children.values()))] + 1 if children else 0
+    masks = sorted(covers, key=lambda m: (lengths[m], elements[m].matrix))
+    ids = {m: k for k, m in enumerate(masks)}
     # In a graded poset a is covered by b exactly when a = b*t for a
     # reflection t <= b, so the Hasse edges are the walk's covers.
-    edges = [(ids[a], ids[b]) for b in elements for a in covers[b].values()]
+    edges = [(ids[a], ids[b]) for b in masks for a in covers[b].values()]
     payload = {
         "quiver": args.quiver_file,
         "coxeter_order": list(order),
-        "count": len(elements),
+        "count": len(masks),
         "elements": [
             {
-                "id": ids[w],
-                "length": lengths[w],
-                "matrix": w.to_json(),
+                "id": ids[m],
+                "length": lengths[m],
+                "matrix": elements[m].to_json(),
                 # A reflection covers only the identity, through its root.
-                "root": list(next(iter(covers[w]))) if lengths[w] == 1 else None,
+                "root": list(next(iter(covers[m]))) if lengths[m] == 1 else None,
             }
-            for w in elements
+            for m in masks
         ],
         "hasse_edges": [list(e) for e in sorted(edges)],
     }
     if args.output_format == "json":
         _emit_json(args, payload)
     elif args.output_format == "text":
-        lines = [f"{len(elements)} elements below the Coxeter element (order {order})"]
+        lines = [f"{len(masks)} elements below the Coxeter element (order {order})"]
         for item in payload["elements"]:
             root = f" root={tuple(item['root'])}" if item["root"] else ""
             lines.append(f"  w{item['id']:03d} length={item['length']}{root}")
@@ -259,8 +257,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     # The chains of [1, c] are the minimal reflection factorizations of c,
     # the simple one in `order` among them; the certificate makes them one
     # braid orbit. The elements are made only for their checks.
-    covers = mask_covers(roots)
-    walk_elements(c, covers, roots)
+    covers = walk_elements(c, roots)[0]
     count, single, ordered = _chains(covers, roots, args.cap_orbit, args)
     payload = {
         "quiver": args.quiver_file,

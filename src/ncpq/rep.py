@@ -93,10 +93,6 @@ class Representation:
             frozen.append(m)
         object.__setattr__(self, "maps", tuple(frozen))
 
-    @property
-    def dim(self) -> Vector:
-        return self.dims
-
     def to_debug_json(self) -> dict:
         denom = math.lcm(*(x.denominator for m in self.maps for row in m for x in row))
         return {

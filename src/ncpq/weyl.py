@@ -24,7 +24,7 @@ stays the general product.
 
 Both posets of the bijection are one labelled Hasse diagram on int masks
 over the roots (`mask_covers`): a mask is the letter set of an element
-of [1, c] (`walk_elements`; proof in `interval_covers`) and the
+of [1, c] (`walk_elements`, with its proof) and the
 indecomposables of a thick subcategory (`exc.subcategory_covers`).
 `walk_down` walks a diagram whose covers are keyed by their letters,
 `chain_counts` counts its maximal chains, `maximal_chains` lists them,
@@ -439,45 +439,20 @@ def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, dic
     return walk_down((1 << len(letters)) - 1, expand, what)
 
 
-def _require_coxeter_element(c: WeylElement, q: Quiver) -> None:
-    """Raise ValidationError unless c is the Coxeter element of q, the one
-    element with E c = -E^T for E the Euler form's matrix on the simple
-    roots (proof in `interval_covers`). An n x n product, so
-    `interval_covers` and `noncrossing_partitions` run it before their
-    walk of [1, c]."""
-    simples = [simple_root(q.n, i) for i in q.vertices]
-    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
-    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
-        raise ValidationError("the given element is not the Coxeter element of the quiver")
+def walk_elements(c: WeylElement,
+                  roots: RootSystem) -> tuple[dict[int, dict[Vector, int]], dict[int, WeylElement]]:
+    """The one entry to the interval [1, c] of absolute order: its
+    labelled Hasse diagram on masks (`mask_covers`) and each mask's
+    element, c at the top, and w*t at a mask first met below w through the
+    root of t, one `reflect_right` per node in the order the walk meets
+    them. A mask w maps to the masks of the elements w*t it covers, for the
+    reflections t <= w, each keyed by the root of t, in root order.
 
-
-def walk_elements(c: WeylElement, covers: dict[int, dict[Vector, int]],
-                  roots: RootSystem) -> dict[int, WeylElement]:
-    """Each mask of `covers` (`mask_covers`) with its element of [1, c]:
-    c at the top, and w*t at a mask first met below w through the root
-    of t, one `reflect_right` per node in the order the walk meets them.
-    First, c is checked by `_require_coxeter_element`: any c but the
-    Coxeter element of the root system's quiver raises ValidationError.
-    NcpqError reports an empty mask off the identity.
-    """
-    _require_coxeter_element(c, roots.quiver)
-    elements = {next(iter(covers)): c}
-    for mask, children in covers.items():
-        w = elements[mask]
-        for x, child in children.items():
-            if child not in elements:
-                elements[child] = reflect_right(w, roots.reflection(x))
-    if elements.get(0) != identity(c.n):
-        raise NcpqError("the interval walk ended off the identity; this is a bug")
-    return elements
-
-
-def interval_covers(c: WeylElement,
-                    roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
-    """The labelled Hasse diagram of the interval [1, c] of absolute
-    order: each element w mapped to the elements it covers, w*t for the
-    reflections t <= w, each keyed by the root of t, in root order: the
-    mask diagram relabelled in place by `walk_elements`.
+    Before any walk, c is checked to be the Coxeter element of the root
+    system's quiver, the one element with E c = -E^T for E the Euler
+    form's matrix on the simple roots (proof below; one n x n product):
+    any other c raises ValidationError. NcpqError reports an empty mask off
+    the identity.
 
     The masks are letter sets: the letters of w are the roots a with
     t_a <= w, every root at c, and the child of w through a keeps the
@@ -521,16 +496,23 @@ def interval_covers(c: WeylElement,
     exactly one at each of the k steps to u, so u lies on a chain of
     covers below w.
 
-    `verify` checks each element against cox(B) on its mask. Any c but
-    the quiver's own Coxeter element is refused before the walk.
+    `verify` checks each element against cox(B) on its mask.
     """
-    _require_coxeter_element(c, roots.quiver)
+    q = roots.quiver
+    simples = [simple_root(q.n, i) for i in q.vertices]
+    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
+    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
+        raise ValidationError("the given element is not the Coxeter element of the quiver")
     covers = mask_covers(roots)
-    elements = walk_elements(c, covers, roots)
-    for children in covers.values():
+    elements = {next(iter(covers)): c}
+    for mask, children in covers.items():
+        w = elements[mask]
         for x, child in children.items():
-            children[x] = elements[child]
-    return {elements[mask]: children for mask, children in covers.items()}
+            if child not in elements:
+                elements[child] = reflect_right(w, roots.reflection(x))
+    if elements.get(0) != identity(c.n):
+        raise NcpqError("the interval walk ended off the identity; this is a bug")
+    return covers, elements
 
 
 def chain_counts(covers: dict) -> dict:
@@ -543,7 +525,7 @@ def chain_counts(covers: dict) -> dict:
     gives the chain w > w t_k > w t_k t_(k-1) > ... > 1, each step a
     cover because it lowers the length by one, and the chain gives back
     the t_i. The walk is complete below every element it holds (see
-    `interval_covers`), so every such chain is in it. On the descent it
+    `walk_elements`), so every such chain is in it. On the descent it
     is the number of complete exceptional sequences of a subcategory.
     """
     chains = {}
@@ -644,14 +626,13 @@ def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) ->
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group: the
-    elements of the mask diagram (`walk_elements`). Any c but the
-    Coxeter element of the roots' quiver is refused before the walk;
-    `roots` defaults to `complete_roots`, which refuses before generating
-    any."""
+    elements of the mask diagram (`walk_elements`, proof in its
+    docstring). Any c but the Coxeter element of the roots' quiver is
+    refused before the walk; `roots` defaults to `complete_roots`, which
+    refuses before generating any."""
     if roots is None:
         roots = complete_roots(q)
-    _require_coxeter_element(c, roots.quiver)
-    return set(walk_elements(c, mask_covers(roots), roots).values())
+    return set(walk_elements(c, roots)[1].values())
 
 
 @dataclass(frozen=True)

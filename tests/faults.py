@@ -89,6 +89,10 @@ FAULTS = (
     Fault("walk-cap-off-by-one", "weyl.py",
           "if held > cap:", "if held > cap + 1:",
           ("test", "tests/test_weyl.py::test_walk_cap_is_read_at_call_time")),
+    Fault("coxeter-check-skipped", "weyl.py",
+          "if c.n != q.n or mat_mul(", "if c.n != q.n or False and mat_mul(",
+          ("test", "tests/test_weyl.py::"
+                   "test_walk_refuses_the_coxeter_element_of_another_orientation")),
     Fault("connectivity-skipped", "weyl.py",
           "if len(connected_components(b, undirected)) > 1:", "if False:",
           ("test", "tests/test_weyl.py::test_certificate_checks_every_node")),

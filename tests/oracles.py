@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here shares an algorithm with the production code paths it
-checks: absolute lengths come from a plain breadth-first search over
+checks, apart from `interval_covers`, the package's walk of [1, c]
+keyed by element, which is a view and not an oracle: absolute lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, the minimal reflection factorizations
 of an element and the lexicographically smallest one from a memoized
@@ -27,7 +28,9 @@ the same two-way table, its whole result checked exceptional) with the
 product of the whole sequence compared before and after, conjugation
 depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with
-the simple reflections, the interval [1, c] by filtering the whole group,
+the simple reflections, the interval [1, c] by filtering the whole
+group, the elements of a given mask diagram by `compose`, not
+`reflect_right` (`elements_of`),
 interval sizes from the Coxeter-Catalan numbers of the
 literature, factorization counts from n!·h^n/|W| (both pinned for E7
 and E8 too), relative simples from
@@ -58,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 from hypothesis import strategies as st
 
 from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_element,
-                  generate_roots, identity, interval_covers, is_exceptional_sequence,
+                  generate_roots, identity, is_exceptional_sequence,
                   make_reflection, multiply, Quiver, rep, sequence_product, thick_closure)
 from ncpq._linalg import RatMatrix, int_echelon, int_kernel, int_rank, integer_rows, mat_mul
 from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
@@ -69,7 +72,7 @@ from ncpq.quiver import (Vector, connected_components, euler_form, topological_o
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
                        is_positive, positive_representative, reflect_right, simple_reflect,
-                       simple_root, walk_down)
+                       simple_root, walk_down, walk_elements)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -286,6 +289,33 @@ def interval_covers_by_moved_spaces(c: WeylElement, roots: RootSystem) -> dict:
     if identity(c.n) not in covers:
         raise ValidationError("the given element does not lie in this Weyl group")
     return covers
+
+
+def interval_covers(c: WeylElement,
+                    roots: RootSystem) -> dict[WeylElement, dict[Vector, WeylElement]]:
+    """The package's diagram of [1, c] (`walk_elements`, proof in its
+    docstring) keyed by element, not by mask: each element w mapped to the
+    elements w*t it covers, each keyed by the root of t, in root order,
+    for the tests that hold it beside the element-keyed oracles. It is a
+    view of the walk under test, not an oracle."""
+    covers, elements = walk_elements(c, roots)
+    for children in covers.values():
+        for x, child in children.items():
+            children[x] = elements[child]
+    return {elements[mask]: children for mask, children in covers.items()}
+
+
+def elements_of(c: WeylElement, covers: dict, roots: RootSystem) -> dict:
+    """Each mask of a mask diagram with the element the walk down from c
+    reaches it at: c at the top, and w*t at a mask first met below w
+    through the root of t, multiplied by `compose`, not by the walk's
+    `reflect_right`. The diagram may be any, a corrupted one too."""
+    elements = {next(iter(covers)): c}
+    for mask, children in covers.items():
+        for x, child in children.items():
+            if child not in elements:
+                elements[child] = compose(elements[mask], roots.reflection(x).element)
+    return elements
 
 
 def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) -> set:

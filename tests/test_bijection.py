@@ -17,7 +17,6 @@ from ncpq import (
     coxeter_element,
     enumerate_complete_sequences,
     identity,
-    interval_covers,
     is_exceptional_sequence,
     make_reflection,
     noncrossing_partitions,
@@ -28,7 +27,6 @@ from ncpq import (
 )
 from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.exc import order_antichain, sequence_product
-from ncpq.weyl import walk_elements
 
 from oracles import (
     CLOSED_FORM_PINS,
@@ -39,9 +37,11 @@ from oracles import (
     bijection_flags_by_brute_force,
     brute_force_factorizations,
     complete_sequences_within,
+    elements_of,
     exceptional_antichains_by_backtracking,
     factor_in_reflections,
     hurwitz_orbit,
+    interval_covers,
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
     oriented_dynkin,
@@ -282,7 +282,7 @@ def _order_failures(a3, a3_reg, a3_roots, diagram) -> list:
     labelled by its letter and present on one side only."""
     subs = {a3_reg.mask_of(sub.ind_roots): sub for sub in subcategories(a3, a3_reg)}
     values = {b: cox(subs[b], a3_reg, a3_roots) for b in diagram}
-    elements = walk_elements(coxeter_element(a3, (1, 2, 3)), diagram, a3_roots)
+    elements = elements_of(coxeter_element(a3, (1, 2, 3)), diagram, a3_roots)
     preimage = {value: b for b, value in values.items()}
     down = [(values[a], x, values[b]) for b, children in diagram.items()
             for x, a in children.items()]
@@ -310,7 +310,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     # reflection at P12 is missed, that element is an extra, and the
     # induction breaks where a parent pairs a letter with the wrong child.
     # The order failures are exactly the labelled covers on one side only.
-    real = ncpq.bijection.mask_covers
+    real = ncpq.weyl.mask_covers
 
     def without(root):
         dropped = a3_reg.mask_of({root})
@@ -321,7 +321,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
         return dropped, fewer
 
     dropped, fewer = without((1, 1, 0))
-    monkeypatch.setattr("ncpq.bijection.mask_covers", fewer)
+    monkeypatch.setattr("ncpq.weyl.mask_covers", fewer)
     report = verify_bijection(a3, (1, 2, 3))
     assert report.flags == {"well_defined": False, "injective": True, "surjective": False,
                             "order_iso_forward": False, "order_iso_backward": False,
@@ -340,7 +340,7 @@ def test_missing_subcategory_breaks_the_induction(a3, a3_reg, a3_roots, monkeypa
     expected = _order_failures(a3, a3_reg, a3_roots, fewer(a3_roots))
     assert expected and _reported_order_failures(report) == expected
     # Dropping add S1 instead sends the walk off the identity, a bug.
-    monkeypatch.setattr("ncpq.bijection.mask_covers", without((1, 0, 0))[1])
+    monkeypatch.setattr("ncpq.weyl.mask_covers", without((1, 0, 0))[1])
     with pytest.raises(NcpqError, match="off the identity"):
         verify_bijection(a3, (1, 2, 3))
 
@@ -352,7 +352,7 @@ def test_verify_checks_the_letters_of_the_walk(a3, a3_reg, a3_roots, monkeypatch
     # elements below c the wrong way round. Each induction step through
     # those letters then fails against c, and the order failures are
     # exactly the labelled covers on one side only.
-    real = ncpq.bijection.mask_covers
+    real = ncpq.weyl.mask_covers
 
     def swapped(roots, what="interval size"):
         covers = real(roots, what)
@@ -361,7 +361,7 @@ def test_verify_checks_the_letters_of_the_walk(a3, a3_reg, a3_roots, monkeypatch
         top[first], top[second] = top[second], top[first]
         return covers
 
-    monkeypatch.setattr("ncpq.bijection.mask_covers", swapped)
+    monkeypatch.setattr("ncpq.weyl.mask_covers", swapped)
     report = verify_bijection(a3, (1, 2, 3))
     assert report.flags == {"well_defined": False, "injective": True, "surjective": True,
                             "order_iso_forward": False, "order_iso_backward": False,
@@ -464,11 +464,11 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
     real_walk = ncpq.bijection.walk_elements
     real_product = ncpq.bijection.sequence_product
 
-    def walk(c, covers, roots):
+    def walk(c, roots):
         nonlocal in_walk
         in_walk = True
         try:
-            return real_walk(c, covers, roots)
+            return real_walk(c, roots)
         finally:
             in_walk = False
 

@@ -465,10 +465,10 @@ def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, qu
     assert captured.out == "" and "reflection product" in captured.err
 
 
-@pytest.mark.parametrize("command", ["verify", "hurwitz", "sequences"])
+@pytest.mark.parametrize("command", ["nc", "verify", "hurwitz", "sequences"])
 def test_each_command_walks_the_one_diagram_once(command, quiver_file, capsys, monkeypatch):
-    # verify, hurwitz and sequences all read the one mask diagram of both
-    # posets, made by a single walk, whichever module calls it.
+    # nc, verify, hurwitz and sequences all read the one mask diagram of
+    # both posets, made by a single walk, whichever module calls it.
     calls = []
     real = ncpq.weyl.walk_down
     for name, module in list(sys.modules.items()):
@@ -496,14 +496,14 @@ def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monk
     # The certificate reads the diagram with one element of length 2
     # missing its last cover, whose letter another of its children still
     # names, so the certificate fails and the command exits 1.
-    real = cli.mask_covers
+    real = ncpq.weyl.mask_covers
 
     def dropped(roots):
         covers = real(roots)
         covers[next(iter(covers[next(iter(covers))].values()))].popitem()
         return covers
 
-    monkeypatch.setattr(cli, "mask_covers", dropped)
+    monkeypatch.setattr(ncpq.weyl, "mask_covers", dropped)
     path = quiver_file(A3_TEXT)
     assert main(["hurwitz", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

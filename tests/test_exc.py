@@ -41,8 +41,8 @@ from ncpq.exc import (
 )
 from ncpq.hurwitz import braid_edges
 from ncpq.quiver import Quiver, topological_sort
-from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, interval_covers,
-                       make_reflection, mask_covers, maximal_chains, simple_root)
+from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, make_reflection,
+                       mask_covers, maximal_chains, simple_root)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -53,6 +53,7 @@ from oracles import (
     exceptional_antichains_by_backtracking,
     exceptional_sequences,
     hurwitz_orbit,
+    interval_covers,
     is_connected,
     is_nonneg_combination,
     mutation_edges_by_braid_mutate,

@@ -22,7 +22,6 @@ from ncpq import (
     generate_roots,
     identity,
     indecomposable_for_root,
-    interval_covers,
     make_reflection,
     multiply,
     noncrossing_partitions,
@@ -54,6 +53,7 @@ from oracles import (
     bfs_absolute_lengths,
     conjugation_depths_by_bfs,
     down_sets,
+    interval_covers,
     interval_covers_by_moved_spaces,
     linear_dynkin,
     minimal_reflection_factorizations,
@@ -479,7 +479,6 @@ def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots, m
     c = coxeter_element(opposite, topological_order(opposite))
     assert c != coxeter_element(a3, topological_order(a3))
     assert len(interval_covers_by_moved_spaces(c, generate_roots(a3))) == 14
-    diagram = mask_covers(a3_roots)
 
     def walked(*args, **kwargs):
         raise AssertionError("walked [1, c] for a foreign c")
@@ -490,7 +489,22 @@ def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots, m
     with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
         noncrossing_partitions(c, a3, roots=a3_roots)
     with pytest.raises(ValidationError, match="not the Coxeter element of the quiver"):
-        walk_elements(c, diagram, a3_roots)
+        walk_elements(c, a3_roots)
+
+
+def test_the_coxeter_check_runs_once_per_walk(a3, a3_roots, monkeypatch):
+    # The check E c = -E^T is the one matrix product of the walk: each
+    # reflection step is a `reflect_right`, so one walk of [1, c] through
+    # either entry makes exactly one `mat_mul`.
+    c = coxeter_element(a3, topological_order(a3))
+    calls = []
+    real = weyl.mat_mul
+    monkeypatch.setattr(weyl, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    assert len(noncrossing_partitions(c, a3, roots=a3_roots)) == 14
+    assert len(calls) == 1
+    calls.clear()
+    assert len(walk_elements(c, a3_roots)[1]) == 14
+    assert len(calls) == 1
 
 
 def _listed(covers) -> list:
