@@ -192,35 +192,36 @@ def cmd_nc(args: argparse.Namespace) -> int:
     masks = sorted(covers, key=lambda m: (lengths[m], elements[m].matrix))
     ids = {m: k for k, m in enumerate(masks)}
     # In a graded poset a is covered by b exactly when a = b*t for a
-    # reflection t <= b, so the Hasse edges are the walk's covers.
-    edges = [(ids[a], ids[b]) for b in masks for a in covers[b].values()]
-    payload = {
-        "quiver": args.quiver_file,
-        "coxeter_order": list(order),
-        "count": len(masks),
-        "elements": [
-            {
-                "id": ids[m],
-                "length": lengths[m],
-                "matrix": elements[m].to_json(),
-                # A reflection covers only the identity, through its root.
-                "root": list(next(iter(covers[m]))) if lengths[m] == 1 else None,
-            }
-            for m in masks
-        ],
-        "hasse_edges": [list(e) for e in sorted(edges)],
-    }
+    # reflection t <= b, so the Hasse edges are the walk's covers; text
+    # prints none, and JSON and DOT each read them once.
+    edges = ((ids[a], ids[b]) for b in masks for a in covers[b].values())
+    # A reflection covers only the identity, through its root.
+    reflection_roots = {m: next(iter(covers[m])) for m in masks if lengths[m] == 1}
+    # Only JSON prints the matrices, so only JSON builds them.
     if args.output_format == "json":
-        _emit_json(args, payload)
+        _emit_json(args, {
+            "quiver": args.quiver_file,
+            "coxeter_order": list(order),
+            "count": len(masks),
+            "elements": [
+                {
+                    "id": ids[m],
+                    "length": lengths[m],
+                    "matrix": elements[m].to_json(),
+                    "root": list(reflection_roots[m]) if m in reflection_roots else None,
+                }
+                for m in masks
+            ],
+            "hasse_edges": sorted(map(list, edges)),
+        })
     elif args.output_format == "text":
         lines = [f"{len(masks)} elements below the Coxeter element (order {order})"]
-        for item in payload["elements"]:
-            root = f" root={tuple(item['root'])}" if item["root"] else ""
-            lines.append(f"  w{item['id']:03d} length={item['length']}{root}")
+        for m in masks:
+            root = f" root={reflection_roots[m]}" if m in reflection_roots else ""
+            lines.append(f"  w{ids[m]:03d} length={lengths[m]}{root}")
         _emit(args, "\n".join(lines))
     else:
-        nodes = [f"w{item['id']} [label=\"{item['id']}:{item['length']}\"]"
-                 for item in payload["elements"]]
+        nodes = [f"w{ids[m]} [label=\"{ids[m]}:{lengths[m]}\"]" for m in masks]
         dot_edges = [f"w{a} -> w{b}" for a, b in sorted(edges)]
         _emit(args, _dot("nc_interval", nodes, dot_edges, directed=True))
     return EXIT_OK
@@ -291,11 +292,11 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     reg = build_registry(q, complete_roots(q))
     # The descent's chains are the complete exceptional sequences; the
     # certificate makes them one mutation class. They need no second
-    # check: in a chain x_i lies in reg.right_orth(x_j) for i < j, which
-    # is the very mask `is_exceptional_sequence` reads, and each cover
-    # B > B ∩ x^⊥ lowers the rank by one. The braid graph is drawn only
-    # on a certified class: without the certificate a move may leave the
-    # list, which is a failed verification, not an input error.
+    # check: in a chain x_i lies in the root system's orth[x_j] for
+    # i < j, which is the very mask `is_exceptional_sequence` reads, and
+    # each cover B > B ∩ x^⊥ lowers the rank by one. The braid graph is
+    # drawn only on a certified class: without the certificate a move may
+    # leave the list, which is a failed verification, not an input error.
     count, connected, chains = _chains(subcategory_covers(reg), reg.rootsystem,
                                        args.cap_sequences, args)
     edges = (braid_edges(chains, reg.rootsystem.reflection)

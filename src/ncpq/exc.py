@@ -85,9 +85,9 @@ def is_exceptional_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool
 
 
 def _is_exceptional(positions: Iterable[int], reg: IndecRegistry) -> bool:
-    """`is_exceptional_sequence` on root positions: the `right_orth_at`
+    """`is_exceptional_sequence` on root positions: the `RootSystem.orth`
     mask of each entry holds every earlier one."""
-    orth, earlier = reg.right_orth_at, 0
+    orth, earlier = reg.rootsystem.orth, 0
     for k in positions:
         if earlier & ~orth[k]:
             return False
@@ -103,8 +103,8 @@ def _meet(masks: Iterable[int], reg: IndecRegistry) -> int:
 def _closure(positions: Iterable[int], reg: IndecRegistry) -> int:
     """The mask of the thick closure of the roots at `positions`: the
     double perpendicular, read bit by bit off the right one."""
-    left, ind = reg.left_orth_at, (1 << len(reg)) - 1
-    perp = _meet(map(reg.right_orth_at.__getitem__, positions), reg)
+    left, ind = reg.rootsystem.left_orth, (1 << len(reg)) - 1
+    perp = _meet(map(reg.rootsystem.orth.__getitem__, positions), reg)
     while perp:
         ind &= left[(perp & -perp).bit_length() - 1]
         perp &= perp - 1
@@ -113,15 +113,17 @@ def _closure(positions: Iterable[int], reg: IndecRegistry) -> int:
 
 def right_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     """Registry roots receiving no Hom and no Ext from any input root: the
-    meet of their `right_orth` masks, every root for no input. An
+    meet of their `RootSystem.orth` masks, every root for no input. An
     unregistered input root raises ValidationError."""
-    return frozenset(reg.roots_of(_meet(map(reg.right_orth, roots), reg)))
+    orth = reg.rootsystem.orth
+    return frozenset(reg.roots_of(_meet((orth[reg.position(r)] for r in roots), reg)))
 
 
 def left_perp(roots: Iterable[Vector], reg: IndecRegistry) -> frozenset[Vector]:
     """Registry roots with no Hom and no Ext into any input root, by their
-    `left_orth` masks as `right_perp` reads `right_orth`."""
-    return frozenset(reg.roots_of(_meet(map(reg.left_orth, roots), reg)))
+    `RootSystem.left_orth` masks as `right_perp` reads `orth`."""
+    left = reg.rootsystem.left_orth
+    return frozenset(reg.roots_of(_meet((left[reg.position(r)] for r in roots), reg)))
 
 
 def closure_indecomposables(members: Sequence[Vector], reg: IndecRegistry) -> frozenset[Vector]:
@@ -240,8 +242,8 @@ def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
     """The Hasse diagram of the thick exceptional subcategories under
     containment, each the int mask b of its indecomposables: the one
     mask diagram (`weyl.mask_covers`), in which B maps each member x to
-    B ∩ x^⊥, the mask b & right_orth(x). `_checked_subcategory` checks a
-    mask at its level. Holding more than
+    B ∩ x^⊥, the mask b & orth[x] (`RootSystem.orth`).
+    `_checked_subcategory` checks a mask at its level. Holding more than
     `weyl.DEFAULT_INTERVAL_CAP` subcategories (they are in bijection with
     the interval [1, c]) raises CapExceededError("subcategory count
     exceeds cap N").

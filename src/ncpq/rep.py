@@ -21,12 +21,12 @@ in the test suite. The registry ranks only its exceptionality
 certificate, one endomorphism ring per root: in finite type Hom and Ext
 between indecomposables are the positive and negative parts of the
 Euler form (`RootSystem.euler`; proof in the `IndecRegistry`
-docstring), so its per-root masks (`right_orth`, `left_orth`,
-`maps_into`), int bitmasks over the roots in the order of the root
-system's reflections, are screens on that table. `hom_basis` gives an
-integer basis of Hom from the same kernel; only the injectivity scan
-`IndecRegistry.has_injective_hom` uses it, and no ncpq function calls
-that scan.
+docstring), so the zero screens `RootSystem.orth` and `left_orth`
+and the registry's `maps_into_at`, int bitmasks over the roots in the
+order of the root system's reflections, are screens on that table.
+`hom_basis` gives an integer basis of Hom from the same kernel; only
+the injectivity scan `IndecRegistry.has_injective_hom` uses it, and no
+ncpq function calls that scan.
 """
 
 from __future__ import annotations
@@ -359,13 +359,13 @@ class IndecRegistry:
     The roots are numbered as `RootSystem.sorted_roots` numbers them, in
     the order of its reflections, so bit k of an int mask names the k-th
     root on both sides of the bijection; `position`, `mask_of` and
-    `roots_of` convert. Immutable after build; its memos fill lazily:
-    three tables by root position, each made whole on first read, of the
-    masks that perpendicular categories intersect (`right_orth_at`, the
-    root system's `orth`, and `left_orth_at`) and of the roots mapping into each root from below
-    (`maps_into_at`), which the root-keyed methods index; and the
-    injectivity scan's answers (`_injective`). They are safe for
-    concurrent reads under the GIL.
+    `roots_of` convert. The masks that perpendicular categories
+    intersect, a^⊥ and ^⊥a, are the root system's `orth` and `left_orth`
+    at the position of a. Immutable after build; its memos fill lazily:
+    the table of the roots mapping into each root from below
+    (`maps_into_at`), made whole on first read, and the injectivity
+    scan's answers (`_injective`). They are safe for concurrent reads
+    under the GIL.
 
     For the modules at roots a and b, dim Hom(a, b) = max(0, <a, b>) and
     dim Ext(a, b) = max(0, -<a, b>), with <a, b> the Euler form
@@ -392,6 +392,10 @@ class IndecRegistry:
                  reps: dict[Vector, Representation]):
         if reps.keys() != rootsystem.positive_real_roots:
             raise ValidationError("a registry holds one module per root of its root system")
+        # Two orientations of one graph share their roots, but Hom and Ext
+        # are read off the root system's own Euler form.
+        if quiver != rootsystem.quiver:
+            raise ValidationError("a registry's root system is of another quiver")
         self.quiver = quiver
         self.rootsystem = rootsystem
         self._roots = rootsystem.sorted_roots()
@@ -412,8 +416,9 @@ class IndecRegistry:
         return self._reps[self.position(root)]
 
     def position(self, root: Vector) -> int:
-        """The bit of `root` in a mask. An unregistered root raises
-        ValidationError, here and in every root-keyed method below."""
+        """The bit of `root` in a mask, and its row in the root system's
+        tables. An unregistered root raises ValidationError, here and in
+        every root-keyed method below."""
         try:
             return self._index[root]
         except KeyError:
@@ -443,31 +448,6 @@ class IndecRegistry:
         euler = self.rootsystem.euler
         return {(i, j): -e for i, a in enumerate(positions) for j, b in enumerate(positions)
                 if (e := euler[a][b]) < 0}
-
-    def right_orth(self, a: Vector) -> int:
-        """`right_orth_at` the position of the root a."""
-        return self.right_orth_at[self.position(a)]
-
-    def left_orth(self, a: Vector) -> int:
-        """`left_orth_at` the position of the root a."""
-        return self.left_orth_at[self.position(a)]
-
-    def maps_into(self, m: Vector) -> int:
-        """`maps_into_at` the position of the root m."""
-        return self.maps_into_at[self.position(m)]
-
-    @property
-    def right_orth_at(self) -> tuple[int, ...]:
-        """At each root a, the mask of the roots m with Hom(a, m) = Ext(a, m)
-        = 0, those with <a, m> = 0: the root system's `RootSystem.orth`."""
-        return self.rootsystem.orth
-
-    @functools.cached_property
-    def left_orth_at(self) -> tuple[int, ...]:
-        """At each root a, the mask of the roots m with Hom(m, a) =
-        Ext(m, a) = 0: those with <m, a> = 0."""
-        return tuple(sum(1 << k for k, e in enumerate(column) if e == 0)
-                     for column in zip(*self.rootsystem.euler))
 
     @functools.cached_property
     def maps_into_at(self) -> tuple[int, ...]:

@@ -267,8 +267,8 @@ class RootSystem:
     def euler(self) -> tuple[tuple[int, ...], ...]:
         """<a, b> = `euler_form` at row a and column b, in `sorted_roots`
         order, made once, on first use, by bilinearity from the form's
-        matrix on the simple roots. `orth` and the registry's per-root
-        masks read it."""
+        matrix on the simple roots. `orth` and the registry's Hom masks
+        read it."""
         ordered = self.sorted_roots()
         simples = [simple_root(self.n, i) for i in self.quiver.vertices]
         columns = [[euler_form(self.quiver, s, t) for s in simples] for t in simples]
@@ -279,8 +279,18 @@ class RootSystem:
     def orth(self) -> tuple[int, ...]:
         """At each root a, the mask of the roots s with <a, s> = 0 (bit k for
         the k-th root), made once: the letters the walk keeps through a,
-        and a^⊥ in the registry (`IndecRegistry.right_orth_at`)."""
+        and the right perpendicular a^⊥ of the module at a (no Hom and no
+        Ext from it; proof in the `IndecRegistry` docstring)."""
         return tuple(sum(1 << k for k, e in enumerate(row) if e == 0) for row in self.euler)
+
+    @cached_property
+    def left_orth(self) -> tuple[int, ...]:
+        """At each root a, the mask of the roots s with <s, a> = 0: `orth`
+        transposed, made once from `orth` itself, so the two tables always
+        agree. The left perpendicular of the module at a."""
+        orth = self.orth
+        return tuple(sum(1 << s for s, o in enumerate(orth) if o >> a & 1)
+                     for a in range(len(orth)))
 
 
 def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
@@ -579,7 +589,7 @@ def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) ->
     On the masks: each node b has one letter per bit, its child through
     the root a is the node `b & orth[a]` (`RootSystem.orth`), so a
     dropped cover fails, and b is one component under the neighbour masks
-    orth[a] | {s : a in orth[s]} (`quiver.connected_components`).
+    orth[a] | left_orth[a] (`quiver.connected_components`).
 
     Proof, by induction up the diagram; a node with no children has one
     chain. The chains of w that end with a are s + (a,) for the chains s
@@ -609,8 +619,7 @@ def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) ->
     """
     position = {x: k for k, x in enumerate(roots.sorted_roots())}
     orth = roots.orth
-    undirected = [m | sum(1 << s for s, o in enumerate(orth) if o >> a & 1)
-                  for a, m in enumerate(orth)]
+    undirected = list(map(int.__or__, orth, roots.left_orth))
     for b, children in covers.items():
         if len(children) != b.bit_count():
             return False

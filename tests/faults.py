@@ -65,6 +65,10 @@ FAULTS = (
     Fault("letter-kept-in-its-child", "weyl.py",
           "= mask & orth[k]", "= mask & (orth[k] | 1 << k)",
           ("internal", "verify")),
+    # `left_orth` is `orth` transposed, the perps' and closures' other side.
+    Fault("left-orth-untransposed", "weyl.py",
+          "if o >> a & 1)", "if orth[a] >> s & 1)",
+          ("test", "tests/test_weyl.py::test_euler_table_is_the_euler_form_on_the_sorted_roots")),
     Fault("maps-into-nonnegative", "rep.py",
           "if e > 0 and any(", "if e >= 0 and any(",
           ("internal", "verify")),
@@ -80,6 +84,10 @@ FAULTS = (
           "itertools.chain.from_iterable(m))) <= {int}:",
           "itertools.chain.from_iterable(m))) <= {int, Fraction}:",
           ("test", "tests/test_rep.py::test_representation_keeps_integral_entries_as_ints")),
+    # A registry reads Hom and Ext off its own quiver's Euler form.
+    Fault("registry-quiver-check-skipped", "rep.py",
+          "if quiver != rootsystem.quiver:", "if quiver.n != rootsystem.quiver.n:",
+          ("test", "tests/test_rep.py::test_registry_refuses_the_roots_of_another_orientation")),
     Fault("cartan-one-side", "quiver.py",
           "        entries[t - 1][h - 1] -= 1\n", "",
           ("test", "tests/test_quiver.py::test_cartan_a2")),

@@ -142,10 +142,12 @@ def _pairwise_exceptional(seq, reg):
 def test_perps_match_pairwise_definition_d5(d5_reg):
     roots = d5_reg.roots()
     assert len(roots) == 20
+    orth, left_orth = d5_reg.rootsystem.orth, d5_reg.rootsystem.left_orth
     for r in roots:
-        assert right_perp([r], d5_reg) == frozenset(d5_reg.roots_of(d5_reg.right_orth(r))) \
+        k = d5_reg.position(r)
+        assert right_perp([r], d5_reg) == frozenset(d5_reg.roots_of(orth[k])) \
             == _pairwise_right_perp([r], d5_reg)
-        assert left_perp([r], d5_reg) == frozenset(d5_reg.roots_of(d5_reg.left_orth(r))) \
+        assert left_perp([r], d5_reg) == frozenset(d5_reg.roots_of(left_orth[k])) \
             == _pairwise_left_perp([r], d5_reg)
     rng = random.Random(20161)
     for _ in range(200):
@@ -678,7 +680,7 @@ def test_descent_refuses_a_set_met_at_two_levels(a3, monkeypatch):
     orth = list(reg.rootsystem.orth)
     orth[reg.position((1, 1, 1))] = reg.mask_of([(1, 0, 0)])
     monkeypatch.setattr(reg.rootsystem, "orth", tuple(orth))
-    assert reg.right_orth((1, 1, 1)) == reg.mask_of([(1, 0, 0)])
+    assert reg.rootsystem.orth[reg.position((1, 1, 1))] == reg.mask_of([(1, 0, 0)])
     with pytest.raises(NcpqError, match="two levels"):
         subcategory_covers(reg)
 
@@ -730,7 +732,7 @@ def test_antichains_match_the_backtracker_on_random_orientations(drawn):
 
 
 def test_antichains_rank_hom_only_for_the_descent_and_the_simples(monkeypatch):
-    # On E7 the descent's orthogonal sets and the simples' `maps_into` read
+    # On E7 the descent's orthogonal sets and the simples' `maps_into_at` read
     # Hom off the Euler form and rank nothing (they ranked 2152 pairs while
     # they ranked where the form is 0); the backtracker ranks every ordered
     # pair of distinct roots among the 63.

@@ -371,7 +371,7 @@ def test_build_registry_fills_only_the_diagonal(monkeypatch):
     monkeypatch.setattr(rep, "hom_dim", lambda m, n: calls.append((m.dims, n.dims)) or real(m, n))
     reg = build_registry(parse_quiver(D4_TEXT))
     assert calls == [(r, r) for r in reg.roots()]
-    assert not {"right_orth_at", "left_orth_at", "maps_into_at"} & vars(reg).keys()
+    assert "maps_into_at" not in vars(reg)
     assert "euler" not in vars(reg.rootsystem)
 
 
@@ -387,16 +387,18 @@ def test_per_root_sets_match_their_rank_every_pair_definitions(label):
     def as_set(mask):
         return frozenset(reg.roots_of(mask))
 
-    for a in roots:
-        assert as_set(reg.right_orth(a)) == {m for m in roots if hom[a, m] == ext[a, m] == 0}
-        assert as_set(reg.left_orth(a)) == {m for m in roots if hom[m, a] == ext[m, a] == 0}
-        assert as_set(reg.maps_into(a)) == {x for x in roots if hom[x, a] != 0
-                                            and not all(xi >= ai for xi, ai in zip(x, a))}
+    orth, left_orth = reg.rootsystem.orth, reg.rootsystem.left_orth
+    for k, a in enumerate(roots):
+        assert as_set(orth[k]) == {m for m in roots if hom[a, m] == ext[a, m] == 0}
+        assert as_set(left_orth[k]) == {m for m in roots if hom[m, a] == ext[m, a] == 0}
+        assert as_set(reg.maps_into_at[k]) == {x for x in roots if hom[x, a] != 0
+                                               and not all(xi >= ai for xi, ai in zip(x, a))}
 
 
 def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
-    # The 1323 pairs where the form is 0 are the ones `right_orth` ranked
-    # before it read Hom off the form; now it ranks none of them.
+    # The 1323 pairs where the form is 0 are the ones the registry's
+    # `right_orth` ranked before it read Hom off the form; its successor,
+    # the root system's `orth`, ranks none of them.
     q = DYNKIN_QUIVERS["E7"]
     reg = build_registry(q)
     zero = sum(euler_form(q, a, m) == 0 for a in reg.roots() for m in reg.roots())
@@ -409,7 +411,7 @@ def test_right_orth_ranks_only_where_the_euler_form_is_zero(monkeypatch):
         return real(M, N)
 
     monkeypatch.setattr(rep, "hom_dim", counted)
-    assert sum(reg.right_orth(a).bit_count() for a in reg.roots()) == zero
+    assert sum(reg.rootsystem.orth[reg.position(a)].bit_count() for a in reg.roots()) == zero
     assert calls == []
 
 
@@ -431,11 +433,29 @@ def test_registry_refuses_modules_that_miss_a_root(d4_reg):
         IndecRegistry(d4_reg.quiver, d4_reg.rootsystem, reps)
 
 
-@pytest.mark.parametrize("method", ["right_orth", "left_orth", "maps_into"])
-def test_per_root_sets_refuse_a_non_root(method, d4_reg):
-    # Vertices 1 and 4 both hang off the centre 2, so (1, 0, 0, 1) is no root.
+def test_per_root_sets_refuse_a_non_root(d4_reg):
+    # Vertices 1 and 4 both hang off the centre 2, so (1, 0, 0, 1) is no
+    # root, and it has no row in the tables the position indexes.
     with pytest.raises(ValidationError):
-        getattr(d4_reg, method)((1, 0, 0, 1))
+        d4_reg.position((1, 0, 0, 1))
+
+
+def test_registry_refuses_the_roots_of_another_orientation():
+    # 1 -> 2 and 2 -> 1 have the same roots and Cartan matrix, so the
+    # transport and the End = k certificate pass on either; but Hom and
+    # Ext are read off the root system's Euler form. On the roots of
+    # 2 -> 1 the registry of 1 -> 2 would read Hom(S2, P1) = 0, where
+    # hom_dim reads 1, and Ext(S2, S1) = 1, where ext_dim reads 0.
+    q, other = Quiver(2, ((1, 2),)), Quiver(2, ((2, 1),))
+    roots = generate_roots(other)
+    assert roots.positive_real_roots == generate_roots(q).positive_real_roots
+    own = build_registry(q)
+    assert own.hom((0, 1), (1, 1)) == hom_dim(own[(0, 1)], own[(1, 1)]) == 1
+    assert own.ext((0, 1), (1, 0)) == ext_dim(own[(0, 1)], own[(1, 0)]) == 0
+    with pytest.raises(ValidationError, match="another quiver"):
+        build_registry(q, roots)
+    with pytest.raises(ValidationError, match="another quiver"):
+        IndecRegistry(q, roots, {r: own[r] for r in own.roots()})
 
 
 @pytest.mark.parametrize("method", ["hom", "ext"])

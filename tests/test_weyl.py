@@ -810,6 +810,10 @@ def test_euler_table_is_the_euler_form_on_the_sorted_roots(label):
     roots = generate_roots(q)
     ordered = roots.sorted_roots()
     assert roots.euler == tuple(tuple(euler_form(q, a, b) for b in ordered) for a in ordered)
+    # The zero screens: bit s of orth[a] is <a, s> = 0, of left_orth[a] <s, a> = 0.
+    euler, at = roots.euler, range(len(ordered))
+    assert all(bool(roots.orth[a] >> s & 1) == (euler[a][s] == 0) for a in at for s in at)
+    assert all(bool(roots.left_orth[a] >> s & 1) == (euler[s][a] == 0) for a in at for s in at)
 
 
 def test_root_cap_counts_every_root_once(monkeypatch):
