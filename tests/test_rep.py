@@ -433,11 +433,22 @@ def test_registry_refuses_modules_that_miss_a_root(d4_reg):
         IndecRegistry(d4_reg.quiver, d4_reg.rootsystem, reps)
 
 
-def test_per_root_sets_refuse_a_non_root(d4_reg):
+PER_ROOT_TABLES = {
+    "right_orth": lambda reg: reg.rootsystem.orth,
+    "left_orth": lambda reg: reg.rootsystem.left_orth,
+    "maps_into": lambda reg: reg.maps_into_at,
+}
+
+
+@pytest.mark.parametrize("method", sorted(PER_ROOT_TABLES))
+def test_per_root_sets_refuse_a_non_root(method, d4_reg):
     # Vertices 1 and 4 both hang off the centre 2, so (1, 0, 0, 1) is no
-    # root, and it has no row in the tables the position indexes.
+    # root: each table holds one row per root, and the position that
+    # indexes it has none for (1, 0, 0, 1).
+    table = PER_ROOT_TABLES[method](d4_reg)
+    assert len(table) == len(d4_reg)
     with pytest.raises(ValidationError):
-        d4_reg.position((1, 0, 0, 1))
+        table[d4_reg.position((1, 0, 0, 1))]
 
 
 def test_registry_refuses_the_roots_of_another_orientation():
