@@ -5,7 +5,7 @@ human-oriented and unstable; JSON is the stable machine interface; DOT is
 available for the graph-shaped outputs (the interval's Hasse diagram, the
 mutation graph, the braid orbit graph). Each subcommand accepts only the
 options it reads, and `--format dot` only where there is a DOT output;
-argparse refuses anything else with exit 2.
+any other option or format is a usage error, exit 2.
 
 `hurwitz` and `sequences` each walk the one mask diagram of both posets
 (`weyl.mask_covers`; `hurwitz` through `weyl.walk_elements`, which also
@@ -26,9 +26,9 @@ Exit codes: 0 success/verified, 1 verification failed, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .bijection import verify_bijection
 from .errors import (
@@ -65,51 +65,16 @@ def _parse_order(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad coxeter order {text!r}; expected e.g. 1,3,2")
+        raise ValueError(f"bad coxeter order {text!r}; expected e.g. 1,3,2") from None
 
 
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the options it reads."""
-    parser = argparse.ArgumentParser(
-        prog="ncpq",
-        description="Root systems, non-crossing partitions, exceptional sequences, "
-                    "and braid orbits of an acyclic quiver.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, help_text, formats in (
-        ("analyze", "type classification, Cartan matrix, positive-root count",
-         ("json", "text")),
-        ("nc", "the absolute-order interval below the Coxeter element",
-         ("json", "dot", "text")),
-        ("verify", "verify the subcategory/partition poset isomorphism",
-         ("json", "text")),
-        ("hurwitz", "braid orbit of the Coxeter reflection factorization",
-         ("json", "dot", "text")),
-        ("sequences", "complete exceptional sequences and their mutation graph",
-         ("json", "dot", "text")),
-    ):
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("quiver_file")
-        p.add_argument("--format", dest="output_format", choices=formats, default="text")
-        p.add_argument("--out", dest="output_path", default=None)
-    for name in ("nc", "verify", "hurwitz"):
-        commands[name].add_argument(
-            "--coxeter-order", type=_parse_order, default=None,
-            help="comma-separated admissible vertex order, e.g. 1,3,2")
-    commands["hurwitz"].add_argument("--cap-orbit", type=_positive_int,
-                                     default=DEFAULT_ORBIT_CAP)
-    commands["sequences"].add_argument("--cap-sequences", type=_positive_int,
-                                       default=DEFAULT_SEQUENCE_CAP)
-    return parser
-
-
-def _load_quiver(args: argparse.Namespace) -> Quiver:
+def _load_quiver(args: SimpleNamespace) -> Quiver:
     try:
         with open(args.quiver_file, "r", encoding="utf-8") as fh:
             return parse_quiver(fh.read())
@@ -117,7 +82,7 @@ def _load_quiver(args: argparse.Namespace) -> Quiver:
         raise QuiverParseError(f"cannot read {args.quiver_file}: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: SimpleNamespace, text: str) -> None:
     if args.output_path:
         try:
             with open(args.output_path, "w", encoding="utf-8") as fh:
@@ -128,13 +93,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
+def _emit_json(args: SimpleNamespace, payload: dict) -> None:
     """One line of compact JSON; the separators let json use its C encoder."""
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
 def _chains(covers: dict, roots: RootSystem, cap: int,
-            args: argparse.Namespace) -> tuple[int, bool, list | None]:
+            args: SimpleNamespace) -> tuple[int, bool, list | None]:
     """The maximal-chain count of the mask diagram, its braid-transitivity
     certificate, and its chains, which `maximal_chains` lists in sorted
     order, only when the count is at most the cap and the format is not
@@ -153,7 +118,7 @@ def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     roots = generate_roots(_load_quiver(args))
     classification = roots.classification
     count = len(roots.positive_real_roots)
@@ -177,7 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_nc(args: argparse.Namespace) -> int:
+def cmd_nc(args: SimpleNamespace) -> int:
     q = _load_quiver(args)
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
@@ -227,7 +192,7 @@ def cmd_nc(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     q = _load_quiver(args)
     order = args.coxeter_order
     report = verify_bijection(q, order, quiver_id=args.quiver_file)
@@ -250,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION_FAILED
 
 
-def cmd_hurwitz(args: argparse.Namespace) -> int:
+def cmd_hurwitz(args: SimpleNamespace) -> int:
     q = _load_quiver(args)
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
@@ -287,7 +252,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     return EXIT_OK if single else EXIT_VERIFICATION_FAILED
 
 
-def cmd_sequences(args: argparse.Namespace) -> int:
+def cmd_sequences(args: SimpleNamespace) -> int:
     q = _load_quiver(args)
     reg = build_registry(q, complete_roots(q))
     # The descent's chains are the complete exceptional sequences; the
@@ -326,23 +291,84 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     return EXIT_OK if connected else EXIT_VERIFICATION_FAILED
 
 
+# Each option's attribute, usage placeholder (None: the formats), converter and default.
+_OPTIONS = {
+    "--coxeter-order": ("coxeter_order", "1,3,2,...", _parse_order, None),
+    "--format": ("output_format", None, str, "text"),
+    "--out": ("output_path", "PATH", str, None),
+    "--cap-orbit": ("cap_orbit", "N", _positive_int, DEFAULT_ORBIT_CAP),
+    "--cap-sequences": ("cap_sequences", "N", _positive_int, DEFAULT_SEQUENCE_CAP),
+}
+# Each command's handler, its formats and its options, in usage order.
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "nc": cmd_nc,
-    "verify": cmd_verify,
-    "hurwitz": cmd_hurwitz,
-    "sequences": cmd_sequences,
+    "analyze": (cmd_analyze, ("json", "text"), ("--format", "--out")),
+    "nc": (cmd_nc, ("json", "dot", "text"), ("--coxeter-order", "--format", "--out")),
+    "verify": (cmd_verify, ("json", "text"), ("--coxeter-order", "--format", "--out")),
+    "hurwitz": (cmd_hurwitz, ("json", "dot", "text"),
+                ("--coxeter-order", "--format", "--out", "--cap-orbit")),
+    "sequences": (cmd_sequences, ("json", "dot", "text"), ("--format", "--out", "--cap-sequences")),
 }
 
 
+def _usage(name: str | None, error: str | None = None) -> int:
+    """Print the usage of the command, or of all of them: on stdout for
+    help, exit 0, or on stderr above a usage error, exit 2."""
+    lines = [f"ncpq {n:<9} <quiver-file> " + " ".join(
+        f"[{flag} {_OPTIONS[flag][1] or '|'.join(_COMMANDS[n][1])}]" for flag in _COMMANDS[n][2])
+        for n in ([name] if name else _COMMANDS)]
+    if error:
+        lines.append(f"ncpq: error: {error}")
+    print(*lines, sep="\n", file=sys.stderr if error else sys.stdout)
+    return EXIT_INPUT_ERROR if error else EXIT_OK
+
+
+def _is_option(word: str) -> bool:
+    return word[:1] == "-" and word != "-" and not word[1:].isdigit()
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | int:
+    """The command, named by the first word, and the attributes it reads;
+    or the exit code, once help or a usage error is printed. An option
+    takes the next word or the text after `=`, a unique prefix names it,
+    it may come before the quiver file, and `--` ends the options."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    _, formats, flags = _COMMANDS.get(name, (None, (), ()))
+    args = SimpleNamespace(command=name, **{_OPTIONS[f][0]: _OPTIONS[f][3] for f in flags})
+    files, words = [], iter(argv[1:] if name else argv)
+    for word in words:
+        given, eq, value = word.partition("=")
+        found = ["--help"] if word == "-h" else [f for f in (*flags, "--help") if f.startswith(given)]
+        if word == "--":
+            files += words
+        elif not _is_option(word):
+            files.append(word)
+        elif len(found) != 1:
+            return _usage(name, f"ambiguous option {given}: {', '.join(found)}" if found
+                          else f"unrecognized option {word}")
+        elif found == ["--help"]:
+            return _usage(name)
+        elif not eq and ((value := next(words, None)) is None or _is_option(value)):
+            return _usage(name, f"argument {found[0]}: expected one argument")
+        else:
+            dest, _, convert, _ = _OPTIONS[found[0]]
+            try:
+                if dest == "output_format" and value not in formats:
+                    raise ValueError(f"invalid choice {value!r}, not one of {formats}")
+                setattr(args, dest, convert(value))
+            except ValueError as exc:
+                return _usage(name, f"argument {found[0]}: {exc}")
+    if name is None or len(files) != 1:
+        return _usage(name, f"expected a command and one quiver file, got {' '.join(argv)!r}")
+    args.quiver_file = files[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
-    try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (QuiverParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -519,6 +519,8 @@ def build_registry(q: Quiver, roots: RootSystem | None = None) -> IndecRegistry:
     refuses before generating."""
     if roots is None:
         roots = complete_roots(q)
+    if q != roots.quiver:
+        raise ValidationError("a registry's root system is of another quiver")
     roots.require_complete()
     expected = positive_root_count(roots.classification.label)
     if len(roots.positive_real_roots) != expected:

@@ -88,6 +88,12 @@ FAULTS = (
     Fault("registry-quiver-check-skipped", "rep.py",
           "if quiver != rootsystem.quiver:", "if quiver.n != rootsystem.quiver.n:",
           ("test", "tests/test_rep.py::test_registry_refuses_the_roots_of_another_orientation")),
+    # A registry refuses a foreign root system before it transports a module.
+    Fault("registry-refusal-after-transport", "rep.py",
+          "    if q != roots.quiver:\n"
+          "        raise ValidationError(\"a registry's root system is of another quiver\")\n", "",
+          ("test", "tests/test_rep.py::"
+                   "test_registry_refuses_the_roots_of_another_orientation_before_the_transport")),
     Fault("cartan-one-side", "quiver.py",
           "        entries[t - 1][h - 1] -= 1\n", "",
           ("test", "tests/test_quiver.py::test_cartan_a2")),
@@ -120,6 +126,13 @@ FAULTS = (
     Fault("failed-certificate-exits-0", "cli.py",
           "return EXIT_OK if single else EXIT_VERIFICATION_FAILED", "return EXIT_OK",
           ("test", "tests/test_cli.py::test_a_dropped_cover_fails_the_hurwitz_certificate")),
+    # The command table gives each command its formats and its options.
+    Fault("cli-format-unchecked", "cli.py",
+          'if dest == "output_format" and value not in formats:', "if False:",
+          ("test", "tests/test_cli.py::test_verify_rejects_dot")),
+    Fault("cli-foreign-option-accepted", "cli.py",
+          'for f in (*flags, "--help")', 'for f in (*_OPTIONS, "--help")',
+          ("test", "tests/test_cli.py::test_usage_errors_exit_2[verify Q --cap-orbit 5]")),
     # One corrupted cox(B) per flag of the `verify` report.
     Fault("cox-times-s1", "exc.py",
           PRODUCT, _product("(simple_root(rootsystem.n, 1), *roots_seq)"),

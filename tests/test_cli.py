@@ -605,6 +605,86 @@ def test_bad_order_string_exit_2(quiver_file, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the command-line contract: spellings, usage errors and help
+# ---------------------------------------------------------------------------
+
+
+def _mask_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_ms":[0-9.e+-]+', '"elapsed_ms":0', text)
+
+
+# Each accepted spelling of an option ("Q" stands for the quiver file)
+# prints what its plain spelling prints.
+@pytest.mark.parametrize("argv, plain", [
+    (["verify", "Q", "--format=json"], ["verify", "Q", "--format", "json"]),
+    (["verify", "--format", "json", "Q"], ["verify", "Q", "--format", "json"]),
+    (["verify", "Q", "--form", "json"], ["verify", "Q", "--format", "json"]),
+    (["hurwitz", "Q", "--cap", "5", "--format", "json"],
+     ["hurwitz", "Q", "--cap-orbit", "5", "--format", "json"]),
+])
+def test_accepted_spellings_print_what_the_plain_one_prints(argv, plain, quiver_file, capsys):
+    path = quiver_file(A3_TEXT)
+    outputs = []
+    for words in (argv, plain):
+        assert main([path if w == "Q" else w for w in words]) == 0
+        outputs.append(_mask_elapsed(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "Q"],
+    ["verify"],
+    ["verify", "Q", "Q"],
+    ["verify", "Q", "--format"],
+    ["verify", "Q", "--cap-orbit", "5"],
+    ["sequences", "Q", "--coxeter-order", "1,2,3"],
+    ["verify", "Q", "--format", "dot"],
+    ["analyze", "Q", "--format", "dot"],
+    ["verify", "Q", "--coxeter-order", "1,x"],
+    ["hurwitz", "Q", "--cap-orbit", "0"],
+    ["hurwitz", "Q", "--cap-orbit", "-1"],
+    ["verify", "Q", "--", "--x"],
+], ids=lambda argv: " ".join(argv) or "no words")
+def test_usage_errors_exit_2(argv, quiver_file, capsys):
+    path = quiver_file(A3_TEXT)
+    assert main([path if w == "Q" else w for w in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"^ncpq( [a-z]+)?: error: ", captured.err, re.M), captured.err
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["-h"], ["analyze", "nc", "verify", "hurwitz", "sequences"]),
+    (["verify", "-h"], ["verify"]),
+])
+def test_help_prints_usage_and_exits_0(argv, commands, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in commands), out
+
+
+def test_help_usage_is_the_readme_usage(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    assert main(["-h"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line in block for line in lines), lines
+
+
+def test_a_call_loads_no_argument_parser(quiver_file, tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\nfrom ncpq.cli import main\n"
+              f"assert main(['verify', {quiver_file(A3_TEXT)!r}, '--format', 'json', "
+              f"'--out', {str(tmp_path / 'a3.json')!r}]) == 0\n"
+              "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
 # exit-code mapping of the error hierarchy
 # ---------------------------------------------------------------------------
 
@@ -620,13 +700,13 @@ def test_error_exit_codes(error, code, prefix, quiver_file, monkeypatch, capsys)
     def raising(cfg):
         raise error
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", raising)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (raising, *cli._COMMANDS["analyze"][1:]))
     assert main(["analyze", quiver_file(A2_TEXT)]) == code
     assert capsys.readouterr().err.startswith(f"{prefix} {error}")
 
 
 @pytest.mark.parametrize("code", [0, 1])
 def test_command_exit_code_passes_through(code, quiver_file, monkeypatch):
-    monkeypatch.setitem(cli._COMMANDS, "analyze", lambda cfg: code)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (lambda cfg: code, *cli._COMMANDS["analyze"][1:]))
     assert main(["analyze", quiver_file(A2_TEXT)]) == code
 

@@ -469,6 +469,15 @@ def test_registry_refuses_the_roots_of_another_orientation():
         IndecRegistry(q, roots, {r: own[r] for r in own.roots()})
 
 
+def test_registry_refuses_the_roots_of_another_orientation_before_the_transport(monkeypatch):
+    def transport(*args):
+        pytest.fail("the transport ran on the roots of another orientation")
+
+    monkeypatch.setattr(rep, "_transport", transport)
+    with pytest.raises(ValidationError, match="another quiver"):
+        build_registry(Quiver(2, ((1, 2),)), generate_roots(Quiver(2, ((2, 1),))))
+
+
 @pytest.mark.parametrize("method", ["hom", "ext"])
 def test_hom_and_ext_refuse_a_non_root(method, d4_reg):
     root = d4_reg.roots()[0]
