@@ -4,12 +4,14 @@ below the Coxeter element.
 
 The map sends a subcategory B to cox(B), the product of the reflections
 at its simples, ordered as an exceptional sequence. Both posets are one
-labelled Hasse diagram on root masks, walked once (`weyl.mask_covers`):
-a mask is the indecomposables of B, with child B ∩ x^⊥ through each x
-of B, and the letter set of w(B) in [1, c], with child w·t through the
-root of t (`weyl.walk_elements` multiplies w(B) down from c). Each mask
-is checked thick at its level's rank, and cox(B) is multiplied up over
-its checked simples.
+Hasse diagram on root masks, walked once (`weyl.mask_covers`), each
+mask mapped to its level: a mask is the indecomposables of B, with
+child B ∩ x^⊥ through each x of B, and the letter set of w(B) in
+[1, c], with child w·t through the root of t (`weyl.walk_elements`
+multiplies w(B) down from c). Each mask is checked thick at its level,
+rank B, and cox(B) is multiplied up over its checked simples. A node
+lost from the one diagram is lost from both sides, so a child that the
+masks give and the diagram lacks is refused as a bug (NcpqError).
 
 The independent check is per node: cox(B) = w(B). The report keeps its
 letter-by-letter form: the walk's child of cox(B) through x, read off
@@ -61,6 +63,7 @@ from .rep import IndecRegistry, build_registry
 from .weyl import (
     RootSystem,
     WeylElement,
+    _children,
     chain_counts,
     complete_roots,
     coxeter_element,
@@ -111,6 +114,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     Returns a report rather than raising on mathematical failure; every
     failed assertion carries a JSON payload with both sides. Cap overruns
     are recorded as failures of kind "cap_exceeded" with partial counts.
+    A child missing from the walk's diagram, a bug, raises NcpqError.
 
     The checks are the certificate of the module docstring. Counts: the
     nodes, as subcategories and as elements of [1, c], the covers (one
@@ -137,16 +141,12 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     counts = dict.fromkeys(("subcategories", "nc", "well_defined_witnesses", "covers", "chains"))
 
     try:
-        covers, elements = walk_elements(c, roots)
+        ranks, elements = walk_elements(c, roots)
         mask_of = {w: mask for mask, w in elements.items()}  # the walk's side
         counts["nc"] = len(mask_of)
-        counts["covers"] = counts["well_defined_witnesses"] = sum(map(len, covers.values()))
-        counts["chains"] = chain_counts(covers)[next(iter(covers))]
-        # The whole category has rank n, and each step down lowers it by one.
-        rank = {next(iter(covers)): q.n}
-        for ind, children in covers.items():
-            rank.update(dict.fromkeys(children.values(), rank[ind] - 1))
-        simples = {ind: _checked_subcategory(ind, rank[ind], reg) for ind in covers}
+        counts["covers"] = counts["well_defined_witnesses"] = sum(b.bit_count() for b in ranks)
+        counts["chains"] = chain_counts(ranks, roots)[next(iter(ranks))]
+        simples = {ind: _checked_subcategory(ind, rank, reg) for ind, rank in ranks.items()}
         counts["subcategories"] = len(simples)
         # `_checked_subcategory` has checked the simples exceptional.
         values = {ind: elements[ind] if (v := sequence_product(s, roots)) == elements[ind] else v
@@ -196,24 +196,27 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
 
         # The one check: the covers of each B against those of cox(B) in
         # the walk, letter by letter, read off the mask holding cox(B).
+        # `walk_elements` found each child b & orth[k] in the diagram. Once
+        # cox(B) = w(B) on every node, no step of it can fail (module
+        # docstring), so it runs only when some node differs.
+        letters, orth = roots.sorted_roots(), roots.orth
         forward, backward = [], []
-        for ind, value in values.items():
-            down = covers[ind]
+        differs = any(value is not elements[ind] for ind, value in values.items())
+        for ind, value in values.items() if differs else ():
             node = mask_of.get(value)
-            walk = {} if node is None else covers[node]
             if not ind and value != identity(q.n):
                 induction_failure(ind, None, value, identity(q.n))
-            for x, below in down.items():
-                if x not in walk or elements[walk[x]] != values[below]:
+            for k, below in _children(ind, orth):
+                if node is None or not node >> k & 1 or elements[node & orth[k]] != values[below]:
                     forward.append(order_failure("forward", below, ind, values[below], value))
-                    got = reflect_right(values[below], roots.reflection(x))
+                    got = reflect_right(values[below], roots.reflection(letters[k]))
                     if got != value:
-                        induction_failure(ind, x, value, got)
-            if preimage[value] == ind:
+                        induction_failure(ind, letters[k], value, got)
+            if node is not None and preimage[value] == ind:
                 backward += [order_failure("backward", preimage.get(elements[child]), ind,
                                            elements[child], value)
-                             for x, child in walk.items()
-                             if x not in down or values[down[x]] != elements[child]]
+                             for k, child in _children(node, orth)
+                             if not ind >> k & 1 or values[ind & orth[k]] != elements[child]]
             if node is None:
                 failures.append({
                     "kind": "image_outside_interval",
@@ -223,7 +226,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         backward += [order_failure("backward", preimage.get(elements[child]), None,
                                    elements[child], w)
                      for w, node in mask_of.items() if w not in preimage
-                     for child in covers[node].values()]
+                     for _, child in _children(node, orth)]
         failures += forward + backward
         flags["well_defined"] = not any(f["kind"] in ("well_defined", "image_outside_interval")
                                         for f in failures)

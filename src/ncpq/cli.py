@@ -44,6 +44,7 @@ from .quiver import Quiver, parse_quiver, topological_order
 from .rep import build_registry
 from .weyl import (
     RootSystem,
+    _children,
     braid_transitive,
     chain_counts,
     complete_roots,
@@ -104,9 +105,10 @@ def _chains(covers: dict, roots: RootSystem, cap: int,
     certificate, and its chains, which `maximal_chains` lists in sorted
     order, only when the count is at most the cap and the format is not
     text, which prints the count and the certificate alone."""
-    count = chain_counts(covers)[next(iter(covers))]
+    count = chain_counts(covers, roots)[next(iter(covers))]
     shown = args.output_format != "text" and count <= cap
-    return count, braid_transitive(covers, roots), list(maximal_chains(covers)) if shown else None
+    return (count, braid_transitive(covers, roots),
+            list(maximal_chains(covers, roots)) if shown else None)
 
 
 def _dot(name: str, nodes: list[str], edges: list[str], directed: bool) -> str:
@@ -147,21 +149,16 @@ def cmd_nc(args: SimpleNamespace) -> int:
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
-    covers, elements = walk_elements(c, roots)
-    # Each cover lowers |w| by one, and the walk lists every mask before
-    # those it covers, so |w| is read upward from the identity.
-    lengths = {}
-    for m in reversed(covers):
-        children = covers[m]
-        lengths[m] = lengths[next(iter(children.values()))] + 1 if children else 0
-    masks = sorted(covers, key=lambda m: (lengths[m], elements[m].matrix))
+    lengths, elements = walk_elements(c, roots)
+    masks = sorted(lengths, key=lambda m: (lengths[m], elements[m].matrix))
     ids = {m: k for k, m in enumerate(masks)}
     # In a graded poset a is covered by b exactly when a = b*t for a
-    # reflection t <= b, so the Hasse edges are the walk's covers; text
-    # prints none, and JSON and DOT each read them once.
-    edges = ((ids[a], ids[b]) for b in masks for a in covers[b].values())
-    # A reflection covers only the identity, through its root.
-    reflection_roots = {m: next(iter(covers[m])) for m in masks if lengths[m] == 1}
+    # reflection t <= b, so the Hasse edges are the walk's covers (each in
+    # the diagram); text prints none, and JSON and DOT each read them once.
+    edges = ((ids[a], ids[b]) for b in masks for _, a in _children(b, roots.orth))
+    # A reflection covers only the identity, through its root, its one bit.
+    letters = roots.sorted_roots()
+    reflection_roots = {m: letters[m.bit_length() - 1] for m in masks if lengths[m] == 1}
     # Only JSON prints the matrices, so only JSON builds them.
     if args.output_format == "json":
         _emit_json(args, {

@@ -238,15 +238,15 @@ def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     return Subcategory(frozenset(reg.roots_of(ind)), simples)
 
 
-def subcategory_covers(reg: IndecRegistry) -> dict[int, dict[Vector, int]]:
+def subcategory_covers(reg: IndecRegistry) -> dict[int, int]:
     """The Hasse diagram of the thick exceptional subcategories under
-    containment, each the int mask b of its indecomposables: the one
-    mask diagram (`weyl.mask_covers`), in which B maps each member x to
-    B ∩ x^⊥, the mask b & orth[x] (`RootSystem.orth`).
-    `_checked_subcategory` checks a mask at its level. Holding more than
-    `weyl.DEFAULT_INTERVAL_CAP` subcategories (they are in bijection with
-    the interval [1, c]) raises CapExceededError("subcategory count
-    exceeds cap N").
+    containment, each the int mask b of its indecomposables mapped to its
+    rank: the one mask diagram (`weyl.mask_covers`), in which B covers
+    B ∩ x^⊥, the mask b & orth[x] (`RootSystem.orth`), through each
+    member x. `_checked_subcategory` checks a mask at its rank. Holding
+    more than `weyl.DEFAULT_INTERVAL_CAP` subcategories (they are in
+    bijection with the interval [1, c]) raises
+    CapExceededError("subcategory count exceeds cap N").
 
     The descent reaches every subcategory: thick(E_1, ..., E_k) =
     (E_(k+1), ..., E_n)^⊥ for a complete exceptional sequence, and every
@@ -310,9 +310,9 @@ def enumerate_complete_sequences(q: Quiver, reg: IndecRegistry,
     if q != reg.quiver:
         raise ValidationError("the quiver is not the registry's quiver")
     covers = subcategory_covers(reg)
-    if chain_counts(covers)[next(iter(covers))] > cap:
+    if chain_counts(covers, reg.rootsystem)[next(iter(covers))] > cap:
         raise CapExceededError(f"sequence count exceeds cap {cap}")
-    return set(map(ExcSequence, maximal_chains(covers)))
+    return set(map(ExcSequence, maximal_chains(covers, reg.rootsystem)))
 
 
 def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[frozenset[Vector]]:

@@ -22,14 +22,16 @@ witness's s_i*P), the witness's P*s_alpha, the braid table's pair products and `
 induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
 stays the general product.
 
-Both posets of the bijection are one labelled Hasse diagram on int masks
-over the roots (`mask_covers`): a mask is the letter set of an element
-of [1, c] (`walk_elements`, with its proof) and the
-indecomposables of a thick subcategory (`exc.subcategory_covers`).
-`walk_down` walks a diagram whose covers are keyed by their letters,
-`chain_counts` counts its maximal chains, `maximal_chains` lists them,
-and `braid_transitive` certifies on the masks that the braid group
-moves any chain to any other (proof in its docstring).
+Both posets of the bijection are one Hasse diagram on int masks over
+the roots (`mask_covers`), each mask mapped to its level: a mask is the
+letter set of an element of [1, c] (`walk_elements`, with its proof)
+and the indecomposables of a thick subcategory
+(`exc.subcategory_covers`). The diagram is its masks: the letters of a
+mask are its bits, and its child through bit k is `mask & orth[k]`, one
+loop (`_children`) that the walk and every reader run. `chain_counts`
+counts its maximal chains, `maximal_chains` lists them, and
+`braid_transitive` certifies that the braid group moves any chain to
+any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ._linalg import IntMatrix, identity_matrix, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
@@ -392,77 +394,67 @@ def absolute_length(w: WeylElement, roots: RootSystem) -> int:
     return length
 
 
-def walk_down(top, expand: Callable, what: str) -> dict:
-    """The Hasse diagram below `top`, walked down level by level: each
-    node mapped to `expand(node)`, a dict from its letters, in order, to
-    the nodes they reach, every node before the nodes it covers.
-
-    A child met again is replaced by the object met first, so equal
-    nodes are held once. A node met at two levels is refused as a bug.
-    Holding more than DEFAULT_INTERVAL_CAP nodes (read at call time)
-    raises CapExceededError("<what> exceeds cap N"); each node is counted
-    when first met, so the bound is exact.
-    """
-    cap = DEFAULT_INTERVAL_CAP
-    covers: dict = {}
-    level: dict = {top: top}
-    held = 1
-    while level:
-        met: dict = {}
-        for node in level:
-            children = expand(node)
-            for x, child in children.items():
-                kept = met.get(child)
-                if kept is None:
-                    held += 1
-                    if held > cap:
-                        raise CapExceededError(f"{what} exceeds cap {cap}")
-                    kept = met[child] = child
-                children[x] = kept
-            covers[node] = children
-        if not covers.keys().isdisjoint(met):
-            raise NcpqError("the walk down met a node at two levels; this is a bug")
-        level = met
-    return covers
+def _children(b: int, orth: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The covers below the mask b, in bit order: (k, b & orth[k]) for each
+    bit k of b, its letter and the child it reaches."""
+    rest = b
+    while rest:
+        low = rest & -rest
+        k = low.bit_length() - 1
+        yield k, b & orth[k]
+        rest ^= low
 
 
-def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, dict[Vector, int]]:
-    """The package's one walk: the labelled Hasse diagram on int masks
-    over `RootSystem.sorted_roots`, by `walk_down` from the mask of every
-    root. A mask maps each of its roots a, in root order, to its child
-    `mask & orth[a]` (`RootSystem.orth`). Past DEFAULT_INTERVAL_CAP masks
-    it raises CapExceededError("<what> exceeds cap N").
+def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, int]:
+    """The package's one walk: the Hasse diagram on int masks over
+    `RootSystem.sorted_roots`, each mask mapped to its level, walked down
+    from the mask of every root (level n) level by level, so every mask
+    comes before the masks it covers. A mask's covers are fixed by the
+    mask: its letters are its bits, in root order, and the child through
+    bit k is `mask & orth[k]` (`RootSystem.orth`, `_children`), one level
+    down.
+
+    A mask met at two levels is refused as a bug. Holding more than
+    DEFAULT_INTERVAL_CAP masks (read at call time) raises
+    CapExceededError("<what> exceeds cap N"); each mask is counted when
+    first met, so the bound is exact.
     """
     roots.require_complete()
-    letters, orth = roots.sorted_roots(), roots.orth
-
-    def expand(mask: int) -> dict[Vector, int]:
-        children = {}
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            children[letters[k]] = mask & orth[k]
-            rest ^= low
-        return children
-
-    return walk_down((1 << len(letters)) - 1, expand, what)
+    cap = DEFAULT_INTERVAL_CAP
+    orth = roots.orth
+    level, rank = [(1 << len(orth)) - 1], roots.n
+    diagram = dict.fromkeys(level, rank)
+    while level:
+        rank -= 1
+        met: dict[int, int] = {}
+        for b in level:
+            for _, child in _children(b, orth):
+                if child not in met:
+                    met[child] = rank
+                    if len(diagram) + len(met) > cap:
+                        raise CapExceededError(f"{what} exceeds cap {cap}")
+        if not diagram.keys().isdisjoint(met):
+            raise NcpqError("the walk down met a node at two levels; this is a bug")
+        diagram.update(met)
+        level = met
+    return diagram
 
 
 def walk_elements(c: WeylElement,
-                  roots: RootSystem) -> tuple[dict[int, dict[Vector, int]], dict[int, WeylElement]]:
-    """The one entry to the interval [1, c] of absolute order: its
-    labelled Hasse diagram on masks (`mask_covers`) and each mask's
-    element, c at the top, and w*t at a mask first met below w through the
-    root of t, one `reflect_right` per node in the order the walk meets
-    them. A mask w maps to the masks of the elements w*t it covers, for the
-    reflections t <= w, each keyed by the root of t, in root order.
+                  roots: RootSystem) -> tuple[dict[int, int], dict[int, WeylElement]]:
+    """The one entry to the interval [1, c] of absolute order: its Hasse
+    diagram on masks (`mask_covers`), each mask mapped to |w|, and each
+    mask's element w, c at the top, and w*t at a mask first met below w
+    through the root of t, one `reflect_right` per node in the order the
+    walk meets them. The covers below w are the w*t for the reflections
+    t <= w: the letters of w are the roots of those t, and bit k of w
+    reaches w*t for t at the k-th root.
 
     Before any walk, c is checked to be the Coxeter element of the root
     system's quiver, the one element with E c = -E^T for E the Euler
     form's matrix on the simple roots (proof below; one n x n product):
-    any other c raises ValidationError. NcpqError reports an empty mask off
-    the identity.
+    any other c raises ValidationError. NcpqError reports a child missing
+    from the diagram and an empty mask off the identity.
 
     The masks are letter sets: the letters of w are the roots a with
     t_a <= w, every root at c, and the child of w through a keeps the
@@ -513,22 +505,25 @@ def walk_elements(c: WeylElement,
     euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
     if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
         raise ValidationError("the given element is not the Coxeter element of the quiver")
-    covers = mask_covers(roots)
-    elements = {next(iter(covers)): c}
-    for mask, children in covers.items():
+    diagram = mask_covers(roots)
+    reflections, orth = roots.reflections(), roots.orth
+    elements = {next(iter(diagram)): c}
+    for mask in diagram:
         w = elements[mask]
-        for x, child in children.items():
+        for k, child in _children(mask, orth):
             if child not in elements:
-                elements[child] = reflect_right(w, roots.reflection(x))
+                if child not in diagram:
+                    raise NcpqError(f"the mask {child:#b} is not in the diagram; this is a bug")
+                elements[child] = reflect_right(w, reflections[k])
     if elements.get(0) != identity(c.n):
         raise NcpqError("the interval walk ended off the identity; this is a bug")
-    return covers, elements
+    return diagram, elements
 
 
-def chain_counts(covers: dict) -> dict:
-    """For each key w of a Hasse diagram listing every key before those it
-    covers (`walk_down`), the number of maximal chains of covers from w
-    down, by dynamic programming upward.
+def chain_counts(diagram: dict[int, int], roots: RootSystem) -> dict[int, int]:
+    """For each mask of the diagram (`mask_covers`), the number of
+    maximal chains of covers from it down, by dynamic programming upward.
+    A child that the diagram lacks below its parent raises NcpqError.
 
     On the interval walk it is the number of minimal reflection
     factorizations of w. A factorization w = t_1 ... t_k with k = |w|
@@ -538,58 +533,69 @@ def chain_counts(covers: dict) -> dict:
     `walk_elements`), so every such chain is in it. On the descent it
     is the number of complete exceptional sequences of a subcategory.
     """
-    chains = {}
-    for w in reversed(covers):
-        chains[w] = sum(chains[x] for x in covers[w].values()) if covers[w] else 1
+    orth = roots.orth
+    chains: dict[int, int] = {}
+    try:
+        for b in reversed(diagram):
+            count = 0
+            for _, child in _children(b, orth):
+                count += chains[child]
+            chains[b] = count or 1
+    except KeyError as missing:
+        raise NcpqError(f"the mask {missing.args[0]:#b} is not in the diagram; "
+                        "this is a bug") from None
     return chains
 
 
-def maximal_chains(covers: dict) -> Iterator[tuple]:
-    """The maximal chains of a labelled Hasse diagram (`walk_down`),
-    lazily and in lexicographic order, each as the letters of its covers
-    from the bottom. Every maximal chain of these posets runs from their
-    one bottom, the walk's last key and its one node without children, to
-    their one top, the first key. So the chains are read upward along the
-    inverted covers: (x,) + s for each parent reaching a node through x,
-    in letter order, and each chain s above that parent; the top has one
-    empty chain. A node has at most one parent through each letter (w =
-    u*t above u through t on the interval, B = thick(A ∪ {x}) above A
-    through x on the descent), so equal first letters mean equal parents
-    and the chains come sorted. On the interval walk, whose covers are
-    w > w*t through the root of t, the chain c > c t_n > ... > 1 reads
-    the minimal reflection factorization c = t_1 ... t_n; on the descent,
-    whose covers are B > B ∩ x^⊥ through x, it reads the complete
-    exceptional sequence (x_1, ..., x_n).
+def maximal_chains(diagram: dict[int, int], roots: RootSystem) -> Iterator[tuple[Vector, ...]]:
+    """The maximal chains of the mask diagram (`mask_covers`), lazily and
+    in lexicographic order, each as the letters of its covers from the
+    bottom, the letter of bit k being `sorted_roots()[k]`. Every maximal
+    chain of these posets runs from their one bottom, the walk's last
+    mask and its one mask without bits, to their one top, the first mask.
+    So the chains are read upward along the inverted covers: (x,) + s for
+    each parent reaching a node through x, in letter order, and each chain
+    s above that parent; the top has one empty chain. A node has at most
+    one parent through each letter (w = u*t above u through t on the
+    interval, B = thick(A ∪ {x}) above A through x on the descent), so
+    equal first letters mean equal parents and the chains come sorted. On
+    the interval walk, whose covers are w > w*t through the root of t, the
+    chain c > c t_n > ... > 1 reads the minimal reflection factorization
+    c = t_1 ... t_n; on the descent, whose covers are B > B ∩ x^⊥ through
+    x, it reads the complete exceptional sequence (x_1, ..., x_n).
     """
-    parents: dict = {node: [] for node in covers}
-    for node, children in covers.items():
-        for x, child in children.items():
-            parents[child].append((x, node))
+    letters, orth = roots.sorted_roots(), roots.orth
+    parents: dict[int, list[tuple[int, int]]] = {b: [] for b in diagram}
+    for b in diagram:
+        for k, child in _children(b, orth):
+            parents[child].append((k, b))
     for ups in parents.values():
-        ups.sort(key=lambda up: up[0])
+        ups.sort()
 
-    def above(node) -> Iterator[tuple]:
+    def above(node: int) -> Iterator[tuple[Vector, ...]]:
         ups = parents[node]
         if not ups:
             yield ()
-        for x, parent in ups:
+        for k, parent in ups:
             for rest in above(parent):
-                yield (x,) + rest
+                yield (letters[k],) + rest
 
-    return above(next(reversed(covers)))
+    return above(next(reversed(diagram)))
 
 
-def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) -> bool:
+def braid_transitive(diagram: dict[int, int], roots: RootSystem) -> bool:
     """Certificate that the braid group acts transitively on the maximal
-    chains of the mask diagram `covers` (`mask_covers`), read from the
-    bottom as in `maximal_chains`: at every node w, the graph on the
-    letters of w, with an edge a - b for each letter b of the child
-    reached through a, is connected.
+    chains of the mask diagram (`mask_covers`), read from the bottom as
+    in `maximal_chains`: at every node w, the graph on the letters of w,
+    with an edge a - b for each letter b of the child reached through a,
+    is connected.
 
-    On the masks: each node b has one letter per bit, its child through
-    the root a is the node `b & orth[a]` (`RootSystem.orth`), so a
-    dropped cover fails, and b is one component under the neighbour masks
-    orth[a] | left_orth[a] (`quiver.connected_components`).
+    On the masks: the child of b through bit a is `b & orth[a]`
+    (`RootSystem.orth`), so the graph at b is b under the neighbour masks
+    orth[a] | left_orth[a], and it must be one component
+    (`quiver.connected_components`). The children themselves are fixed by
+    the masks, and a reader that meets one missing from the diagram
+    (`chain_counts`, `walk_elements`) raises NcpqError.
 
     Proof, by induction up the diagram; a node with no children has one
     chain. The chains of w that end with a are s + (a,) for the chains s
@@ -617,19 +623,8 @@ def braid_transitive(covers: dict[int, dict[Vector, int]], roots: RootSystem) ->
     keeps the last letter. A failure further down leaves the orbit
     count open and also reads False.
     """
-    position = {x: k for k, x in enumerate(roots.sorted_roots())}
-    orth = roots.orth
-    undirected = list(map(int.__or__, orth, roots.left_orth))
-    for b, children in covers.items():
-        if len(children) != b.bit_count():
-            return False
-        for x, child in children.items():
-            k = position.get(x)
-            if k is None or not b >> k & 1 or child != b & orth[k] or child not in covers:
-                return False
-        if len(connected_components(b, undirected)) > 1:
-            return False
-    return True
+    undirected = list(map(int.__or__, roots.orth, roots.left_orth))
+    return all(len(connected_components(b, undirected)) < 2 for b in diagram)
 
 
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,

@@ -62,8 +62,13 @@ FAULTS = (
     Fault("orth-side", "weyl.py",
           "e == 0) for row in self.euler)", "e == 0) for row in zip(*self.euler))",
           ("internal", "verify")),
+    # The walk and every reader read a mask's covers off one bit loop.
     Fault("letter-kept-in-its-child", "weyl.py",
-          "= mask & orth[k]", "= mask & (orth[k] | 1 << k)",
+          "yield k, b & orth[k]", "yield k, b & (orth[k] | 1 << k)",
+          ("internal", "verify")),
+    # A node the walk leaves out is met as a child of a node it holds.
+    Fault("walk-drops-a-node", "weyl.py",
+          "if child not in met:", "if child not in met and child != 1:",
           ("internal", "verify")),
     # `left_orth` is `orth` transposed, the perps' and closures' other side.
     Fault("left-orth-untransposed", "weyl.py",
@@ -101,14 +106,14 @@ FAULTS = (
           "if not generated and _closure(", "if False and _closure(",
           ("test", "tests/test_exc.py::test_subcategory_check_runs_the_fixpoint")),
     Fault("walk-cap-off-by-one", "weyl.py",
-          "if held > cap:", "if held > cap + 1:",
+          "if len(diagram) + len(met) > cap:", "if len(diagram) + len(met) > cap + 1:",
           ("test", "tests/test_weyl.py::test_walk_cap_is_read_at_call_time")),
     Fault("coxeter-check-skipped", "weyl.py",
           "if c.n != q.n or mat_mul(", "if c.n != q.n or False and mat_mul(",
           ("test", "tests/test_weyl.py::"
                    "test_walk_refuses_the_coxeter_element_of_another_orientation")),
     Fault("connectivity-skipped", "weyl.py",
-          "if len(connected_components(b, undirected)) > 1:", "if False:",
+          "len(connected_components(b, undirected)) < 2", "True",
           ("test", "tests/test_weyl.py::test_certificate_checks_every_node")),
     Fault("bareiss-sign", "quiver.py",
           "(x * row[k] - lower[k] * y)", "(x * row[k] + lower[k] * y)",

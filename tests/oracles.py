@@ -2,7 +2,11 @@
 
 Nothing here shares an algorithm with the production code paths it
 checks, apart from `interval_covers`, the package's walk of [1, c]
-keyed by element, which is a view and not an oracle: absolute lengths come from a plain breadth-first search over
+keyed by element, and `labelled_covers`, the package's mask diagram
+with each cover's letter and child written out by its own loop over the
+roots, which are views and not oracles. The generic level-by-level walk
+`walk_down` runs the Brady-Watt walk and the frozenset descent. Absolute
+lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, the minimal reflection factorizations
 of an element and the lexicographically smallest one from a memoized
@@ -29,9 +33,7 @@ product of the whole sequence compared before and after, conjugation
 depths by breadth-first search over roots under the simple
 reflections, the whole group by breadth-first search over products with
 the simple reflections, the interval [1, c] by filtering the whole
-group, the elements of a given mask diagram by `compose`, not
-`reflect_right` (`elements_of`),
-interval sizes from the Coxeter-Catalan numbers of the
+group, interval sizes from the Coxeter-Catalan numbers of the
 literature, factorization counts from n!·h^n/|W| (both pinned for E7
 and E8 too), relative simples from
 embeddings found by scanning combinations of explicit Hom bases, the
@@ -70,9 +72,10 @@ from ncpq.hurwitz import DEFAULT_ORBIT_CAP
 from ncpq.quiver import (Vector, connected_components, euler_form, topological_order,
                          topological_sort)
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
+from ncpq import weyl
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
                        is_positive, positive_representative, reflect_right, simple_reflect,
-                       simple_root, walk_down, walk_elements)
+                       simple_root, walk_elements)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -256,6 +259,53 @@ def reflections_below(w: WeylElement, roots: RootSystem,
     return tuple(t for t in pool if in_span(moved, t.root))
 
 
+def walk_down(top, expand: Callable, what: str) -> dict:
+    """The Hasse diagram below `top`, walked down level by level: each
+    node mapped to `expand(node)`, a dict from its letters, in order, to
+    the nodes they reach, every node before the nodes it covers.
+
+    A child met again is replaced by the object met first, so equal
+    nodes are held once. A node met at two levels is refused as a bug.
+    Holding more than `weyl.DEFAULT_INTERVAL_CAP` nodes (read at call
+    time) raises CapExceededError("<what> exceeds cap N"); each node is
+    counted when first met, so the bound is exact. The package's walk,
+    `weyl.mask_covers`, ran on it until it stored masks alone; it stays
+    here for the walks that compare with it.
+    """
+    cap = weyl.DEFAULT_INTERVAL_CAP
+    covers: dict = {}
+    level: dict = {top: top}
+    held = 1
+    while level:
+        met: dict = {}
+        for node in level:
+            children = expand(node)
+            for x, child in children.items():
+                kept = met.get(child)
+                if kept is None:
+                    held += 1
+                    if held > cap:
+                        raise CapExceededError(f"{what} exceeds cap {cap}")
+                    kept = met[child] = child
+                children[x] = kept
+            covers[node] = children
+        if not covers.keys().isdisjoint(met):
+            raise NcpqError("the walk down met a node at two levels; this is a bug")
+        level = met
+    return covers
+
+
+def labelled_covers(diagram: dict, roots: RootSystem) -> dict:
+    """The mask diagram `diagram` (`weyl.mask_covers`, each mask mapped to
+    its level) in its labelled form: each mask mapped to a dict from its
+    letters, in root order, to the masks they reach, the child through
+    the k-th root being `mask & orth[k]`. It runs its own loop over the
+    roots, not the package's `_children`."""
+    letters, orth = roots.sorted_roots(), roots.orth
+    return {b: {letters[k]: b & orth[k] for k in range(len(letters)) if b >> k & 1}
+            for b in diagram}
+
+
 def interval_covers_by_moved_spaces(c: WeylElement, roots: RootSystem) -> dict:
     """The labelled Hasse diagram of [1, c] by the Brady-Watt walk, for
     any c: each element w mapped to the elements it covers, w*t for the
@@ -298,24 +348,12 @@ def interval_covers(c: WeylElement,
     elements w*t it covers, each keyed by the root of t, in root order,
     for the tests that hold it beside the element-keyed oracles. It is a
     view of the walk under test, not an oracle."""
-    covers, elements = walk_elements(c, roots)
+    diagram, elements = walk_elements(c, roots)
+    covers = labelled_covers(diagram, roots)
     for children in covers.values():
         for x, child in children.items():
             children[x] = elements[child]
     return {elements[mask]: children for mask, children in covers.items()}
-
-
-def elements_of(c: WeylElement, covers: dict, roots: RootSystem) -> dict:
-    """Each mask of a mask diagram with the element the walk down from c
-    reaches it at: c at the top, and w*t at a mask first met below w
-    through the root of t, multiplied by `compose`, not by the walk's
-    `reflect_right`. The diagram may be any, a corrupted one too."""
-    elements = {next(iter(covers)): c}
-    for mask, children in covers.items():
-        for x, child in children.items():
-            if child not in elements:
-                elements[child] = compose(elements[mask], roots.reflection(x).element)
-    return elements
 
 
 def brute_force_factorizations(roots: RootSystem, target_matrix, length: int) -> set:

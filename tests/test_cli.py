@@ -470,10 +470,10 @@ def test_each_command_walks_the_one_diagram_once(command, quiver_file, capsys, m
     # nc, verify, hurwitz and sequences all read the one mask diagram of
     # both posets, made by a single walk, whichever module calls it.
     calls = []
-    real = ncpq.weyl.walk_down
+    real = ncpq.weyl.mask_covers
     for name, module in list(sys.modules.items()):
-        if name.startswith("ncpq.") and getattr(module, "walk_down", None) is real:
-            monkeypatch.setattr(module, "walk_down",
+        if name.startswith("ncpq.") and getattr(module, "mask_covers", None) is real:
+            monkeypatch.setattr(module, "mask_covers",
                                 lambda *args: calls.append(args) or real(*args))
     assert main([command, quiver_file(D4_TEXT), "--format", "json"]) == 0
     assert len(calls) == 1
@@ -492,22 +492,46 @@ def test_hurwitz_runs_no_braid_search(output_format, quiver_file, capsys):
         check_dot(out)
 
 
+def _split_at_the_top(monkeypatch) -> None:
+    """Make the certificate's component search read the letter graph of
+    the whole category (every root) as two components, so it fails."""
+    real = ncpq.weyl.connected_components
+
+    def split(vertices, neighbours):
+        comps = real(vertices, neighbours)
+        if vertices.bit_count() == len(neighbours):
+            low = vertices & -vertices
+            return [low, vertices ^ low]
+        return comps
+
+    monkeypatch.setattr(ncpq.weyl, "connected_components", split)
+
+
 def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monkeypatch):
-    # The certificate reads the diagram with one element of length 2
-    # missing its last cover, whose letter another of its children still
-    # names, so the certificate fails and the command exits 1.
+    # The diagram holds masks alone, so a cover cannot be dropped; a node
+    # can, the first one below the top, and it is an internal error in
+    # every format. A certificate that fails on the whole diagram exits 1:
+    # JSON reports no orbit size, and DOT draws no graph and says so on
+    # one line of stderr.
     real = ncpq.weyl.mask_covers
 
     def dropped(roots):
         covers = real(roots)
-        covers[next(iter(covers[next(iter(covers))].values()))].popitem()
+        del covers[list(covers)[1]]
         return covers
 
-    monkeypatch.setattr(ncpq.weyl, "mask_covers", dropped)
     path = quiver_file(A3_TEXT)
+    with monkeypatch.context() as patched:
+        patched.setattr(ncpq.weyl, "mask_covers", dropped)
+        for output_format in ("json", "text", "dot"):
+            assert main(["hurwitz", path, "--format", output_format]) == 5
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.endswith("; this is a bug\n")
+    _split_at_the_top(monkeypatch)
     assert main(["hurwitz", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["single_orbit"] is False and payload["orbit_size"] is None
+    assert payload["factorization_count"] == len(payload["orbit"]) == 16
     # DOT draws no graph on a failed certificate: one line on stderr, exit 1.
     assert main(["hurwitz", path, "--format", "dot"]) == 1
     captured = capsys.readouterr()
@@ -519,22 +543,29 @@ def test_a_dropped_cover_fails_the_hurwitz_certificate(quiver_file, capsys, monk
 def test_a_dropped_cover_fails_the_sequences_certificate(output_format, quiver_file, capsys,
                                                          monkeypatch):
     # The descent twin: a subcategory of rank 2 below the whole category
-    # loses its last cover, so the chains are not one mutation class. No
-    # braid graph is drawn on them, and the command exits 1, not 2.
+    # is dropped from the diagram, an internal error. A certificate that
+    # fails on the whole diagram means the chains are not one mutation
+    # class: no braid graph is drawn on them, and the command exits 1, not 2.
     real = cli.subcategory_covers
 
     def dropped(reg):
         covers = real(reg)
-        covers[next(iter(covers[next(iter(covers))].values()))].popitem()
+        del covers[list(covers)[1]]
         return covers
 
-    monkeypatch.setattr(cli, "subcategory_covers", dropped)
-    assert main(["sequences", quiver_file(A3_TEXT), "--format", output_format]) == 1
+    path = quiver_file(A3_TEXT)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "subcategory_covers", dropped)
+        assert main(["sequences", path, "--format", output_format]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("; this is a bug\n")
+    _split_at_the_top(monkeypatch)
+    assert main(["sequences", path, "--format", output_format]) == 1
     captured = capsys.readouterr()
     if output_format == "json":
         payload = json.loads(captured.out)
         assert payload["connected"] is False and payload["mutation_edges"] is None
-        assert payload["count"] == len(payload["sequences"]) < 16
+        assert payload["count"] == len(payload["sequences"]) == 16
     else:
         assert captured.out == ""
         assert captured.err.startswith("verification failed: ")

@@ -42,7 +42,7 @@ from ncpq.exc import (
 from ncpq.hurwitz import braid_edges
 from ncpq.quiver import Quiver, topological_sort
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, make_reflection,
-                       mask_covers, maximal_chains, simple_root)
+                       mask_covers, maximal_chains, simple_root, walk_elements)
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -53,9 +53,9 @@ from oracles import (
     exceptional_antichains_by_backtracking,
     exceptional_sequences,
     hurwitz_orbit,
-    interval_covers,
     is_connected,
     is_nonneg_combination,
+    labelled_covers,
     mutation_edges_by_braid_mutate,
     oriented_dynkin,
     simples_by_injective_maps,
@@ -375,7 +375,7 @@ def test_mutation_graph_matches_per_edge_braid_mutate(label):
     reg = build_registry(q)
     seqs = enumerate_complete_sequences(q, reg)
     # The nodes as `ncpq sequences` lists them: the descent's chains, sorted.
-    nodes = list(maximal_chains(subcategory_covers(reg)))
+    nodes = list(maximal_chains(subcategory_covers(reg), reg.rootsystem))
     edges = braid_edges(nodes, reg.rootsystem.reflection)
     assert nodes == [s.roots for s in sorted(seqs, key=lambda s: s.roots)]
     assert edges == mutation_edges_by_braid_mutate(seqs, reg)
@@ -399,8 +399,8 @@ def _assert_sequences_are_the_orbit(q, order):
     assert edges == braid_edges([t.roots for t in orbit], partial(make_reflection, q))
     if q.n <= 4:  # A5 and D5: test_orbit_matches_full_product_oracle
         assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
-    covers = interval_covers(coxeter_element(q, order), roots)
-    assert sorted(maximal_chains(covers)) == [t.roots for t in orbit]
+    covers = walk_elements(coxeter_element(q, order), roots)[0]
+    assert sorted(maximal_chains(covers, roots)) == [t.roots for t in orbit]
     assert is_connected(len(nodes), edges)
     assert braid_transitive(mask_covers(roots), roots) is True
     assert braid_transitive(subcategory_covers(reg), roots) is True
@@ -566,7 +566,8 @@ def test_descent_lists_the_antichain_closures(label):
     expected = {reg.mask_of(sub.ind_roots): sub for sub in subcategories(q, reg)}
     descent = subcategory_covers(reg)
     assert descent.keys() == expected.keys()
-    for ind, children in descent.items():
+    for ind, children in labelled_covers(descent, reg.rootsystem).items():
+        assert descent[ind] == expected[ind].rank
         simples = exc._checked_subcategory(ind, expected[ind].rank, reg)
         assert Subcategory(frozenset(reg.roots_of(ind)), simples) == expected[ind]
         assert all(expected[a].rank == expected[ind].rank - 1 for a in children.values())
@@ -616,8 +617,9 @@ def test_both_walks_match_the_closed_forms_on_more_orientations(label, every):
     chains = {"E6": FACTORIZATION_COUNTS["E6"], "E7": CLOSED_FORM_PINS["E7"][1]}[label]
     roots = generate_roots(q)
     c = coxeter_element(q, topological_order(q))
-    covers, descent = interval_covers(c, roots), subcategory_covers(build_registry(q, roots))
-    assert chain_counts(covers)[c] == chain_counts(descent)[next(iter(descent))] == chains
+    covers, descent = walk_elements(c, roots)[0], subcategory_covers(build_registry(q, roots))
+    assert (chain_counts(covers, roots)[next(iter(covers))]
+            == chain_counts(descent, roots)[next(iter(descent))] == chains)
     assert braid_transitive(mask_covers(roots), roots)
     assert braid_transitive(descent, roots)
 
@@ -625,9 +627,10 @@ def test_both_walks_match_the_closed_forms_on_more_orientations(label, every):
 @pytest.mark.parametrize("label", sorted(CLOSED_FORM_PINS))
 def test_descent_matches_the_closed_forms(label):
     catalan, sequences = CLOSED_FORM_PINS[label]
-    covers = subcategory_covers(build_registry(DYNKIN_QUIVERS[label]))
+    reg = build_registry(DYNKIN_QUIVERS[label])
+    covers = subcategory_covers(reg)
     assert len(covers) == catalan
-    assert chain_counts(covers)[next(iter(covers))] == sequences
+    assert chain_counts(covers, reg.rootsystem)[next(iter(covers))] == sequences
 
 
 def test_subcategory_check_runs_the_fixpoint(a3_reg):
@@ -689,7 +692,7 @@ def _assert_same_descent(reg):
     # The mask descent against the frozenset descent it replaced: the same
     # nodes through the mask-to-roots conversion, in the same key order,
     # each with the same letters, in the same order, reaching the same nodes.
-    descent = subcategory_covers(reg)
+    descent = labelled_covers(subcategory_covers(reg), reg.rootsystem)
     reference = subcategory_covers_by_frozensets(reg)
     as_sets = [(frozenset(reg.roots_of(b)),
                 [(x, frozenset(reg.roots_of(a))) for x, a in children.items()])

@@ -33,6 +33,7 @@ from ncpq import (
 )
 from ncpq.errors import (
     CapExceededError,
+    NcpqError,
     NonFiniteTypeError,
     ValidationError,
 )
@@ -41,7 +42,7 @@ from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver, euler_form, parse_quiver
 from ncpq.quiver import connected_components
 from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
-                       mask_covers, maximal_chains, walk_down, walk_elements)
+                       mask_covers, maximal_chains, walk_elements)
 
 from oracles import (
     COXETER_CATALAN,
@@ -55,12 +56,14 @@ from oracles import (
     down_sets,
     interval_covers,
     interval_covers_by_moved_spaces,
+    labelled_covers,
     linear_dynkin,
     minimal_reflection_factorizations,
     nc_by_group_filter,
     oriented_dynkin,
     random_positive_root,
     reflections_below,
+    walk_down,
     weyl_group,
 )
 
@@ -419,7 +422,8 @@ def test_walk_equals_group_filter(name):
 @pytest.mark.parametrize("name", ["A3", "A4", "D4"])
 def test_chain_counts_are_factorization_counts(name):
     _, roots, c = _nc(name)
-    counts = chain_counts(interval_covers(c, roots))
+    diagram, elements = walk_elements(c, roots)
+    counts = {elements[b]: count for b, count in chain_counts(diagram, roots).items()}
     fresh = generate_roots(roots.quiver)
     assert counts == {w: len(minimal_reflection_factorizations(w, fresh)) for w in counts}
     assert counts[c] == FACTORIZATION_COUNTS[name]
@@ -535,8 +539,8 @@ def test_interval_and_chain_counts_of_the_families(name):
     roots = generate_roots(q)
     assert roots.classification.label == name
     c = coxeter_element(q, topological_order(q))
-    covers = interval_covers(c, roots)
-    assert (len(covers), chain_counts(covers)[c]) == FAMILY_PINS[name]
+    covers = walk_elements(c, roots)[0]
+    assert (len(covers), chain_counts(covers, roots)[next(iter(covers))]) == FAMILY_PINS[name]
 
 
 def test_walk_cap_is_read_at_call_time(a3, monkeypatch):
@@ -570,19 +574,26 @@ def _without(node, x):
 def test_walk_down_of_the_boolean_lattice(monkeypatch):
     # The subsets of {1, 2, 3}: 8 nodes, and the 3! orders of removal are
     # its maximal chains, all in one orbit of transpositions. It is the
-    # mask diagram of A1+A1+A1, whose Euler form is the identity.
+    # mask diagram of A1+A1+A1, whose Euler form is the identity: each
+    # mask at its level, with the covers the walk of the subsets gives.
     top = frozenset({1, 2, 3})
     covers = _subsets(top, _without)
     assert list(map(len, covers)) == [3, 2, 2, 2, 1, 1, 1, 0]
-    assert set(maximal_chains(covers)) == set(itertools.permutations((1, 2, 3)))
-    assert chain_counts(covers)[top] == 6
     roots = generate_roots(Quiver(3, ()))
     masks = mask_covers(roots)
-    assert [b.bit_count() for b in masks] == [3, 2, 2, 2, 1, 1, 1, 0]
+    assert [b.bit_count() for b in masks] == list(masks.values()) == [3, 2, 2, 2, 1, 1, 1, 0]
+    vertex = {x: x.index(1) + 1 for x in roots.sorted_roots()}
+    labelled = labelled_covers(masks, roots)
+    members = {b: frozenset(map(vertex.__getitem__, children)) for b, children in labelled.items()}
+    assert {members[b]: {vertex[x]: members[a] for x, a in children.items()}
+            for b, children in labelled.items()} == covers
+    chains = {tuple(map(vertex.__getitem__, chain)) for chain in maximal_chains(masks, roots)}
+    assert chains == set(itertools.permutations((1, 2, 3)))
+    assert chain_counts(masks, roots)[0b111] == 6
     assert braid_transitive(masks, roots)
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 7)
     with pytest.raises(CapExceededError, match="^node count exceeds cap 7$"):
-        _subsets(top, _without)
+        mask_covers(roots, "node count")
 
 
 def test_chains_come_sorted():
@@ -590,11 +601,12 @@ def test_chains_come_sorted():
     # node's parents in letter order: on the interval [1, c] of E6 and on
     # the subcategory descent of D5 the chains come in sorted order.
     e6 = DYNKIN_QUIVERS["E6"]
-    interval = interval_covers(coxeter_element(e6, topological_order(e6)), complete_roots(e6))
-    descent = subcategory_covers(build_registry(DYNKIN_QUIVERS["D5"]))
-    for covers in (interval, descent):
-        chains = list(maximal_chains(covers))
-        assert len(chains) == chain_counts(covers)[next(iter(covers))]
+    e6_roots = complete_roots(e6)
+    interval = walk_elements(coxeter_element(e6, topological_order(e6)), e6_roots)[0]
+    reg = build_registry(DYNKIN_QUIVERS["D5"])
+    for covers, roots in ((interval, e6_roots), (subcategory_covers(reg), reg.rootsystem)):
+        chains = list(maximal_chains(covers, roots))
+        assert len(chains) == chain_counts(covers, roots)[next(iter(covers))]
         assert chains == sorted(chains)
 
 
@@ -607,14 +619,14 @@ CUT = {0b111: (0b010, 0b001, 0b000), 0b011: (0b000, 0b000, 0b011),
 
 
 def _mask_diagram(orth) -> dict:
-    """The mask diagram below the top under `orth`, with no level check."""
+    """The masks below the top under `orth`, each mapped to its bit count,
+    with no level check."""
     covers, stack = {}, [0b111]
-    letters = generate_roots(Quiver(3, ())).sorted_roots()
     while stack:
         b = stack.pop()
         if b not in covers:
-            covers[b] = {letters[k]: b & orth[k] for k in range(3) if b >> k & 1}
-            stack += covers[b].values()
+            covers[b] = b.bit_count()
+            stack += [b & orth[k] for k in range(3) if b >> k & 1]
     return covers
 
 
@@ -634,16 +646,18 @@ def test_certificate_checks_every_node(node, monkeypatch):
 
 
 def test_certificate_refuses_letters_that_disagree_with_the_diagram():
-    # A child letter its parent lacks: {1} reaches the bottom through the
-    # root of bit 1; a child that is not the mask's own; a dropped cover.
+    # The diagram stores masks alone, so a letter and its child are fixed
+    # by the mask: a child letter its parent lacks, a child that is not the
+    # mask's own or a dropped cover cannot be stored. What can be is a
+    # dropped node, and the count that every command reads before the
+    # certificate refuses it as a bug.
     roots = generate_roots(Quiver(3, ()))
-    letters = roots.sorted_roots()
-    for bad in ({0b001: {letters[1]: 0}}, {0b111: {**mask_covers(roots)[0b111], letters[0]: 0b010}},
-                {0b011: {letters[0]: 0b010}}):
+    assert braid_transitive(mask_covers(roots), roots)
+    for dropped in (0b011, 0b101, 0b110, 0b001, 0b010, 0b100):
         covers = mask_covers(roots)
-        assert braid_transitive(covers, roots)
-        covers.update(bad)
-        assert not braid_transitive(covers, roots)
+        del covers[dropped]
+        with pytest.raises(NcpqError, match=f"^the mask {dropped:#b} is not in the diagram; "):
+            chain_counts(covers, roots)
 
 
 @pytest.mark.parametrize("name", [*sorted(DYNKIN_QUIVERS), "A2+D4"])
