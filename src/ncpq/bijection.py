@@ -8,10 +8,16 @@ Hasse diagram on root masks, walked once (`weyl.mask_covers`), each
 mask mapped to its level: a mask is the indecomposables of B, with
 child B ∩ x^⊥ through each x of B, and the letter set of w(B) in
 [1, c], with child w·t through the root of t (`weyl.walk_elements`
-multiplies w(B) down from c). Each mask is checked thick at its level,
-rank B, and cox(B) is multiplied up over its checked simples. A node
-lost from the one diagram is lost from both sides, so a child that the
-masks give and the diagram lacks is refused as a bug (NcpqError).
+multiplies w(B) down from c). Both sides hold an element as its height
+vector (`weyl.height_vector`), which fixes it, and multiply it by a
+reflection in n operations (`weyl._height_step`). Each mask is checked
+thick at its level, rank B, and cox(B) is multiplied up, one step per
+node: cox(0) = 1, and cox(B) = cox(A)·s_x for x the last of B's ordered
+simples and A = B ∩ x^⊥, whose ordered simples must be B's but x
+(`_cox_vectors`). A node lost from the one diagram is lost from both
+sides, so a child that the masks give and the diagram lacks is refused
+as a bug (NcpqError), as is a diagram whose node count is not the
+Coxeter-Catalan number of the type.
 
 The independent check is per node: cox(B) = w(B). The report keeps its
 letter-by-letter form: the walk's child of cox(B) through x, read off
@@ -53,12 +59,13 @@ check certifies the rest:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, fields
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .exc import Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product
-from .quiver import Quiver, topological_order
+from .quiver import Quiver, Vector, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
     RootSystem,
@@ -67,8 +74,8 @@ from .weyl import (
     chain_counts,
     complete_roots,
     coxeter_element,
-    identity,
-    reflect_right,
+    element_of_heights,
+    _height_step,
     simple_root,
     walk_elements,
 )
@@ -107,6 +114,36 @@ def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:
     return sequence_product(sub.simples, roots)
 
 
+def _cox_vectors(simples: dict[int, tuple[Vector, ...]], roots: RootSystem) -> dict[int, Vector]:
+    """phi(cox(B)) (`weyl.height_vector`) for each subcategory B, given as
+    its mask mapped to its checked ordered simples, in the diagram's order
+    (top first), read upward with one step per node: (1, ..., 1) at the
+    zero subcategory, and phi(cox(A) s_x) (`weyl._height_step`) at B, for
+    x the last of B's simples and A = B ∩ x^⊥ its child through x. A's
+    ordered simples must be B's but x, or NcpqError is raised: then
+    cox(B) = cox(A)·s_x is the product of B's simples, left to right, by
+    induction up from the zero subcategory. They are: A is the thick
+    closure of B's other simples (Crawley-Boevey 1993), which are its
+    simples, and x, last in the topological order of B's Ext-quiver
+    (`exc.order_antichain`), has no successor there, so removing it
+    leaves the order of the rest as it was.
+    """
+    position = {r: k for k, r in enumerate(roots.sorted_roots())}
+    orth, steps = roots.orth, roots.height_steps
+    values = dict.fromkeys(simples)
+    for ind, ordered in reversed(simples.items()):
+        if not ordered:
+            values[ind] = (1,) * roots.n
+            continue
+        k = position[ordered[-1]]
+        child = ind & orth[k]
+        if simples[child] != ordered[:-1]:
+            raise NcpqError(f"the subcategory {ind:#b} loses its last simple to a child with "
+                            "other simples; this is a bug")
+        values[ind] = _height_step(values[child], steps[k])
+    return values
+
+
 def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                      quiver_id: str | None = None) -> BijectionReport:
     """Run the whole verification pipeline on a finite-type quiver.
@@ -114,7 +151,9 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     Returns a report rather than raising on mathematical failure; every
     failed assertion carries a JSON payload with both sides. Cap overruns
     are recorded as failures of kind "cap_exceeded" with partial counts.
-    A child missing from the walk's diagram, a bug, raises NcpqError.
+    A child missing from the walk's diagram, a node count other than the
+    Coxeter-Catalan number and a child whose simples are not its parent's
+    but the last are bugs, and raise NcpqError.
 
     The checks are the certificate of the module docstring. Counts: the
     nodes, as subcategories and as elements of [1, c], the covers (one
@@ -123,8 +162,8 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
     the one check decides `well_defined` (a failed step or base, or an
     image outside [1, c]) and the order flags (a cover on one side
     only). Each subcategory is held as its mask and its ordered simples,
-    and a value equal to its mask's element as that object; a set of
-    roots is built only for a failure.
+    and each element and value as its height vector; a set of roots or a
+    matrix is built only for a failure.
     """
     t0 = time.perf_counter()
     roots = complete_roots(q)
@@ -149,20 +188,23 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         simples = {ind: _checked_subcategory(ind, rank, reg) for ind, rank in ranks.items()}
         counts["subcategories"] = len(simples)
         # `_checked_subcategory` has checked the simples exceptional.
-        values = {ind: elements[ind] if (v := sequence_product(s, roots)) == elements[ind] else v
-                  for ind, s in simples.items()}
+        values = _cox_vectors(simples, roots)
+
+        @functools.cache
+        def element(v: Vector) -> WeylElement:
+            return element_of_heights(v, roots)
 
         def sub_json(ind: int) -> dict:
             return Subcategory(frozenset(reg.roots_of(ind)), simples[ind]).to_json()
 
-        preimage: dict[WeylElement, int] = {}
+        preimage: dict[Vector, int] = {}
         for ind, value in values.items():
             if value in preimage:
                 failures.append({
                     "kind": "injectivity",
                     "subcategory_a": sub_json(preimage[value]),
                     "subcategory_b": sub_json(ind),
-                    "image": value.to_json(),
+                    "image": element(value).to_json(),
                 })
             preimage[value] = ind
         flags["injective"] = len(preimage) == len(simples)
@@ -171,17 +213,17 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         if not flags["surjective"]:
             failures.append({
                 "kind": "surjectivity",
-                "missing": sorted(w.to_json() for w in mask_of.keys() - preimage.keys()),
-                "extra": sorted(w.to_json() for w in preimage.keys() - mask_of.keys()),
+                "missing": sorted(element(w).to_json() for w in mask_of.keys() - preimage.keys()),
+                "extra": sorted(element(w).to_json() for w in preimage.keys() - mask_of.keys()),
             })
 
-        def induction_failure(ind, x, expected: WeylElement, got: WeylElement) -> None:
+        def induction_failure(ind, x, expected: Vector, got: Vector) -> None:
             failures.append({
                 "kind": "well_defined",
                 "subcategory": sub_json(ind),
                 "last": None if x is None else list(x),
-                "expected": expected.to_json(),
-                "got": got.to_json(),
+                "expected": element(expected).to_json(),
+                "got": element(got).to_json(),
             })
 
         def order_failure(direction: str, a, b, val_a, val_b) -> dict:
@@ -190,8 +232,8 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 "direction": direction,
                 "subcategory_a": None if a is None else sub_json(a),
                 "subcategory_b": None if b is None else sub_json(b),
-                "cox_a": val_a.to_json(),
-                "cox_b": val_b.to_json(),
+                "cox_a": element(val_a).to_json(),
+                "cox_b": element(val_b).to_json(),
             }
 
         # The one check: the covers of each B against those of cox(B) in
@@ -199,17 +241,17 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         # `walk_elements` found each child b & orth[k] in the diagram. Once
         # cox(B) = w(B) on every node, no step of it can fail (module
         # docstring), so it runs only when some node differs.
-        letters, orth = roots.sorted_roots(), roots.orth
+        letters, orth, steps, one = roots.sorted_roots(), roots.orth, roots.height_steps, (1,) * q.n
         forward, backward = [], []
-        differs = any(value is not elements[ind] for ind, value in values.items())
+        differs = values != elements
         for ind, value in values.items() if differs else ():
             node = mask_of.get(value)
-            if not ind and value != identity(q.n):
-                induction_failure(ind, None, value, identity(q.n))
+            if not ind and value != one:
+                induction_failure(ind, None, value, one)
             for k, below in _children(ind, orth):
                 if node is None or not node >> k & 1 or elements[node & orth[k]] != values[below]:
                     forward.append(order_failure("forward", below, ind, values[below], value))
-                    got = reflect_right(values[below], roots.reflection(letters[k]))
+                    got = _height_step(values[below], steps[k])
                     if got != value:
                         induction_failure(ind, letters[k], value, got)
             if node is not None and preimage[value] == ind:
@@ -221,7 +263,7 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
                 failures.append({
                     "kind": "image_outside_interval",
                     "subcategory": sub_json(ind),
-                    "image": value.to_json(),
+                    "image": element(value).to_json(),
                 })
         backward += [order_failure("backward", preimage.get(elements[child]), None,
                                    elements[child], w)

@@ -49,6 +49,7 @@ from .weyl import (
     chain_counts,
     complete_roots,
     coxeter_element,
+    element_matrices,
     generate_roots,
     maximal_chains,
     walk_elements,
@@ -149,7 +150,7 @@ def cmd_nc(args: SimpleNamespace) -> int:
     roots = complete_roots(q)
     order = args.coxeter_order or topological_order(q)
     c = coxeter_element(q, order)
-    lengths, elements = walk_elements(c, roots)
+    lengths, elements = element_matrices(c, roots)
     masks = sorted(lengths, key=lambda m: (lengths[m], elements[m].matrix))
     ids = {m: k for k, m in enumerate(masks)}
     # In a graded poset a is covered by b exactly when a = b*t for a

@@ -14,6 +14,7 @@ decided on (by exact integer arithmetic, never floats).
 from __future__ import annotations
 
 import heapq
+from math import prod
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -261,20 +262,40 @@ def classify_type(c: CartanMatrix) -> Classification:
     return Classification("finite", "+".join(labels))
 
 
+def _exponents(part: str) -> tuple[int, ...]:
+    """The exponents of one connected Dynkin type, such as "D5" (Bourbaki,
+    Lie VI, Planches): their sum is the number of positive roots, and the
+    largest is h - 1, for the Coxeter number h."""
+    exceptional = {"E6": (1, 4, 5, 7, 8, 11), "E7": (1, 5, 7, 9, 11, 13, 17),
+                   "E8": (1, 7, 11, 13, 17, 19, 23, 29)}
+    letter, rank_ = part[0], int(part[1:])
+    if letter == "A":
+        return tuple(range(1, rank_ + 1))
+    if letter == "D":
+        return (*range(1, 2 * rank_ - 2, 2), rank_ - 1)
+    if part in exceptional:
+        return exceptional[part]
+    raise ValidationError(f"unknown Dynkin label {part!r}")
+
+
 def positive_root_count(label: str) -> int:
     """Number of positive roots for a (possibly disconnected) Dynkin label."""
-    exceptional = {"E6": 36, "E7": 63, "E8": 120}
-    total = 0
+    return sum(sum(_exponents(part)) for part in label.split("+"))
+
+
+def coxeter_catalan(label: str) -> int:
+    """The Coxeter-Catalan number of a (possibly disconnected) Dynkin label:
+    the product over its components of prod (h + e + 1) / (e + 1), over
+    the exponents e and the Coxeter number h. It counts the elements of
+    [1, c] below a Coxeter element (Reading 2007, "Clusters, Coxeter-
+    sortable elements and noncrossing partitions"), so the thick
+    exceptional subcategories too; on a product of types both posets are
+    products, so the numbers multiply."""
+    total = 1
     for part in label.split("+"):
-        letter, rank_ = part[0], int(part[1:])
-        if letter == "A":
-            total += rank_ * (rank_ + 1) // 2
-        elif letter == "D":
-            total += rank_ * (rank_ - 1)
-        elif part in exceptional:
-            total += exceptional[part]
-        else:
-            raise ValidationError(f"unknown Dynkin label {part!r}")
+        exponents = _exponents(part)
+        h = max(exponents) + 1
+        total *= prod(h + e + 1 for e in exponents) // prod(e + 1 for e in exponents)
     return total
 
 

@@ -8,19 +8,26 @@ flags a truncated root system as incomplete. Absolute length, the
 interval and conjugation depth are finite type only: they refuse to run
 rather than truncate silently.
 
-The reflection product is w*t, `reflect_right`. A reflection at a root
-a is t = I - a r^T, with r^T = a^T A for the symmetric Cartan matrix A,
-so w*t changes only the columns that I - t moves, about
-n * (|supp a| + |supp r|) operations instead of the n^3 of a full
-product. It is exact for any matrix of t: I - t is read off the matrix,
-its nonzero rows written as integer multiples of their primitive rows
-(`Reflection._sparse`), and every row of w*t is updated from the
-original row of w. It makes every reflection-times-element product of
-the package: the walk's one matrix per element, the folds of `multiply`
-(behind `coxeter_element`, `exc.sequence_product` and the exchange
-witness's s_i*P), the witness's P*s_alpha, the braid table's pair products and `verify`'s
-induction product on a mismatched cover. `compose` (`_linalg.mat_mul`)
-stays the general product.
+An element of [1, c] that the walk and `verify` hold is its height
+vector phi(w) = 1^T w, the heights of w(a_1), ..., w(a_n), which fixes
+w (`walk_elements`, with the proof). Its one product is
+phi(w*t) = phi(w) - (phi(w) . a) (A a)^T at the root a of t
+(`_height_step`), n operations; `element_of_heights` reads the matrix
+back, for a failure report.
+
+The matrix product with a reflection is w*t, `reflect_right`. A
+reflection at a root a is t = I - a r^T, with r^T = a^T A for the
+symmetric Cartan matrix A, so w*t changes only the columns that I - t
+moves, about n * (|supp a| + |supp r|) operations instead of the n^3 of a
+full product. It is exact for any matrix of t: I - t is read off the
+matrix, its nonzero rows written as integer multiples of their primitive
+rows (`Reflection._sparse`), and every row of w*t is updated from the
+original row of w. It makes every reflection-times-matrix product of the
+package: the matrices of [1, c] where they are printed or returned
+(`element_matrices`), the folds of `multiply` (behind `coxeter_element`,
+`exc.sequence_product` and the exchange witness's s_i*P), the witness's
+P*s_alpha and the braid table's pair products. `compose`
+(`_linalg.mat_mul`) stays the general product.
 
 Both posets of the bijection are one Hasse diagram on int masks over
 the roots (`mask_covers`), each mask mapped to its level: a mask is the
@@ -28,10 +35,11 @@ letter set of an element of [1, c] (`walk_elements`, with its proof)
 and the indecomposables of a thick subcategory
 (`exc.subcategory_covers`). The diagram is its masks: the letters of a
 mask are its bits, and its child through bit k is `mask & orth[k]`, one
-loop (`_children`) that the walk and every reader run. `chain_counts`
-counts its maximal chains, `maximal_chains` lists them, and
-`braid_transitive` certifies that the braid group moves any chain to
-any other (proof in its docstring).
+loop (`_children`) that the walk and every reader run. It has the
+Coxeter-Catalan number of nodes (`quiver.coxeter_catalan`), which the
+walk reads before it starts. `chain_counts` counts its maximal chains,
+`maximal_chains` lists them, and `braid_transitive` certifies that the
+braid group moves any chain to any other (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .quiver import (
     cartan_matrix,
     classify_type,
     connected_components,
+    coxeter_catalan,
     euler_form,
     is_admissible_order,
     positive_root_count,
@@ -167,6 +176,40 @@ def multiply(factors: Iterable[Reflection], n: int) -> WeylElement:
     return identity(n) if first is None else reduce(reflect_right, factors, first.element)
 
 
+def height_vector(w: WeylElement) -> Vector:
+    """phi(w) = 1^T w, the heights of w(a_1), ..., w(a_n): the column sums
+    of w's matrix. The identity's is (1, ..., 1)."""
+    return tuple(map(sum, zip(*w.matrix)))
+
+
+def _height_step(v: Vector, step: tuple[tuple[tuple[int, int], ...], Vector]) -> Vector:
+    """phi(w*t) from v = phi(w), for t the reflection at a root a given as
+    its `RootSystem.height_steps` entry (the nonzero (j, a_j) and A a):
+    w*t = w - (w a) (A a)^T, so phi(w*t) = v - (v . a) (A a)^T."""
+    support, row = step
+    s = 0
+    for j, x in support:
+        s += v[j] * x
+    return tuple([x - s * y for x, y in zip(v, row)])
+
+
+def element_of_heights(v: Vector, roots: RootSystem) -> WeylElement:
+    """The element w with phi(w) = v (`height_vector`), read back by descent:
+    while some v_j = ht w(a_j) < 0, w*s_j is shorter, and its vector is
+    v - v_j (A a_j)^T (`_height_step`). The descent moves A^-1 v into the
+    dominant chamber, so it stops, after at most one step per positive
+    root, at a vector with no negative entry, which is (1, ..., 1), the
+    identity's, exactly when v is some phi(w); any other v raises
+    NcpqError. The steps j_1, ..., j_m give w = s_(j_m) ... s_(j_1)."""
+    n, word = roots.n, []
+    while (j := next((j for j, x in enumerate(v) if x < 0), None)) is not None:
+        v = _height_step(v, (((j, 1),), roots.cartan[j]))
+        word.append(j + 1)
+    if v != (1,) * n:
+        raise NcpqError(f"{v} is not the height vector of a Weyl group element; this is a bug")
+    return multiply((roots.reflection(simple_root(n, j)) for j in reversed(word)), n)
+
+
 def is_positive(v: Vector) -> bool:
     return any(x != 0 for x in v) and all(x >= 0 for x in v)
 
@@ -264,6 +307,14 @@ class RootSystem:
 
     def reflections(self) -> tuple[Reflection, ...]:
         return tuple(self.reflection(r) for r in self.sorted_roots())
+
+    @cached_property
+    def height_steps(self) -> tuple[tuple[tuple[tuple[int, int], ...], Vector], ...]:
+        """At each root a, in `sorted_roots` order, made once: the nonzero
+        entries (j, a_j) of a and the row A a of the symmetric Cartan
+        matrix, which `_height_step` reads."""
+        return tuple((tuple((j, x) for j, x in enumerate(a) if x), mat_vec(self.cartan, a))
+                     for a in self.sorted_roots())
 
     @cached_property
     def euler(self) -> tuple[tuple[int, ...], ...]:
@@ -405,6 +456,11 @@ def _children(b: int, orth: tuple[int, ...]) -> Iterator[tuple[int, int]]:
         rest ^= low
 
 
+def _missing(mask: int) -> NcpqError:
+    """The error of a reader that computes a child the diagram lacks."""
+    return NcpqError(f"the mask {mask:#b} is not in the diagram; this is a bug")
+
+
 def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, int]:
     """The package's one walk: the Hasse diagram on int masks over
     `RootSystem.sorted_roots`, each mask mapped to its level, walked down
@@ -414,47 +470,88 @@ def mask_covers(roots: RootSystem, what: str = "interval size") -> dict[int, int
     bit k is `mask & orth[k]` (`RootSystem.orth`, `_children`), one level
     down.
 
-    A mask met at two levels is refused as a bug. Holding more than
-    DEFAULT_INTERVAL_CAP masks (read at call time) raises
-    CapExceededError("<what> exceeds cap N"); each mask is counted when
-    first met, so the bound is exact.
+    The diagram has the Coxeter-Catalan number of masks
+    (`quiver.coxeter_catalan`, read off the classification): when that
+    is more than DEFAULT_INTERVAL_CAP (read at call time), it raises
+    CapExceededError("<what> exceeds cap N") before walking. A walk that
+    meets another number of masks, or a mask at two levels, is refused as
+    a bug; it stops at the first level past the number.
     """
     roots.require_complete()
-    cap = DEFAULT_INTERVAL_CAP
+    cap, size = DEFAULT_INTERVAL_CAP, coxeter_catalan(roots.classification.label)
+    if size > cap:
+        raise CapExceededError(f"{what} exceeds cap {cap}")
     orth = roots.orth
     level, rank = [(1 << len(orth)) - 1], roots.n
     diagram = dict.fromkeys(level, rank)
-    while level:
+    while level and len(diagram) <= size:
         rank -= 1
         met: dict[int, int] = {}
         for b in level:
             for _, child in _children(b, orth):
                 if child not in met:
                     met[child] = rank
-                    if len(diagram) + len(met) > cap:
-                        raise CapExceededError(f"{what} exceeds cap {cap}")
         if not diagram.keys().isdisjoint(met):
             raise NcpqError("the walk down met a node at two levels; this is a bug")
         diagram.update(met)
         level = met
+    if len(diagram) != size:
+        raise NcpqError(f"the walk down did not meet the Coxeter-Catalan number {size} of "
+                        "nodes; this is a bug")
     return diagram
 
 
-def walk_elements(c: WeylElement,
-                  roots: RootSystem) -> tuple[dict[int, int], dict[int, WeylElement]]:
-    """The one entry to the interval [1, c] of absolute order: its Hasse
+def _walk(c: WeylElement, roots: RootSystem, top, step, bottom) -> tuple[dict[int, int], dict]:
+    """The walk of [1, c] that `walk_elements` and `element_matrices` make:
+    c checked (E c = -E^T) before any walk, the diagram (`mask_covers`),
+    and each mask's element, `top` at the first mask and step(w, k) at a
+    mask first met below w through bit k, one step per node in the order
+    the walk meets them; the empty mask's must be `bottom`. A child
+    missing from the diagram and another bottom raise NcpqError."""
+    q = roots.quiver
+    simples = [simple_root(q.n, i) for i in q.vertices]
+    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
+    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
+        raise ValidationError("the given element is not the Coxeter element of the quiver")
+    diagram = mask_covers(roots)
+    orth = roots.orth
+    elements = {next(iter(diagram)): top}
+    for mask in diagram:
+        w = elements[mask]
+        for k, child in _children(mask, orth):
+            if child not in elements:
+                if child not in diagram:
+                    raise _missing(child)
+                elements[child] = step(w, k)
+    if elements.get(0) != bottom:
+        raise NcpqError("the interval walk ended off the identity; this is a bug")
+    return diagram, elements
+
+
+def walk_elements(c: WeylElement, roots: RootSystem) -> tuple[dict[int, int], dict[int, Vector]]:
+    """The entry to the interval [1, c] of absolute order that holds its
+    elements as vectors (`element_matrices` holds matrices): its Hasse
     diagram on masks (`mask_covers`), each mask mapped to |w|, and each
-    mask's element w, c at the top, and w*t at a mask first met below w
-    through the root of t, one `reflect_right` per node in the order the
-    walk meets them. The covers below w are the w*t for the reflections
-    t <= w: the letters of w are the roots of those t, and bit k of w
-    reaches w*t for t at the k-th root.
+    mask's element w as its height vector phi(w) (`height_vector`):
+    phi(c) at the top, and phi(w*t) at a mask first met below w through
+    the root of t, one `_height_step` per node in the order the walk meets
+    them. The covers below w are the w*t for the reflections t <= w: the
+    letters of w are the roots of those t, and bit k of w reaches w*t for
+    t at the k-th root.
 
     Before any walk, c is checked to be the Coxeter element of the root
     system's quiver, the one element with E c = -E^T for E the Euler
     form's matrix on the simple roots (proof below; one n x n product):
     any other c raises ValidationError. NcpqError reports a child missing
-    from the diagram and an empty mask off the identity.
+    from the diagram and an empty mask off the identity's vector.
+
+    The vector fixes the element: phi(w)_j = ht w(a_j) = B(rho, w a_j) =
+    (A w^-1 rho)_j, for the form B = x^T A y and rho = A^-1 (1, ..., 1)
+    (B(rho, a_j) = 1). A is invertible, and w^-1 rho fixes w, since no
+    reflection fixes rho (B(rho, a) = ht a > 0) and the stabilizer of a
+    vector is generated by the reflections that fix it (Humphreys 1990,
+    Reflection Groups and Coxeter Groups, 1.12). The step is exact: with
+    t = I - a (A a)^T, 1^T w t = phi(w) - (phi(w) . a) (A a)^T.
 
     The masks are letter sets: the letters of w are the roots a with
     t_a <= w, every root at c, and the child of w through a keeps the
@@ -500,24 +597,19 @@ def walk_elements(c: WeylElement,
 
     `verify` checks each element against cox(B) on its mask.
     """
-    q = roots.quiver
-    simples = [simple_root(q.n, i) for i in q.vertices]
-    euler = tuple(tuple(euler_form(q, a, b) for b in simples) for a in simples)
-    if c.n != q.n or mat_mul(euler, c.matrix) != tuple(zip(*((-x for x in r) for r in euler))):
-        raise ValidationError("the given element is not the Coxeter element of the quiver")
-    diagram = mask_covers(roots)
-    reflections, orth = roots.reflections(), roots.orth
-    elements = {next(iter(diagram)): c}
-    for mask in diagram:
-        w = elements[mask]
-        for k, child in _children(mask, orth):
-            if child not in elements:
-                if child not in diagram:
-                    raise NcpqError(f"the mask {child:#b} is not in the diagram; this is a bug")
-                elements[child] = reflect_right(w, reflections[k])
-    if elements.get(0) != identity(c.n):
-        raise NcpqError("the interval walk ended off the identity; this is a bug")
-    return diagram, elements
+    steps = roots.height_steps
+    return _walk(c, roots, height_vector(c), lambda v, k: _height_step(v, steps[k]),
+                 (1,) * roots.n)
+
+
+def element_matrices(c: WeylElement,
+                     roots: RootSystem) -> tuple[dict[int, int], dict[int, WeylElement]]:
+    """`walk_elements` with each mask's element as its matrix, for the
+    callers that print or return matrices: the same checks and diagram,
+    c at the top, and w*t at a mask first met below w through the root of
+    t, one `reflect_right` per node in the order the walk meets them."""
+    reflections = roots.reflections()
+    return _walk(c, roots, c, lambda w, k: reflect_right(w, reflections[k]), identity(c.n))
 
 
 def chain_counts(diagram: dict[int, int], roots: RootSystem) -> dict[int, int]:
@@ -542,8 +634,7 @@ def chain_counts(diagram: dict[int, int], roots: RootSystem) -> dict[int, int]:
                 count += chains[child]
             chains[b] = count or 1
     except KeyError as missing:
-        raise NcpqError(f"the mask {missing.args[0]:#b} is not in the diagram; "
-                        "this is a bug") from None
+        raise _missing(missing.args[0]) from None
     return chains
 
 
@@ -562,12 +653,16 @@ def maximal_chains(diagram: dict[int, int], roots: RootSystem) -> Iterator[tuple
     the interval walk, whose covers are w > w*t through the root of t, the
     chain c > c t_n > ... > 1 reads the minimal reflection factorization
     c = t_1 ... t_n; on the descent, whose covers are B > B ∩ x^⊥ through
-    x, it reads the complete exceptional sequence (x_1, ..., x_n).
+    x, it reads the complete exceptional sequence (x_1, ..., x_n). A
+    child that the diagram lacks below its parent raises NcpqError before
+    any chain is listed.
     """
     letters, orth = roots.sorted_roots(), roots.orth
     parents: dict[int, list[tuple[int, int]]] = {b: [] for b in diagram}
     for b in diagram:
         for k, child in _children(b, orth):
+            if child not in parents:
+                raise _missing(child)
             parents[child].append((k, b))
     for ups in parents.values():
         ups.sort()
@@ -595,7 +690,7 @@ def braid_transitive(diagram: dict[int, int], roots: RootSystem) -> bool:
     orth[a] | left_orth[a], and it must be one component
     (`quiver.connected_components`). The children themselves are fixed by
     the masks, and a reader that meets one missing from the diagram
-    (`chain_counts`, `walk_elements`) raises NcpqError.
+    (`chain_counts`, `maximal_chains`, `walk_elements`) raises NcpqError.
 
     Proof, by induction up the diagram; a node with no children has one
     chain. The chains of w that end with a are s + (a,) for the chains s
@@ -630,13 +725,13 @@ def braid_transitive(diagram: dict[int, int], roots: RootSystem) -> bool:
 def noncrossing_partitions(c: WeylElement, q: Quiver, *,
                            roots: RootSystem | None = None) -> set[WeylElement]:
     """Interval {s : s <= c} of absolute order in a finite Weyl group: the
-    elements of the mask diagram (`walk_elements`, proof in its
-    docstring). Any c but the Coxeter element of the roots' quiver is
-    refused before the walk; `roots` defaults to `complete_roots`, which
-    refuses before generating any."""
+    matrices (`element_matrices`) of the mask diagram's elements
+    (`walk_elements`, proof in its docstring). Any c but the Coxeter
+    element of the roots' quiver is refused before the walk; `roots`
+    defaults to `complete_roots`, which refuses before generating any."""
     if roots is None:
         roots = complete_roots(q)
-    return set(walk_elements(c, roots)[1].values())
+    return set(element_matrices(c, roots)[1].values())
 
 
 @dataclass(frozen=True)

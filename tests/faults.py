@@ -46,12 +46,16 @@ class Fault(NamedTuple):
     outcome: tuple
 
 
-PRODUCT = "return multiply((rootsystem.reflection(r) for r in roots_seq), rootsystem.n)"
+# `verify`'s values run through `bijection._cox_vectors`, read upward.
+RETURN = "    return values\n"
 
 
 def _product(seq: str) -> str:
-    """`exc.sequence_product` folding `seq` in place of its input."""
-    return PRODUCT.replace("in roots_seq", f"in {seq}")
+    """`_cox_vectors` returning, for each subcategory with ordered simples
+    `s`, the vector of the product of `seq` (an expression in `s`), left
+    to right, in place of its upward value."""
+    fold = "functools.reduce(lambda u, x: _height_step(u, steps[position[x]]), "
+    return f"    return {{ind: {fold}{seq}, (1,) * roots.n) for ind, s in simples.items()}}\n"
 
 
 FAULTS = (
@@ -66,7 +70,7 @@ FAULTS = (
     Fault("letter-kept-in-its-child", "weyl.py",
           "yield k, b & orth[k]", "yield k, b & (orth[k] | 1 << k)",
           ("internal", "verify")),
-    # A node the walk leaves out is met as a child of a node it holds.
+    # A node the walk leaves out leaves it short of the Coxeter-Catalan number.
     Fault("walk-drops-a-node", "weyl.py",
           "if child not in met:", "if child not in met and child != 1:",
           ("internal", "verify")),
@@ -106,7 +110,7 @@ FAULTS = (
           "if not generated and _closure(", "if False and _closure(",
           ("test", "tests/test_exc.py::test_subcategory_check_runs_the_fixpoint")),
     Fault("walk-cap-off-by-one", "weyl.py",
-          "if len(diagram) + len(met) > cap:", "if len(diagram) + len(met) > cap + 1:",
+          "if size > cap:", "if size > cap + 1:",
           ("test", "tests/test_weyl.py::test_walk_cap_is_read_at_call_time")),
     Fault("coxeter-check-skipped", "weyl.py",
           "if c.n != q.n or mat_mul(", "if c.n != q.n or False and mat_mul(",
@@ -126,7 +130,7 @@ FAULTS = (
           "if False and reflect_right(a.element, b) != reflect_right(",
           ("test", "tests/test_exc.py::test_mutation_graph_catches_a_corrupted_reflection")),
     Fault("base-case-skipped", "bijection.py",
-          "if not ind and value != identity(q.n):", "if False:",
+          "if not ind and value != one:", "if False:",
           ("test", "tests/test_bijection.py::test_base_case_of_the_induction_is_checked")),
     Fault("failed-certificate-exits-0", "cli.py",
           "return EXIT_OK if single else EXIT_VERIFICATION_FAILED", "return EXIT_OK",
@@ -139,24 +143,35 @@ FAULTS = (
           'for f in (*flags, "--help")', 'for f in (*_OPTIONS, "--help")',
           ("test", "tests/test_cli.py::test_usage_errors_exit_2[verify Q --cap-orbit 5]")),
     # One corrupted cox(B) per flag of the `verify` report.
-    Fault("cox-times-s1", "exc.py",
-          PRODUCT, _product("(simple_root(rootsystem.n, 1), *roots_seq)"),
+    Fault("cox-times-s1", "bijection.py",
+          RETURN, _product("(simple_root(roots.n, 1), *s)"),
           ("verify", "well_defined")),
-    Fault("cox-first-simple-only", "exc.py",
-          PRODUCT, _product("roots_seq[:1]"),
+    Fault("cox-first-simple-only", "bijection.py",
+          RETURN, _product("s[:1]"),
           ("verify", "injective")),
-    Fault("cox-reversed", "exc.py",
-          PRODUCT, _product("roots_seq[::-1]"),
+    Fault("cox-reversed", "bijection.py",
+          RETURN, _product("s[::-1]"),
           ("verify", "surjective")),
-    Fault("cox-reversed-at-rank-2", "exc.py",
-          PRODUCT, _product("(roots_seq[::-1] if len(roots_seq) == 2 else roots_seq)"),
+    Fault("cox-reversed-at-rank-2", "bijection.py",
+          RETURN, _product("(s[::-1] if len(s) == 2 else s)"),
           ("verify", "order_iso_forward")),
-    Fault("cox-reversed-at-the-top", "exc.py",
-          PRODUCT, _product("(roots_seq[::-1] if len(roots_seq) == rootsystem.n else roots_seq)"),
+    Fault("cox-reversed-at-the-top", "bijection.py",
+          RETURN, _product("(s[::-1] if len(s) == roots.n else s)"),
           ("verify", "order_iso_backward")),
-    Fault("cox-rotated", "exc.py",
-          PRODUCT, _product("(*roots_seq[1:], *roots_seq[:1])"),
+    Fault("cox-rotated", "bijection.py",
+          RETURN, _product("(*s[1:], *s[:1])"),
           ("verify", "order_iso")),
+    # One product per element: phi(w*t) = phi(w) - (phi(w) . a) (A a)^T.
+    Fault("height-step-sign", "weyl.py",
+          "[x - s * y for x, y in zip(v, row)]", "[x + s * y for x, y in zip(v, row)]",
+          ("internal", "verify")),
+    Fault("cox-prefix-check-skipped", "bijection.py",
+          "if simples[child] != ordered[:-1]:", "if False:",
+          ("test", "tests/test_bijection.py::test_cox_upward_checks_the_simples_of_each_child")),
+    Fault("catalan-count-check-skipped", "weyl.py",
+          "if len(diagram) != size:", "if False:",
+          ("test", "tests/test_bijection.py::"
+                   "test_verify_checks_the_node_count_against_the_coxeter_catalan_number")),
 )
 
 

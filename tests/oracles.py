@@ -74,8 +74,8 @@ from ncpq.quiver import (Vector, connected_components, euler_form, topological_o
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq import weyl
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
-                       is_positive, positive_representative, reflect_right, simple_reflect,
-                       simple_root, walk_elements)
+                       element_matrices, is_positive, positive_representative, reflect_right,
+                       simple_reflect, simple_root)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -348,7 +348,7 @@ def interval_covers(c: WeylElement,
     elements w*t it covers, each keyed by the root of t, in root order,
     for the tests that hold it beside the element-keyed oracles. It is a
     view of the walk under test, not an oracle."""
-    diagram, elements = walk_elements(c, roots)
+    diagram, elements = element_matrices(c, roots)
     covers = labelled_covers(diagram, roots)
     for children in covers.values():
         for x, child in children.items():

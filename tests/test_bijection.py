@@ -17,6 +17,7 @@ from ncpq import (
     cox,
     coxeter_element,
     enumerate_complete_sequences,
+    generate_roots,
     identity,
     is_exceptional_sequence,
     make_reflection,
@@ -28,6 +29,7 @@ from ncpq import (
 )
 from ncpq.errors import NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.exc import order_antichain, sequence_product
+from ncpq.weyl import height_vector
 
 from conftest import A3_TEXT
 from oracles import (
@@ -43,6 +45,7 @@ from oracles import (
     factor_in_reflections,
     hurwitz_orbit,
     interval_covers,
+    interval_covers_by_moved_spaces,
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
     oriented_dynkin,
@@ -194,6 +197,14 @@ def test_cap_exceeded_partial_report(a3, monkeypatch):
     assert not report.all_ok
 
 
+def _values_from(product, monkeypatch) -> None:
+    """Make `verify`'s value of each subcategory the height vector of
+    product(simples, roots), a matrix, in place of cox(B) read upward, one
+    node at a time, as a product of the simples would be."""
+    monkeypatch.setattr("ncpq.bijection._cox_vectors", lambda simples, roots: {
+        ind: height_vector(product(s, roots)) for ind, s in simples.items()})
+
+
 def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_roots,
                                                                monkeypatch):
     # A corrupted product sends the zero subcategory to an element outside
@@ -204,13 +215,13 @@ def test_order_check_is_exact_for_an_image_outside_the_interval(a3, a3_reg, a3_r
     covers = interval_covers(c, a3_roots)
     outside = min((w for w in weyl_group(a3) if w not in covers),
                   key=lambda w: w.matrix)
-    real_product = ncpq.bijection.sequence_product
+    real_product = sequence_product
 
     def corrupted(simples, roots):
         value = real_product(simples, roots)
         return outside if value == identity(3) else value
 
-    monkeypatch.setattr("ncpq.bijection.sequence_product", corrupted)
+    _values_from(corrupted, monkeypatch)
     report = verify_bijection(a3, (1, 2, 3))
     assert {"image_outside_interval", "surjectivity"} <= {f["kind"] for f in report.failures}
     subs = subcategories(a3, a3_reg)
@@ -239,14 +250,14 @@ def test_corrupted_cox_on_a_rank_two_subcategory_breaks_the_induction(a3, a3_reg
     # wrong order. Every induction step into it must report the true
     # product cox(A)·s_x against the corrupted value.
     target = next(sub for sub in subcategories(a3, a3_reg) if sub.rank == 2)
-    real_product = ncpq.bijection.sequence_product
+    real_product = sequence_product
     wrong = sequence_product(target.simples[::-1], a3_roots)
     assert wrong != cox(target, a3_reg, a3_roots)
 
     def corrupted(simples, roots):
         return wrong if simples == target.simples else real_product(simples, roots)
 
-    monkeypatch.setattr("ncpq.bijection.sequence_product", corrupted)
+    _values_from(corrupted, monkeypatch)
     report = verify_bijection(a3, (1, 2, 3))
     assert not report.flags["well_defined"]
     mine = [f for f in report.failures
@@ -261,12 +272,12 @@ def test_base_case_of_the_induction_is_checked(a3, a3_reg, a3_roots, monkeypatch
     # step cox(A)·s_x = cox(B); only the base, the empty sequence of the
     # zero subcategory, catches it.
     u = make_reflection(a3, (0, 1, 0)).element
-    real_product = ncpq.bijection.sequence_product
+    real_product = sequence_product
 
     def shifted(simples, roots):
         return compose(u, real_product(simples, roots))
 
-    monkeypatch.setattr("ncpq.bijection.sequence_product", shifted)
+    _values_from(shifted, monkeypatch)
     report = verify_bijection(a3, (1, 2, 3))
     steps = [f for f in report.failures if f["kind"] == "well_defined"]
     zero = thick_closure(ExcSequence(()), a3_reg).to_json()
@@ -300,17 +311,51 @@ def test_missing_subcategory_breaks_the_induction(a3_reg, a3_roots, tmp_path, ca
                                     "diagram; this is a bug\n")
 
 
+@pytest.mark.parametrize("off", [1, -1])
+def test_verify_checks_the_node_count_against_the_coxeter_catalan_number(off, tmp_path, capsys,
+                                                                         monkeypatch):
+    # A walk that meets another number of masks than the Coxeter-Catalan
+    # number of the type is a bug: `ncpq verify` exits 5 and prints nothing
+    # on stdout.
+    path = tmp_path / "a3.quiver"
+    path.write_text(A3_TEXT)
+    real = ncpq.weyl.coxeter_catalan
+    monkeypatch.setattr("ncpq.weyl.coxeter_catalan", lambda label: real(label) + off)
+    assert ncpq.cli.main(["verify", str(path), "--format", "json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"internal error: the walk down did not meet the Coxeter-Catalan "
+                            f"number {14 + off} of nodes; this is a bug\n")
+
+
+def test_cox_upward_checks_the_simples_of_each_child(a3, monkeypatch):
+    # cox(B) is read upward from its child through its last simple, whose
+    # ordered simples must be B's but the last: the whole category's
+    # simples listed in reverse lose S1 last, to a child that does not
+    # list S3 and S2 in that order, and `verify` refuses it as a bug.
+    real = ncpq.bijection._checked_subcategory
+
+    def reordered(ind, rank, reg):
+        simples = real(ind, rank, reg)
+        return simples[::-1] if rank == 3 else simples
+
+    monkeypatch.setattr("ncpq.bijection._checked_subcategory", reordered)
+    with pytest.raises(NcpqError, match="^the subcategory 0b111111 loses its last simple"):
+        verify_bijection(a3, (1, 2, 3))
+
+
 def test_verify_checks_the_letters_of_the_walk(a3, monkeypatch):
     # The letters of a node are its bits and its children are fixed by
     # them, so letters swapped between two children cannot be stored. The
-    # walk still ends at the identity or is refused: a reflection read
-    # with another root's matrix sends it off the identity, a bug.
-    honest = ncpq.weyl.RootSystem.reflection
+    # walk still ends at the identity or is refused: a step by S1 read
+    # with the root of S2 sends it off the identity, a bug.
+    honest = ncpq.weyl.RootSystem.height_steps.func
 
-    def corrupted(self, root):
-        return honest(self, (0, 1, 0) if root == (1, 0, 0) else root)
+    def corrupted(self):
+        steps = dict(zip(self.sorted_roots(), honest(self)))
+        return tuple(steps[(0, 1, 0) if root == (1, 0, 0) else root] for root in steps)
 
-    monkeypatch.setattr(ncpq.weyl.RootSystem, "reflection", corrupted)
+    monkeypatch.setattr(ncpq.weyl.RootSystem, "height_steps", property(corrupted))
     with pytest.raises(NcpqError, match="off the identity"):
         verify_bijection(a3, (1, 2, 3))
 
@@ -392,16 +437,22 @@ def test_e7_counts_match_the_closed_forms():
 
 
 def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
-    # Each child w*t of the walk and each fold behind c and cox equals the
-    # full product. The walk makes one product per element other than c,
-    # when it first meets its letter set, and the folds are all the rest:
-    # c takes n - 1 products and each cox one fewer than its rank, so a
-    # walk that matches the descent costs no induction product.
-    calls = {"walk": 0, "fold": 0}
-    folds = []
+    # Each step of the walk and of cox(B) upward is the height vector of
+    # the full product w*t, for w the element of [1, c] with that vector
+    # in the Brady-Watt walk, and each fold behind c equals the full
+    # product. The walk makes one step per element other than c, when it
+    # first meets its letter set, and cox(B) one per subcategory other
+    # than the zero one; c takes n - 1 folds, so a walk that matches the
+    # descent costs no induction product.
+    q = DYNKIN_QUIVERS["E6"]
+    fresh = generate_roots(q)
+    interval = interval_covers_by_moved_spaces(coxeter_element(q, topological_order(q)), fresh)
+    element = {height_vector(w): w for w in interval}
+    root_of = dict(zip(fresh.height_steps, fresh.sorted_roots()))
+    calls = {"walk": 0, "cox": 0, "fold": 0}
     in_walk = False
     real_walk = ncpq.bijection.walk_elements
-    real_product = ncpq.bijection.sequence_product
+    real_step = ncpq.weyl._height_step
 
     def walk(c, roots):
         nonlocal in_walk
@@ -411,25 +462,26 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
         finally:
             in_walk = False
 
-    def product(simples, roots):
-        folds.append(max(len(simples) - 1, 0))
-        return real_product(simples, roots)
+    def stepped(v, step):
+        got = real_step(v, step)
+        assert got == height_vector(compose(element[v], fresh.reflection(root_of[step]).element))
+        calls["walk" if in_walk else "cox"] += 1
+        return got
 
     def checked(w, t):
         got = reflect_right(w, t)
         assert got == compose(w, t.element)
-        calls["walk" if in_walk else "fold"] += 1
+        calls["fold"] += 1
         return got
 
     monkeypatch.setattr("ncpq.weyl.reflect_right", checked)
-    monkeypatch.setattr("ncpq.bijection.reflect_right", checked)
+    monkeypatch.setattr("ncpq.weyl._height_step", stepped)
+    monkeypatch.setattr("ncpq.bijection._height_step", stepped)
     monkeypatch.setattr("ncpq.bijection.walk_elements", walk)
-    monkeypatch.setattr("ncpq.bijection.sequence_product", product)
-    report = verify_bijection(DYNKIN_QUIVERS["E6"])
+    report = verify_bijection(q)
     assert report.all_ok
-    assert report.counts["nc"] == len(folds) == COXETER_CATALAN["E6"]
-    assert calls["walk"] == report.counts["nc"] - 1 == 832
-    assert calls["fold"] == 6 - 1 + sum(folds)
+    assert calls["walk"] == calls["cox"] == report.counts["nc"] - 1 == COXETER_CATALAN["E6"] - 1
+    assert calls["fold"] == 6 - 1
 
 
 def test_image_lands_in_interval(a3, a3_reg, a3_roots):

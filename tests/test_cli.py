@@ -270,6 +270,28 @@ def test_verify_cap_exceeded_exit_4(quiver_file, capsys, monkeypatch):
     assert any(f["kind"] == "cap_exceeded" for f in payload["failures"])
 
 
+def test_past_the_cap_every_walking_command_exits_4_before_walking(quiver_file, capsys,
+                                                                  monkeypatch):
+    # Linear A13 has C(28, 14) / 15 = 2674440 elements of [1, c] and as
+    # many subcategories, past the cap of 1000000: each command that walks
+    # the diagram refuses with its message, read off the type, before its
+    # first cover.
+    def walked(*args):
+        raise AssertionError("walked past the cap")
+
+    monkeypatch.setattr(ncpq.weyl, "_children", walked)
+    path = quiver_file("vertices 13\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1, 13)))
+    for command, what in (("nc", "interval size"), ("hurwitz", "interval size"),
+                          ("sequences", "subcategory count")):
+        assert main([command, path, "--format", "json"]) == 4
+        assert capsys.readouterr() == ("", f"error: {what} exceeds cap 1000000\n")
+    assert main(["verify", path, "--format", "json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == [{"kind": "cap_exceeded",
+                                    "detail": "interval size exceeds cap 1000000"}]
+    assert set(payload["counts"].values()) == {None}
+
+
 def test_verify_inadmissible_order_exit_2(quiver_file, capsys):
     assert main(["verify", quiver_file(A2_TEXT), "--coxeter-order", "2,1"]) == 2
 
@@ -441,9 +463,8 @@ def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, qu
                                                       capsys, monkeypatch):
     # Both commands draw their braid graph with the root system's
     # reflections, and the pair-product check refuses the reflection at a2
-    # given the matrix of s1 as a bug. The walk's elements are multiplied
-    # by the same reflections, so they are corrupted only once those are
-    # made.
+    # given the matrix of s1 as a bug. The reflections are corrupted only
+    # once the walk is made, so it is the graph that meets them.
     honest = ncpq.weyl.RootSystem.reflection
 
     def corrupted(self, root):

@@ -22,10 +22,12 @@ from ncpq import (
 )
 from ncpq import quiver
 from ncpq.errors import QuiverParseError, ValidationError
-from ncpq.quiver import connected_components, is_admissible_order, topological_sort
+from ncpq.quiver import (connected_components, coxeter_catalan, is_admissible_order,
+                         topological_sort)
 
-from oracles import (DYNKIN_QUIVERS, kind_by_principal_minor_sums, leading_principal_minors,
-                     neighbour_masks, random_acyclic_quiver)
+from oracles import (CLOSED_FORM_PINS, COXETER_CATALAN, DYNKIN_QUIVERS, FAMILY_PINS,
+                     kind_by_principal_minor_sums, leading_principal_minors, neighbour_masks,
+                     random_acyclic_quiver)
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -307,6 +309,18 @@ def test_positive_root_counts():
     assert positive_root_count("D4") == 12
     assert positive_root_count("E8") == 120
     assert positive_root_count("A1+A2") == 4
+
+
+def test_coxeter_catalan_numbers_are_the_pins():
+    # The walk's node count, read off the label, against the closed-form
+    # pins the tests hold; a product of types multiplies them.
+    pins = {**COXETER_CATALAN, **{name: size for name, (size, _) in CLOSED_FORM_PINS.items()},
+            **{name: size for name, (size, _) in FAMILY_PINS.items()}}
+    assert {name: coxeter_catalan(name) for name in pins} == pins
+    assert coxeter_catalan("A1+A1+A1") == 8
+    assert coxeter_catalan("A2+D4") == 5 * 50
+    with pytest.raises(ValidationError, match="unknown Dynkin label 'B3'"):
+        coxeter_catalan("B3")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from ncpq import weyl
 from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver, euler_form, parse_quiver
 from ncpq.quiver import connected_components
-from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots, is_positive,
+from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots,
+                       element_matrices, element_of_heights, height_vector, is_positive,
                        mask_covers, maximal_chains, walk_elements)
 
 from oracles import (
@@ -422,7 +423,7 @@ def test_walk_equals_group_filter(name):
 @pytest.mark.parametrize("name", ["A3", "A4", "D4"])
 def test_chain_counts_are_factorization_counts(name):
     _, roots, c = _nc(name)
-    diagram, elements = walk_elements(c, roots)
+    diagram, elements = element_matrices(c, roots)
     counts = {elements[b]: count for b, count in chain_counts(diagram, roots).items()}
     fresh = generate_roots(roots.quiver)
     assert counts == {w: len(minimal_reflection_factorizations(w, fresh)) for w in counts}
@@ -498,8 +499,8 @@ def test_walk_refuses_the_coxeter_element_of_another_orientation(a3, a3_roots, m
 
 def test_the_coxeter_check_runs_once_per_walk(a3, a3_roots, monkeypatch):
     # The check E c = -E^T is the one matrix product of the walk: each
-    # reflection step is a `reflect_right`, so one walk of [1, c] through
-    # either entry makes exactly one `mat_mul`.
+    # step is a `reflect_right` or a `_height_step`, so one walk of [1, c]
+    # through either entry makes exactly one `mat_mul`.
     c = coxeter_element(a3, topological_order(a3))
     calls = []
     real = weyl.mat_mul
@@ -550,6 +551,20 @@ def test_walk_cap_is_read_at_call_time(a3, monkeypatch):
         noncrossing_partitions(c, a3, roots=generate_roots(a3))
     monkeypatch.setattr("ncpq.weyl.DEFAULT_INTERVAL_CAP", 14)
     assert len(noncrossing_partitions(c, a3, roots=generate_roots(a3))) == 14
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_height_vector_fixes_the_element(name):
+    # phi(w) = 1^T w is injective on the whole group, and the descent along
+    # negative entries reads each element back from its vector; a vector
+    # of no element is refused as a bug.
+    q = DYNKIN_QUIVERS[name]
+    group = weyl_group(q)
+    vectors = {height_vector(w): w for w in group}
+    assert len(vectors) == len(group)
+    assert all(element_of_heights(v, generate_roots(q)) == w for v, w in vectors.items())
+    with pytest.raises(NcpqError, match="is not the height vector of a Weyl group element"):
+        element_of_heights((2,) + (1,) * (q.n - 1), generate_roots(q))
 
 
 def test_walk_holds_each_element_once(d4, d4_roots):
@@ -650,14 +665,15 @@ def test_certificate_refuses_letters_that_disagree_with_the_diagram():
     # by the mask: a child letter its parent lacks, a child that is not the
     # mask's own or a dropped cover cannot be stored. What can be is a
     # dropped node, and the count that every command reads before the
-    # certificate refuses it as a bug.
+    # certificate refuses it as a bug, as does the lister.
     roots = generate_roots(Quiver(3, ()))
     assert braid_transitive(mask_covers(roots), roots)
     for dropped in (0b011, 0b101, 0b110, 0b001, 0b010, 0b100):
         covers = mask_covers(roots)
         del covers[dropped]
-        with pytest.raises(NcpqError, match=f"^the mask {dropped:#b} is not in the diagram; "):
-            chain_counts(covers, roots)
+        for reader in (chain_counts, maximal_chains):
+            with pytest.raises(NcpqError, match=f"^the mask {dropped:#b} is not in the diagram; "):
+                reader(covers, roots)
 
 
 @pytest.mark.parametrize("name", [*sorted(DYNKIN_QUIVERS), "A2+D4"])
