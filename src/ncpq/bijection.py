@@ -197,16 +197,21 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         def sub_json(ind: int) -> dict:
             return Subcategory(frozenset(reg.roots_of(ind)), simples[ind]).to_json()
 
-        preimage: dict[Vector, int] = {}
-        for ind, value in values.items():
-            if value in preimage:
-                failures.append({
-                    "kind": "injectivity",
-                    "subcategory_a": sub_json(preimage[value]),
-                    "subcategory_b": sub_json(ind),
-                    "image": element(value).to_json(),
-                })
-            preimage[value] = ind
+        # When every cox(B) is its mask's element and the elements are
+        # distinct, the values' preimage is the walk's `mask_of` itself.
+        differs = values != elements
+        preimage: dict[Vector, int] = mask_of
+        if differs or len(mask_of) != len(values):
+            preimage = {}
+            for ind, value in values.items():
+                if value in preimage:
+                    failures.append({
+                        "kind": "injectivity",
+                        "subcategory_a": sub_json(preimage[value]),
+                        "subcategory_b": sub_json(ind),
+                        "image": element(value).to_json(),
+                    })
+                preimage[value] = ind
         flags["injective"] = len(preimage) == len(simples)
 
         flags["surjective"] = preimage.keys() == mask_of.keys()
@@ -243,7 +248,6 @@ def verify_bijection(q: Quiver, coxeter_order: tuple[int, ...] | None = None, *,
         # docstring), so it runs only when some node differs.
         letters, orth, steps, one = roots.sorted_roots(), roots.orth, roots.height_steps, (1,) * q.n
         forward, backward = [], []
-        differs = values != elements
         for ind, value in values.items() if differs else ():
             node = mask_of.get(value)
             if not ind and value != one:

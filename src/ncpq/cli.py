@@ -88,7 +88,9 @@ def _emit(args: SimpleNamespace, text: str) -> None:
     if args.output_path:
         try:
             with open(args.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)  # text + "\n" would copy the whole output
+                if not text.endswith("\n"):
+                    fh.write("\n")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.output_path}: {exc}") from exc
     else:
@@ -175,7 +177,7 @@ def cmd_nc(args: SimpleNamespace) -> int:
                 }
                 for m in masks
             ],
-            "hasse_edges": sorted(map(list, edges)),
+            "hasse_edges": sorted(edges),
         })
     elif args.output_format == "text":
         lines = [f"{len(masks)} elements below the Coxeter element (order {order})"]
@@ -229,7 +231,7 @@ def cmd_hurwitz(args: SimpleNamespace) -> int:
         "orbit_size": count if single else None,
         "factorization_count": count,
         "single_orbit": single,
-        "orbit": None if ordered is None else [[list(r) for r in t] for t in ordered],
+        "orbit": ordered,
     }
     if args.output_format == "json":
         _emit_json(args, payload)
@@ -245,7 +247,7 @@ def cmd_hurwitz(args: SimpleNamespace) -> int:
             raise CapExceededError(f"orbit size exceeds cap {args.cap_orbit}")
         edges = braid_edges(ordered, roots.reflection)
         nodes = [f"t{k}" for k in range(len(ordered))]
-        dot_edges = [f"t{a} -- t{b}" for a, b in sorted(edges)]
+        dot_edges = [f"t{a} -- t{b}" for a, b in edges]
         _emit(args, _dot("hurwitz_orbit", nodes, dot_edges, directed=False))
     return EXIT_OK if single else EXIT_VERIFICATION_FAILED
 
@@ -268,8 +270,8 @@ def cmd_sequences(args: SimpleNamespace) -> int:
         "quiver": args.quiver_file,
         "count": count,
         "connected": connected,
-        "sequences": None if chains is None else [[list(r) for r in s] for s in chains],
-        "mutation_edges": None if edges is None else [list(e) for e in sorted(edges)],
+        "sequences": chains,
+        "mutation_edges": edges,
     }
     if args.output_format == "json":
         _emit_json(args, payload)
@@ -284,7 +286,7 @@ def cmd_sequences(args: SimpleNamespace) -> int:
         if chains is None:
             raise CapExceededError(f"sequence count exceeds cap {args.cap_sequences}")
         dot_nodes = [f"s{k}" for k in range(len(chains))]
-        dot_edges = [f"s{a} -- s{b}" for a, b in sorted(edges)]
+        dot_edges = [f"s{a} -- s{b}" for a, b in edges]
         _emit(args, _dot("mutation_graph", dot_nodes, dot_edges, directed=False))
     return EXIT_OK if connected else EXIT_VERIFICATION_FAILED
 

@@ -129,6 +129,14 @@ FAULTS = (
           "if reflect_right(a.element, b) != reflect_right(",
           "if False and reflect_right(a.element, b) != reflect_right(",
           ("test", "tests/test_exc.py::test_mutation_graph_catches_a_corrupted_reflection")),
+    # A braid-graph key has one digit per reflection, id + 1, wide enough
+    # for every listed root: no digit is 0, and no listed digit spills.
+    Fault("braid-key-digit-zero", "hurwitz.py",
+          "digits[root] = braid.root_id(root) + 1", "digits[root] = braid.root_id(root)",
+          ("test", "tests/test_hurwitz.py::test_braid_edges_keys_tell_unequal_lengths_apart")),
+    Fault("braid-key-digit-one-bit-short", "hurwitz.py",
+          "len(braid.reflections).bit_length()", "len(braid.reflections).bit_length() - 1",
+          ("test", "tests/test_hurwitz.py::test_braid_edges_refuse_a_moved_root_past_the_digits")),
     Fault("base-case-skipped", "bijection.py",
           "if not ind and value != one:", "if False:",
           ("test", "tests/test_bijection.py::test_base_case_of_the_induction_is_checked")),

@@ -561,6 +561,20 @@ def hurwitz_orbit(t: ReflectionTuple, cap: int = DEFAULT_ORBIT_CAP) -> set[Refle
     return {braid.tuple_of(t.quiver, ids) for ids in _search(braid, braid.ids_of(t), cap)}
 
 
+def braid_graph_by_two_way_moves(q: Quiver, start: tuple[Vector, ...]
+                                 ) -> tuple[list[tuple[Vector, ...]], set[tuple[int, int]]]:
+    """The braid orbit of a root tuple, sorted, and its braid graph as
+    index pairs (j, k), j < k, one for every forward and every inverse
+    move of this module's two-way table that leaves the tuple."""
+    braid = _braid(q)
+    orbit = sorted(_search(braid, braid.ids_of(tuple_from_roots(q, start)), DEFAULT_ORBIT_CAP),
+                   key=braid.roots_of)
+    index = {ids: k for k, ids in enumerate(orbit)}
+    edges = {(min(j, k), max(j, k)) for j, ids in enumerate(orbit)
+             for moved, _ in braid.neighbours(ids) if (k := index[moved]) != j}
+    return [braid.roots_of(ids) for ids in orbit], edges
+
+
 def same_orbit(a: ReflectionTuple, b: ReflectionTuple,
                cap: int = DEFAULT_ORBIT_CAP) -> tuple[bool, list[int] | None]:
     """Decide whether b lies in the braid orbit of a.

@@ -23,7 +23,10 @@ from ncpq.hurwitz import braid_edges
 import oracles
 from conftest import A3_TEXT, A4_TEXT, D4_TEXT
 from oracles import (
+    DYNKIN_QUIVERS,
+    FACTORIZATION_COUNTS,
     ReflectionTuple,
+    braid_graph_by_two_way_moves,
     braid_orbit_by_full_products,
     hurwitz_move,
     hurwitz_orbit,
@@ -169,6 +172,40 @@ def test_braid_edges_refuse_two_matrices_at_one_root(a3_roots):
     lookup = _answering(a3_roots, (1, 1, 0), Reflection((1, 0, 0), s2.element))
     with pytest.raises(NcpqError, match="different matrices"):
         braid_edges([A3_SIMPLES], lookup)
+
+
+def test_braid_edges_keys_tell_unequal_lengths_apart(a3_roots):
+    # a1 is listed first, so it has the first id, and it commutes with a3:
+    # (a3, a1) and (a1, a3) are each other's forward move. A digit of 0
+    # for the first id would read one of them as (a3,), whichever end of
+    # the key holds the first reflection, and () as (a1,).
+    x, a = (1, 0, 0), (0, 0, 1)
+    chains = [(x,), (a,), (a, x), (x, a), ()]
+    assert braid_edges(chains, a3_roots.reflection) == [(2, 3)]
+
+
+def test_braid_edges_refuse_a_moved_root_past_the_digits(a3_roots):
+    # The three simple roots are listed, so each digit has two bits and
+    # holds 1..3. The first move takes (a1, a2) to (a2, a1 + a2), and
+    # a1 + a2 gets the fourth id, a digit of 4 that needs a third bit.
+    # Every tuple (a2, r, a3) with r listed is listed too, so a digit that
+    # spilled into its neighbour or was cut to a listed one would find
+    # one of them instead of leaving the list.
+    a1, a2, a3 = A3_SIMPLES
+    chains = [(a1, a2, a3)] + [(a2, r, a3) for r in A3_SIMPLES]
+    with pytest.raises(ValidationError, match="left the given sequence set"):
+        braid_edges(chains, a3_roots.reflection)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_braid_edges_are_the_two_way_move_graph(name):
+    # The package moves forward only; the oracle's table moves both ways,
+    # and every inverse move undoes a forward one, so the graphs agree.
+    q = DYNKIN_QUIVERS[name]
+    start = tuple(simple_root(q.n, i) for i in topological_order(q))
+    orbit, expected = braid_graph_by_two_way_moves(q, start)
+    assert len(orbit) == FACTORIZATION_COUNTS[name]
+    assert braid_edges(orbit, generate_roots(q).reflection) == sorted(expected)
 
 
 def test_replay_certificate_rejects_move_zero(a2):
@@ -323,7 +360,7 @@ def test_orbit_edges_match_single_moves(name):
             if j != k:
                 expected.add((min(j, k), max(j, k)))
     edges = braid_edges([t.roots for t in ordered], generate_roots(q).reflection)
-    assert edges == expected
+    assert edges == sorted(expected)
     for k, t in enumerate(ordered):
         for i in range(1, q.n):
             j = ids[hurwitz_move(t, i, inverse=True).roots]
