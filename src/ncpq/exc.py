@@ -10,10 +10,12 @@ thick subcategory recorded by its indecomposables: an int mask over the
 registry's roots, as on the interval side, turned into a frozenset of
 roots only where the library hands one out. The closure path,
 `order_antichain`, `thick_closure` and the check `_checked_subcategory`
-that `verify` runs on every subcategory, works on root positions: it
-reads the registry's mask tables and Ext-quivers by position off the
-Euler form (`IndecRegistry.ext_quiver`), and looks roots up only at its
-inputs and outputs. The subcategories are walked down from the whole
+that `verify` runs on every subcategory, works on root positions and
+masks: it orders a set of roots by the one mask sort
+(`quiver.topological_sort`) on the registry's Ext screen
+(`IndecRegistry.ext_into_at`), reads the relative quiver off the Euler
+rows of the ordered roots, and looks roots up only at its inputs and
+outputs. The subcategories are walked down from the whole
 category by `subcategory_covers`, the interval walk's own mask diagram
 (`weyl.mask_covers`), whose maximal chains are the complete
 exceptional sequences (see `weyl.braid_transitive` for their one
@@ -159,10 +161,11 @@ def _subcategory_simples(ind: int, reg: IndecRegistry) -> list[int]:
     return simples
 
 
-def _ext_order(r: int, ext: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    """Topological order of an Ext-quiver on r vertices, smallest vertex
-    first among incomparables."""
-    order = topological_sort(r, ext)
+def _ext_order(roots: int, reg: IndecRegistry) -> tuple[int, ...]:
+    """The positions of the root mask `roots` in topological order of
+    their Ext-quiver, smallest position first among incomparables: a
+    root precedes every root it has Ext into (`IndecRegistry.ext_into_at`)."""
+    order = topological_sort(roots, reg.ext_into_at)
     if order is None:
         raise ValidationError("Ext-quiver has a cycle; the antichain is not exceptional")
     return order
@@ -171,17 +174,29 @@ def _ext_order(r: int, ext: dict[tuple[int, int], int]) -> tuple[int, ...]:
 def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Vector, ...]:
     """Order an exceptional antichain into an exceptional sequence:
     topological order of its Ext-quiver, smallest root first among
-    incomparables."""
-    positions, roots = sorted(map(reg.position, antichain)), reg.roots()
-    return tuple(roots[positions[i]] for i in _ext_order(len(positions), reg.ext_quiver(positions)))
+    incomparables. An unregistered or repeated root raises
+    ValidationError."""
+    members = tuple(antichain)
+    mask = reg.mask_of(members)
+    if mask.bit_count() != len(members):
+        raise ValidationError("the antichain repeats a root")
+    return tuple(map(reg.roots().__getitem__, _ext_order(mask, reg)))
 
 
-def _relative_root_count(order: tuple[int, ...], ext: dict[tuple[int, int], int]) -> int:
-    """Positive-root count of the subcategory's Ext-quiver `ext` on its
-    simples, numbered in `order`: one arrow per dimension of Ext."""
-    position = {v: k + 1 for k, v in enumerate(order)}
-    arrows = sorted((position[i], position[j]) for (i, j), d in ext.items() for _ in range(d))
-    return _finite_root_count(len(order), tuple(arrows))
+def _relative_root_count(ordered: Sequence[int], euler: Sequence[Sequence[int]]) -> int:
+    """Positive-root count of the relative quiver of the exceptional
+    sequence of positions `ordered`, numbered from 1: an arrow k -> l per
+    dimension of Ext, -<a, b> where positive, read off each Euler row
+    once. Ext goes only forward along the sequence, so only the pairs
+    k < l are read, in the order that lists the arrows sorted, as the
+    memo key of `_finite_root_count` is."""
+    arrows: list[tuple[int, int]] = []
+    for k, a in enumerate(ordered, 1):
+        row = euler[a]
+        for l, b in enumerate(ordered[k:], k + 1):
+            if (e := row[b]) < 0:
+                arrows += [(k, l)] * -e
+    return _finite_root_count(len(ordered), tuple(arrows))
 
 
 @functools.cache
@@ -196,29 +211,32 @@ def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
     return positive_root_count(classification.label)
 
 
-def _checked_subcategory(ind: int, rank: int, reg: IndecRegistry,
-                         generators: int | None = None) -> tuple[Vector, ...]:
+def _checked_subcategory(ind: int, rank: int, reg: IndecRegistry, generators: int | None = None,
+                         tested: tuple[int, ...] | None = None) -> tuple[Vector, ...]:
     """The ordered simples of the subcategory on the root mask `ind`,
     checked: `rank` simples (the bits k of `ind` with no bit of
     `maps_into_at[k]` in `ind`) that order into an exceptional sequence,
     as many indecomposables (`ind.bit_count()`) as the roots of their
-    Ext-quiver, and `ind` is the double perpendicular of the simples.
-    All of it runs on root positions, and the simples' Ext-quiver is read
-    once (`IndecRegistry.ext_quiver`), for the order and the root count.
+    relative quiver, and `ind` is the double perpendicular of the
+    simples. All of it runs on root positions and masks: the simples'
+    mask is ordered by the registry's Ext screen (`_ext_order`) and
+    their relative quiver read off their Euler rows once.
     A caller that made `ind` as the double perpendicular of the root mask
     `generators` passes it: when the simples are exactly those roots, the
-    fixpoint holds by construction and is not computed again."""
+    fixpoint holds by construction and is not computed again. A caller
+    that has just found the position tuple `tested` exceptional passes
+    it: when the ordered simples are that tuple, they are not tested
+    again."""
     simples = _subcategory_simples(ind, reg)
     if len(simples) != rank:
         raise NcpqError(f"a subcategory of rank {rank} has {len(simples)} simples")
-    ext = reg.ext_quiver(simples)
-    order = _ext_order(rank, ext)
-    ordered = [simples[i] for i in order]
-    if not _is_exceptional(ordered, reg):
+    simples_mask = sum(1 << k for k in simples)
+    ordered = _ext_order(simples_mask, reg)
+    if ordered != tested and not _is_exceptional(ordered, reg):
         raise NcpqError("subcategory simples do not order into an exceptional sequence")
-    if ordered and _relative_root_count(order, ext) != ind.bit_count():
+    if ordered and _relative_root_count(ordered, reg.rootsystem.euler) != ind.bit_count():
         raise NcpqError("subcategory size disagrees with its relative root count")
-    generated = generators is not None and sum(1 << k for k in ordered) == generators
+    generated = simples_mask == generators
     if not generated and _closure(ordered, reg) != ind:
         raise NcpqError("double-perpendicular fixpoint failed; this is a bug")
     return tuple(map(reg.roots().__getitem__, ordered))
@@ -227,14 +245,14 @@ def _checked_subcategory(ind: int, rank: int, reg: IndecRegistry,
 def thick_closure(seq: ExcSequence, reg: IndecRegistry) -> Subcategory:
     """Thick closure of an exceptional sequence, with its simples, checked
     by `_checked_subcategory` at the sequence's length."""
-    positions = [reg.position(r) for r in seq.roots]
+    positions = tuple(map(reg.position, seq.roots))
     if not _is_exceptional(positions, reg):
         raise ValidationError("input is not an exceptional sequence")
     ind = _closure(positions, reg)
     generators = sum(1 << k for k in positions)
     if generators & ~ind:
         raise NcpqError("closure lost a generator; this is a bug")
-    simples = _checked_subcategory(ind, len(positions), reg, generators)
+    simples = _checked_subcategory(ind, len(positions), reg, generators, positions)
     return Subcategory(frozenset(reg.roots_of(ind)), simples)
 
 

@@ -13,10 +13,9 @@ decided on (by exact integer arithmetic, never floats).
 
 from __future__ import annotations
 
-import heapq
 from math import prod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._linalg import IntMatrix
 from .errors import QuiverParseError, ValidationError
@@ -299,25 +298,27 @@ def coxeter_catalan(label: str) -> int:
     return total
 
 
-def topological_sort(n: int, arrows: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
-    """Kahn's algorithm on vertices 0..n-1, taking the smallest available
-    vertex first; every arrow's head precedes its tail. Parallel arrows may
-    repeat. Returns None when the arrows contain an oriented cycle."""
-    successors: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for h, t in arrows:
-        successors[h].append(t)
-        indeg[t] += 1
-    available = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while available:
-        v = heapq.heappop(available)
+def topological_sort(vertices: int, before: Sequence[int]) -> tuple[int, ...] | None:
+    """Kahn's algorithm on the bits of the mask `vertices`: each step
+    takes the lowest bit v left whose mask before[v], of the vertices
+    that must precede v, holds none of the bits left (bits outside
+    `vertices` are ignored), so among the available vertices the
+    smallest comes first. Returns None when no bit left is ready, which
+    is when the before masks on `vertices` contain an oriented cycle."""
+    order, rest = [], vertices
+    while rest:
+        pending = rest
+        while pending:
+            low = pending & -pending
+            v = low.bit_length() - 1
+            if not before[v] & rest:
+                break
+            pending ^= low
+        else:
+            return None
         order.append(v)
-        for t in successors[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                heapq.heappush(available, t)
-    return tuple(order) if len(order) == n else None
+        rest ^= low
+    return tuple(order)
 
 
 def connected_components(vertices: int, neighbours: Sequence[int]) -> list[int]:
@@ -343,7 +344,10 @@ def connected_components(vertices: int, neighbours: Sequence[int]) -> list[int]:
 def topological_order(q: Quiver) -> tuple[int, ...]:
     """Deterministic topological order: every arrow head precedes its tail
     vertex, smallest label first among the available vertices."""
-    order = topological_sort(q.n, ((h - 1, t - 1) for h, t in q.arrows))
+    before = [0] * q.n
+    for h, t in q.arrows:
+        before[t - 1] |= 1 << h - 1
+    order = topological_sort((1 << q.n) - 1, before)
     if order is None:
         raise ValidationError("quiver has an oriented cycle")
     return tuple(v + 1 for v in order)

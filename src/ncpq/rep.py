@@ -22,8 +22,9 @@ certificate, one endomorphism ring per root: in finite type Hom and Ext
 between indecomposables are the positive and negative parts of the
 Euler form (`RootSystem.euler`; proof in the `IndecRegistry`
 docstring), so the zero screens `RootSystem.orth` and `left_orth`
-and the registry's `maps_into_at`, int bitmasks over the roots in the
-order of the root system's reflections, are screens on that table.
+and the registry's `maps_into_at` and `ext_into_at`, int bitmasks over
+the roots in the order of the root system's reflections, are screens on
+that table.
 `hom_basis` gives an integer basis of Hom from the same kernel; only
 the injectivity scan `IndecRegistry.has_injective_hom` uses it, and no
 ncpq function calls that scan.
@@ -362,9 +363,10 @@ class IndecRegistry:
     `roots_of` convert. The masks that perpendicular categories
     intersect, a^⊥ and ^⊥a, are the root system's `orth` and `left_orth`
     at the position of a. Immutable after build; its memos fill lazily:
-    the table of the roots mapping into each root from below
-    (`maps_into_at`), made whole on first read, and the injectivity
-    scan's answers (`_injective`). They are safe for concurrent reads
+    the tables of the roots mapping into each root from below
+    (`maps_into_at`) and of those extending into it (`ext_into_at`),
+    each made whole on first read, and the injectivity scan's answers
+    (`_injective`). They are safe for concurrent reads
     under the GIL.
 
     For the modules at roots a and b, dim Hom(a, b) = max(0, <a, b>) and
@@ -441,14 +443,6 @@ class IndecRegistry:
         """dim Ext(a, b) = max(0, -<a, b>)."""
         return max(0, -self.rootsystem.euler[self.position(a)][self.position(b)])
 
-    def ext_quiver(self, positions: Sequence[int]) -> dict[tuple[int, int], int]:
-        """The Ext-quiver of the roots at `positions`, as `ext` reads it:
-        -<a, b> at (i, j) for the i-th and j-th, where that is positive.
-        <a, a> = 1 (`build_registry` checks it), so no (i, i) appears."""
-        euler = self.rootsystem.euler
-        return {(i, j): -e for i, a in enumerate(positions) for j, b in enumerate(positions)
-                if (e := euler[a][b]) < 0}
-
     @functools.cached_property
     def maps_into_at(self) -> tuple[int, ...]:
         """At each root m, the mask of the roots x with dim x not >= dim m
@@ -457,6 +451,20 @@ class IndecRegistry:
         return tuple(sum(1 << k for k, (x, e) in enumerate(zip(self._roots, column))
                          if e > 0 and any(map(int.__lt__, x, m)))
                      for m, column in zip(self._roots, zip(*self.rootsystem.euler)))
+
+    @functools.cached_property
+    def ext_into_at(self) -> tuple[int, ...]:
+        """At each root a, the mask of the roots x with Ext(x, a) != 0:
+        <x, a> < 0. <a, a> = 1 (`build_registry` checks it), so a is not
+        in its own mask. Made whole on first read, row x of the Euler
+        table at a time, with no transposed copy of it."""
+        into = [0] * len(self._roots)
+        for x, row in enumerate(self.rootsystem.euler):
+            bit = 1 << x
+            for a, e in enumerate(row):
+                if e < 0:
+                    into[a] |= bit
+        return tuple(into)
 
     def has_injective_hom(self, a: Vector, b: Vector) -> bool:
         """Whether some intertwiner embeds the module at a into the one at b.

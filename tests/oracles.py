@@ -15,7 +15,9 @@ depth-first search and a greedy descent that take t <= w from
 letter sets, the interval's Hasse diagram from the Brady-Watt walk
 (`reflections_below`: one echelon of the moved space per element and
 one span reduction per inherited candidate), not from the Euler form,
-determinants from cofactor expansion,
+determinants from cofactor expansion, topological orders from Kahn's
+algorithm on a min-heap of in-degrees over arrow lists
+(`topological_sort_by_heap`), not on the package's bit masks,
 Ext dimensions from the cokernel of the canonical two-term resolution,
 with ranks and kernels from the rational reduced row echelon form
 (Gauss-Jordan over `Fraction`, which the package does not use), each
@@ -52,6 +54,7 @@ subcategory and from containment against absolute order on every pair.
 from __future__ import annotations
 
 import functools
+import heapq
 import random
 import weakref
 from collections import deque
@@ -69,8 +72,7 @@ from ncpq._linalg import RatMatrix, int_echelon, int_kernel, int_rank, integer_r
 from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.hurwitz import DEFAULT_ORBIT_CAP
-from ncpq.quiver import (Vector, connected_components, euler_form, topological_order,
-                         topological_sort)
+from ncpq.quiver import Vector, connected_components, euler_form, topological_order
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq import weyl
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
@@ -841,6 +843,27 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
     return out
 
 
+def topological_sort_by_heap(n: int, arrows) -> tuple[int, ...] | None:
+    """Kahn's algorithm on vertices 0..n-1, taking the smallest available
+    vertex first; every arrow's head precedes its tail. Parallel arrows may
+    repeat. Returns None when the arrows contain an oriented cycle."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for h, t in arrows:
+        successors[h].append(t)
+        indeg[t] += 1
+    available = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while available:
+        v = heapq.heappop(available)
+        order.append(v)
+        for t in successors[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                heapq.heappush(available, t)
+    return tuple(order) if len(order) == n else None
+
+
 def _ext_quiver(members: Sequence[Vector], reg: IndecRegistry) -> dict[tuple[int, int], int]:
     """The Ext-quiver of the members: dim Ext(members[i], members[j]) at
     (i, j), for each i != j where it is not 0."""
@@ -871,7 +894,7 @@ def exceptional_antichains_by_backtracking(q: Quiver, reg) -> set:
 
     def backtrack(start: int):
         members = tuple(roots[i] for i in chosen)
-        if topological_sort(len(members), _ext_quiver(members, reg)) is not None:
+        if topological_sort_by_heap(len(members), _ext_quiver(members, reg)) is not None:
             found.add(frozenset(members))
         for nxt in range(start, k):
             if all(orthogonal[i][nxt] for i in chosen):

@@ -40,7 +40,7 @@ from ncpq.exc import (
     subcategory_covers,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.quiver import Quiver, topological_sort
+from ncpq.quiver import Quiver
 from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, make_reflection,
                        mask_covers, maximal_chains, simple_root, walk_elements)
 from oracles import (
@@ -61,6 +61,7 @@ from oracles import (
     simples_by_injective_maps,
     subcategories,
     subcategory_covers_by_frozensets,
+    topological_sort_by_heap,
     tuple_from_roots,
 )
 
@@ -259,36 +260,47 @@ def test_relative_root_count_matches_generated_roots(monkeypatch):
 def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
     with pytest.raises(NcpqError):
         exc._finite_root_count(kronecker.n, kronecker.arrows)
-    # Ext of dimension 2 between two simples is two arrows, Kronecker
-    # again; one arrow per pair would read A2.
+    # Ext of dimension 2 between two simples (an Euler row reading -2) is
+    # two arrows, Kronecker again; one arrow per pair would read A2.
     with pytest.raises(NcpqError, match="not finite type"):
-        exc._relative_root_count((0, 1), {(0, 1): 2})
-    assert exc._relative_root_count((1, 0), {(1, 0): 1}) == 3
+        exc._relative_root_count((0, 1), ((1, -2), (0, 1)))
+    assert exc._relative_root_count((1, 0), ((1, 0), (-1, 1))) == 3
 
 
 def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):
-    # The order and the relative root count share one position-level read
-    # of the simples' Ext-quiver, of exactly the simples in root order, and
-    # the closure path asks the root-keyed `ext` nothing: each check, and
-    # each closure of an antichain, whose order reads the antichain first.
+    # Each check orders exactly its simples' mask by one mask sort on the
+    # registry's Ext screen, and the closure path asks the root-keyed `ext`
+    # nothing: each check, and each closure of an antichain, whose order
+    # sorts the antichain's mask first.
     reg = build_registry(DYNKIN_QUIVERS["D5"])
     ranks = {b: len(_subcategory_simples(b, reg)) for b in subcategory_covers(reg)}
     antichains = enumerate_exceptional_antichains(reg.quiver, reg)
-    exts, reads = [], []
-    real_ext, real_read = type(reg).ext, type(reg).ext_quiver
+    exts, sorts = [], []
+    real_ext, real_sort = type(reg).ext, exc.topological_sort
     monkeypatch.setattr(type(reg), "ext",
                         lambda self, a, b: exts.append((a, b)) or real_ext(self, a, b))
-    monkeypatch.setattr(type(reg), "ext_quiver",
-                        lambda self, ks: reads.append(tuple(ks)) or real_read(self, ks))
+    monkeypatch.setattr(exc, "topological_sort", lambda roots, before: sorts.append(
+        (roots, before is reg.ext_into_at)) or real_sort(roots, before))
     for ind, rank in ranks.items():
-        reads.clear()
+        sorts.clear()
         simples = exc._checked_subcategory(ind, rank, reg)
-        assert reads == [tuple(sorted(map(reg.position, simples)))]
+        assert sorts == [(reg.mask_of(simples), True)]
     for antichain in antichains:
-        reads.clear()
+        sorts.clear()
         thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
-        assert reads == [tuple(sorted(map(reg.position, antichain)))] * 2
+        assert sorts == [(reg.mask_of(antichain), True)] * 2
     assert exts == []
+
+
+def test_order_antichain_refuses_a_repeated_root(a3_reg):
+    # A mask would hold a repeated root once, so the order refuses it, as it
+    # refuses an unregistered root, before any closure sees it.
+    s1 = (1, 0, 0)
+    with pytest.raises(ValidationError, match="repeats a root"):
+        order_antichain([s1, s1], a3_reg)
+    with pytest.raises(ValidationError, match="not a registered root"):
+        order_antichain([s1, (1, 0, 1)], a3_reg)
+    assert order_antichain([s1], a3_reg) == (s1,)
 
 
 def test_e8_closure_of_the_simple_roots():
@@ -575,20 +587,20 @@ def test_descent_lists_the_antichain_closures(label):
 
 @pytest.mark.parametrize("label", sorted(set(DYNKIN_QUIVERS) - {"E8"}))
 def test_order_antichain_matches_the_root_keyed_ext_quiver(label):
-    # Every antichain: the order read by position against the topological
-    # sort of its Ext-quiver read root by root through `reg.ext`.
+    # Every antichain: the mask sort on the registry's Ext screen against
+    # the heap sort of its Ext-quiver read root by root through `reg.ext`.
     q = DYNKIN_QUIVERS[label]
     reg = build_registry(q)
     for antichain in enumerate_exceptional_antichains(q, reg):
         members = sorted(antichain)
-        order = topological_sort(len(members), _ext_quiver(members, reg))
+        order = topological_sort_by_heap(len(members), _ext_quiver(members, reg))
         assert order_antichain(antichain, reg) == tuple(members[i] for i in order)
 
 
 @pytest.mark.parametrize("label", ["D5", "E6"])
 def test_checked_subcategory_matches_the_frozenset_oracles(label):
     # Every node of the frozenset descent, at its rank: the simples by
-    # injective maps, in the topological order of their root-keyed
+    # injective maps, in the heap sort's order of their root-keyed
     # Ext-quiver, against the check on the node's mask.
     q = DYNKIN_QUIVERS[label]
     reg = build_registry(q)
@@ -598,7 +610,7 @@ def test_checked_subcategory_matches_the_frozenset_oracles(label):
         rank.update(dict.fromkeys(children.values(), rank[b] - 1))
     for b in descent:
         simples = simples_by_injective_maps(b, reg)
-        order = topological_sort(len(simples), _ext_quiver(simples, reg))
+        order = topological_sort_by_heap(len(simples), _ext_quiver(simples, reg))
         assert exc._checked_subcategory(reg.mask_of(b), rank[b], reg) == tuple(
             simples[i] for i in order)
 
@@ -663,6 +675,20 @@ def test_subcategory_check_skips_the_fixpoint_only_for_its_generators(a3_reg, mo
     closures.clear()
     sub = thick_closure(ExcSequence(((0, 0, 1), (0, 1, 1))), a3_reg)
     assert sorted(sub.simples) == [(0, 0, 1), (0, 1, 0)] and len(closures) == 2
+
+
+def test_subcategory_check_skips_the_exceptional_test_only_for_the_tested_tuple(a3_reg):
+    # {S2, P23} is not thick (it misses S3), and both members read as
+    # simples, ordered (S2, P23), which is not exceptional: P23 maps onto
+    # S2. The exceptional test refuses it, and is skipped only for the very
+    # tuple a caller has just tested; the fixpoint then refuses it.
+    s2, p23 = a3_reg.position((0, 1, 0)), a3_reg.position((0, 1, 1))
+    fake = 1 << s2 | 1 << p23
+    for tested in (None, (), (s2,), (p23, s2), [s2, p23]):
+        with pytest.raises(NcpqError, match="do not order into an exceptional sequence"):
+            exc._checked_subcategory(fake, 2, a3_reg, None, tested)
+    with pytest.raises(NcpqError, match="fixpoint"):
+        exc._checked_subcategory(fake, 2, a3_reg, None, (s2, p23))
 
 
 def test_subcategory_check_refuses_the_wrong_rank(a3_reg):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ncpq import (
     CartanMatrix,
     Quiver,
+    build_registry,
     cartan_matrix,
     classify_type,
     euler_form,
@@ -25,9 +26,9 @@ from ncpq.errors import QuiverParseError, ValidationError
 from ncpq.quiver import (connected_components, coxeter_catalan, is_admissible_order,
                          topological_sort)
 
-from oracles import (CLOSED_FORM_PINS, COXETER_CATALAN, DYNKIN_QUIVERS, FAMILY_PINS,
+from oracles import (CLOSED_FORM_PINS, COXETER_CATALAN, DYNKIN_QUIVERS, FAMILY_PINS, _ext_quiver,
                      kind_by_principal_minor_sums, leading_principal_minors, neighbour_masks,
-                     random_acyclic_quiver)
+                     random_acyclic_quiver, topological_sort_by_heap)
 
 E1, E2 = (1, 0), (0, 1)
 
@@ -342,6 +343,14 @@ def small_digraphs(draw):
     return n, draw(st.lists(st.tuples(vertex, vertex), max_size=10))
 
 
+def _before(n, arrows):
+    """The predecessor masks of the arrows on vertices 0..n-1."""
+    before = [0] * n
+    for h, t in arrows:
+        before[t] |= 1 << h
+    return before
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_digraphs())
 def test_topological_sort_is_smallest_admissible_permutation(graph):
@@ -349,7 +358,33 @@ def test_topological_sort_is_smallest_admissible_permutation(graph):
     admissible = [p for p in itertools.permutations(range(n))
                   if all(p.index(h) < p.index(t) for h, t in arrows)]
     expected = min(admissible) if admissible else None
-    assert topological_sort(n, arrows) == expected
+    assert topological_sort((1 << n) - 1, _before(n, arrows)) == expected
+    assert topological_sort_by_heap(n, arrows) == expected
+
+
+def test_topological_sort_refuses_a_cycle_on_its_vertices_only():
+    # 0 -> 1 -> 2 -> 0, and a loop at 3: no order on any set holding the
+    # cycle or the loop, and the smallest order on a set that breaks both,
+    # whose masks still name the vertices left out.
+    before = [0b0100, 0b0001, 0b0010, 0b1000]
+    assert topological_sort(0b0111, before) is None
+    assert topological_sort(0b1000, before) is None
+    assert topological_sort(0b0011, before) == (0, 1)
+    assert topological_sort(0b0110, before) == (1, 2)
+    assert topological_sort(0, before) == ()
+
+
+@pytest.mark.parametrize("label", sorted(DYNKIN_QUIVERS))
+def test_topological_sort_matches_the_heap_oracle(label):
+    # The quiver's own arrows, and the Ext-quiver of all its roots read root
+    # by root through `reg.ext`, against the registry's Ext screen.
+    q = DYNKIN_QUIVERS[label]
+    arrows = [(h - 1, t - 1) for h, t in q.arrows]
+    assert topological_order(q) == tuple(v + 1 for v in topological_sort_by_heap(q.n, arrows))
+    reg = build_registry(q)
+    expected = topological_sort_by_heap(len(reg), _ext_quiver(reg.roots(), reg))
+    assert expected is not None
+    assert topological_sort((1 << len(reg)) - 1, reg.ext_into_at) == expected
 
 
 @st.composite
