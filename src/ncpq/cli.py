@@ -20,6 +20,13 @@ the lists null, and DOT, which draws the listed graph, exits 4. A failed
 certificate exits 1 in every format: JSON gets no graph
 (`mutation_edges` null), and DOT draws none and says so on stderr.
 
+One writer, `_emit`, writes every output as pieces of text, to `--out`
+or to stdout, and ends it with one newline. JSON is one compact line,
+byte for byte `json.dumps(payload, separators=(",", ":"))`, made one
+top-level key at a time (`_emit_json`); a listing of chains, the
+`orbit` or the `sequences`, goes out in batches of chains, each root's
+text made once, so the whole text is never held.
+
 Exit codes: 0 success/verified, 1 verification failed, 2 input error,
 3 unsupported type, 4 cap exceeded, 5 internal error (a bug).
 """
@@ -29,6 +36,7 @@ from __future__ import annotations
 import json
 import sys
 from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from .bijection import verify_bijection
 from .errors import (
@@ -84,22 +92,62 @@ def _load_quiver(args: SimpleNamespace) -> Quiver:
         raise QuiverParseError(f"cannot read {args.quiver_file}: {exc}") from exc
 
 
-def _emit(args: SimpleNamespace, text: str) -> None:
+def _emit(args: SimpleNamespace, pieces: Iterable[str]) -> None:
+    """Write the pieces and one newline to `--out`, or to stdout."""
     if args.output_path:
         try:
             with open(args.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)  # text + "\n" would copy the whole output
-                if not text.endswith("\n"):
-                    fh.write("\n")
+                fh.writelines(pieces)
+                fh.write("\n")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.output_path}: {exc}") from exc
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
-def _emit_json(args: SimpleNamespace, payload: dict) -> None:
-    """One line of compact JSON; the separators let json use its C encoder."""
-    _emit(args, json.dumps(payload, separators=(",", ":")))
+_COMPACT = (",", ":")
+_BATCH = 4096  # chains per piece of a listing
+
+
+def _emit_json(args: SimpleNamespace, payload: dict, listing: str | None = None) -> None:
+    """One line of compact JSON, byte for byte `json.dumps(payload,
+    separators=(",", ":"))`, written one top-level key at a time. Each
+    value but the one under `listing` is one `json.dumps` call, which
+    json's C encoder writes (it does whenever there is no indent). The
+    listing, a list of chains of roots or None, repeats a few roots many
+    times: each distinct root's text is made once, on its first use, and
+    the chains are joined _BATCH to a piece, so the whole text is never
+    held; None is written `null`."""
+    _emit(args, _json_pieces(payload, listing))
+
+
+def _json_pieces(payload: dict, listing: str | None) -> Iterator[str]:
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield f"{',' if i else ''}{json.dumps(key)}:"
+        if key == listing and value is not None:
+            yield from _listing_pieces(value)
+        else:
+            yield json.dumps(value, separators=_COMPACT)
+    yield "}"
+
+
+class _RootTexts(dict):
+    """Each root's compact JSON text, made on its first lookup."""
+
+    def __missing__(self, root: tuple[int, ...]) -> str:
+        text = self[root] = json.dumps(root, separators=_COMPACT)
+        return text
+
+
+def _listing_pieces(chains: list) -> Iterator[str]:
+    text = _RootTexts().__getitem__
+    yield "["
+    for start in range(0, len(chains), _BATCH):
+        yield ("," if start else "") + ",".join(
+            f"[{','.join(map(text, chain))}]" for chain in chains[start:start + _BATCH])
+    yield "]"
 
 
 def _chains(covers: dict, roots: RootSystem, cap: int,
@@ -140,10 +188,10 @@ def cmd_analyze(args: SimpleNamespace) -> int:
     if args.output_format == "json":
         _emit_json(args, payload)
     elif roots.complete:
-        _emit(args, f"{classification}, {count} positive roots")
+        _emit(args, (f"{classification}, {count} positive roots",))
     else:
-        _emit(args, f"{classification}, truncated roots "
-                    f"({count} of height <= {roots.height_bound})")
+        _emit(args, (f"{classification}, truncated roots "
+                     f"({count} of height <= {roots.height_bound})",))
     return EXIT_OK
 
 
@@ -184,11 +232,11 @@ def cmd_nc(args: SimpleNamespace) -> int:
         for m in masks:
             root = f" root={reflection_roots[m]}" if m in reflection_roots else ""
             lines.append(f"  w{ids[m]:03d} length={lengths[m]}{root}")
-        _emit(args, "\n".join(lines))
+        _emit(args, ("\n".join(lines),))
     else:
         nodes = [f"w{ids[m]} [label=\"{ids[m]}:{lengths[m]}\"]" for m in masks]
         dot_edges = [f"w{a} -> w{b}" for a, b in sorted(edges)]
-        _emit(args, _dot("nc_interval", nodes, dot_edges, directed=True))
+        _emit(args, (_dot("nc_interval", nodes, dot_edges, directed=True),))
     return EXIT_OK
 
 
@@ -209,7 +257,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
             f"failures: {len(report.failures)}",
             f"elapsed: {report.elapsed_ms:.1f} ms",
         ]
-        _emit(args, "\n".join(lines))
+        _emit(args, ("\n".join(lines),))
     if any(f.get("kind") == "cap_exceeded" for f in report.failures):
         return EXIT_CAP_EXCEEDED
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION_FAILED
@@ -234,10 +282,10 @@ def cmd_hurwitz(args: SimpleNamespace) -> int:
         "orbit": ordered,
     }
     if args.output_format == "json":
-        _emit_json(args, payload)
+        _emit_json(args, payload, "orbit")
     elif args.output_format == "text":
-        _emit(args, f"orbit size {payload['orbit_size']}, factorizations {count}, "
-                    f"single orbit: {single}")
+        _emit(args, (f"orbit size {payload['orbit_size']}, factorizations {count}, "
+                     f"single orbit: {single}",))
     else:
         if not single:
             print("verification failed: the factorizations are not one braid orbit, "
@@ -248,7 +296,7 @@ def cmd_hurwitz(args: SimpleNamespace) -> int:
         edges = braid_edges(ordered, roots.reflection)
         nodes = [f"t{k}" for k in range(len(ordered))]
         dot_edges = [f"t{a} -- t{b}" for a, b in edges]
-        _emit(args, _dot("hurwitz_orbit", nodes, dot_edges, directed=False))
+        _emit(args, (_dot("hurwitz_orbit", nodes, dot_edges, directed=False),))
     return EXIT_OK if single else EXIT_VERIFICATION_FAILED
 
 
@@ -274,10 +322,10 @@ def cmd_sequences(args: SimpleNamespace) -> int:
         "mutation_edges": edges,
     }
     if args.output_format == "json":
-        _emit_json(args, payload)
+        _emit_json(args, payload, "sequences")
     elif args.output_format == "text":
-        _emit(args, f"{count} complete exceptional sequences, "
-                    f"mutation graph connected: {connected}")
+        _emit(args, (f"{count} complete exceptional sequences, "
+                     f"mutation graph connected: {connected}",))
     else:
         if not connected:
             print("verification failed: the sequences are not one mutation class, "
@@ -287,7 +335,7 @@ def cmd_sequences(args: SimpleNamespace) -> int:
             raise CapExceededError(f"sequence count exceeds cap {args.cap_sequences}")
         dot_nodes = [f"s{k}" for k in range(len(chains))]
         dot_edges = [f"s{a} -- s{b}" for a, b in edges]
-        _emit(args, _dot("mutation_graph", dot_nodes, dot_edges, directed=False))
+        _emit(args, (_dot("mutation_graph", dot_nodes, dot_edges, directed=False),))
     return EXIT_OK if connected else EXIT_VERIFICATION_FAILED
 
 

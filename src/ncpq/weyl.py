@@ -644,38 +644,56 @@ def maximal_chains(diagram: dict[int, int], roots: RootSystem) -> Iterator[tuple
     bottom, the letter of bit k being `sorted_roots()[k]`. Every maximal
     chain of these posets runs from their one bottom, the walk's last
     mask and its one mask without bits, to their one top, the first mask.
-    So the chains are read upward along the inverted covers: (x,) + s for
-    each parent reaching a node through x, in letter order, and each chain
-    s above that parent; the top has one empty chain. A node has at most
-    one parent through each letter (w = u*t above u through t on the
-    interval, B = thick(A ∪ {x}) above A through x on the descent), so
-    equal first letters mean equal parents and the chains come sorted. On
-    the interval walk, whose covers are w > w*t through the root of t, the
-    chain c > c t_n > ... > 1 reads the minimal reflection factorization
-    c = t_1 ... t_n; on the descent, whose covers are B > B ∩ x^⊥ through
-    x, it reads the complete exceptional sequence (x_1, ..., x_n). A
-    child that the diagram lacks below its parent raises NcpqError before
-    any chain is listed.
+    So the chains are read upward along the inverted covers: each node
+    lists its parents with the letter that reaches it, in letter order,
+    and one depth-first walk up from the bottom keeps the letters of the
+    current path on one stack, yielding a copy of it at the top, the one
+    node without parents (a diagram of one node has one chain, the empty
+    one). A node has at most one parent through each letter (w = u*t
+    above u through t on the interval, B = thick(A ∪ {x}) above A
+    through x on the descent), so equal first letters mean equal parents
+    and the chains come sorted. Each chain is built once, as one tuple,
+    when it is yielded, and no earlier: the walk holds one path.
+    On the interval walk, whose covers are w > w*t through the root of
+    t, the chain c > c t_n > ... > 1 reads the minimal reflection
+    factorization c = t_1 ... t_n; on the descent, whose covers are
+    B > B ∩ x^⊥ through x, it reads the complete exceptional sequence
+    (x_1, ..., x_n). A child that the diagram lacks below its parent
+    raises NcpqError before any chain is listed.
     """
     letters, orth = roots.sorted_roots(), roots.orth
-    parents: dict[int, list[tuple[int, int]]] = {b: [] for b in diagram}
+    parents: dict[int, list[tuple[Vector, int]]] = {b: [] for b in diagram}
     for b in diagram:
         for k, child in _children(b, orth):
             if child not in parents:
                 raise _missing(child)
-            parents[child].append((k, b))
+            parents[child].append((letters[k], b))
     for ups in parents.values():
         ups.sort()
+    return _upward(parents, next(reversed(diagram)))
 
-    def above(node: int) -> Iterator[tuple[Vector, ...]]:
-        ups = parents[node]
-        if not ups:
-            yield ()
-        for k, parent in ups:
-            for rest in above(parent):
-                yield (letters[k],) + rest
 
-    return above(next(reversed(diagram)))
+def _upward(parents: dict[int, list[tuple[Vector, int]]],
+            bottom: int) -> Iterator[tuple[Vector, ...]]:
+    """The paths from the bottom to the nodes without parents, as their
+    letters, depth first in the order of each node's parents."""
+    if not parents[bottom]:
+        yield ()
+        return
+    path: list[Vector] = []
+    stack = [iter(parents[bottom])]
+    while stack:
+        for letter, parent in stack[-1]:
+            path.append(letter)
+            if parents[parent]:
+                stack.append(iter(parents[parent]))
+                break
+            yield tuple(path)
+            path.pop()
+        else:
+            stack.pop()
+            if path:
+                path.pop()
 
 
 def braid_transitive(diagram: dict[int, int], roots: RootSystem) -> bool:

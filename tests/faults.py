@@ -159,6 +159,10 @@ FAULTS = (
     Fault("cli-foreign-option-accepted", "cli.py",
           'for f in (*flags, "--help")', 'for f in (*_OPTIONS, "--help")',
           ("test", "tests/test_cli.py::test_usage_errors_exit_2[verify Q --cap-orbit 5]")),
+    # JSON writes a listing's chains in batches, joined by one comma each.
+    Fault("listing-batch-comma-dropped", "cli.py",
+          '("," if start else "")', '""',
+          ("test", "tests/test_cli.py::test_json_listing_crosses_a_batch_boundary")),
     # One corrupted cox(B) per flag of the `verify` report.
     Fault("cox-times-s1", "bijection.py",
           RETURN, _product("(simple_root(roots.n, 1), *s)"),
@@ -185,6 +189,10 @@ FAULTS = (
     Fault("cox-prefix-check-skipped", "bijection.py",
           "if simples[child] != ordered[:-1]:", "if False:",
           ("test", "tests/test_bijection.py::test_cox_upward_checks_the_simples_of_each_child")),
+    # The lister keeps the letters of its path on one stack.
+    Fault("chain-lister-keeps-letter", "weyl.py",
+          "yield tuple(path)\n            path.pop()\n", "yield tuple(path)\n",
+          ("test", "tests/test_weyl.py::test_maximal_chains_match_the_nested_oracle[A3]")),
     Fault("catalan-count-check-skipped", "weyl.py",
           "if len(diagram) != size:", "if False:",
           ("test", "tests/test_bijection.py::"

@@ -5,7 +5,10 @@ checks, apart from `interval_covers`, the package's walk of [1, c]
 keyed by element, and `labelled_covers`, the package's mask diagram
 with each cover's letter and child written out by its own loop over the
 roots, which are views and not oracles. The generic level-by-level walk
-`walk_down` runs the Brady-Watt walk and the frozenset descent. Absolute
+`walk_down` runs the Brady-Watt walk and the frozenset descent. The
+maximal chains of the mask diagram come from one nested generator per
+level (`maximal_chains_by_nested_generators`, which reads the covers
+through `weyl._children`), not from the package's one stack. Absolute
 lengths come from a plain breadth-first search over
 reflection products, factorization counts from exhaustive tuple
 enumeration with shared prefixes, the minimal reflection factorizations
@@ -75,9 +78,9 @@ from ncpq.hurwitz import DEFAULT_ORBIT_CAP
 from ncpq.quiver import Vector, connected_components, euler_form, topological_order
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq import weyl
-from ncpq.weyl import (Reflection, RootSystem, WeylElement, complete_roots, compose,
-                       element_matrices, is_positive, positive_representative, reflect_right,
-                       simple_reflect, simple_root)
+from ncpq.weyl import (Reflection, RootSystem, WeylElement, _children, _missing, complete_roots,
+                       compose, element_matrices, is_positive, positive_representative,
+                       reflect_right, simple_reflect, simple_root)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -841,6 +844,35 @@ def order_failures_by_all_pairs(subs, values, c, roots) -> list:
             if contained != (val_a in down[val_b]):
                 out.append((a, b, "forward" if contained else "backward"))
     return out
+
+
+def maximal_chains_by_nested_generators(diagram: dict[int, int],
+                                        roots: RootSystem) -> Iterator[tuple[Vector, ...]]:
+    """The maximal chains of the mask diagram, read upward from the bottom
+    through one generator per level: (x,) + s for each parent reaching a
+    node through x, in letter order, and each chain s above that parent;
+    the top has one empty chain. A child that the diagram lacks raises
+    NcpqError before any chain is listed. This was the package's lister
+    before it kept the path on one stack (`weyl.maximal_chains`)."""
+    letters, orth = roots.sorted_roots(), roots.orth
+    parents: dict[int, list[tuple[int, int]]] = {b: [] for b in diagram}
+    for b in diagram:
+        for k, child in _children(b, orth):
+            if child not in parents:
+                raise _missing(child)
+            parents[child].append((k, b))
+    for ups in parents.values():
+        ups.sort()
+
+    def above(node: int) -> Iterator[tuple[Vector, ...]]:
+        ups = parents[node]
+        if not ups:
+            yield ()
+        for k, parent in ups:
+            for rest in above(parent):
+                yield (letters[k],) + rest
+
+    return above(next(reversed(diagram)))
 
 
 def topological_sort_by_heap(n: int, arrows) -> tuple[int, ...] | None:

@@ -422,7 +422,10 @@ def test_past_the_cap_the_count_and_certificate_are_reported(command, quiver_fil
 
     monkeypatch.setattr(cli, "maximal_chains", unlisted)
     assert main([command, path, CAP_FLAGS[command], "15", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    # The streamed JSON writes the unlisted chains as null, in one compact dump.
+    assert out == _compact(out) and f'"{listed}":null' in out
     assert main([command, path, CAP_FLAGS[command], "15"]) == 0
     text = capsys.readouterr().out
     if command == "hurwitz":
@@ -606,14 +609,51 @@ def test_out_file(quiver_file, tmp_path, capsys):
     assert BijectionReport.from_dict(json.loads(out.read_text())).all_ok
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify"])
-def test_unwritable_out_exit_2(command, quiver_file, tmp_path, capsys):
+@pytest.mark.parametrize("command, output_format", [
+    pytest.param("analyze", "json", id="analyze"), pytest.param("verify", "json", id="verify"),
+    ("hurwitz", "json"), ("hurwitz", "dot"), ("sequences", "json"), ("sequences", "dot")])
+def test_unwritable_out_exit_2(command, output_format, quiver_file, tmp_path, capsys):
+    # Streamed JSON and one-piece DOT go through the one writer, which
+    # opens the file inside its guard.
     target = tmp_path / "missing" / "report.json"
-    assert main([command, quiver_file(A2_TEXT), "--format", "json", "--out", str(target)]) == 2
+    assert main([command, quiver_file(A2_TEXT), "--format", output_format,
+                 "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert captured.err.count("\n") == 1
+
+
+def _compact(out: str) -> str:
+    return json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("text", [A3_TEXT, D4_TEXT], ids=["A3", "D4"])
+@pytest.mark.parametrize("command", ["analyze", "nc", "verify", "hurwitz", "sequences"])
+def test_json_is_one_compact_dump_on_stdout_and_through_out(command, text, quiver_file,
+                                                            tmp_path, capsys):
+    # JSON is written one top-level key at a time, a listing's chains in
+    # batches, and its bytes are still those of one compact dump of the
+    # payload; --out writes the bytes that stdout gets.
+    path, target = quiver_file(text), tmp_path / "out.json"
+    assert main([command, path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == _compact(out)
+    assert main([command, path, "--format", "json", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _mask_elapsed(target.read_bytes().decode()) == _mask_elapsed(out)
+
+
+E6_TEXT = "vertices 6\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 5\narrow 3 6\n"
+
+
+def test_json_listing_crosses_a_batch_boundary(quiver_file, capsys):
+    # E6 has 41,472 minimal factorizations of c: ten full batches of
+    # chains and part of an eleventh, joined by one comma each.
+    assert main(["hurwitz", quiver_file(E6_TEXT), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == _compact(out)
+    assert len(json.loads(out)["orbit"]) == 41472 > 10 * cli._BATCH
 
 
 def test_unwritable_out_prints_no_traceback(quiver_file, tmp_path):
