@@ -19,7 +19,6 @@ from .exc import (
     Subcategory,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
-    extend_to_complete,
     is_exceptional_sequence,
     is_projective_sequence,
     left_perp,
@@ -64,7 +63,6 @@ from .weyl import (
     make_reflection,
     multiply,
     noncrossing_partitions,
-    reflect,
     reflect_right,
     simple_root,
 )

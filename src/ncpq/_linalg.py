@@ -13,8 +13,7 @@ elimination is the right tool.
 
 `mat_mul` is the general product, exact in integers, behind
 `weyl.compose`. A product of a reflection and a group element does not
-come here; `weyl.reflect_right` subtracts only I - t, which is as exact
-(see `weyl`) and touches only the columns that I - t moves.
+come here: it is the rank-one step of `weyl` on each row.
 
 Degenerate shapes (zero rows or columns) occur naturally in quiver
 representations, so row lists may be empty; callers pass the column

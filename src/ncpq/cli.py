@@ -14,7 +14,7 @@ certify one braid orbit on them (`weyl.braid_transitive`), so they list
 the same tuples. Their caps bound only the listing. Within a cap,
 JSON and DOT list the chains, sorted; when the certificate holds,
 `sequences` JSON and both DOTs draw one braid graph on them
-(`hurwitz.braid_edges`, with the root system's reflections). Text prints
+(`hurwitz.braid_edges` on the root system). Text prints
 only the count and the certificate. Past a cap, JSON reports them with
 the lists null, and DOT, which draws the listed graph, exits 4. A failed
 certificate exits 1 in every format: JSON gets no graph
@@ -293,7 +293,7 @@ def cmd_hurwitz(args: SimpleNamespace) -> int:
             return EXIT_VERIFICATION_FAILED
         if ordered is None:
             raise CapExceededError(f"orbit size exceeds cap {args.cap_orbit}")
-        edges = braid_edges(ordered, roots.reflection)
+        edges = braid_edges(ordered, roots)
         nodes = [f"t{k}" for k in range(len(ordered))]
         dot_edges = [f"t{a} -- t{b}" for a, b in edges]
         _emit(args, (_dot("hurwitz_orbit", nodes, dot_edges, directed=False),))
@@ -312,7 +312,7 @@ def cmd_sequences(args: SimpleNamespace) -> int:
     # leave the list, which is a failed verification, not an input error.
     count, connected, chains = _chains(subcategory_covers(reg), reg.rootsystem,
                                        args.cap_sequences, args)
-    edges = (braid_edges(chains, reg.rootsystem.reflection)
+    edges = (braid_edges(chains, reg.rootsystem)
              if connected and chains is not None else None)
     payload = {
         "quiver": args.quiver_file,

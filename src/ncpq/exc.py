@@ -277,28 +277,6 @@ def subcategory_covers(reg: IndecRegistry) -> dict[int, int]:
     return mask_covers(reg.rootsystem, "subcategory count")
 
 
-def extend_to_complete(seq: ExcSequence, reg: IndecRegistry) -> ExcSequence:
-    """Complete a sequence by prepending, smallest usable root first.
-
-    Candidates are the roots receiving no Hom and no Ext from the current
-    members, which is exactly the condition for prepending to preserve
-    exceptionality.
-    """
-    if not is_exceptional_sequence(seq.roots, reg):
-        raise ValidationError("input is not an exceptional sequence")
-    n = reg.quiver.n
-    current = list(seq.roots)
-    while len(current) < n:
-        candidates = sorted(right_perp(current, reg))
-        if not candidates:
-            raise NcpqError("no completion exists; this is a bug in finite type")
-        current.insert(0, candidates[0])
-    result = ExcSequence(tuple(current))
-    if not is_exceptional_sequence(result.roots, reg):
-        raise NcpqError("completion failed validation; this is a bug")
-    return result
-
-
 def is_projective_sequence(roots: Sequence[Vector], reg: IndecRegistry) -> bool:
     """Support grows by one vertex per step, each entry is projective
     relative to the support so far, and its top avoids the previous
@@ -351,18 +329,6 @@ def enumerate_exceptional_antichains(q: Quiver, reg: IndecRegistry) -> set[froze
         raise ValidationError("the quiver is not the registry's quiver")
     return {frozenset(map(reg.roots().__getitem__, _subcategory_simples(b, reg)))
             for b in subcategory_covers(reg)}
-
-
-def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vector]:
-    """Roots that make the sequence exceptional when put in slot i (1-based)."""
-    if not 1 <= i <= len(seq):
-        raise ValidationError(f"slot {i} out of range 1..{len(seq)}")
-    out = []
-    for x in reg.roots():
-        candidate = seq.roots[: i - 1] + (x,) + seq.roots[i:]
-        if is_exceptional_sequence(candidate, reg):
-            out.append(x)
-    return frozenset(out)
 
 
 def sequence_product(roots_seq: Sequence[Vector], rootsystem: RootSystem) -> WeylElement:

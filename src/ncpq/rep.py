@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -42,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
-from .weyl import RootSystem, complete_roots, is_positive, simple_reflect, simple_root
+from .weyl import RootSystem, complete_roots, is_positive, simple_root
 
 
 def _zero_map(rows: int, cols: int) -> RatMatrix:
@@ -93,14 +92,6 @@ class Representation:
                     f"map for arrow ({h}, {t}) must be {rows}x{cols}")
             frozen.append(m)
         object.__setattr__(self, "maps", tuple(frozen))
-
-    def to_debug_json(self) -> dict:
-        denom = math.lcm(*(x.denominator for m in self.maps for row in m for x in row))
-        return {
-            "dims": list(self.dims),
-            "denominator": denom,
-            "maps": [[[int(x * denom) for x in row] for row in m] for m in self.maps],
-        }
 
 
 def zero_representation(q: Quiver) -> Representation:
@@ -311,6 +302,7 @@ def _transport(q: Quiver, roots: RootSystem,
     if quivers[n] != q:
         raise NcpqError("the sink word did not restore the quiver; this is a bug")
     levels = [_level(quivers[m + 1], sink_word[m], quivers[m]) for m in range(n)]
+    reflections = [roots.reflection(simple_root(n, j)) for j in sink_word]
     max_steps = 4 * n * len(roots.positive_real_roots) + 16
     memo: dict[tuple[int, Vector], Representation] = {}
     for alpha in alphas:
@@ -323,7 +315,7 @@ def _transport(q: Quiver, roots: RootSystem,
                 memo[step % n, vec] = simple_representation(quivers[step % n], vertex)
                 break
             path.append(vec)
-            vec = simple_reflect(roots.cartan, sink_word[step % n] - 1, vec)
+            vec = reflections[step % n](vec)
             if not is_positive(vec):
                 raise NcpqError("root walk left the positive cone; this is a bug")
             step += 1

@@ -8,26 +8,21 @@ flags a truncated root system as incomplete. Absolute length, the
 interval and conjugation depth are finite type only: they refuse to run
 rather than truncate silently.
 
-An element of [1, c] that the walk and `verify` hold is its height
-vector phi(w) = 1^T w, the heights of w(a_1), ..., w(a_n), which fixes
-w (`walk_elements`, with the proof). Its one product is
-phi(w*t) = phi(w) - (phi(w) . a) (A a)^T at the root a of t
-(`_height_step`), n operations; `element_of_heights` reads the matrix
-back, for a failure report.
-
-The matrix product with a reflection is w*t, `reflect_right`. A
-reflection at a root a is t = I - a r^T, with r^T = a^T A for the
-symmetric Cartan matrix A, so w*t changes only the columns that I - t
-moves, about n * (|supp a| + |supp r|) operations instead of the n^3 of a
-full product. It is exact for any matrix of t: I - t is read off the
-matrix, its nonzero rows written as integer multiples of their primitive
-rows (`Reflection._sparse`), and every row of w*t is updated from the
-original row of w. It makes every reflection-times-matrix product of the
-package: the matrices of [1, c] where they are printed or returned
-(`element_matrices`), the folds of `multiply` (behind `coxeter_element`,
-`exc.sequence_product` and the exchange witness's s_i*P), the witness's
-P*s_alpha and the braid table's pair products. `compose`
-(`_linalg.mat_mul`) stays the general product.
+A reflection at a root a is t = I - a (A a)^T, for the symmetric Cartan
+matrix A, held as its root and its step (the nonzero (j, a_j), A a).
+The package applies a reflection in one way, the rank-one step
+v - (v . a) (A a)^T (`_height_step`), n operations. An element of [1, c]
+that the walk and `verify` hold is its height vector
+phi(w) = 1^T w, the heights of w(a_1), ..., w(a_n), which fixes w
+(`walk_elements`, with the proof), and phi(w*t) is phi(w) stepped. A
+matrix product w*t is each row of w stepped (`reflect_right`), behind
+`multiply`, `coxeter_element`, `exc.sequence_product`, the exchange
+witness and the matrices of [1, c] where they are printed or returned
+(`element_matrices`). The column action t(v) = v - ((A a) . v) a is the
+step with its two factors swapped (`Reflection.__call__`), behind root
+generation, the registry's transport and the exchange word.
+`element_of_heights` reads a matrix back from a height vector, for a
+failure report. `compose` (`_linalg.mat_mul`) stays the general product.
 
 Both posets of the bijection are one Hasse diagram on int masks over
 the roots (`mask_covers`), each mask mapped to its level: a mask is the
@@ -47,7 +42,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -112,58 +106,41 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(mat_mul(a.matrix, b.matrix))
 
 
+Step = tuple[tuple[tuple[int, int], ...], Vector]
+
+
 @dataclass(frozen=True)
 class Reflection:
-    """Reflection at a positive real root, with its matrix.
-
-    The product with an element (`reflect_right`) reads I - t off the
-    matrix, not off the root, so a matrix that disagrees with its root
-    multiplies as that matrix does.
-    """
+    """Reflection t = I - a (A a)^T at a positive real root a, for the
+    symmetric Cartan matrix A, held as its root and its step: the nonzero
+    (j, a_j) and the row A a, which `_height_step` reads. Its matrix is
+    built on first read, for the callers that print or return it."""
 
     root: Vector
-    element: WeylElement
+    step: Step
 
     @cached_property
-    def _sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """I - t, sparsely, computed once per reflection, on first use: its
-        nonzero rows grouped by their primitive row p, each group the pair
-        ((i, c_i), ...), ((j, p_j), ...) of the rows i of I - t, each equal
-        to c_i * p, and the nonzero entries of p. At a root a with
-        r^T = a^T A, A the symmetric Cartan matrix, I - t = a r^T is one
-        group: the rows at the support of a, all positive multiples of r."""
-        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, row in enumerate(self.element.matrix):
-            d = [(i == j) - x for j, x in enumerate(row)]
-            g = gcd(*d)
-            if g:
-                groups.setdefault(tuple(x // g for x in d), []).append((i, g))
-        return tuple((tuple(rows), tuple((j, x) for j, x in enumerate(p) if x))
-                     for p, rows in groups.items())
+    def element(self) -> WeylElement:
+        """Row k of t is e_k stepped, e_k - a_k (A a)^T."""
+        n = len(self.root)
+        return WeylElement(tuple(_height_step(e, self.step) for e in identity_matrix(n)))
+
+    @cached_property
+    def _column(self) -> Step:
+        """The step with its two factors swapped: (the nonzero (j, (A a)_j), a)."""
+        return tuple((j, x) for j, x in enumerate(self.step[1]) if x), self.root
+
+    def __call__(self, v: Vector) -> Vector:
+        """The column action t(v) = v - ((A a) . v) a."""
+        return _height_step(v, self._column)
 
 
 def reflect_right(w: WeylElement, t: Reflection) -> WeylElement:
-    """The product w*t, equal to compose(w, t.element) for any matrix of t:
-    w*t = w - w*(I - t), so row k of w loses s * p for each group of
-    I - t, where s = sum of c_i * w_ki over the group's rows i. Each s is
-    read off the original row of w, never one an earlier group updated,
-    so the product is exact however many groups there are."""
-    if t.element.n != w.n:
+    """The product w*t: row k of w*t is row_k(w) - (row_k(w) . a) (A a)^T,
+    the height step on each row of w."""
+    if len(t.root) != w.n:
         raise ValidationError("composing elements of different rank")
-    rows = []
-    for row in w.matrix:
-        new = None
-        for coefs, p in t._sparse:
-            s = 0
-            for i, c in coefs:
-                s += c * row[i]
-            if s:
-                if new is None:
-                    new = list(row)
-                for j, x in p:
-                    new[j] -= s * x
-        rows.append(row if new is None else tuple(new))
-    return WeylElement(tuple(rows))
+    return WeylElement(tuple(_height_step(row, t.step) for row in w.matrix))
 
 
 def multiply(factors: Iterable[Reflection], n: int) -> WeylElement:
@@ -182,15 +159,18 @@ def height_vector(w: WeylElement) -> Vector:
     return tuple(map(sum, zip(*w.matrix)))
 
 
-def _height_step(v: Vector, step: tuple[tuple[tuple[int, int], ...], Vector]) -> Vector:
-    """phi(w*t) from v = phi(w), for t the reflection at a root a given as
-    its `RootSystem.height_steps` entry (the nonzero (j, a_j) and A a):
-    w*t = w - (w a) (A a)^T, so phi(w*t) = v - (v . a) (A a)^T."""
+def _height_step(v: Vector, step: Step) -> Vector:
+    """The package's one reflection action: v - (v . x) y for the step
+    (the nonzero (j, x_j), y), and v itself when v . x is 0. At a root a
+    with the step (a, A a) (`Reflection.step`) it takes v = phi(w) to
+    phi(w*t), as w*t = w - (w a) (A a)^T, and a row of w to that row of
+    w*t (`reflect_right`); with the factors swapped it is the column
+    action t(v) = v - ((A a) . v) a (`Reflection.__call__`)."""
     support, row = step
     s = 0
     for j, x in support:
         s += v[j] * x
-    return tuple([x - s * y for x, y in zip(v, row)])
+    return tuple([x - s * y for x, y in zip(v, row)]) if s else v
 
 
 def element_of_heights(v: Vector, roots: RootSystem) -> WeylElement:
@@ -227,31 +207,23 @@ def positive_representative(v: Vector) -> Vector:
     raise NcpqError(f"vector {v} is neither positive nor negative")
 
 
-def reflect(q: Quiver, alpha: Vector, w: Vector) -> Vector:
-    """Image of w under the reflection at alpha: w - (alpha, w) alpha."""
-    s = symmetric_form(q, alpha, w)
-    return tuple(wi - s * ai for wi, ai in zip(w, alpha))
-
-
 def make_reflection(q: Quiver, alpha: Vector) -> Reflection:
-    """Build the reflection at a positive real root, validating both facts."""
+    """Build the reflection at a positive real root, validating both facts.
+    Its step's row A a holds the symmetric forms (a_j, a), counted from the
+    arrows as `quiver.cartan_matrix` counts A."""
     if not is_positive(alpha):
         raise ValidationError(f"reflection root {alpha} is not positive")
     if symmetric_form(q, alpha, alpha) != 2:
         raise ValidationError(f"{alpha} is not a real root: (a, a) != 2")
-    columns = [reflect(q, alpha, simple_root(q.n, j)) for j in q.vertices]
-    return Reflection(alpha, WeylElement(tuple(zip(*columns))))
+    row = [2 * x for x in alpha]
+    for h, t in q.arrows:
+        row[h - 1] -= alpha[t - 1]
+        row[t - 1] -= alpha[h - 1]
+    return Reflection(alpha, (tuple((j, x) for j, x in enumerate(alpha) if x), tuple(row)))
 
 
 def simple_root(n: int, i: int) -> Vector:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-
-def simple_reflect(cartan: IntMatrix, i: int, v: Vector) -> Vector:
-    """Image of v under the simple reflection s_{i+1} (i is 0-based):
-    only coordinate i changes, by the pairing of v with simple root i."""
-    s = sum(map(mul, cartan[i], v))
-    return v[:i] + (v[i] - s,) + v[i + 1:]
 
 
 def _truncated(classification: Classification, height_bound: int) -> NonFiniteTypeError:
@@ -309,12 +281,10 @@ class RootSystem:
         return tuple(self.reflection(r) for r in self.sorted_roots())
 
     @cached_property
-    def height_steps(self) -> tuple[tuple[tuple[tuple[int, int], ...], Vector], ...]:
-        """At each root a, in `sorted_roots` order, made once: the nonzero
-        entries (j, a_j) of a and the row A a of the symmetric Cartan
-        matrix, which `_height_step` reads."""
-        return tuple((tuple((j, x) for j, x in enumerate(a) if x), mat_vec(self.cartan, a))
-                     for a in self.sorted_roots())
+    def height_steps(self) -> tuple[Step, ...]:
+        """At each root, in `sorted_roots` order, its reflection's step,
+        read once."""
+        return tuple(self.reflection(a).step for a in self.sorted_roots())
 
     @cached_property
     def euler(self) -> tuple[tuple[int, ...], ...]:
@@ -364,10 +334,10 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
     cap = DEFAULT_ROOT_CAP
     if height_bound < 1:
         raise ValidationError("height bound must be positive")
-    cart = cartan_matrix(q)
     if classification is None:
-        classification = classify_type(cart)
+        classification = classify_type(cartan_matrix(q))
     simples = [simple_root(q.n, i) for i in q.vertices]
+    reflections = [make_reflection(q, a) for a in simples]
     seen: set[Vector] = set(simples)
     frontier = deque(simples)
     truncated = False
@@ -378,7 +348,7 @@ def generate_roots(q: Quiver, height_bound: int = DEFAULT_HEIGHT_BOUND, *,
         for i in range(q.n):
             if v == simples[i]:
                 continue  # s_i sends alpha_i to -alpha_i
-            w = simple_reflect(cart.entries, i, v)
+            w = reflections[i](v)
             if w[i] < 0:
                 raise NcpqError(f"mixed-sign image {w} in root generation")
             if sum(w) > height_bound:
@@ -787,7 +757,7 @@ def exchange_index(word: tuple[int, ...], alpha: Vector, roots: RootSystem) -> E
     images: list[Vector] = [()] * (k + 1)
     images[k] = alpha
     for t in range(k, 0, -1):
-        images[t - 1] = simple_reflect(roots.cartan, word[t - 1] - 1, images[t])
+        images[t - 1] = simples[word[t - 1]](images[t])
     if not is_negative(images[0]):
         raise ValidationError("the word does not send alpha to a negative vector")
     t_min = next(t for t in range(1, k + 1)

@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from ncpq import build_registry, generate_roots, parse_quiver
+from ncpq import RootSystem, build_registry, generate_roots, parse_quiver
 
 A2_TEXT = "vertices 2\narrow 1 2\n"
 A3_TEXT = "vertices 3\narrow 1 2\narrow 2 3\n"
@@ -25,6 +25,20 @@ QUIVER_TEXTS = {
     "d4": D4_TEXT,
     "kronecker": KRONECKER_TEXT,
 }
+
+
+def height_steps_with(at, wrong):
+    """A `RootSystem.height_steps` to set on the class: the honest steps,
+    except that the root `at` is given the step of the root `wrong`. As a
+    property it overrides the steps an instance has already cached."""
+    honest = RootSystem.height_steps.func
+
+    def corrupted(self):
+        steps, order = list(honest(self)), self.sorted_roots()
+        steps[order.index(at)] = steps[order.index(wrong)]
+        return tuple(steps)
+
+    return property(corrupted)
 
 
 @pytest.fixture(scope="session")

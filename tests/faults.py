@@ -59,9 +59,18 @@ def _product(seq: str) -> str:
 
 
 FAULTS = (
-    Fault("simple-reflect-sign", "weyl.py",
-          "(v[i] - s,)", "(v[i] + s,)",
+    # Every reflection action is the one step: the column action t(v) is
+    # the step (A a, a), a matrix row the step (a, A a).
+    Fault("column-action-sign", "weyl.py",
+          "tuple((j, x) for j, x in enumerate(self.step[1]) if x)",
+          "tuple((j, -x) for j, x in enumerate(self.step[1]) if x)",
           ("internal", "verify")),
+    Fault("column-action-reads-the-row", "weyl.py",
+          "return _height_step(v, self._column)", "return _height_step(v, self.step)",
+          ("test", "tests/test_exc.py::test_mutation_graph_catches_a_corrupted_reflection")),
+    Fault("row-step-swapped", "weyl.py",
+          "_height_step(row, t.step) for row", "_height_step(row, t._column) for row",
+          ("test", "tests/test_weyl.py::test_reflection_products_equal_compose")),
     # The walk and the registry read the one table `RootSystem.orth`.
     Fault("orth-side", "weyl.py",
           "e == 0) for row in self.euler)", "e == 0) for row in zip(*self.euler))",
@@ -133,18 +142,17 @@ FAULTS = (
           ("test", "tests/test_quiver.py::test_classify_kronecker_affine")),
     Fault("transposed-matrix-action", "_linalg.py",
           "sum(map(mul, row, v)) for row in a)", "sum(map(mul, row, v)) for row in zip(*a))",
-          ("internal", "sequences")),
+          ("test", "tests/test_weyl.py::test_reflections_are_the_matrix_oracle[A3]")),
     Fault("braid-pair-check-skipped", "hurwitz.py",
-          "if reflect_right(a.element, b) != reflect_right(",
-          "if False and reflect_right(a.element, b) != reflect_right(",
+          "if (_height_step(_height_step(one,", "if False and (_height_step(_height_step(one,",
           ("test", "tests/test_exc.py::test_mutation_graph_catches_a_corrupted_reflection")),
-    # A braid-graph key has one digit per reflection, id + 1, wide enough
-    # for every listed root: no digit is 0, and no listed digit spills.
+    # A braid-graph key has one digit per root, its position + 1, wide
+    # enough for every root: no digit is 0, and no digit spills.
     Fault("braid-key-digit-zero", "hurwitz.py",
-          "digits[root] = braid.root_id(root) + 1", "digits[root] = braid.root_id(root)",
+          "range(1, len(order) + 1)", "range(len(order))",
           ("test", "tests/test_hurwitz.py::test_braid_edges_keys_tell_unequal_lengths_apart")),
     Fault("braid-key-digit-one-bit-short", "hurwitz.py",
-          "len(braid.reflections).bit_length()", "len(braid.reflections).bit_length() - 1",
+          "width = len(order).bit_length()", "width = len(order).bit_length() - 1",
           ("test", "tests/test_hurwitz.py::test_braid_edges_refuse_a_moved_root_past_the_digits")),
     Fault("base-case-skipped", "bijection.py",
           "if not ind and value != one:", "if False:",

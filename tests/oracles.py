@@ -52,35 +52,42 @@ sequences by a
 backtracker over prefixes, not over the descent, and the
 bijection's flags from every complete exceptional sequence of every
 subcategory and from containment against absolute order on every pair.
+A reflection here is a matrix built column by column from the
+symmetric form (`reflection_matrix`), not the package's rank-one step,
+and the Brady-Watt walk, the two-way move table and the tuple products
+multiply those matrices by `compose`. The test-only members that left
+the package live here too: the completion `extend_to_complete`, the
+slot scan `slot_fillers` and a module's `to_debug_json`.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
 import random
 import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
 from ncpq import (absolute_length, build_registry, cartan_matrix, cox, coxeter_element,
-                  generate_roots, identity, is_exceptional_sequence,
-                  make_reflection, multiply, Quiver, rep, sequence_product, thick_closure)
+                  generate_roots, identity, is_exceptional_sequence, Quiver, rep,
+                  sequence_product, thick_closure)
 from ncpq._linalg import RatMatrix, int_echelon, int_kernel, int_rank, integer_rows, mat_mul
-from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain
+from ncpq.exc import ExcSequence, closure_indecomposables, order_antichain, right_perp
 from ncpq.errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from ncpq.hurwitz import DEFAULT_ORBIT_CAP
-from ncpq.quiver import Vector, connected_components, euler_form, topological_order
+from ncpq.quiver import (Vector, connected_components, euler_form, symmetric_form,
+                         topological_order)
 from ncpq.rep import IndecRegistry, Representation, _is_simple_vector, simple_representation
 from ncpq import weyl
 from ncpq.weyl import (Reflection, RootSystem, WeylElement, _children, _missing, complete_roots,
-                       compose, element_matrices, is_positive, positive_representative,
-                       reflect_right, simple_reflect, simple_root)
+                       compose, element_matrices, is_positive, positive_representative, simple_root)
 
 # |NC(c)| = prod (h + e_i + 1) / (e_i + 1) over the exponents e_i, with h
 # the Coxeter number (Bessis 2003; Armstrong, Mem. AMS 949, 2009).
@@ -116,6 +123,29 @@ DYNKIN_QUIVERS = {
     "E7": Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7))),
     "E8": Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8))),
 }
+
+
+def reflection_matrix(q: Quiver, alpha: Vector) -> WeylElement:
+    """The reflection at a positive real root as a matrix, column by
+    column: column j is s_alpha(e_j) = e_j - (alpha, e_j) alpha under
+    `symmetric_form`. It shares no step with `weyl.Reflection`."""
+    if not is_positive(alpha):
+        raise ValidationError(f"reflection root {alpha} is not positive")
+    if symmetric_form(q, alpha, alpha) != 2:
+        raise ValidationError(f"{alpha} is not a real root: (a, a) != 2")
+    columns = []
+    for j in q.vertices:
+        e = simple_root(q.n, j)
+        s = symmetric_form(q, alpha, e)
+        columns.append(tuple(x - s * a for x, a in zip(e, alpha)))
+    return WeylElement(tuple(zip(*columns)))
+
+
+def simple_reflect(cartan, i: int, v: Vector) -> Vector:
+    """Image of v under the simple reflection s_{i+1} (i is 0-based):
+    only coordinate i changes, by the pairing of v with simple root i."""
+    s = sum(x * y for x, y in zip(cartan[i], v))
+    return v[:i] + (v[i] - s,) + v[i + 1:]
 
 
 def linear_dynkin(name: str) -> Quiver:
@@ -332,10 +362,11 @@ def interval_covers_by_moved_spaces(c: WeylElement, roots: RootSystem) -> dict:
     certifies c in W; a walk that ends without it raises ValidationError.
     """
     candidates: dict = {}
+    matrices = {a: reflection_matrix(roots.quiver, a) for a in roots.sorted_roots()}
 
     def expand(w: WeylElement) -> dict:
         below = reflections_below(w, roots, candidates.get(w))
-        children = {t.root: reflect_right(w, t) for t in below}
+        children = {t.root: compose(w, matrices[t.root]) for t in below}
         for child in children.values():
             candidates.setdefault(child, below)
         return children
@@ -417,13 +448,21 @@ def minimal_reflection_factorizations(w: WeylElement, roots: RootSystem) -> set:
     return set(factorizations(w, roots.reflections()))
 
 
+class MatrixReflection(NamedTuple):
+    """A reflection as this module holds it: its root and its matrix
+    (`reflection_matrix`)."""
+
+    root: Vector
+    element: WeylElement
+
+
 @dataclass(frozen=True)
 class ReflectionTuple:
     """Ordered tuple of reflections of a quiver's Weyl group; equality and
     hash are by (quiver, items)."""
 
     quiver: Quiver
-    items: tuple[Reflection, ...]
+    items: tuple[MatrixReflection, ...]
 
     def __post_init__(self):
         for r in self.items:
@@ -439,8 +478,9 @@ class ReflectionTuple:
 
     @functools.cached_property
     def product(self) -> WeylElement:
-        """Left-to-right product of the reflections, computed on first use."""
-        return multiply(self.items, self.n)
+        """Left-to-right product of the matrices by `compose`, computed on
+        first use."""
+        return functools.reduce(compose, (r.element for r in self.items), identity(self.n))
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -449,7 +489,7 @@ class ReflectionTuple:
 
 def tuple_from_roots(q: Quiver, roots: tuple[Vector, ...]) -> ReflectionTuple:
     """Build a tuple of reflections at the given positive real roots."""
-    return ReflectionTuple(q, tuple(make_reflection(q, r) for r in roots))
+    return ReflectionTuple(q, tuple(MatrixReflection(r, reflection_matrix(q, r)) for r in roots))
 
 
 class _Braid:
@@ -458,20 +498,20 @@ class _Braid:
     inverse move swaps it to (s_a(b), a), signs dropped.
 
     Each reflection gets a small int id, once, by its root, and a tuple
-    becomes a tuple of ids; `reflection` gives the reflection at a root
-    not yet interned. The move table maps (id_a, id_b, inverse) to the
+    becomes a tuple of ids; `matrix` gives the matrix at a root not yet
+    interned. The move table maps (id_a, id_b, inverse) to the
     ids of the moved pair (b', c'); an entry is filled, and its pair
-    products compared, the first time that pair is moved. After that a
-    move is a table lookup and tuple slicing. Each search makes its own
-    and drops it."""
+    products compared by `compose`, the first time that pair is moved.
+    After that a move is a table lookup and tuple slicing. Each search
+    makes its own and drops it."""
 
-    def __init__(self, reflection: Callable[[Vector], Reflection]) -> None:
-        self.reflection = reflection
-        self.reflections: list[Reflection] = []
+    def __init__(self, matrix: Callable[[Vector], WeylElement]) -> None:
+        self.matrix = matrix
+        self.reflections: list[MatrixReflection] = []
         self.ids: dict[Vector, int] = {}
         self.table: dict[tuple[int, int, bool], tuple[int, int]] = {}
 
-    def intern(self, r: Reflection) -> int:
+    def intern(self, r: MatrixReflection) -> int:
         k = self.ids.get(r.root)
         if k is None:
             k = self.ids[r.root] = len(self.reflections)
@@ -483,7 +523,7 @@ class _Braid:
     def root_id(self, root: Vector) -> int:
         """The id of the reflection at `root`, looked up if it is new."""
         k = self.ids.get(root)
-        return self.intern(self.reflection(root)) if k is None else k
+        return self.intern(MatrixReflection(root, self.matrix(root))) if k is None else k
 
     def ids_of(self, t: ReflectionTuple) -> tuple[int, ...]:
         return tuple(self.intern(r) for r in t.items)
@@ -505,7 +545,7 @@ class _Braid:
             raise NcpqError(f"moved vector {root} is not a root; this is a bug") from err
         moved = (k, ia) if inverse else (ib, k)
         b_new, c_new = (self.reflections[j] for j in moved)
-        if reflect_right(a.element, b) != reflect_right(b_new.element, c_new):
+        if compose(a.element, b.element) != compose(b_new.element, c_new.element):
             raise NcpqError("braid move changed the reflection product; this is a bug")
         self.table[key] = moved
         return moved
@@ -527,8 +567,8 @@ class _Braid:
 
 
 def _braid(q: Quiver) -> _Braid:
-    """A move table that builds each moved reflection from its root."""
-    return _Braid(functools.partial(make_reflection, q))
+    """A move table that builds each moved reflection's matrix from its root."""
+    return _Braid(functools.partial(reflection_matrix, q))
 
 
 def hurwitz_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
@@ -625,11 +665,10 @@ def braid_mutate(seq: ExcSequence, i: int, inverse: bool, reg: IndecRegistry) ->
     """Braid move at i on a complete exceptional sequence, checked
     exceptional: the Hurwitz move on the reflections at its roots, so
     (a, b) becomes (b, s_b(a)) forward and (s_a(b), a) inverse, signs
-    dropped, on the move table above with the root system's
-    reflections."""
+    dropped, on the move table above."""
     if len(seq) != reg.quiver.n:
         raise ValidationError("braid mutation is defined on complete sequences")
-    braid = _Braid(reg.rootsystem.reflection)
+    braid = _braid(reg.quiver)
     roots = braid.roots_of(braid.step(tuple(map(braid.root_id, seq.roots)), i, inverse))
     if not is_exceptional_sequence(roots, reg):
         raise NcpqError("mutation produced a non-exceptional sequence; this is a bug")
@@ -644,10 +683,11 @@ def factor_in_reflections(w: WeylElement, roots: RootSystem, reg) -> ReflectionT
     assert roots.complete
     assert frozenset(reg.roots()) == roots.positive_real_roots
     ident = identity(w.n)
+    pool = tuple_from_roots(roots.quiver, roots.sorted_roots()).items
     picks = []
     remaining = w
     while remaining != ident:
-        t = next(t for t in roots.reflections() if absolute_leq(t.element, remaining, roots))
+        t = next(t for t in pool if absolute_leq(t.element, remaining, roots))
         picks.append(t)
         remaining = compose(t.element, remaining)
     assert len(picks) == absolute_length(w, roots)
@@ -796,6 +836,50 @@ def exceptional_sequences(pool, length: int, reg):
                 chosen.pop()
 
     return backtrack()
+
+
+def extend_to_complete(seq: ExcSequence, reg: IndecRegistry) -> ExcSequence:
+    """Complete a sequence by prepending, smallest usable root first.
+
+    Candidates are the roots receiving no Hom and no Ext from the current
+    members, which is exactly the condition for prepending to preserve
+    exceptionality.
+    """
+    if not is_exceptional_sequence(seq.roots, reg):
+        raise ValidationError("input is not an exceptional sequence")
+    n = reg.quiver.n
+    current = list(seq.roots)
+    while len(current) < n:
+        candidates = sorted(right_perp(current, reg))
+        if not candidates:
+            raise NcpqError("no completion exists; this is a bug in finite type")
+        current.insert(0, candidates[0])
+    result = ExcSequence(tuple(current))
+    if not is_exceptional_sequence(result.roots, reg):
+        raise NcpqError("completion failed validation; this is a bug")
+    return result
+
+
+def slot_fillers(seq: ExcSequence, i: int, reg: IndecRegistry) -> frozenset[Vector]:
+    """Roots that make the sequence exceptional when put in slot i (1-based)."""
+    if not 1 <= i <= len(seq):
+        raise ValidationError(f"slot {i} out of range 1..{len(seq)}")
+    out = []
+    for x in reg.roots():
+        candidate = seq.roots[: i - 1] + (x,) + seq.roots[i:]
+        if is_exceptional_sequence(candidate, reg):
+            out.append(x)
+    return frozenset(out)
+
+
+def to_debug_json(module: Representation) -> dict:
+    """The module's dimensions and its maps over one common denominator."""
+    denom = math.lcm(*(x.denominator for m in module.maps for row in m for x in row))
+    return {
+        "dims": list(module.dims),
+        "denominator": denom,
+        "maps": [[[int(x * denom) for x in row] for row in m] for m in module.maps],
+    }
 
 
 def complete_sequences_within(sub, reg) -> list:
@@ -1078,8 +1162,7 @@ def apply_word(roots: RootSystem, word, vector):
     applied last."""
     out = vector
     for i in reversed(word):
-        refl = make_reflection(roots.quiver, simple_root(roots.n, i))
-        out = refl.element(out)
+        out = reflection_matrix(roots.quiver, simple_root(roots.n, i))(out)
     return out
 
 

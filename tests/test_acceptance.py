@@ -117,7 +117,7 @@ def test_criterion_04_mutation_graph_connected():
         oracle = brute_force_factorizations(roots, c.matrix, q.n)
         assert len(oracle) == count, name
         nodes = sorted(s.roots for s in seqs)
-        edges = braid_edges(nodes, reg.rootsystem.reflection)
+        edges = braid_edges(nodes, reg.rootsystem)
         assert is_connected(len(nodes), edges), name
     _passed(4, "mutation graphs connected; 3/16/125 sequences match the "
                "brute-force factorization count")

@@ -49,6 +49,7 @@ from oracles import (
     minimal_reflection_factorizations,
     order_failures_by_all_pairs,
     oriented_dynkin,
+    reflection_matrix,
     subcategories,
     tuple_from_roots,
     weyl_group,
@@ -448,7 +449,8 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
     fresh = generate_roots(q)
     interval = interval_covers_by_moved_spaces(coxeter_element(q, topological_order(q)), fresh)
     element = {height_vector(w): w for w in interval}
-    root_of = dict(zip(fresh.height_steps, fresh.sorted_roots()))
+    matrix_of = {step: reflection_matrix(q, root)
+                 for step, root in zip(fresh.height_steps, fresh.sorted_roots())}
     calls = {"walk": 0, "cox": 0, "fold": 0}
     in_walk = False
     real_walk = ncpq.bijection.walk_elements
@@ -464,18 +466,21 @@ def test_every_reflection_product_of_e6_verify_equals_compose(monkeypatch):
 
     def stepped(v, step):
         got = real_step(v, step)
-        assert got == height_vector(compose(element[v], fresh.reflection(root_of[step]).element))
+        assert got == height_vector(compose(element[v], matrix_of[step]))
         calls["walk" if in_walk else "cox"] += 1
         return got
 
     def checked(w, t):
         got = reflect_right(w, t)
-        assert got == compose(w, t.element)
+        assert got == compose(w, reflection_matrix(q, t.root))
         calls["fold"] += 1
         return got
 
+    # Outside the walk the package's step also makes the rows of each
+    # fold and the column actions of root generation; those pass through.
     monkeypatch.setattr("ncpq.weyl.reflect_right", checked)
-    monkeypatch.setattr("ncpq.weyl._height_step", stepped)
+    monkeypatch.setattr("ncpq.weyl._height_step",
+                        lambda v, step: (stepped if in_walk else real_step)(v, step))
     monkeypatch.setattr("ncpq.bijection._height_step", stepped)
     monkeypatch.setattr("ncpq.bijection.walk_elements", walk)
     report = verify_bijection(q)

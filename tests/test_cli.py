@@ -33,9 +33,9 @@ from ncpq.errors import (
     ValidationError,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.weyl import Reflection, WeylElement, generate_roots
+from ncpq.weyl import WeylElement, generate_roots
 
-from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT
+from conftest import A2_TEXT, A3_TEXT, D4_TEXT, KRONECKER_TEXT, height_steps_with
 from oracles import (FACTORIZATION_COUNTS, absolute_leq, hurwitz_orbit, is_connected,
                      minimal_reflection_factorizations, oriented_dynkin, tuple_from_roots)
 
@@ -396,7 +396,7 @@ def test_json_is_one_line_with_the_library_payload(command, quiver_file, capsys,
                     "orbit": [list(map(list, t.roots)) for t in orbit]}
     else:
         nodes = sorted(enumerate_complete_sequences(a3, a3_reg), key=lambda s: s.roots)
-        edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
+        edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem)
         expected = {"quiver": path, "count": len(nodes),
                     "connected": is_connected(len(nodes), edges),
                     "sequences": [list(map(list, s.roots)) for s in nodes],
@@ -464,21 +464,15 @@ def test_only_the_outputs_that_show_them_list_chains_and_draw_the_graph(
 @pytest.mark.parametrize("command, output_format", [("sequences", "json"), ("hurwitz", "dot")])
 def test_a_corrupted_reflection_fails_the_braid_graph(command, output_format, quiver_file,
                                                       capsys, monkeypatch):
-    # Both commands draw their braid graph with the root system's
-    # reflections, and the pair-product check refuses the reflection at a2
-    # given the matrix of s1 as a bug. The reflections are corrupted only
-    # once the walk is made, so it is the graph that meets them.
-    honest = ncpq.weyl.RootSystem.reflection
-
-    def corrupted(self, root):
-        if root == (0, 1, 0):
-            return Reflection(root, honest(self, (1, 0, 0)).element)
-        return honest(self, root)
-
+    # Both commands draw their braid graph on the root system's steps, and
+    # the pair-product check refuses a2 given the step of s1 as a bug. The
+    # steps are corrupted only once the walk is made, so it is the graph
+    # that meets them.
     def corrupting(walk):
         def walked(*args):
             covers = walk(*args)
-            monkeypatch.setattr(ncpq.weyl.RootSystem, "reflection", corrupted)
+            monkeypatch.setattr(ncpq.weyl.RootSystem, "height_steps",
+                                height_steps_with((0, 1, 0), (1, 0, 0)))
             return covers
         return walked
 

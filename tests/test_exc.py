@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cache, partial
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 
 from ncpq import (
     ExcSequence,
-    Reflection,
     Subcategory,
     build_registry,
     enumerate_complete_sequences,
     enumerate_exceptional_antichains,
-    extend_to_complete,
     generate_roots,
     is_exceptional_sequence,
     is_projective_sequence,
@@ -36,13 +34,13 @@ from ncpq.exc import (
     _subcategory_simples,
     closure_indecomposables,
     order_antichain,
-    slot_fillers,
     subcategory_covers,
 )
 from ncpq.hurwitz import braid_edges
 from ncpq.quiver import Quiver
-from ncpq.weyl import (braid_transitive, chain_counts, coxeter_element, make_reflection,
+from ncpq.weyl import (RootSystem, braid_transitive, chain_counts, coxeter_element,
                        mask_covers, maximal_chains, simple_root, walk_elements)
+from conftest import height_steps_with
 from oracles import (
     CLOSED_FORM_PINS,
     DYNKIN_QUIVERS,
@@ -52,6 +50,7 @@ from oracles import (
     braid_orbit_by_full_products,
     exceptional_antichains_by_backtracking,
     exceptional_sequences,
+    extend_to_complete,
     hurwitz_orbit,
     is_connected,
     is_nonneg_combination,
@@ -59,6 +58,7 @@ from oracles import (
     mutation_edges_by_braid_mutate,
     oriented_dynkin,
     simples_by_injective_maps,
+    slot_fillers,
     subcategories,
     subcategory_covers_by_frozensets,
     topological_sort_by_heap,
@@ -362,23 +362,18 @@ def test_product_invariant_on_all_mutation_edges(a3_reg):
     # braid_edges raises internally if any edge changes the product
     seqs = enumerate_complete_sequences(a3_reg.quiver, a3_reg)
     nodes = sorted(seqs, key=lambda s: s.roots)
-    edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem.reflection)
+    edges = braid_edges([s.roots for s in nodes], a3_reg.rootsystem)
     assert len(nodes) == 16
     assert is_connected(len(nodes), edges)
 
 
 def test_mutation_graph_catches_a_corrupted_reflection(a3, monkeypatch):
+    # a2 is given the step of a1 once the sequences are walked.
     reg = build_registry(a3)
     seqs = enumerate_complete_sequences(a3, reg)
-    honest = reg.rootsystem.reflection
-    wrong = honest((1, 0, 0)).element
-
-    def corrupted(root):
-        return Reflection(root, wrong) if root == (0, 1, 0) else honest(root)
-
-    monkeypatch.setattr(reg.rootsystem, "reflection", corrupted)
+    monkeypatch.setattr(RootSystem, "height_steps", height_steps_with((0, 1, 0), (1, 0, 0)))
     with pytest.raises(NcpqError, match="reflection product"):
-        braid_edges(sorted(s.roots for s in seqs), reg.rootsystem.reflection)
+        braid_edges(sorted(s.roots for s in seqs), reg.rootsystem)
 
 
 @pytest.mark.parametrize("label", ["A3", "A4", "D4", "D5"])
@@ -388,7 +383,7 @@ def test_mutation_graph_matches_per_edge_braid_mutate(label):
     seqs = enumerate_complete_sequences(q, reg)
     # The nodes as `ncpq sequences` lists them: the descent's chains, sorted.
     nodes = list(maximal_chains(subcategory_covers(reg), reg.rootsystem))
-    edges = braid_edges(nodes, reg.rootsystem.reflection)
+    edges = braid_edges(nodes, reg.rootsystem)
     assert nodes == [s.roots for s in sorted(seqs, key=lambda s: s.roots)]
     assert edges == sorted(mutation_edges_by_braid_mutate(seqs, reg))
 
@@ -403,12 +398,12 @@ def _assert_sequences_are_the_orbit(q, order):
     roots = generate_roots(q)
     reg = build_registry(q, roots)
     nodes = sorted(enumerate_complete_sequences(q, reg), key=lambda s: s.roots)
-    edges = braid_edges([s.roots for s in nodes], reg.rootsystem.reflection)
+    edges = braid_edges([s.roots for s in nodes], reg.rootsystem)
     start = tuple(simple_root(q.n, i) for i in order)
     orbit = sorted(hurwitz_orbit(tuple_from_roots(q, start)), key=lambda t: t.roots)
     assert [s.roots for s in nodes] == [t.roots for t in orbit]
     assert set(nodes) == _backtracked(q, reg)
-    assert edges == braid_edges([t.roots for t in orbit], partial(make_reflection, q))
+    assert edges == braid_edges([t.roots for t in orbit], generate_roots(q))
     if q.n <= 4:  # A5 and D5: test_orbit_matches_full_product_oracle
         assert {t.roots for t in orbit} == braid_orbit_by_full_products(q, start)
     covers = walk_elements(coxeter_element(q, order), roots)[0]
@@ -434,18 +429,18 @@ def test_sequences_are_the_hurwitz_orbit_on_random_orientations(drawn):
 def test_mutation_graph_rejects_a_set_missing_a_neighbor(a3_reg):
     seqs = sorted(enumerate_complete_sequences(a3_reg.quiver, a3_reg), key=lambda s: s.roots)
     with pytest.raises(ValidationError, match="left the given sequence set"):
-        braid_edges([s.roots for s in seqs[1:]], a3_reg.rootsystem.reflection)
+        braid_edges([s.roots for s in seqs[1:]], a3_reg.rootsystem)
 
 
 def test_braid_edges_refuse_a_repeated_tuple(a3_reg):
     # A listed tuple is a node of the graph, so it may appear only once.
     seqs = sorted(s.roots for s in enumerate_complete_sequences(a3_reg.quiver, a3_reg))
     with pytest.raises(ValidationError, match="listed twice"):
-        braid_edges(seqs + seqs[:1], a3_reg.rootsystem.reflection)
+        braid_edges(seqs + seqs[:1], a3_reg.rootsystem)
 
 
 # ---------------------------------------------------------------------------
-# completion
+# completion (the oracle `extend_to_complete`)
 # ---------------------------------------------------------------------------
 
 

@@ -8,8 +8,6 @@ import random
 import pytest
 
 from ncpq import (
-    Reflection,
-    WeylElement,
     coxeter_element,
     generate_roots,
     identity,
@@ -19,9 +17,10 @@ from ncpq import (
 )
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.hurwitz import braid_edges
+from ncpq.weyl import RootSystem
 
 import oracles
-from conftest import A3_TEXT, A4_TEXT, D4_TEXT
+from conftest import A3_TEXT, A4_TEXT, D4_TEXT, height_steps_with
 from oracles import (
     DYNKIN_QUIVERS,
     FACTORIZATION_COUNTS,
@@ -134,67 +133,58 @@ def test_orbit_cap_boundary(a3):
 def test_orbit_edges_reject_an_open_set(a3):
     t = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValidationError):
-        braid_edges([t.roots], generate_roots(a3).reflection)
+        braid_edges([t.roots], generate_roots(a3))
 
 
-# `braid_edges` refuses a corrupted root lookup as a bug. On the simple
-# roots of A3 its first move takes (a1, a2) to (a2, a1 + a2), so it looks
-# up the reflection at a1 + a2 and multiplies by the one at a2.
+# `braid_edges` refuses a corrupted root system as a bug. On the simple
+# roots of A3 its first move takes (a1, a2) to (a2, a1 + a2), so it finds
+# a1 + a2 among the roots and steps by the reflections at a2 and a1 + a2.
 A3_SIMPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _answering(roots, at, wrong):
-    """The root system's reflection lookup, except that it answers `at`
-    with `wrong`."""
-    return lambda root: wrong if root == at else roots.reflection(root)
-
-
-def test_braid_edges_refuse_a_matrix_that_disagrees_with_its_root(a3_roots):
-    # s1's matrix at a1 + a2 makes the pair product a2·s1, not s1·s2.
-    s1 = a3_roots.reflection((1, 0, 0))
-    lookup = _answering(a3_roots, (1, 1, 0), Reflection((1, 1, 0), s1.element))
+def test_braid_edges_refuse_a_matrix_that_disagrees_with_its_root(a3_roots, monkeypatch):
+    # s1's step at a1 + a2 makes the pair product a2·s1, not s1·s2.
+    monkeypatch.setattr(RootSystem, "height_steps", height_steps_with((1, 1, 0), (1, 0, 0)))
     with pytest.raises(NcpqError, match="product"):
-        braid_edges([A3_SIMPLES], lookup)
+        braid_edges([A3_SIMPLES], a3_roots)
 
 
-def test_braid_edges_refuse_a_moved_vector_that_is_not_a_root(a3_roots):
-    # A matrix at a2 that doubles e1 moves a1 to 2·a1, which has no reflection.
-    doubled = WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    lookup = _answering(a3_roots, (0, 1, 0), Reflection((0, 1, 0), doubled))
+def test_braid_edges_refuse_a_moved_vector_that_is_not_a_root(a3, a3_roots):
+    # A root system without a1 + a2 has no position for the first moved root.
+    withheld = RootSystem(a3, a3_roots.positive_real_roots - {(1, 1, 0)}, False,
+                          a3_roots.height_bound, a3_roots.classification)
     with pytest.raises(NcpqError, match="is not a root"):
-        braid_edges([A3_SIMPLES], lookup)
-
-
-def test_braid_edges_refuse_two_matrices_at_one_root(a3_roots):
-    # The lookup answers a1 + a2 with a reflection at the interned a1 that
-    # carries s2's matrix.
-    s2 = a3_roots.reflection((0, 1, 0))
-    lookup = _answering(a3_roots, (1, 1, 0), Reflection((1, 0, 0), s2.element))
-    with pytest.raises(NcpqError, match="different matrices"):
-        braid_edges([A3_SIMPLES], lookup)
+        braid_edges([A3_SIMPLES], withheld)
 
 
 def test_braid_edges_keys_tell_unequal_lengths_apart(a3_roots):
-    # a1 is listed first, so it has the first id, and it commutes with a3:
-    # (a3, a1) and (a1, a3) are each other's forward move. A digit of 0
-    # for the first id would read one of them as (a3,), whichever end of
-    # the key holds the first reflection, and () as (a1,).
+    # a3 is the first of the sorted roots, so it has the first digit, and
+    # it commutes with a1: (a3, a1) and (a1, a3) are each other's forward
+    # move. A digit of 0 for the first root would read one of them as
+    # (a1,), whichever end of the key holds the first root, and () as (a3,).
     x, a = (1, 0, 0), (0, 0, 1)
     chains = [(x,), (a,), (a, x), (x, a), ()]
-    assert braid_edges(chains, a3_roots.reflection) == [(2, 3)]
+    assert braid_edges(chains, a3_roots) == [(2, 3)]
 
 
 def test_braid_edges_refuse_a_moved_root_past_the_digits(a3_roots):
-    # The three simple roots are listed, so each digit has two bits and
-    # holds 1..3. The first move takes (a1, a2) to (a2, a1 + a2), and
-    # a1 + a2 gets the fourth id, a digit of 4 that needs a third bit.
-    # Every tuple (a2, r, a3) with r listed is listed too, so a digit that
-    # spilled into its neighbour or was cut to a listed one would find
-    # one of them instead of leaving the list.
+    # The six roots of A3 have the digits 1..6 in three bits: a3 1, a2 2,
+    # a2 + a3 3, a1 4 and a1 + a2 5. The first move takes (a1, a2) to
+    # (a2, a1 + a2), which is not listed. Every tuple (a2, r, a3) with r a
+    # simple root is listed, so a digit that spilled into its neighbour or
+    # was cut to a listed one would find one of them instead of leaving
+    # the list. So is (a2 + a3, a1, a3): in two-bit digits the 4 of a1
+    # spills onto the digit above, where 2 | 1 = 3 | 1, so digits a bit
+    # short would read it and (a2, a1, a3) as one tuple listed twice.
     a1, a2, a3 = A3_SIMPLES
-    chains = [(a1, a2, a3)] + [(a2, r, a3) for r in A3_SIMPLES]
+    chains = [(a1, a2, a3), ((0, 1, 1), a1, a3)] + [(a2, r, a3) for r in A3_SIMPLES]
     with pytest.raises(ValidationError, match="left the given sequence set"):
-        braid_edges(chains, a3_roots.reflection)
+        braid_edges(chains, a3_roots)
+
+
+def test_braid_edges_refuse_a_listed_root_outside_the_root_system(a3_roots):
+    with pytest.raises(ValidationError, match="is not a known positive real root"):
+        braid_edges([((1, 0, 1),)], a3_roots)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D4", "D5", "E6"])
@@ -205,7 +195,7 @@ def test_braid_edges_are_the_two_way_move_graph(name):
     start = tuple(simple_root(q.n, i) for i in topological_order(q))
     orbit, expected = braid_graph_by_two_way_moves(q, start)
     assert len(orbit) == FACTORIZATION_COUNTS[name]
-    assert braid_edges(orbit, generate_roots(q).reflection) == sorted(expected)
+    assert braid_edges(orbit, generate_roots(q)) == sorted(expected)
 
 
 def test_replay_certificate_rejects_move_zero(a2):
@@ -305,12 +295,12 @@ def test_corrupted_conjugate_is_caught(a3, monkeypatch):
     start = tuple_from_roots(a3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     other = hurwitz_move(start, 2)
     assert (1, 1, 0) not in other.roots
-    honest = oracles.make_reflection
+    honest = oracles.reflection_matrix
 
     def corrupted(q, root):
-        return Reflection(root, honest(q, (1, 0, 0)).element)
+        return honest(q, (1, 0, 0))
 
-    monkeypatch.setattr(oracles, "make_reflection", corrupted)
+    monkeypatch.setattr(oracles, "reflection_matrix", corrupted)
     with pytest.raises(NcpqError, match="product"):
         hurwitz_move(start, 1)
     with pytest.raises(NcpqError, match="product"):
@@ -359,7 +349,7 @@ def test_orbit_edges_match_single_moves(name):
             j = ids[hurwitz_move(t, i).roots]
             if j != k:
                 expected.add((min(j, k), max(j, k)))
-    edges = braid_edges([t.roots for t in ordered], generate_roots(q).reflection)
+    edges = braid_edges([t.roots for t in ordered], generate_roots(q))
     assert edges == sorted(expected)
     for k, t in enumerate(ordered):
         for i in range(1, q.n):

