@@ -14,8 +14,10 @@ that `verify` runs on every subcategory, works on root positions and
 masks: it orders a set of roots by the one mask sort
 (`quiver.topological_sort`) on the registry's Ext screen
 (`IndecRegistry.ext_into_at`), reads the relative quiver off the Euler
-rows of the ordered roots, and looks roots up only at its inputs and
-outputs. The subcategories are walked down from the whole
+rows of the ordered roots into neighbour masks, counts its roots by the
+Dynkin labels of its shape (`quiver._dynkin_component_label`, with no
+quiver, Cartan matrix or elimination), and looks roots up only at its
+inputs and outputs. The subcategories are walked down from the whole
 category by `subcategory_covers`, the interval walk's own mask diagram
 (`weyl.mask_covers`), whose maximal chains are the complete
 exceptional sequences (see `weyl.braid_transitive` for their one
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import (Quiver, Vector, cartan_matrix, classify_type, positive_root_count,
-                     topological_sort)
+from .quiver import (Quiver, Vector, _dynkin_component_label, connected_components,
+                     positive_root_count, topological_sort)
 from .rep import IndecRegistry, top_simples
 from .weyl import (RootSystem, WeylElement, chain_counts, mask_covers, maximal_chains, multiply,
                    simple_root)
@@ -185,30 +187,40 @@ def order_antichain(antichain: Iterable[Vector], reg: IndecRegistry) -> tuple[Ve
 
 def _relative_root_count(ordered: Sequence[int], euler: Sequence[Sequence[int]]) -> int:
     """Positive-root count of the relative quiver of the exceptional
-    sequence of positions `ordered`, numbered from 1: an arrow k -> l per
-    dimension of Ext, -<a, b> where positive, read off each Euler row
-    once. Ext goes only forward along the sequence, so only the pairs
-    k < l are read, in the order that lists the arrows sorted, as the
-    memo key of `_finite_root_count` is."""
-    arrows: list[tuple[int, int]] = []
-    for k, a in enumerate(ordered, 1):
+    sequence of positions `ordered`: the graph with an edge k -- l per
+    dimension of Ext between its k-th and l-th roots, -<a, b> where
+    positive, read off each Euler row once into neighbour masks (bit l of
+    mask k and bit k of mask l). Ext goes only forward along the
+    sequence, so only the pairs k < l are read. An Ext of dimension 2 or
+    more is a multiple edge, never of finite type, and is refused with
+    the error of `_finite_root_count`."""
+    neighbours = [0] * len(ordered)
+    for k, a in enumerate(ordered):
         row = euler[a]
-        for l, b in enumerate(ordered[k:], k + 1):
-            if (e := row[b]) < 0:
-                arrows += [(k, l)] * -e
-    return _finite_root_count(len(ordered), tuple(arrows))
+        for l in range(k + 1, len(ordered)):
+            if (e := row[ordered[l]]) < 0:
+                if e < -1:
+                    raise NcpqError("relative quiver of a subcategory is not finite type")
+                neighbours[k] |= 1 << l
+                neighbours[l] |= 1 << k
+    return _finite_root_count(tuple(neighbours))
 
 
 @functools.cache
-def _finite_root_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
-    """Positive-root count of the finite-type quiver on n vertices with
-    these arrows, read off its Dynkin type. Many closures share one
-    relative quiver, so this is memoized on (n, arrows), and the quiver
-    is built and validated only on a miss."""
-    classification = classify_type(cartan_matrix(Quiver(n, arrows)))
-    if not classification.is_finite:
-        raise NcpqError("relative quiver of a subcategory is not finite type")
-    return positive_root_count(classification.label)
+def _finite_root_count(neighbours: tuple[int, ...]) -> int:
+    """Positive-root count of the simple graph whose vertex k has the
+    neighbour mask neighbours[k], summed over the Dynkin labels of its
+    components (`quiver._dynkin_component_label`: a component is of finite
+    type exactly when it has one). Many closures share one relative
+    graph, so this is memoized on the masks, and a miss reads the shape
+    alone: no quiver, Cartan matrix or elimination."""
+    total = 0
+    for comp in connected_components((1 << len(neighbours)) - 1, neighbours):
+        label = _dynkin_component_label(comp, neighbours)
+        if label is None:
+            raise NcpqError("relative quiver of a subcategory is not finite type")
+        total += positive_root_count(label)
+    return total
 
 
 def _checked_subcategory(ind: int, rank: int, reg: IndecRegistry, generators: int | None = None,

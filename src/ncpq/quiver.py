@@ -8,7 +8,11 @@ and the nonsymmetric bilinear form on dimension vectors is
 
 Its symmetrization has Gram matrix the generalized Cartan matrix of the
 underlying graph, which is what the finite/affine/indefinite trichotomy is
-decided on (by exact integer arithmetic, never floats).
+decided on, exactly: a component is finite when its graph is an ADE tree
+with simple edges, read off its shape by the package's one Dynkin reader
+(`_dynkin_component_label`, which `exc` also runs on every relative
+quiver), and only the determinant of a component that is not finite
+takes an elimination, in integers (never floats).
 """
 
 from __future__ import annotations
@@ -201,64 +205,102 @@ def _leading_minors(entries: IntMatrix, vertices: list[int]) -> list[int]:
     return minors
 
 
-def _positive_definite(entries: IntMatrix, vertices: list[int]) -> bool:
-    """Whether the principal submatrix on `vertices` is positive definite:
-    by Sylvester's criterion, whether every leading principal minor is
-    positive (`_leading_minors`, one elimination)."""
-    return all(m > 0 for m in _leading_minors(entries, vertices))
+def _dynkin_component_label(comp: int, neighbours: Sequence[int]) -> str | None:
+    """The ADE label of the connected graph on the bits of the mask
+    `comp`, whose vertex v has the neighbour mask neighbours[v] (symmetric;
+    bits outside `comp` are ignored), or None when it is not an ADE tree:
+    its edge count is not its size - 1, a vertex has 4 or more
+    neighbours, two vertices have 3, or the legs at the one that has 3,
+    the components left without it, are not (1, 1, k) (D) or (1, 2, 2),
+    (1, 2, 3), (1, 2, 4) (E). With no such vertex it is a path, A.
 
-
-def _dynkin_component_label(comp: int, neighbours: list[int]) -> str:
-    """ADE label of one positive definite component, the mask `comp`, of
-    the underlying graph: A with no vertex of three neighbours, else D or
-    E by the sizes of its legs, the components left without that vertex."""
-    size = comp.bit_count()
-    center = [v for v, m in enumerate(neighbours) if comp >> v & 1 and m.bit_count() == 3]
-    if not center:
+    This is the package's one reader of finite type. For a connected
+    graph with Cartan matrix C (2 on the diagonal, -1 at each edge) it is
+    exact: C is positive definite exactly when the reader gives a label.
+    The ADE graphs are positive definite (Humphreys 1990, Reflection
+    Groups and Coxeter Groups, 2.4-2.7). Every graph it refuses holds an
+    affine graph on some vertex set S: a cycle (A~), a vertex with four
+    neighbours (D~4), a path between two vertices with 3 neighbours and
+    two of their further neighbours at each end (D~), or legs of at
+    least (2, 2, 2), (1, 3, 3) or (1, 2, 5) (E~6, E~7, E~8), since legs
+    that are not (1, 1, k) or (1, 2, 2-4) contain one of those three. The
+    affine graph's null root d on S (Kac 1990, Infinite dimensional Lie
+    algebras, 4.8) extended by 0 gives d^T C d <= 0: S may carry more
+    edges of the graph, and each adds -2 d_i d_j. A multigraph is not
+    the reader's input: an edge of multiplicity m >= 2 gives the 2-by-2
+    minor 4 - m^2 <= 0, so a caller checks every edge simple first."""
+    size, ends, branch = comp.bit_count(), 0, []
+    rest = comp
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        degree = (neighbours[v] & comp).bit_count()
+        ends += degree
+        if degree > 3:
+            return None
+        if degree == 3:
+            branch.append(v)
+        rest &= rest - 1
+    if ends != 2 * (size - 1) or len(branch) > 1:
+        return None
+    if not branch:
         return f"A{size}"
-    rest = comp & ~(1 << center[0])
-    legs = sorted(leg.bit_count() for leg in connected_components(rest, neighbours))
+    legs = sorted(leg.bit_count() for leg in connected_components(comp & ~(1 << branch[0]),
+                                                                  neighbours))
     if legs[:2] == [1, 1]:
         return f"D{size}"
     if legs in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
         return f"E{size}"
-    raise ValidationError("positive definite graph is not of ADE shape")
+    return None
 
 
 def classify_type(c: CartanMatrix) -> Classification:
     """Finite / affine / indefinite trichotomy, decided exactly, per
     connected component of the underlying graph.
 
-    A component is finite when it is positive definite (Sylvester's
-    criterion). It is affine when its determinant is 0 and every deletion
-    of one vertex leaves it positive definite: by Cauchy interlacing the
-    eigenvalues then are 0 once and positive otherwise, and conversely a
-    connected positive semidefinite matrix of corank 1 has every proper
-    principal submatrix of finite type (Kac, Infinite dimensional Lie
-    algebras, Lemma 4.5). The quiver is finite when every component is,
-    affine when every component is finite or affine and one is affine, and
-    indefinite otherwise. Every deletion positive definite puts the first
-    leading minors above 0, so the determinant is the last one. All of it
-    takes polynomially many eliminations.
+    A component is finite when it is positive definite: exactly when
+    every Cartan entry on it is 0 or -1 and `_dynkin_component_label`
+    labels its graph (proof there), so a finite component takes no
+    elimination. It is affine when its determinant is 0 and every
+    deletion of one vertex leaves it positive definite, read off the
+    shape of each component left: by Cauchy interlacing the eigenvalues
+    then are 0 once and positive otherwise, and conversely a connected
+    positive semidefinite matrix of corank 1 has every proper principal
+    submatrix of finite type (Kac, Infinite dimensional Lie algebras,
+    Lemma 4.5). Every deletion positive definite puts the first leading
+    minors above 0, so the determinant is the last of them
+    (`_leading_minors`, one Bareiss pass, run only on a component that is
+    not finite). The quiver is finite when every component is, affine
+    when every component is finite or affine and one is affine, and
+    indefinite otherwise.
     """
     e = c.entries
     n = len(e)
     neighbours = [sum(1 << j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(e)]
-    masks = connected_components((1 << n) - 1, neighbours)
-    kinds = []
-    for mask in masks:
+    multiple = [sum(1 << j for j, x in enumerate(row) if x < -1) for row in e]
+
+    def labels(mask: int) -> list[str] | None:
+        """The labels of the components of the graph on `mask`, or None
+        when one is not finite."""
+        if any(multiple[v] & mask for v in range(n) if mask >> v & 1):
+            return None
+        read = [_dynkin_component_label(comp, neighbours)
+                for comp in connected_components(mask, neighbours)]
+        return None if None in read else read
+
+    found, affine = [], False
+    for mask in connected_components((1 << n) - 1, neighbours):
+        label = labels(mask)
+        if label is not None:
+            found += label
+            continue
         comp = [v for v in range(n) if mask >> v & 1]
-        if _positive_definite(e, comp):
-            kinds.append("finite")
-        elif (_leading_minors(e, comp)[len(comp) - 1:] == [0]
-              and all(_positive_definite(e, [v for v in comp if v != x]) for x in comp)):
-            kinds.append("affine")
-        else:
+        if not (all(labels(mask & ~(1 << x)) is not None for x in comp)
+                and _leading_minors(e, comp)[len(comp) - 1:] == [0]):
             return Classification("indefinite")
-    if "affine" in kinds:
+        affine = True
+    if affine:
         return Classification("affine")
-    labels = sorted(_dynkin_component_label(mask, neighbours) for mask in masks)
-    return Classification("finite", "+".join(labels))
+    return Classification("finite", "+".join(sorted(found)))
 
 
 def _exponents(part: str) -> tuple[int, ...]:

@@ -137,6 +137,18 @@ FAULTS = (
     Fault("connectivity-skipped", "weyl.py",
           "len(connected_components(b, undirected)) < 2", "True",
           ("test", "tests/test_weyl.py::test_certificate_checks_every_node")),
+    # Finite type is read off the graph's shape, for the quiver and for
+    # every relative quiver of the closure path.
+    Fault("reader-tree-check-skipped", "quiver.py",
+          "if ends != 2 * (size - 1) or len(branch) > 1:", "if len(branch) > 1:",
+          ("test", "tests/test_exc.py::test_relative_root_count_refuses_a_non_finite_quiver")),
+    Fault("reader-legs-1-2-5-read-as-e", "quiver.py",
+          "([1, 2, 2], [1, 2, 3], [1, 2, 4])", "([1, 2, 2], [1, 2, 3], [1, 2, 4], [1, 2, 5])",
+          ("test", "tests/test_quiver.py::"
+                   "test_classify_affine_and_indefinite_table[quiver5-affine]")),
+    Fault("relative-ext-2-read-as-one-edge", "exc.py",
+          "if e < -1:", "if e < -2:",
+          ("test", "tests/test_exc.py::test_relative_root_count_refuses_a_non_finite_quiver")),
     Fault("bareiss-sign", "quiver.py",
           "(x * row[k] - lower[k] * y)", "(x * row[k] + lower[k] * y)",
           ("test", "tests/test_quiver.py::test_classify_kronecker_affine")),
@@ -193,6 +205,12 @@ FAULTS = (
     # One product per element: phi(w*t) = phi(w) - (phi(w) . a) (A a)^T.
     Fault("height-step-sign", "weyl.py",
           "[x - s * y for x, y in zip(v, row)]", "[x + s * y for x, y in zip(v, row)]",
+          ("internal", "verify")),
+    # A wrong top vector steps down to a wrong bottom, which only the
+    # walk's own check, that it ends on the identity, sees.
+    Fault("walk-top-vector-doubled", "weyl.py",
+          "_walk(c, roots, height_vector(c),",
+          "_walk(c, roots, tuple(2 * x for x in height_vector(c)),",
           ("internal", "verify")),
     Fault("cox-prefix-check-skipped", "bijection.py",
           "if simples[child] != ordered[:-1]:", "if False:",

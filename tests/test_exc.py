@@ -27,8 +27,9 @@ from ncpq import (
     sequence_product,
     thick_closure,
     topological_order,
+    verify_bijection,
 )
-from ncpq import exc, rep
+from ncpq import exc, quiver, rep, weyl
 from ncpq.errors import CapExceededError, NcpqError, ValidationError
 from ncpq.exc import (
     _subcategory_simples,
@@ -37,7 +38,7 @@ from ncpq.exc import (
     subcategory_covers,
 )
 from ncpq.hurwitz import braid_edges
-from ncpq.quiver import Quiver
+from ncpq.quiver import CartanMatrix, Quiver, euler_form
 from ncpq.weyl import (RootSystem, braid_transitive, chain_counts, coxeter_element,
                        mask_covers, maximal_chains, simple_root, walk_elements)
 from conftest import height_steps_with
@@ -237,34 +238,80 @@ def test_simples_match_the_injective_map_definition(label):
 
 
 def test_relative_root_count_matches_generated_roots(monkeypatch):
-    # Every relative Ext-quiver met while closing all D5 antichains: the
-    # count read off its Dynkin type against its generated roots.
-    q = DYNKIN_QUIVERS["D5"]
-    reg = build_registry(q)
+    # Every relative graph met while closing all D5 antichains and while
+    # verifying E8, where each node's check reads one, as its neighbour
+    # masks: the count read off its Dynkin labels against the roots
+    # generated on the graph built back as a quiver, each edge k -- l
+    # oriented k -> l.
     real = exc._finite_root_count
     met = set()
 
-    def recording(n, arrows):
-        met.add(Quiver(n, arrows))
-        return real(n, arrows)
+    def recording(neighbours):
+        met.add(neighbours)
+        return real(neighbours)
 
     monkeypatch.setattr(exc, "_finite_root_count", recording)
+    q = DYNKIN_QUIVERS["D5"]
+    reg = build_registry(q)
     for antichain in exceptional_antichains_by_backtracking(q, reg):
         thick_closure(ExcSequence(order_antichain(antichain, reg)), reg)
     assert len(met) > 5
-    for relative in met:
-        count = len(generate_roots(relative).positive_real_roots)
-        assert real(relative.n, relative.arrows) == count
+    assert verify_bijection(DYNKIN_QUIVERS["E8"]).all_ok
+    assert len(met) > 700
+    for neighbours in met:
+        n = len(neighbours)
+        arrows = tuple((k + 1, l + 1) for k in range(n) for l in range(k + 1, n)
+                       if neighbours[k] >> l & 1)
+        assert all(neighbours[l - 1] >> k - 1 & 1 for k, l in arrows)  # symmetric
+        count = len(generate_roots(Quiver(n, arrows)).positive_real_roots)
+        assert real(neighbours) == count
 
 
 def test_relative_root_count_refuses_a_non_finite_quiver(kronecker):
-    with pytest.raises(NcpqError):
-        exc._finite_root_count(kronecker.n, kronecker.arrows)
-    # Ext of dimension 2 between two simples (an Euler row reading -2) is
-    # two arrows, Kronecker again; one arrow per pair would read A2.
+    # The Kronecker quiver's own Euler rows: Ext of dimension 2 between
+    # two simples (a row reading -2) is a double edge, refused before any
+    # shape is read; one edge per pair would read A2.
+    units = [simple_root(2, 1), simple_root(2, 2)]
+    euler = [[euler_form(kronecker, a, b) for b in units] for a in units]
+    assert euler == [[1, -2], [0, 1]]
     with pytest.raises(NcpqError, match="not finite type"):
-        exc._relative_root_count((0, 1), ((1, -2), (0, 1)))
+        exc._relative_root_count((0, 1), euler)
+    # The same -2 beside a root with no Ext: one edge per pair would read
+    # A1 + A2.
+    with pytest.raises(NcpqError, match="not finite type"):
+        exc._relative_root_count((0, 1, 2), ((1, 0, 0), (0, 1, -2), (0, 0, 1)))
     assert exc._relative_root_count((1, 0), ((1, 0), (-1, 1))) == 3
+    # Simple graphs that are not ADE trees: a 3-cycle (A~2), which a
+    # reader that skipped the tree check would read as A3, and a vertex
+    # with four neighbours (D~4).
+    with pytest.raises(NcpqError, match="not finite type"):
+        exc._relative_root_count((0, 1, 2), ((1, -1, -1), (0, 1, -1), (0, 0, 1)))
+    star = ((1, -1, -1, -1, -1), *(tuple(int(j == i) for j in range(5)) for i in range(1, 5)))
+    with pytest.raises(NcpqError, match="not finite type"):
+        exc._relative_root_count(tuple(range(5)), star)
+    # Dropping one leaf leaves D4, 12 roots.
+    assert exc._relative_root_count(tuple(range(4)), star) == 12
+
+
+def test_a_relative_count_miss_reads_the_shape_alone(monkeypatch):
+    # Every node of the E6 descent checked with an empty memo: each miss
+    # reads the Dynkin labels off the masks, and makes no quiver, no
+    # Cartan matrix, no classification and no elimination.
+    reg = build_registry(DYNKIN_QUIVERS["E6"])
+    covers = subcategory_covers(reg)
+    made = []
+    for cls in (Quiver, CartanMatrix):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=real: made.append(self) or real(self))
+    for module in (quiver, weyl):
+        monkeypatch.setattr(module, "classify_type", made.append)
+    monkeypatch.setattr(quiver, "_leading_minors", lambda *a: made.append(a))
+    exc._finite_root_count.cache_clear()
+    for ind, rank in covers.items():
+        exc._checked_subcategory(ind, rank, reg)
+    assert exc._finite_root_count.cache_info().misses > 50
+    assert made == []
 
 
 def test_checked_subcategory_reads_each_ext_of_its_simples_once(monkeypatch):

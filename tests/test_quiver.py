@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from ncpq import (
     CartanMatrix,
+    Classification,
     Quiver,
     build_registry,
     cartan_matrix,
     classify_type,
     euler_form,
+    generate_roots,
     parse_quiver,
     positive_root_count,
     symmetric_form,
@@ -205,13 +207,16 @@ def test_classify_a2_with_minor_oracle(a2):
     st.permutations(range(n)))))
 def test_positive_definite_is_every_leading_minor_positive(drawn):
     # One Bareiss pass against the cofactor minors of the symmetrized
-    # matrix, on its vertices in a drawn order.
+    # matrix, on its vertices in a drawn order: the same minors, through
+    # the first that is <= 0, so every one positive exactly when the
+    # submatrix is positive definite (Sylvester).
     entries, vertices = drawn
     n = len(vertices)
     matrix = [[entries[i * n + j] + entries[j * n + i] for j in range(n)] for i in range(n)]
     sub = [[matrix[i][j] for j in vertices] for i in vertices]
-    assert quiver._positive_definite(matrix, vertices) == all(
-        m > 0 for m in leading_principal_minors(sub))
+    oracle = leading_principal_minors(sub)
+    through = next((k + 1 for k, m in enumerate(oracle) if m <= 0), n)
+    assert quiver._leading_minors(matrix, vertices) == oracle[:through]
 
 
 def test_classify_kronecker_affine(kronecker):
@@ -254,15 +259,33 @@ def test_classify_orientation_independent():
 
 def test_classify_matches_the_minor_sum_oracle_on_small_multigraphs():
     # Every multigraph on at most 4 vertices with edge multiplicities 0..2,
-    # each edge oriented from the smaller vertex.
-    for n in range(1, 5):
+    # and every simple graph on 5 vertices (1,024), each edge oriented
+    # from the smaller vertex. A finite label counts the generated roots.
+    graphs = []
+    for n, top in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 2)):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for mults in itertools.product(range(3), repeat=len(pairs)):
-            arrows = tuple(p for p, m in zip(pairs, mults) for _ in range(m))
-            c = cartan_matrix(Quiver(n, arrows))
-            got = classify_type(c)
-            assert got.kind == kind_by_principal_minor_sums(c.entries), arrows
-            assert (got.label is not None) == got.is_finite
+        graphs += [(n, tuple(p for p, m in zip(pairs, mults) for _ in range(m)))
+                   for mults in itertools.product(range(top), repeat=len(pairs))]
+    assert sum(n == 5 for n, _ in graphs) == 1024
+    kinds = set()
+    for n, arrows in graphs:
+        q = Quiver(n, arrows)
+        c = cartan_matrix(q)
+        got = classify_type(c)
+        assert got.kind == kind_by_principal_minor_sums(c.entries), arrows
+        assert (got.label is not None) == got.is_finite
+        if got.is_finite:
+            assert positive_root_count(got.label) == len(generate_roots(q).positive_real_roots)
+        kinds.add((n, got.kind))
+    assert {(5, "finite"), (5, "affine"), (5, "indefinite")} <= kinds
+
+
+def _relabelled(entries, perm) -> CartanMatrix:
+    """The Cartan matrix with vertex i renamed perm[i]."""
+    n = len(entries)
+    inverse = sorted(range(n), key=perm.__getitem__)
+    return CartanMatrix(tuple(tuple(entries[inverse[i]][inverse[j]] for j in range(n))
+                              for i in range(n)))
 
 
 def _star(*legs: int) -> Quiver:
@@ -295,6 +318,51 @@ def _star(*legs: int) -> Quiver:
 ])
 def test_classify_affine_and_indefinite_table(quiver, kind):
     assert classify_type(cartan_matrix(quiver)).kind == kind
+
+
+@pytest.mark.parametrize("quiver, kind, label", [
+    (DYNKIN_QUIVERS["D5"], "finite", "D5"),
+    (DYNKIN_QUIVERS["E6"], "finite", "E6"),
+    (_star(2, 2, 2), "affine", None),  # E~6
+])
+def test_classify_reads_every_relabelling_alike(quiver, kind, label):
+    # Every renaming of the vertices: the reader reads degrees and legs
+    # off bit masks, so none may depend on which bit a vertex has.
+    entries = cartan_matrix(quiver).entries
+    for perm in itertools.permutations(range(quiver.n)):
+        assert classify_type(_relabelled(entries, perm)) == Classification(kind, label), perm
+
+
+@pytest.mark.parametrize("legs", [(1, 3, 3), (1, 2, 5)])  # E~7, E~8
+def test_reader_refuses_every_relabelling_of_an_affine_star(legs):
+    # Every renaming of the 8 or 9 vertices through the shape reader, and
+    # 500 drawn ones through the whole classification.
+    star = _star(*legs)
+    n, full = star.n, (1 << star.n) - 1
+    for perm in itertools.permutations(range(n)):
+        neighbours = [0] * n
+        for h, t in star.arrows:
+            neighbours[perm[h - 1]] |= 1 << perm[t - 1]
+            neighbours[perm[t - 1]] |= 1 << perm[h - 1]
+        assert quiver._dynkin_component_label(full, neighbours) is None, perm
+    rng = random.Random(42)
+    entries = cartan_matrix(star).entries
+    for _ in range(500):
+        perm = rng.sample(range(n), n)
+        assert classify_type(_relabelled(entries, perm)).kind == "affine", perm
+
+
+def test_a_finite_quiver_takes_no_elimination(monkeypatch):
+    # A finite component is read off its shape; the Bareiss pass runs
+    # only for the determinant of a component that is not finite.
+    calls = []
+    real = quiver._leading_minors
+    monkeypatch.setattr(quiver, "_leading_minors", lambda *a: calls.append(a) or real(*a))
+    for name, q in DYNKIN_QUIVERS.items():
+        assert classify_type(cartan_matrix(q)) == Classification("finite", name)
+    assert calls == []
+    assert classify_type(cartan_matrix(_star(1, 2, 5))).kind == "affine"
+    assert len(calls) == 1
 
 
 def test_classify_is_polynomial_on_a20():
