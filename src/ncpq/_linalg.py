@@ -22,15 +22,15 @@ count explicitly where it cannot be inferred.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-RatMatrix = tuple[tuple[int | Fraction, ...], ...]
+# A rational entry is a `fractions.Fraction`, which this module only reads.
+RatMatrix = tuple[tuple["int | Fraction", ...], ...]
 
 
 def identity_matrix(n: int) -> IntMatrix:

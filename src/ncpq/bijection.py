@@ -55,17 +55,19 @@ check certifies the rest:
   subcategories B_(i-1) = B_i ∩ x_i^⊥ with t_i = s_(x_i), and
   (x_1, ..., x_n) is exceptional because x_j lies in B_(i-1), inside
   x_i^⊥, for j < i. `weyl.chain_counts` counts the chains.
+
+The outcome, a `BijectionReport`, is the one mutable `quiver.Record`;
+its `to_dict` shares no container with it and keeps tuples as tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import asdict, dataclass, fields
 
 from .errors import CapExceededError, NcpqError, ValidationError
 from .exc import Subcategory, _checked_subcategory, is_exceptional_sequence, sequence_product
-from .quiver import Quiver, Vector, topological_order
+from .quiver import Quiver, Record, Vector, topological_order
 from .rep import IndecRegistry, build_registry
 from .weyl import (
     RootSystem,
@@ -81,30 +83,41 @@ from .weyl import (
 )
 
 
-@dataclass
-class BijectionReport:
-    """Machine-readable outcome of one verification run."""
+class BijectionReport(Record):
+    """Machine-readable outcome of one verification run. Unlike the other
+    records it can be assigned to, so it is unhashable."""
 
-    quiver: str
-    type: str
-    coxeter_order: tuple[int, ...]
-    counts: dict
-    flags: dict
-    failures: list
-    elapsed_ms: float
+    _fields = ("quiver", "type", "coxeter_order", "counts", "flags", "failures", "elapsed_ms")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, quiver: str, type: str, coxeter_order: tuple[int, ...], counts: dict,
+                 flags: dict, failures: list, elapsed_ms: float):
+        self.quiver, self.type, self.coxeter_order = quiver, type, coxeter_order
+        self.counts, self.flags, self.failures = counts, flags, failures
+        self.elapsed_ms = elapsed_ms
 
     @property
     def all_ok(self) -> bool:
         return all(self.flags.values()) and not self.failures
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f: _copied(v) for f, v in zip(self._fields, self._values())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BijectionReport":
-        report = cls(**{f.name: data[f.name] for f in fields(cls)})
+        report = cls(**{f: data[f] for f in cls._fields})
         report.coxeter_order = tuple(report.coxeter_order)
         return report
+
+
+def _copied(x):
+    """x with every dict, list and tuple in it copied; the leaves, numbers,
+    strings, booleans and None, are kept."""
+    if isinstance(x, dict):
+        return {k: _copied(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_copied, x))
+    return x
 
 
 def cox(sub: Subcategory, reg: IndecRegistry, roots: RootSystem) -> WeylElement:

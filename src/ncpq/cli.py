@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
-from typing import Iterable, Iterator
 
 from .bijection import verify_bijection
 from .errors import (

@@ -28,11 +28,10 @@ mutation class) and whose nodes' simples are the exceptional antichains
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceededError, NcpqError, ValidationError
-from .quiver import (Quiver, Vector, _dynkin_component_label, connected_components,
+from .quiver import (Quiver, Record, Vector, _dynkin_component_label, connected_components,
                      positive_root_count, topological_sort)
 from .rep import IndecRegistry, top_simples
 from .weyl import (RootSystem, WeylElement, chain_counts, mask_covers, maximal_chains, multiply,
@@ -41,14 +40,13 @@ from .weyl import (RootSystem, WeylElement, chain_counts, mask_covers, maximal_c
 DEFAULT_SEQUENCE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class ExcSequence:
+class ExcSequence(Record):
     """Ordered tuple of positive roots naming registry indecomposables."""
 
-    roots: tuple[Vector, ...]
+    _fields = ("roots",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(tuple(r) for r in self.roots))
+    def __init__(self, roots: tuple[Vector, ...]):
+        object.__setattr__(self, "roots", tuple(tuple(r) for r in roots))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -64,12 +62,14 @@ class ExcSequence:
         return seq
 
 
-@dataclass(frozen=True)
-class Subcategory:
+class Subcategory(Record):
     """Thick exceptional subcategory: indecomposables plus ordered simples."""
 
-    ind_roots: frozenset[Vector]
-    simples: tuple[Vector, ...]
+    _fields = ("ind_roots", "simples")
+
+    def __init__(self, ind_roots: frozenset[Vector], simples: tuple[Vector, ...]):
+        object.__setattr__(self, "ind_roots", ind_roots)
+        object.__setattr__(self, "simples", simples)
 
     @property
     def rank(self) -> int:

@@ -36,7 +36,7 @@ step that disagrees with its root is caught. No matrix is made.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import NcpqError, ValidationError
 from .quiver import Vector

@@ -13,13 +13,17 @@ with simple edges, read off its shape by the package's one Dynkin reader
 (`_dynkin_component_label`, which `exc` also runs on every relative
 quiver), and only the determinant of a component that is not finite
 takes an elimination, in integers (never floats).
+
+The package's value classes are `Record`s, defined here: equal and
+hashed by their fields, frozen (but for `bijection.BijectionReport`),
+each with its own `__init__` that checks them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import prod
-from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
 
 from ._linalg import IntMatrix
 from .errors import QuiverParseError, ValidationError
@@ -28,25 +32,59 @@ Vector = tuple[int, ...]
 Arrow = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Record:
+    """A frozen value with the fields its class names in `_fields`: equal
+    only to a record of its own class with equal fields, hashed as their
+    tuple, printed as `Name(field=..., ...)`. A subclass's `__init__` sets
+    them through `object.__setattr__`; any other assignment or deletion
+    raises AttributeError. No `__slots__`: a `cached_property` needs the
+    instance dict."""
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # the fields' tuple, or the one field
+
+    def _values(self) -> tuple:
+        key = self._key(self)
+        return key if len(self._fields) > 1 else (key,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(Record):
     """Directed multigraph with vertices 1..n and no oriented cycles.
 
     Parallel arrows are repeated entries; loops are rejected. Arrows are
     stored sorted, so equality is by (n, multiset of arrows).
     """
 
-    n: int
-    arrows: tuple[Arrow, ...]
+    _fields = ("n", "arrows")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, arrows: tuple[Arrow, ...]):
+        if n < 1:
             raise ValidationError("vertex count must be at least 1")
-        arrows = tuple(sorted((int(h), int(t)) for h, t in self.arrows))
+        arrows = tuple(sorted((int(h), int(t)) for h, t in arrows))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
         for h, t in arrows:
-            if not (1 <= h <= self.n and 1 <= t <= self.n):
-                raise ValidationError(f"arrow ({h}, {t}) has a vertex outside 1..{self.n}")
+            if not (1 <= h <= n and 1 <= t <= n):
+                raise ValidationError(f"arrow ({h}, {t}) has a vertex outside 1..{n}")
             if h == t:
                 raise ValidationError(f"loop arrow at vertex {h}")
         topological_order(self)  # raises ValidationError on an oriented cycle
@@ -135,15 +173,14 @@ def symmetric_form(q: Quiver, v: Vector, w: Vector) -> int:
     return euler_form(q, v, w) + euler_form(q, w, v)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Record):
     """Symmetric integer matrix with 2s on the diagonal, nonpositive elsewhere."""
 
-    entries: IntMatrix
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries: IntMatrix):
+        n = len(entries)
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
         object.__setattr__(self, "entries", entries)
         for i in range(n):
             if len(entries[i]) != n:
@@ -171,10 +208,13 @@ def cartan_matrix(q: Quiver) -> CartanMatrix:
     return CartanMatrix(entries)
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "finite" | "affine" | "indefinite"
-    label: str | None = None
+class Classification(Record):
+    _fields = ("kind", "label")
+
+    def __init__(self, kind: str, label: str | None = None):
+        # kind is "finite", "affine" or "indefinite"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
 
     @property
     def is_finite(self) -> bool:

@@ -9,7 +9,9 @@ registry and `indecomposable_for_root`: the sink word returns to the
 quiver after n steps, so a replayed step depends only on (step mod n,
 root), and each such step is made once (proof in its docstring).
 It reflects the quiver once per level, and every step builds its
-module on the level's quiver. Integral entries are stored as ints.
+module on the level's quiver. A `Representation` is a `quiver.Record`.
+Integral entries are stored as ints; `fractions` is imported only when
+a non-integral one is first made.
 Each step takes its cokernel from an integer left kernel
 (`_linalg.int_kernel`) and slices each new map out of the kernel rows,
 so the registry maps are integral (E7's have entries in {-1, 0, 1}; the
@@ -34,13 +36,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._linalg import RatMatrix, int_kernel, integer_rows, rank
 from .errors import NcpqError, NonFiniteTypeError, ValidationError
-from .quiver import Quiver, Vector, euler_form, positive_root_count, topological_order
+from .quiver import Quiver, Record, Vector, euler_form, positive_root_count, topological_order
 from .weyl import RootSystem, complete_roots, is_positive, simple_root
 
 
@@ -52,12 +52,12 @@ def _exact(x) -> int | Fraction:
     """x as an exact rational: an int when it is integral."""
     if type(x) is int:
         return x
+    from fractions import Fraction  # no command builds a non-integral entry
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Vector spaces at the vertices, one exact-rational matrix per arrow.
 
     The map of arrow (h, t) has shape dims[t-1] x dims[h-1]; maps are
@@ -69,20 +69,18 @@ class Representation:
     other map goes through `_exact` entry by entry.
     """
 
-    quiver: Quiver
-    dims: Vector
-    maps: tuple[RatMatrix, ...]
+    _fields = ("quiver", "dims", "maps")
 
-    def __post_init__(self):
-        if len(self.dims) != self.quiver.n:
+    def __init__(self, quiver: Quiver, dims: Vector, maps: tuple[RatMatrix, ...]):
+        if len(dims) != quiver.n:
             raise ValidationError("dimension vector length does not match quiver")
-        if min(self.dims, default=0) < 0:
+        if min(dims, default=0) < 0:
             raise ValidationError("negative dimension")
-        if len(self.maps) != len(self.quiver.arrows):
+        if len(maps) != len(quiver.arrows):
             raise ValidationError("one matrix per arrow required")
         frozen = []
-        for (h, t), m in zip(self.quiver.arrows, self.maps):
-            rows, cols = self.dims[t - 1], self.dims[h - 1]
+        for (h, t), m in zip(quiver.arrows, maps):
+            rows, cols = dims[t - 1], dims[h - 1]
             if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
                 m = tuple(map(tuple, m))
             else:
@@ -91,6 +89,8 @@ class Representation:
                 raise ValidationError(
                     f"map for arrow ({h}, {t}) must be {rows}x{cols}")
             frozen.append(m)
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", tuple(frozen))
 
 
@@ -202,23 +202,14 @@ def _reflect_quiver(q: Quiver, v: int) -> Quiver:
     return Quiver(q.n, arrows)
 
 
-class _Level(NamedTuple):
-    """One level of the transport: the cokernel step at the source j of
-    `source`, which gives a module on `target`, the quiver with j's
-    arrows reversed. `out` holds the indices of the arrows leaving j, and
-    target arrow i is source arrow order[i], reversed if it leaves j."""
-
-    source: Quiver
-    target: Quiver
-    j: int
-    out: tuple[int, ...]
-    order: tuple[int, ...]
-
-
-def _level(source: Quiver, j: int, target: Quiver) -> _Level:
-    """The plan of the cokernel step at j from `source` to `target`,
-    checked once: j must be a source of `source`, and reversing its
-    arrows must give target's arrows in the order `order` lists."""
+def _level(source: Quiver, j: int, target: Quiver) -> tuple:
+    """One level of the transport, (source, target, j, out, order): the
+    cokernel step at the source j of `source`, which gives a module on
+    `target`, the quiver with j's arrows reversed. `out` holds the
+    indices of the arrows leaving j, and target arrow i is source arrow
+    order[i], reversed if it leaves j. The plan is checked once: j must
+    be a source of `source`, and reversing its arrows must give target's
+    arrows in the order `order` lists."""
     if not source.is_source(j):
         raise NcpqError(f"vertex {j} is not a source")
     out = source.arrow_indices_from(j)
@@ -226,10 +217,10 @@ def _level(source: Quiver, j: int, target: Quiver) -> _Level:
                    for k, (h, t) in enumerate(source.arrows))
     if tuple(a for a, _ in moved) != target.arrows:
         raise NcpqError("transport misaligned the quiver; this is a bug")
-    return _Level(source, target, j, out, tuple(k for _, k in moved))
+    return source, target, j, out, tuple(k for _, k in moved)
 
 
-def _source_cokernel_step(rep: Representation, level: _Level) -> Representation:
+def _source_cokernel_step(rep: Representation, level: tuple) -> Representation:
     """Reverse the arrows at the level's source j, replacing the space
     there by the cokernel of the combined outgoing map. Requires that map
     injective, which holds along indecomposable transport, and `rep` on
@@ -237,11 +228,11 @@ def _source_cokernel_step(rep: Representation, level: _Level) -> Representation:
     of each reversed arrow is its column block of the integer left
     kernel, sliced out of every kernel row, and the module is built on
     the level's target quiver."""
-    if rep.quiver != level.source:
+    source, target, j, out, order = level
+    if rep.quiver != source:
         raise NcpqError("transport misaligned the quiver; this is a bug")
-    j = level.j
     dj = rep.dims[j - 1]
-    block_rows = [row for k in level.out for row in rep.maps[k]]
+    block_rows = [row for k in out for row in rep.maps[k]]
     total_rows = len(block_rows)
     # The rows y of proj span {y : y phi = 0}, whose size is total_rows - dj
     # exactly when phi is injective.
@@ -251,12 +242,12 @@ def _source_cokernel_step(rep: Representation, level: _Level) -> Representation:
         raise NcpqError("outgoing map is not injective; transport is broken")
     maps = list(rep.maps)
     off = 0
-    for k in level.out:
+    for k in out:
         width = len(rep.maps[k])
         maps[k] = tuple(row[off:off + width] for row in proj)
         off += width
     dims = rep.dims[:j - 1] + (new_dim_j,) + rep.dims[j:]
-    return Representation(level.target, dims, tuple(maps[k] for k in level.order))
+    return Representation(target, dims, tuple(maps[k] for k in order))
 
 
 def _is_simple_vector(v: Vector) -> int | None:

@@ -40,16 +40,16 @@ braid group moves any chain to any other (proof in its docstring).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property, reduce
 from operator import mul
-from typing import Iterable, Iterator
 
 from ._linalg import IntMatrix, identity_matrix, int_rank, mat_mul, mat_vec
 from .errors import CapExceededError, NcpqError, NonFiniteTypeError, ValidationError
 from .quiver import (
     Classification,
     Quiver,
+    Record,
     Vector,
     cartan_matrix,
     classify_type,
@@ -66,8 +66,7 @@ DEFAULT_INTERVAL_CAP = 1_000_000
 DEFAULT_ROOT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """Invertible integer matrix acting on the root lattice.
 
     Equal and hashed as its matrix. Elements key many memo tables, and a
@@ -75,7 +74,10 @@ class WeylElement:
     per element, on first use.
     """
 
-    matrix: IntMatrix
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        object.__setattr__(self, "matrix", matrix)
 
     @cached_property
     def _hash(self) -> int:
@@ -109,15 +111,17 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
 Step = tuple[tuple[tuple[int, int], ...], Vector]
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Record):
     """Reflection t = I - a (A a)^T at a positive real root a, for the
     symmetric Cartan matrix A, held as its root and its step: the nonzero
     (j, a_j) and the row A a, which `_height_step` reads. Its matrix is
     built on first read, for the callers that print or return it."""
 
-    root: Vector
-    step: Step
+    _fields = ("root", "step")
+
+    def __init__(self, root: Vector, step: Step):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "step", step)
 
     @cached_property
     def element(self) -> WeylElement:
@@ -722,13 +726,15 @@ def noncrossing_partitions(c: WeylElement, q: Quiver, *,
     return set(element_matrices(c, roots)[1].values())
 
 
-@dataclass(frozen=True)
-class ExchangeWitness:
+class ExchangeWitness(Record):
     """Index t and the two sides of the exchange identity, as matrices."""
 
-    t: int
-    lhs: WeylElement
-    rhs: WeylElement
+    _fields = ("t", "lhs", "rhs")
+
+    def __init__(self, t: int, lhs: WeylElement, rhs: WeylElement):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def verified(self) -> bool:
